@@ -65,6 +65,9 @@ func main() {
 		fmt.Printf("  history:      version before op %d = %q\n", seq, string(v[:2]))
 	}
 	fmt.Printf("  chain:        resumed at seq %d, splicing onto the remote head\n", dev2.Log().NextSeq())
+	st := dev2.Stats()
+	fmt.Printf("  retention:    %d stale pages on flash already held by the server (released), %d re-pinned to ship again\n",
+		st.ReopenHeld, st.ReopenRepinned)
 
 	fmt.Println("\nGeneration 2: one write, then CRASH without offloading...")
 	at2, _ = dev2.Write(0, page("v4-uncommitted"), at2)

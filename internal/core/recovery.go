@@ -45,9 +45,20 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 // Reopen adopts an existing device image after a power cycle: it scans the
 // flash OOB area, replays the remotely stored operation log to
 // reconstruct the exact logical mapping (including trims, which OOB alone
-// cannot express), re-pins every committed stale version so conservative
-// retention survives the reboot, and resumes the hash chain at the remote
-// head so post-reboot segments splice on without a break.
+// cannot express), re-pins the stale versions the server does not hold so
+// conservative retention survives the reboot, and resumes the hash chain at
+// the remote head so post-reboot segments splice on without a break.
+//
+// It fetches three things over the session: the chain head, the log from
+// genesis to that head, and the payload-free listing of every page version
+// the server holds. A stale flash page is released instead of pinned only
+// when the server lists its (LPN, write sequence) with the content hash the
+// replayed chain records for that write. That is the trust an ack carries —
+// the listing arrives over the authenticated session from a store that ran
+// VerifyPages before indexing the version — cross-checked against the
+// evidence chain. Everything else on flash that is stale and committed is
+// the unshipped tail (the ack never arrived, or the server expired the
+// version since) and is pinned and shipped again.
 //
 // Durability model: state covered by offloaded log entries is recovered
 // exactly. Flash pages whose OOB sequence is beyond the remote head belong
@@ -65,14 +76,37 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: reopen: fetch head: %w", err)
 	}
-	// Replay the committed operation history.
-	type op struct {
-		seq  uint64
-		kind oplog.Kind
+	listed, err := client.FetchHeld()
+	if err != nil {
+		return nil, fmt.Errorf("core: reopen: fetch held versions: %w", err)
 	}
-	hist := map[uint64][]op{}
-	liveSeq := map[uint64]uint64{}
-	trimmed := map[uint64]bool{}
+	// A write sequence names one log entry, so it keys the listing; durable
+	// marks the listed versions the replay below confirms against the chain.
+	heldAt := make(map[uint64]int, len(listed))
+	for i := range listed {
+		heldAt[listed[i].WriteSeq] = i
+	}
+	durable := make([]bool, len(listed))
+	isDurable := func(lpn, writeSeq uint64) bool {
+		i, ok := heldAt[writeSeq]
+		return ok && durable[i] && listed[i].LPN == lpn
+	}
+
+	// Replay the committed operation history. live maps each mapped LPN to
+	// the sequence of its current write; staledBy records, for every
+	// superseded version the server does not hold, the operation that
+	// superseded it — the unshipped tail is all the retention index needs.
+	type staleOp struct {
+		seq   uint64
+		cause ftl.StaleCause
+	}
+	live := map[uint64]uint64{}
+	staledBy := map[uint64]staleOp{}
+	supersede := func(e *oplog.Entry, cause ftl.StaleCause) {
+		if prev, ok := live[e.LPN]; ok && !isDurable(e.LPN, prev) {
+			staledBy[prev] = staleOp{e.Seq, cause}
+		}
+	}
 	const batch = 4096
 	for from := uint64(0); from < head.NextSeq; from += batch {
 		to := from + batch
@@ -83,15 +117,18 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 		if err != nil {
 			return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): %w", from, to, err)
 		}
-		for _, e := range entries {
+		for i := range entries {
+			e := &entries[i]
 			switch e.Kind {
 			case oplog.KindWrite, oplog.KindRecovery:
-				liveSeq[e.LPN] = e.Seq
-				trimmed[e.LPN] = false
-				hist[e.LPN] = append(hist[e.LPN], op{e.Seq, e.Kind})
+				supersede(e, ftl.CauseOverwrite)
+				live[e.LPN] = e.Seq
+				if j, ok := heldAt[e.Seq]; ok && listed[j].LPN == e.LPN && listed[j].Hash == e.DataHash {
+					durable[j] = true
+				}
 			case oplog.KindTrim, oplog.KindRecoveryTrim:
-				trimmed[e.LPN] = true
-				hist[e.LPN] = append(hist[e.LPN], op{e.Seq, e.Kind})
+				supersede(e, ftl.CauseTrim)
+				delete(live, e.LPN)
 			}
 		}
 	}
@@ -119,9 +156,14 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 		if oob.Seq >= head.NextSeq {
 			return ftl.DispDiscard // uncommitted tail: rolled back
 		}
-		if ls, ok := liveSeq[oob.LPN]; ok && !trimmed[oob.LPN] && oob.Seq == ls {
+		if ls, ok := live[oob.LPN]; ok && oob.Seq == ls {
 			return ftl.DispLive
 		}
+		if isDurable(oob.LPN, oob.Seq) {
+			r.stats.ReopenHeld++
+			return ftl.DispDiscard // the server holds it: as good as acked
+		}
+		r.stats.ReopenRepinned++
 		kept = append(kept, scanned{ppn, oob})
 		return ftl.DispRetained
 	}
@@ -136,14 +178,14 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	for i := range r.lpnWriteSeq {
 		r.lpnWriteSeq[i] = NoSeq
 	}
-	for lpn, ls := range liveSeq {
-		if !trimmed[lpn] && lpn < uint64(len(r.lpnWriteSeq)) {
+	for lpn, ls := range live {
+		if lpn < uint64(len(r.lpnWriteSeq)) {
 			r.lpnWriteSeq[lpn] = ls
 		}
 	}
 
 	// Rebuild the retention index. Each kept page's staleSeq and cause
-	// come from the first mapping-changing operation after its write.
+	// come from the operation that superseded its write.
 	for _, s := range kept {
 		re := &retEntry{
 			ppn:      s.ppn,
@@ -152,13 +194,8 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 			staleSeq: s.oob.Seq + 1,
 			cause:    ftl.CauseOverwrite,
 		}
-		ops := hist[s.oob.LPN]
-		i := sort.Search(len(ops), func(i int) bool { return ops[i].seq > s.oob.Seq })
-		if i < len(ops) {
-			re.staleSeq = ops[i].seq
-			if ops[i].kind == oplog.KindTrim || ops[i].kind == oplog.KindRecoveryTrim {
-				re.cause = ftl.CauseTrim
-			}
+		if op, ok := staledBy[s.oob.Seq]; ok {
+			re.staleSeq, re.cause = op.seq, op.cause
 		}
 		r.retained[s.ppn] = re
 		r.retByLPN[s.oob.LPN] = append(r.retByLPN[s.oob.LPN], re)

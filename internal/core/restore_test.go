@@ -55,11 +55,15 @@ func TestRestoreImageResumesMidStream(t *testing.T) {
 	// Restore over a recovery session whose first incarnation dies after
 	// two chunks: handshake (2 reads) + 2 chunk frames (3 reads each).
 	dials := 0
+	choked := make(chan struct{}) // closed when the choked session's handler has returned
 	dial := func() (*remote.Client, error) {
 		dials++
 		if dials == 1 {
 			dc, sc := net.Pipe()
-			go srv.HandleConn(sc)
+			go func() {
+				defer close(choked)
+				srv.HandleConn(sc)
+			}()
 			// Handshake (2 reads) + two 3-read chunk frames, then drop.
 			return remote.Dial(remote.NewChokeConn(dc, 8), testPSK, 1)
 		}
@@ -76,6 +80,9 @@ func TestRestoreImageResumesMidStream(t *testing.T) {
 	if rep.Resumes == 0 {
 		t.Fatal("stream was not interrupted: the test vehicle lost its teeth")
 	}
+	// The choked session ledgers its stream only when its blocked write
+	// fails, on its own goroutine: wait for that handler to return.
+	<-choked
 	if rs := srv.RecoveryStats(1); rs.Resumes == 0 || rs.Streams < 2 {
 		t.Fatalf("server saw no resumed stream (restarted instead?): %+v", rs)
 	}

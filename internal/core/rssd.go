@@ -214,6 +214,12 @@ type Stats struct {
 	RestorePagesLiteral uint64
 	RestorePagesDelta   uint64
 	DedupHitRate        float64
+	// ReopenHeld / ReopenRepinned split the committed stale flash pages
+	// Reopen found: held ones the server already lists with the chain's
+	// hash (released, never shipped again), repinned ones it does not (the
+	// unshipped tail — the next drain ships exactly these).
+	ReopenHeld     uint64
+	ReopenRepinned uint64
 	// LastOffloadError is the most recent background offload/checkpoint
 	// failure ("" when the last attempt succeeded) — the SMART-log style
 	// surfacing of errors that never reach host I/O.

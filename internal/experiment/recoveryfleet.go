@@ -55,10 +55,17 @@ type RecoveryDeviceRow struct {
 	RefPages          int    // streamed pages that arrived as hash references
 	AnchorSeq         uint64 // checkpoint sequence the delta diffed against (0: full)
 
-	BacklogPages int     // retention backlog right after restore
-	Redials      uint64  // offload sessions re-established after the outage
-	ResumeGap    uint64  // entries adopted from FetchHead instead of re-shipped
-	DrainMs      float64 // simulated time to drain the backlog across the outage
+	BacklogPages int // retention backlog right after restore
+	// ReopenHeld / ReopenRepinned: stale flash pages Reopen found already
+	// held by the server (released) vs re-pinned as the unshipped tail.
+	// ShippedPages is what the device offloaded between Reopen and the end
+	// of the restore — re-pinned tail plus restore churn, a count.
+	ReopenHeld     uint64
+	ReopenRepinned uint64
+	ShippedPages   uint64
+	Redials        uint64  // offload sessions re-established after the outage
+	ResumeGap      uint64  // entries adopted from FetchHead instead of re-shipped
+	DrainMs        float64 // simulated time to drain the backlog across the outage
 }
 
 // RecoverySummary aggregates the recovery fleet run.
@@ -419,7 +426,11 @@ func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recove
 		return fmt.Errorf("dedup restore found no checkpoint anchor")
 	}
 	d.row.Verified = rd.verified
-	d.row.BacklogPages = dev.Stats().RetainedNow
+	st := dev.Stats()
+	d.row.BacklogPages = st.RetainedNow
+	d.row.ReopenHeld = st.ReopenHeld
+	d.row.ReopenRepinned = st.ReopenRepinned
+	d.row.ShippedPages = st.OffloadPages
 
 	// Simulated outage: the offload session dies with restore backlog
 	// still retained; the engine must redial and drain it.
@@ -430,7 +441,7 @@ func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recove
 		return fmt.Errorf("backlog drain: %w", err)
 	}
 	d.row.DrainMs = float64(at.Sub(drainStart)) / 1e6
-	st := dev.Stats()
+	st = dev.Stats()
 	d.row.Redials = st.Redials
 	d.row.ResumeGap = st.ResumeGap
 	if st.LastOffloadError != "" {
@@ -442,7 +453,7 @@ func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recove
 // RenderFleetRecovery renders the per-device table and the summary.
 func RenderFleetRecovery(res *RecoveryFleetResult) string {
 	tb := metrics.NewTable("device", "role", "detected", "RTO ms", "restored/zero/kept",
-		"chunks", "resumes", "wire MiB", "logical MiB", "verified", "backlog", "redials", "gap", "drain ms")
+		"chunks", "resumes", "wire MiB", "logical MiB", "verified", "backlog", "held/repinned", "shipped", "redials", "gap", "drain ms")
 	for _, r := range res.Rows {
 		det := "-"
 		if r.Detected {
@@ -457,7 +468,8 @@ func RenderFleetRecovery(res *RecoveryFleetResult) string {
 		tb.AddRow(r.Device, r.Role, det, r.RTOms,
 			fmt.Sprintf("%d/%d/%d", r.RestoredPages, r.ZeroedPages, r.KeptPages),
 			r.Chunks, r.Resumes, r.RestoreWireMiB, r.RestoreLogicalMiB,
-			ver, r.BacklogPages, r.Redials, r.ResumeGap, r.DrainMs)
+			ver, r.BacklogPages, fmt.Sprintf("%d/%d", r.ReopenHeld, r.ReopenRepinned), r.ShippedPages,
+			r.Redials, r.ResumeGap, r.DrainMs)
 	}
 	s := res.Summary
 	verified := "all verified page-identical"

@@ -38,6 +38,11 @@ const (
 	// retained version written before sequence Before — one codec-framed
 	// chunk of the image, for targeted re-fetches.
 	FetchRange
+	// FetchHeld requests the identity of every page version the store holds
+	// for the device — (LPN, WriteSeq, StaleSeq, Cause, Hash), no payloads.
+	// A reopening device uses it to tell the stale pages it already shipped
+	// from the unshipped tail it must pin again.
+	FetchHeld
 )
 
 // FetchReq is a retrieval request issued during recovery or forensics.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/oplog"
 )
@@ -246,32 +246,52 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 	srv := NewServer(st, psk)
 	srv.Config = ServerConfig{DecodeWorkers: 3, DecodeQueueDepth: 64}
 
-	var wg sync.WaitGroup
+	// Close drains the sessions that exist when it fires; a device that
+	// handshakes afterwards is a new session and is served normally. So the
+	// test holds every device at a barrier until all of them have a session
+	// and one acked window behind them, releases them together, and pulls
+	// the plug on an ingest count no device can reach by finishing: the
+	// whole fleet is mid-stream by construction, not by wall-clock luck.
+	const window = 8
+	var ingested atomic.Int64
+	midFlight := make(chan struct{})
+	st.Subscribe(func(uint64, *oplog.Segment) {
+		if ingested.Add(1) == devices*(window+4) {
+			close(midFlight)
+		}
+	})
+	var ready, wg sync.WaitGroup
+	release := make(chan struct{})
 	for d := 0; d < devices; d++ {
 		dev := uint64(300 + d)
+		ready.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := Loopback(srv, psk, dev)
-			if err != nil {
-				return // raced with Close before the handshake; nothing pushed
-			}
-			defer cl.Close()
 			blobs, seqs := blobsFor(buildSegments(dev, segs, perSeg))
+			cl, err := Loopback(srv, psk, dev)
+			if err == nil {
+				defer cl.Close()
+				err = cl.PushSegmentBlobs(blobs[:window], seqs[:window], window)
+			}
+			ready.Done()
+			if err != nil {
+				t.Errorf("device %d before Close: %v", dev, err)
+				return
+			}
+			<-release
 			// The push dies with a transport error when Close cuts the
 			// session mid-stream — that is the scenario under test.
-			_ = cl.PushSegmentBlobs(blobs, seqs, 8)
+			_ = cl.PushSegmentBlobs(blobs[window:], seqs[window:], window)
 		}()
 	}
-
-	// Let the fleet get genuinely mid-flight before pulling the plug.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.IngestTotals().Segments < devices*4 {
-		if time.Now().After(deadline) {
-			t.Fatal("fleet never reached mid-flight")
-		}
-		time.Sleep(time.Millisecond)
+	ready.Wait()
+	close(release)
+	if t.Failed() {
+		wg.Wait()
+		t.FailNow()
 	}
+	<-midFlight
 	srv.Close()
 
 	// The drain contract: at return, no session is still tracked and the

@@ -422,6 +422,9 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	case nvmeoe.FetchHead:
 		h := s.Store.Head(deviceID)
 		return ss.writeMsg(nvmeoe.MsgFetchResp, h.Marshal())
+	case nvmeoe.FetchHeld:
+		seg := &oplog.Segment{DeviceID: deviceID, Pages: s.Store.HeldVersions(deviceID)}
+		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
 	default:
 		return ss.sendErr(CodeBadData, fmt.Errorf("unknown fetch kind %d", req.Kind))
 	}
@@ -884,6 +887,18 @@ func (c *Client) FetchCheckpoint(before uint64) (nvmeoe.Checkpoint, bool, error)
 		return nvmeoe.Checkpoint{}, false, err
 	}
 	return cp, true, nil
+}
+
+// FetchHeld retrieves the identity — LPN, WriteSeq, StaleSeq, Cause, Hash,
+// no payload — of every page version the server holds for this device. One
+// reply carries the whole listing at 61 bytes per version before the codec,
+// so a single frame covers about a million versions.
+func (c *Client) FetchHeld() ([]oplog.PageRecord, error) {
+	seg, err := c.fetchSegment(nvmeoe.FetchReq{Kind: nvmeoe.FetchHeld})
+	if err != nil {
+		return nil, err
+	}
+	return seg.Pages, nil
 }
 
 // Head retrieves the remote chain state.

@@ -298,6 +298,36 @@ func (s *Store) Image(deviceID, before uint64) []oplog.PageRecord {
 	return out
 }
 
+// HeldVersions lists every page version the store holds for the device, in
+// (LPN, WriteSeq) order, with the payloads left out: the listing costs
+// O(versions) whatever the page size. It is what a reopening device
+// compares its flash against — a version listed here passed VerifyPages at
+// ingest and was acked, and stays listed until DropSegmentPages expires
+// it. An unknown device holds nothing.
+func (s *Store) HeldVersions(deviceID uint64) []oplog.PageRecord {
+	d, ok := s.lookup(deviceID)
+	if !ok {
+		return nil
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	lpns := make([]uint64, 0, len(d.versions))
+	n := 0
+	for lpn, vs := range d.versions {
+		lpns = append(lpns, lpn)
+		n += len(vs)
+	}
+	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
+	out := make([]oplog.PageRecord, 0, n)
+	for _, lpn := range lpns {
+		for _, p := range d.versions[lpn] {
+			p.Data = nil
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // ImageRange returns the next chunk of a point-in-time image: for up to
 // maxPages LPNs with fromLPN <= LPN < toLPN that have a retained version
 // written before the given sequence, the newest such version, in LPN
