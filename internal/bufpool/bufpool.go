@@ -21,6 +21,7 @@ package bufpool
 
 import (
 	"compress/flate"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -192,15 +193,12 @@ func (d *Deflater) Append(dst, p []byte) ([]byte, error) {
 // allocs/op, matching the encode lane.
 type Inflater struct {
 	br   bitReader
-	lit  huffTable
-	dist huffTable
-	clen huffTable
+	lit  [litTableSize]uint32
+	dist [distTableSize]uint32
+	clen [1 << clenBits]uint32
 	lens [286 + 30]uint8 // dynamic-header code lengths (hlit + hdist max)
-	// limit, when positive, bounds the decoded output size (AppendLimited):
-	// a stream that tries to produce more is corrupt by the caller's
-	// framing, and aborting early keeps a flipped-bit blob from inflating
-	// without bound on the ingest path.
-	limit int
+	// First-level widths of lit and dist as the current block built them.
+	litBits, distBits uint
 }
 
 var inflaters = sync.Pool{New: func() any { return &Inflater{} }}
@@ -219,21 +217,24 @@ func (i *Inflater) Release() {
 
 // Append appends the decompression of the DEFLATE stream p to dst and
 // returns the extended slice. With sufficient dst capacity it performs zero
-// allocations. Decode failures return ErrCorrupt or ErrTruncated (possibly
-// with dst partially extended); the caller's pooled buffer discipline makes
-// partial output harmless.
+// allocations, and with InflateSlack bytes of capacity beyond the decoded
+// size the fast loop runs to the end of the stream. Decode failures return
+// ErrCorrupt or ErrTruncated (possibly with dst partially extended); the
+// caller's pooled buffer discipline makes partial output harmless.
+//
+// Bytes of dst below len(dst) are never written, but the spare capacity
+// dst[len(dst):cap(dst)] is scratch: beyond the returned slice, word-wide
+// match copies may leave up to seven bytes of garbage. Pass a pooled or
+// fresh buffer, never a window onto bytes that matter.
 func (i *Inflater) Append(dst, p []byte) ([]byte, error) {
-	i.limit = 0
-	return i.inflate(dst, p)
+	return i.inflate(dst, p, math.MaxInt)
 }
 
 // AppendLimited is Append with an output bound: decoding fails with
-// ErrCorrupt as soon as the stream would exceed max decoded bytes. Callers
-// whose framing records the expected decoded size (the segment codec
-// header) pass it here so corrupted streams cannot balloon memory.
+// ErrCorrupt before the stream's output would pass max decoded bytes —
+// max 0 admits only the empty stream. Callers whose framing records the
+// expected decoded size (the segment codec header) pass it here so
+// corrupted streams cannot balloon memory.
 func (i *Inflater) AppendLimited(dst, p []byte, max int) ([]byte, error) {
-	i.limit = max
-	out, err := i.inflate(dst, p)
-	i.limit = 0
-	return out, err
+	return i.inflate(dst, p, max)
 }

@@ -11,17 +11,31 @@
 // no streaming window to manage — back-references copy straight from the
 // produced output. Correctness is cross-checked against compress/flate in
 // inflate_test.go over every stdlib compression level.
+//
+// One decoder, two loops over the same tables. The fast loop (bitReader.fast)
+// runs while at least fastInMargin input bytes and InflateSlack bytes of
+// spare output capacity remain: there it can keep the bit accumulator and
+// both cursors in registers, refill eight bytes at a time without testing
+// for the end of input, store literals by index and copy matches a word at
+// a time. Everything else — the last few bytes of either buffer, the end of
+// a block, and every malformed or out-of-bounds symbol — it declines,
+// leaving the reader exactly before the symbol, and the careful loop
+// (Inflater.block) decodes that symbol with the checks and the error
+// classification in one place.
 package bufpool
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/bits"
 )
 
 // ErrCorrupt and ErrTruncated classify decode failures: a stream that
 // violates DEFLATE (bad block type, over-subscribed code, reference before
-// stream start, stored-block length mismatch) versus one that simply ends
-// early. Callers treat both as fatal; tests distinguish them.
+// stream start, stored-block length mismatch, output past the caller's
+// bound) versus one that simply ends early. Callers treat both as fatal;
+// tests distinguish them.
 var (
 	ErrCorrupt   = errors.New("bufpool: corrupt deflate stream")
 	ErrTruncated = errors.New("bufpool: truncated deflate stream")
@@ -33,12 +47,61 @@ const (
 	maxNumDist  = 32  // distance alphabet (30 valid + 2 reserved)
 	numCodeLens = 19  // the code-length alphabet of the dynamic header
 
-	// fastBits sizes the single-level lookup table. 9 bits covers every
-	// code BestSpeed emits in practice; longer codes take the canonical
-	// bit-at-a-time path.
-	fastBits = 9
-	fastSize = 1 << fastBits
+	// First-level table widths, one per alphabet. A table is indexed by
+	// min(width, longest code) bits, so a block whose codes are short — a
+	// 4-page segment, a log-entry batch — fills a few hundred slots, not
+	// the full width; longer codes continue in a second-level sub-table
+	// indexed by the remaining bits. On segments of pages and of log
+	// entries BestSpeed spends 8–9 bits on nearly every literal and 7–9 on
+	// its longest distance code, and 11–15 only on a handful of rare
+	// symbols per block, so these widths keep the second level off the
+	// hot path; the code-length alphabet cannot exceed 7 bits at all.
+	litBits  = 10
+	distBits = 9
+	clenBits = 7
+
+	// Sub-table room. A sub-table of 2^k slots hangs under a first-level
+	// prefix whose longest code is width+k bits, and a complete code has
+	// at least k+1 symbols under such a prefix; 2^k/(k+1) grows with k,
+	// so an alphabet of N symbols needs at most N·2^K/(K+1) slots with
+	// K = maxCodeBits − width. build checks the room anyway.
+	litTableSize  = 1<<litBits + maxNumLit<<(maxCodeBits-litBits)/(maxCodeBits-litBits+1)
+	distTableSize = 1<<distBits + maxNumDist<<(maxCodeBits-distBits)/(maxCodeBits-distBits+1)
+
+	// The fast loop's margins. One iteration refills twice (eight bytes
+	// read at a cursor that has advanced by at most seven) and writes at
+	// most two literals and one match, rounded up to whole words.
+	fastInMargin = 16
+
+	// InflateSlack is the spare capacity beyond the decoded size that lets
+	// the fast loop run to the end of the stream: callers that know the
+	// logical size rent or allocate that plus InflateSlack. Less is
+	// correct — the careful loop finishes the stream — just slower for the
+	// last InflateSlack bytes.
+	InflateSlack = 2 + 33*8
 )
+
+// Table entries are 32 bits:
+//
+//	bits  0–5   code length plus extra bits: what a length or distance
+//	            consumes in all (the fast loop shifts it out in one step)
+//	bits  8–11  code length alone; in a sub-table pointer, the width of
+//	            the sub-table's index
+//	bits 12–15  kind: hLit, hBase, hSub or hEOB; none for the reserved
+//	            symbols (286, 287, distance 30, 31), which decode and are
+//	            then rejected. The zero entry is a miss: no code starts
+//	            with these bits.
+//	bits 16–31  the literal, the length or distance base, or the sub-table's
+//	            offset in the table
+const (
+	hLit  = 1 << 12 // a literal byte (or a code-length symbol)
+	hBase = 1 << 13 // a length or distance: base plus extra bits
+	hSub  = 1 << 14 // first level only: continue in a sub-table
+	hEOB  = 1 << 15 // end of block
+)
+
+func entryCodeLen(e uint32) uint { return uint(e>>8) & 15 }
+func entryExtra(e uint32) uint   { return uint(e&63) - uint(e>>8)&15 }
 
 // bitReader drains a byte slice LSB-first through a 64-bit accumulator.
 // Errors are sticky: after the first failure every read returns zero and
@@ -51,8 +114,9 @@ type bitReader struct {
 	err error
 }
 
+// fill tops the accumulator up to 56–63 bits, or to the end of the input.
 func (r *bitReader) fill() {
-	for r.n <= 56 && r.pos < len(r.in) {
+	for r.n < 56 && r.pos < len(r.in) {
 		r.b |= uint64(r.in[r.pos]) << r.n
 		r.pos++
 		r.n += 8
@@ -65,9 +129,7 @@ func (r *bitReader) take(k uint) uint32 {
 	if r.n < k {
 		r.fill()
 		if r.n < k {
-			if r.err == nil {
-				r.err = ErrTruncated
-			}
+			r.fail(ErrTruncated)
 			return 0
 		}
 	}
@@ -77,6 +139,12 @@ func (r *bitReader) take(k uint) uint32 {
 	return v
 }
 
+func (r *bitReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // alignByte drops the partial byte before a stored block.
 func (r *bitReader) alignByte() {
 	drop := r.n & 7
@@ -84,149 +152,168 @@ func (r *bitReader) alignByte() {
 	r.n -= drop
 }
 
-// huffTable is a canonical Huffman decoder with all storage inline: a
-// 9-bit single-level fast table plus per-length first-code/offset arrays
-// for the slow path. build reuses the arrays across streams — nothing here
-// ever allocates.
+// huffTable is a view of a built two-level decoding table: tab[:1<<bits] is
+// the first level, sub-tables follow. The storage belongs to the Inflater
+// (or to the package, for the fixed code) and is rebuilt in place.
 type huffTable struct {
-	count  [maxCodeBits + 1]uint16 // codes per bit length
-	first  [maxCodeBits + 1]uint32 // first canonical code of each length
-	offset [maxCodeBits + 1]uint16 // syms index of each length's first code
-	syms   [maxNumLit]uint16       // symbols ordered by (length, symbol)
-	fast   [fastSize]uint16        // sym<<4 | len for codes ≤ fastBits; 0 = miss
-	min    uint                    // shortest code length (0 = empty table)
-	max    uint                    // longest code length (0 = empty table)
+	tab  []uint32
+	bits uint
 }
 
-// build constructs the decoder for the given code lengths (0 = unused
-// symbol). Over-subscribed codes are corrupt; incomplete codes are accepted
-// only in the degenerate single-symbol case, matching compress/flate. An
-// all-zero length set builds an empty table that errors on first use —
-// legal for the distance alphabet of a literal-only block.
-func (t *huffTable) build(lens []uint8) error {
-	for i := range t.count {
-		t.count[i] = 0
+// sym decodes one code, consuming the code's own bits but not the extra
+// bits of a length or distance, and returns its table entry. On failure it
+// records the error on r and returns the zero entry: ErrCorrupt when no
+// code starts with the bits at hand, ErrTruncated when the input ends
+// inside the code.
+func (r *bitReader) sym(t huffTable) uint32 {
+	if r.n < maxCodeBits {
+		r.fill()
 	}
+	e := t.tab[r.b&(1<<t.bits-1)]
+	if e&hSub != 0 {
+		e = t.tab[uint64(e>>16)+(r.b>>t.bits)&(1<<entryCodeLen(e)-1)]
+	}
+	if e == 0 {
+		r.fail(ErrCorrupt)
+		return 0
+	}
+	// Bits above r.n are zero, so the entry is trusted only when the whole
+	// code was actually buffered.
+	l := entryCodeLen(e)
+	if l > r.n {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	r.b >>= l
+	r.n -= l
+	return e
+}
+
+// build constructs, in tab, the decoder for the given code lengths (0 =
+// unused symbol) and returns its first-level width, at most maxBits. proto
+// holds each symbol's entry less its code length. Over-subscribed codes are
+// corrupt; incomplete codes are accepted only in the degenerate
+// single-symbol case, matching compress/flate. An all-zero length set
+// builds a table of one miss — legal for the distance alphabet of a
+// literal-only block. A complete code fills every slot it indexes, so
+// nothing is cleared between blocks.
+func build(tab []uint32, maxBits uint, lens []uint8, proto []uint32) (uint, error) {
+	var count [maxCodeBits + 1]uint16
 	total := 0
 	for _, l := range lens {
 		if l != 0 {
-			t.count[l]++
+			count[l]++
 			total++
 		}
 	}
 	if total == 0 {
-		t.min, t.max = 0, 0
-		for i := range t.fast {
-			t.fast[i] = 0
-		}
-		return nil
+		tab[0] = 0
+		return 0, nil
 	}
 	left := 1
-	min, max := uint(0), uint(0)
+	max := uint(0)
 	for l := uint(1); l <= maxCodeBits; l++ {
 		left <<= 1
-		left -= int(t.count[l])
+		left -= int(count[l])
 		if left < 0 {
-			return ErrCorrupt
+			return 0, ErrCorrupt
 		}
-		if t.count[l] != 0 {
-			if min == 0 {
-				min = l
-			}
+		if count[l] != 0 {
 			max = l
 		}
 	}
 	if left > 0 && !(total == 1 && max == 1) {
-		return ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	t.min, t.max = min, max
 
-	code := uint32(0)
-	off := uint16(0)
-	var next [maxCodeBits + 1]uint16
-	for l := uint(1); l <= maxCodeBits; l++ {
-		code = (code + uint32(t.count[l-1])) << 1
-		t.first[l] = code
-		t.offset[l] = off
-		next[l] = off
-		off += t.count[l]
+	// Symbols in canonical order: by length, then by value.
+	var next [maxCodeBits + 2]uint16
+	for l := 1; l <= maxCodeBits; l++ {
+		next[l+1] = next[l] + count[l]
 	}
-	for i := range t.fast {
-		t.fast[i] = 0
-	}
-	for sym, l8 := range lens {
-		if l8 == 0 {
-			continue
-		}
-		l := uint(l8)
-		idx := next[l]
-		next[l]++
-		t.syms[idx] = uint16(sym)
-		if l <= fastBits {
-			// The stream presents code bits in reverse; fill every fast
-			// slot whose low l bits spell this code.
-			c := t.first[l] + uint32(idx-t.offset[l])
-			rev := uint32(bits.Reverse16(uint16(c)) >> (16 - l))
-			entry := uint16(sym)<<4 | uint16(l)
-			for j := rev; j < fastSize; j += 1 << l {
-				t.fast[j] = entry
-			}
+	var sorted [maxNumLit]uint16
+	for sym, l := range lens {
+		if l != 0 {
+			sorted[next[l]] = uint16(sym)
+			next[l]++
 		}
 	}
-	return nil
-}
 
-// readSym decodes one symbol, or returns -1 with the error recorded on r.
-func (t *huffTable) readSym(r *bitReader) int {
-	if r.n < t.max {
-		r.fill()
+	root := max
+	if root > maxBits {
+		root = maxBits
 	}
-	if v := t.fast[uint32(r.b)&(fastSize-1)]; v != 0 {
-		// Bits above r.n in the accumulator are zero, so a fast hit is
-		// only trusted when its full length is actually buffered.
-		l := uint(v & 15)
-		if l <= r.n {
-			r.b >>= l
-			r.n -= l
-			return int(v >> 4)
+	// The stream presents code bits in reverse, so a code of length l owns
+	// every first-level slot whose low l bits spell it. Grow the table one
+	// bit at a time: at width l each code of length l is a single slot,
+	// and doubling the table by copy replicates the shorter ones. Slots
+	// copied before anything was written to them are prefixes of longer
+	// codes; a complete code overwrites every one of them further down.
+	code := uint32(0)
+	j := 0
+	for l := uint(1); l <= root; l++ {
+		copy(tab[1<<(l-1):1<<l], tab[:1<<(l-1)])
+		code <<= 1
+		for c := count[l]; c > 0; c-- {
+			tab[bits.Reverse16(uint16(code))>>(16-l)] = proto[sorted[j]] + uint32(l)<<8 + uint32(l)
+			j++
+			code++
 		}
 	}
-	code := uint32(0)
-	for l := uint(1); l <= t.max; l++ {
-		if r.n == 0 {
-			r.fill()
-			if r.n == 0 {
-				if r.err == nil {
-					r.err = ErrTruncated
+	if total == 1 {
+		tab[1] = 0 // the one incomplete code: "1" is nobody's
+	}
+	// Longer codes continue in sub-tables. Canonical order keeps the codes
+	// under one first-level prefix together; at the first of them, the
+	// counts of the codes still to come say how deep that prefix's subtree
+	// goes, which is the sub-table's width.
+	free := 1 << root
+	prefix, sub, subBits := ^uint32(0), 0, uint(0)
+	for l := root + 1; l <= max; l++ {
+		code <<= 1
+		for ; count[l] > 0; count[l]-- {
+			sym := sorted[j]
+			j++
+			rev := uint32(bits.Reverse16(uint16(code)) >> (16 - l))
+			code++
+			if p := rev & (1<<root - 1); p != prefix {
+				prefix = p
+				subBits = l - root
+				for left := 1<<subBits - int(count[l]); left > 0 && root+subBits < max; {
+					subBits++
+					left = left<<1 - int(count[root+subBits])
 				}
-				return -1
+				sub = free
+				free += 1 << subBits
+				if free > len(tab) {
+					return 0, ErrCorrupt
+				}
+				tab[p] = uint32(sub)<<16 | hSub | uint32(subBits)<<8
+			}
+			e := proto[sym] + uint32(l)<<8 + uint32(l)
+			for k := int(rev >> root); k < 1<<subBits; k += 1 << (l - root) {
+				tab[sub+k] = e
 			}
 		}
-		code = code<<1 | uint32(r.b&1)
-		r.b >>= 1
-		r.n--
-		if l < t.min {
-			continue
-		}
-		if d := code - t.first[l]; d < uint32(t.count[l]) {
-			return int(t.syms[uint32(t.offset[l])+d])
-		}
 	}
-	if r.err == nil {
-		r.err = ErrCorrupt
-	}
-	return -1
+	return root, nil
 }
 
 // The length and distance expansion tables of RFC 1951 §3.2.5.
 var (
 	lenBase   = [29]uint16{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258}
 	lenExtra  = [29]uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
-	distBase  = [30]uint32{1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577}
+	distBase  = [30]uint16{1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577}
 	distExtra = [30]uint8{0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13}
 
 	// codeOrder is the dynamic header's permuted code-length ordering.
 	codeOrder = [numCodeLens]byte{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
+
+	// Each alphabet's entries less the code length, which build adds. The
+	// reserved symbols stay zero here, so their entries have no kind.
+	litProto  [maxNumLit]uint32
+	distProto [maxNumDist]uint32
+	clenProto [numCodeLens]uint32
 
 	// The fixed-Huffman tables of §3.2.6, built once at package init; block
 	// decode reads them concurrently but never writes.
@@ -235,6 +322,20 @@ var (
 )
 
 func init() {
+	for s := 0; s < 256; s++ {
+		litProto[s] = hLit | uint32(s)<<16
+	}
+	litProto[256] = hEOB
+	for s := range lenBase {
+		litProto[257+s] = hBase | uint32(lenBase[s])<<16 | uint32(lenExtra[s])
+	}
+	for s := range distBase {
+		distProto[s] = hBase | uint32(distBase[s])<<16 | uint32(distExtra[s])
+	}
+	for s := range clenProto {
+		clenProto[s] = hLit | uint32(s)<<16
+	}
+
 	var lit [maxNumLit]uint8
 	for j := 0; j < 144; j++ {
 		lit[j] = 8
@@ -248,27 +349,34 @@ func init() {
 	for j := 280; j < maxNumLit; j++ {
 		lit[j] = 8
 	}
-	if err := fixedLit.build(lit[:]); err != nil {
-		panic(err)
-	}
 	// All 32 distance codes are 5 bits; 30 and 31 decode but are rejected
 	// as corrupt when they appear, per the RFC.
 	var dist [maxNumDist]uint8
 	for j := range dist {
 		dist[j] = 5
 	}
-	if err := fixedDist.build(dist[:]); err != nil {
+	fixedLit.tab = make([]uint32, 1<<9)
+	fixedDist.tab = make([]uint32, 1<<5)
+	var err error
+	if fixedLit.bits, err = build(fixedLit.tab, litBits, lit[:], litProto[:]); err != nil {
+		panic(err)
+	}
+	if fixedDist.bits, err = build(fixedDist.tab, distBits, dist[:], distProto[:]); err != nil {
 		panic(err)
 	}
 }
 
-// inflate appends the decoded stream p to dst. start marks where this
-// stream's output began — back-references may not reach before it into
-// unrelated caller bytes.
-func (i *Inflater) inflate(dst, p []byte) ([]byte, error) {
+// inflate appends the decoded stream p to dst, to at most max bytes. start
+// marks where this stream's output began — back-references may not reach
+// before it into unrelated caller bytes — and end where it must stop.
+func (i *Inflater) inflate(dst, p []byte, max int) ([]byte, error) {
 	i.br = bitReader{in: p}
 	r := &i.br
 	start := len(dst)
+	end := math.MaxInt
+	if max < end-start {
+		end = start + max
+	}
 	for {
 		final := r.take(1)
 		typ := r.take(2)
@@ -278,12 +386,12 @@ func (i *Inflater) inflate(dst, p []byte) ([]byte, error) {
 		var err error
 		switch typ {
 		case 0:
-			dst, err = i.stored(dst, start)
+			dst, err = i.stored(dst, end)
 		case 1:
-			dst, err = i.block(dst, start, &fixedLit, &fixedDist)
+			dst, err = i.block(dst, start, end, fixedLit, fixedDist)
 		case 2:
 			if err = i.readDynamicHeader(); err == nil {
-				dst, err = i.block(dst, start, &i.lit, &i.dist)
+				dst, err = i.block(dst, start, end, huffTable{i.lit[:], i.litBits}, huffTable{i.dist[:], i.distBits})
 			}
 		default:
 			err = ErrCorrupt
@@ -300,7 +408,7 @@ func (i *Inflater) inflate(dst, p []byte) ([]byte, error) {
 }
 
 // stored copies a §3.2.4 uncompressed block.
-func (i *Inflater) stored(dst []byte, start int) ([]byte, error) {
+func (i *Inflater) stored(dst []byte, end int) ([]byte, error) {
 	r := &i.br
 	r.alignByte()
 	ln := r.take(16)
@@ -312,7 +420,7 @@ func (i *Inflater) stored(dst []byte, start int) ([]byte, error) {
 		return dst, ErrCorrupt
 	}
 	length := int(ln)
-	if i.limit > 0 && len(dst)-start+length > i.limit {
+	if length > end-len(dst) {
 		return dst, ErrCorrupt
 	}
 	// Drain whole bytes already buffered in the accumulator, then bulk-copy
@@ -332,41 +440,155 @@ func (i *Inflater) stored(dst []byte, start int) ([]byte, error) {
 	return dst, nil
 }
 
-// block decodes one Huffman-coded block body with the given tables.
-func (i *Inflater) block(dst []byte, start int, lit, dist *huffTable) ([]byte, error) {
+// fast decodes symbols of one block body into out[op:], for as long as
+// nothing needs checking, and returns the new op. It requires, and at every
+// iteration re-establishes, that fastInMargin input bytes and InflateSlack
+// bytes of out below end remain, so refills never meet the end of the input
+// and stores never meet the end of the output or the caller's bound. It
+// returns — with the reader exactly before the symbol, and r.b's unread bits
+// zeroed again — at the end of the block, at a miss or a reserved symbol, at
+// a distance that reaches before start, and when a margin runs out. Word
+// copies may scribble on up to seven bytes of out beyond the returned op.
+func (r *bitReader) fast(out []byte, op, start, end int, lit, dist huffTable) int {
+	in := r.in
+	b, n, pos := r.b, uint64(r.n), r.pos
+	inEnd := len(in) - fastInMargin
+	// Three literals fit under opEnd without passing end; a match is
+	// checked against end itself.
+	opEnd := end - 3
+	if opEnd > len(out)-InflateSlack {
+		opEnd = len(out) - InflateSlack
+	}
+	litTab, litMask := lit.tab, uint64(1)<<lit.bits-1
+	distTab, distMask := dist.tab, uint64(1)<<dist.bits-1
+
+	for pos <= inEnd && op <= opEnd {
+		// Branch-free refill: whole bytes up to 56–63 valid bits. Bits of b
+		// above n are real stream bits here, ORed in again by the next
+		// refill; only the careful loop needs them zero.
+		b |= binary.LittleEndian.Uint64(in[pos:]) << (n & 63)
+		pos += int((63 - n) >> 3)
+		n |= 56
+
+		// Up to three literals (33 bits at most) on one refill.
+		e := litTab[b&litMask]
+		if e&hLit != 0 {
+			b >>= e & 63
+			n -= uint64(e & 63)
+			out[op] = byte(e >> 16)
+			op++
+			e = litTab[b&litMask]
+			if e&hLit != 0 {
+				b >>= e & 63
+				n -= uint64(e & 63)
+				out[op] = byte(e >> 16)
+				op++
+				e = litTab[b&litMask]
+				if e&hLit != 0 {
+					b >>= e & 63
+					n -= uint64(e & 63)
+					out[op] = byte(e >> 16)
+					op++
+					continue
+				}
+			}
+			// Not a literal: top up, so that a whole length/distance pair
+			// (15+5+15+13 bits) is buffered and pos stays put from here on.
+			b |= binary.LittleEndian.Uint64(in[pos:]) << (n & 63)
+			pos += int((63 - n) >> 3)
+			n |= 56
+		}
+		if e&hSub != 0 {
+			e = litTab[uint64(e>>16)+(b>>lit.bits)&(1<<(e>>8&15)-1)]
+			if e&hLit != 0 {
+				b >>= e & 63
+				n -= uint64(e & 63)
+				out[op] = byte(e >> 16)
+				op++
+				continue
+			}
+		}
+		if e&hBase == 0 {
+			break
+		}
+		b0, n0 := b, n
+		length := int(e>>16) + int(b&(1<<(e&63)-1)>>(e>>8&15))
+		b >>= e & 63
+		n -= uint64(e & 63)
+
+		e = distTab[b&distMask]
+		if e&hSub != 0 {
+			e = distTab[uint64(e>>16)+(b>>dist.bits)&(1<<(e>>8&15)-1)]
+		}
+		distance := int(e>>16) + int(b&(1<<(e&63)-1)>>(e>>8&15))
+		if e&hBase == 0 || distance > op-start || length > end-op {
+			b, n = b0, n0
+			break
+		}
+		b >>= e & 63
+		n -= uint64(e & 63)
+
+		src := op - distance
+		switch {
+		case length > 40:
+			// memmove. While the match overlaps itself, the span from its
+			// source to what has been written doubles with every pass.
+			for k := 0; k < length; {
+				k += copy(out[op+k:op+length], out[src:op+k])
+			}
+		case distance >= 8:
+			// Whole words, up to seven bytes too far; the source stays
+			// eight or more bytes behind the destination, so an
+			// overlapping match still reads only bytes already written.
+			for k := 0; k < length; k += 8 {
+				binary.LittleEndian.PutUint64(out[op+k:], binary.LittleEndian.Uint64(out[src+k:]))
+			}
+		default:
+			for k := 0; k < length; k++ {
+				out[op+k] = out[src+k]
+			}
+		}
+		op += length
+	}
+	r.b, r.n, r.pos = b&(1<<n-1), uint(n), pos
+	return op
+}
+
+// block decodes one Huffman-coded block body with the given tables: the
+// fast loop wherever its margins hold, and this loop, one symbol at a time,
+// for whatever it declines.
+func (i *Inflater) block(dst []byte, start, end int, lit, dist huffTable) ([]byte, error) {
 	r := &i.br
 	for {
-		if i.limit > 0 && len(dst)-start > i.limit {
-			return dst, ErrCorrupt
-		}
-		sym := lit.readSym(r)
-		if sym < 0 {
-			return dst, r.err
-		}
-		if sym < 256 {
-			dst = append(dst, byte(sym))
+		dst = dst[:r.fast(dst[:cap(dst)], len(dst), start, end, lit, dist)]
+		e := r.sym(lit)
+		switch {
+		case e&hLit != 0:
+			if len(dst) >= end {
+				return dst, ErrCorrupt
+			}
+			dst = append(dst, byte(e>>16))
 			continue
-		}
-		if sym == 256 {
+		case e&hBase != 0:
+		case e&hEOB != 0:
+			return dst, nil
+		default:
+			// A miss or a truncated code (r.err says which), else a
+			// reserved length symbol.
+			r.fail(ErrCorrupt)
 			return dst, r.err
 		}
-		if sym > 285 {
-			return dst, ErrCorrupt
-		}
-		li := sym - 257
-		length := int(lenBase[li]) + int(r.take(uint(lenExtra[li])))
-		dsym := dist.readSym(r)
-		if dsym < 0 {
+		length := int(e>>16) + int(r.take(entryExtra(e)))
+		e = r.sym(dist)
+		if e&hBase == 0 {
+			r.fail(ErrCorrupt)
 			return dst, r.err
 		}
-		if dsym > 29 {
-			return dst, ErrCorrupt
-		}
-		distance := int(distBase[dsym]) + int(r.take(uint(distExtra[dsym])))
+		distance := int(e>>16) + int(r.take(entryExtra(e)))
 		if r.err != nil {
 			return dst, r.err
 		}
-		if distance > len(dst)-start {
+		if distance > len(dst)-start || length > end-len(dst) {
 			return dst, ErrCorrupt
 		}
 		// Copy with pos fixed at the match start: each append extends the
@@ -384,8 +606,8 @@ func (i *Inflater) block(dst []byte, start int, lit, dist *huffTable) ([]byte, e
 	}
 }
 
-// readDynamicHeader parses a §3.2.7 dynamic-Huffman header into i.lit and
-// i.dist, rebuilding the tables in place.
+// readDynamicHeader parses a §3.2.7 dynamic-Huffman header and rebuilds the
+// Inflater's literal/length and distance tables in place.
 func (i *Inflater) readDynamicHeader() error {
 	r := &i.br
 	hlit := int(r.take(5)) + 257
@@ -404,68 +626,56 @@ func (i *Inflater) readDynamicHeader() error {
 	if r.err != nil {
 		return r.err
 	}
-	if err := i.clen.build(clens[:]); err != nil {
+	clenWidth, err := build(i.clen[:], clenBits, clens[:], clenProto[:])
+	if err != nil {
 		return err
 	}
+	clen := huffTable{i.clen[:], clenWidth}
 	n := hlit + hdist
-	j := 0
-	for j < n {
-		sym := i.clen.readSym(r)
-		if sym < 0 {
+	for j := 0; j < n; {
+		e := r.sym(clen)
+		if e == 0 {
 			return r.err
 		}
-		switch {
-		case sym < 16:
+		sym := e >> 16
+		if sym < 16 {
 			i.lens[j] = uint8(sym)
 			j++
-		case sym == 16:
+			continue
+		}
+		// 16 repeats the previous length 3–6 times; 17 and 18 write 3–10
+		// and 11–138 zeros.
+		var rep int
+		var v uint8
+		switch sym {
+		case 16:
 			if j == 0 {
 				return ErrCorrupt
 			}
-			rep := int(r.take(2)) + 3
-			if r.err != nil {
-				return r.err
-			}
-			if j+rep > n {
-				return ErrCorrupt
-			}
-			v := i.lens[j-1]
-			for k := 0; k < rep; k++ {
-				i.lens[j] = v
-				j++
-			}
-		case sym == 17:
-			rep := int(r.take(3)) + 3
-			if r.err != nil {
-				return r.err
-			}
-			if j+rep > n {
-				return ErrCorrupt
-			}
-			for k := 0; k < rep; k++ {
-				i.lens[j] = 0
-				j++
-			}
-		default: // 18
-			rep := int(r.take(7)) + 11
-			if r.err != nil {
-				return r.err
-			}
-			if j+rep > n {
-				return ErrCorrupt
-			}
-			for k := 0; k < rep; k++ {
-				i.lens[j] = 0
-				j++
-			}
+			rep, v = int(r.take(2))+3, i.lens[j-1]
+		case 17:
+			rep = int(r.take(3)) + 3
+		default:
+			rep = int(r.take(7)) + 11
+		}
+		if r.err != nil {
+			return r.err
+		}
+		if j+rep > n {
+			return ErrCorrupt
+		}
+		for ; rep > 0; rep-- {
+			i.lens[j] = v
+			j++
 		}
 	}
-	if err := i.lit.build(i.lens[:hlit]); err != nil {
+	if i.litBits, err = build(i.lit[:], litBits, i.lens[:hlit], litProto[:]); err != nil {
 		return err
 	}
-	if i.lit.max == 0 {
+	if i.litBits == 0 {
 		// A block with no literal/length codes cannot even terminate.
 		return ErrCorrupt
 	}
-	return i.dist.build(i.lens[hlit:n])
+	i.distBits, err = build(i.dist[:], distBits, i.lens[hlit:n], distProto[:])
+	return err
 }

@@ -13,7 +13,7 @@ import (
 // truncation must error, and random corruption must never panic or diverge
 // from stdlib's accept/reject verdict.
 
-func deflateWith(t *testing.T, level int, payload []byte) []byte {
+func deflateWith(t testing.TB, level int, payload []byte) []byte {
 	t.Helper()
 	var sink bytes.Buffer
 	w, err := flate.NewWriter(&sink, level)
@@ -38,7 +38,7 @@ func inflateAll(comp []byte) ([]byte, error) {
 // testPayloads covers the block shapes the codec meets in practice: empty
 // and tiny streams, pure RLE (single-symbol distance tables), fixed- and
 // dynamic-Huffman text, incompressible noise, and multi-block sizes.
-func testPayloads(t *testing.T) map[string][]byte {
+func testPayloads(t testing.TB) map[string][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	noise := make([]byte, 192<<10)

@@ -67,6 +67,9 @@ type DatapathAllocRow struct {
 	AllocsPerOp float64
 	BytesPerOp  float64
 	Ops         int
+	// LogicalMBps is the decode loop's measured single-lane rate, decoded
+	// bytes per wall-clock second (host-dependent; 0 for the other loops).
+	LogicalMBps float64
 	Note        string
 }
 
@@ -80,21 +83,42 @@ type DatapathResult struct {
 }
 
 // measureAllocs runs f ops times on one OS thread and returns the
-// allocator's per-op averages. Like testing.AllocsPerRun it warms once,
-// pins GOMAXPROCS to 1, and divides the raw counter delta by the run
-// count (integer division on mallocs, exactly as AllocsPerRun reports).
-func measureAllocs(ops int, f func()) (allocsPerOp, bytesPerOp float64) {
+// allocator's per-op averages and the loop's wall time per op. Like
+// testing.AllocsPerRun it warms once, pins GOMAXPROCS to 1, and divides the
+// raw counter delta by the run count (integer division on mallocs, exactly
+// as AllocsPerRun reports).
+func measureAllocs(ops int, f func()) (allocsPerOp, bytesPerOp float64, perOp time.Duration) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f() // warm the pools and any lazy state
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	start := time.Now()
 	for i := 0; i < ops; i++ {
 		f()
 	}
+	perOp = time.Since(start) / time.Duration(ops)
 	runtime.ReadMemStats(&after)
 	return float64((after.Mallocs - before.Mallocs) / uint64(ops)),
-		float64((after.TotalAlloc - before.TotalAlloc) / uint64(ops))
+		float64((after.TotalAlloc - before.TotalAlloc) / uint64(ops)), perOp
+}
+
+// measureDecode runs the decode lane's codec step on one blob, into a
+// pooled buffer as the lane does: the allocator gate (0 in steady state) and
+// what one lane measures on this host, in MB/s of logical output, wall
+// clock — the figure to hold the model's IngestLaneMBps against.
+func measureDecode(blob []byte) (allocsPerOp, bytesPerOp, logicalMBps float64) {
+	logical := nvmeoe.SegmentBlobLogicalSize(blob)
+	dbuf := bufpool.Get(logical)
+	defer dbuf.Release()
+	allocsPerOp, bytesPerOp, perOp := measureAllocs(100, func() {
+		out, err := nvmeoe.AppendDecodeSegmentBlob(dbuf.B[:0], blob)
+		if err != nil {
+			panic(err)
+		}
+		dbuf.B = out[:0]
+	})
+	return allocsPerOp, bytesPerOp, float64(logical) / 1e6 / perOp.Seconds()
 }
 
 // datapathSegment builds a representative sealed segment: a run of chained
@@ -135,21 +159,12 @@ func datapathAllocs(s Scale) []DatapathAllocRow {
 	bbuf := bufpool.Get(nvmeoe.BlobOverhead + logical)
 	defer mbuf.Release()
 	defer bbuf.Release()
-	encA, encB := measureAllocs(ops, func() {
+	encA, encB, _ := measureAllocs(ops, func() {
 		raw := seg.AppendMarshal(mbuf.B[:0])
 		bbuf.B = nvmeoe.AppendSegmentBlob(bbuf.B[:0], raw)
 	})
 
-	blob := nvmeoe.EncodeSegmentBlob(seg.Marshal())
-	dbuf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(blob))
-	defer dbuf.Release()
-	decA, decB := measureAllocs(ops, func() {
-		out, err := nvmeoe.AppendDecodeSegmentBlob(dbuf.B[:0], blob)
-		if err != nil {
-			panic(err)
-		}
-		dbuf.B = out[:0]
-	})
+	decA, decB, decMBps := measureDecode(nvmeoe.EncodeSegmentBlob(seg.Marshal()))
 
 	// Full ingest: codec decode + unmarshal + chain verify + index insert.
 	// Pages-only segments skip the chain check, as offload retries do.
@@ -157,7 +172,7 @@ func datapathAllocs(s Scale) []DatapathAllocRow {
 	ingestSeg := datapathSegment(s, 16)
 	ingestSeg.Entries = nil
 	ingestBlob := nvmeoe.EncodeSegmentBlob(ingestSeg.Marshal())
-	ingA, ingB := measureAllocs(ops, func() {
+	ingA, ingB, _ := measureAllocs(ops, func() {
 		if err := ingestStore.AppendSegmentBlob(ingestSeg, ingestBlob); err != nil {
 			panic(err)
 		}
@@ -166,7 +181,7 @@ func datapathAllocs(s Scale) []DatapathAllocRow {
 	return []DatapathAllocRow{
 		{Loop: "encode", AllocsPerOp: encA, BytesPerOp: encB, Ops: ops,
 			Note: "segment marshal + codec frame through pooled buffers (must be 0)"},
-		{Loop: "decode", AllocsPerOp: decA, BytesPerOp: decB, Ops: ops,
+		{Loop: "decode", AllocsPerOp: decA, BytesPerOp: decB, Ops: ops, LogicalMBps: decMBps,
 			Note: "codec inflate into pooled buffer via the in-house inflater; tables rebuilt in place (must be 0)"},
 		{Loop: "ingest", AllocsPerOp: ingA, BytesPerOp: ingB, Ops: ops,
 			Note: "full store ingest; retains pages and grows indexes by design"},
@@ -247,9 +262,9 @@ func Datapath(s Scale, devices, ingestDevices int) (*DatapathResult, error) {
 
 // RenderDatapath renders the alloc table and the variant comparison.
 func RenderDatapath(res *DatapathResult) string {
-	at := metrics.NewTable("hot loop", "allocs/op", "bytes/op", "ops", "note")
+	at := metrics.NewTable("hot loop", "allocs/op", "bytes/op", "ops", "logical MB/s (wall)", "note")
 	for _, a := range res.Allocs {
-		at.AddRow(a.Loop, a.AllocsPerOp, a.BytesPerOp, a.Ops, a.Note)
+		at.AddRow(a.Loop, a.AllocsPerOp, a.BytesPerOp, a.Ops, a.LogicalMBps, a.Note)
 	}
 	vt := metrics.NewTable("variant", "devices", "page ops", "segs", "sim ms",
 		"segs/s (sim)", "segs/s (wall)", "wire MB/s", "host µs", "ack µs",

@@ -403,7 +403,7 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 		page := make([]byte, s.PageSize)
 		dedupPage(page, 1)
 		h := bufpool.GetHasher()
-		allocs.HashAllocsPerOp, _ = measureAllocs(2000, func() { h.Sum256(page) })
+		allocs.HashAllocsPerOp, _, _ = measureAllocs(2000, func() { h.Sum256(page) })
 		h.Release()
 		refPages := make([]nvmeoe.RefPage, 64)
 		for i := range refPages {
@@ -424,7 +424,7 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 			raw.Release()
 		}
 		encode() // warm
-		allocs.EncodeAllocsPerOp, _ = measureAllocs(500, encode)
+		allocs.EncodeAllocsPerOp, _, _ = measureAllocs(500, encode)
 	}
 
 	res := &DedupResult{Measured: m, Scaling: scaling, Allocs: allocs}

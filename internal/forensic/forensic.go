@@ -82,6 +82,9 @@ func (a *Analyzer) Timeline() (*Evidence, error) {
 		if err != nil {
 			return nil, fmt.Errorf("forensic: fetch head: %w", err)
 		}
+		// One allocation for the whole timeline: the remote prefix the head
+		// has just announced, and the local suffix behind it.
+		entries = make([]oplog.Entry, 0, max(head.NextSeq, a.dev.Log().NextSeq()))
 		const batch = 4096
 		for from := uint64(0); from < head.NextSeq; from += batch {
 			to := from + batch

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 )
@@ -122,6 +123,8 @@ func DecodeSegmentBlob(blob []byte) ([]byte, error) {
 // the passthrough paths, so the result never aliases blob). The ingest hot
 // loop decodes through it with a pooled dst sized by
 // SegmentBlobLogicalSize; with sufficient capacity it allocates nothing.
+// dst's spare capacity is the inflater's scratch (see bufpool's
+// Inflater.Append): pass a pooled or fresh buffer.
 func AppendDecodeSegmentBlob(dst, blob []byte) ([]byte, error) {
 	if !IsSegmentBlob(blob) {
 		return append(dst, blob...), nil
@@ -142,6 +145,12 @@ func AppendDecodeSegmentBlob(dst, blob []byte) ([]byte, error) {
 		// trigger a giant allocation nor balloon output past its own claim.
 		if rawLen > MaxPayload {
 			return nil, fmt.Errorf("%w: claimed logical size %d exceeds %d", ErrBadBlob, rawLen, MaxPayload)
+		}
+		// Where dst lacks the room the header asks for — the fetch path
+		// decodes into nil — grow it once, with the decoder's slack, rather
+		// than let the inflate regrow it by doubling as it goes.
+		if cap(dst)-len(dst) < int(rawLen) {
+			dst = slices.Grow(dst, int(rawLen)+bufpool.InflateSlack)
 		}
 		base := len(dst)
 		out, err := AppendInflateLimited(dst, body, int(rawLen))
