@@ -3,9 +3,12 @@
 // the steady-state seal→compress→ship→ingest path allocates nothing per
 // operation.
 //
-// Two costs motivate it. A flate.Writer is a multi-kilobyte struct that
-// compress/flate rebuilds from scratch on every NewWriter call — the single
-// largest per-segment allocation the offload engine used to make. And every
+// Two costs motivate it. Codec state is large — the encoder's match table
+// and token buffer are about 260 KiB, the decoder's Huffman tables 8 KiB —
+// and building it anew per segment was the single largest allocation the
+// offload engine used to make; both codecs are this package's own
+// (deflate.go, inflate.go), whole-buffer and append-style, with every table
+// in a fixed array of a pooled struct that is rebuilt in place. And every
 // NAND page copy, segment marshal, and codec frame used to be a fresh
 // make([]byte, ...) that lived for microseconds. Both are rental, not
 // ownership, problems: Get a buffer, fill it, Release it when the bytes
@@ -20,7 +23,6 @@
 package bufpool
 
 import (
-	"compress/flate"
 	"math"
 	"math/bits"
 	"sync"
@@ -126,71 +128,13 @@ func (b *Buf) Release() {
 	pools[c].Put(b)
 }
 
-// appendSink is the io.Writer a pooled Deflater compresses into: an append
-// target that lives inside the pooled wrapper, so taking its address never
-// escapes a fresh allocation.
-type appendSink struct {
-	b []byte
-}
-
-func (s *appendSink) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-// Deflater is a pooled flate.Writer (BestSpeed, the codec's one level)
-// bundled with its output sink. Rent with GetDeflater, compress with
-// Append, and Release when done.
-type Deflater struct {
-	w    *flate.Writer
-	sink appendSink
-}
-
-var deflaters = sync.Pool{New: func() any {
-	d := &Deflater{}
-	// NewWriter only fails on an invalid level; BestSpeed is valid.
-	d.w, _ = flate.NewWriter(&d.sink, flate.BestSpeed)
-	return d
-}}
-
-// GetDeflater rents a pooled DEFLATE compressor.
-func GetDeflater() *Deflater { return deflaters.Get().(*Deflater) }
-
-// Release returns the compressor to the pool.
-func (d *Deflater) Release() {
-	if d == nil {
-		return
-	}
-	d.sink.b = nil // never retain caller memory across rentals
-	deflaters.Put(d)
-}
-
-// Append appends the complete DEFLATE stream of p to dst and returns the
-// extended slice. With sufficient dst capacity it performs zero
-// allocations.
-func (d *Deflater) Append(dst, p []byte) ([]byte, error) {
-	d.sink.b = dst
-	d.w.Reset(&d.sink)
-	if _, err := d.w.Write(p); err != nil {
-		d.sink.b = nil
-		return dst, err
-	}
-	err := d.w.Close()
-	out := d.sink.b
-	d.sink.b = nil
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-// Inflater is a pooled DEFLATE decompressor. Unlike the Deflater it does
-// not wrap compress/flate: stdlib inflate re-allocates its dynamic-Huffman
-// link tables on every block, so a pooled stdlib reader still costs ~16
-// allocs per realistic segment. The decoder in inflate.go keeps its bit
-// reader, Huffman tables, and code-length scratch in fixed arrays inside
-// this struct, rebuilt in place per block — steady-state decode is 0
-// allocs/op, matching the encode lane.
+// Inflater is a pooled DEFLATE decompressor, the counterpart of Deflater.
+// It does not wrap compress/flate: stdlib inflate re-allocates its
+// dynamic-Huffman link tables on every block, so a pooled stdlib reader
+// still costs ~16 allocs per realistic segment. The decoder in inflate.go
+// keeps its bit reader, Huffman tables, and code-length scratch in fixed
+// arrays inside this struct, rebuilt in place per block — steady-state
+// decode is 0 allocs/op, matching the encode lane.
 type Inflater struct {
 	br   bitReader
 	lit  [litTableSize]uint32

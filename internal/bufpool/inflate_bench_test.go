@@ -36,19 +36,26 @@ func benchEntries(rng *rand.Rand, n int) []oplog.Entry {
 	return entries
 }
 
+// benchPage is one page of the content model: randomFrac of it
+// incompressible, the rest text.
+func benchPage(rng *rand.Rand, randomFrac float64) []byte {
+	const phrase = "status: nominal; next maintenance window pending approval. "
+	data := make([]byte, benchPageSize)
+	cut := int(randomFrac * benchPageSize)
+	rng.Read(data[:cut])
+	for k := cut; k < len(data); k += copy(data[k:], phrase) {
+	}
+	return data
+}
+
 // benchSegment marshals a segment of pages retained pages (and as many log
 // entries), each page randomFrac incompressible.
 func benchSegment(seed int64, pages int, randomFrac float64) []byte {
-	const phrase = "status: nominal; next maintenance window pending approval. "
 	rng := rand.New(rand.NewSource(seed))
 	seg := oplog.Segment{DeviceID: 7, FirstSeq: 1000, LastSeq: 1000 + uint64(pages)}
 	seg.Entries = benchEntries(rng, pages)
 	for j := 0; j < pages; j++ {
-		data := make([]byte, benchPageSize)
-		cut := int(randomFrac * benchPageSize)
-		rng.Read(data[:cut])
-		for k := cut; k < len(data); k += copy(data[k:], phrase) {
-		}
+		data := benchPage(rng, randomFrac)
 		seg.Pages = append(seg.Pages, oplog.PageRecord{
 			LPN: seg.Entries[j].LPN, WriteSeq: seg.Entries[j].Seq, StaleSeq: seg.Entries[j].Seq + 9,
 			Hash: seg.Entries[j].DataHash, Data: data,
@@ -68,16 +75,7 @@ func benchEntrySegment(seed int64, n int) []byte {
 // the logical size. The destination has the capacity a pooled rental has, so
 // allocs/op must read 0.
 func BenchmarkInflate(b *testing.B) {
-	cases := []struct {
-		name string
-		raw  []byte
-	}{
-		{"pages16_random35", benchSegment(1, 16, 0.35)},
-		{"pages4_random35", benchSegment(2, 4, 0.35)},
-		{"pages16_random10", benchSegment(3, 16, 0.10)},
-		{"entries4096", benchEntrySegment(4, 4096)},
-	}
-	for _, c := range cases {
+	for _, c := range deflateCases()[:4] {
 		b.Run(c.name, func(b *testing.B) {
 			d := GetDeflater()
 			comp, err := d.Append(nil, c.raw)

@@ -117,14 +117,14 @@ func TestInflateEveryCutIsTruncated(t *testing.T) {
 
 // A minimal DEFLATE writer for the streams no compressor emits.
 
-type bitWriter struct {
+type testBitWriter struct {
 	out []byte
 	acc uint64
 	n   uint
 }
 
 // put writes the low k bits of v, least significant first.
-func (w *bitWriter) put(v uint32, k uint) {
+func (w *testBitWriter) put(v uint32, k uint) {
 	w.acc |= uint64(v) << w.n
 	for w.n += k; w.n >= 8; w.n -= 8 {
 		w.out = append(w.out, byte(w.acc))
@@ -132,7 +132,7 @@ func (w *bitWriter) put(v uint32, k uint) {
 	}
 }
 
-func (w *bitWriter) bytes() []byte {
+func (w *testBitWriter) bytes() []byte {
 	if w.n > 0 {
 		return append(w.out, byte(w.acc))
 	}
@@ -165,7 +165,7 @@ func canonicalCode(lens []uint8) huffCode {
 	return huffCode{lens, codes}
 }
 
-func (c huffCode) put(w *bitWriter, sym int) {
+func (c huffCode) put(w *testBitWriter, sym int) {
 	l := uint(c.lens[sym])
 	if l == 0 {
 		panic("symbol has no code")
@@ -192,7 +192,7 @@ func lits(s string) []token {
 // lengths: a dynamic block whose header spells every length out with a flat
 // 4-bit code, or, with nil lengths, a fixed-Huffman block.
 func handBuilt(litLens, distLens []uint8, tokens []token) []byte {
-	var w bitWriter
+	var w testBitWriter
 	w.put(1, 1)
 	if litLens == nil {
 		w.put(1, 2)
@@ -467,7 +467,7 @@ func TestBuildDecodesEveryCode(t *testing.T) {
 			if l == 0 {
 				continue
 			}
-			var w bitWriter
+			var w testBitWriter
 			code.put(&w, s)
 			w.put(rng.Uint32(), 17)
 			r := bitReader{in: w.bytes()}

@@ -3,8 +3,11 @@ package entropy
 import (
 	"crypto/rand"
 	"math"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bufpool"
 )
 
 func TestShannonZeroes(t *testing.T) {
@@ -99,4 +102,76 @@ func TestEntropyPermutationProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sampledReference is Sampled as it was first written: copy the strided
+// bytes out, then take Shannon of the copy, one logarithm per byte value. It
+// is what Entry.Entropy — and with it every chain hash and every detector
+// verdict — was computed by, so Sampled must agree with it to the bit.
+func sampledReference(data []byte, max int) float64 {
+	if max <= 0 || len(data) <= max {
+		return Shannon(data)
+	}
+	stride := len(data) / max
+	sample := make([]byte, 0, max)
+	for i := 0; i < len(data) && len(sample) < max; i += stride {
+		sample = append(sample, data[i])
+	}
+	return Shannon(sample)
+}
+
+func TestSampledMatchesReference(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(1))
+	text := []byte("the quick brown fox jumps over the lazy dog. ")
+	for trial := 0; trial < 20000; trial++ {
+		data := make([]byte, rng.Intn(9001))
+		switch trial % 3 {
+		case 0:
+			rng.Read(data)
+		case 1:
+			for i := 0; i < len(data); i += copy(data[i:], text) {
+			}
+		default:
+			rng.Read(data[:len(data)/3])
+		}
+		max := 1 + rng.Intn(700)
+		if trial%4 == 0 {
+			max = 512
+		}
+		if got, want := Sampled(data, max), sampledReference(data, max); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d bytes, max %d: Sampled = %v, reference %v", len(data), max, got, want)
+		}
+	}
+}
+
+func TestSampledSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	page := make([]byte, 4096)
+	mrand.New(mrand.NewSource(2)).Read(page)
+	Sampled(page, 512) // builds the table
+	if n := testing.AllocsPerRun(100, func() { Sampled(page, 512) }); n != 0 {
+		t.Errorf("Sampled: %v allocs/op, want 0", n)
+	}
+}
+
+func BenchmarkSampled(b *testing.B) {
+	page := make([]byte, 4096)
+	// The repo benchmark's page: 35 % random, the rest text.
+	mrand.New(mrand.NewSource(3)).Read(page[:1433])
+	for i := 1433; i < len(page); i += copy(page[i:], "status: nominal; next maintenance window pending approval. ") {
+	}
+	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			Sampled(page, 512)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			sampledReference(page, 512)
+		}
+	})
 }

@@ -201,8 +201,10 @@ func Deflate(p []byte) ([]byte, bool) {
 
 // AppendDeflate appends the DEFLATE compression of p to dst, reporting
 // false — with dst returned unchanged — when compression does not shrink p.
-// The compressor itself is pooled (a flate.Writer is a multi-KB struct);
-// with sufficient dst capacity the call allocates nothing.
+// The compressor is pooled (bufpool.Deflater, the in-house one-pass encoder:
+// a quarter-megabyte of tables that nothing clears between calls); with
+// capacity for the stream and a few bytes more the call allocates nothing,
+// and like the inflater it may scribble on spare capacity beyond the result.
 func AppendDeflate(dst, p []byte) ([]byte, bool) {
 	d := bufpool.GetDeflater()
 	out, err := d.Append(dst, p)

@@ -32,17 +32,22 @@ func TestDecodeZeroClaimBlobDoesNotInflate(t *testing.T) {
 	}
 	blob := blobWithClaim(CodecDeflate, 0, body)
 	var before, after runtime.MemStats
-	for range 2 { // the first pass leaves an Inflater in the pool
+	got := ^uint64(0)
+	// The first pass leaves an Inflater in the pool; a pass that finds the
+	// pool empty anyway (the goroutine moved to another P) allocates one,
+	// which is larger than this body. Inflating the body would show on
+	// every pass.
+	for range 4 {
 		runtime.ReadMemStats(&before)
 		out, err := AppendDecodeSegmentBlob(nil, blob)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrBadBlob) || out != nil {
 			t.Fatalf("zero-claim blob: err=%v, %d bytes out", err, len(out))
 		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	// (Race builds drop pooled objects at random, and an Inflater is larger
-	// than this body.)
-	if got := after.TotalAlloc - before.TotalAlloc; !bufpool.RaceEnabled && got >= uint64(len(body)) {
+	// (Race builds drop pooled objects at random.)
+	if !bufpool.RaceEnabled && got >= uint64(len(body)) {
 		t.Fatalf("rejecting a %d-byte body allocated %d bytes", len(body), got)
 	}
 	if _, err := DecodeSegmentBlob(blob); !errors.Is(err, ErrBadBlob) {

@@ -109,7 +109,14 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 	}
 	nEntries := binary.LittleEndian.Uint32(b[44:])
 	nPages := binary.LittleEndian.Uint32(b[48:])
-	b = b[52:]
+	b = b[headerSize:]
+	// The counts are the sender's claim: hold them against the bytes that
+	// follow before sizing anything by them.
+	const pageHeaderSize = 8 + 8 + 8 + 1 + HashSize + 4
+	if uint64(nEntries) > uint64(len(b)/EntrySize) ||
+		uint64(nPages) > uint64((len(b)-int(nEntries)*EntrySize)/pageHeaderSize) {
+		return nil, fmt.Errorf("%w: %d entries and %d pages claimed in %d bytes", ErrBadSegment, nEntries, nPages, len(b))
+	}
 	s.Entries = make([]Entry, 0, nEntries)
 	for i := uint32(0); i < nEntries; i++ {
 		e, rest, err := UnmarshalEntry(b)
@@ -121,7 +128,7 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 	}
 	s.Pages = make([]PageRecord, 0, nPages)
 	for i := uint32(0); i < nPages; i++ {
-		if len(b) < 8+8+8+1+HashSize+4 {
+		if len(b) < pageHeaderSize {
 			return nil, fmt.Errorf("%w: page %d header", ErrBadSegment, i)
 		}
 		var p PageRecord
@@ -131,7 +138,7 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 		p.Cause = b[24]
 		copy(p.Hash[:], b[25:25+HashSize])
 		n := binary.LittleEndian.Uint32(b[25+HashSize:])
-		b = b[29+HashSize:]
+		b = b[pageHeaderSize:]
 		if uint32(len(b)) < n {
 			return nil, fmt.Errorf("%w: page %d data", ErrBadSegment, i)
 		}
