@@ -301,8 +301,11 @@ func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment
 	for _, re := range batch {
 		// Background lane: the offload engine's flash reads fill host idle
 		// gaps (read-suspend priority) rather than delaying host I/O. The
-		// returned page is a pooled buffer this segment now owns.
-		data, _, done, err := r.f.ReadPhysicalBackground(re.ppn, at)
+		// returned page is a pooled buffer this segment now owns. It ships
+		// under the write-time hash its OOB carries (the one the chain
+		// records): a hash of the read-back could only vouch for whatever
+		// flash returned.
+		data, oob, done, err := r.f.ReadPhysicalBackground(re.ppn, at)
 		if err != nil {
 			for _, pb := range st.pageBufs {
 				pb.Release()
@@ -319,7 +322,7 @@ func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment
 			WriteSeq: re.writeSeq,
 			StaleSeq: re.staleSeq,
 			Cause:    uint8(re.cause),
-			Hash:     oplog.HashData(data.B),
+			Hash:     oob.Hash,
 			Data:     data.B,
 		})
 	}

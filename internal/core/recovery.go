@@ -404,6 +404,12 @@ func (r *RSSD) ImageBefore(before uint64, at simclock.Time) ([][]byte, error) {
 // a recovery action so the evidence chain distinguishes restoration from
 // host activity.
 func (r *RSSD) RestoreWrite(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
+	return r.restoreWrite(lpn, data, oplog.HashData(data), at)
+}
+
+// restoreWrite is RestoreWrite for a caller that already knows data's
+// content hash: it is logged and stamped, never recomputed.
+func (r *RSSD) restoreWrite(lpn uint64, data []byte, hash [oplog.HashSize]byte, at simclock.Time) (simclock.Time, error) {
 	if len(data) != r.f.PageSize() {
 		return at, ftl.ErrBadPageSize
 	}
@@ -411,9 +417,9 @@ func (r *RSSD) RestoreWrite(lpn uint64, data []byte, at simclock.Time) (simclock
 		return at, ftl.ErrOutOfRange
 	}
 	oldPPN := r.f.Lookup(lpn)
-	e := r.log.Append(oplog.KindRecovery, at, lpn, oldPPN, ftl.NoPPN, 0, oplog.HashData(data))
+	e := r.log.Append(oplog.KindRecovery, at, lpn, oldPPN, ftl.NoPPN, 0, hash)
 	r.curStaleSeq, r.curStaleAt = e.Seq, at
-	done, err := r.f.WriteWithSeq(lpn, data, e.Seq, at)
+	done, err := r.f.WriteWithSeq(lpn, data, e.Seq, hash, at)
 	if err != nil {
 		return done, err
 	}
@@ -581,7 +587,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 			if at, err = r.restoreSpan(cursor, rec.LPN, before, at, &rep); err != nil {
 				return &restoreApplyError{err}
 			}
-			if at, err = r.restoreLPN(rec.LPN, before, rec, at, &rep); err != nil {
+			if at, err = r.restoreLPN(rec.LPN, before, rec, cache != nil, at, &rep); err != nil {
 				return &restoreApplyError{err}
 			}
 			cursor = rec.LPN + 1
@@ -660,7 +666,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 func (r *RSSD) restoreSpan(from, to, before uint64, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
 	for lpn := from; lpn < to; lpn++ {
 		var err error
-		if at, err = r.restoreLPN(lpn, before, nil, at, rep); err != nil {
+		if at, err = r.restoreLPN(lpn, before, nil, false, at, rep); err != nil {
 			return at, err
 		}
 	}
@@ -669,8 +675,9 @@ func (r *RSSD) restoreSpan(from, to, before uint64, at simclock.Time, rep *Resto
 
 // restoreLPN rolls one page back to its newest version before the cut,
 // considering the live mapping, local pins, and the streamed remote
-// record (nil when the remote has none for this LPN).
-func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
+// record (nil when the remote has none for this LPN). verified says the
+// ResolveCache has already checked rec.Data against rec.Hash.
+func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, verified bool, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
 	best := merge(r.localBest(lpn, before), rec)
 	if best == nil || trimGap(best, before) {
 		// Target state is zeroes: trim only if the page currently maps.
@@ -690,16 +697,29 @@ func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, at simclock
 		rep.PagesKept++
 		return at, nil
 	}
+	// One SHA-256 pass per restored page, and none it cannot be held
+	// against: a record the ResolveCache verified keeps its hash, a local
+	// pin is hashed once and must match what its OOB has carried since the
+	// write. Only an unverified literal is hashed blind.
 	var data []byte
+	var hash [oplog.HashSize]byte
 	if best.rec != nil {
 		data = append([]byte(nil), best.rec.Data...)
+		hash = best.rec.Hash
+		if !verified {
+			hash = oplog.HashData(data)
+		}
 	} else {
+		var oob nand.OOB
 		var err error
-		if data, _, _, err = r.f.ReadPhysical(best.ppn, at); err != nil {
+		if data, oob, _, err = r.f.ReadPhysical(best.ppn, at); err != nil {
 			return at, fmt.Errorf("read pin for lpn %d (ppn %d): %w", lpn, best.ppn, err)
 		}
+		if hash = oplog.HashData(data); hash != oob.Hash {
+			return at, fmt.Errorf("pin for lpn %d (ppn %d, write seq %d) fails its write-time content hash", lpn, best.ppn, oob.Seq)
+		}
 	}
-	at, err := r.RestoreWrite(lpn, data, at)
+	at, err := r.restoreWrite(lpn, data, hash, at)
 	if err != nil {
 		return at, fmt.Errorf("restore lpn %d: %w", lpn, err)
 	}

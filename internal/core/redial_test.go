@@ -76,6 +76,11 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	cfg := testConfig()
 	cfg.DropWhenOffline = false
 	store := remote.NewStore(remote.NewMemStore())
+	// Closed by the first ingested segment: the barrier the reconcile below
+	// waits on.
+	ingested := make(chan struct{})
+	var ingestOnce sync.Once
+	store.Subscribe(func(uint64, *oplog.Segment) { ingestOnce.Do(func() { close(ingested) }) })
 	srv := remote.NewServer(store, testPSK)
 	// The dial gate holds the redial off until the test has asserted the
 	// pre-reconcile frontier (a successful redial legitimately adopts the
@@ -111,14 +116,12 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	// The device saw the drop the instant its read failed; the server
 	// session goroutine may still be persisting the segment. Wait for the
 	// ingest to land before reconciling against it.
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Head(cfg.DeviceID).NextSeq == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	serverHead := store.Head(cfg.DeviceID).NextSeq
-	if serverHead == 0 {
+	select {
+	case <-ingested:
+	case <-time.After(5 * time.Second):
 		t.Fatal("test vehicle broken: the segment never reached the server")
 	}
+	serverHead := store.Head(cfg.DeviceID).NextSeq
 	if entries := r.Log().Entries(0, 1); len(entries) != 1 {
 		t.Fatal("entries pruned before the ack was harvested")
 	}

@@ -31,7 +31,8 @@ import (
 type BatchWrite struct {
 	LPN  uint64
 	Data []byte
-	Seq  uint64 // operation-log sequence stamped into the page OOB
+	Seq  uint64   // operation-log sequence stamped into the page OOB
+	Hash [32]byte // content hash that log entry records, stamped beside it
 }
 
 // BatchTrim is one trim within a TrimBatch.
@@ -133,7 +134,7 @@ func (f *FTL) WriteBatch(ops []BatchWrite, at simclock.Time) ([]simclock.Time, s
 			pending = append(pending, nand.PageProgram{
 				PPN:  first + uint64(j),
 				Data: op.Data,
-				OOB:  nand.OOB{LPN: op.LPN, Seq: op.Seq},
+				OOB:  nand.OOB{LPN: op.LPN, Seq: op.Seq, Hash: op.Hash},
 			})
 			pendingIdx = append(pendingIdx, i+j)
 		}

@@ -372,17 +372,20 @@ func (f *FTL) Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, e
 	return done, nil
 }
 
-// WriteWithSeq is Write with an operation-log sequence number stamped into
-// the page's OOB area; RSSD uses it so retained flash pages can be tied to
-// log entries during post-attack forensics.
-func (f *FTL) WriteWithSeq(lpn uint64, data []byte, seq uint64, at simclock.Time) (simclock.Time, error) {
+// WriteWithSeq is Write with an operation-log sequence number and that
+// entry's content hash stamped into the page's OOB area; RSSD uses it so
+// retained flash pages can be tied to log entries during post-attack
+// forensics and ship under the hash recorded when they were written. The
+// hash is the caller's claim about data — the FTL stores it, GC copies it
+// verbatim, nothing here recomputes it.
+func (f *FTL) WriteWithSeq(lpn uint64, data []byte, seq uint64, hash [32]byte, at simclock.Time) (simclock.Time, error) {
 	if lpn >= f.logicalPages {
 		return at, ErrOutOfRange
 	}
 	if len(data) != f.geo.PageSize {
 		return at, ErrBadPageSize
 	}
-	done, err := f.writeMapped(lpn, data, StreamHost, nand.OOB{LPN: lpn, Seq: seq}, at)
+	done, err := f.writeMapped(lpn, data, StreamHost, nand.OOB{LPN: lpn, Seq: seq, Hash: hash}, at)
 	if err != nil {
 		return done, err
 	}

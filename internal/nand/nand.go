@@ -141,12 +141,15 @@ func DefaultConfig() Config {
 
 // OOB is the out-of-band (spare-area) metadata stored with each page. The
 // FTL uses it to rebuild reverse mappings; RSSD additionally stamps the
-// operation-log sequence number so retained pages can be tied to log
-// entries during forensics.
+// operation-log sequence number and the content hash that log entry
+// records, so a retained page ships under the hash the evidence chain
+// bound at write time — not one recomputed from whatever a later flash read
+// returns.
 type OOB struct {
-	LPN  uint64 // logical page the data belonged to when written
-	Seq  uint64 // operation-log sequence number of the write
-	Kind uint8  // page kind tag, interpreted by the owner (host/GC/log)
+	LPN  uint64   // logical page the data belonged to when written
+	Seq  uint64   // operation-log sequence number of the write
+	Hash [32]byte // SHA-256 of the data as written (the log entry's DataHash); zero when the owner stamps none
+	Kind uint8    // page kind tag, interpreted by the owner (host/GC/log)
 }
 
 // Errors returned by device operations.

@@ -124,6 +124,34 @@ func codecSteadyStateAllocs(t *testing.T, data []byte) {
 	}
 }
 
+// TestFrameSteadyStateAllocs gates the frame path the same way: a message
+// through WriteMsg and ReadMsg costs the one allocation ReadMsg must make —
+// the payload it hands its caller. The AEAD, its nonce, the header and the
+// tag are all session state. (A payload the transport deflates itself is
+// left out: its frame carries no decoded size, so ReadMsg inflates into a
+// buffer that grows. The hot path ships codec-framed blobs, sent as they are.)
+func TestFrameSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	for k, payload := range framePayloads() {
+		if k == 1 {
+			continue
+		}
+		dev, srv, _ := memPair(t)
+		if n := testing.AllocsPerRun(50, func() {
+			if err := dev.WriteMsg(MsgSegment, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, got, err := srv.ReadMsg(); err != nil || len(got) != len(payload) {
+				t.Fatalf("read back %d of %d bytes: %v", len(got), len(payload), err)
+			}
+		}); n > 1 {
+			t.Errorf("payload %d: %v allocs per frame written and read, want 1", k, n)
+		}
+	}
+}
+
 func BenchmarkAppendSegmentBlob(b *testing.B) {
 	seg := testSegment(b, bytes.Repeat([]byte("bench page "), 512))
 	raw := seg.Marshal()

@@ -21,8 +21,8 @@ import (
 //	server -> device: ACK    { nonceS, HMAC(psk, "srv"|deviceID|nonceC|nonceS) }
 //	device -> server: CONFIRM{ HMAC(psk, "dev"|deviceID|nonceC|nonceS) }
 //
-// after which both sides derive direction-separated encryption and MAC
-// keys bound to the nonces. A host-resident attacker without the PSK can
+// after which both sides derive one AES-256-GCM key per direction, bound
+// to the nonces. A host-resident attacker without the PSK can
 // neither impersonate the device (to poison the remote log) nor the server
 // (to black-hole offloads while acking them).
 
@@ -46,16 +46,12 @@ func authTag(psk []byte, label string, deviceID uint64, nonceC, nonceS []byte) [
 
 func newSessionConn(nc net.Conn, psk []byte, nonceC, nonceS []byte, isDevice bool) *Conn {
 	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, 1<<16)}
-	c2sEnc := deriveKey(psk, nonceC, nonceS, dirDeviceToServer+"-enc")
-	c2sMac := deriveKey(psk, nonceC, nonceS, dirDeviceToServer+"-mac")
-	s2cEnc := deriveKey(psk, nonceC, nonceS, dirServerToDevice+"-enc")
-	s2cMac := deriveKey(psk, nonceC, nonceS, dirServerToDevice+"-mac")
+	c2s := newHalfConn(deriveKey(psk, nonceC, nonceS, dirDeviceToServer+"-enc"))
+	s2c := newHalfConn(deriveKey(psk, nonceC, nonceS, dirServerToDevice+"-enc"))
 	if isDevice {
-		c.out = halfConn{encKey: c2sEnc, macKey: c2sMac}
-		c.in = halfConn{encKey: s2cEnc, macKey: s2cMac}
+		c.out, c.in = c2s, s2c
 	} else {
-		c.out = halfConn{encKey: s2cEnc, macKey: s2cMac}
-		c.in = halfConn{encKey: c2sEnc, macKey: c2sMac}
+		c.out, c.in = s2c, c2s
 	}
 	return c
 }

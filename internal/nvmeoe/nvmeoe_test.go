@@ -15,7 +15,7 @@ var testPSK = []byte("device-0001-enrollment-key-32byt")
 
 // pipePair establishes an authenticated session over net.Pipe, returning
 // (device, server) conns.
-func pipePair(t *testing.T) (*Conn, *Conn) {
+func pipePair(t testing.TB) (*Conn, *Conn) {
 	t.Helper()
 	dc, sc := net.Pipe()
 	type srvResult struct {
