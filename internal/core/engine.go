@@ -195,10 +195,9 @@ func (r *RSSD) linkMBps() float64 {
 
 // offloadFlow lazily opens this device's offload-class flow on the NIC
 // arbiter. With cfg.NIC set the flow contends on the shared server NIC
-// under the QoS policy; nil builds a private single-flow arbiter from the
-// legacy OffloadLinkRTT/MBps model, which prices transfers bit-identically
-// to the old dedicated link (sole flow, full line). The flow spans engine
-// restarts and closes with the device.
+// under the QoS policy; nil builds a private single-flow arbiter from
+// OffloadLinkRTT/MBps, which prices every transfer at RTT + bytes over the
+// full line. The flow spans engine restarts and closes with the device.
 func (r *RSSD) offloadFlow() *netsim.Flow {
 	if r.nicFlow == nil {
 		nic := r.cfg.NIC

@@ -8,13 +8,13 @@ package core
 //     the post-reboot log onto the remote chain head.
 //   - VersionBefore / ImageBefore answer point-in-time queries across the
 //     live mapping, local pins, and the remote store; the remote part of
-//     an image rides the chunked FetchImageStream, not the monolithic
-//     FetchImage (which survives only as a compatibility shim).
+//     an image rides the chunked FetchImageStream.
 //   - RestoreWrite / RestoreTrim are the logged primitives that roll a
 //     page back, stamping the evidence chain with recovery entries.
 //   - RestoreImage is the resumable restorer: it streams the image in
 //     LPN-ordered codec-framed chunks over its own recovery session,
-//     applies pages incrementally as chunks arrive, survives mid-stream
+//     applies pages incrementally as chunks arrive — every streamed page
+//     checked against its content hash on arrival — survives mid-stream
 //     disconnects by redialing and resuming from its cursor, charges
 //     transfer time to a shared-bandwidth recovery link model, and
 //     reports a per-device RTO. Fleet power-cycle recovery and the
@@ -364,13 +364,13 @@ func (r *RSSD) ImageBefore(before uint64, at simclock.Time) ([][]byte, error) {
 		best[lpn] = r.localBest(lpn, before)
 	}
 	if r.client != nil {
-		_, err := r.client.FetchImageStream(0, before, r.cfg.RecoveryChunkPages,
-			func(pages []oplog.PageRecord, wire, logical int) error {
-				r.stats.RestoreBytesWire += uint64(wire)
-				r.stats.RestoreBytesLogical += uint64(logical)
-				for i := range pages {
-					if lpn := pages[i].LPN; lpn < n {
-						best[lpn] = merge(best[lpn], &pages[i])
+		_, err := r.client.FetchImageStream(0, before, 0, r.cfg.RecoveryChunkPages, nil,
+			func(pages []oplog.PageRecord, cs remote.ChunkStats) error {
+				r.stats.RestoreBytesWire += uint64(cs.WireBytes)
+				r.stats.RestoreBytesLogical += uint64(cs.LogicalBytes)
+				for _, rec := range pages { // the slice is the stream's scratch: keep copies
+					if rec.LPN < n {
+						best[rec.LPN] = merge(best[rec.LPN], &rec)
 					}
 				}
 				return nil
@@ -587,7 +587,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 			if at, err = r.restoreSpan(cursor, rec.LPN, before, at, &rep); err != nil {
 				return &restoreApplyError{err}
 			}
-			if at, err = r.restoreLPN(rec.LPN, before, rec, cache != nil, at, &rep); err != nil {
+			if at, err = r.restoreLPN(rec.LPN, before, rec, at, &rep); err != nil {
 				return &restoreApplyError{err}
 			}
 			cursor = rec.LPN + 1
@@ -616,16 +616,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 			}
 		}
 		if err == nil {
-			if opts.Dedup || anchor > 0 {
-				_, err = client.FetchImageDelta(cursor, before, anchor, opts.ChunkPages, cache, applyChunk)
-			} else {
-				_, err = client.FetchImageStream(cursor, before, opts.ChunkPages,
-					func(pages []oplog.PageRecord, wire, logical int) error {
-						return applyChunk(pages, remote.ChunkStats{
-							WireBytes: wire, LogicalBytes: logical, Literals: len(pages),
-						})
-					})
-			}
+			_, err = client.FetchImageStream(cursor, before, anchor, opts.ChunkPages, cache, applyChunk)
 			if err == nil {
 				client.Close()
 				break
@@ -666,7 +657,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 func (r *RSSD) restoreSpan(from, to, before uint64, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
 	for lpn := from; lpn < to; lpn++ {
 		var err error
-		if at, err = r.restoreLPN(lpn, before, nil, false, at, rep); err != nil {
+		if at, err = r.restoreLPN(lpn, before, nil, at, rep); err != nil {
 			return at, err
 		}
 	}
@@ -675,9 +666,9 @@ func (r *RSSD) restoreSpan(from, to, before uint64, at simclock.Time, rep *Resto
 
 // restoreLPN rolls one page back to its newest version before the cut,
 // considering the live mapping, local pins, and the streamed remote
-// record (nil when the remote has none for this LPN). verified says the
-// ResolveCache has already checked rec.Data against rec.Hash.
-func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, verified bool, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
+// record (nil when the remote has none for this LPN), whose Data the stream
+// has already checked against its Hash.
+func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
 	best := merge(r.localBest(lpn, before), rec)
 	if best == nil || trimGap(best, before) {
 		// Target state is zeroes: trim only if the page currently maps.
@@ -698,17 +689,14 @@ func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, verified bo
 		return at, nil
 	}
 	// One SHA-256 pass per restored page, and none it cannot be held
-	// against: a record the ResolveCache verified keeps its hash, a local
-	// pin is hashed once and must match what its OOB has carried since the
-	// write. Only an unverified literal is hashed blind.
+	// against: a streamed record keeps the hash it was verified against on
+	// arrival, a local pin is hashed once and must match what its OOB has
+	// carried since the write.
 	var data []byte
 	var hash [oplog.HashSize]byte
 	if best.rec != nil {
 		data = append([]byte(nil), best.rec.Data...)
 		hash = best.rec.Hash
-		if !verified {
-			hash = oplog.HashData(data)
-		}
 	} else {
 		var oob nand.OOB
 		var err error

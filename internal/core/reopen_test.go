@@ -284,6 +284,13 @@ func (sc *cutScenario) restoreIdentical(t *testing.T, r2 *RSSD, dial DialFunc) {
 	if rep.Anchor == 0 {
 		t.Fatal("delta restore found no checkpoint anchor")
 	}
+	sc.checkImage(t, r2, at)
+}
+
+// checkImage checks every page of r2 against the scenario's expectation at
+// the cut.
+func (sc *cutScenario) checkImage(t *testing.T, r2 *RSSD, at simclock.Time) {
+	t.Helper()
 	for lpn := uint64(0); lpn < 10; lpn++ {
 		data, _, err := r2.Read(lpn, at)
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/oplog"
@@ -122,6 +123,76 @@ func TestRestoreImageResumesMidStream(t *testing.T) {
 	h := e.store.Head(1)
 	if err := oplog.VerifyChain(e.store.Entries(1, 0, h.NextSeq), [32]byte{}); err != nil {
 		t.Fatalf("chain broken after restore: %v", err)
+	}
+}
+
+// TestRestoreFullLiteralStream: without Dedup every streamed page is a
+// literal carrying its hash, the restored image is page-identical, and a
+// literal whose payload does not match that hash fails the restore instead
+// of being re-hashed and written.
+func TestRestoreFullLiteralStream(t *testing.T) {
+	// Everything is acked before the power cut, so Reopen pins nothing and
+	// every rolled-back page comes off the stream.
+	shipped := func(seed int64) (*cutScenario, *remote.Server, *RSSD, DialFunc) {
+		sc := newCutScenario(t, seed)
+		var err error
+		if sc.at, err = sc.e.r.OffloadNow(sc.at); err != nil {
+			t.Fatal(err)
+		}
+		srv := remote.NewServer(sc.e.store, testPSK)
+		dial := func() (*remote.Client, error) { return remote.Loopback(srv, testPSK, 1) }
+		client2, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client2.Close() })
+		r2, err := Reopen(sc.e.r.cfg, sc.e.r.FTL().Device(), client2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r2.Close)
+		return sc, srv, r2, dial
+	}
+
+	sc, srv, r2, dial := shipped(4)
+	at, rep, err := r2.RestoreImage(sc.cut, RestoreOptions{Dial: dial, ChunkPages: 3}, sc.at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.checkImage(t, r2, at)
+	rs := srv.RecoveryStats(1)
+	if rs.Pages == 0 || rep.PagesRef != 0 || uint64(rep.PagesLiteral) != rs.Pages || rs.PagesRef != 0 {
+		t.Fatalf("streamed %d pages: report %d literal + %d ref, server %d literal + %d ref",
+			rs.Pages, rep.PagesLiteral, rep.PagesRef, rs.PagesLiteral, rs.PagesRef)
+	}
+	if rep.PagesRestored == 0 || rep.Anchor != 0 {
+		t.Fatalf("implausible full-image restore: %+v", rep)
+	}
+
+	// The same restore with one retained version rotted in the server's
+	// memory: the bytes no longer match the hash they are served with.
+	sc, _, r2, dial = shipped(4)
+	victim := ^uint64(0)
+	for lpn := uint64(0); lpn < 10 && victim == ^uint64(0); lpn++ {
+		if rec, ok := sc.e.store.Version(1, lpn, sc.cut); ok {
+			rec.Data[0] ^= 0xFF // the index's own copy
+			victim = lpn
+		}
+	}
+	if victim == ^uint64(0) {
+		t.Fatal("no streamed version to corrupt: the test vehicle lost its teeth")
+	}
+	logged := r2.Log().NextSeq()
+	_, rep, err = r2.RestoreImage(sc.cut, RestoreOptions{Dial: dial, ChunkPages: 3}, sc.at)
+	if err == nil || !strings.Contains(err.Error(), "content hash") {
+		t.Fatalf("restore of a corrupted literal: err=%v, report %+v", err, rep)
+	}
+	// A chunk is verified whole before any of it is applied, and the stream
+	// is in LPN order: nothing at or past the rotted page was touched.
+	for _, e := range r2.Log().All() {
+		if e.Seq >= logged && e.LPN >= victim {
+			t.Fatalf("the failed chunk reached the device: %v of lpn %d logged at %d", e.Kind, e.LPN, e.Seq)
+		}
 	}
 }
 

@@ -75,17 +75,17 @@ type Config struct {
 	// NIC, when set, is the shared server-NIC QoS arbiter this device's
 	// offload traffic is charged to (as one ClassOffload flow): transfers
 	// contend with fleet restore streams and lifecycle transfers under
-	// the arbiter's strict-priority + guaranteed-floor policy. nil keeps
-	// the legacy private link built from OffloadLinkRTT/MBps — a
-	// single-flow arbiter, so timing is bit-identical to the historical
-	// dedicated-link model.
+	// the arbiter's strict-priority + guaranteed-floor policy. nil gives
+	// the device a private link built from OffloadLinkRTT/MBps — an
+	// arbiter whose only flow is this one, so every transfer sees the full
+	// line.
 	NIC *netsim.Arbiter
 	// EncodeWorkers sizes the codec worker pool that compresses sealed
 	// segments off the firmware goroutine: seal hands raw segments to the
 	// workers, and the transfer goroutine ships encoded blobs in seal
 	// order. 0 selects the default (2). A negative value selects inline
-	// encoding at seal time on the firmware goroutine — the pre-pipeline
-	// baseline the datapath experiment measures the workers against.
+	// encoding at seal time on the firmware goroutine — the reference the
+	// tests hold the workers against.
 	EncodeWorkers int
 	// EncodeMBps models one codec worker's DEFLATE throughput in the
 	// simulated-time model (real encoding runs as fast as the CPU allows;

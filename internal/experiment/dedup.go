@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"repro/internal/bufpool"
@@ -22,7 +23,7 @@ import (
 // wave that retires every page's first version into the remote store.
 // Then a pre-attack checkpoint, then a divergence phase that scrambles
 // ~30% of the image with device-private junk. Every device power-cycles
-// and restores the checkpointed image twice — once over the legacy
+// and restores the checkpointed image twice — once over the full-literal,
 // full-image stream, which hauls the newest-before-cut version of every
 // LPN with remote history (the whole churned image), and once over the
 // content-addressed path, where the checkpoint anchor drops every LPN
@@ -146,7 +147,7 @@ func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uni
 
 	// Two write passes: v1 (the as-installed image) then v2 (an update
 	// wave, the pre-attack state). The overwrite retires every v1 page
-	// into the remote store, so the legacy full-image stream has a stale
+	// into the remote store, so the full-image stream has a stale
 	// version to haul for every LPN — the history a real device accretes
 	// and exactly what the checkpoint anchor exists to skip. Both passes
 	// draw from shared content spaces so dedup works across devices.
@@ -403,7 +404,7 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 		page := make([]byte, s.PageSize)
 		dedupPage(page, 1)
 		h := bufpool.GetHasher()
-		allocs.HashAllocsPerOp, _, _ = measureAllocs(2000, func() { h.Sum256(page) })
+		allocs.HashAllocsPerOp = measureAllocs(2000, func() { h.Sum256(page) })
 		h.Release()
 		refPages := make([]nvmeoe.RefPage, 64)
 		for i := range refPages {
@@ -424,7 +425,7 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 			raw.Release()
 		}
 		encode() // warm
-		allocs.EncodeAllocsPerOp, _, _ = measureAllocs(500, encode)
+		allocs.EncodeAllocsPerOp = measureAllocs(500, encode)
 	}
 
 	res := &DedupResult{Measured: m, Scaling: scaling, Allocs: allocs}
@@ -485,4 +486,21 @@ func RenderDedup(res *DedupResult) string {
 			res.Allocs.HashAllocsPerOp, res.Allocs.EncodeAllocsPerOp)
 	}
 	return out
+}
+
+// measureAllocs runs f ops times on one OS thread and returns the
+// allocator's per-op average. Like testing.AllocsPerRun it warms once, pins
+// GOMAXPROCS to 1, and divides the raw counter delta by the run count
+// (integer division, exactly as AllocsPerRun reports).
+func measureAllocs(ops int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm the pools and any lazy state
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(ops))
 }

@@ -1,16 +1,24 @@
 package experiment
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/netsim"
 )
 
-// TestFleetRecoveryScenario is the CI-sized fleet power-cycle recovery
-// run: 2 devices (one attacked), concurrent restore, one deliberately cut
-// recovery link, verified rollback, and an outage-drain with redial.
+// fleetRecoverySmall is the CI-sized fleet power-cycle recovery run — 2
+// devices (one attacked), concurrent dedup + delta restore, one
+// deliberately cut recovery link, verified rollback, an outage-drain with
+// redial — run once for the tests below.
+var fleetRecoverySmall = sync.OnceValues(func() (*RecoveryFleetResult, error) {
+	return FleetRecovery(SmallScale(), 2, netsim.Config{})
+})
+
+// TestFleetRecoveryScenario checks the run's shape: detection, concurrency,
+// the cut-and-resumed stream, timing, the shared-NIC ledger, the drain.
 func TestFleetRecoveryScenario(t *testing.T) {
-	res, err := FleetRecovery(SmallScale(), 2, false, netsim.Config{})
+	res, err := fleetRecoverySmall()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +66,15 @@ func TestFleetRecoveryScenario(t *testing.T) {
 	}
 }
 
-// TestFleetRecoveryDedup runs the same scenario over the content-addressed
-// restore path: hash-reference chunks, resolve cache, checkpoint-anchored
-// delta — through the same choked-link resume and outage drain, with the
-// same page-identical verification.
+// TestFleetRecoveryDedup checks what the content-addressed restore path —
+// hash-reference chunks, resolve cache, checkpoint-anchored delta — owes the
+// same run: page-identical images, intact chains, an anchor on every device.
 func TestFleetRecoveryDedup(t *testing.T) {
-	res, err := FleetRecovery(SmallScale(), 2, true, netsim.Config{})
+	res, err := fleetRecoverySmall()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Summary
-	if !s.Dedup {
-		t.Fatal("summary does not record dedup mode")
-	}
 	if !s.AllVerified {
 		t.Fatal("dedup-restored images not page-identical to the pre-attack state")
 	}

@@ -218,8 +218,8 @@ func (f *Flow) Grant(bytes int, start simclock.Time) simclock.Time {
 	return start.Add(f.a.grant(f.c, f.w, bytes, start, true))
 }
 
-// GrantDur prices one transfer without anchoring it in time (legacy
-// callers that track their own clocks). The wait still lands in the
+// GrantDur prices one transfer without anchoring it in time (for callers
+// that track their own clocks). The wait still lands in the
 // ledger; the conservation span does not move.
 func (f *Flow) GrantDur(bytes int) simclock.Duration {
 	return f.a.grant(f.c, f.w, bytes, 0, false)
@@ -228,7 +228,7 @@ func (f *Flow) GrantDur(bytes int) simclock.Duration {
 // GrantClass prices one transfer for an equal-weight session of class c
 // without a Flow handle — the RecoveryLink delegation path, where Open
 // and pricing are decoupled. A class with no open flows is priced as a
-// single solo session (the legacy share-clamped-to-1 behavior).
+// single solo session (the share is clamped to 1).
 func (a *Arbiter) GrantClass(c Class, bytes int) simclock.Duration {
 	return a.grant(c, 0, bytes, 0, false)
 }
@@ -269,9 +269,9 @@ func (a *Arbiter) grant(c Class, flowWeight float64, bytes int, now simclock.Tim
 	if alloc <= 0 {
 		alloc = a.mbps * minAllocFrac
 	}
-	// Keep the multiplication order of the legacy link models so an
-	// uncontended grant is bit-identical to what RecoveryLink.ChunkTime
-	// and the engine's xferDur used to charge.
+	// This multiplication order is pinned: netsim_test.go holds an
+	// uncontended grant bit-identical to RTT + bytes·share/(MBps·1e6)
+	// computed this way, and committed BENCH rows depend on it.
 	dur := a.rtt + simclock.Duration(float64(bytes)*share/(alloc*1e6)*float64(simclock.Second))
 
 	led := &a.led[c]

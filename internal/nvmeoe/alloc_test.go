@@ -2,14 +2,15 @@ package nvmeoe
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bufpool"
 )
 
 // TestAppendCodecMatchesAllocatingAPI pins the append-style entry points to
-// the allocating ones: same bytes on the wire, same decode, including the
-// legacy passthrough (which Append must copy, never alias).
+// the allocating ones: same bytes on the wire, same decode, and a stored
+// blob copied by Append where Decode aliases it.
 func TestAppendCodecMatchesAllocatingAPI(t *testing.T) {
 	raw := testSegment(t, make([]byte, 8192)).Marshal()
 	want := EncodeSegmentBlob(raw)
@@ -27,12 +28,23 @@ func TestAppendCodecMatchesAllocatingAPI(t *testing.T) {
 	if err != nil || !bytes.Equal(dec, raw) {
 		t.Fatalf("AppendDecodeSegmentBlob: %v", err)
 	}
-	// Legacy bare marshal: decoded copy, not an alias.
-	legacy, err := AppendDecodeSegmentBlob(nil, raw)
-	if err != nil || !bytes.Equal(legacy, raw) {
-		t.Fatalf("legacy decode: %v", err)
+	// A stored blob: Decode aliases its input, Append copies it.
+	noise := make([]byte, 8192)
+	rand.New(rand.NewSource(3)).Read(noise)
+	raw = testSegment(t, noise).Marshal()
+	stored := EncodeSegmentBlob(raw)
+	if Codec(stored[4]) != CodecStored {
+		t.Fatalf("random page picked %v, want stored", Codec(stored[4]))
 	}
-	if len(legacy) > 0 && &legacy[0] == &raw[0] {
+	alias, err := DecodeSegmentBlob(stored)
+	if err != nil || !bytes.Equal(alias, raw) || &alias[0] != &stored[blobHeaderSize] {
+		t.Fatalf("DecodeSegmentBlob(stored): err=%v, aliases input: %v", err, err == nil && &alias[0] == &stored[blobHeaderSize])
+	}
+	dec, err = AppendDecodeSegmentBlob(nil, stored)
+	if err != nil || !bytes.Equal(dec, raw) {
+		t.Fatalf("AppendDecodeSegmentBlob(stored): %v", err)
+	}
+	if &dec[0] == &stored[blobHeaderSize] {
 		t.Fatal("AppendDecodeSegmentBlob aliased its input")
 	}
 }

@@ -17,17 +17,13 @@ import (
 // persists — carry their own codec header, so the same encoded bytes travel
 // the NVMe-oE wire and land in the object store unchanged: compressed on
 // the wire IS compressed at rest, and the server never re-compresses. The
-// header also versions the encoding: blobs written before this format (a
-// bare oplog segment marshal) carry no header and decode as CodecNone.
+// header is mandatory: a payload without it does not decode.
 
 // Codec identifies how a segment blob's payload is encoded.
 type Codec uint8
 
-// Segment-blob codecs.
+// Segment-blob codecs. The numbers are wire values; 0 is not a codec.
 const (
-	// CodecNone stores the segment marshal verbatim. Written by encoders
-	// that predate CodecStored; still decoded, no longer produced.
-	CodecNone Codec = 0
 	// CodecDeflate stores the segment marshal DEFLATE-compressed.
 	CodecDeflate Codec = 1
 	// CodecStored stores the segment marshal verbatim: the stored-block
@@ -40,8 +36,6 @@ const (
 
 func (c Codec) String() string {
 	switch c {
-	case CodecNone:
-		return "none"
 	case CodecDeflate:
 		return "deflate"
 	case CodecStored:
@@ -99,16 +93,11 @@ func AppendSegmentBlob(dst, raw []byte) []byte {
 }
 
 // DecodeSegmentBlob returns the marshaled segment inside blob, inflating
-// when the codec header says so. Blobs without a codec header — segments
-// persisted before the compressed wire format — are returned verbatim, so
-// old stores keep reloading. The CodecNone and legacy paths alias blob
-// rather than copying; use AppendDecodeSegmentBlob when the result must
-// land in a caller-owned (pooled) buffer.
+// when the codec header says so. A stored blob's result aliases blob rather
+// than copying; use AppendDecodeSegmentBlob when the result must land in a
+// caller-owned (pooled) buffer.
 func DecodeSegmentBlob(blob []byte) ([]byte, error) {
-	if !IsSegmentBlob(blob) {
-		return blob, nil
-	}
-	if c := Codec(blob[4]); c == CodecNone || c == CodecStored {
+	if IsSegmentBlob(blob) && Codec(blob[4]) == CodecStored {
 		body := blob[blobHeaderSize:]
 		if rawLen := binary.LittleEndian.Uint32(blob[5:]); uint32(len(body)) != rawLen {
 			return nil, fmt.Errorf("%w: raw length %d, header says %d", ErrBadBlob, len(body), rawLen)
@@ -119,21 +108,21 @@ func DecodeSegmentBlob(blob []byte) ([]byte, error) {
 }
 
 // AppendDecodeSegmentBlob is DecodeSegmentBlob into a caller-provided
-// buffer: the decoded marshal is appended to dst (always copied, even on
-// the passthrough paths, so the result never aliases blob). The ingest hot
-// loop decodes through it with a pooled dst sized by
-// SegmentBlobLogicalSize; with sufficient capacity it allocates nothing.
+// buffer: the decoded marshal is appended to dst (always copied, so the
+// result never aliases blob). The ingest hot loop decodes through it with
+// a pooled dst sized by SegmentBlobLogicalSize; with sufficient capacity it
+// allocates nothing.
 // dst's spare capacity is the inflater's scratch (see bufpool's
 // Inflater.Append): pass a pooled or fresh buffer.
 func AppendDecodeSegmentBlob(dst, blob []byte) ([]byte, error) {
 	if !IsSegmentBlob(blob) {
-		return append(dst, blob...), nil
+		return nil, fmt.Errorf("%w: no codec header", ErrBadBlob)
 	}
 	codec := Codec(blob[4])
 	rawLen := binary.LittleEndian.Uint32(blob[5:])
 	body := blob[blobHeaderSize:]
 	switch codec {
-	case CodecNone, CodecStored:
+	case CodecStored:
 		if uint32(len(body)) != rawLen {
 			return nil, fmt.Errorf("%w: raw length %d, header says %d", ErrBadBlob, len(body), rawLen)
 		}
@@ -167,25 +156,22 @@ func AppendDecodeSegmentBlob(dst, blob []byte) ([]byte, error) {
 }
 
 // SegmentBlobLogicalSize returns the decoded (logical) size of a segment
-// blob without inflating it: the codec header records it, and a legacy
-// blob is its own decoding.
+// blob without inflating it: the codec header records it. It is 0 for a
+// payload decode is going to reject — no header, or a claim past the frame
+// bound, which no honest encoder makes — so nothing is sized by such a
+// claim.
 func SegmentBlobLogicalSize(blob []byte) int {
 	if !IsSegmentBlob(blob) {
-		return len(blob)
+		return 0
 	}
 	n := int(binary.LittleEndian.Uint32(blob[5:]))
 	if n > MaxPayload {
-		// No honest encoder claims past the frame bound; decode is going to
-		// reject this blob, so don't let a flipped header bit size a giant
-		// buffer for it.
 		return 0
 	}
 	return n
 }
 
-// IsSegmentBlob reports whether b carries the codec frame header. The
-// check is unambiguous against legacy blobs: a bare segment marshal starts
-// with the oplog segment magic, not blobMagic.
+// IsSegmentBlob reports whether b carries the codec frame header.
 func IsSegmentBlob(b []byte) bool {
 	return len(b) >= blobHeaderSize && binary.LittleEndian.Uint32(b) == blobMagic
 }

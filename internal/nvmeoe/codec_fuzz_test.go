@@ -74,14 +74,14 @@ func FuzzDecodeSegmentBlob(f *testing.F) {
 		blob := EncodeSegmentBlob(raw)
 		f.Add(blob)
 		f.Add(blob[:len(blob)-3])
-		f.Add(raw) // legacy: no codec header
+		f.Add(raw) // no codec header: ErrBadBlob
 		if body, ok := Deflate(raw); ok {
 			f.Add(blobWithClaim(CodecDeflate, 0, body))
 			f.Add(blobWithClaim(CodecDeflate, uint32(len(raw)-1), body))
 			f.Add(blobWithClaim(CodecDeflate, uint32(len(raw)+1), body))
 			f.Add(blobWithClaim(CodecDeflate, MaxPayload+1, body))
 		}
-		f.Add(blobWithClaim(CodecNone, uint32(len(raw)), raw))
+		f.Add(blobWithClaim(Codec(0), uint32(len(raw)), raw)) // 0 names no codec
 		f.Add(blobWithClaim(Codec(9), uint32(len(raw)), raw))
 	}
 

@@ -93,40 +93,35 @@ func TestSegmentBlobStoredThreshold(t *testing.T) {
 	}
 }
 
-// TestDecodeSegmentBlobCodecNoneCompat: stores written before CodecStored
-// carry CodecNone frames; both decode entry points must keep reading them.
-func TestDecodeSegmentBlobCodecNoneCompat(t *testing.T) {
-	raw := testSegment(t, []byte("pre-stored era page")).Marshal()
-	blob := make([]byte, 0, BlobOverhead+len(raw))
-	blob = append(blob, 0x52, 0x53, 0x53, 0x43) // blobMagic, little-endian
-	blob = append(blob, byte(CodecNone))
-	blob = append(blob, byte(len(raw)), byte(len(raw)>>8), byte(len(raw)>>16), byte(len(raw)>>24))
-	blob = append(blob, raw...)
-	if !IsSegmentBlob(blob) {
-		t.Fatal("hand-built CodecNone blob not recognized")
-	}
-	got, err := DecodeSegmentBlob(blob)
-	if err != nil || !bytes.Equal(got, raw) {
-		t.Fatalf("CodecNone decode: %v", err)
-	}
-	app, err := AppendDecodeSegmentBlob(nil, blob)
-	if err != nil || !bytes.Equal(app, raw) {
-		t.Fatalf("CodecNone append decode: %v", err)
-	}
-	if SegmentBlobLogicalSize(blob) != len(raw) {
-		t.Fatalf("logical size %d, want %d", SegmentBlobLogicalSize(blob), len(raw))
-	}
-}
-
-func TestDecodeSegmentBlobLegacyPassthrough(t *testing.T) {
-	// A pre-codec store holds bare segment marshals; they must decode as-is.
-	raw := testSegment(t, []byte("legacy page")).Marshal()
-	got, err := DecodeSegmentBlob(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Fatal("legacy blob modified by decode")
+// TestDecodeRejectsPayloadWithoutCodec: the codec header is mandatory and
+// codec byte 0 names no codec. Both decode entry points refuse such a
+// payload, and nothing is sized by it — not by its length, and not by the
+// length a header claims.
+func TestDecodeRejectsPayloadWithoutCodec(t *testing.T) {
+	raw := testSegment(t, bytes.Repeat([]byte("bare marshal "), 40000)).Marshal() // ≈ 0.5 MB
+	for name, blob := range map[string][]byte{
+		"no header":    raw,
+		"codec byte 0": blobWithClaim(Codec(0), uint32(len(raw)), raw),
+		"empty":        nil,
+		"short":        {0x52, 0x53, 0x53, 0x43, byte(CodecStored)},
+	} {
+		if got, err := DecodeSegmentBlob(blob); !errors.Is(err, ErrBadBlob) || got != nil {
+			t.Errorf("%s: DecodeSegmentBlob: err=%v, %d bytes out", name, err, len(got))
+		}
+		before := heapAllocated()
+		got, err := AppendDecodeSegmentBlob(nil, blob)
+		if allocated := heapAllocated() - before; allocated > 16<<10 {
+			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(blob), allocated)
+		}
+		if !errors.Is(err, ErrBadBlob) || got != nil {
+			t.Errorf("%s: AppendDecodeSegmentBlob: err=%v, %d bytes out", name, err, len(got))
+		}
+		if IsSegmentBlob(blob) && Codec(blob[4]) == Codec(0) {
+			continue // a header with a claim inside the frame bound: sized, then refused by decode
+		}
+		if n := SegmentBlobLogicalSize(blob); n != 0 {
+			t.Errorf("%s: logical size %d, want 0 (nothing to rent before the reject)", name, n)
+		}
 	}
 }
 

@@ -55,9 +55,9 @@ const (
 	MsgFetch     // device -> server: retrieval request (recovery/forensics)
 	MsgFetchResp // server -> device
 	MsgError
-	MsgFetchChunk    // server -> device: one codec-framed chunk of a streamed fetch
+	_                // 10: retired, unassigned
 	MsgFetchEnd      // server -> device: stream trailer (StreamEnd)
-	MsgFetchChunkRef // server -> device: codec-framed hash-reference chunk (RefChunk)
+	MsgFetchChunkRef // server -> device: one codec-framed chunk (RefChunk) of an image stream
 )
 
 func (t MsgType) String() string {
@@ -80,8 +80,6 @@ func (t MsgType) String() string {
 		return "fetch-resp"
 	case MsgError:
 		return "error"
-	case MsgFetchChunk:
-		return "fetch-chunk"
 	case MsgFetchEnd:
 		return "fetch-end"
 	case MsgFetchChunkRef:

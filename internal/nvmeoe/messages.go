@@ -13,41 +13,37 @@ import (
 // FetchKind selects what a MsgFetch asks the remote store for.
 type FetchKind uint8
 
+// The numbers are wire values. 3 and 7 are retired and stay unassigned: a
+// server answers them, like any unknown kind, with an error message.
 const (
 	// FetchEntries requests log entries with From <= Seq < To.
-	FetchEntries FetchKind = iota + 1
+	FetchEntries FetchKind = 1
 	// FetchVersion requests the newest retained version of LPN written
 	// before sequence Before.
-	FetchVersion
-	// FetchImage requests, for every LPN, the newest retained version
-	// written before sequence Before (a full point-in-time image).
-	FetchImage
+	FetchVersion FetchKind = 2
 	// FetchCheckpoint requests the newest mapping checkpoint with
 	// Seq <= Before.
-	FetchCheckpoint
+	FetchCheckpoint FetchKind = 4
 	// FetchHead requests the remote chain state: highest contiguous
 	// sequence and its chain hash (used to anchor forensic verification).
-	FetchHead
-	// FetchImageStream requests the point-in-time image as a stream of
-	// LPN-ordered, codec-framed chunks (MsgFetchChunk* then MsgFetchEnd)
-	// instead of one monolithic reply. From is the first LPN wanted, which
-	// is how a restorer resumes an interrupted stream; ChunkPages bounds
-	// pages per chunk (0 = server default).
-	FetchImageStream
-	// FetchRange requests, for every LPN with From <= LPN < To, the newest
-	// retained version written before sequence Before — one codec-framed
-	// chunk of the image, for targeted re-fetches.
-	FetchRange
+	FetchHead FetchKind = 5
+	// FetchImageStream requests the point-in-time image — for every LPN the
+	// newest retained version written before sequence Before — as a stream
+	// of LPN-ordered, codec-framed chunks (MsgFetchChunkRef, then
+	// MsgFetchEnd). From is the first LPN wanted, which is how a restorer
+	// resumes an interrupted stream; ChunkPages bounds pages per chunk
+	// (0 = server default).
+	FetchImageStream FetchKind = 6
 	// FetchHeld requests the identity of every page version the store holds
 	// for the device — (LPN, WriteSeq, StaleSeq, Cause, Hash), no payloads.
 	// A reopening device uses it to tell the stale pages it already shipped
 	// from the unshipped tail it must pin again.
-	FetchHeld
+	FetchHeld FetchKind = 8
 )
 
 // FetchReq is a retrieval request issued during recovery or forensics.
-// For the image kinds (FetchImage, FetchImageStream, FetchRange) From/To
-// bound logical page numbers rather than log sequences.
+// For FetchImageStream, From bounds logical page numbers rather than log
+// sequences.
 type FetchReq struct {
 	Kind       FetchKind
 	LPN        uint64
@@ -66,10 +62,11 @@ type FetchReq struct {
 
 // Fetch request flags.
 const (
-	// FetchFlagDedup asks the server to serve image-stream chunks as
-	// hash-reference frames (MsgFetchChunkRef): the first occurrence of
-	// each content hash in the stream carries the literal page, repeats
-	// carry only the 32-byte hash and resolve from the device-side cache.
+	// FetchFlagDedup lets the server send a repeated page of an image
+	// stream as a reference: the first occurrence of each content hash in
+	// the stream carries the literal page, repeats carry only the 32-byte
+	// hash and resolve from the device-side cache. Without it every page
+	// is a literal, still with its hash.
 	FetchFlagDedup uint8 = 1 << 0
 )
 
@@ -99,13 +96,7 @@ func ChunkPagesForQuantum(pageSize int) uint32 {
 // ErrBadMessage reports a payload that does not decode.
 var ErrBadMessage = errors.New("nvmeoe: malformed message payload")
 
-// fetch req sizes: the legacy encoding predates ChunkPages, the streaming
-// encoding predates Anchor/Flags; all three decode.
-const (
-	fetchReqSizeLegacy = 1 + 4*8
-	fetchReqSizeStream = fetchReqSizeLegacy + 4
-	fetchReqSize       = fetchReqSizeStream + 8 + 1
-)
+const fetchReqSize = 1 + 4*8 + 4 + 8 + 1
 
 // Marshal encodes the request.
 func (r *FetchReq) Marshal() []byte {
@@ -121,29 +112,21 @@ func (r *FetchReq) Marshal() []byte {
 	return b
 }
 
-// UnmarshalFetchReq decodes a request. Requests from pre-streaming devices
-// lack the ChunkPages field and decode with ChunkPages zero; pre-dedup
-// requests lack Anchor/Flags and decode with both zero (full literal
-// stream — the legacy behavior).
+// UnmarshalFetchReq decodes a request.
 func UnmarshalFetchReq(b []byte) (FetchReq, error) {
-	if len(b) != fetchReqSize && len(b) != fetchReqSizeStream && len(b) != fetchReqSizeLegacy {
+	if len(b) != fetchReqSize {
 		return FetchReq{}, fmt.Errorf("%w: fetch req size %d", ErrBadMessage, len(b))
 	}
-	r := FetchReq{
-		Kind:   FetchKind(b[0]),
-		LPN:    binary.LittleEndian.Uint64(b[1:]),
-		From:   binary.LittleEndian.Uint64(b[9:]),
-		To:     binary.LittleEndian.Uint64(b[17:]),
-		Before: binary.LittleEndian.Uint64(b[25:]),
-	}
-	if len(b) >= fetchReqSizeStream {
-		r.ChunkPages = binary.LittleEndian.Uint32(b[33:])
-	}
-	if len(b) == fetchReqSize {
-		r.Anchor = binary.LittleEndian.Uint64(b[37:])
-		r.Flags = b[45]
-	}
-	return r, nil
+	return FetchReq{
+		Kind:       FetchKind(b[0]),
+		LPN:        binary.LittleEndian.Uint64(b[1:]),
+		From:       binary.LittleEndian.Uint64(b[9:]),
+		To:         binary.LittleEndian.Uint64(b[17:]),
+		Before:     binary.LittleEndian.Uint64(b[25:]),
+		ChunkPages: binary.LittleEndian.Uint32(b[33:]),
+		Anchor:     binary.LittleEndian.Uint64(b[37:]),
+		Flags:      b[45],
+	}, nil
 }
 
 // StreamEnd terminates a FetchImageStream reply: how much the stream
@@ -189,11 +172,7 @@ type Ack struct {
 	SvcNs uint64
 }
 
-// ack sizes: the legacy encoding predates SvcNs; both decode.
-const (
-	ackSizeLegacy = 8
-	ackSize       = 16
-)
+const ackSize = 16
 
 // Marshal encodes the ack.
 func (a *Ack) Marshal() []byte {
@@ -202,17 +181,12 @@ func (a *Ack) Marshal() []byte {
 	return binary.LittleEndian.AppendUint64(b, a.SvcNs)
 }
 
-// UnmarshalAck decodes an ack. Acks from pre-tier-latency servers lack the
-// SvcNs field and decode with a zero service time.
+// UnmarshalAck decodes an ack.
 func UnmarshalAck(b []byte) (Ack, error) {
-	if len(b) != ackSize && len(b) != ackSizeLegacy {
+	if len(b) != ackSize {
 		return Ack{}, fmt.Errorf("%w: ack size %d", ErrBadMessage, len(b))
 	}
-	a := Ack{UpTo: binary.LittleEndian.Uint64(b)}
-	if len(b) == ackSize {
-		a.SvcNs = binary.LittleEndian.Uint64(b[8:])
-	}
-	return a, nil
+	return Ack{UpTo: binary.LittleEndian.Uint64(b), SvcNs: binary.LittleEndian.Uint64(b[8:])}, nil
 }
 
 // Checkpoint carries a serialized mapping snapshot: the L2P table at a
@@ -240,8 +214,10 @@ func UnmarshalCheckpoint(b []byte) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("%w: checkpoint header", ErrBadMessage)
 	}
 	c := Checkpoint{Seq: binary.LittleEndian.Uint64(b)}
+	// Bound the count by the body before multiplying: 8*n wraps for a
+	// count of 2^61 and would pass a header-only payload.
 	n := binary.LittleEndian.Uint64(b[8:])
-	if uint64(len(b)-16) != 8*n {
+	if body := uint64(len(b) - 16); n > body/8 || 8*n != body {
 		return Checkpoint{}, fmt.Errorf("%w: checkpoint body %d for %d entries", ErrBadMessage, len(b)-16, n)
 	}
 	c.L2P = make([]uint64, n)

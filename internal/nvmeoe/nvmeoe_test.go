@@ -297,20 +297,6 @@ func TestFetchReqRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFetchReqLegacyDecodes: requests from pre-streaming devices lack the
-// ChunkPages field and must still decode (with ChunkPages zero).
-func TestFetchReqLegacyDecodes(t *testing.T) {
-	r := FetchReq{Kind: FetchImage, Before: 7}
-	legacy := r.Marshal()[:fetchReqSizeLegacy]
-	got, err := UnmarshalFetchReq(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != FetchImage || got.Before != 7 || got.ChunkPages != 0 {
-		t.Fatalf("legacy decode: %+v", got)
-	}
-}
-
 func TestStreamEndRoundTrip(t *testing.T) {
 	e := StreamEnd{Chunks: 3, Pages: 129, NextLPN: 4096}
 	got, err := UnmarshalStreamEnd(e.Marshal())
@@ -395,18 +381,15 @@ func TestTransportRoundTripProperty(t *testing.T) {
 }
 
 func TestAckServiceTimeRoundTripAndLegacy(t *testing.T) {
-	// New acks carry the tier's modeled Put service time.
+	// Acks carry the tier's modeled Put service time.
 	a := Ack{UpTo: 42, SvcNs: 18_000_000}
 	got, err := UnmarshalAck(a.Marshal())
 	if err != nil || got != a {
 		t.Fatalf("ack roundtrip = %+v, %v", got, err)
 	}
-	// Acks from pre-tier-latency servers are 8 bytes and decode with a
-	// zero service time — devices keep working against old servers.
-	legacy := a.Marshal()[:8]
-	got, err = UnmarshalAck(legacy)
-	if err != nil || got.UpTo != 42 || got.SvcNs != 0 {
-		t.Fatalf("legacy ack = %+v, %v", got, err)
+	// The 8-byte ack without a service time is not a second form of it.
+	if _, err := UnmarshalAck(a.Marshal()[:8]); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("8-byte ack: err=%v", err)
 	}
 	if _, err := UnmarshalAck(a.Marshal()[:5]); err == nil {
 		t.Fatal("truncated ack decoded")

@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// RefChunk is the dedup restore wire format: one MsgFetchChunkRef frame
-// carries a run of LPN-ordered page versions where each page is either a
-// literal (full payload, first occurrence of its content hash in the
-// stream) or a hash reference (32-byte content hash only; the device
+// RefChunk is the restore wire format: one MsgFetchChunkRef frame carries
+// a run of LPN-ordered page versions where each page is either a
+// literal (full payload with its content hash) or, on a stream opened with
+// FetchFlagDedup, a hash reference (32-byte content hash only; the device
 // resolves it from the literals it has already cached this restore). The
 // server guarantees every referenced hash was sent as a literal earlier in
 // the same stream session, so a resolve miss is a protocol error, not a
@@ -122,6 +122,9 @@ func WalkRefChunk(b []byte, fn func(p RefPage) error) (deviceID uint64, err erro
 		copy(p.Hash[:], b[off+26:off+58])
 		dataLen := int(binary.LittleEndian.Uint32(b[off+58:]))
 		off += refPageFixedSize
+		if flags&^refPageFlagRef != 0 {
+			return deviceID, fmt.Errorf("%w: ref page %d has unknown flags %#x", ErrBadMessage, i, flags)
+		}
 		p.Ref = flags&refPageFlagRef != 0
 		if p.Ref {
 			if dataLen != 0 {

@@ -107,22 +107,6 @@ func TestFetchReqAnchorCompat(t *testing.T) {
 	if got != req {
 		t.Fatalf("round trip mismatch: %+v != %+v", got, req)
 	}
-	// Pre-dedup stream encoding: Anchor/Flags absent, decode zero.
-	got, err = UnmarshalFetchReq(b[:fetchReqSizeStream])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Anchor != 0 || got.Flags != 0 || got.ChunkPages != 32 {
-		t.Fatalf("stream-size decode: %+v", got)
-	}
-	// Legacy encoding: ChunkPages absent too.
-	got, err = UnmarshalFetchReq(b[:fetchReqSizeLegacy])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ChunkPages != 0 || got.Before != 77 {
-		t.Fatalf("legacy-size decode: %+v", got)
-	}
 }
 
 // TestRefChunkSteadyStateAllocs gates the dedup encode hot path: building

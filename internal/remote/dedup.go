@@ -149,16 +149,25 @@ func (c *ResolveCache) Add(h [oplog.HashSize]byte, data []byte) ([]byte, error) 
 	if cached, ok := c.m[h]; ok {
 		return cached, nil
 	}
-	hasher := bufpool.GetHasher()
-	sum := hasher.Sum256(data)
-	hasher.Release()
-	if sum != h {
-		return nil, fmt.Errorf("remote: restore literal fails content hash (%d bytes)", len(data))
+	if err := verifyLiteral(h, data); err != nil {
+		return nil, err
 	}
 	cp := append([]byte(nil), data...)
 	c.m[h] = cp
 	c.bytes += int64(len(cp))
 	return cp, nil
+}
+
+// verifyLiteral holds a streamed literal against the content hash it
+// arrived with.
+func verifyLiteral(h [oplog.HashSize]byte, data []byte) error {
+	hasher := bufpool.GetHasher()
+	sum := hasher.Sum256(data)
+	hasher.Release()
+	if sum != h {
+		return fmt.Errorf("remote: restore literal fails content hash (%d bytes)", len(data))
+	}
+	return nil
 }
 
 // Lookup resolves a hash reference.

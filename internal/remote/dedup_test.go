@@ -2,11 +2,14 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/simclock"
 )
@@ -45,11 +48,11 @@ func buildDedupSegments(deviceID uint64, n, k int, pool [][]byte) []*oplog.Segme
 	return segs
 }
 
-// TestMixedLegacyDedupRestore checks that one store serves the identical
-// image through all three wire forms — the legacy full-page chunk stream,
-// the hash-reference stream, and a mixed restore that starts legacy and
-// resumes deduped — and that the dedup form actually moves fewer bytes.
-func TestMixedLegacyDedupRestore(t *testing.T) {
+// TestMixedLiteralDedupRestore checks that one store serves the identical
+// image three ways — every page a literal, repeats as hash references, and
+// a mixed restore that starts full-literal and resumes deduped — and that
+// the dedup stream actually moves fewer bytes.
+func TestMixedLiteralDedupRestore(t *testing.T) {
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
 	pool := dedupContent(8)
@@ -69,10 +72,13 @@ func TestMixedLegacyDedupRestore(t *testing.T) {
 		if dedup {
 			cache = NewResolveCache()
 		}
-		_, err := cl.FetchImageDelta(from, 100, 0, 8, cache, func(ps []oplog.PageRecord, cs ChunkStats) error {
+		_, err := cl.FetchImageStream(from, 100, 0, 8, cache, func(ps []oplog.PageRecord, cs ChunkStats) error {
 			for _, p := range ps {
 				p.Data = append([]byte(nil), p.Data...)
 				pages = append(pages, p)
+			}
+			if cs.Literals+cs.Refs != len(ps) {
+				t.Errorf("chunk of %d pages counted %d literals + %d refs", len(ps), cs.Literals, cs.Refs)
 			}
 			wire += cs.WireBytes
 			refs += cs.Refs
@@ -84,51 +90,158 @@ func TestMixedLegacyDedupRestore(t *testing.T) {
 		return pages, wire, refs
 	}
 
-	legacy, legacyWire, legacyRefs := collect(false, 0)
+	full, fullWire, fullRefs := collect(false, 0)
 	deduped, dedupWire, dedupRefs := collect(true, 0)
-	if legacyRefs != 0 {
-		t.Fatalf("legacy stream carried %d hash refs", legacyRefs)
+	if fullRefs != 0 {
+		t.Fatalf("stream without the dedup flag carried %d hash refs", fullRefs)
 	}
 	if dedupRefs == 0 {
 		t.Fatal("dedup stream resolved no hash refs over a duplicated image")
 	}
-	if len(legacy) != 40 || len(deduped) != len(legacy) {
-		t.Fatalf("page counts: legacy %d, dedup %d", len(legacy), len(deduped))
+	if len(full) != 40 || len(deduped) != len(full) {
+		t.Fatalf("page counts: full-literal %d, dedup %d", len(full), len(deduped))
 	}
-	for i := range legacy {
-		l, d := legacy[i], deduped[i]
-		if l.LPN != d.LPN || l.WriteSeq != d.WriteSeq || !bytes.Equal(l.Data, d.Data) {
-			t.Fatalf("page %d differs across wire forms: legacy %+v, dedup %+v", i, l, d)
+	for i := range full {
+		l, d := full[i], deduped[i]
+		if l.LPN != d.LPN || l.WriteSeq != d.WriteSeq || l.Hash != d.Hash || !bytes.Equal(l.Data, d.Data) {
+			t.Fatalf("page %d differs across streams: full-literal %+v, dedup %+v", i, l, d)
 		}
-		if want := pool[int(l.LPN)%len(pool)]; !bytes.Equal(l.Data, want) {
-			t.Fatalf("lpn %d content wrong", l.LPN)
+		if want := pool[int(l.LPN)%len(pool)]; !bytes.Equal(l.Data, want) || l.Hash != oplog.HashData(want) {
+			t.Fatalf("lpn %d content or hash wrong", l.LPN)
 		}
 	}
-	if dedupWire >= legacyWire {
-		t.Fatalf("dedup wire %d not smaller than legacy %d", dedupWire, legacyWire)
+	if dedupWire >= fullWire {
+		t.Fatalf("dedup wire %d not smaller than full-literal %d", dedupWire, fullWire)
 	}
 
-	// A mixed restore: first half over the legacy path, resume at the
-	// cursor over hash-ref frames. The splice must be seamless — the
-	// resumed session re-literals anything it references, so a cache that
-	// saw none of the first half still resolves everything.
-	var mixed []oplog.PageRecord
-	head, _, _ := collect(false, 0)
-	for _, p := range head[:20] {
-		mixed = append(mixed, p)
-	}
+	// A mixed restore: first half full-literal, resume at the cursor
+	// deduped. The splice must be seamless — the resumed session
+	// re-literals anything it references, so a cache that saw none of the
+	// first half still resolves everything.
+	mixed := append([]oplog.PageRecord(nil), full[:20]...)
 	tail, _, tailRefs := collect(true, mixed[len(mixed)-1].LPN+1)
 	mixed = append(mixed, tail...)
 	if tailRefs == 0 {
 		t.Fatal("resumed dedup stream resolved no refs")
 	}
-	if len(mixed) != len(legacy) {
-		t.Fatalf("mixed restore covered %d pages, want %d", len(mixed), len(legacy))
+	if len(mixed) != len(full) {
+		t.Fatalf("mixed restore covered %d pages, want %d", len(mixed), len(full))
 	}
 	for i := range mixed {
-		if mixed[i].LPN != legacy[i].LPN || !bytes.Equal(mixed[i].Data, legacy[i].Data) {
-			t.Fatalf("mixed restore page %d differs from legacy", i)
+		if mixed[i].LPN != full[i].LPN || !bytes.Equal(mixed[i].Data, full[i].Data) {
+			t.Fatalf("mixed restore page %d differs from the full-literal image", i)
 		}
+	}
+	if rs := srv.RecoveryStats(7); rs.PagesLiteral+rs.PagesRef != rs.Pages || rs.PagesRef != uint64(dedupRefs+tailRefs) {
+		t.Fatalf("server ledger does not split every page into literal or ref: %+v", rs)
+	}
+}
+
+// TestImageStreamAcceptsOneChunkForm: the stream reader takes hash-carrying
+// ref chunks and nothing else. A literal that fails its hash, a reference on
+// a stream that asked for none, a chunk with no codec header, and the
+// retired full-record chunk type (10) each fail the stream before fn sees a
+// page.
+func TestImageStreamAcceptsOneChunkForm(t *testing.T) {
+	data := bytes.Repeat([]byte("page"), 128)
+	good := nvmeoe.RefPage{LPN: 3, WriteSeq: 9, StaleSeq: 10, Hash: oplog.HashData(data), Data: data}
+	wrongHash := good
+	wrongHash.Hash[0] ^= 1
+	ref := nvmeoe.RefPage{LPN: 3, WriteSeq: 9, StaleSeq: 10, Hash: good.Hash, Ref: true}
+	chunk := func(p nvmeoe.RefPage) []byte { return nvmeoe.AppendRefChunk(nil, 7, []nvmeoe.RefPage{p}) }
+	seg := &oplog.Segment{DeviceID: 7, Pages: []oplog.PageRecord{{LPN: 3, WriteSeq: 9, StaleSeq: 10, Hash: good.Hash, Data: data}}}
+
+	for _, tc := range []struct {
+		name    string
+		typ     nvmeoe.MsgType
+		payload []byte
+		ok      bool
+	}{
+		{"literal with its hash", nvmeoe.MsgFetchChunkRef, nvmeoe.EncodeSegmentBlob(chunk(good)), true},
+		{"literal failing its hash", nvmeoe.MsgFetchChunkRef, nvmeoe.EncodeSegmentBlob(chunk(wrongHash)), false},
+		{"reference nobody asked for", nvmeoe.MsgFetchChunkRef, nvmeoe.EncodeSegmentBlob(chunk(ref)), false},
+		{"chunk without the codec header", nvmeoe.MsgFetchChunkRef, chunk(good), false},
+		{"retired full-record chunk type", nvmeoe.MsgType(10), nvmeoe.EncodeSegmentBlob(seg.Marshal()), false},
+	} {
+		dc, sc := net.Pipe()
+		served := make(chan error, 1)
+		go func() {
+			defer sc.Close()
+			conn, _, err := nvmeoe.ServerHandshake(sc, func(uint64) ([]byte, bool) { return psk, true })
+			if err == nil {
+				_, _, err = conn.ReadMsg() // the fetch
+			}
+			if err == nil {
+				err = conn.WriteMsg(tc.typ, tc.payload)
+			}
+			if err == nil && tc.ok {
+				err = conn.WriteMsg(nvmeoe.MsgFetchEnd, (&nvmeoe.StreamEnd{Chunks: 1, Pages: 1, NextLPN: 4}).Marshal())
+			}
+			served <- err
+		}()
+		cl, err := Dial(dc, psk, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := 0
+		_, err = cl.FetchImageStream(0, 100, 0, 8, nil, func(ps []oplog.PageRecord, cs ChunkStats) error {
+			pages += len(ps)
+			return nil
+		})
+		cl.Close()
+		if serr := <-served; serr != nil {
+			t.Fatalf("%s: scripted server: %v", tc.name, serr)
+		}
+		if tc.ok != (err == nil) || (!tc.ok && pages != 0) || (tc.ok && pages != 1) {
+			t.Errorf("%s: err=%v, %d pages reached the callback", tc.name, err, pages)
+		}
+	}
+}
+
+// TestServerRefusesRetiredForms: a fetch kind that was retired (3, the
+// monolithic image; 7, the LPN range), a segment push without the codec
+// header and the retired message type each get CodeBadData, change nothing,
+// and leave the session serving.
+func TestServerRefusesRetiredForms(t *testing.T) {
+	st := NewStore(NewMemStore())
+	srv := NewServer(st, psk)
+	cl, err := Loopback(srv, psk, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	segs := buildSegments(5, 2, 4)
+	if err := cl.PushSegment(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+	badData := func(what string, err error) {
+		t.Helper()
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != CodeBadData {
+			t.Fatalf("%s: err=%v, want CodeBadData", what, err)
+		}
+		if h, err := cl.Head(); err != nil || h.NextSeq != 4 {
+			t.Fatalf("%s: session or chain did not survive: head %+v, %v", what, h, err)
+		}
+	}
+	for _, kind := range []nvmeoe.FetchKind{3, 7, 0, 9} {
+		req := nvmeoe.FetchReq{Kind: kind, To: 100, Before: 100}
+		_, err := cl.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
+		badData(fmt.Sprintf("fetch kind %d", kind), err)
+	}
+	for _, n := range []int{33, 37} {
+		req := nvmeoe.FetchReq{Kind: nvmeoe.FetchHead}
+		_, err := cl.roundTrip(nvmeoe.MsgFetch, req.Marshal()[:n], nvmeoe.MsgFetchResp)
+		badData(fmt.Sprintf("%d-byte fetch request", n), err)
+	}
+	badData("segment without the codec header", cl.PushSegmentBlob(segs[1].Marshal(), segs[1].LastSeq))
+	_, err = cl.roundTrip(nvmeoe.MsgType(10), nil, nvmeoe.MsgFetchResp)
+	badData("message type 10", err)
+	if ist := srv.IngestStats(5); ist.Segments != 1 || ist.Errors != 1 {
+		t.Fatalf("ingest ledger = %+v, want 1 segment and 1 error", ist)
+	}
+	if err := cl.PushSegment(segs[1]); err != nil {
+		t.Fatalf("the same segment, codec-framed: %v", err)
 	}
 }
 

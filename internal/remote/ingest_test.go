@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/nvmeoe"
@@ -119,19 +118,14 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 	}
 	// Every session released its lane reference: an idle server keeps no
 	// lane (and therefore no worker goroutines). HandleConn releases in a
-	// defer after the client's Close lands, so poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		srv.mu.Lock()
-		lane := srv.lane
-		srv.mu.Unlock()
-		if lane == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lane still referenced after all sessions closed")
-		}
-		time.Sleep(time.Millisecond)
+	// defer after the client's Close lands; Server.Close returns once every
+	// session has run its defers and deregistered.
+	srv.Close()
+	srv.mu.Lock()
+	lane := srv.lane
+	srv.mu.Unlock()
+	if lane != nil {
+		t.Fatal("lane still referenced after all sessions closed")
 	}
 }
 

@@ -33,7 +33,7 @@ func buildPageSegments(deviceID uint64, n, k int) []*oplog.Segment {
 }
 
 // TestImageRangeChunks walks the store's image in chunks and checks the
-// walk reassembles exactly the monolithic image, in LPN order.
+// walk reassembles exactly the per-LPN Version answers, in LPN order.
 func TestImageRangeChunks(t *testing.T) {
 	st := NewStore(NewMemStore())
 	for _, seg := range buildPageSegments(1, 4, 10) {
@@ -41,7 +41,12 @@ func TestImageRangeChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := st.Image(1, 100)
+	var want []oplog.PageRecord
+	for lpn := uint64(0); lpn < 50; lpn++ {
+		if rec, ok := st.Version(1, lpn, 100); ok {
+			want = append(want, rec)
+		}
+	}
 	var got []oplog.PageRecord
 	from := uint64(0)
 	for {
@@ -53,11 +58,11 @@ func TestImageRangeChunks(t *testing.T) {
 		from = next
 	}
 	if len(got) != len(want) {
-		t.Fatalf("chunked walk returned %d pages, monolith %d", len(got), len(want))
+		t.Fatalf("chunked walk returned %d pages, per-LPN queries %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].LPN != want[i].LPN || got[i].WriteSeq != want[i].WriteSeq {
-			t.Fatalf("page %d: chunked %+v, monolith %+v", i, got[i], want[i])
+			t.Fatalf("page %d: chunked %+v, per-LPN query %+v", i, got[i], want[i])
 		}
 	}
 	// A bounded range returns only its half-open LPN window.
@@ -86,9 +91,12 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 
 	var streamed []oplog.PageRecord
 	var chunks int
-	end, err := cl.FetchImageStream(0, 100, 8, func(pages []oplog.PageRecord, wire, logical int) error {
-		if wire <= 0 || logical <= 0 || wire > logical+64 {
-			return fmt.Errorf("implausible chunk sizes wire=%d logical=%d", wire, logical)
+	end, err := cl.FetchImageStream(0, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
+		if cs.WireBytes <= 0 || cs.LogicalBytes <= 0 || cs.WireBytes > cs.LogicalBytes+64 {
+			return fmt.Errorf("implausible chunk sizes wire=%d logical=%d", cs.WireBytes, cs.LogicalBytes)
+		}
+		if cs.Literals != len(pages) || cs.Refs != 0 {
+			return fmt.Errorf("%d pages arrived as %d literals + %d refs on a stream without the dedup flag", len(pages), cs.Literals, cs.Refs)
 		}
 		chunks++
 		streamed = append(streamed, pages...)
@@ -110,7 +118,7 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 	}
 
 	// Resume: a stream opened at LPN 25 serves only the tail.
-	end2, err := cl.FetchImageStream(25, 100, 8, func(pages []oplog.PageRecord, wire, logical int) error {
+	end2, err := cl.FetchImageStream(25, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
 		for _, p := range pages {
 			if p.LPN < 25 {
 				return fmt.Errorf("resumed stream re-served lpn %d", p.LPN)
@@ -133,29 +141,6 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 	// The session is still usable for ordinary requests after streaming.
 	if h, err := cl.Head(); err != nil || h.NextSeq != 40 {
 		t.Fatalf("post-stream head = %+v, %v", h, err)
-	}
-}
-
-// TestFetchRange retrieves a targeted LPN window and the ledger counts it.
-func TestFetchRange(t *testing.T) {
-	st := NewStore(NewMemStore())
-	srv := NewServer(st, psk)
-	for _, seg := range buildPageSegments(3, 2, 10) {
-		if err := st.AppendSegment(seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := Loopback(srv, psk, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	pages, err := cl.FetchRange(4, 12, 100)
-	if err != nil || len(pages) != 8 || pages[0].LPN != 4 {
-		t.Fatalf("FetchRange = %d pages, %v", len(pages), err)
-	}
-	if rs := srv.RecoveryStats(3); rs.RangeFetches != 1 || rs.Pages != 8 {
-		t.Fatalf("recovery stats = %+v", rs)
 	}
 }
 

@@ -22,12 +22,11 @@ import (
 // share to the stragglers — exactly the fairness a per-connection TCP
 // share would give.
 //
-// Since the shared-NIC QoS arbiter (internal/netsim) took over link
-// pricing, RecoveryLink is a thin shim over the restore class of an
-// arbiter. A link built by NewRecoveryLink owns a private arbiter sized
-// from its RTT/MBps fields, which reproduces the historical behavior
-// bit-for-bit (restore is the only active class, so it always holds the
-// full line and the fair share is the session count). A link built by
+// RecoveryLink is a thin wrapper over the restore class of a shared-NIC
+// QoS arbiter (internal/netsim), which does the pricing. A link built by
+// NewRecoveryLink owns a private arbiter sized from its RTT/MBps fields
+// (restore is the only active class, so it always holds the full line and
+// the fair share is the session count). A link built by
 // NewRecoveryLinkOn instead charges restore traffic to a shared arbiter,
 // where it contends with offload and lifecycle classes under the QoS
 // policy.
@@ -99,8 +98,8 @@ func (l *RecoveryLink) Open() (release func()) {
 
 // ChunkTime prices one chunk transfer at the current fair share of the
 // restore class's NIC allocation: RTT + bytes / (allocation / sessions).
-// On a private arbiter the allocation is the full line, reproducing the
-// historical RTT + bytes / (BW / sessions).
+// On a private arbiter the allocation is the full line:
+// RTT + bytes / (BW / sessions).
 func (l *RecoveryLink) ChunkTime(bytes int) simclock.Duration {
 	return l.Arbiter().GrantClass(netsim.ClassRestore, bytes)
 }

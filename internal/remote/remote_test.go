@@ -117,9 +117,8 @@ func TestAppendSegmentAndQuery(t *testing.T) {
 	if _, ok := st.Version(1, 999, 100); ok {
 		t.Fatal("unknown lpn returned a version")
 	}
-	img := st.Image(1, 12)
-	if len(img) != 8 {
-		t.Fatalf("image size = %d, want 8", len(img))
+	if img, _, more := st.ImageRange(1, 0, ^uint64(0), 12, 100, nil); len(img) != 8 || more {
+		t.Fatalf("image size = %d (more=%v), want 8", len(img), more)
 	}
 	h := st.Head(1)
 	if h.NextSeq != 30 {
@@ -270,9 +269,9 @@ func TestClientServerEndToEnd(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("FetchVersion before first write: ok=%v err=%v", ok, err)
 	}
-	img, err := cl.FetchImage(30)
-	if err != nil || len(img) != 8 {
-		t.Fatalf("FetchImage = %d, %v", len(img), err)
+	end, err := cl.FetchImageStream(0, 30, 0, 0, nil, func([]oplog.PageRecord, ChunkStats) error { return nil })
+	if err != nil || end.Pages != 8 {
+		t.Fatalf("FetchImageStream = %+v, %v", end, err)
 	}
 	cp, ok, err := cl.FetchCheckpoint(100)
 	if err != nil || !ok || cp.Seq != 12 {

@@ -76,14 +76,13 @@ type Server struct {
 type RecoveryStats struct {
 	Streams      uint64
 	Resumes      uint64 // streams opened mid-image (From > 0)
-	RangeFetches uint64
 	Chunks       uint64
 	Pages        uint64
 	BytesWire    uint64
 	BytesLogical uint64
-	// Dedup ledger. On hash-reference streams (FetchFlagDedup) every
-	// served page is either a literal (first occurrence of its content
-	// hash in the stream — full payload) or a reference (32-byte hash the
+	// Dedup ledger. Every served page is either a literal (full payload
+	// with its content hash) or, on streams opened with FetchFlagDedup, a
+	// reference to a literal sent earlier in the stream (32-byte hash the
 	// device resolves locally). BytesDedupSaved is the literal payload
 	// volume references avoided; DeltaStreams counts streams served as
 	// checkpoint-anchored deltas (Anchor > 0).
@@ -126,7 +125,6 @@ func (s *Server) addRecovery(deviceID uint64, d RecoveryStats) {
 	}
 	rs.Streams += d.Streams
 	rs.Resumes += d.Resumes
-	rs.RangeFetches += d.RangeFetches
 	rs.Chunks += d.Chunks
 	rs.Pages += d.Pages
 	rs.BytesWire += d.BytesWire
@@ -330,9 +328,9 @@ func (s *Server) HandleConn(nc net.Conn) {
 func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 	switch typ {
 	case nvmeoe.MsgSegment:
-		// The payload is the codec-framed segment blob (or a bare marshal
-		// from a pre-codec device). Hand it to the decode lane and return
-		// to the wire: the worker decodes, verifies, appends, and acks.
+		// The payload is the codec-framed segment blob. Hand it to the
+		// decode lane and return to the wire: the worker decodes, verifies,
+		// appends, and acks.
 		// body is private to this ReadMsg, so the handoff is safe.
 		if ss.lane != nil {
 			ss.begin()
@@ -369,11 +367,9 @@ func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 }
 
 // serveFetch answers one retrieval request. Every reply that carries a
-// segment marshal (entries, versions, images, checkpoints, restore
-// chunks) is wrapped in the segment codec — the ROADMAP gap where fetch
-// responses shipped uncompressed while only the frame-level deflate
-// helped them is closed here, and clients decode transparently. Head
-// replies stay bare: 40 bytes gains nothing from a 9-byte codec header.
+// segment marshal (entries, versions, held listings, checkpoints, restore
+// chunks) is wrapped in the segment codec. Head replies stay bare: 40
+// bytes gains nothing from a 9-byte codec header.
 func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	deviceID := ss.deviceID
 	switch req.Kind {
@@ -386,33 +382,8 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 			seg.Pages = []oplog.PageRecord{rec}
 		}
 		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
-	case nvmeoe.FetchImage:
-		// Compatibility shim: the monolithic image reply predates the
-		// streamed restore path and survives for old tooling; new restores
-		// go through FetchImageStream.
-		seg := &oplog.Segment{DeviceID: deviceID, Pages: s.Store.Image(deviceID, req.Before)}
-		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
 	case nvmeoe.FetchImageStream:
 		return s.serveImageStream(ss, req)
-	case nvmeoe.FetchRange:
-		var pages []oplog.PageRecord
-		for from := req.From; ; {
-			chunk, next, more := s.Store.ImageRange(deviceID, from, req.To, req.Before, MaxRecoveryChunkPages, nil)
-			pages = append(pages, chunk...)
-			if !more || len(chunk) == 0 {
-				break
-			}
-			from = next
-		}
-		seg := &oplog.Segment{DeviceID: deviceID, Pages: pages}
-		blob := nvmeoe.EncodeSegmentBlob(seg.Marshal())
-		s.addRecovery(deviceID, RecoveryStats{
-			RangeFetches: 1,
-			Pages:        uint64(len(pages)),
-			BytesWire:    uint64(len(blob)),
-			BytesLogical: uint64(nvmeoe.SegmentBlobLogicalSize(blob)),
-		})
-		return ss.writeMsg(nvmeoe.MsgFetchResp, blob)
 	case nvmeoe.FetchCheckpoint:
 		cp, ok := s.Store.Checkpoint(deviceID, req.Before)
 		if !ok {
@@ -438,15 +409,15 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 // missed. A stream opened with From > 0 is a resume: the device already
 // applied everything below From and the server just continues from there.
 //
-// Two orthogonal reductions apply on request. With FetchFlagDedup, chunks
-// go out as hash-reference frames (MsgFetchChunkRef): the first occurrence
-// of each content hash in the stream session carries the literal page,
-// repeats carry only the hash — the per-session sent set guarantees every
-// reference resolves from literals the device has already cached. With
-// Anchor > 0, the stream is a checkpoint-anchored delta: only LPNs touched
-// by a state-changing entry at or after the anchor are served, because
-// everything else is bit-identical to what the device reconstructs from
-// its own pre-anchor state.
+// Every chunk is a MsgFetchChunkRef frame and every page in it carries its
+// content hash. Two orthogonal reductions apply on request. With
+// FetchFlagDedup, only the first occurrence of each content hash in the
+// stream session carries the literal page; repeats carry only the hash —
+// the per-session sent set guarantees every reference resolves from
+// literals the device has already cached. With Anchor > 0, the stream is a
+// checkpoint-anchored delta: only LPNs touched by a state-changing entry at
+// or after the anchor are served, because everything else is bit-identical
+// to what the device reconstructs from its own pre-anchor state.
 func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 	deviceID := ss.deviceID
 	chunkPages := int(req.ChunkPages)
@@ -460,71 +431,53 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 	if req.From > 0 {
 		delta.Resumes = 1
 	}
-	dedup := req.Flags&nvmeoe.FetchFlagDedup != 0
 	only := s.Store.TouchedSince(deviceID, req.Anchor)
 	if only != nil {
 		delta.DeltaStreams = 1
 	}
+	// Hashes already sent as literals; nil when the device did not ask for
+	// references, so nothing ever repeats.
 	var sent map[[oplog.HashSize]byte]struct{}
-	var refPages []nvmeoe.RefPage
-	if dedup {
+	if req.Flags&nvmeoe.FetchFlagDedup != 0 {
 		sent = make(map[[oplog.HashSize]byte]struct{})
-		refPages = make([]nvmeoe.RefPage, 0, chunkPages)
 	}
+	refPages := make([]nvmeoe.RefPage, 0, chunkPages)
 	from := req.From
 	end := nvmeoe.StreamEnd{NextLPN: from}
 	for {
 		pages, next, more := s.Store.ImageRange(deviceID, from, ^uint64(0), req.Before, chunkPages, only)
 		if len(pages) > 0 {
-			var blob []byte
-			var msg nvmeoe.MsgType
-			var raw *bufpool.Buf
-			var blobBuf *bufpool.Buf
-			if dedup {
-				refPages = refPages[:0]
-				for i := range pages {
-					p := &pages[i]
-					rp := nvmeoe.RefPage{
-						LPN:      p.LPN,
-						WriteSeq: p.WriteSeq,
-						StaleSeq: p.StaleSeq,
-						Cause:    p.Cause,
-						Hash:     p.Hash,
-					}
-					if _, dup := sent[p.Hash]; dup {
-						rp.Ref = true
-						delta.PagesRef++
-						delta.BytesDedupSaved += uint64(len(p.Data))
-					} else {
-						rp.Data = p.Data
-						sent[p.Hash] = struct{}{}
-						delta.PagesLiteral++
-					}
-					refPages = append(refPages, rp)
+			refPages = refPages[:0]
+			for i := range pages {
+				p := &pages[i]
+				rp := nvmeoe.RefPage{
+					LPN:      p.LPN,
+					WriteSeq: p.WriteSeq,
+					StaleSeq: p.StaleSeq,
+					Cause:    p.Cause,
+					Hash:     p.Hash,
 				}
-				raw = bufpool.Get(nvmeoe.RefChunkWireSize(refPages))
-				raw.B = nvmeoe.AppendRefChunk(raw.B, deviceID, refPages)
-				blobBuf = bufpool.Get(nvmeoe.BlobOverhead + len(raw.B))
-				blobBuf.B = nvmeoe.AppendSegmentBlob(blobBuf.B, raw.B)
-				blob = blobBuf.B
-				msg = nvmeoe.MsgFetchChunkRef
-			} else {
-				seg := &oplog.Segment{DeviceID: deviceID, Pages: pages}
-				blob = nvmeoe.EncodeSegmentBlob(seg.Marshal())
-				msg = nvmeoe.MsgFetchChunk
+				if _, dup := sent[p.Hash]; dup {
+					rp.Ref = true
+					delta.PagesRef++
+					delta.BytesDedupSaved += uint64(len(p.Data))
+				} else {
+					rp.Data = p.Data
+					if sent != nil {
+						sent[p.Hash] = struct{}{}
+					}
+					delta.PagesLiteral++
+				}
+				refPages = append(refPages, rp)
 			}
-			err := ss.writeMsg(msg, blob)
-			// Account before releasing: SegmentBlobLogicalSize reads the
-			// blob bytes, and a released buffer may already be another
-			// stream's encode target.
-			logical := nvmeoe.SegmentBlobLogicalSize(blob)
-			wire := len(blob)
-			if raw != nil {
-				raw.Release()
-			}
-			if blobBuf != nil {
-				blobBuf.Release()
-			}
+			raw := bufpool.Get(nvmeoe.RefChunkWireSize(refPages))
+			raw.B = nvmeoe.AppendRefChunk(raw.B, deviceID, refPages)
+			blob := bufpool.Get(nvmeoe.BlobOverhead + len(raw.B))
+			blob.B = nvmeoe.AppendSegmentBlob(blob.B, raw.B)
+			err := ss.writeMsg(nvmeoe.MsgFetchChunkRef, blob.B)
+			logical, wire := len(raw.B), len(blob.B)
+			raw.Release()
+			blob.Release()
 			if err != nil {
 				s.addRecovery(deviceID, delta)
 				return err
@@ -614,8 +567,8 @@ func (c *Client) PushSegmentBlob(blob []byte, lastSeq uint64) error {
 }
 
 // PushSegmentBlobTimed is PushSegmentBlob returning the storage tier's
-// modeled Put service time carried in the ack (zero on free local tiers
-// and on pre-tier-latency servers). The offload engine folds it into the
+// modeled Put service time carried in the ack (zero on free local
+// tiers). The offload engine folds it into the
 // simulated ack instant so device-side OffloadAckTime reflects the
 // backend.
 func (c *Client) PushSegmentBlobTimed(blob []byte, lastSeq uint64) (simclock.Duration, error) {
@@ -639,9 +592,8 @@ func (c *Client) PushCheckpoint(cp *nvmeoe.Checkpoint) error {
 	return err
 }
 
-// fetchSegment round-trips one fetch request whose reply is a (possibly
-// codec-framed) segment marshal. Pre-codec servers reply with bare
-// marshals; DecodeSegmentBlob passes those through.
+// fetchSegment round-trips one fetch request whose reply is a codec-framed
+// segment marshal.
 func (c *Client) fetchSegment(req nvmeoe.FetchReq) (*oplog.Segment, error) {
 	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
 	if err != nil {
@@ -676,81 +628,9 @@ func (c *Client) FetchVersion(lpn, before uint64) (oplog.PageRecord, bool, error
 	return seg.Pages[0], true, nil
 }
 
-// FetchImage retrieves the newest retained version of every LPN before the
-// given sequence in one monolithic reply. It survives as the
-// compatibility shim for old tooling; restores use FetchImageStream,
-// which resumes after a disconnect instead of starting over.
-func (c *Client) FetchImage(before uint64) ([]oplog.PageRecord, error) {
-	seg, err := c.fetchSegment(nvmeoe.FetchReq{Kind: nvmeoe.FetchImage, Before: before})
-	if err != nil {
-		return nil, err
-	}
-	return seg.Pages, nil
-}
-
-// FetchRange retrieves, for every LPN with from <= LPN < to, the newest
-// retained version written before the given sequence — one targeted,
-// codec-framed chunk of the image.
-func (c *Client) FetchRange(from, to, before uint64) ([]oplog.PageRecord, error) {
-	seg, err := c.fetchSegment(nvmeoe.FetchReq{Kind: nvmeoe.FetchRange, From: from, To: to, Before: before})
-	if err != nil {
-		return nil, err
-	}
-	return seg.Pages, nil
-}
-
-// FetchImageStream streams the point-in-time image before the given
-// sequence as LPN-ordered chunks, invoking fn once per chunk with the
-// decoded pages plus the chunk's wire (codec-framed) and logical
-// (decoded) sizes. from > 0 resumes an interrupted stream: only LPNs at
-// or past it are served. The session is busy for the whole stream; if fn
-// returns an error the stream is abandoned mid-flight and the session
-// must be closed, which is exactly what a resuming restorer does.
-func (c *Client) FetchImageStream(from, before uint64, chunkPages int, fn func(pages []oplog.PageRecord, wire, logical int) error) (nvmeoe.StreamEnd, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	req := nvmeoe.FetchReq{
-		Kind: nvmeoe.FetchImageStream, From: from, Before: before,
-		ChunkPages: uint32(chunkPages),
-	}
-	if err := c.conn.WriteMsg(nvmeoe.MsgFetch, req.Marshal()); err != nil {
-		return nvmeoe.StreamEnd{}, err
-	}
-	for {
-		typ, body, err := c.conn.ReadMsg()
-		if err != nil {
-			return nvmeoe.StreamEnd{}, err
-		}
-		switch typ {
-		case nvmeoe.MsgFetchChunk:
-			raw, err := nvmeoe.DecodeSegmentBlob(body)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			seg, err := oplog.UnmarshalSegment(raw)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			if err := fn(seg.Pages, len(body), len(raw)); err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-		case nvmeoe.MsgFetchEnd:
-			return nvmeoe.UnmarshalStreamEnd(body)
-		case nvmeoe.MsgError:
-			em, err := nvmeoe.UnmarshalErrorMsg(body)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			return nvmeoe.StreamEnd{}, &RemoteError{Code: em.Code, Text: em.Text}
-		default:
-			return nvmeoe.StreamEnd{}, fmt.Errorf("remote: unexpected message %v in image stream", typ)
-		}
-	}
-}
-
-// ChunkStats describes one streamed restore chunk as the dedup-aware
-// client saw it: wire and logical sizes plus how the pages arrived —
-// full literal payloads or hash references resolved from the cache.
+// ChunkStats describes one streamed restore chunk as the client saw it:
+// wire and logical sizes plus how the pages arrived — full literal
+// payloads or hash references resolved from the cache.
 type ChunkStats struct {
 	WireBytes    int
 	LogicalBytes int
@@ -758,19 +638,24 @@ type ChunkStats struct {
 	Refs         int
 }
 
-// FetchImageDelta is the dedup-aware image stream: it requests
-// hash-reference chunks when cache is non-nil (literals verified against
-// their content hash before entering the cache; references resolved from
-// it) and a checkpoint-anchored delta when anchor > 0 (only LPNs touched
-// at or after the anchor are streamed). Legacy full-page chunks from a
-// pre-dedup server decode transparently — their pages count as literals
-// and still feed the cache, so a mixed stream stays resolvable. The cache
-// must outlive resumes of the same restore: references in a resumed
-// session may point at literals delivered before the cut only if the
-// server re-literals them (it does — the sent set is per session), so a
-// fresh session is always self-contained, and the surviving cache merely
-// dedups the copies.
-func (c *Client) FetchImageDelta(from, before, anchor uint64, chunkPages int, cache *ResolveCache, fn func(pages []oplog.PageRecord, cs ChunkStats) error) (nvmeoe.StreamEnd, error) {
+// FetchImageStream streams the point-in-time image before the given
+// sequence as LPN-ordered chunks, invoking fn once per chunk with the
+// decoded pages (the slice is reused for the next chunk, the payloads are
+// not). from > 0 resumes an interrupted stream: only LPNs at or past it
+// are served. anchor > 0 asks for a checkpoint-anchored delta: only LPNs
+// touched at or after the anchor are streamed. The session is busy for the
+// whole stream; if fn returns an error the stream is abandoned mid-flight
+// and the session must be closed, which is exactly what a resuming
+// restorer does.
+//
+// Every literal is checked against its content hash before fn sees it; a
+// mismatch fails the stream. With a cache the stream is requested deduped
+// (FetchFlagDedup): literals are verified as they enter the cache and
+// references resolve from it. The cache must outlive resumes of the same
+// restore only to dedup copies — the server's sent set is per session, so
+// a resumed stream re-literals whatever it references and a fresh session
+// is always self-contained.
+func (c *Client) FetchImageStream(from, before, anchor uint64, chunkPages int, cache *ResolveCache, fn func(pages []oplog.PageRecord, cs ChunkStats) error) (nvmeoe.StreamEnd, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	req := nvmeoe.FetchReq{
@@ -804,20 +689,31 @@ func (c *Client) FetchImageDelta(from, before, anchor uint64, chunkPages int, ca
 					StaleSeq: p.StaleSeq,
 					Cause:    p.Cause,
 					Hash:     p.Hash,
+					Data:     p.Data,
 				}
-				if p.Ref {
-					data, ok := cache.Lookup(p.Hash)
+				switch {
+				case p.Ref:
+					// (A stream opened without a cache was promised no
+					// references; one is as unresolvable as a miss.)
+					var ok bool
+					if cache != nil {
+						rec.Data, ok = cache.Lookup(p.Hash)
+					}
 					if !ok {
 						return fmt.Errorf("remote: unresolved hash reference for lpn %d", p.LPN)
 					}
-					rec.Data = data
 					cs.Refs++
-				} else {
+				case cache != nil:
 					data, err := cache.Add(p.Hash, p.Data)
 					if err != nil {
 						return err
 					}
 					rec.Data = data
+					cs.Literals++
+				default:
+					if err := verifyLiteral(p.Hash, p.Data); err != nil {
+						return err
+					}
 					cs.Literals++
 				}
 				pages = append(pages, rec)
@@ -826,30 +722,6 @@ func (c *Client) FetchImageDelta(from, before, anchor uint64, chunkPages int, ca
 				return nvmeoe.StreamEnd{}, err
 			}
 			if err := fn(pages, cs); err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-		case nvmeoe.MsgFetchChunk:
-			// Legacy full-page chunk (pre-dedup server, or dedup not
-			// requested): every page is a literal.
-			raw, err := nvmeoe.DecodeSegmentBlob(body)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			seg, err := oplog.UnmarshalSegment(raw)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			cs := ChunkStats{WireBytes: len(body), LogicalBytes: len(raw), Literals: len(seg.Pages)}
-			if cache != nil {
-				for i := range seg.Pages {
-					data, err := cache.Add(seg.Pages[i].Hash, seg.Pages[i].Data)
-					if err != nil {
-						return nvmeoe.StreamEnd{}, err
-					}
-					seg.Pages[i].Data = data
-				}
-			}
-			if err := fn(seg.Pages, cs); err != nil {
 				return nvmeoe.StreamEnd{}, err
 			}
 		case nvmeoe.MsgFetchEnd:

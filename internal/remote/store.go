@@ -275,29 +275,6 @@ func (s *Store) Version(deviceID, lpn, before uint64) (oplog.PageRecord, bool) {
 	return vs[i-1], true
 }
 
-// Image returns, for every LPN with a retained version written before the
-// given sequence, that newest version — a full point-in-time snapshot of
-// the offloaded history.
-func (s *Store) Image(deviceID, before uint64) []oplog.PageRecord {
-	d, ok := s.lookup(deviceID)
-	if ok {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-	}
-	if !ok {
-		return nil
-	}
-	var out []oplog.PageRecord
-	for _, vs := range d.versions {
-		i := sort.Search(len(vs), func(i int) bool { return vs[i].WriteSeq >= before })
-		if i > 0 {
-			out = append(out, vs[i-1])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LPN < out[j].LPN })
-	return out
-}
-
 // HeldVersions lists every page version the store holds for the device, in
 // (LPN, WriteSeq) order, with the payloads left out: the listing costs
 // O(versions) whatever the page size. It is what a reopening device
@@ -600,8 +577,8 @@ func (s *Store) PutServiceTime(n int) simclock.Duration {
 }
 
 // FetchSegment retrieves and decodes the device's i-th stored segment,
-// transparently inflating compressed blobs (legacy uncompressed blobs
-// decode too). Forensic tooling re-reads the raw evidence chain this way.
+// inflating compressed blobs. Forensic tooling re-reads the raw evidence
+// chain this way.
 func (s *Store) FetchSegment(deviceID uint64, i int) (*oplog.Segment, error) {
 	d, ok := s.lookup(deviceID)
 	if !ok {
@@ -673,12 +650,10 @@ func (s *Store) Reload() error {
 			if err != nil {
 				return err
 			}
-			// Blobs land in whatever frame the wire carried: codec-framed
-			// (possibly compressed) since the compressed offload wire, bare
-			// marshals before it. Decode handles both, through a pooled
-			// buffer reused across the whole rebuild — the marshal is
-			// transient (UnmarshalSegment copies what it keeps), so a
-			// fleet-sized reload no longer allocates one per segment.
+			// Blobs land in the codec frame the wire carried. Decode goes
+			// through a pooled buffer reused across the whole rebuild — the
+			// marshal is transient (UnmarshalSegment copies what it keeps),
+			// so a fleet-sized reload does not allocate one per segment.
 			buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(blob))
 			raw, err := nvmeoe.AppendDecodeSegmentBlob(buf.B, blob)
 			if err != nil {

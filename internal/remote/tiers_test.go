@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/nvmeoe"
@@ -161,27 +162,37 @@ func TestS3SimEventualList(t *testing.T) {
 }
 
 // TestReloadMixedBlobs rebuilds a store whose object store holds a mix of
-// legacy bare-marshal segment blobs (pre-codec sessions) and codec-framed
-// compressed ones: the chain must verify end to end across the format
-// boundary.
+// stored and deflated segment blobs: the chain must verify end to end across
+// the codec boundary. A blob without the codec header fails the reload.
 func TestReloadMixedBlobs(t *testing.T) {
 	segs := buildSegments(1, 4, 10)
 	blobs := NewMemStore()
 	var wantLogical, wantStored int64
+	codecs := map[nvmeoe.Codec]int{}
+	rng := rand.New(rand.NewSource(11))
 	for i, seg := range segs {
-		key := fmt.Sprintf("dev/1/seg/%020d", seg.FirstSeq)
-		raw := seg.Marshal()
 		if i%2 == 0 {
-			// Legacy blob: stored exactly as marshaled.
-			blobs.Put(key, raw)
-			wantLogical += int64(len(raw))
-			wantStored += int64(len(raw))
-		} else {
-			blob := nvmeoe.EncodeSegmentBlob(raw)
-			blobs.Put(key, blob)
-			wantLogical += int64(len(raw))
-			wantStored += int64(len(blob))
+			// Random page bodies: deflate saves nothing, the blob is stored.
+			for j := range seg.Pages {
+				data := make([]byte, 2048)
+				rng.Read(data)
+				seg.Pages[j].Data, seg.Pages[j].Hash = data, oplog.HashData(data)
+			}
 		}
+		raw := seg.Marshal()
+		blob := nvmeoe.EncodeSegmentBlob(raw)
+		codecs[nvmeoe.Codec(blob[4])]++
+		blobs.Put(fmt.Sprintf("dev/1/seg/%020d", seg.FirstSeq), blob)
+		wantLogical += int64(len(raw))
+		wantStored += int64(len(blob))
+	}
+	if codecs[nvmeoe.CodecDeflate] != 2 || codecs[nvmeoe.CodecStored] != 2 {
+		t.Fatalf("blobs by codec = %v, want two of each", codecs)
+	}
+	bare := NewMemStore()
+	bare.Put("dev/1/seg/00000000000000000000", segs[0].Marshal())
+	if err := NewStore(bare).Reload(); !errors.Is(err, nvmeoe.ErrBadBlob) {
+		t.Fatalf("reload of a blob without the codec header: err=%v, want ErrBadBlob", err)
 	}
 	st := NewStore(blobs)
 	if err := st.Reload(); err != nil {
@@ -194,7 +205,7 @@ func TestReloadMixedBlobs(t *testing.T) {
 	if ds.Segments != 4 || ds.BytesLogical != wantLogical || ds.BytesStored != wantStored {
 		t.Fatalf("stats = %+v, want logical %d stored %d", ds, wantLogical, wantStored)
 	}
-	// Both formats fetch and inflate transparently.
+	// Both codecs fetch and decode.
 	for i := range segs {
 		got, err := st.FetchSegment(1, i)
 		if err != nil {
