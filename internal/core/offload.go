@@ -323,22 +323,28 @@ func (r *RSSD) removeFromLPNIndex(re *retEntry) {
 	}
 }
 
-// CheckpointNow ships a mapping snapshot to the remote server and logs it.
-// Recovery uses the newest checkpoint before the attack point to bound how
-// much log it must replay.
+// CheckpointNow ships the live write sequence of every LPN to the remote
+// server and logs it. Reopen seeds its replay from the newest checkpoint
+// inside the chain instead of from genesis; a delta restore anchors on the
+// newest one before the attack point.
 func (r *RSSD) CheckpointNow(at simclock.Time) (simclock.Time, error) {
 	if r.client == nil {
 		return at, nil // checkpoints are only meaningful with a remote
 	}
-	snapshot := r.f.SnapshotL2P()
-	cp := nvmeoe.Checkpoint{L2P: snapshot}
-	e := r.log.Append(oplog.KindCheckpoint, at, 0, 0, 0, 0, oplog.HashData(cp.Marshal()))
+	cp := nvmeoe.Checkpoint{WriteSeqs: append([]uint64(nil), r.lpnWriteSeq...)}
+	e := r.log.Append(oplog.KindCheckpoint, at, 0, 0, 0, 0, checkpointHash(cp.WriteSeqs))
 	cp.Seq = e.Seq
 	if err := r.client.PushCheckpoint(&cp); err != nil {
 		return at, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	r.stats.Checkpoints++
 	return at, nil
+}
+
+// checkpointHash is what a KindCheckpoint entry's DataHash binds: the table
+// alone. The entry's own Seq, which the chain hash covers, binds the position.
+func checkpointHash(writeSeqs []uint64) [oplog.HashSize]byte {
+	return oplog.HashData((&nvmeoe.Checkpoint{WriteSeqs: writeSeqs}).Marshal())
 }
 
 // OffloadedUpTo reports the log sequence below which everything is durably

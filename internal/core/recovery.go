@@ -4,7 +4,9 @@ package core
 // state from the retained history — local pins, the operation log, and the
 // remote store — lives here.
 //
-//   - Reopen adopts an existing flash array after a power cycle, splicing
+//   - Reopen adopts an existing flash array after a power cycle: it replays
+//     the remote log from the newest checkpoint inside the chain (further
+//     back only as far as a page on flash still needs an answer) and splices
 //     the post-reboot log onto the remote chain head.
 //   - VersionBefore / ImageBefore answer point-in-time queries across the
 //     live mapping, local pins, and the remote store; the remote part of
@@ -27,6 +29,7 @@ import (
 
 	"repro/internal/ftl"
 	"repro/internal/nand"
+	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -42,23 +45,44 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 
 // --- Power-cycle adoption -------------------------------------------------
 
-// Reopen adopts an existing device image after a power cycle: it scans the
-// flash OOB area, replays the remotely stored operation log to
-// reconstruct the exact logical mapping (including trims, which OOB alone
+// Reopen adopts an existing device image after a power cycle: it replays the
+// remotely stored operation log over the newest checkpoint inside the chain
+// to reconstruct the exact logical mapping (including trims, which OOB alone
 // cannot express), re-pins the stale versions the server does not hold so
 // conservative retention survives the reboot, and resumes the hash chain at
 // the remote head so post-reboot segments splice on without a break.
 //
-// It fetches three things over the session: the chain head, the log from
-// genesis to that head, and the payload-free listing of every page version
-// the server holds. A stale flash page is released instead of pinned only
-// when the server lists its (LPN, write sequence) with the content hash the
-// replayed chain records for that write. That is the trust an ack carries —
-// the listing arrives over the authenticated session from a store that ran
-// VerifyPages before indexing the version — cross-checked against the
-// evidence chain. Everything else on flash that is stale and committed is
-// the unshipped tail (the ack never arrived, or the server expired the
-// version since) and is pinned and shipped again.
+// It fetches four things over the session: the chain head; the payload-free
+// listing of every page version the server holds; the newest checkpoint the
+// chain records below the head; and the log from floor to the head. A
+// checkpoint is the device's own live-version table as it stood at cp.Seq,
+// pushed the moment it is taken, while the KindCheckpoint entry that binds it
+// rides the next segment. Reopen therefore reads the one entry at cp.Seq
+// before it reads the table. A KindCheckpoint entry there makes the table the
+// anchor if it has one entry per logical page and hashes to that entry's
+// DataHash; if it does not, Reopen fails and adopts nothing. Any other entry
+// there means the table's own entry died in RAM at an earlier power cut and
+// the sequence was issued again since (one pushed ahead of the head this time
+// is not even asked for): nothing binds that table, and the search steps back
+// to the next older checkpoint, in the end to genesis, which trusts the log
+// alone.
+//
+// floor is cp.Seq, pulled back to the write sequence of every committed flash
+// page that was already stale at the checkpoint and that the server does not
+// hold — the unacked tail, a version the server expired since: such a page is
+// pinned again, and the operation that superseded it (what a point-in-time
+// query needs to tell an overwrite from a trim gap) lies before the
+// checkpoint. With nothing of the kind on flash — a drain before power-off,
+// nothing expired since — the fetch is the tail after the checkpoint, however
+// long the history before it; with no checkpoint floor is genesis.
+//
+// A stale flash page is released instead of pinned only when the server lists
+// its (LPN, write sequence) with the content hash in that page's own OOB,
+// stamped by the device when it wrote the page. That is the trust an ack
+// carries — the listing arrives over the authenticated session from a store
+// that ran VerifyPages before indexing the version — held against the one
+// witness that did not cross the network. Everything else on flash that is
+// stale and committed is pinned and shipped again.
 //
 // Durability model: state covered by offloaded log entries is recovered
 // exactly. Flash pages whose OOB sequence is beyond the remote head belong
@@ -80,126 +104,158 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: reopen: fetch held versions: %w", err)
 	}
-	// A write sequence names one log entry, so it keys the listing; durable
-	// marks the listed versions the replay below confirms against the chain.
+	// A write sequence names one log entry, so it keys the listing.
 	heldAt := make(map[uint64]int, len(listed))
 	for i := range listed {
 		heldAt[listed[i].WriteSeq] = i
 	}
-	durable := make([]bool, len(listed))
-	isDurable := func(lpn, writeSeq uint64) bool {
-		i, ok := heldAt[writeSeq]
-		return ok && durable[i] && listed[i].LPN == lpn
+	held := func(oob nand.OOB) bool {
+		i, ok := heldAt[oob.Seq]
+		return ok && listed[i].LPN == oob.LPN && listed[i].Hash == oob.Hash
 	}
 
-	// Replay the committed operation history. live maps each mapped LPN to
-	// the sequence of its current write; staledBy records, for every
-	// superseded version the server does not hold, the operation that
-	// superseded it — the unshipped tail is all the retention index needs.
+	pages, err := ftl.Scan(dev)
+	if err != nil {
+		return nil, fmt.Errorf("core: reopen: %w", err)
+	}
+
+	// Anchor on the newest checkpoint the chain records; without one the
+	// replay starts from the empty table at genesis.
+	cfg = cfg.normalize()
+	n := cfg.FTL.LogicalPages()
+	var cp nvmeoe.Checkpoint
+	for before := head.NextSeq; before > 0; {
+		c, ok, err := client.FetchCheckpoint(before - 1)
+		if err != nil {
+			return nil, fmt.Errorf("core: reopen: fetch checkpoint: %w", err)
+		}
+		if !ok {
+			break
+		}
+		if c.Seq >= before {
+			return nil, fmt.Errorf("core: reopen: asked for a checkpoint below %d, got %d", before, c.Seq)
+		}
+		ent, err := client.FetchEntries(c.Seq, c.Seq+1)
+		if err != nil {
+			return nil, fmt.Errorf("core: reopen: fetch entry %d: %w", c.Seq, err)
+		}
+		if len(ent) != 1 || ent[0].Seq != c.Seq {
+			return nil, fmt.Errorf("core: reopen: fetch entry %d: got %d", c.Seq, len(ent))
+		}
+		if ent[0].Kind == oplog.KindCheckpoint {
+			if uint64(len(c.WriteSeqs)) != n || ent[0].DataHash != checkpointHash(c.WriteSeqs) {
+				return nil, fmt.Errorf("core: reopen: checkpoint %d of %d pages is not the table of %d the chain records at that entry", c.Seq, len(c.WriteSeqs), n)
+			}
+			cp = c
+			break
+		}
+		before = c.Seq // an orphan: its sequence went to another entry
+	}
+	if cp.WriteSeqs == nil {
+		cp.WriteSeqs = blankWriteSeqs(n)
+	}
+	floor := cp.Seq
+	for _, p := range pages {
+		if oob := p.OOB; oob.Seq < floor && !(oob.LPN < n && cp.WriteSeqs[oob.LPN] == oob.Seq) && !held(oob) {
+			floor = oob.Seq
+		}
+	}
+
+	// Replay [floor, head). live maps each LPN to the sequence of its
+	// current write; staledBy records, per superseded write, the operation
+	// that superseded it — the retention index reads it for the pages pinned
+	// again. Below the checkpoint live is a scratch table that starts empty
+	// at floor (every page that pulled floor back has its own write inside
+	// the range); from cp.Seq on it is the checkpoint's table.
 	type staleOp struct {
 		seq   uint64
 		cause ftl.StaleCause
 	}
-	live := map[uint64]uint64{}
 	staledBy := map[uint64]staleOp{}
-	supersede := func(e *oplog.Entry, cause ftl.StaleCause) {
-		if prev, ok := live[e.LPN]; ok && !isDurable(e.LPN, prev) {
-			staledBy[prev] = staleOp{e.Seq, cause}
-		}
+	live := cp.WriteSeqs
+	if floor < cp.Seq {
+		live = blankWriteSeqs(n)
 	}
 	const batch = 4096
-	for from := uint64(0); from < head.NextSeq; from += batch {
-		to := from + batch
-		if to > head.NextSeq {
-			to = head.NextSeq
-		}
+	for from := floor; from < head.NextSeq; from += batch {
+		to := min(from+batch, head.NextSeq)
 		entries, err := client.FetchEntries(from, to)
 		if err != nil {
 			return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): %w", from, to, err)
 		}
+		if uint64(len(entries)) != to-from {
+			return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): got %d", from, to, len(entries))
+		}
 		for i := range entries {
 			e := &entries[i]
+			if e.Seq != from+uint64(i) {
+				return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): entry %d where %d belongs", from, to, e.Seq, from+uint64(i))
+			}
+			if e.Seq == cp.Seq {
+				live = cp.WriteSeqs
+			}
+			next, cause := e.Seq, ftl.CauseOverwrite
 			switch e.Kind {
 			case oplog.KindWrite, oplog.KindRecovery:
-				supersede(e, ftl.CauseOverwrite)
-				live[e.LPN] = e.Seq
-				if j, ok := heldAt[e.Seq]; ok && listed[j].LPN == e.LPN && listed[j].Hash == e.DataHash {
-					durable[j] = true
-				}
 			case oplog.KindTrim, oplog.KindRecoveryTrim:
-				supersede(e, ftl.CauseTrim)
-				delete(live, e.LPN)
+				next, cause = NoSeq, ftl.CauseTrim
+			default:
+				continue
 			}
+			if e.LPN >= n {
+				return nil, fmt.Errorf("core: reopen: entry %d names lpn %d of %d", e.Seq, e.LPN, n)
+			}
+			if prev := live[e.LPN]; prev != NoSeq {
+				staledBy[prev] = staleOp{e.Seq, cause}
+			}
+			live[e.LPN] = next
 		}
 	}
 
 	// Build the device shell (the FTL wires itself to it via Retainer).
-	cfg = cfg.normalize()
 	r := &RSSD{
 		cfg:           cfg,
 		log:           oplog.ResumeFrom(head.NextSeq, head.Hash),
 		client:        client,
 		retained:      map[uint64]*retEntry{},
 		retByLPN:      map[uint64][]*retEntry{},
+		lpnWriteSeq:   live,
 		offloadedUpTo: head.NextSeq,
 		stagedUpTo:    head.NextSeq,
 	}
 
 	// Classify every programmed page from its OOB stamp + the replayed
-	// history, remembering retained pages for index reconstruction.
-	type scanned struct {
-		ppn uint64
-		oob nand.OOB
-	}
-	var kept []scanned
+	// history. A page pinned again enters the retention index with the
+	// staleSeq and cause of the operation that superseded its write.
 	classify := func(ppn uint64, oob nand.OOB) ftl.Disposition {
 		if oob.Seq >= head.NextSeq {
 			return ftl.DispDiscard // uncommitted tail: rolled back
 		}
-		if ls, ok := live[oob.LPN]; ok && oob.Seq == ls {
+		if oob.LPN < n && live[oob.LPN] == oob.Seq {
 			return ftl.DispLive
 		}
-		if isDurable(oob.LPN, oob.Seq) {
+		if held(oob) {
 			r.stats.ReopenHeld++
 			return ftl.DispDiscard // the server holds it: as good as acked
 		}
 		r.stats.ReopenRepinned++
-		kept = append(kept, scanned{ppn, oob})
-		return ftl.DispRetained
-	}
-	f, err := ftl.Recover(cfg.FTL, dev, r, classify)
-	if err != nil {
-		return nil, fmt.Errorf("core: reopen: %w", err)
-	}
-	r.f = f
-
-	// Live write sequences.
-	r.lpnWriteSeq = make([]uint64, f.LogicalPages())
-	for i := range r.lpnWriteSeq {
-		r.lpnWriteSeq[i] = NoSeq
-	}
-	for lpn, ls := range live {
-		if lpn < uint64(len(r.lpnWriteSeq)) {
-			r.lpnWriteSeq[lpn] = ls
-		}
-	}
-
-	// Rebuild the retention index. Each kept page's staleSeq and cause
-	// come from the operation that superseded its write.
-	for _, s := range kept {
 		re := &retEntry{
-			ppn:      s.ppn,
-			lpn:      s.oob.LPN,
-			writeSeq: s.oob.Seq,
-			staleSeq: s.oob.Seq + 1,
+			ppn:      ppn,
+			lpn:      oob.LPN,
+			writeSeq: oob.Seq,
+			staleSeq: oob.Seq + 1,
 			cause:    ftl.CauseOverwrite,
 		}
-		if op, ok := staledBy[s.oob.Seq]; ok {
+		if op, ok := staledBy[oob.Seq]; ok {
 			re.staleSeq, re.cause = op.seq, op.cause
 		}
-		r.retained[s.ppn] = re
-		r.retByLPN[s.oob.LPN] = append(r.retByLPN[s.oob.LPN], re)
+		r.retained[ppn] = re
+		r.retByLPN[oob.LPN] = append(r.retByLPN[oob.LPN], re)
 		r.retQueue = append(r.retQueue, re)
+		return ftl.DispRetained
+	}
+	if r.f, err = ftl.Recover(cfg.FTL, dev, r, pages, classify); err != nil {
+		return nil, fmt.Errorf("core: reopen: %w", err)
 	}
 	for _, vs := range r.retByLPN {
 		sort.Slice(vs, func(i, j int) bool { return vs[i].writeSeq < vs[j].writeSeq })

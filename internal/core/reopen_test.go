@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ftl"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -473,43 +474,72 @@ func TestReopenKeepsPinOnHashMismatch(t *testing.T) {
 	sc.restoreIdentical(t, r2, dial)
 }
 
-// TestReopenLeavesTrimmedPageZero: an LPN written, overwritten and trimmed
-// before the cut, everything drained. Neither old version may come back as a
-// pin — an overwrite-staled pin under a trim is what a delta restore would
-// resurrect — and the page reads zeroes after the restore.
+// TestReopenLeavesTrimmedPageZero: an LPN written, overwritten and trimmed,
+// then a checkpoint, all before the cut. Drained, neither old version may
+// come back as a pin — an overwrite-staled pin under a trim is what a delta
+// restore would resurrect. Unshipped, both are still on flash and older than
+// the checkpoint Reopen anchors on: they are pinned again with the operation
+// that staled each, which lies before the anchor, exactly as a replay from
+// genesis finds it. Either way the page reads zeroes after the restore.
 func TestReopenLeavesTrimmedPageZero(t *testing.T) {
-	e := newEnv(t, testConfig())
-	const lpn = 5
-	at := simclock.Time(0)
-	var err error
-	for _, b := range []byte{0xA1, 0xA2} {
-		if at, err = e.r.Write(lpn, fill(b, 512), at); err != nil {
+	for _, drained := range []bool{true, false} {
+		e := newEnv(t, testConfig())
+		const lpn = 5
+		at := simclock.Time(0)
+		var err error
+		first := e.r.Log().NextSeq()
+		for _, b := range []byte{0xA1, 0xA2} {
+			if at, err = e.r.Write(lpn, fill(b, 512), at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if at, err = e.r.Trim(lpn, at); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if at, err = e.r.Trim(lpn, at); err != nil {
-		t.Fatal(err)
-	}
-	if at, err = e.r.OffloadNow(at); err != nil {
-		t.Fatal(err)
-	}
-	if at, err = e.r.CheckpointNow(at); err != nil {
-		t.Fatal(err)
-	}
-	sc := &cutScenario{e: e, cut: e.r.Log().NextSeq(), want: map[uint64]byte{}}
-	if at, err = e.r.Write(0, fill(0xEE, 512), at); err != nil {
-		t.Fatal(err)
-	}
-	if sc.at, err = e.r.OffloadNow(at); err != nil {
-		t.Fatal(err)
-	}
-	r2, dial := powerCycle(t, e)
+		// ship commits the log, with or without the pages it staled.
+		ship := func() {
+			t.Helper()
+			if drained {
+				at, err = e.r.OffloadNow(at)
+			} else if at, err = e.r.stage(nil, at); err == nil {
+				at = e.r.drainOffload(at)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		ship()
+		if at, err = e.r.CheckpointNow(at); err != nil {
+			t.Fatal(err)
+		}
+		sc := &cutScenario{e: e, cut: e.r.Log().NextSeq(), want: map[uint64]byte{}}
+		if at, err = e.r.Write(0, fill(0xEE, 512), at); err != nil {
+			t.Fatal(err)
+		}
+		ship()
+		sc.at = at
+		r2, dial := powerCycle(t, e)
 
-	if st := r2.Stats(); st.ReopenHeld != 2 {
-		t.Fatalf("held %d stale pages, want both old versions of lpn %d", st.ReopenHeld, lpn)
+		vs := r2.RetainedVersions(lpn)
+		if drained {
+			if st := r2.Stats(); st.ReopenHeld != 2 {
+				t.Fatalf("held %d stale pages, want both old versions of lpn %d", st.ReopenHeld, lpn)
+			}
+			if len(vs) != 0 {
+				t.Fatalf("lpn %d re-pinned after a full drain: %+v", lpn, vs)
+			}
+		} else {
+			want := []VersionInfo{
+				{LPN: lpn, WriteSeq: first, StaleSeq: first + 1, Cause: ftl.CauseOverwrite, Local: true},
+				{LPN: lpn, WriteSeq: first + 1, StaleSeq: first + 2, Cause: ftl.CauseTrim, Local: true},
+			}
+			if len(vs) != 2 || vs[0] != want[0] || vs[1] != want[1] {
+				t.Fatalf("unshipped versions of lpn %d re-pinned as %+v, want %+v", lpn, vs, want)
+			}
+			if data, _, ok, err := r2.VersionBefore(lpn, sc.cut, at); err != nil || !ok || !bytes.Equal(data, make([]byte, 512)) {
+				t.Fatalf("lpn %d before the cut: ok=%v err=%v, want the trim gap's zeroes", lpn, ok, err)
+			}
+		}
+		sc.restoreIdentical(t, r2, dial)
 	}
-	if vs := r2.RetainedVersions(lpn); len(vs) != 0 {
-		t.Fatalf("lpn %d re-pinned after a full drain: %+v", lpn, vs)
-	}
-	sc.restoreIdentical(t, r2, dial)
 }

@@ -43,8 +43,9 @@ type Config struct {
 	OffloadLowWater  float64
 	// SegmentMaxPages bounds retained pages per offload segment.
 	SegmentMaxPages int
-	// CheckpointEvery ships a mapping snapshot after that many host ops
-	// (0 disables periodic checkpoints; one is still written on demand).
+	// CheckpointEvery ships a checkpoint (the live write sequence of every
+	// LPN, what Reopen replays from) after that many host ops (0 disables
+	// periodic checkpoints; one is still written on demand).
 	CheckpointEvery uint64
 	// ReadLogSampling logs every Nth host read (1 = all, 0 = none).
 	// Read entries feed the read-then-overwrite ransomware detector.
@@ -339,11 +340,18 @@ func New(cfg Config, client *remote.Client) *RSSD {
 		retByLPN: map[uint64][]*retEntry{},
 	}
 	r.f = ftl.New(cfg.FTL, r)
-	r.lpnWriteSeq = make([]uint64, r.f.LogicalPages())
-	for i := range r.lpnWriteSeq {
-		r.lpnWriteSeq[i] = NoSeq
-	}
+	r.lpnWriteSeq = blankWriteSeqs(r.f.LogicalPages())
 	return r
+}
+
+// blankWriteSeqs is the live-version table of a device nothing was written
+// to: NoSeq for each of its n logical pages.
+func blankWriteSeqs(n uint64) []uint64 {
+	t := make([]uint64, n)
+	for i := range t {
+		t[i] = NoSeq
+	}
+	return t
 }
 
 // AttachRemote connects the offload engine to a remote server session,

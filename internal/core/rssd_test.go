@@ -51,7 +51,7 @@ type env struct {
 	store *remote.Store
 }
 
-func newEnv(t *testing.T, cfg Config) *env {
+func newEnv(t testing.TB, cfg Config) *env {
 	t.Helper()
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
@@ -377,8 +377,17 @@ func TestCheckpoints(t *testing.T) {
 	if !ok {
 		t.Fatal("no checkpoint stored remotely")
 	}
-	if len(cp.L2P) != int(e.r.LogicalPages()) {
-		t.Fatalf("checkpoint table size = %d", len(cp.L2P))
+	// One live write sequence per LPN, as of the checkpoint's own entry.
+	if len(cp.WriteSeqs) != int(e.r.LogicalPages()) {
+		t.Fatalf("checkpoint table size = %d", len(cp.WriteSeqs))
+	}
+	for lpn, ws := range cp.WriteSeqs {
+		if lpn >= 4 && ws != NoSeq {
+			t.Fatalf("checkpoint lists write %d for lpn %d, never written", ws, lpn)
+		}
+		if lpn < 4 && (ws == NoSeq || ws >= cp.Seq) {
+			t.Fatalf("checkpoint at %d lists write %d for lpn %d", cp.Seq, ws, lpn)
+		}
 	}
 }
 

@@ -221,13 +221,23 @@ func New(cfg Config, retainer Retainer) *FTL {
 	return Attach(cfg, dev, retainer)
 }
 
+// LogicalPages returns the host-visible capacity, in pages, of an FTL built
+// from c: whole blocks, the over-provisioned share held back. Reopen sizes
+// its replay table with it before there is an FTL to ask.
+func (c Config) LogicalPages() uint64 {
+	if c.OverProvision <= 0 {
+		c.OverProvision = 0.07
+	}
+	g := c.NAND.Geometry
+	logicalBlocks := max(1, int(float64(g.TotalBlocks())*(1-c.OverProvision)))
+	return uint64(logicalBlocks) * uint64(g.PagesPerBlock)
+}
+
 // Attach builds an FTL over an existing device. Recovery tests use this to
 // re-adopt a device image after a simulated power cycle.
 func Attach(cfg Config, dev *nand.Device, retainer Retainer) *FTL {
 	g := cfg.NAND.Geometry
-	if cfg.OverProvision <= 0 {
-		cfg.OverProvision = 0.07
-	}
+	logicalPages := cfg.LogicalPages()
 	if cfg.GCLowWater <= 0 {
 		cfg.GCLowWater = 2
 	}
@@ -237,20 +247,16 @@ func Attach(cfg Config, dev *nand.Device, retainer Retainer) *FTL {
 	if cfg.WearLevelThreshold == 0 {
 		cfg.WearLevelThreshold = 8
 	}
-	logicalBlocks := int(float64(g.TotalBlocks()) * (1 - cfg.OverProvision))
-	if logicalBlocks < 1 {
-		logicalBlocks = 1
-	}
 	f := &FTL{
 		cfg:          cfg,
 		geo:          g,
 		dev:          dev,
 		ret:          retainer,
-		l2p:          newL2P(uint64(logicalBlocks) * uint64(g.PagesPerBlock)),
+		l2p:          newL2P(logicalPages),
 		rmap:         make([]uint64, g.TotalPages()),
 		pinned:       make([]bool, g.TotalPages()),
 		blocks:       make([]blockInfo, g.TotalBlocks()),
-		logicalPages: uint64(logicalBlocks) * uint64(g.PagesPerBlock),
+		logicalPages: logicalPages,
 		zeroPage:     make([]byte, g.PageSize),
 	}
 	for i := range f.rmap {
@@ -338,12 +344,6 @@ func (f *FTL) LookupBatch(lpns []uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-// SnapshotL2P returns a copy of the logical-to-physical table. RSSD ships
-// these snapshots as checkpoints so recovery can bound log replay.
-func (f *FTL) SnapshotL2P() []uint64 {
-	return f.l2p.snapshot()
 }
 
 // RetentionBudgetPages returns the number of physical pages beyond the

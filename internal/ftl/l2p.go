@@ -21,12 +21,11 @@ const l2pShards = 1 << l2pShardBits
 // per-shard locks uncontended once they exist.
 type l2pTable struct {
 	shards [l2pShards][]uint64
-	n      uint64 // logical pages
 }
 
 // newL2P builds a table for n logical pages with every entry NoPPN.
 func newL2P(n uint64) *l2pTable {
-	t := &l2pTable{n: n}
+	t := &l2pTable{}
 	per := n / l2pShards
 	rem := n % l2pShards
 	for s := uint64(0); s < l2pShards; s++ {
@@ -51,14 +50,4 @@ func (t *l2pTable) get(lpn uint64) uint64 {
 // set updates the mapping for lpn. The caller guarantees lpn < n.
 func (t *l2pTable) set(lpn, ppn uint64) {
 	t.shards[lpn&(l2pShards-1)][lpn>>l2pShardBits] = ppn
-}
-
-// snapshot returns the table as a flat LPN-indexed slice, the format
-// checkpoints ship and recovery consumes.
-func (t *l2pTable) snapshot() []uint64 {
-	out := make([]uint64, t.n)
-	for lpn := uint64(0); lpn < t.n; lpn++ {
-		out[lpn] = t.get(lpn)
-	}
-	return out
 }

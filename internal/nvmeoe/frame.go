@@ -50,7 +50,7 @@ const (
 	MsgHelloAck
 	MsgSegment    // device -> server: oplog.Segment (push of logs + retained pages)
 	MsgSegmentAck // server -> device: durable up to sequence N
-	MsgCheckpoint // device -> server: mapping snapshot
+	MsgCheckpoint // device -> server: live write sequence per LPN (Checkpoint)
 	MsgCheckpointAck
 	MsgFetch     // device -> server: retrieval request (recovery/forensics)
 	MsgFetchResp // server -> device

@@ -189,20 +189,22 @@ func UnmarshalAck(b []byte) (Ack, error) {
 	return Ack{UpTo: binary.LittleEndian.Uint64(b), SvcNs: binary.LittleEndian.Uint64(b[8:])}, nil
 }
 
-// Checkpoint carries a serialized mapping snapshot: the L2P table at a
-// given log sequence. Recovery starts from the newest checkpoint before
-// the attack and replays forward, bounding reconstruction work.
+// Checkpoint carries the device's live-version table at a given log
+// sequence: per LPN, the sequence of the write that produced its current
+// content (all ones for an unmapped page), as it stood just before entry
+// Seq. core.Reopen seeds its log replay from it; a delta restore reads only
+// its Seq.
 type Checkpoint struct {
-	Seq uint64
-	L2P []uint64
+	Seq       uint64
+	WriteSeqs []uint64
 }
 
 // Marshal encodes the checkpoint.
 func (c *Checkpoint) Marshal() []byte {
-	b := make([]byte, 0, 16+8*len(c.L2P))
+	b := make([]byte, 0, 16+8*len(c.WriteSeqs))
 	b = binary.LittleEndian.AppendUint64(b, c.Seq)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.L2P)))
-	for _, v := range c.L2P {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.WriteSeqs)))
+	for _, v := range c.WriteSeqs {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	return b
@@ -220,9 +222,9 @@ func UnmarshalCheckpoint(b []byte) (Checkpoint, error) {
 	if body := uint64(len(b) - 16); n > body/8 || 8*n != body {
 		return Checkpoint{}, fmt.Errorf("%w: checkpoint body %d for %d entries", ErrBadMessage, len(b)-16, n)
 	}
-	c.L2P = make([]uint64, n)
-	for i := range c.L2P {
-		c.L2P[i] = binary.LittleEndian.Uint64(b[16+8*i:])
+	c.WriteSeqs = make([]uint64, n)
+	for i := range c.WriteSeqs {
+		c.WriteSeqs[i] = binary.LittleEndian.Uint64(b[16+8*i:])
 	}
 	return c, nil
 }

@@ -93,7 +93,7 @@ func FuzzMessage(f *testing.F) {
 		(&Ack{UpTo: 42, SvcNs: 18_000_000}).Marshal(),
 		(&StreamEnd{Chunks: 3, Pages: 129, NextLPN: 4096}).Marshal(),
 		(&Head{NextSeq: 1234, Hash: [32]byte{0xAB}}).Marshal(),
-		(&Checkpoint{Seq: 7, L2P: []uint64{1, 2, 3, ^uint64(0)}}).Marshal(),
+		(&Checkpoint{Seq: 7, WriteSeqs: []uint64{1, 2, 3, ^uint64(0)}}).Marshal(),
 		(&ErrorMsg{Code: 400, Text: "chain gap"}).Marshal(),
 	}
 	for sel := range messageDecoders {

@@ -309,12 +309,12 @@ func TestStreamEndRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	c := Checkpoint{Seq: 7, L2P: []uint64{1, 2, 3, ^uint64(0)}}
+	c := Checkpoint{Seq: 7, WriteSeqs: []uint64{1, 2, 3, ^uint64(0)}}
 	got, err := UnmarshalCheckpoint(c.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 7 || len(got.L2P) != 4 || got.L2P[3] != ^uint64(0) {
+	if got.Seq != 7 || len(got.WriteSeqs) != 4 || got.WriteSeqs[3] != ^uint64(0) {
 		t.Fatalf("round trip: %+v", got)
 	}
 	if _, err := UnmarshalCheckpoint([]byte{1}); !errors.Is(err, ErrBadMessage) {

@@ -65,7 +65,7 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 			}
 			// Ordered after the pipelined burst on the same wire: the
 			// barrier must make every pushed segment visible first.
-			if err := cl.PushCheckpoint(&nvmeoe.Checkpoint{Seq: 1, L2P: []uint64{deviceID}}); err != nil {
+			if err := cl.PushCheckpoint(&nvmeoe.Checkpoint{Seq: 1, WriteSeqs: []uint64{deviceID}}); err != nil {
 				errc <- fmt.Errorf("device %d checkpoint: %w", deviceID, err)
 				return
 			}

@@ -179,8 +179,8 @@ func TestOnSegmentHook(t *testing.T) {
 
 func TestCheckpoints(t *testing.T) {
 	st := NewStore(NewMemStore())
-	st.AppendCheckpoint(1, nvmeoe.Checkpoint{Seq: 10, L2P: []uint64{1, 2}})
-	st.AppendCheckpoint(1, nvmeoe.Checkpoint{Seq: 20, L2P: []uint64{3, 4}})
+	st.AppendCheckpoint(1, nvmeoe.Checkpoint{Seq: 10, WriteSeqs: []uint64{1, 2}})
+	st.AppendCheckpoint(1, nvmeoe.Checkpoint{Seq: 20, WriteSeqs: []uint64{3, 4}})
 	cp, ok := st.Checkpoint(1, 15)
 	if !ok || cp.Seq != 10 {
 		t.Fatalf("Checkpoint(15) = %+v, %v", cp, ok)
@@ -192,6 +192,25 @@ func TestCheckpoints(t *testing.T) {
 	if _, ok := st.Checkpoint(1, 5); ok {
 		t.Fatal("checkpoint before first accepted")
 	}
+	// A sequence issued again after a power cut: the later table replaces the
+	// earlier one, out of order too, in the index as in the object tier.
+	st.AppendCheckpoint(1, nvmeoe.Checkpoint{Seq: 10, WriteSeqs: []uint64{5, 6}})
+	for _, s := range []*Store{st, reloaded(t, st)} {
+		cp, ok = s.Checkpoint(1, 19)
+		if !ok || cp.Seq != 10 || cp.WriteSeqs[0] != 5 || s.DeviceStats(1).Checkpoints != 2 {
+			t.Fatalf("Checkpoint(19) = %+v, %v of %d after a second push at 10", cp, ok, s.DeviceStats(1).Checkpoints)
+		}
+	}
+}
+
+// reloaded returns a second index rebuilt from st's object tier.
+func reloaded(t *testing.T, st *Store) *Store {
+	t.Helper()
+	st2 := NewStore(st.Blobs())
+	if err := st2.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	return st2
 }
 
 func TestReloadRebuildsIndexes(t *testing.T) {
@@ -202,7 +221,7 @@ func TestReloadRebuildsIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st.AppendCheckpoint(7, nvmeoe.Checkpoint{Seq: 5, L2P: []uint64{9}})
+	st.AppendCheckpoint(7, nvmeoe.Checkpoint{Seq: 5, WriteSeqs: []uint64{9}})
 
 	st2 := NewStore(blobs)
 	if err := st2.Reload(); err != nil {
@@ -253,7 +272,7 @@ func TestClientServerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.PushCheckpoint(&nvmeoe.Checkpoint{Seq: 12, L2P: []uint64{7, 8, 9}}); err != nil {
+	if err := cl.PushCheckpoint(&nvmeoe.Checkpoint{Seq: 12, WriteSeqs: []uint64{7, 8, 9}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -465,7 +484,7 @@ func TestConcurrentMultiDeviceIngest(t *testing.T) {
 					return
 				}
 			}
-			if err := cl.PushCheckpoint(&nvmeoe.Checkpoint{Seq: 3, L2P: []uint64{deviceID}}); err != nil {
+			if err := cl.PushCheckpoint(&nvmeoe.Checkpoint{Seq: 3, WriteSeqs: []uint64{deviceID}}); err != nil {
 				errc <- fmt.Errorf("device %d checkpoint: %w", deviceID, err)
 			}
 		}()

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -218,7 +219,9 @@ func insertVersion(vs []oplog.PageRecord, p oplog.PageRecord) []oplog.PageRecord
 	return vs
 }
 
-// AppendCheckpoint stores a mapping snapshot.
+// AppendCheckpoint stores a mapping snapshot. One pushed at a sequence that
+// already has one replaces it, in the index as in the object tier: the older
+// table's log entry died in device RAM and the sequence was issued again.
 func (s *Store) AppendCheckpoint(deviceID uint64, cp nvmeoe.Checkpoint) error {
 	key := fmt.Sprintf("dev/%d/cp/%020d", deviceID, cp.Seq)
 	if err := s.blobs.Put(key, cp.Marshal()); err != nil {
@@ -227,8 +230,12 @@ func (s *Store) AppendCheckpoint(deviceID uint64, cp nvmeoe.Checkpoint) error {
 	d := s.dev(deviceID)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.checkpoints = append(d.checkpoints, cp)
-	sort.Slice(d.checkpoints, func(i, j int) bool { return d.checkpoints[i].Seq < d.checkpoints[j].Seq })
+	i := sort.Search(len(d.checkpoints), func(i int) bool { return d.checkpoints[i].Seq >= cp.Seq })
+	if i == len(d.checkpoints) || d.checkpoints[i].Seq != cp.Seq {
+		d.checkpoints = slices.Insert(d.checkpoints, i, cp)
+	} else {
+		d.checkpoints[i] = cp
+	}
 	return nil
 }
 
