@@ -525,21 +525,32 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 			Server:  remote.ServerConfig{DecodeWorkers: curveWorkers},
 		})
 
+		// Sticky bounded-load placement is arrival-ordered, and the modeled
+		// makespan is graded on it: every device dials in device-ID order
+		// before any pushes, so the curve is a function of the fleet, not of
+		// which goroutine ran first.
+		clients := make([]*remote.Client, devices)
+		for d := range clients {
+			cl, err := cluster.Dial(uint64(d + 1))
+			if err != nil {
+				for _, dialed := range clients[:d] {
+					dialed.Close()
+				}
+				cluster.Close()
+				return nil, fmt.Errorf("curve %d servers, device %d: %w", k, d+1, err)
+			}
+			clients[d] = cl
+		}
 		errs := make([]error, devices)
 		var wg sync.WaitGroup
 		start := time.Now()
-		for d := range traces {
+		for d, cl := range clients {
 			wg.Add(1)
-			go func(d int) {
+			go func(d int, cl *remote.Client) {
 				defer wg.Done()
-				cl, err := cluster.Dial(uint64(d + 1))
-				if err != nil {
-					errs[d] = err
-					return
-				}
 				defer cl.Close()
 				errs[d] = cl.PushSegmentBlobs(traces[d].blobs, traces[d].lastSeqs, window)
-			}(d)
+			}(d, cl)
 		}
 		wg.Wait()
 		wall := time.Since(start)

@@ -79,13 +79,10 @@ func TestFleetClusterScenario(t *testing.T) {
 		if p.SpreadMaxMin > 3 {
 			t.Fatalf("curve point %d servers: spread %.3f", p.Servers, p.SpreadMaxMin)
 		}
-		// Near-monotone, not strictly monotone: devices dial concurrently
-		// and sticky bounded-load placement is arrival-ordered, so a
-		// 12-device curve can draw a 7/5 two-server split whose modeled
-		// makespan ties an unlucky 5/4/3 three-server split. Placement
-		// granularity may plateau the curve at this scale; it must never
-		// materially regress it, and the >= 1.5x end gate still binds.
-		if i > 0 && p.ModelScaleUp < c.Curve[i-1].ModelScaleUp*0.95 {
+		// The curve's devices are placed in device-ID order before any of
+		// them pushes (fleetScaleCurve), so the modeled curve is the same on
+		// every run: 1.0 / 1.5 / 2.0 here, and it must not step down.
+		if i > 0 && p.ModelScaleUp < c.Curve[i-1].ModelScaleUp {
 			t.Fatalf("modeled scaling regressed at %d servers: %+v", p.Servers, c.Curve)
 		}
 	}

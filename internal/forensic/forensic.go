@@ -74,9 +74,16 @@ type Evidence struct {
 // Timeline fetches the remote prefix, appends the local suffix, and
 // verifies the whole hash chain from genesis. It returns the evidence and
 // ErrChainBroken (with partial evidence) if verification fails.
+//
+// Each entry is hashed once. A fetched batch arrives as a chain already
+// derived and held against the reply's last hash (oplog.UnmarshalSegment),
+// so what is owed for the remote prefix is that the batches chain onto each
+// other from the zero genesis hash with contiguous sequences — a compare per
+// entry. The local suffix, which the device sealed and no server can forge,
+// is verified in full onto the last remote hash: that is the anchor the
+// remote prefix is believed by.
 func (a *Analyzer) Timeline() (*Evidence, error) {
 	var entries []oplog.Entry
-	remoteCount := 0
 	if a.client != nil {
 		head, err := a.client.Head()
 		if err != nil {
@@ -87,39 +94,42 @@ func (a *Analyzer) Timeline() (*Evidence, error) {
 		entries = make([]oplog.Entry, 0, max(head.NextSeq, a.dev.Log().NextSeq()))
 		const batch = 4096
 		for from := uint64(0); from < head.NextSeq; from += batch {
-			to := from + batch
-			if to > head.NextSeq {
-				to = head.NextSeq
-			}
+			to := min(from+batch, head.NextSeq)
 			got, err := a.client.FetchEntries(from, to)
 			if err != nil {
 				return nil, fmt.Errorf("forensic: fetch entries [%d,%d): %w", from, to, err)
 			}
 			entries = append(entries, got...)
 		}
-		remoteCount = len(entries)
+	}
+	ev := &Evidence{RemoteEntries: len(entries), ChainIntact: true}
+	var broken *oplog.ChainError
+	var prev [oplog.HashSize]byte
+	for i := range entries {
+		e := &entries[i]
+		if e.PrevHash != prev || e.Seq != uint64(i) {
+			broken = &oplog.ChainError{Index: i, Seq: e.Seq, Reason: "fetched entry does not extend the chain before it"}
+			break
+		}
+		prev = e.Hash
 	}
 	// Local suffix: everything at or beyond what the remote holds.
-	local := a.dev.Log().All()
-	next := uint64(len(entries))
-	for _, e := range local {
-		if e.Seq >= next {
+	for _, e := range a.dev.Log().All() {
+		if e.Seq >= uint64(ev.RemoteEntries) {
 			entries = append(entries, e)
 		}
 	}
-	ev := &Evidence{
-		Entries:       entries,
-		RemoteEntries: remoteCount,
-		LocalEntries:  len(entries) - remoteCount,
-		ChainIntact:   true,
-	}
-	if err := oplog.VerifyChain(entries, [oplog.HashSize]byte{}); err != nil {
-		ev.ChainIntact = false
-		var ce *oplog.ChainError
-		if errors.As(err, &ce) {
-			ev.BrokenAt = ce.Index
+	ev.Entries = entries
+	ev.LocalEntries = len(entries) - ev.RemoteEntries
+	if broken == nil {
+		if err := oplog.VerifyChain(entries[ev.RemoteEntries:], prev); errors.As(err, &broken) {
+			broken.Index += ev.RemoteEntries // an index into the merged timeline
 		}
-		return ev, fmt.Errorf("%w: %v", ErrChainBroken, err)
+	}
+	if broken != nil {
+		ev.ChainIntact = false
+		ev.BrokenAt = broken.Index
+		return ev, fmt.Errorf("%w: %v", ErrChainBroken, broken)
 	}
 	return ev, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 
@@ -12,6 +13,8 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/nand"
+	"repro/internal/nvmeoe"
+	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 )
@@ -264,6 +267,128 @@ func TestEvidenceSurvivesHostCompromise(t *testing.T) {
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("remote prefix entry %d changed", i)
+		}
+	}
+}
+
+// hostileClient is a session with a server that announces head and answers a
+// FetchEntries request with whatever entries returns for it — each reply an
+// honest marshal, so every batch arrives as a verified chain.
+func hostileClient(t *testing.T, head nvmeoe.Head, entries func(from, to uint64) []oplog.Entry) *remote.Client {
+	t.Helper()
+	dc, sc := net.Pipe()
+	go func() {
+		conn, dev, err := nvmeoe.ServerHandshake(sc, func(uint64) ([]byte, bool) { return psk, true })
+		if err != nil {
+			sc.Close()
+			return
+		}
+		defer conn.Close()
+		for {
+			_, body, err := conn.ReadMsg()
+			if err != nil {
+				return
+			}
+			req, err := nvmeoe.UnmarshalFetchReq(body)
+			if err != nil {
+				return
+			}
+			reply := head.Marshal()
+			if req.Kind == nvmeoe.FetchEntries {
+				seg := &oplog.Segment{DeviceID: dev, Entries: entries(req.From, req.To)}
+				reply = nvmeoe.EncodeSegmentBlob(seg.Marshal())
+			}
+			if conn.WriteMsg(nvmeoe.MsgFetchResp, reply) != nil {
+				return
+			}
+		}
+	}()
+	cl, err := remote.Dial(dc, psk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// TestTimelineLocatesTheBreak: a fetched batch is a verified chain in itself,
+// so what Timeline can say of a hostile server's prefix is where a batch
+// fails to extend the one before it; the local suffix, sealed by the device,
+// is verified entry by entry and anchors the whole. Either way BrokenAt is an
+// index into the merged timeline and the evidence gathered so far comes back.
+func TestTimelineLocatesTheBreak(t *testing.T) {
+	r := newRig(t)
+	rng := rand.New(rand.NewSource(11))
+	attack.Seed(r.fs, rng, 10, 2)
+	const batch = 4096 // Timeline's fetch size
+	for r.dev.Log().NextSeq() < batch+batch/2 {
+		if err := attack.RunBenign(r.fs, rng, 200, simclock.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.dev.OffloadNow(r.fs.Clock().Now()); err != nil {
+		t.Fatal(err)
+	}
+	attack.RunBenign(r.fs, rng, 30, simclock.Second)
+	head := r.store.Head(1)
+	honest := func(from, to uint64) []oplog.Entry { return r.store.Entries(1, from, to) }
+	if local := r.dev.Log().NextSeq() - head.NextSeq; head.NextSeq <= batch || local == 0 || r.dev.Log().BaseSeq() != head.NextSeq {
+		t.Fatalf("want two remote batches and a local suffix behind them: head %d, %d local from %d", head.NextSeq, local, r.dev.Log().BaseSeq())
+	}
+
+	// A forged prefix: entry 7 rewritten and everything after it resealed,
+	// a valid chain from genesis all the way to the head it announces.
+	forged := honest(0, head.NextSeq)
+	forged[7].LPN ^= 1
+	for i := 7; i < len(forged); i++ {
+		forged[i].Seal(forged[i-1].Hash)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		head     uint64
+		entries  func(from, to uint64) []oplog.Entry
+		brokenAt int
+	}{
+		{"honest", head.NextSeq, honest, -1},
+		// The first batch served again where the second belongs: a valid
+		// batch out of place breaks at the batch boundary.
+		{"replayed batch", head.NextSeq, func(from, to uint64) []oplog.Entry { return honest(0, to-from) }, batch},
+		// The second batch first: nothing chains onto genesis.
+		{"batches out of order", head.NextSeq, func(from, to uint64) []oplog.Entry {
+			if from == 0 {
+				return honest(batch, head.NextSeq)
+			}
+			return honest(0, batch)
+		}, 0},
+		// A batch that starts one entry late chains onto the entry it skipped.
+		{"entry withheld at the boundary", head.NextSeq, func(from, to uint64) []oplog.Entry {
+			if from == batch {
+				from++
+			}
+			return honest(from, to)
+		}, batch},
+		// A head short of what the device knows it shipped: the local suffix
+		// does not chain onto the truncated prefix.
+		{"remote tail withheld", head.NextSeq - 5, honest, int(head.NextSeq) - 5},
+		// The forged prefix passes every check a server can be held to; the
+		// device's own seal on the first local entry does not.
+		{"forged prefix", head.NextSeq, func(from, to uint64) []oplog.Entry { return forged[from:to] }, int(head.NextSeq)},
+	} {
+		cl := hostileClient(t, nvmeoe.Head{NextSeq: tc.head}, tc.entries)
+		ev, err := NewAnalyzer(r.dev, cl).Timeline()
+		if tc.brokenAt < 0 {
+			if err != nil || !ev.ChainIntact || uint64(len(ev.Entries)) != r.dev.Log().NextSeq() {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrChainBroken) || ev == nil || ev.ChainIntact || ev.BrokenAt != tc.brokenAt {
+			t.Fatalf("%s: err=%v, evidence %+v, want ErrChainBroken at %d", tc.name, err, ev != nil && ev.ChainIntact, tc.brokenAt)
+		}
+		if len(ev.Entries) <= ev.BrokenAt || ev.RemoteEntries+ev.LocalEntries != len(ev.Entries) {
+			t.Fatalf("%s: partial evidence of %d entries (%d remote, %d local) does not reach the break at %d",
+				tc.name, len(ev.Entries), ev.RemoteEntries, ev.LocalEntries, ev.BrokenAt)
 		}
 	}
 }

@@ -19,7 +19,7 @@
 //   - efficiency: payloads are DEFLATE-compressed when that helps, which is
 //     also how the paper stretches retention capacity in Figure 2.
 //
-// A frame (protocol version 2) is header ‖ ciphertext ‖ tag and goes out as
+// A frame (protocol version 3) is header ‖ ciphertext ‖ tag and goes out as
 // exactly those three writes, the pooled ciphertext buffer released before
 // the tag is written. The peer cannot complete a frame, so cannot answer
 // it, until the tag arrives: pool-gauge checks (chaos.PoolSteady, the
@@ -91,8 +91,8 @@ func (t MsgType) String() string {
 
 const (
 	frameMagic   = 0x4E4F4553 // "NOES": NVMe-oE Secure
-	protoVersion = 2
-	tagSize      = 16 // AES-GCM authentication tag
+	protoVersion = 3          // segments carry entries without their chain hashes
+	tagSize      = 16         // AES-GCM authentication tag
 	// MaxPayload bounds a single frame; segments above this are split by
 	// the offload policy before they reach the transport.
 	MaxPayload = 64 << 20

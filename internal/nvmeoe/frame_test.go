@@ -155,11 +155,14 @@ func TestFrameRejectsReplaySwapAndV1(t *testing.T) {
 	if _, got, err := r.ReadMsg(); !errors.Is(err, ErrReplay) || got != nil {
 		t.Fatalf("frame after a dropped one: err=%v", err)
 	}
-	// A version-1 frame (CTR + HMAC, 32-byte tag) is not spoken.
-	v1 := append([]byte(nil), frames[0]...)
-	v1[4] = 1
-	if _, got, err := fixedReader(v1).ReadMsg(); !errors.Is(err, ErrBadVersion) || got != nil {
-		t.Fatalf("v1 frame: err=%v", err)
+	// Neither earlier version is spoken: 1 (CTR + HMAC, 32-byte tag) nor 2
+	// (141-byte entries, each with its two chain hashes).
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), frames[0]...)
+		old[4] = v
+		if _, got, err := fixedReader(old).ReadMsg(); !errors.Is(err, ErrBadVersion) || got != nil {
+			t.Fatalf("v%d frame: err=%v", v, err)
+		}
 	}
 	// A frame sealed for the other direction's key does not open.
 	dev, _, wire := memPair(t)
@@ -220,9 +223,11 @@ func FuzzFrame(f *testing.F) {
 		mut[len(mut)-1] ^= 1
 		f.Add(mut)
 	}
-	v1 := append([]byte(nil), frames[0]...)
-	v1[4] = 1
-	f.Add(v1)
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), frames[0]...)
+		old[4] = v
+		f.Add(old)
+	}
 	huge := append([]byte(nil), frames[0]...)
 	binary.LittleEndian.PutUint32(huge[16:], MaxPayload+1)
 	f.Add(huge)

@@ -78,7 +78,9 @@ func (k Kind) String() string {
 const HashSize = sha256.Size
 
 // Entry is one operation-log record. The byte layout produced by Marshal
-// is fixed-size so firmware can append without allocation.
+// is fixed-size so firmware can append without allocation. PrevHash and Hash
+// exist in memory only: a marshal carries the hashed body, and whoever reads
+// it derives both (see Segment).
 type Entry struct {
 	Seq     uint64
 	At      simclock.Time
@@ -92,11 +94,9 @@ type Entry struct {
 	Hash     [HashSize]byte  // chain: SHA-256(PrevHash || body)
 }
 
-// EntrySize is the marshaled entry size in bytes.
-const EntrySize = 8 + 8 + 1 + 8 + 8 + 8 + 4 + HashSize + HashSize + HashSize
-
-// bodySize is the hashed portion (everything but PrevHash and Hash).
-const bodySize = 8 + 8 + 1 + 8 + 8 + 8 + 4 + HashSize
+// EntrySize is the marshaled entry size in bytes: the hashed portion,
+// everything but PrevHash and Hash.
+const EntrySize = 8 + 8 + 1 + 8 + 8 + 8 + 4 + HashSize
 
 // appendBody serializes the hashed portion of e into b.
 func (e *Entry) appendBody(b []byte) []byte {
@@ -113,7 +113,7 @@ func (e *Entry) appendBody(b []byte) []byte {
 
 // ComputeHash returns the chain hash of e given the previous entry's hash.
 func (e *Entry) ComputeHash(prev [HashSize]byte) [HashSize]byte {
-	buf := make([]byte, 0, bodySize+HashSize)
+	buf := make([]byte, 0, EntrySize+HashSize)
 	buf = append(buf, prev[:]...)
 	buf = e.appendBody(buf)
 	return sha256.Sum256(buf)
@@ -140,23 +140,27 @@ func (e *Entry) sealWith(prev [HashSize]byte, buf []byte) []byte {
 // PrevHash.
 func (e *Entry) Verify() bool { return e.Hash == e.ComputeHash(e.PrevHash) }
 
-// Marshal appends the wire encoding of e to b.
-func (e *Entry) Marshal(b []byte) []byte {
-	b = e.appendBody(b)
-	b = append(b, e.PrevHash[:]...)
-	b = append(b, e.Hash[:]...)
-	return b
-}
+// Marshal appends the wire encoding of e to b: the hashed body, and neither
+// chain hash.
+func (e *Entry) Marshal(b []byte) []byte { return e.appendBody(b) }
 
 // ErrShortEntry is returned when unmarshaling truncated data.
 var ErrShortEntry = errors.New("oplog: short entry")
 
 // UnmarshalEntry decodes one entry from b, returning the remaining bytes.
+// PrevHash and Hash are left zero: they follow from the entry's place in a
+// chain, which one entry's bytes do not say.
 func UnmarshalEntry(b []byte) (Entry, []byte, error) {
 	if len(b) < EntrySize {
 		return Entry{}, b, ErrShortEntry
 	}
 	var e Entry
+	e.setBody(b)
+	return e, b[EntrySize:], nil
+}
+
+// setBody fills the hashed fields of e from the first EntrySize bytes of b.
+func (e *Entry) setBody(b []byte) {
 	e.Seq = binary.LittleEndian.Uint64(b[0:])
 	e.At = simclock.Time(binary.LittleEndian.Uint64(b[8:]))
 	e.Kind = Kind(b[16])
@@ -165,9 +169,6 @@ func UnmarshalEntry(b []byte) (Entry, []byte, error) {
 	e.NewPPN = binary.LittleEndian.Uint64(b[33:])
 	e.Entropy = math.Float32frombits(binary.LittleEndian.Uint32(b[41:]))
 	copy(e.DataHash[:], b[45:45+HashSize])
-	copy(e.PrevHash[:], b[45+HashSize:])
-	copy(e.Hash[:], b[45+2*HashSize:])
-	return e, b[EntrySize:], nil
 }
 
 // Log is the in-device operation log. Appends are serialized; reads take a

@@ -84,10 +84,12 @@ func TestEntryMarshalRoundTrip(t *testing.T) {
 		LPN: 7, OldPPN: 99, NewPPN: 100, Entropy: 7.91,
 		DataHash: HashData([]byte("abc")),
 	}
-	e.Seal(HashData([]byte("prev")))
+	prev := HashData([]byte("prev"))
+	e.Seal(prev)
 	buf := e.Marshal(nil)
-	if len(buf) != EntrySize {
-		t.Fatalf("marshal size = %d, want %d", len(buf), EntrySize)
+	// The hashed body and neither chain hash: 141 bytes before protocol v3.
+	if len(buf) != 77 || EntrySize != 77 {
+		t.Fatalf("marshal size = %d, EntrySize = %d, want 77", len(buf), EntrySize)
 	}
 	got, rest, err := UnmarshalEntry(buf)
 	if err != nil {
@@ -96,6 +98,10 @@ func TestEntryMarshalRoundTrip(t *testing.T) {
 	if len(rest) != 0 {
 		t.Fatal("trailing bytes")
 	}
+	if got.PrevHash != ([HashSize]byte{}) || got.Hash != ([HashSize]byte{}) {
+		t.Fatal("UnmarshalEntry filled a chain hash the bytes do not carry")
+	}
+	got.Seal(prev)
 	if got != e {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, e)
 	}
@@ -219,6 +225,7 @@ func TestEntryRoundTripProperty(t *testing.T) {
 		}
 		e.Seal(ph)
 		got, rest, err := UnmarshalEntry(e.Marshal(nil))
+		got.Seal(ph)
 		return err == nil && len(rest) == 0 && got == e
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -226,8 +233,8 @@ func TestEntryRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: any single-bit corruption of a marshaled entry breaks Verify
-// or changes the hash linkage (i.e., the chain detects it).
+// Property: any single-bit corruption of a marshaled entry changes the hash
+// a reader derives for it (i.e., the chain detects it).
 func TestEntryTamperDetectionProperty(t *testing.T) {
 	base := Entry{Seq: 1, At: 2, Kind: KindWrite, LPN: 3, OldPPN: 4, NewPPN: 5, Entropy: 6}
 	base.Seal([32]byte{1, 2, 3})
@@ -240,11 +247,10 @@ func TestEntryTamperDetectionProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		// Either the entry fails self-verification, or its PrevHash
-		// changed (which the chain check against the predecessor
-		// catches), or its Hash changed (which the successor's PrevHash
-		// catches).
-		return !got.Verify() || got.PrevHash != base.PrevHash || got.Hash != base.Hash
+		// Sealed onto the same predecessor it no longer hashes to what the
+		// successor's PrevHash, or the segment's last hash, holds.
+		got.Seal(base.PrevHash)
+		return got.Hash != base.Hash
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,13 @@ type PageRecord struct {
 // retained pages whose local copies the device wants to reclaim. Segments
 // are produced in time order, preserving the paper's "transfer in time
 // order" property that post-attack analysis relies on.
+//
+// Marshaled, a segment that has entries carries two chain hashes once — the
+// one its first entry chains onto and the one its last entry ends at — and
+// each entry as its EntrySize-byte hashed body. UnmarshalSegment derives
+// every entry's PrevHash and Hash from the first and holds the chain it
+// derived against the second, so reading a segment and verifying its chain
+// are one SHA-256 pass.
 type Segment struct {
 	DeviceID  uint64
 	FirstSeq  uint64 // first entry sequence (== Entries[0].Seq when present)
@@ -36,9 +43,23 @@ type Segment struct {
 	LastTime  simclock.Time
 	Entries   []Entry
 	Pages     []PageRecord
+
+	// derived is Entries as UnmarshalSegment returned it, a verified chain
+	// from Entries[0].PrevHash; VerifyChain hashes again unless Entries is
+	// still that slice.
+	derived []Entry
 }
 
-const segmentMagic = 0x52535347 // "RSSG"
+const segmentMagic = 0x33535352 // "RSS3": entries without their chain hashes
+
+// Marshaled sizes: the fixed header (magic, five uint64s, two counts), the
+// two chain hashes that follow it when the segment has entries, and a page
+// record's fixed part.
+const (
+	headerSize     = 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4
+	chainSize      = 2 * HashSize
+	pageHeaderSize = 8 + 8 + 8 + 1 + HashSize + 4
+)
 
 // Errors returned by segment decoding.
 var (
@@ -50,9 +71,12 @@ var (
 // offload engine uses it to size pooled encode buffers and to model the
 // encode stage's simulated duration before the real encode runs.
 func (s *Segment) MarshaledSize() int {
-	size := 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + len(s.Entries)*EntrySize
+	size := headerSize + len(s.Entries)*EntrySize
+	if len(s.Entries) > 0 {
+		size += chainSize
+	}
 	for i := range s.Pages {
-		size += 8 + 8 + 8 + 1 + HashSize + 4 + len(s.Pages[i].Data)
+		size += pageHeaderSize + len(s.Pages[i].Data)
 	}
 	return size
 }
@@ -75,6 +99,10 @@ func (s *Segment) AppendMarshal(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.LastTime))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Entries)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Pages)))
+	if n := len(s.Entries); n > 0 {
+		b = append(b, s.Entries[0].PrevHash[:]...)
+		b = append(b, s.Entries[n-1].Hash[:]...)
+	}
 	for i := range s.Entries {
 		b = s.Entries[i].Marshal(b)
 	}
@@ -91,9 +119,13 @@ func (s *Segment) AppendMarshal(b []byte) []byte {
 	return b
 }
 
-// UnmarshalSegment decodes a segment produced by Marshal.
+// UnmarshalSegment decodes a segment produced by Marshal. The entries it
+// returns are a verified chain from Entries[0].PrevHash: each is sealed onto
+// the hash derived for the one before it, and a segment whose derived chain
+// does not end at the carried last hash, or whose sequences are not
+// contiguous, is refused with ErrBadSegment wrapping a *ChainError. What is
+// left to the caller is whether that first PrevHash is the hash it expected.
 func UnmarshalSegment(b []byte) (*Segment, error) {
-	const headerSize = 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4 // magic + 5×uint64 + 2 counts
 	if len(b) < headerSize {
 		return nil, ErrBadSegment
 	}
@@ -112,19 +144,39 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 	b = b[headerSize:]
 	// The counts are the sender's claim: hold them against the bytes that
 	// follow before sizing anything by them.
-	const pageHeaderSize = 8 + 8 + 8 + 1 + HashSize + 4
-	if uint64(nEntries) > uint64(len(b)/EntrySize) ||
-		uint64(nPages) > uint64((len(b)-int(nEntries)*EntrySize)/pageHeaderSize) {
+	entryBytes := uint64(nEntries) * EntrySize
+	if nEntries > 0 {
+		entryBytes += chainSize
+	}
+	if entryBytes > uint64(len(b)) || uint64(nPages) > (uint64(len(b))-entryBytes)/pageHeaderSize {
 		return nil, fmt.Errorf("%w: %d entries and %d pages claimed in %d bytes", ErrBadSegment, nEntries, nPages, len(b))
 	}
-	s.Entries = make([]Entry, 0, nEntries)
-	for i := uint32(0); i < nEntries; i++ {
-		e, rest, err := UnmarshalEntry(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadSegment, i, err)
+	s.Entries = make([]Entry, nEntries)
+	if nEntries > 0 {
+		// One stack buffer holds what an entry's hash covers: the previous
+		// hash, then the body as it lies in b.
+		var sealed [HashSize + EntrySize]byte
+		prev, body := sealed[:HashSize], sealed[HashSize:]
+		copy(prev, b)
+		last := [HashSize]byte(b[HashSize:chainSize])
+		b = b[chainSize:]
+		for i := range s.Entries {
+			e := &s.Entries[i]
+			copy(body, b)
+			e.setBody(body)
+			e.PrevHash = [HashSize]byte(prev)
+			e.Hash = sha256.Sum256(sealed[:])
+			if i > 0 && e.Seq != s.Entries[i-1].Seq+1 {
+				return nil, fmt.Errorf("%w: %w", ErrBadSegment, &ChainError{Index: i, Seq: e.Seq, Reason: "sequence gap"})
+			}
+			copy(prev, e.Hash[:])
+			b = b[EntrySize:]
 		}
-		s.Entries = append(s.Entries, e)
-		b = rest
+		if e := &s.Entries[nEntries-1]; e.Hash != last {
+			return nil, fmt.Errorf("%w: %w", ErrBadSegment,
+				&ChainError{Index: int(nEntries) - 1, Seq: e.Seq, Reason: "derived chain does not end at the segment's last hash"})
+		}
+		s.derived = s.Entries
 	}
 	s.Pages = make([]PageRecord, 0, nPages)
 	for i := uint32(0); i < nPages; i++ {
@@ -150,6 +202,20 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSegment, len(b))
 	}
 	return s, nil
+}
+
+// VerifyChain checks that the segment's entries form an unbroken hash chain
+// starting from prev, as the package's VerifyChain does. Entries that came
+// out of UnmarshalSegment were hashed there, once: for them what remains is
+// that the chain they were derived from starts at prev.
+func (s *Segment) VerifyChain(prev [HashSize]byte) error {
+	if n := len(s.Entries); n == 0 || len(s.derived) != n || &s.derived[0] != &s.Entries[0] {
+		return VerifyChain(s.Entries, prev)
+	}
+	if e := &s.Entries[0]; e.PrevHash != prev {
+		return &ChainError{Index: 0, Seq: e.Seq, Reason: "previous-hash mismatch"}
+	}
+	return nil
 }
 
 // VerifyPages checks each page record's content hash. Recovery refuses to

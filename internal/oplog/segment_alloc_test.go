@@ -2,6 +2,7 @@ package oplog
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -14,7 +15,8 @@ func allocTestSegment() *Segment {
 	var prev [HashSize]byte
 	for i := uint64(10); i < 14; i++ {
 		e := Entry{Seq: i, Kind: KindWrite, At: simclock.Time(100 * i), LPN: i,
-			DataHash: HashData([]byte{byte(i)}), PrevHash: prev}
+			DataHash: HashData([]byte{byte(i)})}
+		e.Seal(prev)
 		seg.Entries = append(seg.Entries, e)
 		prev = e.Hash
 	}
@@ -69,5 +71,85 @@ func BenchmarkSegmentAppendMarshal(b *testing.B) {
 	b.SetBytes(int64(seg.MarshaledSize()))
 	for i := 0; i < b.N; i++ {
 		buf.B = seg.AppendMarshal(buf.B[:0])[:0]
+	}
+}
+
+// chainedSegment is an entries-only segment of n sealed entries that chain
+// onto a non-zero hash, as a fetch reply or a log-only offload carries.
+func chainedSegment(n int) *Segment {
+	l := ResumeFrom(100, HashData([]byte("head")))
+	seg := &Segment{DeviceID: 3, FirstSeq: 100, LastSeq: 100 + uint64(n)}
+	for i := 0; i < n; i++ {
+		seg.Entries = append(seg.Entries, l.Append(KindWrite, simclock.Time(i), uint64(i), 0, uint64(i), 1, HashData([]byte{byte(i), byte(i >> 8)})))
+	}
+	return seg
+}
+
+// TestUnmarshalDerivesTheChain: what comes out of UnmarshalSegment is the
+// chain that went in, every PrevHash and Hash re-derived from the two the
+// marshal carries, and Segment.VerifyChain does not hash it again — until
+// Entries is no longer the slice that was derived.
+func TestUnmarshalDerivesTheChain(t *testing.T) {
+	seg := chainedSegment(64)
+	got, err := UnmarshalSegment(seg.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seg.Entries {
+		if got.Entries[i] != seg.Entries[i] {
+			t.Fatalf("entry %d: derived %+v, sealed %+v", i, got.Entries[i], seg.Entries[i])
+		}
+	}
+	prev := seg.Entries[0].PrevHash
+	if err := got.VerifyChain(prev); err != nil {
+		t.Fatal(err)
+	}
+	var ce *ChainError
+	if err := got.VerifyChain(HashData([]byte("another head"))); !errors.As(err, &ce) || ce.Index != 0 || ce.Reason != "previous-hash mismatch" {
+		t.Fatalf("chain from another head: err=%v", err)
+	}
+	if !bufpool.RaceEnabled {
+		if n := testing.AllocsPerRun(20, func() { got.VerifyChain(prev) }); n != 0 {
+			t.Errorf("VerifyChain of a derived chain: %v allocs/op, want 0 (it compares one hash)", n)
+		}
+	}
+	// A hand-built segment, and a decoded one whose entries were replaced or
+	// cut, are hashed in full.
+	got.Entries[5].LPN ^= 1
+	replaced := *got
+	replaced.Entries = append([]Entry(nil), got.Entries...)
+	for _, s := range []*Segment{{Entries: got.Entries}, &replaced} {
+		if err := s.VerifyChain(prev); !errors.As(err, &ce) || ce.Index != 5 {
+			t.Fatalf("entry 5 rewritten in a segment UnmarshalSegment did not derive: err=%v", err)
+		}
+	}
+	got.Entries[5].LPN ^= 1
+	short := *got
+	short.Entries = got.Entries[1:]
+	if err := short.VerifyChain(prev); !errors.As(err, &ce) || ce.Index != 0 {
+		t.Fatalf("decoded segment cut to its tail, from the old previous hash: err=%v", err)
+	}
+	if err := short.VerifyChain(got.Entries[0].Hash); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnmarshalSegmentAllocsDoNotGrowWithEntries: the chain is derived
+// through one stack buffer — the segment and its entry slice are all a
+// decode allocates, however many entries it seals.
+func TestUnmarshalSegmentAllocsDoNotGrowWithEntries(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	allocs := func(n int) float64 {
+		raw := chainedSegment(n).Marshal()
+		return testing.AllocsPerRun(20, func() {
+			if _, err := UnmarshalSegment(raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(1024); few != 2 || many != 2 {
+		t.Fatalf("UnmarshalSegment: %v allocs for 4 entries, %v for 1024, want 2 and 2", few, many)
 	}
 }

@@ -14,6 +14,54 @@ const (
 	hdrPageCount  = 48
 )
 
+// oldLayout is seg as it was marshaled before protocol v3: another magic, and
+// every entry followed by its PrevHash and Hash, 141 bytes in all.
+func oldLayout(seg *Segment) []byte {
+	now := seg.Marshal()
+	b := binary.LittleEndian.AppendUint32(nil, 0x52535347) // "RSSG"
+	b = append(b, now[4:headerSize]...)
+	for i := range seg.Entries {
+		e := &seg.Entries[i]
+		b = append(append(e.appendBody(b), e.PrevHash[:]...), e.Hash[:]...)
+	}
+	return append(b, now[headerSize+chainSize+len(seg.Entries)*EntrySize:]...)
+}
+
+// TestUnmarshalSegmentRefusesBrokenChains: what the committed seeds
+// body-bit-flipped, last-hash-flipped, entries-swapped and
+// old-141-byte-layout hold, each refused for its own reason.
+func TestUnmarshalSegmentRefusesBrokenChains(t *testing.T) {
+	seg := allocTestSegment()
+	full := seg.Marshal()
+	const entriesAt = headerSize + chainSize
+	last := len(seg.Entries) - 1
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte)
+		index  int
+	}{
+		{"body bit flipped", func(b []byte) { b[entriesAt+EntrySize+20] ^= 0x04 }, last},
+		{"previous hash flipped", func(b []byte) { b[headerSize] ^= 0x01 }, last},
+		{"last hash flipped", func(b []byte) { b[headerSize+HashSize+5] ^= 0x80 }, last},
+		{"entries swapped", func(b []byte) {
+			one := append([]byte(nil), b[entriesAt+EntrySize:entriesAt+2*EntrySize]...)
+			copy(b[entriesAt+EntrySize:], b[entriesAt+2*EntrySize:entriesAt+3*EntrySize])
+			copy(b[entriesAt+2*EntrySize:], one)
+		}, 1},
+	} {
+		b := append([]byte(nil), full...)
+		tc.mutate(b)
+		got, err := UnmarshalSegment(b)
+		var ce *ChainError
+		if got != nil || !errors.Is(err, ErrBadSegment) || !errors.As(err, &ce) || ce.Index != tc.index {
+			t.Fatalf("%s: err=%v, want ErrBadSegment with a ChainError at %d", tc.name, err, tc.index)
+		}
+	}
+	if got, err := UnmarshalSegment(oldLayout(seg)); got != nil || !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("141-byte layout: err=%v, want ErrBadMagic", err)
+	}
+}
+
 // lyingHeader is the marshal of an empty segment whose header claims count
 // entries or pages: 52 bytes in all.
 func lyingHeader(off int, count uint32) []byte {
@@ -49,19 +97,23 @@ func heapAllocated() uint64 {
 // server's ingest lane, Store.Reload and every client fetch do with whatever
 // a blob decoded to: it must not panic, must fail only with ErrBadSegment or
 // ErrBadMagic, must not allocate beyond a small multiple of its input, and
-// what it accepts must marshal back to the same bytes.
+// what it accepts must be a verified chain from its first entry's PrevHash
+// that marshals back to the same bytes.
 //
 //	go test -run xxx -fuzz FuzzUnmarshalSegment -fuzztime 30s ./internal/oplog
 func FuzzUnmarshalSegment(f *testing.F) {
 	full := allocTestSegment().Marshal()
 	// testdata/fuzz/FuzzUnmarshalSegment holds the shapes: cuts, trailing
-	// bytes, entries only, empty pages, and headers that lie about a count.
+	// bytes, entries only, empty pages, headers that lie about a count, a
+	// flipped body bit, a flipped last hash, two entries swapped, and the
+	// 141-byte layout.
 	f.Add(full)
 	f.Add(lyingHeader(hdrEntryCount, 1<<20))
+	f.Add(oldLayout(allocTestSegment()))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// In memory an entry is a little larger than on the wire and a page
-		// record of no data twice its 61 bytes; the rest is error text. The
+		// In memory an entry is twice its 77 bytes on the wire and a page
+		// record of no data twice its 61; the rest is error text. The
 		// counter is the process's, and a fuzzing worker allocates on the
 		// side: what the decoder itself allocates shows on every try.
 		limit := uint64(4*len(b) + 64<<10)
@@ -81,6 +133,11 @@ func FuzzUnmarshalSegment(f *testing.F) {
 				t.Fatalf("err=%v, segment %v", err, seg != nil)
 			}
 			return
+		}
+		if len(seg.Entries) > 0 {
+			if err := VerifyChain(seg.Entries, seg.Entries[0].PrevHash); err != nil {
+				t.Fatalf("accepted entries that are not a chain: %v", err)
+			}
 		}
 		if again := seg.Marshal(); !bytes.Equal(again, b) {
 			t.Fatalf("accepted %d bytes, marshals back to %d different ones", len(b), len(again))

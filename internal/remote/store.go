@@ -143,38 +143,14 @@ func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
 	d := s.dev(seg.DeviceID)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(seg.Entries) > 0 {
-		if seg.Entries[0].Seq != d.nextSeq {
-			return fmt.Errorf("remote: segment starts at seq %d, chain is at %d", seg.Entries[0].Seq, d.nextSeq)
-		}
-		if err := oplog.VerifyChain(seg.Entries, d.headHash); err != nil {
-			return fmt.Errorf("remote: reject segment: %w", err)
-		}
+	if err := d.extends(seg); err != nil {
+		return fmt.Errorf("remote: reject segment: %w", err)
 	}
 	key := fmt.Sprintf("dev/%d/seg/%020d", seg.DeviceID, d.nextSeq)
 	if err := s.blobs.Put(key, blob); err != nil {
 		return fmt.Errorf("remote: persist segment: %w", err)
 	}
-	if n := len(seg.Entries); n > 0 {
-		d.entries = append(d.entries, seg.Entries...)
-		d.nextSeq = seg.Entries[n-1].Seq + 1
-		d.headHash = seg.Entries[n-1].Hash
-	}
-	for i := range seg.Pages {
-		p := &seg.Pages[i]
-		// Intern by the hash VerifyPages just checked: the version index
-		// (and every subscriber) sees the canonical physical copy.
-		data, hit := s.chunks.intern(p.Hash, p.Data)
-		p.Data = data
-		if hit {
-			d.dedupHits++
-		}
-		d.versions[p.LPN] = insertVersion(d.versions[p.LPN], *p)
-		d.pageBytes += int64(len(p.Data))
-	}
-	d.segKeys = append(d.segKeys, key)
-	d.bytesLogical += int64(nvmeoe.SegmentBlobLogicalSize(blob))
-	d.bytesStored += int64(len(blob))
+	d.adopt(s.chunks, seg, key, nvmeoe.SegmentBlobLogicalSize(blob), len(blob))
 	// Streaming consumers see segments per device in ingest order because
 	// the shard lock is still held; other devices are unaffected.
 	s.mu.RLock()
@@ -217,6 +193,45 @@ func insertVersion(vs []oplog.PageRecord, p oplog.PageRecord) []oplog.PageRecord
 	copy(vs[i+1:], vs[i:])
 	vs[i] = p
 	return vs
+}
+
+// extends checks that seg's entries extend the device's chain exactly: they
+// start at the next sequence and chain onto the head hash. Entries that
+// oplog.UnmarshalSegment derived are not hashed a second time (see
+// oplog.Segment.VerifyChain); a segment built by hand is.
+func (d *deviceLog) extends(seg *oplog.Segment) error {
+	if len(seg.Entries) == 0 {
+		return nil
+	}
+	if seg.Entries[0].Seq != d.nextSeq {
+		return fmt.Errorf("segment starts at seq %d, chain is at %d", seg.Entries[0].Seq, d.nextSeq)
+	}
+	return seg.VerifyChain(d.headHash)
+}
+
+// adopt indexes a segment that passed VerifyPages and extends: the chain
+// advances, every page is interned by its verified hash so the version index
+// (and every subscriber) sees the canonical physical copy, and the blob's
+// key and sizes are ledgered.
+func (d *deviceLog) adopt(chunks *chunkIndex, seg *oplog.Segment, key string, logical, stored int) {
+	if n := len(seg.Entries); n > 0 {
+		d.entries = append(d.entries, seg.Entries...)
+		d.nextSeq = seg.Entries[n-1].Seq + 1
+		d.headHash = seg.Entries[n-1].Hash
+	}
+	for i := range seg.Pages {
+		p := &seg.Pages[i]
+		data, hit := chunks.intern(p.Hash, p.Data)
+		p.Data = data
+		if hit {
+			d.dedupHits++
+		}
+		d.versions[p.LPN] = insertVersion(d.versions[p.LPN], *p)
+		d.pageBytes += int64(len(p.Data))
+	}
+	d.segKeys = append(d.segKeys, key)
+	d.bytesLogical += int64(logical)
+	d.bytesStored += int64(stored)
 }
 
 // AppendCheckpoint stores a mapping snapshot. One pushed at a sequence that
@@ -677,30 +692,10 @@ func (s *Store) Reload() error {
 				return fmt.Errorf("remote: reload %s: %w", key, err)
 			}
 			d := dev(seg.DeviceID)
-			if len(seg.Entries) > 0 {
-				if seg.Entries[0].Seq != d.nextSeq {
-					return fmt.Errorf("remote: reload %s: chain gap at %d", key, d.nextSeq)
-				}
-				if err := oplog.VerifyChain(seg.Entries, d.headHash); err != nil {
-					return fmt.Errorf("remote: reload %s: %w", key, err)
-				}
-				d.entries = append(d.entries, seg.Entries...)
-				d.nextSeq = seg.Entries[len(seg.Entries)-1].Seq + 1
-				d.headHash = seg.Entries[len(seg.Entries)-1].Hash
+			if err := d.extends(seg); err != nil {
+				return fmt.Errorf("remote: reload %s: %w", key, err)
 			}
-			for i := range seg.Pages {
-				p := &seg.Pages[i]
-				data, hit := chunks.intern(p.Hash, p.Data)
-				p.Data = data
-				if hit {
-					d.dedupHits++
-				}
-				d.versions[p.LPN] = insertVersion(d.versions[p.LPN], *p)
-				d.pageBytes += int64(len(p.Data))
-			}
-			d.segKeys = append(d.segKeys, key)
-			d.bytesLogical += int64(logical)
-			d.bytesStored += int64(len(blob))
+			d.adopt(chunks, seg, key, logical, len(blob))
 			continue
 		}
 		if n, _ := fmt.Sscanf(key, "dev/%d/cp/%d", &devID, &seq); n == 2 {
