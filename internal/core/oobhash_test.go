@@ -132,7 +132,10 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rep RestoreReport
-		at, err = e.r.restoreSpan(0, 1, cut, at, &rep)
+		rb := rollback{r: e.r, before: cut, rep: &rep}
+		if err = rb.span(0, 1, at); err == nil {
+			at, err = rb.submit(at)
+		}
 		return at, rep, e.r, err
 	}
 	at, rep, r, err := run(0)

@@ -11,13 +11,15 @@ package core
 //   - VersionBefore / ImageBefore answer point-in-time queries across the
 //     live mapping, local pins, and the remote store; the remote part of
 //     an image rides the chunked FetchImageStream.
-//   - RestoreWrite / RestoreTrim are the logged primitives that roll a
-//     page back, stamping the evidence chain with recovery entries.
+//   - RestoreBatch is the logged primitive that rolls pages back, stamping
+//     the evidence chain with recovery entries: its writes reach flash as
+//     one grouped submission striped over every chip. RestoreWrite and
+//     RestoreTrim are its one-element forms.
 //   - RestoreImage is the resumable restorer: it streams the image in
 //     LPN-ordered codec-framed chunks over its own recovery session,
-//     applies pages incrementally as chunks arrive — every streamed page
-//     checked against its content hash on arrival — survives mid-stream
-//     disconnects by redialing and resuming from its cursor, charges
+//     applies each chunk as one RestoreBatch when it arrives — every
+//     streamed page checked against its content hash on arrival — survives
+//     mid-stream disconnects by redialing and resuming from its cursor, charges
 //     transfer time to a shared-bandwidth recovery link model, and
 //     reports a per-device RTO. Fleet power-cycle recovery and the
 //     rollback paths in internal/recovery both drive it.
@@ -456,40 +458,87 @@ func (r *RSSD) ImageBefore(before uint64, at simclock.Time) ([][]byte, error) {
 
 // --- Logged restore primitives --------------------------------------------
 
-// RestoreWrite rewrites lpn with recovered data, logging the operation as
-// a recovery action so the evidence chain distinguishes restoration from
-// host activity.
-func (r *RSSD) RestoreWrite(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
-	return r.restoreWrite(lpn, data, oplog.HashData(data), at)
+// RestoreOp is one logged recovery action: roll LPN back to Data, whose
+// content hash is Hash, or — Data nil — to the unmapped (zero) state, for a
+// page whose pre-attack state was "never written" or "trimmed by the
+// legitimate owner".
+type RestoreOp struct {
+	LPN  uint64
+	Data []byte
+	Hash [oplog.HashSize]byte
 }
 
-// restoreWrite is RestoreWrite for a caller that already knows data's
-// content hash: it is logged and stamped, never recomputed.
-func (r *RSSD) restoreWrite(lpn uint64, data []byte, hash [oplog.HashSize]byte, at simclock.Time) (simclock.Time, error) {
-	if len(data) != r.f.PageSize() {
-		return at, ftl.ErrBadPageSize
+// RestoreBatch applies ops in order, logging each as a recovery action so the
+// evidence chain distinguishes restoration from host activity. A run of
+// writes with ascending LPNs is one submission: one batch of KindRecovery
+// entries carrying the given hashes (logged and stamped, never recomputed),
+// one grouped FTL write on the recovery front issued at the time the run
+// starts, one round of background duties when it completes. A zeroing (or an
+// LPN not above its predecessor, whose entry must name the page the run
+// before it wrote) ends the run before it: entries stay in the order given.
+// The batch is validated up front; a device-level failure aborts it with the
+// earlier runs applied.
+func (r *RSSD) RestoreBatch(ops []RestoreOp, at simclock.Time) (simclock.Time, error) {
+	for i := range ops {
+		if ops[i].Data != nil && len(ops[i].Data) != r.f.PageSize() {
+			return at, ftl.ErrBadPageSize
+		}
+		if ops[i].LPN >= r.f.LogicalPages() {
+			return at, ftl.ErrOutOfRange
+		}
 	}
-	if lpn >= r.f.LogicalPages() {
-		return at, ftl.ErrOutOfRange
+	for start := 0; start < len(ops); {
+		var err error
+		if ops[start].Data == nil {
+			if at, err = r.restoreTrim(ops[start].LPN, at); err != nil {
+				return at, err
+			}
+			start++
+			continue
+		}
+		end := start + 1
+		for end < len(ops) && ops[end].Data != nil && ops[end].LPN > ops[end-1].LPN {
+			end++
+		}
+		if at, err = r.restoreWrites(ops[start:end], at); err != nil {
+			return at, err
+		}
+		start = end
 	}
-	oldPPN := r.f.Lookup(lpn)
-	e := r.log.Append(oplog.KindRecovery, at, lpn, oldPPN, ftl.NoPPN, 0, hash)
-	r.curStaleSeq, r.curStaleAt = e.Seq, at
-	done, err := r.f.WriteWithSeq(lpn, data, e.Seq, hash, at)
+	return at, nil
+}
+
+// restoreWrites submits one run of RestoreBatch: distinct LPNs, all writes.
+func (r *RSSD) restoreWrites(run []RestoreOp, at simclock.Time) (simclock.Time, error) {
+	lpns := make([]uint64, len(run))
+	for i := range run {
+		lpns[i] = run[i].LPN
+	}
+	oldPPNs := r.f.LookupBatch(lpns)
+	recs := make([]oplog.Rec, len(run))
+	for i := range run {
+		recs[i] = oplog.Rec{
+			Kind: oplog.KindRecovery, At: at, LPN: run[i].LPN,
+			OldPPN: oldPPNs[i], NewPPN: ftl.NoPPN, DataHash: run[i].Hash,
+		}
+	}
+	entries := r.log.AppendBatch(recs)
+	writes := make([]ftl.BatchWrite, len(run))
+	for i := range run {
+		writes[i] = ftl.BatchWrite{LPN: run[i].LPN, Data: run[i].Data, Seq: entries[i].Seq, Hash: run[i].Hash}
+	}
+	_, done, err := r.f.WriteRecoveryBatch(writes, at)
 	if err != nil {
 		return done, err
 	}
-	r.lpnWriteSeq[lpn] = e.Seq
-	return r.afterOp(done)
+	for i := range run {
+		r.lpnWriteSeq[run[i].LPN] = entries[i].Seq
+	}
+	return r.afterOps(len(run), done)
 }
 
-// RestoreTrim restores a page to the unmapped (zero) state, logging it as
-// a recovery action. Used when the pre-attack state of a page was "never
-// written" or "trimmed by the legitimate owner".
-func (r *RSSD) RestoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) {
-	if lpn >= r.f.LogicalPages() {
-		return at, ftl.ErrOutOfRange
-	}
+// restoreTrim logs and applies one zeroing of RestoreBatch.
+func (r *RSSD) restoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) {
 	oldPPN := r.f.Lookup(lpn)
 	e := r.log.Append(oplog.KindRecoveryTrim, at, lpn, oldPPN, ftl.NoPPN, 0, [oplog.HashSize]byte{})
 	r.curStaleSeq, r.curStaleAt = e.Seq, at
@@ -499,6 +548,20 @@ func (r *RSSD) RestoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) 
 	}
 	r.lpnWriteSeq[lpn] = NoSeq
 	return r.afterOp(done)
+}
+
+// RestoreWrite rewrites lpn with recovered data: a one-element RestoreBatch.
+func (r *RSSD) RestoreWrite(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
+	if len(data) != r.f.PageSize() {
+		return at, ftl.ErrBadPageSize
+	}
+	return r.RestoreBatch([]RestoreOp{{LPN: lpn, Data: data, Hash: oplog.HashData(data)}}, at)
+}
+
+// RestoreTrim restores lpn to the unmapped (zero) state: a one-element
+// RestoreBatch.
+func (r *RSSD) RestoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) {
+	return r.RestoreBatch([]RestoreOp{{LPN: lpn}}, at)
 }
 
 // --- The resumable restorer -----------------------------------------------
@@ -619,6 +682,10 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 	anchor := uint64(0)
 	anchorKnown := !opts.Delta
 
+	// Each chunk — and the local-only tail — is decided page by page, then
+	// submitted as one RestoreBatch before the callback returns: nothing is
+	// pending between chunks, so a cut resumes at the cursor.
+	rb := rollback{r: r, before: before, rep: &rep}
 	applyChunk := func(pages []oplog.PageRecord, cs remote.ChunkStats) error {
 		if opts.Link != nil {
 			at = at.Add(opts.Link.ChunkTimeAt(cs.WireBytes, at))
@@ -639,14 +706,17 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 			}
 			// LPNs between the cursor and this record have no remote
 			// version: roll them back from local state alone.
-			var err error
-			if at, err = r.restoreSpan(cursor, rec.LPN, before, at, &rep); err != nil {
+			if err := rb.span(cursor, rec.LPN, at); err != nil {
 				return &restoreApplyError{err}
 			}
-			if at, err = r.restoreLPN(rec.LPN, before, rec, at, &rep); err != nil {
+			if err := rb.page(rec.LPN, rec, at); err != nil {
 				return &restoreApplyError{err}
 			}
 			cursor = rec.LPN + 1
+		}
+		var err error
+		if at, err = rb.submit(at); err != nil {
+			return &restoreApplyError{err}
 		}
 		return nil
 	}
@@ -700,73 +770,89 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 	}
 	// The stream covered every LPN with remote history; finish the tail
 	// from local state.
-	var serr error
-	if at, serr = r.restoreSpan(cursor, n, before, at, &rep); serr != nil {
+	serr := rb.span(cursor, n, at)
+	if serr == nil {
+		at, serr = rb.submit(at)
+	}
+	if serr != nil {
 		return at, rep, fmt.Errorf("core: restore: %w", serr)
 	}
 	rep.RTO = at.Sub(start)
 	return at, rep, nil
 }
 
-// restoreSpan rolls back every LPN in [from, to) using local candidates
-// only (the stream had no remote version for them).
-func (r *RSSD) restoreSpan(from, to, before uint64, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
-	for lpn := from; lpn < to; lpn++ {
-		var err error
-		if at, err = r.restoreLPN(lpn, before, nil, at, rep); err != nil {
-			return at, err
-		}
-	}
-	return at, nil
+// rollback collects the recovery actions of one chunk of a rollback to the
+// cut `before`, in LPN order, until submit applies them as one RestoreBatch.
+type rollback struct {
+	r      *RSSD
+	before uint64
+	rep    *RestoreReport
+	ops    []RestoreOp
 }
 
-// restoreLPN rolls one page back to its newest version before the cut,
-// considering the live mapping, local pins, and the streamed remote
-// record (nil when the remote has none for this LPN), whose Data the stream
-// has already checked against its Hash.
-func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, at simclock.Time, rep *RestoreReport) (simclock.Time, error) {
-	best := merge(r.localBest(lpn, before), rec)
-	if best == nil || trimGap(best, before) {
+// span decides every LPN in [from, to) from local candidates only (the
+// stream had no remote version for them).
+func (rb *rollback) span(from, to uint64, at simclock.Time) error {
+	for lpn := from; lpn < to; lpn++ {
+		if err := rb.page(lpn, nil, at); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// page decides how lpn rolls back to its newest version before the cut,
+// considering the live mapping, local pins, and the streamed remote record
+// (nil when the remote has none for this LPN), whose Data the stream has
+// already checked against its Hash and keeps valid until submit.
+func (rb *rollback) page(lpn uint64, rec *oplog.PageRecord, at simclock.Time) error {
+	r := rb.r
+	best := merge(r.localBest(lpn, rb.before), rec)
+	switch {
+	case best == nil || trimGap(best, rb.before):
 		// Target state is zeroes: trim only if the page currently maps.
 		if r.lpnWriteSeq[lpn] == NoSeq {
-			rep.PagesKept++
-			return at, nil
+			rb.rep.PagesKept++
+		} else {
+			rb.ops = append(rb.ops, RestoreOp{LPN: lpn})
 		}
-		at, err := r.RestoreTrim(lpn, at)
-		if err != nil {
-			return at, fmt.Errorf("zero lpn %d: %w", lpn, err)
-		}
-		rep.PagesZeroed++
-		return at, nil
-	}
-	if best.live {
+	case best.live:
 		// The live version is already the newest-before-cut: no churn.
-		rep.PagesKept++
-		return at, nil
-	}
+		rb.rep.PagesKept++
 	// One SHA-256 pass per restored page, and none it cannot be held
 	// against: a streamed record keeps the hash it was verified against on
 	// arrival, a local pin is hashed once and must match what its OOB has
 	// carried since the write.
-	var data []byte
-	var hash [oplog.HashSize]byte
-	if best.rec != nil {
-		data = append([]byte(nil), best.rec.Data...)
-		hash = best.rec.Hash
-	} else {
-		var oob nand.OOB
-		var err error
-		if data, oob, _, err = r.f.ReadPhysical(best.ppn, at); err != nil {
-			return at, fmt.Errorf("read pin for lpn %d (ppn %d): %w", lpn, best.ppn, err)
+	case best.rec != nil:
+		rb.ops = append(rb.ops, RestoreOp{LPN: lpn, Data: best.rec.Data, Hash: best.rec.Hash})
+	default:
+		data, oob, _, err := r.f.ReadPhysical(best.ppn, at)
+		if err != nil {
+			return fmt.Errorf("read pin for lpn %d (ppn %d): %w", lpn, best.ppn, err)
 		}
-		if hash = oplog.HashData(data); hash != oob.Hash {
-			return at, fmt.Errorf("pin for lpn %d (ppn %d, write seq %d) fails its write-time content hash", lpn, best.ppn, oob.Seq)
+		hash := oplog.HashData(data)
+		if hash != oob.Hash {
+			return fmt.Errorf("pin for lpn %d (ppn %d, write seq %d) fails its write-time content hash", lpn, best.ppn, oob.Seq)
 		}
+		rb.ops = append(rb.ops, RestoreOp{LPN: lpn, Data: data, Hash: hash})
 	}
-	at, err := r.restoreWrite(lpn, data, hash, at)
+	return nil
+}
+
+// submit applies what the chunk decided and counts it.
+func (rb *rollback) submit(at simclock.Time) (simclock.Time, error) {
+	at, err := rb.r.RestoreBatch(rb.ops, at)
 	if err != nil {
-		return at, fmt.Errorf("restore lpn %d: %w", lpn, err)
+		return at, fmt.Errorf("restore lpns %d..%d: %w", rb.ops[0].LPN, rb.ops[len(rb.ops)-1].LPN, err)
 	}
-	rep.PagesRestored++
+	for i := range rb.ops {
+		if rb.ops[i].Data == nil {
+			rb.rep.PagesZeroed++
+		} else {
+			rb.rep.PagesRestored++
+		}
+	}
+	clear(rb.ops) // drop the chunk's page references
+	rb.ops = rb.ops[:0]
 	return at, nil
 }

@@ -13,11 +13,14 @@ import (
 // per-channel batch scheduler, plus the host-facing SubmitBatch that makes
 // a bare FTL a batch.Device (the batched LocalSSD baseline).
 //
-// Batched writes keep two invariants the per-op path gets for free:
+// Batched writes keep two invariants the per-op path gets for free, on
+// whichever front they allocate:
 //
 //   1. NAND pages within a block are programmed in allocation order. A
 //      batch therefore programs every allocated run before allocating past
-//      it into the next block.
+//      it into the next block; on the striped recovery front, where the
+//      pages of one block are interleaved with other chips', the NAND
+//      scheduler keeps submission order within a chip.
 //   2. Garbage collection never observes allocated-but-unprogrammed pages
 //      (it would misread them as reclaimable and erase them). Pending
 //      programs are flushed to the device before any allocation that could
@@ -63,6 +66,18 @@ type StaleSeqObserver interface {
 // (ErrNoSpace) aborts at the failing op; earlier ops remain applied, like
 // a partially consumed submission queue.
 func (f *FTL) WriteBatch(ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	return f.writeBatch(StreamHost, ops, at)
+}
+
+// WriteRecoveryBatch is WriteBatch on the recovery front: page i of the
+// batch lands on the chip after page i-1's (while every chip has a block to
+// give), so a restore chunk programs on every chip at once instead of
+// filling the host's one open block. The pages count as host writes.
+func (f *FTL) WriteRecoveryBatch(ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	return f.writeBatch(StreamRecovery, ops, at)
+}
+
+func (f *FTL) writeBatch(stream Stream, ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
 	times := make([]simclock.Time, len(ops))
 	for i := range ops {
 		if ops[i].LPN >= f.logicalPages {
@@ -114,12 +129,12 @@ func (f *FTL) WriteBatch(ops []BatchWrite, at simclock.Time) ([]simclock.Time, s
 		// never see our allocated-but-unprogrammed pages. The GC trigger
 		// is the free-list low watermark, so flush exactly when the next
 		// allocation both opens a block and could fire it.
-		if f.needsNewBlock(StreamHost) && len(f.freeList) <= f.cfg.GCLowWater {
+		if f.needsNewBlock(stream) && len(f.freeList) <= f.cfg.GCLowWater {
 			if err := flush(); err != nil {
 				return times, done, err
 			}
 		}
-		first, n, t, err := f.allocRun(StreamHost, len(ops)-i, issue)
+		first, n, t, err := f.alloc(stream, len(ops)-i, issue)
 		if err != nil {
 			// Program what was already allocated (invariant 1), then
 			// report the failure.

@@ -29,11 +29,29 @@ import (
 type Stream int
 
 const (
-	StreamHost Stream = iota // host-issued writes
-	StreamGC                 // GC migrations of valid data
-	StreamLog                // RSSD: retained-page relocations and log pages
+	StreamHost     Stream = iota // host-issued writes
+	StreamGC                     // GC migrations of valid data
+	StreamLog                    // RSSD: retained-page relocations and log pages
+	StreamRecovery               // RSSD: pages a restore rolls back, striped over every chip
 	numStreams
 )
+
+// way is one open block of a stream's write front.
+type way struct {
+	block uint64
+	open  bool
+	next  int // first unallocated page of block
+}
+
+// front is a stream's write front: its open blocks, and whose turn it is.
+// The host, GC and log fronts are one way wide, so each fills one block at a
+// time. The recovery front has a way per chip — way w opens only blocks of
+// chip w — and takes its next page from the next way, so consecutive pages
+// of a recovery batch land on consecutive chips and program side by side.
+type front struct {
+	ways []way
+	cur  int
+}
 
 // StaleCause says why a physical page became stale.
 type StaleCause uint8
@@ -193,21 +211,19 @@ type Stats struct {
 // use: the simulation driver issues operations from one goroutine, like
 // the single firmware event loop on the device.
 type FTL struct {
-	cfg  Config
-	geo  nand.Geometry
-	dev  *nand.Device
-	ret  Retainer // may be nil (plain LocalSSD)
+	cfg Config
+	geo nand.Geometry
+	dev *nand.Device
+	ret Retainer // may be nil (plain LocalSSD)
 
 	l2p    *l2pTable // logical page -> PPN or NoPPN, sharded by LPN
 	rmap   []uint64  // PPN -> logical page or NoLPN
 	pinned []bool    // PPN -> pinned by retainer
 
-	blocks    []blockInfo
-	freeList  []uint64
-	active    [numStreams]uint64 // active block per stream
-	activeSet [numStreams]bool
-	nextPage  [numStreams]int
-	allocSeq  uint64
+	blocks   []blockInfo
+	freeList []uint64
+	fronts   [numStreams]front
+	allocSeq uint64
 
 	logicalPages uint64
 	stats        Stats
@@ -262,6 +278,10 @@ func Attach(cfg Config, dev *nand.Device, retainer Retainer) *FTL {
 	for i := range f.rmap {
 		f.rmap[i] = NoLPN
 	}
+	for s := range f.fronts {
+		f.fronts[s].ways = make([]way, 1)
+	}
+	f.fronts[StreamRecovery].ways = make([]way, g.Chips())
 	f.freeList = make([]uint64, 0, g.TotalBlocks())
 	for b := 0; b < g.TotalBlocks(); b++ {
 		f.freeList = append(f.freeList, uint64(b))
@@ -298,9 +318,11 @@ func (f *FTL) WAF() float64 {
 // toward zero.
 func (f *FTL) FreePages() int {
 	n := len(f.freeList) * f.geo.PagesPerBlock
-	for s := Stream(0); s < numStreams; s++ {
-		if f.activeSet[s] {
-			n += f.geo.PagesPerBlock - f.nextPage[s]
+	for s := range f.fronts {
+		for _, w := range f.fronts[s].ways {
+			if w.open {
+				n += f.geo.PagesPerBlock - w.next
+			}
 		}
 	}
 	return n
@@ -363,45 +385,11 @@ func (f *FTL) Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, e
 	if len(data) != f.geo.PageSize {
 		return at, ErrBadPageSize
 	}
-	done, err := f.writeMapped(lpn, data, StreamHost, nand.OOB{LPN: lpn}, at)
-	if err != nil {
-		return done, err
-	}
-	f.stats.HostWrites++
-	f.stats.HostWriteLatency += done.Sub(at)
-	return done, nil
-}
-
-// WriteWithSeq is Write with an operation-log sequence number and that
-// entry's content hash stamped into the page's OOB area; RSSD uses it so
-// retained flash pages can be tied to log entries during post-attack
-// forensics and ship under the hash recorded when they were written. The
-// hash is the caller's claim about data — the FTL stores it, GC copies it
-// verbatim, nothing here recomputes it.
-func (f *FTL) WriteWithSeq(lpn uint64, data []byte, seq uint64, hash [32]byte, at simclock.Time) (simclock.Time, error) {
-	if lpn >= f.logicalPages {
-		return at, ErrOutOfRange
-	}
-	if len(data) != f.geo.PageSize {
-		return at, ErrBadPageSize
-	}
-	done, err := f.writeMapped(lpn, data, StreamHost, nand.OOB{LPN: lpn, Seq: seq, Hash: hash}, at)
-	if err != nil {
-		return done, err
-	}
-	f.stats.HostWrites++
-	f.stats.HostWriteLatency += done.Sub(at)
-	return done, nil
-}
-
-// writeMapped allocates a page on stream, programs it, and flips the
-// mapping for lpn, invalidating the old version.
-func (f *FTL) writeMapped(lpn uint64, data []byte, stream Stream, oob nand.OOB, at simclock.Time) (simclock.Time, error) {
-	ppn, at2, err := f.allocPage(stream, at)
+	ppn, _, issue, err := f.alloc(StreamHost, 1, at)
 	if err != nil {
 		return at, err
 	}
-	done, err := f.dev.Program(ppn, data, oob, at2)
+	done, err := f.dev.Program(ppn, data, nand.OOB{LPN: lpn}, issue)
 	if err != nil {
 		return at, fmt.Errorf("ftl: program ppn %d: %w", ppn, err)
 	}
@@ -411,6 +399,8 @@ func (f *FTL) writeMapped(lpn uint64, data []byte, stream Stream, oob nand.OOB, 
 	f.l2p.set(lpn, ppn)
 	f.rmap[ppn] = lpn
 	f.blocks[f.geo.BlockOf(ppn)].valid++
+	f.stats.HostWrites++
+	f.stats.HostWriteLatency += done.Sub(at)
 	return done, nil
 }
 
@@ -501,72 +491,123 @@ func (f *FTL) ReadPhysicalBackground(ppn uint64, at simclock.Time) (*bufpool.Buf
 	return f.dev.ReadBackground(ppn, at)
 }
 
-// allocPage returns the next free page on the stream's active block,
-// opening a new block (and running GC) as needed.
-func (f *FTL) allocPage(stream Stream, at simclock.Time) (uint64, simclock.Time, error) {
-	ppn, _, at, err := f.allocRun(stream, 1, at)
-	return ppn, at, err
-}
-
 // needsNewBlock reports whether the next allocation on stream has to open
 // a fresh block (and may therefore trigger garbage collection).
 func (f *FTL) needsNewBlock(stream Stream) bool {
-	return !f.activeSet[stream] || f.nextPage[stream] >= f.geo.PagesPerBlock
+	fr := &f.fronts[stream]
+	w := &fr.ways[fr.cur]
+	return !w.open || w.next >= f.geo.PagesPerBlock
 }
 
-// allocRun reserves up to max consecutive pages on the stream's active
-// block, opening a new block (and running GC) only when the active block
-// is exhausted. It returns the first reserved PPN and the run length
-// (>= 1 on success); the run never spans blocks, so callers that want more
-// pages simply call again. Reserved pages MUST be programmed before the
-// stream's next block is opened — batch writers program each run before
-// allocating past it, keeping the NAND sequential-program invariant.
-func (f *FTL) allocRun(stream Stream, max int, at simclock.Time) (uint64, int, simclock.Time, error) {
-	if f.needsNewBlock(stream) {
-		if f.activeSet[stream] {
-			// Retire the filled block.
-			f.blocks[f.active[stream]].state = blockFull
-			f.activeSet[stream] = false
+// alloc is the one block allocator. It reserves pages at the stream's current
+// way and moves the front on to the next: up to want consecutive pages of the
+// open block on a one-way front (the run never spans blocks, so callers that
+// want more simply call again), a single page on the striped recovery front.
+// It returns the first reserved PPN and the run length (>= 1 on success). A
+// way whose block is exhausted opens a new one, running GC first unless the
+// caller is GC itself (maybeGC does not recurse); a recovery way whose chip
+// has no free block is passed over this round. Reserved pages MUST be
+// programmed before their way opens its next block — batch writers program
+// what they hold before an allocation that may collect, keeping the NAND
+// sequential-program invariant.
+func (f *FTL) alloc(stream Stream, want int, at simclock.Time) (uint64, int, simclock.Time, error) {
+	fr := &f.fronts[stream]
+	for range fr.ways {
+		wi := fr.cur
+		w := &fr.ways[wi]
+		if f.needsNewBlock(stream) {
+			var err error
+			if at, err = f.openBlock(stream, wi, at); err != nil {
+				return 0, 0, at, err
+			}
 		}
-		var err error
-		at, err = f.maybeGC(at)
-		if err != nil {
-			return 0, 0, at, err
+		fr.cur = (wi + 1) % len(fr.ways)
+		if !w.open {
+			continue
 		}
-		blk, err := f.takeFreeBlock()
-		if err != nil {
-			return 0, 0, at, err
+		n := 1
+		if len(fr.ways) == 1 {
+			n = min(want, f.geo.PagesPerBlock-w.next)
 		}
-		f.active[stream] = blk
-		f.activeSet[stream] = true
-		f.nextPage[stream] = 0
-		f.allocSeq++
-		f.blocks[blk].state = blockActive
-		f.blocks[blk].allocSeq = f.allocSeq
+		ppn := f.geo.PPN(w.block, w.next)
+		w.next += n
+		return ppn, n, at, nil
 	}
-	n := f.geo.PagesPerBlock - f.nextPage[stream]
-	if n > max {
-		n = max
+	return 0, 0, at, ErrNoSpace
+}
+
+// openBlock retires the filled block of way wi of the stream's front and
+// opens the next: for the host front an open block the recovery front left
+// behind, else the least-worn free block — of the way's own chip on the
+// striped front. Finding none leaves the way closed.
+func (f *FTL) openBlock(stream Stream, wi int, at simclock.Time) (simclock.Time, error) {
+	fr := &f.fronts[stream]
+	w := &fr.ways[wi]
+	if w.open {
+		f.blocks[w.block].state = blockFull
+		w.open = false
 	}
-	ppn := f.geo.PPN(f.active[stream], f.nextPage[stream])
-	f.nextPage[stream] += n
-	return ppn, n, at, nil
+	if stream == StreamHost && f.adoptRecoveryBlock(w) {
+		return at, nil
+	}
+	at, err := f.maybeGC(at)
+	if err != nil {
+		return at, err
+	}
+	chip := -1
+	if len(fr.ways) > 1 {
+		chip = wi
+	}
+	blk, ok := f.takeFreeBlock(chip)
+	if !ok {
+		return at, nil
+	}
+	*w = way{block: blk, open: true}
+	f.allocSeq++
+	f.blocks[blk].state = blockActive
+	f.blocks[blk].allocSeq = f.allocSeq
+	return at, nil
+}
+
+// adoptRecoveryBlock hands w the first block with room that the recovery
+// front holds open, and retires the full ones it passes. The FTL is
+// single-threaded, so recovery is never mid-batch when the host allocates;
+// without this an idle recovery front would strand up to a block per chip of
+// free pages where host writes cannot reach them.
+func (f *FTL) adoptRecoveryBlock(w *way) bool {
+	ways := f.fronts[StreamRecovery].ways
+	for i := range ways {
+		if !ways[i].open {
+			continue
+		}
+		ways[i].open = false
+		if ways[i].next < f.geo.PagesPerBlock {
+			*w = way{block: ways[i].block, open: true, next: ways[i].next}
+			return true
+		}
+		f.blocks[ways[i].block].state = blockFull
+	}
+	return false
 }
 
 // takeFreeBlock removes and returns the coldest (least-worn) free block,
-// implementing static wear leveling at allocation time.
-func (f *FTL) takeFreeBlock() (uint64, error) {
-	if len(f.freeList) == 0 {
-		return 0, ErrNoSpace
-	}
-	best, bestWear := 0, int(^uint(0)>>1)
+// implementing static wear leveling at allocation time. chip >= 0 restricts
+// the choice to that chip's blocks.
+func (f *FTL) takeFreeBlock(chip int) (uint64, bool) {
+	best, bestWear := -1, int(^uint(0)>>1)
 	for i, b := range f.freeList {
+		if chip >= 0 && f.geo.ChipOfBlock(b) != chip {
+			continue
+		}
 		if w := f.dev.EraseCount(b); w < bestWear {
 			best, bestWear = i, w
 		}
 	}
+	if best < 0 {
+		return 0, false
+	}
 	blk := f.freeList[best]
 	f.freeList[best] = f.freeList[len(f.freeList)-1]
 	f.freeList = f.freeList[:len(f.freeList)-1]
-	return blk, nil
+	return blk, true
 }

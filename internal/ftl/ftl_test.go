@@ -38,15 +38,15 @@ func fill(b byte, n int) []byte {
 
 // recordingRetainer pins according to pinAll and records every event.
 type recordingRetainer struct {
-	pinAll    bool
-	f         *FTL
-	stale     []string
-	erased    []string
-	migrated  []string
-	pressure  int
-	pins      map[uint64]uint64 // ppn -> lpn
+	pinAll         bool
+	f              *FTL
+	stale          []string
+	erased         []string
+	migrated       []string
+	pressure       int
+	pins           map[uint64]uint64 // ppn -> lpn
 	dropOnPressure bool
-	keepLPN   map[uint64]bool // pins for these LPNs survive pressure drops
+	keepLPN        map[uint64]bool // pins for these LPNs survive pressure drops
 }
 
 func newRecordingRetainer(pinAll bool) *recordingRetainer {
@@ -428,14 +428,18 @@ func TestCostBenefitPolicyAlsoPreservesData(t *testing.T) {
 
 func TestWriteWithSeqStampsOOB(t *testing.T) {
 	f := New(smallConfig(), nil)
-	f.WriteWithSeq(2, fill(9, 512), 77, [32]byte{1}, 0)
-	ppn := f.Lookup(2)
-	_, oob, _, err := f.ReadPhysical(ppn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oob.Seq != 77 || oob.LPN != 2 || oob.Hash != [32]byte{1} {
-		t.Fatalf("OOB = %+v", oob)
+	for i, write := range []func([]BatchWrite, simclock.Time) ([]simclock.Time, simclock.Time, error){f.WriteBatch, f.WriteRecoveryBatch} {
+		seq, hash := uint64(77+i), [32]byte{byte(1 + i)}
+		if _, _, err := write([]BatchWrite{{LPN: 2, Data: fill(9, 512), Seq: seq, Hash: hash}}, 0); err != nil {
+			t.Fatal(err)
+		}
+		_, oob, _, err := f.ReadPhysical(f.Lookup(2), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oob.Seq != seq || oob.LPN != 2 || oob.Hash != hash {
+			t.Fatalf("OOB = %+v", oob)
+		}
 	}
 }
 

@@ -145,16 +145,16 @@ func (f *FTL) collect(victim uint64, at simclock.Time) (simclock.Time, error) {
 		if err != nil {
 			return at, fmt.Errorf("ftl: gc read block %d: %w", victim, err)
 		}
-		// Allocate targets (straight from the free pool: GC must not
-		// recurse), then program them as one batch once every source page
-		// is in the controller's buffers.
+		// Allocate targets (straight from the free pool: inGC keeps alloc
+		// from collecting again), then program them as one batch once every
+		// source page is in the controller's buffers.
 		progs := make([]nand.PageProgram, len(migs))
 		for i := range migs {
 			stream := StreamGC
 			if migs[i].pinned {
 				stream = StreamLog
 			}
-			newPPN, _, err := f.allocPageNoGC(stream)
+			newPPN, _, _, err := f.alloc(stream, 1, readDone)
 			if err != nil {
 				return readDone, err
 			}
@@ -189,30 +189,6 @@ func (f *FTL) collect(victim uint64, at simclock.Time) (simclock.Time, error) {
 		at = progDone
 	}
 	return f.eraseBlock(victim, at)
-}
-
-// allocPageNoGC allocates a page for GC-internal writes. It must not
-// recurse into maybeGC; it draws straight from the free pool.
-func (f *FTL) allocPageNoGC(stream Stream) (uint64, simclock.Time, error) {
-	if !f.activeSet[stream] || f.nextPage[stream] >= f.geo.PagesPerBlock {
-		if f.activeSet[stream] {
-			f.blocks[f.active[stream]].state = blockFull
-			f.activeSet[stream] = false
-		}
-		blk, err := f.takeFreeBlock()
-		if err != nil {
-			return 0, 0, err
-		}
-		f.active[stream] = blk
-		f.activeSet[stream] = true
-		f.nextPage[stream] = 0
-		f.allocSeq++
-		f.blocks[blk].state = blockActive
-		f.blocks[blk].allocSeq = f.allocSeq
-	}
-	ppn := f.geo.PPN(f.active[stream], f.nextPage[stream])
-	f.nextPage[stream]++
-	return ppn, 0, nil
 }
 
 // eraseBlock physically erases a block, reporting destroyed stale pages to

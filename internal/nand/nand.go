@@ -194,6 +194,7 @@ type Device struct {
 	blocks   []blockState
 	chipBusy []simclock.Time // host/GC datapath next-free per chip
 	bgBusy   []simclock.Time // background (offload engine) next-free per chip
+	sched    []chipQueue     // batch scheduler scratch, one queue per chip
 	stats    Stats
 	rng      *rand.Rand
 }
@@ -215,6 +216,7 @@ func New(cfg Config) *Device {
 		blocks:   make([]blockState, g.TotalBlocks()),
 		chipBusy: make([]simclock.Time, g.Chips()),
 		bgBusy:   make([]simclock.Time, g.Chips()),
+		sched:    make([]chipQueue, g.Chips()),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 }

@@ -24,8 +24,9 @@ type PageProgram struct {
 }
 
 // chipQueue indexes a batch's operations for one chip, in submission order.
+// The device keeps one per chip (Device.sched) and reuses its index slice, so
+// scheduling a batch allocates nothing once the slices have grown.
 type chipQueue struct {
-	chip int
 	ops  []int // indexes into the batch
 	next int   // next unissued op
 }
@@ -35,42 +36,38 @@ type chipQueue struct {
 // up; issue returns the completion time (which the scheduler records as the
 // chip's next-free time) or an error, which aborts the batch. chipOf maps a
 // batch index to its chip. Per-op completion times are written into times.
+// Called with d.mu held, which also guards the scratch queues.
 func (d *Device) schedule(n int, chipOf func(int) int, times []simclock.Time,
 	issue func(op int, start simclock.Time) (simclock.Time, error)) error {
 	// Group the batch by chip, preserving submission order within a chip —
 	// NAND requires in-order programming within a block, and same-chip
 	// operations serialize anyway.
-	byChip := map[int]*chipQueue{}
-	var queues []*chipQueue
+	for c := range d.sched {
+		d.sched[c].ops, d.sched[c].next = d.sched[c].ops[:0], 0
+	}
 	for i := 0; i < n; i++ {
-		c := chipOf(i)
-		q := byChip[c]
-		if q == nil {
-			q = &chipQueue{chip: c}
-			byChip[c] = q
-			queues = append(queues, q)
-		}
+		q := &d.sched[chipOf(i)]
 		q.ops = append(q.ops, i)
 	}
 	// Interleave: always advance the chip that frees up earliest (ties go
 	// to the lower chip index, keeping the schedule deterministic).
 	for {
-		var pick *chipQueue
+		pick := -1
 		var pickFree simclock.Time
-		for _, q := range queues {
-			if q.next >= len(q.ops) {
+		for c := range d.sched {
+			if q := &d.sched[c]; q.next >= len(q.ops) {
 				continue
 			}
-			free := d.chipBusy[q.chip]
-			if pick == nil || free < pickFree || (free == pickFree && q.chip < pick.chip) {
-				pick, pickFree = q, free
+			if free := d.chipBusy[c]; pick < 0 || free < pickFree {
+				pick, pickFree = c, free
 			}
 		}
-		if pick == nil {
+		if pick < 0 {
 			return nil
 		}
-		op := pick.ops[pick.next]
-		pick.next++
+		q := &d.sched[pick]
+		op := q.ops[q.next]
+		q.next++
 		done, err := issue(op, pickFree)
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package nand
 import (
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/simclock"
 )
 
@@ -178,5 +179,49 @@ func TestEraseSuspend(t *testing.T) {
 	}
 	if progDone.Before(eraseDone) {
 		t.Fatalf("program to erasing block completed at %v, before erase done %v", progDone, eraseDone)
+	}
+}
+
+// TestBatchSteadyStateAllocs: the scheduler groups and interleaves a batch in
+// per-device scratch, so a grouped program allocates only the completion
+// times it returns (page storage is pooled and recycled by the erase), and a
+// grouped read only its three result slices and the page copies it hands out.
+func TestBatchSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	d := New(schedConfig())
+	g := d.Geometry()
+	var progs []PageProgram
+	var ppns []uint64
+	for block := uint64(0); block < 2*uint64(g.Chips()); block++ {
+		for i := 0; i < g.PagesPerBlock; i++ {
+			progs = append(progs, PageProgram{PPN: g.PPN(block, i), Data: schedPage(byte(i))})
+			ppns = append(ppns, g.PPN(block, i))
+		}
+	}
+	cycle := func(read bool) func() {
+		return func() {
+			if _, _, err := d.ProgramBatch(progs, 0); err != nil {
+				t.Fatal(err)
+			}
+			if read {
+				if _, _, _, _, err := d.ReadBatch(ppns, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for block := uint64(0); block < 2*uint64(g.Chips()); block++ {
+				if _, err := d.Erase(block, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	cycle(true)() // grow the scratch queues and the page pool
+	if got := testing.AllocsPerRun(20, cycle(false)); got > 1 {
+		t.Fatalf("ProgramBatch of %d pages: %.1f allocs, want 1 (the times it returns)", len(progs), got)
+	}
+	if got, want := testing.AllocsPerRun(20, cycle(true)), float64(1+3+len(ppns)); got > want {
+		t.Fatalf("ProgramBatch + ReadBatch of %d pages: %.1f allocs, want at most %.0f", len(ppns), got, want)
 	}
 }

@@ -66,11 +66,13 @@ func NewEngine(dev *core.RSSD, client *remote.Client, opts Options) *Engine {
 
 // RestoreWindow rolls every victim page in the window back to its state
 // just before the attack began, returning the simulated completion time
-// and a report.
+// and a report. The victims' versions are looked up (and verified) one by
+// one; the rollback itself is one core.RestoreBatch over the whole window.
 func (e *Engine) RestoreWindow(win forensic.Window, at simclock.Time) (simclock.Time, Report, error) {
 	wallStart := time.Now()
 	simStart := at
 	rep := Report{VictimPages: len(win.Victims)}
+	ops := make([]core.RestoreOp, 0, len(win.Victims))
 	for _, lpn := range win.Victims {
 		data, writeSeq, ok, err := e.dev.VersionBefore(lpn, win.StartSeq, at)
 		if err != nil {
@@ -78,15 +80,12 @@ func (e *Engine) RestoreWindow(win forensic.Window, at simclock.Time) (simclock.
 		}
 		if !ok {
 			// Page did not exist before the attack: restore to unmapped.
-			at, err = e.dev.RestoreTrim(lpn, at)
-			if err != nil {
-				return at, rep, fmt.Errorf("recovery: zero lpn %d: %w", lpn, err)
-			}
-			rep.PagesZeroed++
+			ops = append(ops, core.RestoreOp{LPN: lpn})
 			continue
 		}
+		hash := oplog.HashData(data)
 		if e.opts.Verify && writeSeq != core.NoSeq {
-			match, err := e.verify(lpn, writeSeq, data)
+			match, err := e.verify(lpn, writeSeq, hash)
 			if err != nil {
 				return at, rep, err
 			}
@@ -97,12 +96,19 @@ func (e *Engine) RestoreWindow(win forensic.Window, at simclock.Time) (simclock.
 				continue // refuse to restore unverifiable content
 			}
 		}
-		at, err = e.dev.RestoreWrite(lpn, data, at)
-		if err != nil {
-			return at, rep, fmt.Errorf("recovery: restore lpn %d: %w", lpn, err)
+		ops = append(ops, core.RestoreOp{LPN: lpn, Data: data, Hash: hash})
+	}
+	at, err := e.dev.RestoreBatch(ops, at)
+	if err != nil {
+		return at, rep, fmt.Errorf("recovery: restore window: %w", err)
+	}
+	for i := range ops {
+		if ops[i].Data == nil {
+			rep.PagesZeroed++
+		} else {
+			rep.PagesRestored++
+			rep.BytesRestored += len(ops[i].Data)
 		}
-		rep.PagesRestored++
-		rep.BytesRestored += len(data)
 	}
 	rep.SimTime = at.Sub(simStart)
 	rep.WallTime = time.Since(wallStart)
@@ -173,10 +179,10 @@ func (e *Engine) RebuildTo(target Target, before uint64, at simclock.Time) (simc
 	return at, rep, nil
 }
 
-// verify compares data against the DataHash recorded by the log entry that
-// wrote this version, consulting the local log first and the remote store
-// for pruned entries.
-func (e *Engine) verify(lpn, writeSeq uint64, data []byte) (bool, error) {
+// verify compares a version's content hash against the DataHash recorded by
+// the log entry that wrote it, consulting the local log first and the remote
+// store for pruned entries.
+func (e *Engine) verify(lpn, writeSeq uint64, hash [oplog.HashSize]byte) (bool, error) {
 	var entry *oplog.Entry
 	if writeSeq >= e.dev.Log().BaseSeq() {
 		if got := e.dev.Log().Entries(writeSeq, writeSeq+1); len(got) == 1 {
@@ -198,5 +204,5 @@ func (e *Engine) verify(lpn, writeSeq uint64, data []byte) (bool, error) {
 	if entry.LPN != lpn {
 		return false, nil
 	}
-	return entry.DataHash == oplog.HashData(data), nil
+	return entry.DataHash == hash, nil
 }

@@ -2,6 +2,8 @@ package remote
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/oplog"
@@ -70,6 +72,96 @@ func TestImageRangeChunks(t *testing.T) {
 	if len(pages) != 4 || pages[0].LPN != 5 || pages[3].LPN != 8 {
 		t.Fatalf("bounded range = %d pages starting %d", len(pages), pages[0].LPN)
 	}
+}
+
+// imageRangeByFullScan is the selection ImageRange made before it had a
+// sorted LPN index: every LPN of the version map filtered, sorted, cut at
+// maxPages.
+func imageRangeByFullScan(st *Store, dev, from, to, before uint64, maxPages int, only map[uint64]struct{}) (pages []oplog.PageRecord, next uint64, more bool) {
+	d, _ := st.lookup(dev)
+	var lpns []uint64
+	for lpn := range d.versions {
+		if _, touched := only[lpn]; lpn >= from && lpn < to && (only == nil || touched) {
+			lpns = append(lpns, lpn)
+		}
+	}
+	slices.Sort(lpns)
+	next = from
+	for _, lpn := range lpns {
+		rec, ok := st.Version(dev, lpn, before)
+		if !ok {
+			continue
+		}
+		if len(pages) == maxPages {
+			return pages, next, true
+		}
+		pages, next = append(pages, rec), lpn+1
+	}
+	return pages, next, false
+}
+
+// TestImageRangeMatchesFullScan holds the indexed ImageRange against the full
+// scan on a seeded index — sparse LPNs with one to three versions each — for
+// random cursors, bounds, cuts and chunk sizes, with `only` set and unset,
+// and again after an expiry takes some LPNs' last version and an ingest
+// gives new LPNs their first.
+func TestImageRangeMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	st := NewStore(NewMemStore())
+	l := oplog.New()
+	ingest := func(pages int) {
+		seg := &oplog.Segment{DeviceID: 1, FirstSeq: l.NextSeq()}
+		for i := 0; i < pages; i++ {
+			lpn := uint64(rng.Intn(400))
+			data := []byte(fmt.Sprintf("v%d-%d", l.NextSeq(), lpn))
+			e := l.Append(oplog.KindWrite, 0, lpn, 0, lpn, 1, oplog.HashData(data))
+			seg.Entries = append(seg.Entries, e)
+			seg.Pages = append(seg.Pages, oplog.PageRecord{LPN: lpn, WriteSeq: e.Seq, StaleSeq: e.Seq + 1, Hash: e.DataHash, Data: data})
+		}
+		seg.LastSeq = l.NextSeq()
+		if err := st.AppendSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compare := func(stage string) {
+		for trial := 0; trial < 300; trial++ {
+			from, to := uint64(rng.Intn(420)), ^uint64(0)
+			if rng.Intn(3) == 0 {
+				to = from + uint64(rng.Intn(200))
+			}
+			before, maxPages := uint64(rng.Intn(int(l.NextSeq())+2)), rng.Intn(40)
+			var only map[uint64]struct{}
+			if trial%2 == 1 {
+				only = map[uint64]struct{}{}
+				for i := rng.Intn(120); i > 0; i-- {
+					only[uint64(rng.Intn(420))] = struct{}{}
+				}
+			}
+			got, gotNext, gotMore := st.ImageRange(1, from, to, before, maxPages, only)
+			want, wantNext, wantMore := imageRangeByFullScan(st, 1, from, to, before, max(maxPages, 1), only)
+			if gotNext != wantNext || gotMore != wantMore || len(got) != len(want) {
+				t.Fatalf("%s trial %d [%d,%d) before %d max %d only=%v: %d pages next %d more %v, full scan %d pages next %d more %v",
+					stage, trial, from, to, before, maxPages, only != nil, len(got), gotNext, gotMore, len(want), wantNext, wantMore)
+			}
+			for i := range got {
+				if got[i].LPN != want[i].LPN || got[i].WriteSeq != want[i].WriteSeq {
+					t.Fatalf("%s trial %d page %d: %+v, full scan %+v", stage, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for s := 0; s < 6; s++ {
+		ingest(60)
+	}
+	compare("seeded")
+	for _, i := range []int{0, 3} {
+		if err := st.DropSegmentPages(1, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compare("after expiry")
+	ingest(80)
+	compare("after ingest")
 }
 
 // TestFetchImageStreamEndToEnd drives the chunked image stream over a real

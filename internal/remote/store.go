@@ -51,7 +51,13 @@ type deviceLog struct {
 	nextSeq     uint64
 	headHash    [oplog.HashSize]byte
 	versions    map[uint64][]oplog.PageRecord // lpn -> records sorted by WriteSeq
-	checkpoints []nvmeoe.Checkpoint           // sorted by Seq
+	// lpns is the key set of versions, ascending: sortedLPNs builds it on
+	// demand and whoever gives an LPN its first version or takes its last
+	// (under mu's write lock) drops it. lpnsMu orders builders, which hold
+	// mu only for reading.
+	lpnsMu      sync.Mutex
+	lpns        []uint64
+	checkpoints []nvmeoe.Checkpoint // sorted by Seq
 	segKeys     []string
 	pageBytes   int64
 	// dedupHits counts ingested page versions whose content was already
@@ -226,6 +232,9 @@ func (d *deviceLog) adopt(chunks *chunkIndex, seg *oplog.Segment, key string, lo
 		if hit {
 			d.dedupHits++
 		}
+		if len(d.versions[p.LPN]) == 0 {
+			d.lpns = nil
+		}
 		d.versions[p.LPN] = insertVersion(d.versions[p.LPN], *p)
 		d.pageBytes += int64(len(p.Data))
 	}
@@ -310,15 +319,12 @@ func (s *Store) HeldVersions(deviceID uint64) []oplog.PageRecord {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	lpns := make([]uint64, 0, len(d.versions))
 	n := 0
-	for lpn, vs := range d.versions {
-		lpns = append(lpns, lpn)
+	for _, vs := range d.versions {
 		n += len(vs)
 	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
 	out := make([]oplog.PageRecord, 0, n)
-	for _, lpn := range lpns {
+	for _, lpn := range d.sortedLPNs() {
 		for _, p := range d.versions[lpn] {
 			p.Data = nil
 			out = append(out, p)
@@ -352,39 +358,29 @@ func (s *Store) ImageRange(deviceID, fromLPN, toLPN, before uint64, maxPages int
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	// Bounded selection: keep the maxPages+1 smallest qualifying LPNs in
-	// a max-heap (the +1 learns whether more remain), so one chunk costs
-	// O(versions · log chunk) — never a sort of the whole remaining tail,
-	// and never an allocation sized by a wire-supplied value.
-	k := maxPages + 1
-	lpns := make([]uint64, 0, min(k, 4096))
-	for lpn, vs := range d.versions {
-		if lpn < fromLPN || lpn >= toLPN {
-			continue
+	// Walk the sorted LPNs forward from the cursor and stop one qualifying
+	// LPN past the chunk (the +1 learns whether more remain): a chunk costs
+	// what it returns, not a pass over the whole version index.
+	lpns := d.sortedLPNs()
+	start, _ := slices.BinarySearch(lpns, fromLPN)
+	for _, lpn := range lpns[start:] {
+		if lpn >= toLPN {
+			break
 		}
 		if only != nil {
 			if _, touched := only[lpn]; !touched {
 				continue
 			}
 		}
-		if i := sort.Search(len(vs), func(i int) bool { return vs[i].WriteSeq >= before }); i == 0 {
-			continue
-		}
-		if len(lpns) < k {
-			lpns = append(lpns, lpn)
-			lpnHeapUp(lpns)
-		} else if lpn < lpns[0] {
-			lpns[0] = lpn
-			lpnHeapDown(lpns)
-		}
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	if len(lpns) > maxPages {
-		lpns, more = lpns[:maxPages], true
-	}
-	for _, lpn := range lpns {
 		vs := d.versions[lpn]
 		i := sort.Search(len(vs), func(i int) bool { return vs[i].WriteSeq >= before })
+		if i == 0 {
+			continue
+		}
+		if len(pages) == maxPages {
+			more = true
+			break
+		}
 		pages = append(pages, vs[i-1])
 	}
 	nextLPN = fromLPN
@@ -394,34 +390,19 @@ func (s *Store) ImageRange(deviceID, fromLPN, toLPN, before uint64, maxPages int
 	return pages, nextLPN, more
 }
 
-// lpnHeapUp restores the max-heap property after appending to h.
-func lpnHeapUp(h []uint64) {
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			break
+// sortedLPNs returns the LPNs that have a version, ascending. Called with
+// d.mu held (for reading is enough).
+func (d *deviceLog) sortedLPNs() []uint64 {
+	d.lpnsMu.Lock()
+	defer d.lpnsMu.Unlock()
+	if d.lpns == nil {
+		d.lpns = make([]uint64, 0, len(d.versions))
+		for lpn := range d.versions {
+			d.lpns = append(d.lpns, lpn)
 		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+		slices.Sort(d.lpns)
 	}
-}
-
-// lpnHeapDown restores the max-heap property after replacing h[0].
-func lpnHeapDown(h []uint64) {
-	for i := 0; ; {
-		big := i
-		if l := 2*i + 1; l < len(h) && h[l] > h[big] {
-			big = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
+	return d.lpns
 }
 
 // Checkpoint returns the newest checkpoint with Seq <= before.
@@ -566,6 +547,7 @@ func (s *Store) DropSegmentPages(deviceID uint64, i int) error {
 			d.versions[p.LPN] = append(vs[:j], vs[j+1:]...)
 			if len(d.versions[p.LPN]) == 0 {
 				delete(d.versions, p.LPN)
+				d.lpns = nil
 			}
 			d.pageBytes -= int64(len(p.Data))
 			s.chunks.release(p.Hash)
