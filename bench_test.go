@@ -283,39 +283,6 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedReplay replays the same RSSD trace through the per-op
-// path (one synchronous call per page), the submission-batch path (one
-// SubmitBatch per trace record), and the NVMe multi-queue path (one
-// command per record through round-robin arbitration). Bytes/s compares
-// host-side throughput; the lat-µs metric is each path's mean simulated
-// record latency — the device-parallelism win the batched datapath
-// exists for. Persist full-scale numbers with `cmd/rssdbench -exp batch
-// -json`.
-func BenchmarkBatchedReplay(b *testing.B) {
-	s := benchScale()
-	run := func(b *testing.B, replay func() (experiment.ReplayStats, error)) {
-		var st experiment.ReplayStats
-		for i := 0; i < b.N; i++ {
-			var err error
-			st, err = replay()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(st.PageOps) * int64(s.PageSize))
-		}
-		b.ReportMetric(float64(st.MeanLat())/1000, "lat-µs")
-	}
-	b.Run("per-op", func(b *testing.B) {
-		run(b, func() (experiment.ReplayStats, error) { return experiment.ReplayPerOp(s, "hm", 23) })
-	})
-	b.Run("batched", func(b *testing.B) {
-		run(b, func() (experiment.ReplayStats, error) { return experiment.ReplayBatched(s, "hm", 23) })
-	})
-	b.Run("nvme-multiqueue", func(b *testing.B) {
-		run(b, func() (experiment.ReplayStats, error) { return experiment.ReplayNVMe(s, "hm", 23, 4) })
-	})
-}
-
 // --- Microbenchmarks of the hot paths ---------------------------------------
 
 func smallFTLConfig() ftl.Config {

@@ -11,7 +11,6 @@
 //	rssdbench -exp offload        # NVMe-oE offload cost
 //	rssdbench -exp detection      # detection coverage/latency, six variants
 //	rssdbench -exp attacks        # Ransomware 2.0 validation vs. LocalSSD
-//	rssdbench -exp batch          # batched vs per-op datapath replay
 //	rssdbench -exp fleet          # N devices: async offload + streaming detection; -servers M
 //	                              # adds the cluster control plane (placement, failover, scaling)
 //	rssdbench -exp retention      # storage tiers: local server vs modeled S3 (capacity/latency/cost)
@@ -317,16 +316,6 @@ func run() int {
 		fmt.Println("Offloaded detection — coverage and latency across six attack variants")
 		fmt.Print(experiment.RenderDetection(rows))
 		return persist("detection", rows)
-	})
-
-	register("batch", func() error {
-		rows, err := experiment.BatchReplay(s, []string{"hm", "src", "web"})
-		if err != nil {
-			return err
-		}
-		fmt.Println("Batched datapath — per-op vs submission-batch replay (wall = host overhead, sim = channel parallelism)")
-		fmt.Print(experiment.RenderBatchReplay(rows))
-		return persist("batch", rows)
 	})
 
 	register("fleet", func() error {

@@ -10,55 +10,42 @@ import (
 	"repro/internal/simclock"
 )
 
-// TestEncodeWorkersMatchInline runs the same churn through the worker
-// pipeline and the inline-encode baseline: both must land the identical
-// evidence chain at the server — the worker pool moves the compression off
-// the firmware goroutine, it must never change what ships.
-func TestEncodeWorkersMatchInline(t *testing.T) {
-	workerCfg := testConfig()
-	workerCfg.EncodeWorkers = 3
-	inlineCfg := testConfig()
-	inlineCfg.EncodeWorkers = -1
-
-	workers := newEnv(t, workerCfg)
-	inline := newEnv(t, inlineCfg)
-	wDone := churn(t, workers.r, 6, 4, 0)
-	iDone := churn(t, inline.r, 6, 4, 0)
-	if _, err := workers.r.OffloadNow(wDone); err != nil {
+// TestOffloadShipsWhatWasWritten: where compression runs never changes
+// what ships. After OffloadNow the server holds exactly the chain the test
+// derives from its own inputs — one KindWrite per page written, in
+// contiguous sequence, each naming the written LPN and binding the written
+// bytes' hash — across a churn that seals many segments on the codec lanes.
+func TestOffloadShipsWhatWasWritten(t *testing.T) {
+	const lpns, rounds = 16, 8
+	e := newEnv(t, testConfig())
+	done := churn(t, e.r, lpns, rounds, 0)
+	if _, err := e.r.OffloadNow(done); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inline.r.OffloadNow(iDone); err != nil {
-		t.Fatal(err)
+	e.r.Close()
+	if segs := e.r.Stats().OffloadSegments; segs < 2 {
+		t.Fatalf("%d segments shipped, want a multi-segment run", segs)
 	}
-	workers.r.Close()
-	inline.r.Close()
-
-	wh, ih := workers.store.Head(1), inline.store.Head(1)
-	if wh.NextSeq == 0 || wh.NextSeq != ih.NextSeq {
-		t.Fatalf("chain lengths diverge: workers %+v, inline %+v", wh, ih)
+	head := e.store.Head(1)
+	if head.NextSeq != lpns*rounds {
+		t.Fatalf("server chain ends at %d, want %d", head.NextSeq, lpns*rounds)
 	}
-	ws, is := workers.store.DeviceStats(1), inline.store.DeviceStats(1)
-	if ws.Versions != is.Versions || ws.Entries != is.Entries {
-		t.Fatalf("stores diverge: workers %+v, inline %+v", ws, is)
+	got := e.store.Entries(1, 0, head.NextSeq)
+	if len(got) != lpns*rounds {
+		t.Fatalf("server returned %d entries, want %d", len(got), lpns*rounds)
 	}
-	// The logged operations must be identical op for op. Timestamps (and
-	// therefore chain hashes) legitimately differ — the inline baseline
-	// charges the encode to the host path, shifting the clock — but the
-	// evidence content cannot depend on where compression ran.
-	we := workers.store.Entries(1, 0, wh.NextSeq)
-	ie := inline.store.Entries(1, 0, ih.NextSeq)
-	for i := range we {
-		if we[i].Seq != ie[i].Seq || we[i].Kind != ie[i].Kind ||
-			we[i].LPN != ie[i].LPN || we[i].DataHash != ie[i].DataHash {
-			t.Fatalf("entry %d diverges: workers %+v, inline %+v", i, we[i], ie[i])
+	for i, en := range got {
+		round, lpn := i/lpns, uint64(i%lpns)
+		want := oplog.HashData(fill(byte(round+1), 512))
+		if en.Seq != uint64(i) || en.Kind != oplog.KindWrite || en.LPN != lpn || en.DataHash != want {
+			t.Fatalf("entry %d = {Seq %d Kind %v LPN %d}, want {Seq %d Kind %v LPN %d} with the written page's hash",
+				i, en.Seq, en.Kind, en.LPN, i, oplog.KindWrite, lpn)
 		}
 	}
 }
 
 // TestEncodeStageAccounted: the simulated-time model must charge the
-// encode stage (EncodeTime) and observe its occupancy (EncodeQueuePeak),
-// and in worker mode the host must not pay the encode while the sync
-// baseline must.
+// encode stage (EncodeTime) and observe its occupancy (EncodeQueuePeak).
 func TestEncodeStageAccounted(t *testing.T) {
 	e := newEnv(t, testConfig())
 	done := churn(t, e.r, 6, 4, 0)

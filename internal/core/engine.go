@@ -37,8 +37,8 @@ import (
 // constant-size bookkeeping (the stagedSegment and its done channel).
 //
 // Simulated-time model: sealing fixes each segment's encode-stage schedule
-// deterministically — EncodeWorkers simulated codec lanes, each encoding
-// at EncodeMBps, earliest-free lane first — and the transfer goroutine
+// deterministically — encodeWorkers simulated codec lanes, each encoding
+// at encodeMBps, earliest-free lane first — and the transfer goroutine
 // fixes the ack instant from the link model (serialized transfers on one
 // simulated link: start = max(encode done, link free), ack = start + RTT +
 // bytes/BW + the storage tier's modeled Put service time, which the server
@@ -49,6 +49,10 @@ import (
 // so behaviour is deterministic in simulated time regardless of goroutine
 // scheduling, and encode and transfer overlap host I/O instead of adding
 // to it.
+//
+// There is no other route off the device: every segment, Pressure's and
+// OffloadNow's included, is staged, encoded on a codec lane and shipped by
+// the transfer goroutine.
 
 // stagedSegment is one sealed segment travelling through the pipeline.
 type stagedSegment struct {
@@ -70,14 +74,25 @@ type stagedSegment struct {
 	logical   int               // uncompressed marshal size
 	svc       simclock.Duration // storage tier's modeled Put service time (from the ack)
 	err       error             // set by the transfer goroutine
-	encoded   chan struct{}     // closed by the codec worker; nil when encoded inline
+	encoded   chan struct{}     // closed by the codec worker
 }
+
+// The engine's fixed model: encodeWorkers codec lanes (real goroutines and
+// simulated lanes alike), each compressing at encodeMBps of simulated
+// throughput (BestSpeed-class DEFLATE; real encoding runs as fast as the
+// CPU allows). A device without Config.NIC ships over a private link of
+// offloadLinkRTT + bytes at offloadLinkMBps.
+const (
+	encodeWorkers   = 2
+	encodeMBps      = 400
+	offloadLinkRTT  = 30 * simclock.Microsecond
+	offloadLinkMBps = 1200
+)
 
 // offloadEngine owns the staging queue, the codec worker pool, and the
 // transfer goroutine.
 type offloadEngine struct {
 	depth   int                 // staging-queue bound (backpressure point)
-	workers int                 // codec workers (0 = inline encode at seal)
 	encodeq chan *stagedSegment // sealed, awaiting compression
 	xferq   chan *stagedSegment // seal-order lane the transfer goroutine ships
 	results chan *stagedSegment // transfer resolved, FIFO with xferq
@@ -85,7 +100,7 @@ type offloadEngine struct {
 
 	inFlight      []*stagedSegment // firmware-side FIFO mirror of the pipeline
 	pagesInFlight int
-	encFree       []simclock.Time // simulated next-free time per codec lane
+	encFree       [encodeWorkers]simclock.Time // simulated next-free time per codec lane
 	// failure epoch: once one segment fails, everything behind it in the
 	// pipeline fails too (the chain has a gap at the server). Failed
 	// batches are collected in stage order and requeued together when the
@@ -98,36 +113,30 @@ type offloadEngine struct {
 // one client session. Transfers are priced by the device's offload-class
 // flow on the NIC arbiter — a shared server NIC when cfg.NIC is set, a
 // private single-flow arbiter otherwise.
-func newOffloadEngine(client *remote.Client, depth, workers int, flow *netsim.Flow) *offloadEngine {
+func newOffloadEngine(client *remote.Client, depth int, flow *netsim.Flow) *offloadEngine {
 	if depth <= 0 {
 		depth = 8
 	}
 	e := &offloadEngine{
 		depth:   depth,
-		workers: workers,
+		encodeq: make(chan *stagedSegment, depth+2),
 		xferq:   make(chan *stagedSegment, depth+2),
 		// results is sized so the transfer goroutine never blocks sending:
 		// at most depth segments queue plus one in its hands.
 		results: make(chan *stagedSegment, depth+2),
 	}
-	if workers > 0 {
-		e.encodeq = make(chan *stagedSegment, depth+2)
-		e.encFree = make([]simclock.Time, workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for st := range e.encodeq {
-					encodeStaged(st)
-					close(st.encoded)
-				}
-			}()
-		}
+	for i := 0; i < encodeWorkers; i++ {
+		go func() {
+			for st := range e.encodeq {
+				encodeStaged(st)
+				close(st.encoded)
+			}
+		}()
 	}
 	go func() {
 		var linkFree simclock.Time
 		for st := range e.xferq {
-			if st.encoded != nil {
-				<-st.encoded // codec worker done; blob and wire size final
-			}
+			<-st.encoded // codec worker done; blob and wire size final
 			start := simclock.Max(st.encDoneAt, linkFree)
 			st.svc, st.err = client.PushSegmentBlobTimed(st.blob, st.seg.LastSeq)
 			linkFree = flow.Grant(st.wire, start)
@@ -178,68 +187,34 @@ func encodeStaged(st *stagedSegment) {
 	st.pageBufs = nil
 }
 
-// linkRTT and linkMBps resolve the configured link model with its defaults.
-func (r *RSSD) linkRTT() simclock.Duration {
-	if r.cfg.OffloadLinkRTT > 0 {
-		return r.cfg.OffloadLinkRTT
-	}
-	return 30 * simclock.Microsecond
-}
-
-func (r *RSSD) linkMBps() float64 {
-	if r.cfg.OffloadLinkMBps > 0 {
-		return r.cfg.OffloadLinkMBps
-	}
-	return 1200
-}
-
-// offloadFlow lazily opens this device's offload-class flow on the NIC
-// arbiter. With cfg.NIC set the flow contends on the shared server NIC
-// under the QoS policy; nil builds a private single-flow arbiter from
-// OffloadLinkRTT/MBps, which prices every transfer at RTT + bytes over the
-// full line. The flow spans engine restarts and closes with the device.
+// offloadFlow lazily resolves the device's NIC arbiter and opens its
+// offload-class flow on it. With cfg.NIC set the flow contends on the
+// shared server NIC under the QoS policy; nil builds a private single-flow
+// arbiter on the device's own link, which prices every transfer at RTT +
+// bytes over the full line. The arbiter is resolved once; the flow spans
+// engine restarts and closes with the device.
 func (r *RSSD) offloadFlow() *netsim.Flow {
-	if r.nicFlow == nil {
-		nic := r.cfg.NIC
-		if nic == nil {
-			nic = netsim.New(netsim.Config{MBps: r.linkMBps(), RTT: r.linkRTT()})
+	if r.nic == nil {
+		r.nic = r.cfg.NIC
+		if r.nic == nil {
+			r.nic = netsim.New(netsim.Config{MBps: offloadLinkMBps, RTT: offloadLinkRTT})
 		}
-		r.nicFlow = nic.Open(netsim.ClassOffload, 1)
+	}
+	if r.nicFlow == nil {
+		r.nicFlow = r.nic.Open(netsim.ClassOffload, 1)
 	}
 	return r.nicFlow
 }
 
-// nicRTT is the round trip of the NIC the offload flow actually rides —
-// the ack-floor lower bound must come from the same arbiter that prices
-// the grants.
-func (r *RSSD) nicRTT() simclock.Duration {
-	if r.cfg.NIC != nil {
-		return r.cfg.NIC.RTT()
-	}
-	return r.linkRTT()
-}
-
-// xferTime models one segment's NVMe-oE transfer on the offload link
-// (the synchronous baseline path; the async engine prices transfers on
-// its timed flow instead).
-func (r *RSSD) xferTime(bytes int) simclock.Duration {
-	return r.offloadFlow().GrantDur(bytes)
-}
-
 // encodeDur models compressing n marshal bytes on one codec lane.
-func (r *RSSD) encodeDur(n int) simclock.Duration {
-	return simclock.Duration(float64(n) / (r.cfg.EncodeMBps * 1e6) * float64(simclock.Second))
+func encodeDur(n int) simclock.Duration {
+	return simclock.Duration(float64(n) / (encodeMBps * 1e6) * float64(simclock.Second))
 }
 
 // ensureEngine lazily starts the engine for the attached client.
 func (r *RSSD) ensureEngine() *offloadEngine {
 	if r.engine == nil {
-		workers := r.cfg.EncodeWorkers
-		if workers < 0 {
-			workers = 0 // inline encode at seal (the measured baseline)
-		}
-		r.engine = newOffloadEngine(r.client, r.cfg.OffloadQueueDepth, workers,
-			r.offloadFlow())
+		r.engine = newOffloadEngine(r.client, r.cfg.OffloadQueueDepth, r.offloadFlow())
 	}
 	return r.engine
 }
@@ -255,9 +230,7 @@ func (r *RSSD) stopEngine() {
 	for len(e.inFlight) > 0 {
 		r.applyResult(e.harvest())
 	}
-	if e.encodeq != nil {
-		close(e.encodeq)
-	}
+	close(e.encodeq)
 	close(e.xferq)
 	r.engine = nil
 }
@@ -331,7 +304,8 @@ func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment
 }
 
 // stage seals batch into a segment, schedules its encode on the simulated
-// codec lanes, and hands it to the worker pool and the transfer lane.
+// codec lanes, and hands it to the worker pool and the transfer lane — the
+// one way a segment leaves the device.
 // When the staging queue is full the host stalls: completions are
 // harvested (blocking) until a slot frees, and the stall is charged to the
 // returned host time. The batch must already be popped from the retention
@@ -343,29 +317,21 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 		r.requeue(batch)
 		return at, err
 	}
-	dur := r.encodeDur(st.logical)
+	dur := encodeDur(st.logical)
 	r.stats.EncodeTime += dur
-	if e.workers > 0 {
-		// Earliest-free simulated codec lane; the real workers race ahead
-		// or lag behind, but the schedule is fixed here, deterministically.
-		lane := 0
-		for i := 1; i < len(e.encFree); i++ {
-			if e.encFree[i] < e.encFree[lane] {
-				lane = i
-			}
+	// Earliest-free simulated codec lane; the real workers race ahead or
+	// lag behind, but the schedule is fixed here, deterministically.
+	lane := 0
+	for i := 1; i < len(e.encFree); i++ {
+		if e.encFree[i] < e.encFree[lane] {
+			lane = i
 		}
-		start := simclock.Max(st.sealedAt, e.encFree[lane])
-		st.encDoneAt = start.Add(dur)
-		e.encFree[lane] = st.encDoneAt
-		st.encoded = make(chan struct{})
-	} else {
-		// Inline baseline: the firmware goroutine compresses at seal time,
-		// so the host path pays the encode before it can continue.
-		encodeStaged(st)
-		st.encDoneAt = simclock.Max(st.sealedAt, at).Add(dur)
-		at = at.Add(dur)
 	}
-	st.ackFloor = st.encDoneAt.Add(r.nicRTT())
+	st.encDoneAt = simclock.Max(st.sealedAt, e.encFree[lane]).Add(dur)
+	e.encFree[lane] = st.encDoneAt
+	st.encoded = make(chan struct{})
+	// The ack floor comes from the arbiter that prices the grants.
+	st.ackFloor = st.encDoneAt.Add(r.nic.RTT())
 	// Backpressure: the bound is the firmware-side in-flight count, not
 	// the channel's instantaneous occupancy, so stalls depend only on
 	// simulated time, never on goroutine scheduling.
@@ -378,10 +344,8 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 		}
 		r.applyResult(res)
 	}
-	if e.workers > 0 {
-		e.encodeq <- st // never blocks: queue is sized past the depth bound
-	}
-	e.xferq <- st // never blocks: queue holds at most depth-1 entries here
+	e.encodeq <- st // never blocks: queue is sized past the depth bound
+	e.xferq <- st   // never blocks: queue holds at most depth-1 entries here
 	e.inFlight = append(e.inFlight, st)
 	e.pagesInFlight += len(st.batch)
 	if n := len(e.inFlight); n > r.stats.OffloadQueuePeak {
@@ -389,8 +353,8 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 	}
 	// Encode-stage occupancy: segments still on a simulated codec lane
 	// when this one was sealed. Peak > 1 is the overlap the worker pool
-	// buys; a persistently full encode stage means EncodeWorkers (or
-	// EncodeMBps) is the pipeline's bottleneck.
+	// buys; a persistently full encode stage means the codec lanes are the
+	// pipeline's bottleneck.
 	encQ := 0
 	for _, s := range e.inFlight {
 		if s.encDoneAt > st.sealedAt {
@@ -520,7 +484,7 @@ func (r *RSSD) releaseSegment(st *stagedSegment) {
 	// sticky error so polling tooling sees the recovery — unless a failure
 	// epoch is still draining, in which case the error stands until the
 	// requeued entries actually land.
-	if r.engine == nil || !r.engine.failing {
+	if !r.engine.failing {
 		r.lastOffloadErr = nil
 	}
 }

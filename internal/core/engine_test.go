@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -31,50 +33,47 @@ func churn(t *testing.T, r *RSSD, lpns, rounds int, at simclock.Time) simclock.T
 	return at
 }
 
-// TestAsyncOffloadOverlapsHostTime runs the same churn on an asynchronous
-// device and a SyncOffload baseline: both must ship segments, but only the
-// baseline charges seal + transfer time to host completions. The async
-// device must also account the transfer honestly in OffloadLatency
-// instead of charging zero anywhere.
+// TestAsyncOffloadOverlapsHostTime: the transfer is off the host path. The
+// same churn runs against a shared NIC at 1200 MB/s and one a hundred
+// times slower. Host completions must be identical and no write may stall
+// on the staging queue, while the slow link's acks arrive strictly later:
+// the link's cost lands in OffloadAckTime, never in host time. The largest
+// churn also runs GC and Pressure, whose drains must not leak into host
+// completions either.
 func TestAsyncOffloadOverlapsHostTime(t *testing.T) {
-	async := newEnv(t, testConfig())
-	syncCfg := testConfig()
-	syncCfg.SyncOffload = true
-	syncDev := newEnv(t, syncCfg)
-
-	asyncDone := churn(t, async.r, 6, 4, 0)
-	syncDone := churn(t, syncDev.r, 6, 4, 0)
-
-	asyncDone = async.r.DrainOffload(asyncDone)
-	defer async.r.Close()
-
-	as, ss := async.r.Stats(), syncDev.r.Stats()
-	if as.OffloadSegments == 0 || ss.OffloadSegments == 0 {
-		t.Fatalf("no offload happened: async %d, sync %d segments", as.OffloadSegments, ss.OffloadSegments)
+	for _, c := range []struct{ lpns, rounds int }{{6, 4}, {16, 8}, {32, 12}} {
+		t.Run(fmt.Sprintf("%dx%d", c.lpns, c.rounds), func(t *testing.T) {
+			var host [2]simclock.Time
+			var st [2]Stats
+			for i, mbps := range []float64{1200, 12} {
+				cfg := testConfig()
+				cfg.NIC = netsim.New(netsim.Config{MBps: mbps})
+				e := newEnv(t, cfg)
+				host[i] = churn(t, e.r, c.lpns, c.rounds, 0)
+				e.r.DrainOffload(host[i])
+				st[i] = e.r.Stats()
+				e.r.Close()
+			}
+			fast, slow := st[0], st[1]
+			t.Logf("host %v / %v, ack time %v -> %v, %d pressure events",
+				host[0], host[1], fast.OffloadAckTime, slow.OffloadAckTime, slow.PressureEvents)
+			if fast.OffloadSegments == 0 || slow.OffloadSegments == 0 {
+				t.Fatalf("no offload happened: fast %d, slow %d segments", fast.OffloadSegments, slow.OffloadSegments)
+			}
+			if host[0] != host[1] {
+				t.Fatalf("host completion depends on the link: %v at 1200 MB/s, %v at 12 MB/s", host[0], host[1])
+			}
+			if fast.OffloadStalls != 0 || slow.OffloadStalls != 0 {
+				t.Fatalf("host stalled on the staging queue: fast %d, slow %d stalls", fast.OffloadStalls, slow.OffloadStalls)
+			}
+			if fast.OffloadLatency == 0 {
+				t.Fatal("offload charged zero simulated time (transfer unaccounted)")
+			}
+			if slow.OffloadAckTime <= fast.OffloadAckTime {
+				t.Fatalf("slow-link ack time %v not above fast-link %v: the link is not priced", slow.OffloadAckTime, fast.OffloadAckTime)
+			}
+		})
 	}
-	if as.OffloadLatency == 0 {
-		t.Fatal("async engine charged zero simulated time for offload (transfer unaccounted)")
-	}
-	if as.OffloadAckTime == 0 {
-		t.Fatal("no ack latency recorded")
-	}
-	// The host-visible completion of the churn must be earlier on the
-	// async device: its transfers overlapped host I/O.
-	hostAsync := churnHostTime(t, testConfig())
-	if hostAsync >= syncDone {
-		t.Fatalf("async host completion %v not earlier than sync baseline %v", hostAsync, syncDone)
-	}
-	_ = asyncDone
-}
-
-// churnHostTime reruns the churn on a fresh async device and returns the
-// host completion time alone (no drain barrier): what the host observed.
-func churnHostTime(t *testing.T, cfg Config) simclock.Time {
-	t.Helper()
-	e := newEnv(t, cfg)
-	done := churn(t, e.r, 6, 4, 0)
-	e.r.Close()
-	return done
 }
 
 // TestStaleOffloadErrorClearedAfterRetrySuccess is the regression test for

@@ -12,18 +12,14 @@ import (
 // single frame stays well under the transport limit.
 const maxEntriesPerSegment = 4096
 
-// maybeOffload runs the offload stage of the background duty cycle. In the
-// default asynchronous mode it harvests due acks, then — when locally
-// retained pages exceed the high watermark of the retention budget —
-// stages sealed segments into the engine's bounded queue until the
-// unstaged backlog drops to the low watermark; the network transfer
-// proceeds off the host path. In SyncOffload mode (the baseline the fleet
-// experiment compares against) the drain is inline and its full simulated
-// cost — flash reads plus transfer — is charged to the returned host time.
+// maybeOffload runs the offload stage of the background duty cycle: it
+// harvests due acks, then — when locally retained pages exceed the high
+// watermark of the retention budget — stages sealed segments into the
+// engine's bounded queue until the unstaged backlog drops to the low
+// watermark. Encode and transfer proceed off the host path; the host pays
+// only a queue-full stall.
 func (r *RSSD) maybeOffload(at simclock.Time) (simclock.Time, error) {
-	if !r.cfg.SyncOffload {
-		r.pollOffload(at)
-	}
+	r.pollOffload(at)
 	r.maybeRedial(at)
 	budget := r.retentionBudget()
 	high := int(r.cfg.OffloadHighWater * float64(budget))
@@ -36,17 +32,6 @@ func (r *RSSD) maybeOffload(at simclock.Time) (simclock.Time, error) {
 			r.dropTo(low)
 		}
 		return at, nil // else keep accumulating; Pressure will fail eventually
-	}
-	if r.cfg.SyncOffload {
-		done, err := r.offloadToSync(low, at)
-		if err != nil {
-			// A failed offload must not fail host I/O: nothing was released
-			// (zero data loss holds), retention just keeps accumulating and
-			// the next operation retries. Only Pressure escalates further.
-			r.stats.OffloadErrors++
-			r.lastOffloadErr = err
-		}
-		return done, nil
 	}
 	return r.stageTo(low, at), nil
 }
@@ -100,19 +85,6 @@ func (r *RSSD) OffloadNow(at simclock.Time) (simclock.Time, error) {
 		return at, ErrNoRemote
 	}
 	r.maybeRedial(at)
-	if r.cfg.SyncOffload {
-		done, err := r.offloadToSync(0, at)
-		if err != nil {
-			return done, err
-		}
-		at = done
-		for r.stagedUpTo < r.log.NextSeq() {
-			if at, err = r.shipSync(nil, at); err != nil {
-				return at, err
-			}
-		}
-		return at, nil
-	}
 	redialWaits := 0
 	for {
 		beforeRetained, beforeSeq, beforeRedials := len(r.retained), r.offloadedUpTo, r.stats.Redials
@@ -182,65 +154,6 @@ const maxRedialWaits = 16
 // failure epoch pending a pipeline reset).
 func (r *RSSD) engineIdleHealthy() bool {
 	return r.engine == nil || !r.engine.failing
-}
-
-// offloadToSync ships segments inline until at most target retained pages
-// remain, charging the full simulated cost to the returned time. This is
-// the synchronous baseline and the Pressure escalation path.
-func (r *RSSD) offloadToSync(target int, at simclock.Time) (simclock.Time, error) {
-	if r.client == nil {
-		return at, ErrNoRemote
-	}
-	for len(r.retained) > target {
-		batch := r.popRetained(r.cfg.SegmentMaxPages, len(r.retained)-target)
-		if len(batch) == 0 {
-			break
-		}
-		var err error
-		if at, err = r.shipSync(batch, at); err != nil {
-			return at, err
-		}
-	}
-	return at, nil
-}
-
-// shipSync builds and pushes one segment inline, waiting for the
-// durability ack before releasing pins (zero-data-loss ordering) and
-// charging seal plus encode plus transfer time — and the storage tier's
-// modeled Put service time reported in the ack — to the returned host
-// time. This is the measured baseline: everything the asynchronous
-// pipeline overlaps rides the host path here.
-func (r *RSSD) shipSync(batch []*retEntry, at simclock.Time) (simclock.Time, error) {
-	st, err := r.buildSegment(batch, at)
-	if err != nil {
-		r.requeue(batch)
-		r.stagedUpTo = r.offloadedUpTo
-		return at, fmt.Errorf("core: seal segment: %w", err)
-	}
-	// The encode cannot start before the background page reads complete
-	// (sealedAt) nor before the firmware goroutine is free (at) — the
-	// same formula the asynchronous engine's codec lanes use.
-	dur := r.encodeDur(st.logical)
-	r.stats.EncodeTime += dur
-	encodeStaged(st)
-	encDone := simclock.Max(st.sealedAt, at).Add(dur)
-	svc, err := r.client.PushSegmentBlobTimed(st.blob, st.seg.LastSeq)
-	st.blobBuf.Release()
-	st.blobBuf, st.blob = nil, nil
-	if err != nil {
-		// The batch was not acked: re-pin nothing (we only release after
-		// ack), but put the entries back at the queue head so a retry
-		// ships the same data. A transport-level failure additionally
-		// marks the session dead for the redial path.
-		r.requeue(batch)
-		r.stagedUpTo = r.offloadedUpTo
-		r.noteRemoteErr(err)
-		return at, err
-	}
-	st.svc = svc
-	st.ackAt = encDone.Add(r.xferTime(st.wire)).Add(svc)
-	r.releaseSegment(st)
-	return st.ackAt, nil
 }
 
 // dropTo destroys the oldest retained versions without offload. Only the

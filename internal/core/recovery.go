@@ -422,7 +422,7 @@ func (r *RSSD) ImageBefore(before uint64, at simclock.Time) ([][]byte, error) {
 		best[lpn] = r.localBest(lpn, before)
 	}
 	if r.client != nil {
-		_, err := r.client.FetchImageStream(0, before, 0, r.cfg.RecoveryChunkPages, nil,
+		_, err := r.client.FetchImageStream(0, before, 0, 0, nil,
 			func(pages []oplog.PageRecord, cs remote.ChunkStats) error {
 				r.stats.RestoreBytesWire += uint64(cs.WireBytes)
 				r.stats.RestoreBytesLogical += uint64(cs.LogicalBytes)

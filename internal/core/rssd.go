@@ -62,37 +62,13 @@ type Config struct {
 	// host stalls until the oldest segment resolves — the backpressure
 	// point of the pipeline. Default 8.
 	OffloadQueueDepth int
-	// SyncOffload reverts to inline synchronous offload: segments are
-	// shipped on the host path with seal + transfer time charged to host
-	// I/O. It is the baseline the fleet experiment compares the
-	// asynchronous engine against.
-	SyncOffload bool
-	// OffloadLinkRTT and OffloadLinkMBps model the NVMe-oE link the
-	// offload engine owns: one segment transfer costs
-	// RTT + bytes/bandwidth of simulated time, serialized on the link.
-	// Defaults: 30µs, 1200 MB/s. Ignored when NIC is set.
-	OffloadLinkRTT  simclock.Duration
-	OffloadLinkMBps float64
 	// NIC, when set, is the shared server-NIC QoS arbiter this device's
 	// offload traffic is charged to (as one ClassOffload flow): transfers
 	// contend with fleet restore streams and lifecycle transfers under
 	// the arbiter's strict-priority + guaranteed-floor policy. nil gives
-	// the device a private link built from OffloadLinkRTT/MBps — an
-	// arbiter whose only flow is this one, so every transfer sees the full
-	// line.
+	// the device a private 1200 MB/s, 30µs link — an arbiter whose only
+	// flow is this one, so every transfer sees the full line.
 	NIC *netsim.Arbiter
-	// EncodeWorkers sizes the codec worker pool that compresses sealed
-	// segments off the firmware goroutine: seal hands raw segments to the
-	// workers, and the transfer goroutine ships encoded blobs in seal
-	// order. 0 selects the default (2). A negative value selects inline
-	// encoding at seal time on the firmware goroutine — the reference the
-	// tests hold the workers against.
-	EncodeWorkers int
-	// EncodeMBps models one codec worker's DEFLATE throughput in the
-	// simulated-time model (real encoding runs as fast as the CPU allows;
-	// this is what the honest accounting charges). Default 400 MB/s,
-	// BestSpeed-class.
-	EncodeMBps float64
 	// Dial, when set, lets the device re-establish remote sessions itself:
 	// the offload engine redials a dead session with exponential backoff
 	// and resumes from the server's FetchHead, and the restorer uses it to
@@ -106,9 +82,6 @@ type Config struct {
 	// RedialBackoffMax of simulated time. Defaults: 1ms, 32ms.
 	RedialBackoff    simclock.Duration
 	RedialBackoffMax simclock.Duration
-	// RecoveryChunkPages bounds retained pages per streamed restore chunk
-	// (0 lets the server pick).
-	RecoveryChunkPages int
 }
 
 // DefaultConfig returns the configuration used across the evaluation.
@@ -123,8 +96,6 @@ func DefaultConfig() Config {
 		ReadLogSampling:   1,
 		DropWhenOffline:   true,
 		OffloadQueueDepth: 8,
-		OffloadLinkRTT:    30 * simclock.Microsecond,
-		OffloadLinkMBps:   1200,
 	}
 }
 
@@ -150,9 +121,9 @@ type Stats struct {
 	PressureEvents      uint64
 	OffloadErrors       uint64 // background offload failures (retried)
 	// OffloadLatency is the total simulated time the offload engine spent
-	// moving data — background-lane flash reads plus link transfers. In
-	// the asynchronous mode none of it is charged to host I/O; in
-	// SyncOffload mode the same quantity rides the host path.
+	// moving data — background-lane flash reads plus seal-to-ack spans.
+	// None of it is charged to host I/O; the host pays only queue-full
+	// stalls (OffloadStallTime).
 	OffloadLatency simclock.Duration
 	// OffloadAckTime is the cumulative seal-to-ack span over acked
 	// segments; OffloadAckTime / OffloadSegments is the mean ack latency.
@@ -164,10 +135,9 @@ type Stats struct {
 	// tier's modeled Put service (zero on free local tiers).
 	OffloadTierTime simclock.Duration
 	// EncodeTime is the total simulated time the codec lanes spent
-	// compressing sealed segments. With encode workers it overlaps host
-	// I/O and the link; in the inline/sync baselines it rides the host
-	// path. EncodeQueuePeak is the deepest the encode stage ever got —
-	// segments still on a simulated codec lane when a new seal arrived.
+	// compressing sealed segments, overlapped with host I/O and the link.
+	// EncodeQueuePeak is the deepest the encode stage ever got — segments
+	// still on a simulated codec lane when a new seal arrived.
 	EncodeTime      simclock.Duration
 	EncodeQueuePeak int
 	// OffloadStalls / OffloadStallTime count host stalls from staging-
@@ -272,11 +242,13 @@ type RSSD struct {
 	redialBackoff simclock.Duration
 	nextRedialAt  simclock.Time
 
-	engine *offloadEngine // asynchronous offload pipeline (lazy; nil in sync mode)
-	// nicFlow is this device's offload-class flow on the NIC arbiter
-	// (cfg.NIC, or a lazily built private one). It spans engine restarts —
-	// the device's NVMe-oE session on the server NIC — and closes with the
-	// device.
+	engine *offloadEngine // asynchronous offload pipeline (lazy)
+	// nic is the arbiter this device's offload traffic is priced on —
+	// cfg.NIC, or a private one on the device's own link — resolved at the
+	// first offload. nicFlow is the device's offload-class flow on it: it
+	// spans engine restarts (the device's NVMe-oE session on the server
+	// NIC) and closes with the device.
+	nic     *netsim.Arbiter
 	nicFlow *netsim.Flow
 
 	stats Stats
@@ -309,12 +281,6 @@ func (cfg Config) normalize() Config {
 	}
 	if cfg.OffloadQueueDepth <= 0 {
 		cfg.OffloadQueueDepth = 8
-	}
-	if cfg.EncodeWorkers == 0 {
-		cfg.EncodeWorkers = 2
-	}
-	if cfg.EncodeMBps <= 0 {
-		cfg.EncodeMBps = 400
 	}
 	if cfg.RedialBackoff <= 0 {
 		cfg.RedialBackoff = simclock.Millisecond
@@ -530,31 +496,23 @@ func (r *RSSD) Pressure(needPages int, at simclock.Time) {
 	}
 	if r.client != nil {
 		r.maybeRedial(at)
-		if r.cfg.SyncOffload {
-			if _, err := r.offloadToSync(target, at); err == nil {
+		r.pollOffload(at)
+		// Two rounds: if a failure epoch is pending, the first round's
+		// drain requeues the failed batches and clears the epoch, and the
+		// second actually retries the offload — pages are only dropped
+		// after a real attempt failed. stage() itself charges queue-full
+		// stalls, so only the drain span is added here.
+		for attempt := 0; attempt < 2; attempt++ {
+			staged := r.stageTo(target, at)
+			end := r.drainOffload(staged)
+			if end > staged {
+				r.stats.OffloadStallTime += end.Sub(staged)
+			}
+			at = end
+			if len(r.retained) <= target {
 				return
 			}
-			r.stats.OffloadErrors++
-		} else {
-			r.pollOffload(at)
-			// Two rounds: if a failure epoch is pending, the first round's
-			// drain requeues the failed batches and clears the epoch, and
-			// the second actually retries the offload — pages are only
-			// dropped after a real attempt failed, matching the old inline
-			// path. stage() itself charges queue-full stalls, so only the
-			// drain span is added here.
-			for attempt := 0; attempt < 2; attempt++ {
-				staged := r.stageTo(target, at)
-				end := r.drainOffload(staged)
-				if end > staged {
-					r.stats.OffloadStallTime += end.Sub(staged)
-				}
-				at = end
-				if len(r.retained) <= target {
-					return
-				}
-				r.maybeRedial(at)
-			}
+			r.maybeRedial(at)
 		}
 	}
 	if r.cfg.DropWhenOffline {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/nand"
+	"repro/internal/netsim"
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
@@ -217,7 +218,7 @@ func runDedupCohort(s Scale, devices, imagePages, uniquePages int, dedup bool) (
 	co := DedupCohort{Dedup: dedup}
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, PSK)
-	link := remote.NewRecoveryLink(0, 0)
+	link := remote.NewRecoveryLinkOn(netsim.New(netsim.Config{}))
 
 	devs := make([]*dedupDevice, devices)
 	errs := make([]error, devices)
@@ -294,8 +295,8 @@ func runDedupCohort(s Scale, devices, imagePages, uniquePages int, dedup bool) (
 // what measured RTO exceeds the measured link charge by, and the link
 // charge rescales with the fair-share N/BW.
 func dedupRTOModel(meanRTOms, meanChunks, wireBytes float64, measuredDevices, n int) float64 {
-	rttMs := float64(remote.DefaultRecoveryRTT) / 1e6
-	bytesPerMs := float64(remote.DefaultRecoveryMBps) * 1e6 / 1e3
+	rttMs := float64(netsim.DefaultRTT) / 1e6
+	bytesPerMs := float64(netsim.DefaultMBps) * 1e6 / 1e3
 	linkAt := func(n int) float64 {
 		return meanChunks*rttMs + wireBytes*float64(n)/bytesPerMs
 	}

@@ -25,10 +25,6 @@ import (
 // arrive. Half the devices additionally run a ransomware variant
 // (encryptor, timing attack, trimming attack, cycled); streaming detection
 // must catch each of them with no false alerts on the benign traffic.
-//
-// The same fleet is then rerun with SyncOffload devices — the inline
-// baseline that charges seal + transfer time to host I/O — to measure what
-// overlapping the transfer buys in host batch latency.
 
 // fleetProfiles are the benign replay workloads cycled across the fleet.
 // They are low-entropy members of the corpus: live-traffic detection must
@@ -66,14 +62,14 @@ type FleetDeviceRow struct {
 	QueuePeak      int     // deepest staging-pipeline occupancy
 	Stalls         uint64  // host stalls from staging backpressure
 	WireBytes      uint64  // compressed bytes that crossed the offload link
-	EncodeMs       float64 // simulated codec-stage time (overlapped unless inline)
+	EncodeMs       float64 // simulated codec-stage time (overlapped with host I/O)
 	EncodeQPeak    int     // deepest encode-stage occupancy
 	Detected       bool
 	OpsToAlert     uint64
 	FalseAlerts    int
 }
 
-// FleetSummary aggregates the fleet run and its synchronous baseline.
+// FleetSummary aggregates the fleet run.
 type FleetSummary struct {
 	Devices        int
 	Attacked       int
@@ -84,9 +80,7 @@ type FleetSummary struct {
 	WallMs         float64
 	PageOpsPerSec  float64 // fleet host throughput (wall clock)
 	SegmentsPerSec float64 // fleet ingest rate (wall clock)
-	MeanLatUs      float64 // mean host batch latency, async engine
-	SyncMeanLatUs  float64 // same fleet, SyncOffload baseline
-	OverlapSpeedup float64 // SyncMeanLatUs / MeanLatUs
+	MeanLatUs      float64 // mean host batch latency
 }
 
 // FleetResult is the full fleet report. Cluster is set only on
@@ -98,7 +92,7 @@ type FleetResult struct {
 	Cluster *FleetClusterResult `json:",omitempty"`
 }
 
-// fleetPass is one fleet execution (async or baseline).
+// fleetPass is one fleet execution.
 type fleetPass struct {
 	rows     []FleetDeviceRow
 	wall     time.Duration
@@ -108,47 +102,33 @@ type fleetPass struct {
 	segments uint64
 }
 
-// fleetOpts tunes one fleet pass.
-type fleetOpts struct {
-	syncOffload   bool
-	withAttacks   bool
-	encodeWorkers int // 0 = engine default, negative = inline-encode baseline
-	// saturate submits each replay record the instant the previous one
-	// completes instead of at its trace timestamp: the device-limited
-	// pace the datapath benchmark measures throughput at. Trace-paced
-	// runs (the default) measure latency under realistic arrival gaps.
-	saturate bool
-	tune     remote.BackendProfile
-}
-
 // Fleet runs the fleet scenario. With servers <= 1 it is the classic
-// single-server run plus its synchronous baseline; with more it becomes
-// the control-plane exercise — consistent-hash placement, an injected
-// server kill healed through the redial path, and the server-count
-// scaling curve (fleetcluster.go).
+// single-server run; with more it becomes the control-plane exercise —
+// consistent-hash placement, an injected server kill healed through the
+// redial path, and the server-count scaling curve (fleetcluster.go).
 func Fleet(s Scale, devices, servers int) (*FleetResult, error) {
+	if devices <= 0 {
+		devices = 8
+	}
 	if servers > 1 {
-		if devices <= 0 {
-			devices = 8
-		}
 		return fleetCluster(s, devices, servers)
 	}
-	s = fleetScale(s)
-	async, err := runFleet(s, devices, false, true)
+	pass, err := runFleetOn(fleetScale(s), devices, remote.Profile("mem"), remote.NewStore(remote.NewMemStore()))
 	if err != nil {
-		return nil, fmt.Errorf("fleet async: %w", err)
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	base, err := runFleet(s, devices, true, false)
-	if err != nil {
-		return nil, fmt.Errorf("fleet sync baseline: %w", err)
-	}
+	return &FleetResult{Rows: pass.rows, Summary: pass.summary(devices)}, nil
+}
+
+// summary aggregates the pass's device rows into the fleet summary.
+func (pass *fleetPass) summary(devices int) FleetSummary {
 	sum := FleetSummary{
 		Devices:  devices,
-		PageOps:  async.pageOps,
-		Segments: async.segments,
-		WallMs:   float64(async.wall.Microseconds()) / 1000,
+		PageOps:  pass.pageOps,
+		Segments: pass.segments,
+		WallMs:   float64(pass.wall.Microseconds()) / 1000,
 	}
-	for _, row := range async.rows {
+	for _, row := range pass.rows {
 		if row.Attacked {
 			sum.Attacked++
 			if row.Detected {
@@ -157,35 +137,22 @@ func Fleet(s Scale, devices, servers int) (*FleetResult, error) {
 		}
 		sum.FalseAlerts += row.FalseAlerts
 	}
-	if async.records > 0 {
-		sum.MeanLatUs = float64(async.totalLat) / float64(async.records) / 1000
+	if pass.records > 0 {
+		sum.MeanLatUs = float64(pass.totalLat) / float64(pass.records) / 1000
 	}
-	if base.records > 0 {
-		sum.SyncMeanLatUs = float64(base.totalLat) / float64(base.records) / 1000
+	if secs := pass.wall.Seconds(); secs > 0 {
+		sum.PageOpsPerSec = float64(pass.pageOps) / secs
+		sum.SegmentsPerSec = float64(pass.segments) / secs
 	}
-	if sum.MeanLatUs > 0 {
-		sum.OverlapSpeedup = sum.SyncMeanLatUs / sum.MeanLatUs
-	}
-	if secs := async.wall.Seconds(); secs > 0 {
-		sum.PageOpsPerSec = float64(async.pageOps) / secs
-		sum.SegmentsPerSec = float64(async.segments) / secs
-	}
-	return &FleetResult{Rows: async.rows, Summary: sum}, nil
-}
-
-// runFleet executes one pass over the default in-memory tier.
-func runFleet(s Scale, devices int, syncOffload, withAttacks bool) (*fleetPass, error) {
-	opts := fleetOpts{syncOffload: syncOffload, withAttacks: withAttacks, tune: remote.Profile("mem")}
-	return runFleetOn(s, devices, opts, remote.NewStore(remote.NewMemStore()))
+	return sum
 }
 
 // runFleetOn executes one pass against the given store (any storage tier):
 // every device runs concurrently against one shared server, replaying its
-// benign trace and (when opts.withAttacks) its assigned ransomware
+// benign trace and, on every other device, its assigned ransomware
 // variant. The retention experiment reuses the same pass per backend tier
-// with that tier's watermark/queue profile; the datapath experiment reuses
-// it to compare encode-worker against inline-encode devices.
-func runFleetOn(s Scale, devices int, opts fleetOpts, store *remote.Store) (*fleetPass, error) {
+// with that tier's watermark/queue profile.
+func runFleetOn(s Scale, devices int, tune remote.BackendProfile, store *remote.Store) (*fleetPass, error) {
 	if devices <= 0 {
 		devices = 8
 	}
@@ -200,14 +167,14 @@ func runFleetOn(s Scale, devices int, opts fleetOpts, store *remote.Store) (*fle
 	attackIdx := 0
 	for i := 0; i < devices; i++ {
 		var atk attack.Attack
-		if opts.withAttacks && i%2 == 1 {
+		if i%2 == 1 {
 			atk = makeAttack(fleetAttacks[attackIdx%len(fleetAttacks)])
 			attackIdx++
 		}
 		wg.Add(1)
 		go func(i int, atk attack.Attack) {
 			defer wg.Done()
-			rows[i], errs[i] = runFleetDevice(s, srv, engine, uint64(i+1), i, atk, opts)
+			rows[i], errs[i] = runFleetDevice(s, srv, engine, uint64(i+1), i, atk, tune)
 		}(i, atk)
 	}
 	wg.Wait()
@@ -228,7 +195,7 @@ func runFleetOn(s Scale, devices int, opts fleetOpts, store *remote.Store) (*fle
 
 // runFleetDevice drives one device of the fleet: benign replay (measured),
 // then the assigned attack (streamed to detection), then a final flush.
-func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID uint64, idx int, atk attack.Attack, opts fleetOpts) (FleetDeviceRow, error) {
+func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID uint64, idx int, atk attack.Attack, tune remote.BackendProfile) (FleetDeviceRow, error) {
 	row := FleetDeviceRow{Device: deviceID}
 	client, err := remote.Loopback(srv, PSK, deviceID)
 	if err != nil {
@@ -239,17 +206,15 @@ func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID
 	cfg := core.DefaultConfig()
 	cfg.FTL = s.ftlConfig()
 	cfg.DeviceID = deviceID
-	cfg.SyncOffload = opts.syncOffload
-	cfg.EncodeWorkers = opts.encodeWorkers
 	// Fleet devices drain eagerly (the tier profile's watermarks sit well
 	// below the solo-device defaults): a device backing a shared server
 	// keeps its retention backlog small, which also keeps the offload
 	// pipeline — the thing this experiment measures — continuously busy.
 	// High-latency tiers get a deeper staging queue from their profile so
 	// the long acks stay hidden behind host I/O.
-	cfg.OffloadHighWater = opts.tune.OffloadHighWater
-	cfg.OffloadLowWater = opts.tune.OffloadLowWater
-	cfg.OffloadQueueDepth = opts.tune.OffloadQueueDepth
+	cfg.OffloadHighWater = tune.OffloadHighWater
+	cfg.OffloadLowWater = tune.OffloadLowWater
+	cfg.OffloadQueueDepth = tune.OffloadQueueDepth
 	dev := core.New(cfg, client)
 	defer dev.Close()
 	fs := host.NewFlatFS(dev, simclock.NewClock())
@@ -276,15 +241,11 @@ func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID
 		if len(ops) == 0 {
 			continue
 		}
-		submitAt := rec.At
-		if opts.saturate {
-			submitAt = end // back-to-back: the device, not the trace, sets the pace
-		}
-		done, err := submitRecord(dev, ops, submitAt)
+		done, err := submitRecord(dev, ops, rec.At)
 		if err != nil {
 			return row, err
 		}
-		h.Observe(done.Sub(submitAt))
+		h.Observe(done.Sub(rec.At))
 		end = simclock.Max(end, done)
 		row.Records++
 	}
@@ -374,9 +335,7 @@ func RenderFleet(res *FleetResult) string {
 		s.Devices, s.Attacked, s.Caught, s.FalseAlerts, s.PageOps, s.WallMs,
 		s.PageOpsPerSec, s.SegmentsPerSec, s.Segments)
 	if res.Cluster == nil {
-		out += fmt.Sprintf(
-			"       host batch latency: async %.2f µs vs sync-offload baseline %.2f µs (%.2fx)\n",
-			s.MeanLatUs, s.SyncMeanLatUs, s.OverlapSpeedup)
+		out += fmt.Sprintf("       mean host batch latency %.2f µs\n", s.MeanLatUs)
 	} else {
 		out += RenderFleetCluster(res.Cluster)
 	}

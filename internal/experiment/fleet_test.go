@@ -3,10 +3,9 @@ package experiment
 import "testing"
 
 // TestFleetScenario runs the full fleet — 8 devices, concurrent sessions,
-// streaming detection, sync baseline — at test scale and checks the
-// acceptance properties: every attacked device caught, no false alerts on
-// benign traffic, and the async engine's host latency beating the
-// synchronous-offload baseline.
+// streaming detection — at test scale and checks the acceptance
+// properties: every attacked device caught and no false alerts on benign
+// traffic.
 func TestFleetScenario(t *testing.T) {
 	res, err := Fleet(SmallScale(), 8, 1)
 	if err != nil {
@@ -25,12 +24,8 @@ func TestFleetScenario(t *testing.T) {
 	if s.Segments == 0 {
 		t.Fatal("fleet shipped no segments")
 	}
-	if s.MeanLatUs <= 0 || s.SyncMeanLatUs <= 0 {
+	if s.MeanLatUs <= 0 {
 		t.Fatalf("latency not measured: %+v", s)
-	}
-	if s.MeanLatUs >= s.SyncMeanLatUs {
-		t.Fatalf("async host latency %.2fµs not below sync baseline %.2fµs",
-			s.MeanLatUs, s.SyncMeanLatUs)
 	}
 	for _, r := range res.Rows {
 		if r.Records == 0 || r.PageOps == 0 {

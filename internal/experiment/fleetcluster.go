@@ -151,34 +151,11 @@ func fleetCluster(s Scale, devices, servers int) (*FleetResult, error) {
 			cres.ModelScaleUp = last.ModelSegsPerSec / first.ModelSegsPerSec
 		}
 	}
-
-	sum := FleetSummary{
-		Devices:  devices,
-		PageOps:  pass.pageOps,
-		Segments: pass.segments,
-		WallMs:   float64(pass.wall.Microseconds()) / 1000,
-	}
-	for _, row := range pass.rows {
-		if row.Attacked {
-			sum.Attacked++
-			if row.Detected {
-				sum.Caught++
-			}
-		}
-		sum.FalseAlerts += row.FalseAlerts
-	}
-	if pass.records > 0 {
-		sum.MeanLatUs = float64(pass.totalLat) / float64(pass.records) / 1000
-	}
-	if secs := pass.wall.Seconds(); secs > 0 {
-		sum.PageOpsPerSec = float64(pass.pageOps) / secs
-		sum.SegmentsPerSec = float64(pass.segments) / secs
-	}
 	rows := pass.rows
 	if devices > 64 {
 		rows = nil // keep the committed report compact at fleet scale
 	}
-	return &FleetResult{Rows: rows, Summary: sum, Cluster: cres}, nil
+	return &FleetResult{Rows: rows, Summary: pass.summary(devices), Cluster: cres}, nil
 }
 
 // runFleetClusterPass drives the full fleet through the cluster with one

@@ -111,7 +111,7 @@ func retentionTier(s Scale, devices int, backend string) (RetentionTierRow, erro
 	row.QueueDepth = tune.OffloadQueueDepth
 	row.HighWater = tune.OffloadHighWater
 	row.LowWater = tune.OffloadLowWater
-	pass, err := runFleetOn(s, devices, fleetOpts{withAttacks: true, tune: tune}, store)
+	pass, err := runFleetOn(s, devices, tune, store)
 	if err != nil {
 		return row, err
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/host"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -725,7 +726,7 @@ func soakRestoreLink(cluster *remote.Cluster, id uint64) *remote.RecoveryLink {
 			return remote.NewRecoveryLinkOn(srv.NIC)
 		}
 	}
-	return remote.NewRecoveryLink(0, 0)
+	return remote.NewRecoveryLinkOn(netsim.New(netsim.Config{}))
 }
 
 // soakRetentionTick is the minimal retention pass: for each device,

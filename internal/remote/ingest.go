@@ -25,10 +25,8 @@ import (
 // first connection; the lane is sized lazily when the first session needs
 // it.
 type ServerConfig struct {
-	// DecodeWorkers sizes the decode lane shared by every session:
-	// 0 uses GOMAXPROCS, a negative value disables the lane and decodes
-	// inline on each connection goroutine (the pre-lane baseline the
-	// ingest experiment compares against).
+	// DecodeWorkers sizes the decode lane shared by every session; zero or
+	// less uses GOMAXPROCS. Every segment is ingested on the lane.
 	DecodeWorkers int
 	// DecodeQueueDepth is each worker's job-queue capacity (default 1024).
 	// A full queue backpressures the connection goroutine — and, through
@@ -145,16 +143,13 @@ type decodeLane struct {
 }
 
 // acquireLane returns the running lane (starting it if needed) and takes a
-// session reference, or nil when the config says decode inline.
+// session reference.
 func (s *Server) acquireLane() *decodeLane {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.Config.DecodeWorkers < 0 {
-		return nil
-	}
 	if s.lane == nil {
 		workers := s.Config.DecodeWorkers
-		if workers == 0 {
+		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		depth := s.Config.DecodeQueueDepth
@@ -175,9 +170,6 @@ func (s *Server) acquireLane() *decodeLane {
 // releaseLane drops a session reference; the last release closes the
 // queues (queued jobs still drain) and forgets the lane.
 func (s *Server) releaseLane(l *decodeLane) {
-	if l == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l.refs--
@@ -209,7 +201,7 @@ type session struct {
 	nc       net.Conn
 	conn     *nvmeoe.Conn
 	deviceID uint64
-	lane     *decodeLane // nil: decode inline on the connection goroutine
+	lane     *decodeLane
 	led      *ingestLedger
 
 	// The nvmeoe.Conn is not safe for concurrent writers; lane workers
@@ -283,15 +275,11 @@ func decodeBlob(buf *bufpool.Buf, body []byte) ([]byte, error) {
 }
 
 // ingestSegment is the whole per-segment ingest: pooled decode, verify,
-// append (running detection subscribers), ack. It runs on a lane worker,
-// or on the connection goroutine when the lane is disabled.
+// append (running detection subscribers), ack. It runs on a lane worker.
 func (ss *session) ingestSegment(body []byte) {
-	queued := 0
-	if ss.lane != nil {
-		ss.pendMu.Lock()
-		queued = ss.pending
-		ss.pendMu.Unlock()
-	}
+	ss.pendMu.Lock()
+	queued := ss.pending
+	ss.pendMu.Unlock()
 	start := time.Now()
 	buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(body))
 	raw, err := decodeBlob(buf, body)
@@ -331,9 +319,9 @@ func (ss *session) ingestSegment(body []byte) {
 	}
 
 	if err != nil {
-		// Match the inline path's contract: report and keep the session;
-		// the device's chain state is unchanged, so it can resync. Only a
-		// broken transport kills the connection.
+		// Report and keep the session: the device's chain state is
+		// unchanged, so it can resync. Only a broken transport kills the
+		// connection.
 		if ss.sendErr(CodeBadData, err) != nil {
 			ss.nc.Close()
 		}

@@ -19,7 +19,7 @@ import (
 func TestIngestFrameMutationCorpus(t *testing.T) {
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config.DecodeWorkers = 2 // exercise the lane, not the inline path
+	srv.Config.DecodeWorkers = 2
 	cl, err := Loopback(srv, psk, 1)
 	if err != nil {
 		t.Fatal(err)

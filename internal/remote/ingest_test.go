@@ -129,38 +129,6 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 	}
 }
 
-// TestDecodeLaneInlineFallback pins DecodeWorkers<0: no lane, decode on the
-// connection goroutine, same observable behaviour.
-func TestDecodeLaneInlineFallback(t *testing.T) {
-	st := NewStore(NewMemStore())
-	srv := NewServer(st, psk)
-	srv.Config = ServerConfig{DecodeWorkers: -1}
-	cl, err := Loopback(srv, psk, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	// Window 1: without a lane the connection goroutine ingests inline and
-	// blocks writing each ack, so over a synchronous net.Pipe a pipelining
-	// client would deadlock against it — lock-step is the inline contract.
-	blobs, lastSeqs := blobsFor(buildSegments(9, 4, 6))
-	if err := cl.PushSegmentBlobs(blobs, lastSeqs, 1); err != nil {
-		t.Fatal(err)
-	}
-	if h := st.Head(9); h.NextSeq != 24 {
-		t.Fatalf("head %d, want 24", h.NextSeq)
-	}
-	srv.mu.Lock()
-	lane := srv.lane
-	srv.mu.Unlock()
-	if lane != nil {
-		t.Fatal("inline config started a lane")
-	}
-	if ist := srv.IngestStats(9); ist.Segments != 4 || ist.DecodeQueuePeak != 0 {
-		t.Fatalf("inline ingest stats %+v", ist)
-	}
-}
-
 // TestDecodeLaneErrorKeepsSession: a rejected segment (chain gap) ledgered
 // as an error must not kill the session — the device resyncs and pushes the
 // missing prefix on the same connection.

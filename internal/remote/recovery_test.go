@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/oplog"
 	"repro/internal/simclock"
 )
@@ -239,8 +240,9 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 // TestRecoveryLinkFairShare: with k sessions open, a chunk costs k times
 // its solo transfer time plus RTT — the NIC is split fairly.
 func TestRecoveryLinkFairShare(t *testing.T) {
-	l := NewRecoveryLink(simclock.Microsecond, 1000) // 1 GB/s, 1µs RTT
-	const bytes = 1e6                                // 1 MB: 1ms solo
+	// 1 GB/s with a 1µs RTT: a 1 MB chunk takes 1ms solo.
+	l := NewRecoveryLinkOn(netsim.New(netsim.Config{RTT: simclock.Microsecond, MBps: 1000}))
+	const bytes = 1e6
 	rel1 := l.Open()
 	solo := l.ChunkTime(bytes)
 	if want := simclock.Microsecond + simclock.Millisecond; solo != want {
@@ -260,31 +262,5 @@ func TestRecoveryLinkFairShare(t *testing.T) {
 	rel1()
 	if l.Active() != 0 || l.PeakSessions() != 3 {
 		t.Fatalf("active=%d peak=%d", l.Active(), l.PeakSessions())
-	}
-	// An unconfigured link still prices transfers (defaults), and the
-	// zero value must behave exactly like NewRecoveryLink(0, 0) — the
-	// contract the arbiter delegation shim must not drift from.
-	var def RecoveryLink
-	if def.ChunkTime(1<<20) <= 0 {
-		t.Fatal("default link priced a chunk at zero")
-	}
-	ctor := NewRecoveryLink(0, 0)
-	if got, want := def.ChunkTime(1<<20), ctor.ChunkTime(1<<20); got != want {
-		t.Fatalf("zero-value ChunkTime %v != NewRecoveryLink(0,0) %v", got, want)
-	}
-	rel := def.Open()
-	relC := ctor.Open()
-	if got, want := def.ChunkTime(1<<20), ctor.ChunkTime(1<<20); got != want {
-		t.Fatalf("zero-value open-session ChunkTime %v != constructor's %v", got, want)
-	}
-	rel()
-	relC()
-	if def.Active() != ctor.Active() || def.PeakSessions() != ctor.PeakSessions() {
-		t.Fatalf("zero-value session ledger (%d/%d) != constructor's (%d/%d)",
-			def.Active(), def.PeakSessions(), ctor.Active(), ctor.PeakSessions())
-	}
-	// The defaults are the arbiter defaults: one constant set, not two.
-	if def.Arbiter().LineMBps() != DefaultRecoveryMBps || def.Arbiter().RTT() != DefaultRecoveryRTT {
-		t.Fatal("zero-value link did not resolve the documented defaults")
 	}
 }

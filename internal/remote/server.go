@@ -332,12 +332,8 @@ func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 		// decode lane and return to the wire: the worker decodes, verifies,
 		// appends, and acks.
 		// body is private to this ReadMsg, so the handoff is safe.
-		if ss.lane != nil {
-			ss.begin()
-			ss.lane.enqueue(ss, body)
-			return nil
-		}
-		ss.ingestSegment(body) // inline baseline (DecodeWorkers < 0)
+		ss.begin()
+		ss.lane.enqueue(ss, body)
 		return nil
 
 	case nvmeoe.MsgCheckpoint:
