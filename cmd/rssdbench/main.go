@@ -204,11 +204,11 @@ func run() int {
 			"experiment": name,
 			"scale":      *scaleFlag,
 			"flags": map[string]any{
-				"exp":     *exp,
-				"scale":   *scaleFlag,
-				"devices": *fleetDevices,
-				"servers": *fleetServers,
-				"backend": *backendFlag,
+				"exp":       *exp,
+				"scale":     *scaleFlag,
+				"devices":   *fleetDevices,
+				"servers":   *fleetServers,
+				"backend":   *backendFlag,
 				"short":     *short,
 				"qos":       *qosFlag,
 				"qosfloors": *qosFloors,

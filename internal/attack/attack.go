@@ -171,10 +171,10 @@ func (g *GCAttack) Run(fs *host.FlatFS, rng *rand.Rand) (Report, error) {
 // low-entropy writes. Total attack duration can span simulated weeks,
 // defeating bounded retention windows and rate-based detectors.
 type TimingAttack struct {
-	Key            [32]byte
-	FilesPerBurst  int
-	BurstInterval  simclock.Duration // simulated time between bursts
-	CoverOpsPerOp  int               // benign ops interleaved per malicious op
+	Key           [32]byte
+	FilesPerBurst int
+	BurstInterval simclock.Duration // simulated time between bursts
+	CoverOpsPerOp int               // benign ops interleaved per malicious op
 }
 
 // Name implements Attack.

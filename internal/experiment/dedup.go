@@ -39,11 +39,11 @@ import (
 // image; dedupDivergePct is the fraction of the image the post-checkpoint
 // phase touches.
 const (
-	dedupDupFactor   = 4
-	dedupDivergePct  = 30
-	dedupWireGate    = 0.35 // dedup wire at 512 devices vs full model
-	dedupScaleFrom   = 8
-	dedupScaleTo     = 512
+	dedupDupFactor  = 4
+	dedupDivergePct = 30
+	dedupWireGate   = 0.35 // dedup wire at 512 devices vs full model
+	dedupScaleFrom  = 8
+	dedupScaleTo    = 512
 )
 
 // DedupCohort is one measured restore cohort (dedup on or off).

@@ -13,12 +13,12 @@ import (
 // DetectionRow measures how quickly the offloaded detection pipeline
 // catches one attack variant.
 type DetectionRow struct {
-	Attack       string
-	Detected     bool
-	AlertSeq     uint64
-	OpsToAlert   uint64            // log entries between attack start and alert
-	TimeToAlert  simclock.Duration // simulated time between attack start and alert
-	Reason       string
+	Attack         string
+	Detected       bool
+	AlertSeq       uint64
+	OpsToAlert     uint64            // log entries between attack start and alert
+	TimeToAlert    simclock.Duration // simulated time between attack start and alert
+	Reason         string
 	FalsePositives int // alerts raised before the attack started
 }
 

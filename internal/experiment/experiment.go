@@ -212,4 +212,3 @@ func pct(n, d int) float64 {
 	}
 	return 100 * float64(n) / float64(d)
 }
-

@@ -22,12 +22,12 @@ const (
 
 // RetentionRow is one workload's bar group in Figure 2.
 type RetentionRow struct {
-	Workload       string
-	StaleGiBPerDay float64 // measured stale-data production rate
-	CompressRatio  float64 // measured DEFLATE ratio of the workload's content
-	LocalSSDDays     float64
-	CompressionDays  float64
-	RSSDDays         float64
+	Workload        string
+	StaleGiBPerDay  float64 // measured stale-data production rate
+	CompressRatio   float64 // measured DEFLATE ratio of the workload's content
+	LocalSSDDays    float64
+	CompressionDays float64
+	RSSDDays        float64
 }
 
 // countingRetainer counts stale events without pinning (measurement only).
@@ -44,8 +44,8 @@ func (c *countingRetainer) OnStale(lpn, ppn uint64, cause ftl.StaleCause, at sim
 	return false
 }
 func (c *countingRetainer) OnMigrate(lpn, oldPPN, newPPN uint64, at simclock.Time) {}
-func (c *countingRetainer) OnErased(lpn, ppn uint64, at simclock.Time)            {}
-func (c *countingRetainer) Pressure(needPages int, at simclock.Time)              {}
+func (c *countingRetainer) OnErased(lpn, ppn uint64, at simclock.Time)             {}
+func (c *countingRetainer) Pressure(needPages int, at simclock.Time)               {}
 
 // Fig2Retention measures, for each of the twelve workloads, the stale-data
 // production rate and content compressibility by replaying the workload on

@@ -14,15 +14,15 @@ import (
 // PerfRow compares plain-SSD and RSSD latency for one workload — the
 // paper's "<1% storage performance overhead" claim (P1).
 type PerfRow struct {
-	Workload      string
-	PlainMeanW    simclock.Duration
-	RSSDMeanW     simclock.Duration
-	PlainP99W     simclock.Duration
-	RSSDP99W      simclock.Duration
+	Workload         string
+	PlainMeanW       simclock.Duration
+	RSSDMeanW        simclock.Duration
+	PlainP99W        simclock.Duration
+	RSSDP99W         simclock.Duration
 	WriteOverheadPct float64
-	PlainMeanR    simclock.Duration
-	RSSDMeanR     simclock.Duration
-	ReadOverheadPct float64
+	PlainMeanR       simclock.Duration
+	RSSDMeanR        simclock.Duration
+	ReadOverheadPct  float64
 }
 
 // PerfOverhead replays identical arrival-timed traces against a plain FTL
@@ -125,11 +125,11 @@ func RenderPerf(rows []PerfRow) string {
 
 // LifetimeRow compares write amplification — the device-lifetime claim (P2).
 type LifetimeRow struct {
-	Workload   string
-	PlainWAF   float64
-	RSSDWAF    float64
-	PlainErases uint64
-	RSSDErases  uint64
+	Workload       string
+	PlainWAF       float64
+	RSSDWAF        float64
+	PlainErases    uint64
+	RSSDErases     uint64
 	WAFIncreasePct float64
 }
 

@@ -230,12 +230,12 @@ func RenderOffload(rows []OffloadRow) string {
 // ValidationRow shows Ransomware 2.0 succeeding against an unprotected
 // SSD — the paper's §3 attack-validation claims.
 type ValidationRow struct {
-	Attack        AttackName
-	VictimPages   int
-	SurvivingPct  float64 // victim pages still readable as original
-	GCRunsForced  uint64
-	TrimsIssued   int
-	StaleErased   uint64
+	Attack       AttackName
+	VictimPages  int
+	SurvivingPct float64 // victim pages still readable as original
+	GCRunsForced uint64
+	TrimsIssued  int
+	StaleErased  uint64
 }
 
 // AttackValidation replays each attack against an unprotected LocalSSD and

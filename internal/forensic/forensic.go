@@ -146,7 +146,7 @@ type Window struct {
 	// SuspiciousOps counts the operations classified as malicious.
 	SuspiciousOps int
 	// Breakdown by kind.
-	EncryptWrites int
+	EncryptWrites  int
 	MaliciousTrims int
 }
 

@@ -204,10 +204,10 @@ func TestSeqAtTime(t *testing.T) {
 		t    simclock.Time
 		want uint64
 	}{
-		{0, 0},                                      // before everything
-		{simclock.Time(90 * simclock.Minute), 1},    // between op 0 and 1
-		{simclock.Time(2 * simclock.Hour), 2},       // exactly at op 1 -> next
-		{simclock.Time(10 * simclock.Hour), 3},      // after everything
+		{0, 0},                                   // before everything
+		{simclock.Time(90 * simclock.Minute), 1}, // between op 0 and 1
+		{simclock.Time(2 * simclock.Hour), 2},    // exactly at op 1 -> next
+		{simclock.Time(10 * simclock.Hour), 3},   // after everything
 	}
 	for _, c := range cases {
 		if got := SeqAtTime(ev, c.t); got != c.want {

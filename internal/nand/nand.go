@@ -102,10 +102,10 @@ func (g Geometry) PPN(block uint64, page int) uint64 {
 // Timing holds the latency model. Defaults approximate mid-range MLC NAND,
 // the class of flash on the Cosmos+ board.
 type Timing struct {
-	ReadLatency  simclock.Duration // cell read to register
+	ReadLatency    simclock.Duration // cell read to register
 	ProgramLatency simclock.Duration
-	EraseLatency simclock.Duration
-	Transfer     simclock.Duration // register <-> controller DMA per page
+	EraseLatency   simclock.Duration
+	Transfer       simclock.Duration // register <-> controller DMA per page
 }
 
 // DefaultTiming returns the latency model used throughout the evaluation.
@@ -175,9 +175,9 @@ type blockState struct {
 // Stats counts raw flash operations; the FTL derives write amplification
 // and lifetime estimates from these.
 type Stats struct {
-	Reads    uint64
-	Programs uint64
-	Erases   uint64
+	Reads     uint64
+	Programs  uint64
+	Erases    uint64
 	BitErrors uint64
 }
 

@@ -145,7 +145,7 @@ func TestReadUnwritten(t *testing.T) {
 
 func TestOutOfRange(t *testing.T) {
 	d := New(testConfig())
-	if _, _, _, err := d.Read(1 << 40, 0); !errors.Is(err, ErrOutOfRange) {
+	if _, _, _, err := d.Read(1<<40, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("read err = %v", err)
 	}
 	if _, err := d.Program(1<<40, page(0, 512), OOB{}, 0); !errors.Is(err, ErrOutOfRange) {

@@ -50,7 +50,7 @@ type Status uint16
 
 // Completion statuses.
 const (
-	StatusSuccess Status = 0x0
+	StatusSuccess  Status = 0x0
 	StatusLBARange Status = 0x80 // LBA out of range
 	StatusInternal Status = 0x6
 	StatusInvalid  Status = 0x2 // invalid field (bad size, nil buffer)
@@ -85,10 +85,10 @@ var (
 
 // Controller fronts a block device with NVMe-style queue pairs.
 type Controller struct {
-	dev      host.BlockDevice
-	pageSize int
+	dev         host.BlockDevice
+	pageSize    int
 	lbasPerPage uint64
-	maxLBA   uint64
+	maxLBA      uint64
 }
 
 // NewController wraps a block device. The device's page size must be a

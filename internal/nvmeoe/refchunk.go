@@ -45,7 +45,7 @@ type RefPage struct {
 	WriteSeq uint64
 	StaleSeq uint64
 	Cause    uint8
-	Ref      bool   // true: Data omitted on the wire; resolve Hash device-side
+	Ref      bool // true: Data omitted on the wire; resolve Hash device-side
 	Hash     [32]byte
 	Data     []byte // literal payload; nil when Ref
 }

@@ -82,16 +82,16 @@ const HashSize = sha256.Size
 // exist in memory only: a marshal carries the hashed body, and whoever reads
 // it derives both (see Segment).
 type Entry struct {
-	Seq     uint64
-	At      simclock.Time
-	Kind    Kind
-	LPN     uint64
-	OldPPN  uint64
-	NewPPN  uint64
-	Entropy float32          // Shannon estimate of written content (writes)
-	DataHash [HashSize]byte  // content hash of written data / snapshot digest
-	PrevHash [HashSize]byte  // chain: hash of the previous entry
-	Hash     [HashSize]byte  // chain: SHA-256(PrevHash || body)
+	Seq      uint64
+	At       simclock.Time
+	Kind     Kind
+	LPN      uint64
+	OldPPN   uint64
+	NewPPN   uint64
+	Entropy  float32        // Shannon estimate of written content (writes)
+	DataHash [HashSize]byte // content hash of written data / snapshot digest
+	PrevHash [HashSize]byte // chain: hash of the previous entry
+	Hash     [HashSize]byte // chain: SHA-256(PrevHash || body)
 }
 
 // EntrySize is the marshaled entry size in bytes: the hashed portion,

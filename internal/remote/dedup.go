@@ -177,5 +177,5 @@ func (c *ResolveCache) Lookup(h [oplog.HashSize]byte) ([]byte, bool) {
 }
 
 // Pages reports distinct cached contents; Bytes their physical footprint.
-func (c *ResolveCache) Pages() int  { return len(c.m) }
+func (c *ResolveCache) Pages() int   { return len(c.m) }
 func (c *ResolveCache) Bytes() int64 { return c.bytes }

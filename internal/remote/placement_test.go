@@ -31,7 +31,7 @@ func spreadRatio(t *testing.T, p *Placement, ids []uint64) float64 {
 		}
 	}
 	spread := p.Spread()
-	min, max := 1 << 30, 0
+	min, max := 1<<30, 0
 	for _, c := range spread {
 		if c < min {
 			min = c
@@ -159,7 +159,7 @@ func TestPlacementEvictMovesOnlyDeadNodesDevices(t *testing.T) {
 	// The survivors absorb the dead node's devices without breaking the
 	// spread bound (7 nodes now).
 	spread := p.Spread()
-	min, max := 1 << 30, 0
+	min, max := 1<<30, 0
 	for _, c := range spread {
 		if c < min {
 			min = c

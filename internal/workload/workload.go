@@ -338,13 +338,13 @@ func (g *Generator) Content() []byte {
 
 // Stats summarizes a record stream (used by tests and the harness).
 type Stats struct {
-	Ops         int
-	Reads       int
-	Writes      int
-	Trims       int
+	Ops          int
+	Reads        int
+	Writes       int
+	Trims        int
 	PagesWritten int
-	Span        simclock.Duration
-	UniqueLPNs  int
+	Span         simclock.Duration
+	UniqueLPNs   int
 }
 
 // Summarize computes stream statistics.
