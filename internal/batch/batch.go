@@ -32,14 +32,47 @@ const (
 type Op struct {
 	Kind Kind
 	LPN  uint64
-	Data []byte // write payload (exactly one page); nil for reads/trims
+	// Data is a write's payload, exactly one page, and a read's destination:
+	// a read with exactly one page of Data lands in it, one with nil Data
+	// lands in a page the device allocates (see ReadDests), and any other
+	// length fails the op with a bad page size. Trims ignore it.
+	Data []byte
 }
 
 // Result is the completion for one Op, aligned by index.
 type Result struct {
-	Data []byte        // read payload
+	Data []byte        // read payload: the op's destination
 	Done simclock.Time // simulated completion time of this operation
 	Err  error         // per-op failure (bad size, out of range); nil on success
+}
+
+// ReadDests appends to dst where each read of run lands: its own Data when
+// that is exactly pageSize bytes, nil for any other non-nil length (the
+// device fails that op), and for every op with nil Data a page of one zeroed
+// buffer allocated for the whole run. Those pages have their capacity capped
+// at the page, so appending to one read's result never writes into the next.
+func ReadDests(dst [][]byte, run []Op, pageSize int) [][]byte {
+	n := 0
+	for i := range run {
+		if run[i].Data == nil {
+			n++
+		}
+	}
+	var buf []byte
+	if n > 0 {
+		buf = make([]byte, n*pageSize)
+	}
+	for i := range run {
+		d := run[i].Data
+		switch {
+		case d == nil:
+			d, buf = buf[:pageSize:pageSize], buf[pageSize:]
+		case len(d) != pageSize:
+			d = nil
+		}
+		dst = append(dst, d)
+	}
+	return dst
 }
 
 // Device accepts submission batches. SubmitBatch applies ops in submission

@@ -79,6 +79,43 @@ func (r *RSSD) SubmitBatch(ops []Op, at simclock.Time) ([]Result, simclock.Time,
 	return res, done, nil
 }
 
+// scratch is a batch's working memory: the LPN, index, log-record, FTL-op,
+// completion-time and destination slices of one run, and the duplicate-LPN
+// set that splits it. The one goroutine that drives the device reuses it
+// from run to run (host runs and restore runs never nest), so a run
+// allocates nothing once the slices have grown. The slots that hold a
+// payload pointer, writes and dsts, are cleared before a run returns: the
+// device never pins a caller's buffer.
+type scratch struct {
+	lpns    []uint64
+	idx     []int
+	oldPPNs []uint64
+	recs    []oplog.Rec
+	writes  []ftl.BatchWrite
+	trims   []ftl.BatchTrim
+	times   []simclock.Time
+	dsts    [][]byte
+	seen    map[uint64]struct{}
+}
+
+// resetSeen empties the duplicate-LPN set, creating it on first use.
+func (s *scratch) resetSeen() {
+	if s.seen == nil {
+		s.seen = make(map[uint64]struct{})
+	}
+	clear(s.seen)
+}
+
+// lookup fills s.lpns with the LPNs of run[s.idx] and s.oldPPNs with the
+// pages they map to.
+func (s *scratch) lookup(f *ftl.FTL, run []Op) {
+	s.lpns = s.lpns[:0]
+	for _, i := range s.idx {
+		s.lpns = append(s.lpns, run[i].LPN)
+	}
+	s.oldPPNs = f.LookupBatch(s.oldPPNs[:0], s.lpns)
+}
+
 // submitWrites applies one write run. The run is split into sub-batches at
 // duplicate-LPN boundaries: within a sub-batch every LPN is distinct, so
 // the OldPPN recorded in each log entry (looked up before the grouped FTL
@@ -86,48 +123,46 @@ func (r *RSSD) SubmitBatch(ops []Op, at simclock.Time) ([]Result, simclock.Time,
 func (r *RSSD) submitWrites(run []Op, res []Result, at simclock.Time, done *simclock.Time, mutations *int) error {
 	pageSize := r.f.PageSize()
 	logical := r.f.LogicalPages()
-
-	var sub []int
-	seen := make(map[uint64]struct{}, len(run))
+	s := &r.scratch
+	s.idx = s.idx[:0]
+	s.resetSeen()
 	flush := func() error {
-		if len(sub) == 0 {
+		if len(s.idx) == 0 {
 			return nil
 		}
-		lpns := make([]uint64, len(sub))
-		for k, i := range sub {
-			lpns[k] = run[i].LPN
-		}
-		oldPPNs := r.f.LookupBatch(lpns)
-		recs := make([]oplog.Rec, len(sub))
-		for k, i := range sub {
+		s.lookup(r.f, run)
+		s.recs = s.recs[:0]
+		for k, i := range s.idx {
 			op := &run[i]
-			recs[k] = oplog.Rec{
+			s.recs = append(s.recs, oplog.Rec{
 				Kind: oplog.KindWrite, At: at, LPN: op.LPN,
-				OldPPN: oldPPNs[k], NewPPN: ftl.NoPPN,
+				OldPPN: s.oldPPNs[k], NewPPN: ftl.NoPPN,
 				Entropy:  float32(entropy.Sampled(op.Data, 512)),
 				DataHash: oplog.HashData(op.Data),
-			}
+			})
 		}
-		entries := r.log.AppendBatch(recs)
-		writes := make([]ftl.BatchWrite, len(sub))
-		for k, i := range sub {
-			writes[k] = ftl.BatchWrite{LPN: run[i].LPN, Data: run[i].Data, Seq: entries[k].Seq, Hash: entries[k].DataHash}
+		first := r.log.AppendBatch(s.recs)
+		s.writes = s.writes[:0]
+		for k, i := range s.idx {
+			s.writes = append(s.writes, ftl.BatchWrite{LPN: run[i].LPN, Data: run[i].Data, Seq: first + uint64(k), Hash: s.recs[k].DataHash})
 		}
-		ts, _, err := r.f.WriteBatch(writes, at)
+		var err error
+		s.times, _, err = r.f.WriteBatch(s.times[:0], s.writes, at)
+		clear(s.writes)
 		if err != nil {
 			return err
 		}
-		for k, i := range sub {
-			r.lpnWriteSeq[run[i].LPN] = entries[k].Seq
+		for k, i := range s.idx {
+			r.lpnWriteSeq[run[i].LPN] = first + uint64(k)
 			r.stats.HostWrites++
-			res[i] = Result{Done: ts[k]}
-			if ts[k] > *done {
-				*done = ts[k]
+			res[i] = Result{Done: s.times[k]}
+			if s.times[k] > *done {
+				*done = s.times[k]
 			}
 		}
-		*mutations += len(sub)
-		sub = sub[:0]
-		clear(seen)
+		*mutations += len(s.idx)
+		s.idx = s.idx[:0]
+		clear(s.seen)
 		return nil
 	}
 
@@ -141,53 +176,63 @@ func (r *RSSD) submitWrites(run []Op, res []Result, at simclock.Time, done *simc
 			res[i] = Result{Done: at, Err: ftl.ErrOutOfRange}
 			continue
 		}
-		if _, dup := seen[op.LPN]; dup {
+		if _, dup := s.seen[op.LPN]; dup {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		seen[op.LPN] = struct{}{}
-		sub = append(sub, i)
+		s.seen[op.LPN] = struct{}{}
+		s.idx = append(s.idx, i)
 	}
 	return flush()
 }
 
-// submitReads applies one read run: a grouped FTL read plus one batched
-// append of the sampled read-log entries.
+// submitReads applies one read run: a grouped FTL read into the run's
+// destinations (batch.ReadDests) plus one batched append of the sampled
+// read-log entries.
 func (r *RSSD) submitReads(run []Op, res []Result, at simclock.Time, done *simclock.Time) error {
 	logical := r.f.LogicalPages()
-	var lpns []uint64
-	var idx []int
-	for i := range run {
-		if run[i].LPN >= logical {
+	s := &r.scratch
+	s.dsts = batch.ReadDests(s.dsts[:0], run, r.f.PageSize())
+	defer clear(s.dsts) // the destinations are the caller's
+	// Compact the valid reads to the front of dsts, beside their LPNs.
+	s.lpns, s.idx = s.lpns[:0], s.idx[:0]
+	for i, dst := range s.dsts {
+		switch {
+		case run[i].LPN >= logical:
 			res[i] = Result{Done: at, Err: ftl.ErrOutOfRange}
-			continue
+		case dst == nil:
+			res[i] = Result{Done: at, Err: ftl.ErrBadPageSize}
+		default:
+			s.dsts[len(s.idx)] = dst
+			s.lpns = append(s.lpns, run[i].LPN)
+			s.idx = append(s.idx, i)
 		}
-		lpns = append(lpns, run[i].LPN)
-		idx = append(idx, i)
 	}
-	data, ts, _, err := r.f.ReadBatch(lpns, at)
+	dsts := s.dsts[:len(s.idx)]
+	var err error
+	s.times, _, err = r.f.ReadBatch(s.times[:0], dsts, s.lpns, at)
 	if err != nil {
 		return err
 	}
-	var recs []oplog.Rec
-	for k, i := range idx {
-		res[i] = Result{Data: data[k], Done: ts[k]}
-		if ts[k] > *done {
-			*done = ts[k]
+	s.recs = s.recs[:0]
+	for k, i := range s.idx {
+		res[i] = Result{Data: dsts[k], Done: s.times[k]}
+		if s.times[k] > *done {
+			*done = s.times[k]
 		}
 		r.stats.HostReads++
 		if n := r.cfg.ReadLogSampling; n > 0 {
 			r.readCounter++
 			if r.readCounter%uint64(n) == 0 {
-				recs = append(recs, oplog.Rec{
-					Kind: oplog.KindRead, At: at, LPN: lpns[k],
-					OldPPN: r.f.Lookup(lpns[k]), NewPPN: ftl.NoPPN,
+				s.recs = append(s.recs, oplog.Rec{
+					Kind: oplog.KindRead, At: at, LPN: s.lpns[k],
+					OldPPN: r.f.Lookup(s.lpns[k]), NewPPN: ftl.NoPPN,
 				})
 			}
 		}
 	}
-	r.log.AppendBatch(recs)
+	r.log.AppendBatch(s.recs)
 	return nil
 }
 
@@ -195,36 +240,34 @@ func (r *RSSD) submitReads(run []Op, res []Result, at simclock.Time, done *simcl
 // writes so each log entry's OldPPN is exact.
 func (r *RSSD) submitTrims(run []Op, res []Result, at simclock.Time, done *simclock.Time, mutations *int) error {
 	logical := r.f.LogicalPages()
-
-	var sub []int
-	seen := make(map[uint64]struct{}, len(run))
+	s := &r.scratch
+	s.idx = s.idx[:0]
+	s.resetSeen()
 	flush := func() error {
-		if len(sub) == 0 {
+		if len(s.idx) == 0 {
 			return nil
 		}
-		lpns := make([]uint64, len(sub))
-		for k, i := range sub {
-			lpns[k] = run[i].LPN
-		}
-		oldPPNs := r.f.LookupBatch(lpns)
-		recs := make([]oplog.Rec, len(sub))
-		for k, i := range sub {
-			recs[k] = oplog.Rec{
+		s.lookup(r.f, run)
+		s.recs = s.recs[:0]
+		for k, i := range s.idx {
+			s.recs = append(s.recs, oplog.Rec{
 				Kind: oplog.KindTrim, At: at, LPN: run[i].LPN,
-				OldPPN: oldPPNs[k], NewPPN: ftl.NoPPN,
-			}
+				OldPPN: s.oldPPNs[k], NewPPN: ftl.NoPPN,
+			})
 		}
-		entries := r.log.AppendBatch(recs)
-		trims := make([]ftl.BatchTrim, len(sub))
-		for k, i := range sub {
-			trims[k] = ftl.BatchTrim{LPN: run[i].LPN, Seq: entries[k].Seq}
+		first := r.log.AppendBatch(s.recs)
+		s.trims = s.trims[:0]
+		for k, i := range s.idx {
+			s.trims = append(s.trims, ftl.BatchTrim{LPN: run[i].LPN, Seq: first + uint64(k)})
 		}
-		ts, _, err := r.f.TrimBatch(trims, at)
+		var err error
+		s.times, _, err = r.f.TrimBatch(s.times[:0], s.trims, at)
 		if err != nil {
 			return err
 		}
-		for k, i := range sub {
-			if oldPPNs[k] != ftl.NoPPN {
+		ts := s.times
+		for k, i := range s.idx {
+			if s.oldPPNs[k] != ftl.NoPPN {
 				r.lpnWriteSeq[run[i].LPN] = NoSeq
 			}
 			r.stats.HostTrims++
@@ -233,9 +276,9 @@ func (r *RSSD) submitTrims(run []Op, res []Result, at simclock.Time, done *simcl
 				*done = ts[k]
 			}
 		}
-		*mutations += len(sub)
-		sub = sub[:0]
-		clear(seen)
+		*mutations += len(s.idx)
+		s.idx = s.idx[:0]
+		clear(s.seen)
 		return nil
 	}
 
@@ -244,13 +287,13 @@ func (r *RSSD) submitTrims(run []Op, res []Result, at simclock.Time, done *simcl
 			res[i] = Result{Done: at, Err: ftl.ErrOutOfRange}
 			continue
 		}
-		if _, dup := seen[run[i].LPN]; dup {
+		if _, dup := s.seen[run[i].LPN]; dup {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		seen[run[i].LPN] = struct{}{}
-		sub = append(sub, i)
+		s.seen[run[i].LPN] = struct{}{}
+		s.idx = append(s.idx, i)
 	}
 	return flush()
 }

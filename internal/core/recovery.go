@@ -510,29 +510,33 @@ func (r *RSSD) RestoreBatch(ops []RestoreOp, at simclock.Time) (simclock.Time, e
 
 // restoreWrites submits one run of RestoreBatch: distinct LPNs, all writes.
 func (r *RSSD) restoreWrites(run []RestoreOp, at simclock.Time) (simclock.Time, error) {
-	lpns := make([]uint64, len(run))
+	s := &r.scratch
+	s.lpns = s.lpns[:0]
 	for i := range run {
-		lpns[i] = run[i].LPN
+		s.lpns = append(s.lpns, run[i].LPN)
 	}
-	oldPPNs := r.f.LookupBatch(lpns)
-	recs := make([]oplog.Rec, len(run))
+	s.oldPPNs = r.f.LookupBatch(s.oldPPNs[:0], s.lpns)
+	s.recs = s.recs[:0]
 	for i := range run {
-		recs[i] = oplog.Rec{
+		s.recs = append(s.recs, oplog.Rec{
 			Kind: oplog.KindRecovery, At: at, LPN: run[i].LPN,
-			OldPPN: oldPPNs[i], NewPPN: ftl.NoPPN, DataHash: run[i].Hash,
-		}
+			OldPPN: s.oldPPNs[i], NewPPN: ftl.NoPPN, DataHash: run[i].Hash,
+		})
 	}
-	entries := r.log.AppendBatch(recs)
-	writes := make([]ftl.BatchWrite, len(run))
+	first := r.log.AppendBatch(s.recs)
+	s.writes = s.writes[:0]
 	for i := range run {
-		writes[i] = ftl.BatchWrite{LPN: run[i].LPN, Data: run[i].Data, Seq: entries[i].Seq, Hash: run[i].Hash}
+		s.writes = append(s.writes, ftl.BatchWrite{LPN: run[i].LPN, Data: run[i].Data, Seq: first + uint64(i), Hash: run[i].Hash})
 	}
-	_, done, err := r.f.WriteRecoveryBatch(writes, at)
+	var done simclock.Time
+	var err error
+	s.times, done, err = r.f.WriteRecoveryBatch(s.times[:0], s.writes, at)
+	clear(s.writes) // the payloads are the restorer's
 	if err != nil {
 		return done, err
 	}
 	for i := range run {
-		r.lpnWriteSeq[run[i].LPN] = entries[i].Seq
+		r.lpnWriteSeq[run[i].LPN] = first + uint64(i)
 	}
 	return r.afterOps(len(run), done)
 }

@@ -251,6 +251,8 @@ type RSSD struct {
 	nic     *netsim.Arbiter
 	nicFlow *netsim.Flow
 
+	scratch scratch // the working memory of host and restore runs
+
 	stats Stats
 }
 

@@ -58,27 +58,29 @@ type StaleSeqObserver interface {
 // WriteBatch writes a group of pages as one submission. All writes are
 // issued at time at (queued behind each other only by chip occupancy, so
 // writes landing on different chips overlap); mapping updates follow
-// submission order. It returns per-op completion times aligned with ops
-// and the completion time of the whole batch.
+// submission order. It appends per-op completion times aligned with ops to
+// times and returns the extended slice and the completion time of the
+// whole batch.
 //
 // The batch is validated up front: an out-of-range LPN or short payload
 // fails the whole call before any page is written. A device-level failure
 // (ErrNoSpace) aborts at the failing op; earlier ops remain applied, like
 // a partially consumed submission queue.
-func (f *FTL) WriteBatch(ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
-	return f.writeBatch(StreamHost, ops, at)
+func (f *FTL) WriteBatch(times []simclock.Time, ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	return f.writeBatch(StreamHost, times, ops, at)
 }
 
 // WriteRecoveryBatch is WriteBatch on the recovery front: page i of the
 // batch lands on the chip after page i-1's (while every chip has a block to
 // give), so a restore chunk programs on every chip at once instead of
 // filling the host's one open block. The pages count as host writes.
-func (f *FTL) WriteRecoveryBatch(ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
-	return f.writeBatch(StreamRecovery, ops, at)
+func (f *FTL) WriteRecoveryBatch(times []simclock.Time, ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	return f.writeBatch(StreamRecovery, times, ops, at)
 }
 
-func (f *FTL) writeBatch(stream Stream, ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
-	times := make([]simclock.Time, len(ops))
+func (f *FTL) writeBatch(stream Stream, times []simclock.Time, ops []BatchWrite, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	times = append(times, make([]simclock.Time, len(ops))...)
+	out := times[len(times)-len(ops):]
 	for i := range ops {
 		if ops[i].LPN >= f.logicalPages {
 			return times, at, ErrOutOfRange
@@ -89,18 +91,23 @@ func (f *FTL) writeBatch(stream Stream, ops []BatchWrite, at simclock.Time) ([]s
 	}
 	done := at
 	issue := at
-	var pending []nand.PageProgram
-	var pendingIdx []int
+	pending, pendingIdx := f.pending[:0], f.pendingIdx[:0]
+	defer func() {
+		clear(pending[:cap(pending)]) // the payloads are the caller's
+		f.pending, f.pendingIdx = pending[:0], pendingIdx[:0]
+	}()
 
 	sso, _ := f.ret.(StaleSeqObserver)
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
-		ts, _, err := f.dev.ProgramBatch(pending, issue)
+		var err error
+		f.progTimes, _, err = f.dev.ProgramBatch(f.progTimes[:0], pending, issue)
 		if err != nil {
 			return fmt.Errorf("ftl: batch program: %w", err)
 		}
+		ts := f.progTimes
 		for j, idx := range pendingIdx {
 			op := &ops[idx]
 			ppn := pending[j].PPN
@@ -113,7 +120,7 @@ func (f *FTL) writeBatch(stream Stream, ops []BatchWrite, at simclock.Time) ([]s
 			f.l2p.set(op.LPN, ppn)
 			f.rmap[ppn] = op.LPN
 			f.blocks[f.geo.BlockOf(ppn)].valid++
-			times[idx] = ts[j]
+			out[idx] = ts[j]
 			f.stats.HostWrites++
 			f.stats.HostWriteLatency += ts[j].Sub(at)
 			if ts[j] > done {
@@ -161,15 +168,20 @@ func (f *FTL) writeBatch(stream Stream, ops []BatchWrite, at simclock.Time) ([]s
 	return times, done, nil
 }
 
-// ReadBatch reads a group of logical pages as one submission; unmapped
-// pages read as zeroes. All reads are issued at time at and scheduled
-// across chips by the NAND batch scheduler. Results align with lpns.
-func (f *FTL) ReadBatch(lpns []uint64, at simclock.Time) ([][]byte, []simclock.Time, simclock.Time, error) {
-	out := make([][]byte, len(lpns))
-	times := make([]simclock.Time, len(lpns))
-	for _, lpn := range lpns {
+// ReadBatch reads a group of logical pages as one submission: lpns[i]
+// lands in dst[i], which must be exactly one page, and unmapped pages read
+// as zeroes. All reads are issued at time at and scheduled across chips by
+// the NAND batch scheduler. It appends per-op completion times aligned with
+// lpns to times.
+func (f *FTL) ReadBatch(times []simclock.Time, dst [][]byte, lpns []uint64, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	times = append(times, make([]simclock.Time, len(lpns))...)
+	out := times[len(times)-len(lpns):]
+	for i, lpn := range lpns {
 		if lpn >= f.logicalPages {
-			return out, times, at, ErrOutOfRange
+			return times, at, ErrOutOfRange
+		}
+		if len(dst[i]) != f.geo.PageSize {
+			return times, at, ErrBadPageSize
 		}
 	}
 	f.stats.HostReads += uint64(len(lpns))
@@ -178,28 +190,29 @@ func (f *FTL) ReadBatch(lpns []uint64, at simclock.Time) ([][]byte, []simclock.T
 			ro.OnHostRead(lpn, at)
 		}
 	}
-	var devPPNs []uint64
-	var devIdx []int
+	ppns, devDst, devIdx := f.readPPNs[:0], f.readDst[:0], f.readIdx[:0]
 	for i, lpn := range lpns {
 		ppn := f.l2p.get(lpn)
 		if ppn == NoPPN {
-			out[i] = make([]byte, f.geo.PageSize)
-			times[i] = at
+			clear(dst[i])
+			out[i] = at
 			continue
 		}
-		devPPNs = append(devPPNs, ppn)
+		ppns = append(ppns, ppn)
+		devDst = append(devDst, dst[i])
 		devIdx = append(devIdx, i)
 	}
-	data, _, ts, done, err := f.dev.ReadBatch(devPPNs, at)
+	ts, done, err := f.dev.ReadBatch(f.readTimes[:0], devDst, ppns, at)
+	clear(devDst) // the destinations are the caller's
+	f.readPPNs, f.readDst, f.readIdx, f.readTimes = ppns[:0], devDst[:0], devIdx[:0], ts[:0]
 	if err != nil {
-		return out, times, at, fmt.Errorf("ftl: batch read: %w", err)
+		return times, at, fmt.Errorf("ftl: batch read: %w", err)
 	}
 	for j, idx := range devIdx {
-		out[idx] = data[j]
-		times[idx] = ts[j]
+		out[idx] = ts[j]
 		f.stats.HostReadLatency += ts[j].Sub(at)
 	}
-	return out, times, done, nil
+	return times, done, nil
 }
 
 // TrimBatch invalidates a group of logical pages as one submission.
@@ -207,9 +220,11 @@ func (f *FTL) ReadBatch(lpns []uint64, at simclock.Time) ([][]byte, []simclock.T
 // (when configured) run suspend-capable in the background (see
 // nand.Device.Erase), so they do not advance the returned completion
 // times; their latency surfaces through the erased block's readyAt if it
-// is reprogrammed before the erase finishes.
-func (f *FTL) TrimBatch(ops []BatchTrim, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
-	times := make([]simclock.Time, len(ops))
+// is reprogrammed before the erase finishes. It appends per-op completion
+// times aligned with ops to times.
+func (f *FTL) TrimBatch(times []simclock.Time, ops []BatchTrim, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	times = append(times, make([]simclock.Time, len(ops))...)
+	out := times[len(times)-len(ops):]
 	for i := range ops {
 		if ops[i].LPN >= f.logicalPages {
 			return times, at, ErrOutOfRange
@@ -222,7 +237,7 @@ func (f *FTL) TrimBatch(ops []BatchTrim, at simclock.Time) ([]simclock.Time, sim
 		f.stats.Trims++
 		ppn := f.l2p.get(op.LPN)
 		if ppn == NoPPN {
-			times[i] = cur
+			out[i] = cur
 			continue
 		}
 		f.l2p.set(op.LPN, NoPPN)
@@ -241,7 +256,7 @@ func (f *FTL) TrimBatch(ops []BatchTrim, at simclock.Time) ([]simclock.Time, sim
 				}
 			}
 		}
-		times[i] = cur
+		out[i] = cur
 	}
 	return times, cur, nil
 }
@@ -291,7 +306,7 @@ func (f *FTL) submitWrites(run []batch.Op, res []batch.Result, at simclock.Time,
 			validIdx = append(validIdx, i)
 		}
 	}
-	ts, d, err := f.WriteBatch(valid, at)
+	ts, d, err := f.WriteBatch(nil, valid, at)
 	if err != nil {
 		return err
 	}
@@ -307,21 +322,26 @@ func (f *FTL) submitWrites(run []batch.Op, res []batch.Result, at simclock.Time,
 // submitReads validates and applies one read run of a SubmitBatch.
 func (f *FTL) submitReads(run []batch.Op, res []batch.Result, at simclock.Time, done *simclock.Time) error {
 	var lpns []uint64
+	var dsts [][]byte
 	var validIdx []int
-	for i := range run {
-		if run[i].LPN >= f.logicalPages {
+	for i, dst := range batch.ReadDests(nil, run, f.geo.PageSize) {
+		switch {
+		case run[i].LPN >= f.logicalPages:
 			res[i] = batch.Result{Done: at, Err: ErrOutOfRange}
-			continue
+		case dst == nil:
+			res[i] = batch.Result{Done: at, Err: ErrBadPageSize}
+		default:
+			lpns = append(lpns, run[i].LPN)
+			dsts = append(dsts, dst)
+			validIdx = append(validIdx, i)
 		}
-		lpns = append(lpns, run[i].LPN)
-		validIdx = append(validIdx, i)
 	}
-	data, ts, d, err := f.ReadBatch(lpns, at)
+	ts, d, err := f.ReadBatch(nil, dsts, lpns, at)
 	if err != nil {
 		return err
 	}
 	for j, idx := range validIdx {
-		res[idx] = batch.Result{Data: data[j], Done: ts[j]}
+		res[idx] = batch.Result{Data: dsts[j], Done: ts[j]}
 	}
 	if d > *done {
 		*done = d
@@ -341,7 +361,7 @@ func (f *FTL) submitTrims(run []batch.Op, res []batch.Result, at simclock.Time, 
 		trims = append(trims, BatchTrim{LPN: run[i].LPN})
 		validIdx = append(validIdx, i)
 	}
-	ts, d, err := f.TrimBatch(trims, at)
+	ts, d, err := f.TrimBatch(nil, trims, at)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/bufpool"
 	"repro/internal/nand"
 	"repro/internal/simclock"
 )
@@ -53,7 +54,7 @@ func TestWriteBatchMatchesPerOpState(t *testing.T) {
 		}
 		ops = append(ops, BatchWrite{LPN: uint64(i), Data: data})
 	}
-	if _, _, err := batched.WriteBatch(ops, 0); err != nil {
+	if _, _, err := batched.WriteBatch(nil, ops, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := batched.Stats().HostWrites, perOp.Stats().HostWrites; got != want {
@@ -64,8 +65,8 @@ func TestWriteBatchMatchesPerOpState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd, _, _, err := batched.ReadBatch([]uint64{uint64(i)}, at)
-		if err != nil {
+		bd := dests(1, 512)
+		if _, _, err := batched.ReadBatch(nil, bd, []uint64{uint64(i)}, at); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pd, bd[0]) {
@@ -83,7 +84,7 @@ func TestWriteBatchDuplicateLPNKeepsSubmissionOrder(t *testing.T) {
 		{LPN: 3, Data: pageOf(0xAA, 512)},
 		{LPN: 3, Data: pageOf(0xBB, 512)},
 	}
-	if _, _, err := f.WriteBatch(ops, 0); err != nil {
+	if _, _, err := f.WriteBatch(nil, ops, 0); err != nil {
 		t.Fatal(err)
 	}
 	data, _, err := f.Read(3, 0)
@@ -108,7 +109,7 @@ func TestWriteBatchSurvivesGC(t *testing.T) {
 		for lpn := uint64(0); lpn < n; lpn++ {
 			ops = append(ops, BatchWrite{LPN: lpn, Data: pageOf(byte(round+int(lpn)), 512)})
 		}
-		if _, _, err := f.WriteBatch(ops, 0); err != nil {
+		if _, _, err := f.WriteBatch(nil, ops, 0); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		round++
@@ -116,8 +117,8 @@ func TestWriteBatchSurvivesGC(t *testing.T) {
 	if f.Stats().GCRuns == 0 {
 		t.Fatal("test did not exercise GC")
 	}
-	data, _, _, err := f.ReadBatch(seqLPNs(n), 0)
-	if err != nil {
+	data := dests(int(n), 512)
+	if _, _, err := f.ReadBatch(nil, data, seqLPNs(n), 0); err != nil {
 		t.Fatal(err)
 	}
 	for lpn := uint64(0); lpn < n; lpn++ {
@@ -126,6 +127,15 @@ func TestWriteBatchSurvivesGC(t *testing.T) {
 			t.Fatalf("lpn %d: content %#x, want %#x after GC", lpn, data[lpn][0], want)
 		}
 	}
+}
+
+// dests returns n page-sized read destinations.
+func dests(n, pageSize int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, pageSize)
+	}
+	return out
 }
 
 func seqLPNs(n uint64) []uint64 {
@@ -137,17 +147,17 @@ func seqLPNs(n uint64) []uint64 {
 }
 
 // TestReadBatchUnmappedReadsZeroes mirrors per-op semantics for unmapped
-// and trimmed pages.
+// and trimmed pages, whatever the destination held before.
 func TestReadBatchUnmappedReadsZeroes(t *testing.T) {
 	f := New(batchTestConfig(), nil)
-	if _, _, err := f.WriteBatch([]BatchWrite{{LPN: 1, Data: pageOf(0x11, 512)}}, 0); err != nil {
+	if _, _, err := f.WriteBatch(nil, []BatchWrite{{LPN: 1, Data: pageOf(0x11, 512)}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.TrimBatch([]BatchTrim{{LPN: 1}}, 0); err != nil {
+	if _, _, err := f.TrimBatch(nil, []BatchTrim{{LPN: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	data, _, _, err := f.ReadBatch([]uint64{0, 1}, 0)
-	if err != nil {
+	data := [][]byte{pageOf(0xEE, 512), pageOf(0xEE, 512)}
+	if _, _, err := f.ReadBatch(nil, data, []uint64{0, 1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range data {
@@ -215,14 +225,59 @@ func TestLookupBatchAgreesWithLookup(t *testing.T) {
 	for lpn := uint64(0); lpn < 20; lpn += 2 {
 		ops = append(ops, BatchWrite{LPN: lpn, Data: pageOf(byte(lpn), 512)})
 	}
-	if _, _, err := f.WriteBatch(ops, 0); err != nil {
+	if _, _, err := f.WriteBatch(nil, ops, 0); err != nil {
 		t.Fatal(err)
 	}
 	lpns := []uint64{0, 1, 2, 17, 18, f.LogicalPages() + 5}
-	got := f.LookupBatch(lpns)
+	got := f.LookupBatch([]uint64{42}, lpns)
+	if len(got) != 1+len(lpns) || got[0] != 42 {
+		t.Fatalf("LookupBatch did not append: %v", got)
+	}
+	got = got[1:]
 	for i, lpn := range lpns {
 		if want := f.Lookup(lpn); got[i] != want {
 			t.Fatalf("LookupBatch[%d] (lpn %d) = %d, want %d", i, lpn, got[i], want)
+		}
+	}
+}
+
+// TestReadBatchSteadyStateAllocs: a grouped read into the caller's
+// destinations, and a lookup into the caller's slice, allocate nothing once
+// the FTL's scratch has grown.
+func TestReadBatchSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	f := New(batchTestConfig(), nil)
+	var ops []BatchWrite
+	for lpn := uint64(0); lpn < 32; lpn += 2 {
+		ops = append(ops, BatchWrite{LPN: lpn, Data: pageOf(byte(lpn), 512)})
+	}
+	if _, _, err := f.WriteBatch(nil, ops, 0); err != nil {
+		t.Fatal(err)
+	}
+	lpns := seqLPNs(32) // half mapped, half reading as zeroes
+	data := dests(len(lpns), 512)
+	var times []simclock.Time
+	var ppns []uint64
+	read := func() {
+		var err error
+		if times, _, err = f.ReadBatch(times[:0], data, lpns, 0); err != nil {
+			t.Fatal(err)
+		}
+		ppns = f.LookupBatch(ppns[:0], lpns)
+	}
+	read()
+	if got := testing.AllocsPerRun(20, read); got != 0 {
+		t.Fatalf("ReadBatch + LookupBatch of %d pages: %.1f allocs, want 0", len(lpns), got)
+	}
+	for lpn, d := range data {
+		want := make([]byte, 512)
+		if lpn%2 == 0 {
+			want = pageOf(byte(lpn), 512)
+		}
+		if !bytes.Equal(d, want) {
+			t.Fatalf("lpn %d read back wrong data", lpn)
 		}
 	}
 }

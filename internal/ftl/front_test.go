@@ -102,7 +102,7 @@ func hostPlacementDigest(t *testing.T, f *FTL, ret *placementRetainer) string {
 				ops[i] = BatchWrite{LPN: uint64(rng.Intn(logical)), Data: fill(byte(op+i), 512), Seq: uint64(op)}
 			}
 			var ts []simclock.Time
-			ts, at, err = f.WriteBatch(ops, at)
+			ts, at, err = f.WriteBatch(nil, ops, at)
 			for i := range ops {
 				ret.sum.add('b', ops[i].LPN, uint64(ts[i]))
 			}
@@ -186,7 +186,7 @@ func TestRecoveryFrontStripesEveryChip(t *testing.T) {
 	for round := 0; round < 400; round++ {
 		var err error
 		if rng.Intn(3) == 0 {
-			if _, at, err = f.WriteBatch(batch(1+rng.Intn(10), byte(round)), at); err != nil {
+			if _, at, err = f.WriteBatch(nil, batch(1+rng.Intn(10), byte(round)), at); err != nil {
 				t.Fatalf("round %d: host batch: %v", round, err)
 			}
 			continue
@@ -211,7 +211,7 @@ func TestRecoveryFrontStripesEveryChip(t *testing.T) {
 			roomy = roomy && freeOn[c] >= blocks
 		}
 		roomy = roomy && len(f.freeList)-opens > cfg.GCLowWater
-		if _, at, err = f.WriteRecoveryBatch(ops, at); err != nil {
+		if _, at, err = f.WriteRecoveryBatch(nil, ops, at); err != nil {
 			t.Fatalf("round %d: recovery batch: %v", round, err)
 		}
 		if !roomy {
@@ -266,7 +266,7 @@ func TestHostAdoptsIdleRecoveryBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := []BatchWrite{{LPN: 1, Data: fill(2, 512)}, {LPN: 2, Data: fill(3, 512)}, {LPN: 3, Data: fill(4, 512)}}
-	if _, at, err = f.WriteRecoveryBatch(rec, at); err != nil {
+	if _, at, err = f.WriteRecoveryBatch(nil, rec, at); err != nil {
 		t.Fatal(err)
 	}
 	tails := map[uint64]bool{}

@@ -229,6 +229,19 @@ type FTL struct {
 	stats        Stats
 	zeroPage     []byte
 	inGC         bool
+
+	// Working memory of the batch entry points, reused from call to call by
+	// the one goroutine that drives the FTL. The slots that hold a payload
+	// pointer are cleared before a call returns. GC migrates through
+	// buffers of its own: it runs inside writeBatch's allocation loop, while
+	// pending is in use.
+	pending    []nand.PageProgram
+	pendingIdx []int
+	progTimes  []simclock.Time
+	readPPNs   []uint64
+	readDst    [][]byte
+	readIdx    []int
+	readTimes  []simclock.Time
 }
 
 // New builds an FTL (and its NAND device) from cfg. retainer may be nil.
@@ -355,17 +368,17 @@ func (f *FTL) Lookup(lpn uint64) uint64 {
 }
 
 // LookupBatch resolves a group of LPNs against the sharded mapping table
-// in one call. Out-of-range LPNs resolve to NoPPN, like Lookup.
-func (f *FTL) LookupBatch(lpns []uint64) []uint64 {
-	out := make([]uint64, len(lpns))
-	for i, lpn := range lpns {
-		if lpn >= f.logicalPages {
-			out[i] = NoPPN
-		} else {
-			out[i] = f.l2p.get(lpn)
+// in one call, appending their PPNs to dst. Out-of-range LPNs resolve to
+// NoPPN, like Lookup.
+func (f *FTL) LookupBatch(dst, lpns []uint64) []uint64 {
+	for _, lpn := range lpns {
+		ppn := NoPPN
+		if lpn < f.logicalPages {
+			ppn = f.l2p.get(lpn)
 		}
+		dst = append(dst, ppn)
 	}
-	return out
+	return dst
 }
 
 // RetentionBudgetPages returns the number of physical pages beyond the

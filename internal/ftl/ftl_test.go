@@ -428,9 +428,9 @@ func TestCostBenefitPolicyAlsoPreservesData(t *testing.T) {
 
 func TestWriteWithSeqStampsOOB(t *testing.T) {
 	f := New(smallConfig(), nil)
-	for i, write := range []func([]BatchWrite, simclock.Time) ([]simclock.Time, simclock.Time, error){f.WriteBatch, f.WriteRecoveryBatch} {
+	for i, write := range []func([]simclock.Time, []BatchWrite, simclock.Time) ([]simclock.Time, simclock.Time, error){f.WriteBatch, f.WriteRecoveryBatch} {
 		seq, hash := uint64(77+i), [32]byte{byte(1 + i)}
-		if _, _, err := write([]BatchWrite{{LPN: 2, Data: fill(9, 512), Seq: seq, Hash: hash}}, 0); err != nil {
+		if _, _, err := write(nil, []BatchWrite{{LPN: 2, Data: fill(9, 512), Seq: seq, Hash: hash}}, 0); err != nil {
 			t.Fatal(err)
 		}
 		_, oob, _, err := f.ReadPhysical(f.Lookup(2), 0)

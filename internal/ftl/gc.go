@@ -3,6 +3,7 @@ package ftl
 import (
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/nand"
 	"repro/internal/simclock"
 )
@@ -137,11 +138,19 @@ func (f *FTL) collect(victim uint64, at simclock.Time) (simclock.Time, error) {
 		}
 	}
 	if len(migs) > 0 {
+		// The controller's buffers: one pooled run of pages, free again
+		// once the programs have copied them.
+		ps := f.geo.PageSize
+		buf := bufpool.Get(len(migs) * ps)
+		defer buf.Release()
+		pages := buf.B[:len(migs)*ps]
 		ppns := make([]uint64, len(migs))
+		dst := make([][]byte, len(migs))
 		for i := range migs {
 			ppns[i] = migs[i].oldPPN
+			dst[i] = pages[i*ps : (i+1)*ps]
 		}
-		data, oobs, _, readDone, err := f.dev.ReadBatch(ppns, at)
+		_, readDone, err := f.dev.ReadBatch(nil, dst, ppns, at)
 		if err != nil {
 			return at, fmt.Errorf("ftl: gc read block %d: %w", victim, err)
 		}
@@ -158,9 +167,10 @@ func (f *FTL) collect(victim uint64, at simclock.Time) (simclock.Time, error) {
 			if err != nil {
 				return readDone, err
 			}
-			progs[i] = nand.PageProgram{PPN: newPPN, Data: data[i], OOB: oobs[i]}
+			oob, _ := f.dev.ReadOOB(ppns[i])
+			progs[i] = nand.PageProgram{PPN: newPPN, Data: dst[i], OOB: oob}
 		}
-		ts, progDone, err := f.dev.ProgramBatch(progs, readDone)
+		ts, progDone, err := f.dev.ProgramBatch(nil, progs, readDone)
 		if err != nil {
 			return readDone, fmt.Errorf("ftl: gc program block %d: %w", victim, err)
 		}

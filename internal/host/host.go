@@ -185,22 +185,31 @@ func (fs *FlatFS) release(exts []extent, trim bool) error {
 }
 
 // writeExtents writes data across the file's extents, zero-padding the
-// final page.
+// final page. The pages are one allocation, copied from data once.
 func (fs *FlatFS) writeExtents(exts []extent, data []byte) error {
-	ps := fs.dev.PageSize()
-	var ops []batch.Op
-	off := 0
-	for _, e := range exts {
-		for p := e.start; p < e.start+e.count; p++ {
-			page := make([]byte, ps)
-			if off < len(data) {
-				off += copy(page, data[off:])
-			}
-			ops = append(ops, batch.Op{Kind: batch.OpWrite, LPN: p, Data: page})
-		}
-	}
+	ops, buf := fs.pageOps(batch.OpWrite, exts)
+	copy(buf, data)
 	_, err := fs.submit(ops)
 	return err
+}
+
+// pageOps returns one op of the given kind per page of exts, in order, each
+// pointing at its page of one zeroed buffer, which it also returns.
+func (fs *FlatFS) pageOps(kind batch.Kind, exts []extent) ([]batch.Op, []byte) {
+	var n uint64
+	for _, e := range exts {
+		n += e.count
+	}
+	ps := uint64(fs.dev.PageSize())
+	buf := make([]byte, n*ps)
+	ops := make([]batch.Op, 0, n)
+	for _, e := range exts {
+		for p := e.start; p < e.start+e.count; p++ {
+			off := uint64(len(ops)) * ps
+			ops = append(ops, batch.Op{Kind: kind, LPN: p, Data: buf[off : off+ps]})
+		}
+	}
+	return ops, buf
 }
 
 // Create stores a new file.
@@ -230,21 +239,20 @@ func (fs *FlatFS) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	var ops []batch.Op
-	for _, e := range f.extents {
-		for p := e.start; p < e.start+e.count; p++ {
-			ops = append(ops, batch.Op{Kind: batch.OpRead, LPN: p})
-		}
-	}
+	// Every page reads into its place in one buffer.
+	ops, buf := fs.pageOps(batch.OpRead, f.extents)
 	res, err := fs.submit(ops)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, f.size)
 	for i := range res {
-		out = append(out, res[i].Data...)
+		// A device that returns its own buffer instead of filling the
+		// destination is copied from.
+		if d := res[i].Data; len(d) > 0 && &d[0] != &ops[i].Data[0] {
+			copy(ops[i].Data, d)
+		}
 	}
-	return out[:f.size], nil
+	return buf[:f.size], nil
 }
 
 // Overwrite replaces a file's contents in place when the page count

@@ -281,21 +281,24 @@ func (d *Device) ReadBackground(ppn uint64, at simclock.Time) (data *bufpool.Buf
 // Read returns a copy of the page's data and OOB. The returned completion
 // time reflects chip contention.
 func (d *Device) Read(ppn uint64, at simclock.Time) (data []byte, oob OOB, done simclock.Time, err error) {
+	data = make([]byte, d.geo.PageSize)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.readLocked(ppn, at)
-}
-
-// readLocked is Read with d.mu held.
-func (d *Device) readLocked(ppn uint64, at simclock.Time) (data []byte, oob OOB, done simclock.Time, err error) {
-	src, oob, done, err := d.readOn(ppn, at, d.occupy)
-	if err != nil {
+	if oob, done, err = d.readInto(data, ppn, at); err != nil {
 		return nil, oob, done, err
 	}
-	data = make([]byte, len(src))
-	copy(data, src)
-	d.maybeFlip(data)
 	return data, oob, done, nil
+}
+
+// readInto is a host-lane read of ppn into dst, one page, with d.mu held.
+func (d *Device) readInto(dst []byte, ppn uint64, at simclock.Time) (OOB, simclock.Time, error) {
+	src, oob, done, err := d.readOn(ppn, at, d.occupy)
+	if err != nil {
+		return oob, done, err
+	}
+	copy(dst, src)
+	d.maybeFlip(dst)
+	return oob, done, nil
 }
 
 // readOn performs a page read, charging chip time through the given lane

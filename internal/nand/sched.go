@@ -79,13 +79,15 @@ func (d *Device) schedule(n int, chipOf func(int) int, times []simclock.Time,
 // ProgramBatch programs a group of pages as one submission. Each program
 // starts no earlier than at and no earlier than its chip's next-free time;
 // chips proceed independently, so programs on different chips overlap. It
-// returns per-operation completion times (aligned with ops) and the batch
-// completion time (the latest of them, or at for an empty batch).
+// appends per-operation completion times (aligned with ops) to times and
+// returns the extended slice and the batch completion time (the latest of
+// them, or at for an empty batch).
 //
 // An error aborts the batch at the failing operation: earlier operations
 // remain programmed, and their entries in the returned times are valid.
-func (d *Device) ProgramBatch(ops []PageProgram, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
-	times := make([]simclock.Time, len(ops))
+func (d *Device) ProgramBatch(times []simclock.Time, ops []PageProgram, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	times = append(times, make([]simclock.Time, len(ops))...)
+	out := times[len(times)-len(ops):]
 	if len(ops) == 0 {
 		return times, at, nil
 	}
@@ -93,52 +95,51 @@ func (d *Device) ProgramBatch(ops []PageProgram, at simclock.Time) ([]simclock.T
 	defer d.mu.Unlock()
 	err := d.schedule(len(ops), func(i int) int {
 		return d.geo.ChipOfBlock(d.geo.BlockOf(ops[i].PPN))
-	}, times, func(i int, start simclock.Time) (simclock.Time, error) {
+	}, out, func(i int, start simclock.Time) (simclock.Time, error) {
 		op := ops[i]
 		return d.programLocked(op.PPN, op.Data, op.OOB, simclock.Max(at, start))
 	})
-	done := at
-	for _, t := range times {
-		if t > done {
-			done = t
-		}
-	}
-	return times, done, err
+	return times, latest(out, at), err
 }
 
 // ReadBatch reads a group of pages as one submission, with the same
-// scheduling and error semantics as ProgramBatch. It returns the page
-// contents and OOB areas aligned with ppns.
-func (d *Device) ReadBatch(ppns []uint64, at simclock.Time) ([][]byte, []OOB, []simclock.Time, simclock.Time, error) {
-	data := make([][]byte, len(ppns))
-	oobs := make([]OOB, len(ppns))
-	times := make([]simclock.Time, len(ppns))
+// scheduling and error semantics as ProgramBatch: page ppns[i] is copied
+// into dst[i], which must be exactly one page. It appends per-operation
+// completion times (aligned with ppns) to times.
+func (d *Device) ReadBatch(times []simclock.Time, dst [][]byte, ppns []uint64, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
+	times = append(times, make([]simclock.Time, len(ppns))...)
+	out := times[len(times)-len(ppns):]
 	if len(ppns) == 0 {
-		return data, oobs, times, at, nil
+		return times, at, nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Out-of-range PPNs would panic inside chipOf; reject them up front.
-	for _, ppn := range ppns {
+	// Out-of-range PPNs would panic inside chipOf; reject them, and
+	// destinations that are not one page, up front.
+	for i, ppn := range ppns {
 		if ppn >= uint64(len(d.pages)) {
-			return data, oobs, times, at, ErrOutOfRange
+			return times, at, ErrOutOfRange
+		}
+		if len(dst[i]) != d.geo.PageSize {
+			return times, at, ErrPageSize
 		}
 	}
 	err := d.schedule(len(ppns), func(i int) int {
 		return d.geo.ChipOfBlock(d.geo.BlockOf(ppns[i]))
-	}, times, func(i int, start simclock.Time) (simclock.Time, error) {
-		pg, oob, done, err := d.readLocked(ppns[i], simclock.Max(at, start))
+	}, out, func(i int, start simclock.Time) (simclock.Time, error) {
+		_, done, err := d.readInto(dst[i], ppns[i], simclock.Max(at, start))
 		if err != nil {
 			return at, err
 		}
-		data[i], oobs[i] = pg, oob
 		return done, nil
 	})
-	done := at
+	return times, latest(out, at), err
+}
+
+// latest returns the latest of times, or at if none is later.
+func latest(times []simclock.Time, at simclock.Time) simclock.Time {
 	for _, t := range times {
-		if t > done {
-			done = t
-		}
+		at = simclock.Max(at, t)
 	}
-	return data, oobs, times, done, err
+	return at
 }

@@ -83,9 +83,10 @@ func (m *MultiQueue) ProcessAll(at simclock.Time) simclock.Time { return m.Proce
 // executeBatched runs a command's page operations through the device's
 // submission-batch interface when the device supports it: a multi-page
 // NVMe command becomes one device batch, scheduled across NAND channels,
-// instead of a page-at-a-time loop. It reports handled=false when the
-// command must take the per-op path (partial-page edges, flush, or a
-// device without batch support).
+// instead of a page-at-a-time loop. A read's pages land in the completion's
+// one buffer, each op pointed at its own page of it. It reports
+// handled=false when the command must take the per-op path (partial-page
+// edges, flush, or a device without batch support).
 func (c *Controller) executeBatched(cmd Command, at *simclock.Time) (comp Completion, handled bool) {
 	dev, ok := c.dev.(batch.Device)
 	if !ok {
@@ -100,53 +101,47 @@ func (c *Controller) executeBatched(cmd Command, at *simclock.Time) (comp Comple
 	}
 	firstPage := cmd.SLBA / c.lbasPerPage
 	pages := int(uint64(cmd.NLB) / c.lbasPerPage)
-	var ops []batch.Op
+	ops := c.ops[:0]
+	var data []byte
 	switch cmd.Opcode {
 	case OpWrite:
 		if len(cmd.Data) != int(cmd.NLB)*LBASize {
 			return Completion{CID: cmd.CID, Status: StatusInvalid, At: *at}, true
 		}
-		ops = make([]batch.Op, pages)
 		for p := 0; p < pages; p++ {
-			ops[p] = batch.Op{
+			ops = append(ops, batch.Op{
 				Kind: batch.OpWrite, LPN: firstPage + uint64(p),
 				Data: cmd.Data[p*c.pageSize : (p+1)*c.pageSize],
-			}
+			})
 		}
 	case OpRead:
-		ops = make([]batch.Op, pages)
+		data = make([]byte, int(cmd.NLB)*LBASize)
 		for p := 0; p < pages; p++ {
-			ops[p] = batch.Op{Kind: batch.OpRead, LPN: firstPage + uint64(p)}
+			ops = append(ops, batch.Op{
+				Kind: batch.OpRead, LPN: firstPage + uint64(p),
+				Data: data[p*c.pageSize : (p+1)*c.pageSize],
+			})
 		}
 	case OpDSM:
-		ops = make([]batch.Op, pages)
 		for p := 0; p < pages; p++ {
-			ops[p] = batch.Op{Kind: batch.OpTrim, LPN: firstPage + uint64(p)}
+			ops = append(ops, batch.Op{Kind: batch.OpTrim, LPN: firstPage + uint64(p)})
 		}
 	default:
 		return Completion{}, false
 	}
 	res, done, err := dev.SubmitBatch(ops, *at)
+	clear(ops) // the payloads are the command's
+	c.ops = ops[:0]
+	*at = done
 	if err != nil {
-		*at = done
 		return Completion{CID: cmd.CID, Status: StatusInternal, At: *at}, true
-	}
-	comp = Completion{CID: cmd.CID, Status: StatusSuccess}
-	if cmd.Opcode == OpRead {
-		comp.Data = make([]byte, 0, int(cmd.NLB)*LBASize)
 	}
 	for i := range res {
 		if res[i].Err != nil {
-			*at = done
 			return Completion{CID: cmd.CID, Status: StatusInternal, At: *at}, true
 		}
-		if cmd.Opcode == OpRead {
-			comp.Data = append(comp.Data, res[i].Data...)
-		}
 	}
-	*at = done
-	comp.At = *at
-	return comp, true
+	return Completion{CID: cmd.CID, Status: StatusSuccess, Data: data, At: *at}, true
 }
 
 // String aids debugging of arbitration traces.

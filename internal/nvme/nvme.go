@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/batch"
 	"repro/internal/host"
 	"repro/internal/simclock"
 )
@@ -83,12 +84,14 @@ var (
 	ErrQueueEmpty = errors.New("nvme: completion queue empty")
 )
 
-// Controller fronts a block device with NVMe-style queue pairs.
+// Controller fronts a block device with NVMe-style queue pairs. Like the
+// firmware event loop it models, it is driven by one goroutine.
 type Controller struct {
 	dev         host.BlockDevice
 	pageSize    int
 	lbasPerPage uint64
 	maxLBA      uint64
+	ops         []batch.Op // a batched command's page operations, reused
 }
 
 // NewController wraps a block device. The device's page size must be a
@@ -149,8 +152,16 @@ func (q *QueuePair) Process(n int, at simclock.Time) simclock.Time {
 		comp.SQHead = len(q.sq) - (i + 1)
 		q.cq = append(q.cq, comp)
 	}
-	q.sq = append(q.sq[:0], q.sq[n:]...)
+	q.sq = shift(q.sq, n)
 	return at
+}
+
+// shift drops the first n entries of a queue in place, clearing the slots it
+// vacates so a queue never keeps a finished command's buffer alive.
+func shift[T any](s []T, n int) []T {
+	k := copy(s, s[n:])
+	clear(s[k:])
+	return s[:k]
 }
 
 // Reap pops the oldest completion.
@@ -159,7 +170,7 @@ func (q *QueuePair) Reap() (Completion, error) {
 		return Completion{}, ErrQueueEmpty
 	}
 	comp := q.cq[0]
-	q.cq = append(q.cq[:0], q.cq[1:]...)
+	q.cq = shift(q.cq, 1)
 	return comp, nil
 }
 

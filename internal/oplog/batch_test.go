@@ -12,6 +12,9 @@ import (
 func TestAppendBatchChainsLikeAppend(t *testing.T) {
 	perOp := New()
 	batched := New()
+	// One entry ahead, so the batch's first sequence is not zero.
+	perOp.Append(KindWrite, 0, 0, 0, 0, 0, [HashSize]byte{})
+	batched.Append(KindWrite, 0, 0, 0, 0, 0, [HashSize]byte{})
 	var recs []Rec
 	for i := 0; i < 64; i++ {
 		rec := Rec{
@@ -22,9 +25,8 @@ func TestAppendBatchChainsLikeAppend(t *testing.T) {
 		recs = append(recs, rec)
 		perOp.Append(rec.Kind, rec.At, rec.LPN, rec.OldPPN, rec.NewPPN, rec.Entropy, rec.DataHash)
 	}
-	entries := batched.AppendBatch(recs)
-	if len(entries) != 64 {
-		t.Fatalf("AppendBatch returned %d entries, want 64", len(entries))
+	if first := batched.AppendBatch(recs); first != 1 {
+		t.Fatalf("AppendBatch returned first seq %d, want 1", first)
 	}
 	if perOp.Head() != batched.Head() {
 		t.Fatal("batched chain head diverges from per-op chain")
@@ -61,13 +63,15 @@ func TestAppendBatchInterleavedWithAppend(t *testing.T) {
 	}
 }
 
-// TestAppendBatchEmpty: an empty batch is a no-op.
+// TestAppendBatchEmpty: an empty batch is a no-op that names the next
+// sequence as its first.
 func TestAppendBatchEmpty(t *testing.T) {
 	l := New()
-	if out := l.AppendBatch(nil); out != nil {
-		t.Fatalf("AppendBatch(nil) = %v", out)
+	l.Append(KindWrite, 1, 1, 0, 0, 0, [HashSize]byte{})
+	if first := l.AppendBatch(nil); first != 1 {
+		t.Fatalf("AppendBatch(nil) = %d, want 1", first)
 	}
-	if l.NextSeq() != 0 {
+	if l.NextSeq() != 1 || l.Len() != 1 {
 		t.Fatal("empty batch advanced the sequence counter")
 	}
 }

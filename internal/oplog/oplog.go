@@ -224,19 +224,17 @@ type Rec struct {
 }
 
 // AppendBatch creates, seals, and stores one entry per record under a
-// single lock acquisition, returning copies in order. Every entry is still
-// individually hash-chained onto its predecessor — VerifyChain sees no
-// difference from per-op appends — but the sequence counter, head update,
-// and seal buffer are touched once per batch instead of once per entry,
-// which is what makes the batched datapath's logging cheap.
-func (l *Log) AppendBatch(recs []Rec) []Entry {
-	if len(recs) == 0 {
-		return nil
-	}
+// single lock acquisition and returns the sequence number of the first:
+// record i becomes entry first+i. Every entry is still individually
+// hash-chained onto its predecessor — VerifyChain sees no difference from
+// per-op appends — but the sequence counter, head update, and seal buffer
+// are touched once per batch instead of once per entry, which is what makes
+// the batched datapath's logging cheap.
+func (l *Log) AppendBatch(recs []Rec) (first uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(recs))
-	for i, rec := range recs {
+	first = l.nextSeq
+	for _, rec := range recs {
 		e := Entry{
 			Seq: l.nextSeq, At: rec.At, Kind: rec.Kind,
 			LPN: rec.LPN, OldPPN: rec.OldPPN, NewPPN: rec.NewPPN,
@@ -246,9 +244,8 @@ func (l *Log) AppendBatch(recs []Rec) []Entry {
 		l.entries = append(l.entries, e)
 		l.head = e.Hash
 		l.nextSeq++
-		out[i] = e
 	}
-	return out
+	return first
 }
 
 // NextSeq returns the sequence number the next appended entry will get.

@@ -181,7 +181,9 @@ func (e *Engine) RebuildTo(target Target, before uint64, at simclock.Time) (simc
 
 // verify compares a version's content hash against the DataHash recorded by
 // the log entry that wrote it, consulting the local log first and the remote
-// store for pruned entries.
+// store for pruned entries. It fails closed: a version whose entry neither
+// holds — a pruned log with no client, or a reply that is not entry
+// writeSeq — is not verified.
 func (e *Engine) verify(lpn, writeSeq uint64, hash [oplog.HashSize]byte) (bool, error) {
 	var entry *oplog.Entry
 	if writeSeq >= e.dev.Log().BaseSeq() {
@@ -197,11 +199,7 @@ func (e *Engine) verify(lpn, writeSeq uint64, hash [oplog.HashSize]byte) (bool, 
 			entry = &got[0]
 		}
 	}
-	if entry == nil {
-		// Entry unavailable (no remote, pruned log): accept unverified.
-		return true, nil
-	}
-	if entry.LPN != lpn {
+	if entry == nil || entry.Seq != writeSeq || entry.LPN != lpn {
 		return false, nil
 	}
 	return entry.DataHash == hash, nil

@@ -34,6 +34,11 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
+	dev := core.New(rigConfig(), client)
+	return &rig{fs: host.NewFlatFS(dev, simclock.NewClock()), dev: dev, store: store, client: client}
+}
+
+func rigConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.FTL = ftl.Config{
 		NAND: nand.Config{
@@ -46,8 +51,7 @@ func newRig(t *testing.T) *rig {
 		OverProvision: 0.2,
 	}
 	cfg.CheckpointEvery = 256
-	dev := core.New(cfg, client)
-	return &rig{fs: host.NewFlatFS(dev, simclock.NewClock()), dev: dev, store: store, client: client}
+	return cfg
 }
 
 // snapshotFiles reads every current file (a pre-attack content snapshot).
@@ -263,5 +267,34 @@ func TestReportCompleteSemantics(t *testing.T) {
 	r = Report{VictimPages: 3, PagesRestored: 2}
 	if r.Complete() {
 		t.Fatal("missing page should mean incomplete")
+	}
+}
+
+// TestVerifyFailsClosedWhenEntryUnavailable: a retained version whose write
+// entry can be found neither in the local log (pruned) nor remotely (no
+// client) is unverifiable. It counts as a verify failure and is not written
+// back as recovered.
+func TestVerifyFailsClosedWhenEntryUnavailable(t *testing.T) {
+	dev := core.New(rigConfig(), nil)
+	plain, junk := make([]byte, 512), make([]byte, 512)
+	rand.New(rand.NewSource(7)).Read(junk)
+	at, err := dev.Write(40, plain, 0)
+	if err == nil {
+		at, err = dev.Write(40, junk, at)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Log().Prune(dev.Log().NextSeq())
+	win := forensic.Window{StartSeq: 1, EndSeq: 2, Victims: []uint64{40}}
+	_, rep, err := NewEngine(dev, nil, Options{Verify: true}).RestoreWindow(win, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.VerifyFailures != 1 || rep.PagesVerified != 0 || rep.PagesRestored != 0 {
+		t.Fatalf("unverifiable version accepted: %+v", rep)
+	}
+	if got, _, _ := dev.Read(40, at); !bytes.Equal(got, junk) {
+		t.Fatal("an unverified version was written back")
 	}
 }
