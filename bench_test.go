@@ -215,6 +215,7 @@ func BenchmarkAblationEnhancedTrim(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.FTL = ftlConfigFor(s)
 		cfg.DisableEnhancedTrim = disable
+		cfg.Dial = func() (*remote.Client, error) { return remote.Loopback(srv, experiment.PSK, 1) }
 		dev := core.New(cfg, client)
 		fsys := hostFS(dev)
 		rng := rand.New(rand.NewSource(5))

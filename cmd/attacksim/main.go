@@ -120,14 +120,16 @@ func run(atkName, system string, files int, seed int64) error {
 		return err
 	}
 
-	eng := recovery.NewEngine(rig.Dev, rig.Client, recovery.Options{Verify: true})
+	eng := recovery.NewEngine(rig.Dev, rig.Client, recovery.Options{})
 	_, rrep, err := eng.RestoreWindow(win, rig.FS.Clock().Now())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\n%s\n", rrep)
-	if rrep.Complete() {
-		fmt.Println("All victim pages restored to their pre-attack contents. Zero data loss.")
+	done := rrep.PagesRestored + rrep.PagesZeroed + rrep.PagesKept
+	fmt.Printf("Victim pages back at their pre-attack contents: %d / %d.\n", done, len(win.Victims))
+	if done == len(win.Victims) {
+		fmt.Println("Zero data loss.")
 	}
 	return nil
 }

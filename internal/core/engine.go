@@ -449,17 +449,18 @@ func (r *RSSD) applyResult(st *stagedSegment) {
 // releaseSegment applies one durably-acked segment: local pins are
 // released (the ack-before-release ordering is the zero-data-loss
 // invariant), the log is pruned, and the transfer span is attributed to
-// the background engine rather than host I/O.
+// the background engine rather than host I/O. A restore in flight keeps the
+// pins at or past its cursor: its stream may already have passed the
+// version, and the pin is then the only candidate it will see.
 func (r *RSSD) releaseSegment(st *stagedSegment) {
 	for _, re := range st.batch {
-		if err := r.f.Release(re.ppn); err == nil {
-			r.stats.ReleasedPins++
-		}
-		re.released = true
-		delete(r.retained, re.ppn)
-		r.removeFromLPNIndex(re)
 		r.stats.OffloadPages++
 		r.stats.OffloadBytes += uint64(r.f.PageSize())
+		if rb := r.rolling; rb != nil && re.lpn >= rb.cursor {
+			rb.held = append(rb.held, re)
+			continue
+		}
+		r.unpin(re)
 	}
 	r.stats.OffloadSegments++
 	r.stats.OffloadEntries += uint64(len(st.seg.Entries))

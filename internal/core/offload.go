@@ -39,11 +39,31 @@ func (r *RSSD) maybeOffload(at simclock.Time) (simclock.Time, error) {
 // unstagedRetained counts retained pages not yet travelling through the
 // offload pipeline — the quantity the watermarks govern.
 func (r *RSSD) unstagedRetained() int {
-	n := len(r.retained)
+	n := r.pins()
 	if r.engine != nil {
 		n -= r.engine.pagesInFlight
 	}
 	return n
+}
+
+// pins counts the retained pages offload or a drop can still free: all but
+// the ones a restore holds, which are shipped already.
+func (r *RSSD) pins() int {
+	n := len(r.retained)
+	if r.rolling != nil {
+		n -= len(r.rolling.held)
+	}
+	return n
+}
+
+// unpin lets the FTL reclaim a retained page and forgets it.
+func (r *RSSD) unpin(re *retEntry) {
+	if err := r.f.Release(re.ppn); err == nil {
+		r.stats.ReleasedPins++
+	}
+	re.released = true
+	delete(r.retained, re.ppn)
+	r.removeFromLPNIndex(re)
 }
 
 // stageTo stages segments until at most target unstaged retained pages
@@ -160,17 +180,12 @@ func (r *RSSD) engineIdleHealthy() bool {
 // offline degradation path uses it; each drop is recorded because it is
 // exactly the data-loss event RSSD exists to prevent.
 func (r *RSSD) dropTo(target int) {
-	for len(r.retained) > target {
+	for r.pins() > target {
 		re := r.popOldest()
 		if re == nil {
 			return
 		}
-		if err := r.f.Release(re.ppn); err == nil {
-			r.stats.ReleasedPins++
-		}
-		re.released = true
-		delete(r.retained, re.ppn)
-		r.removeFromLPNIndex(re)
+		r.unpin(re)
 		r.stats.DroppedPages++
 	}
 }

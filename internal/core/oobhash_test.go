@@ -36,7 +36,7 @@ func checkOOBHashes(t *testing.T, r *RSSD, entries map[uint64]oplog.Entry, below
 }
 
 // TestOOBHashFollowsThePage is the model test for the OOB hash: whatever
-// path programs a page — host write, RestoreWrite, GC migration of live and
+// path programs a page — host write, recovery write, GC migration of live and
 // of pinned pages — its OOB carries the DataHash of the entry its sequence
 // names, across a power cut; and the pages Reopen pins again ship under that
 // hash and are accepted, with no hash computed at seal.
@@ -63,7 +63,8 @@ func TestOOBHashFollowsThePage(t *testing.T) {
 			case k == 0:
 				at, err = r.Trim(lpn, at)
 			case k == 1:
-				at, err = r.RestoreWrite(lpn, page(), at)
+				p := page()
+				at, err = r.restoreBatch([]restoreOp{{LPN: lpn, Data: p, Hash: oplog.HashData(p)}}, at)
 			default:
 				at, err = r.Write(lpn, page(), at)
 			}
@@ -115,8 +116,10 @@ func TestOOBHashFollowsThePage(t *testing.T) {
 
 // TestRestoreFailsPinThatDiffersFromItsWriteTimeHash: a local pin whose
 // read-back no longer matches the hash its OOB has carried since the write
-// fails the restore of that page instead of being logged as recovered.
+// fails the restore of that page instead of being logged as recovered, and a
+// point-in-time query of it fails instead of returning the rotted bytes.
 func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
+	const cut = 1 // the first version's write is entry 0
 	run := func(bitErrorProb float64) (simclock.Time, RestoreReport, *RSSD, error) {
 		cfg := testConfig()
 		cfg.DropWhenOffline = false
@@ -127,13 +130,12 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cut := e.r.Log().NextSeq()
 		if at, err = e.r.Write(0, fill(2, 512), at); err != nil { // pins the first version locally
 			t.Fatal(err)
 		}
 		var rep RestoreReport
 		rb := rollback{r: e.r, before: cut, rep: &rep}
-		if err = rb.span(0, 1, at); err == nil {
+		if err = rb.span(1, at); err == nil {
 			at, err = rb.submit(at)
 		}
 		return at, rep, e.r, err
@@ -141,6 +143,9 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 	at, rep, r, err := run(0)
 	if err != nil || rep.PagesRestored != 1 {
 		t.Fatalf("clean pin: restored %d, err %v", rep.PagesRestored, err)
+	}
+	if data, ws, _, err := r.VersionBefore(0, cut, at); err != nil || ws != 0 || !bytes.Equal(data, fill(1, 512)) {
+		t.Fatalf("clean pin: version write %d, err %v", ws, err)
 	}
 	if es := r.Log().All(); es[len(es)-1].Kind != oplog.KindRecovery || es[len(es)-1].DataHash != oplog.HashData(fill(1, 512)) {
 		t.Fatalf("recovery entry does not record the restored content: %+v", es[len(es)-1])
@@ -157,5 +162,8 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 	}
 	if r.WriteSeqOf(0) != 1 {
 		t.Fatalf("live version is write seq %d, want the untouched overwrite at 1", r.WriteSeqOf(0))
+	}
+	if data, _, _, err := r.VersionBefore(0, cut, at); err == nil || !strings.Contains(err.Error(), "write-time content hash") {
+		t.Fatalf("corrupt pin: version query returned %d bytes, err %v", len(data), err)
 	}
 }

@@ -8,25 +8,28 @@ package core
 //     the remote log from the newest checkpoint inside the chain (further
 //     back only as far as a page on flash still needs an answer) and splices
 //     the post-reboot log onto the remote chain head.
-//   - VersionBefore / ImageBefore answer point-in-time queries across the
-//     live mapping, local pins, and the remote store; the remote part of
-//     an image rides the chunked FetchImageStream.
-//   - RestoreBatch is the logged primitive that rolls pages back, stamping
-//     the evidence chain with recovery entries: its writes reach flash as
-//     one grouped submission striped over every chip. RestoreWrite and
-//     RestoreTrim are its one-element forms.
-//   - RestoreImage is the resumable restorer: it streams the image in
-//     LPN-ordered codec-framed chunks over its own recovery session,
-//     applies each chunk as one RestoreBatch when it arrives — every
-//     streamed page checked against its content hash on arrival — survives
-//     mid-stream disconnects by redialing and resuming from its cursor, charges
-//     transfer time to a shared-bandwidth recovery link model, and
-//     reports a per-device RTO. Fleet power-cycle recovery and the
-//     rollback paths in internal/recovery both drive it.
+//   - decide is the one answer to "what did this page hold before sequence
+//     s?": the newest of the live mapping, the local pins and the remote
+//     store's record, or zeroes. VersionBefore asks it for one page, whose
+//     remote part is a one-LPN image stream.
+//   - RestoreImage is the one way recovered bytes enter the device: it
+//     streams the image before the cut — of every LPN, or of the ascending
+//     LPNs RestoreOptions.LPNs names — in LPN-ordered codec-framed chunks
+//     over its own recovery session, decides each page as it arrives, and
+//     applies each chunk as one restoreBatch, the logged primitive whose
+//     KindRecovery entries stamp the evidence chain and whose writes reach
+//     flash as one grouped submission striped over every chip. Every page it
+//     writes was checked against a content hash: a streamed literal on
+//     arrival, a pin against its OOB. It survives mid-stream disconnects by
+//     redialing and resuming from its cursor, holds the pins its cursor has
+//     not reached, charges transfer time to a shared-bandwidth recovery link
+//     model, and reports a per-device RTO. Power-cycle recovery and forensic
+//     window restores (internal/recovery) are the same call.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ftl"
@@ -304,171 +307,121 @@ func (r *RSSD) WriteSeqOf(lpn uint64) uint64 {
 	return r.lpnWriteSeq[lpn]
 }
 
-// candidate is one version of a page competing to be "the newest before a
-// sequence": the live mapping, a local pin, or a remote record.
-type candidate struct {
-	writeSeq uint64
-	staleSeq uint64 // NoSeq if live
-	cause    ftl.StaleCause
-	live     bool
-	ppn      uint64 // local location when rec is nil
-	rec      *oplog.PageRecord
+// version is what a page held just before a cut, as decide finds it.
+type version struct {
+	writeSeq uint64 // the write that put the bytes there; NoSeq: zeroes
+	written  bool   // a write before the cut named the page (zeroes: trimmed since)
+	live     bool   // the live mapping holds it
+	data     []byte // a pin's or a streamed record's bytes; nil when live or zeroes
+	hash     [oplog.HashSize]byte
 }
 
-// localBest returns the newest local version of lpn written strictly
-// before the given sequence: the live mapping if it qualifies, else the
-// newest qualifying pin. nil when no local version qualifies.
-func (r *RSSD) localBest(lpn, before uint64) *candidate {
-	var best *candidate
-	if ws := r.lpnWriteSeq[lpn]; ws != NoSeq && ws < before {
-		best = &candidate{writeSeq: ws, staleSeq: NoSeq, live: true, ppn: r.f.Lookup(lpn)}
+// decide is the one answer to "what did lpn hold just before the cut
+// `before`?". Of the live mapping, the local pins and rec — the remote
+// store's newest version before the cut, nil when it holds none — the newest
+// written before the cut wins, and the page reads as zeroes when the winner
+// was trimmed away before the cut. (A winner staled by an overwrite before
+// the cut implies a newer version that would have won; if that one was
+// dropped offline, the older data is the best surviving restore.) A streamed
+// record was checked against its hash on arrival; a pin is read, hashed once
+// and used only if it matches the write-time hash its OOB has carried since
+// the write.
+func (r *RSSD) decide(lpn, before uint64, rec *oplog.PageRecord, at simclock.Time) (version, error) {
+	ws, staleSeq, cause := NoSeq, NoSeq, ftl.StaleCause(0)
+	live := r.lpnWriteSeq[lpn] != NoSeq && r.lpnWriteSeq[lpn] < before
+	if live {
+		ws = r.lpnWriteSeq[lpn]
 	}
+	var pin *retEntry
 	vs := r.retByLPN[lpn]
-	for i := len(vs) - 1; i >= 0; i-- {
-		re := vs[i]
-		if re.released || re.writeSeq == NoSeq || re.writeSeq >= before {
-			continue
+	for i := len(vs) - 1; i >= 0; i-- { // writeSeq order: the first that qualifies is the newest
+		if re := vs[i]; !re.released && re.writeSeq != NoSeq && re.writeSeq < before {
+			if ws == NoSeq || re.writeSeq > ws {
+				pin, live, ws, staleSeq, cause = re, false, re.writeSeq, re.staleSeq, re.cause
+			}
+			break
 		}
-		if best == nil || re.writeSeq > best.writeSeq {
-			best = &candidate{writeSeq: re.writeSeq, staleSeq: re.staleSeq, cause: re.cause, ppn: re.ppn}
-		}
-		break // list is sorted; the first qualifying from the end is the newest
 	}
-	return best
-}
-
-// merge folds a remote record into the best-so-far candidate.
-func merge(best *candidate, rec *oplog.PageRecord) *candidate {
-	if rec == nil || (best != nil && rec.WriteSeq <= best.writeSeq) {
-		return best
+	if rec != nil && (ws == NoSeq || rec.WriteSeq > ws) {
+		pin, live, ws, staleSeq, cause = nil, false, rec.WriteSeq, rec.StaleSeq, ftl.StaleCause(rec.Cause)
+	} else {
+		rec = nil
 	}
-	return &candidate{
-		writeSeq: rec.WriteSeq, staleSeq: rec.StaleSeq,
-		cause: ftl.StaleCause(rec.Cause), rec: rec,
+	switch {
+	case ws == NoSeq:
+		return version{writeSeq: NoSeq}, nil
+	case staleSeq != NoSeq && staleSeq < before && cause == ftl.CauseTrim:
+		return version{writeSeq: NoSeq, written: true}, nil
+	case live:
+		return version{writeSeq: ws, written: true, live: true}, nil
+	case rec != nil:
+		return version{writeSeq: ws, written: true, data: rec.Data, hash: rec.Hash}, nil
 	}
-}
-
-// trimGap reports whether the winning candidate means the page read as
-// zeroes at the cut: it was already trimmed-stale before it. (An
-// overwrite-staled best implies a newer version exists and would have
-// been chosen; if it was dropped in offline mode, the older data is the
-// best surviving restore.)
-func trimGap(best *candidate, before uint64) bool {
-	return best.staleSeq != NoSeq && best.staleSeq < before && best.cause == ftl.CauseTrim
-}
-
-// ReadVersionBefore returns the contents lpn held just before log sequence
-// `before`. See VersionBefore for the full contract.
-func (r *RSSD) ReadVersionBefore(lpn, before uint64, at simclock.Time) ([]byte, bool, error) {
-	data, _, ok, err := r.VersionBefore(lpn, before, at)
-	return data, ok, err
+	data, oob, _, err := r.f.ReadPhysical(pin.ppn, at)
+	if err != nil {
+		return version{}, fmt.Errorf("read pin for lpn %d (ppn %d): %w", lpn, pin.ppn, err)
+	}
+	v := version{writeSeq: ws, written: true, data: data, hash: oplog.HashData(data)}
+	if v.hash != oob.Hash {
+		return version{}, fmt.Errorf("pin for lpn %d (ppn %d, write seq %d) fails its write-time content hash", lpn, pin.ppn, oob.Seq)
+	}
+	return v, nil
 }
 
 // VersionBefore returns the contents lpn held just before log sequence
-// `before`: the newest version written with seq < before that was still
-// live at that point. It consults, in order of preference, the live
-// mapping, locally retained pins, and the remote store. A page that was
-// trimmed before `before` (and not rewritten) reads as zeroes, matching
-// what the host would have observed.
+// `before`, as decide finds them; the remote store's part arrives as a
+// one-LPN image stream over the device's session. A page trimmed before
+// `before` (and not rewritten) reads as zeroes, matching what the host would
+// have observed.
 //
-// writeSeq is the log sequence of the write that produced the returned
-// data, or NoSeq when the result is the zero page (never written, or a
-// trim gap); recovery uses it to verify restored content against the
-// log's recorded hash.
+// writeSeq is the log sequence of the write that produced the returned data,
+// or NoSeq for zeroes; ok reports whether a write before `before` named the
+// page at all (false: never written).
 func (r *RSSD) VersionBefore(lpn, before uint64, at simclock.Time) (data []byte, writeSeq uint64, ok bool, err error) {
 	if lpn >= r.f.LogicalPages() {
 		return nil, NoSeq, false, ftl.ErrOutOfRange
 	}
-	best := r.localBest(lpn, before)
+	var rec *oplog.PageRecord
 	if r.client != nil {
-		rec, ok, err := r.client.FetchVersion(lpn, before)
+		_, err := r.client.FetchImageStream(lpn, lpn+1, before, 0, 1, nil, func(pages []oplog.PageRecord, _ remote.ChunkStats) error {
+			for _, p := range pages { // the slice is the stream's scratch
+				rec = &p
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, NoSeq, false, fmt.Errorf("core: fetch version lpn %d: %w", lpn, err)
 		}
-		if ok {
-			best = merge(best, &rec)
+	}
+	v, err := r.decide(lpn, before, rec, at)
+	switch {
+	case err != nil:
+		return nil, NoSeq, false, fmt.Errorf("core: version of lpn %d: %w", lpn, err)
+	case v.live:
+		if data, _, _, err = r.f.ReadPhysical(r.f.Lookup(lpn), at); err != nil {
+			return nil, NoSeq, false, fmt.Errorf("core: read lpn %d: %w", lpn, err)
 		}
+	case v.data != nil:
+		data = v.data
+	default:
+		data = make([]byte, r.f.PageSize())
 	}
-	if best == nil {
-		// Never written before `before`: logical zeroes.
-		return make([]byte, r.f.PageSize()), NoSeq, false, nil
-	}
-	if trimGap(best, before) {
-		return make([]byte, r.f.PageSize()), NoSeq, true, nil
-	}
-	if best.rec != nil {
-		return append([]byte(nil), best.rec.Data...), best.writeSeq, true, nil
-	}
-	data, _, _, err = r.f.ReadPhysical(best.ppn, at)
-	if err != nil {
-		return nil, NoSeq, false, fmt.Errorf("core: read version ppn %d: %w", best.ppn, err)
-	}
-	return data, best.writeSeq, true, nil
+	return data, v.writeSeq, v.written, nil
 }
 
-// ImageBefore reconstructs the full logical image as it stood just before
-// log sequence `before`. The result has one entry per logical page: nil
-// means the page read as zeroes at that point (never written, or inside a
-// trim gap). Remote versions arrive through the chunked image stream —
-// codec-framed on the wire like every other fetch — so rebuilding a whole
-// device costs a stream of right-sized chunks rather than one monolithic
-// reply. This is the disaster-recovery query ("rebuild onto a fresh
-// device"); RestoreImage is the in-place rollback built on the same
-// stream.
-func (r *RSSD) ImageBefore(before uint64, at simclock.Time) ([][]byte, error) {
-	n := r.f.LogicalPages()
-	best := make([]*candidate, n)
-	for lpn := uint64(0); lpn < n; lpn++ {
-		best[lpn] = r.localBest(lpn, before)
-	}
-	if r.client != nil {
-		_, err := r.client.FetchImageStream(0, before, 0, 0, nil,
-			func(pages []oplog.PageRecord, cs remote.ChunkStats) error {
-				r.stats.RestoreBytesWire += uint64(cs.WireBytes)
-				r.stats.RestoreBytesLogical += uint64(cs.LogicalBytes)
-				for _, rec := range pages { // the slice is the stream's scratch: keep copies
-					if rec.LPN < n {
-						best[rec.LPN] = merge(best[rec.LPN], &rec)
-					}
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, fmt.Errorf("core: fetch image: %w", err)
-		}
-	}
-	img := make([][]byte, n)
-	for lpn := uint64(0); lpn < n; lpn++ {
-		b := best[lpn]
-		if b == nil || trimGap(b, before) {
-			continue // zeroes
-		}
-		if b.rec != nil {
-			img[lpn] = append([]byte(nil), b.rec.Data...)
-			continue
-		}
-		data, _, _, err := r.f.ReadPhysical(b.ppn, at)
-		if err != nil {
-			return nil, fmt.Errorf("core: image read lpn %d (ppn %d): %w", lpn, b.ppn, err)
-		}
-		img[lpn] = data
-	}
-	return img, nil
-}
+// --- The logged restore primitive -----------------------------------------
 
-// --- Logged restore primitives --------------------------------------------
-
-// RestoreOp is one logged recovery action: roll LPN back to Data, whose
+// restoreOp is one logged recovery action: roll LPN back to Data, whose
 // content hash is Hash, or — Data nil — to the unmapped (zero) state, for a
 // page whose pre-attack state was "never written" or "trimmed by the
 // legitimate owner".
-type RestoreOp struct {
+type restoreOp struct {
 	LPN  uint64
 	Data []byte
 	Hash [oplog.HashSize]byte
 }
 
-// RestoreBatch applies ops in order, logging each as a recovery action so the
+// restoreBatch applies ops in order, logging each as a recovery action so the
 // evidence chain distinguishes restoration from host activity. A run of
 // writes with ascending LPNs is one submission: one batch of KindRecovery
 // entries carrying the given hashes (logged and stamped, never recomputed),
@@ -477,8 +430,8 @@ type RestoreOp struct {
 // LPN not above its predecessor, whose entry must name the page the run
 // before it wrote) ends the run before it: entries stay in the order given.
 // The batch is validated up front; a device-level failure aborts it with the
-// earlier runs applied.
-func (r *RSSD) RestoreBatch(ops []RestoreOp, at simclock.Time) (simclock.Time, error) {
+// earlier runs applied. Only the restorer calls it, with bytes decide chose.
+func (r *RSSD) restoreBatch(ops []restoreOp, at simclock.Time) (simclock.Time, error) {
 	for i := range ops {
 		if ops[i].Data != nil && len(ops[i].Data) != r.f.PageSize() {
 			return at, ftl.ErrBadPageSize
@@ -508,8 +461,8 @@ func (r *RSSD) RestoreBatch(ops []RestoreOp, at simclock.Time) (simclock.Time, e
 	return at, nil
 }
 
-// restoreWrites submits one run of RestoreBatch: distinct LPNs, all writes.
-func (r *RSSD) restoreWrites(run []RestoreOp, at simclock.Time) (simclock.Time, error) {
+// restoreWrites submits one run of restoreBatch: distinct LPNs, all writes.
+func (r *RSSD) restoreWrites(run []restoreOp, at simclock.Time) (simclock.Time, error) {
 	s := &r.scratch
 	s.lpns = s.lpns[:0]
 	for i := range run {
@@ -541,7 +494,7 @@ func (r *RSSD) restoreWrites(run []RestoreOp, at simclock.Time) (simclock.Time, 
 	return r.afterOps(len(run), done)
 }
 
-// restoreTrim logs and applies one zeroing of RestoreBatch.
+// restoreTrim logs and applies one zeroing of restoreBatch.
 func (r *RSSD) restoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) {
 	oldPPN := r.f.Lookup(lpn)
 	e := r.log.Append(oplog.KindRecoveryTrim, at, lpn, oldPPN, ftl.NoPPN, 0, [oplog.HashSize]byte{})
@@ -554,24 +507,14 @@ func (r *RSSD) restoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) 
 	return r.afterOp(done)
 }
 
-// RestoreWrite rewrites lpn with recovered data: a one-element RestoreBatch.
-func (r *RSSD) RestoreWrite(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
-	if len(data) != r.f.PageSize() {
-		return at, ftl.ErrBadPageSize
-	}
-	return r.RestoreBatch([]RestoreOp{{LPN: lpn, Data: data, Hash: oplog.HashData(data)}}, at)
-}
-
-// RestoreTrim restores lpn to the unmapped (zero) state: a one-element
-// RestoreBatch.
-func (r *RSSD) RestoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) {
-	return r.RestoreBatch([]RestoreOp{{LPN: lpn}}, at)
-}
-
 // --- The resumable restorer -----------------------------------------------
 
 // RestoreOptions tunes a resumable image restore.
 type RestoreOptions struct {
+	// LPNs is the restore's scope: the strictly ascending logical pages to
+	// roll back (a forensic window's victims), every other page left as it
+	// is. nil rolls back every LPN; an empty list, none.
+	LPNs []uint64
 	// Dial opens recovery sessions; nil falls back to Config.Dial. The
 	// restorer owns its sessions: restore streams never interleave with
 	// the offload engine's pushes, so restore-churn offload proceeds while
@@ -635,17 +578,21 @@ type restoreApplyError struct{ err error }
 func (e *restoreApplyError) Error() string { return e.err.Error() }
 func (e *restoreApplyError) Unwrap() error { return e.err }
 
-// RestoreImage rolls the whole device back to its state just before log
-// sequence `before`, in place. Remote history streams in LPN-ordered
-// codec-framed chunks over a dedicated recovery session and pages are
-// applied incrementally as each chunk lands — there is never a
-// whole-image buffer, and a restore interrupted at chunk k resumes at its
-// cursor instead of restarting. Every applied page is a logged recovery
-// action, so rollback remains evidence-chain honest, and pages whose live
-// content already matches the target are left untouched (a clean page
-// costs no flash write). Reopen + RestoreImage is the fleet power-cycle
-// recovery path; the forensic rollback in internal/recovery reuses the
-// same restorer.
+// RestoreImage rolls the device — every LPN, or the ones opts.LPNs names —
+// back to its state just before log sequence `before`, in place. Remote
+// history streams in LPN-ordered codec-framed chunks over a dedicated
+// recovery session, bounded to the scope's LPN range, and pages are decided
+// and applied as each chunk lands — there is never a whole-image buffer, and
+// a restore interrupted at chunk k resumes at its cursor instead of
+// restarting. Every applied page is a logged recovery action, so rollback
+// remains evidence-chain honest, and pages whose live content already matches
+// the target are left untouched (a clean page costs no flash write).
+//
+// While it runs, the restore's own churn may ship a pin whose LPN the cursor
+// has not reached, after the stream has passed that LPN: releaseSegment holds
+// such a pin, acked, until the cursor passes it, so no LPN is left without
+// its candidate. Reopen + RestoreImage is power-cycle recovery; a forensic
+// window restore is the same call scoped to the victims.
 func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time) (simclock.Time, RestoreReport, error) {
 	var rep RestoreReport
 	dial := opts.Dial
@@ -654,6 +601,23 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 	}
 	if dial == nil {
 		return at, rep, ErrNoDial
+	}
+	n := r.f.LogicalPages()
+	rb := &rollback{r: r, before: before, lpns: opts.LPNs, rep: &rep}
+	end := n // one past the scope's last LPN: the stream's bound
+	if rb.lpns != nil {
+		for i, lpn := range rb.lpns {
+			if lpn >= n {
+				return at, rep, ftl.ErrOutOfRange
+			}
+			if i > 0 && lpn <= rb.lpns[i-1] {
+				return at, rep, fmt.Errorf("core: restore: LPNs must ascend: %d follows %d", lpn, rb.lpns[i-1])
+			}
+		}
+		if len(rb.lpns) == 0 {
+			return at, rep, nil
+		}
+		rb.cursor, end = rb.lpns[0], rb.lpns[len(rb.lpns)-1]+1
 	}
 	if opts.MaxResumes <= 0 {
 		opts.MaxResumes = 8
@@ -672,10 +636,13 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 		defer release()
 	}
 
-	start := at
-	n := r.f.LogicalPages()
-	cursor := uint64(0) // next LPN not yet rolled back
+	r.rolling = rb
+	defer func() {
+		r.rolling = nil
+		rb.release(NoSeq) // the restore is over, however it ended
+	}()
 
+	start := at
 	// The resolve cache outlives resumes: literals cached before a cut
 	// stay resolvable after it (a fresh stream session re-literals what it
 	// references anyway, so the cache only dedups copies).
@@ -687,9 +654,8 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 	anchorKnown := !opts.Delta
 
 	// Each chunk — and the local-only tail — is decided page by page, then
-	// submitted as one RestoreBatch before the callback returns: nothing is
+	// submitted as one restoreBatch before the callback returns: nothing is
 	// pending between chunks, so a cut resumes at the cursor.
-	rb := rollback{r: r, before: before, rep: &rep}
 	applyChunk := func(pages []oplog.PageRecord, cs remote.ChunkStats) error {
 		if opts.Link != nil {
 			at = at.Add(opts.Link.ChunkTimeAt(cs.WireBytes, at))
@@ -705,18 +671,17 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 		r.stats.RestorePagesDelta += uint64(cs.Refs)
 		for i := range pages {
 			rec := &pages[i]
-			if rec.LPN < cursor || rec.LPN >= n {
+			if rec.LPN < rb.cursor || rec.LPN >= end {
 				continue
 			}
 			// LPNs between the cursor and this record have no remote
 			// version: roll them back from local state alone.
-			if err := rb.span(cursor, rec.LPN, at); err != nil {
+			if err := rb.span(rec.LPN, at); err != nil {
 				return &restoreApplyError{err}
 			}
 			if err := rb.page(rec.LPN, rec, at); err != nil {
 				return &restoreApplyError{err}
 			}
-			cursor = rec.LPN + 1
 		}
 		var err error
 		if at, err = rb.submit(at); err != nil {
@@ -746,7 +711,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 			}
 		}
 		if err == nil {
-			_, err = client.FetchImageStream(cursor, before, anchor, opts.ChunkPages, cache, applyChunk)
+			_, err = client.FetchImageStream(rb.cursor, end, before, anchor, opts.ChunkPages, cache, applyChunk)
 			if err == nil {
 				client.Close()
 				break
@@ -774,7 +739,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 	}
 	// The stream covered every LPN with remote history; finish the tail
 	// from local state.
-	serr := rb.span(cursor, n, at)
+	serr := rb.span(end, at)
 	if serr == nil {
 		at, serr = rb.submit(at)
 	}
@@ -785,67 +750,74 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 	return at, rep, nil
 }
 
-// rollback collects the recovery actions of one chunk of a rollback to the
-// cut `before`, in LPN order, until submit applies them as one RestoreBatch.
+// rollback is one restore in flight to the cut `before`: it decides the LPNs
+// of its scope in order, collecting a chunk's recovery actions until submit
+// applies them as one restoreBatch, and holds the acked pins its cursor has
+// not passed.
 type rollback struct {
 	r      *RSSD
 	before uint64
+	lpns   []uint64 // the scope, strictly ascending; nil: every LPN
+	cursor uint64   // the next LPN not yet decided
 	rep    *RestoreReport
-	ops    []RestoreOp
+	ops    []restoreOp
+	held   []*retEntry // acked at or past the cursor: still pinned
 }
 
-// span decides every LPN in [from, to) from local candidates only (the
-// stream had no remote version for them).
-func (rb *rollback) span(from, to uint64, at simclock.Time) error {
-	for lpn := from; lpn < to; lpn++ {
-		if err := rb.page(lpn, nil, at); err != nil {
+// span decides every LPN of the scope from the cursor up to `to` from local
+// candidates only (the stream had no remote version for them).
+func (rb *rollback) span(to uint64, at simclock.Time) error {
+	for rb.cursor < to {
+		if err := rb.page(rb.cursor, nil, at); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// page decides how lpn rolls back to its newest version before the cut,
-// considering the live mapping, local pins, and the streamed remote record
-// (nil when the remote has none for this LPN), whose Data the stream has
-// already checked against its Hash and keeps valid until submit.
+// page moves the cursor past lpn and, if lpn is in scope, decides how it
+// rolls back, with rec the streamed remote record (nil when the remote has
+// none for this LPN), whose Data stays valid until submit.
 func (rb *rollback) page(lpn uint64, rec *oplog.PageRecord, at simclock.Time) error {
-	r := rb.r
-	best := merge(r.localBest(lpn, rb.before), rec)
+	rb.cursor = lpn + 1
+	if rb.lpns != nil {
+		if _, in := slices.BinarySearch(rb.lpns, lpn); !in {
+			return nil
+		}
+	}
+	v, err := rb.r.decide(lpn, rb.before, rec, at)
 	switch {
-	case best == nil || trimGap(best, rb.before):
-		// Target state is zeroes: trim only if the page currently maps.
-		if r.lpnWriteSeq[lpn] == NoSeq {
-			rb.rep.PagesKept++
-		} else {
-			rb.ops = append(rb.ops, RestoreOp{LPN: lpn})
-		}
-	case best.live:
-		// The live version is already the newest-before-cut: no churn.
+	case err != nil:
+		return err
+	case v.live, v.data == nil && rb.r.lpnWriteSeq[lpn] == NoSeq:
+		// Already what the cut holds (zeroes on an unmapped page): no churn.
 		rb.rep.PagesKept++
-	// One SHA-256 pass per restored page, and none it cannot be held
-	// against: a streamed record keeps the hash it was verified against on
-	// arrival, a local pin is hashed once and must match what its OOB has
-	// carried since the write.
-	case best.rec != nil:
-		rb.ops = append(rb.ops, RestoreOp{LPN: lpn, Data: best.rec.Data, Hash: best.rec.Hash})
 	default:
-		data, oob, _, err := r.f.ReadPhysical(best.ppn, at)
-		if err != nil {
-			return fmt.Errorf("read pin for lpn %d (ppn %d): %w", lpn, best.ppn, err)
-		}
-		hash := oplog.HashData(data)
-		if hash != oob.Hash {
-			return fmt.Errorf("pin for lpn %d (ppn %d, write seq %d) fails its write-time content hash", lpn, best.ppn, oob.Seq)
-		}
-		rb.ops = append(rb.ops, RestoreOp{LPN: lpn, Data: data, Hash: hash})
+		rb.ops = append(rb.ops, restoreOp{LPN: lpn, Data: v.data, Hash: v.hash})
 	}
 	return nil
 }
 
-// submit applies what the chunk decided and counts it.
+// release unpins the held pins whose LPN lies below `below`: the cursor has
+// passed them.
+func (rb *rollback) release(below uint64) {
+	kept := rb.held[:0]
+	for _, re := range rb.held {
+		if re.lpn < below {
+			rb.r.unpin(re)
+		} else {
+			kept = append(kept, re)
+		}
+	}
+	clear(rb.held[len(kept):])
+	rb.held = kept
+}
+
+// submit releases the held pins the chunk passed, then applies what it
+// decided and counts it.
 func (rb *rollback) submit(at simclock.Time) (simclock.Time, error) {
-	at, err := rb.r.RestoreBatch(rb.ops, at)
+	rb.release(rb.cursor)
+	at, err := rb.r.restoreBatch(rb.ops, at)
 	if err != nil {
 		return at, fmt.Errorf("restore lpns %d..%d: %w", rb.ops[0].LPN, rb.ops[len(rb.ops)-1].LPN, err)
 	}

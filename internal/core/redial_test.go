@@ -161,7 +161,7 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	// churn, then 1 again from the post-disconnect round.
 	for round, want := range []byte{1, 2, 3, 4, 1} {
 		seq := uint64(4*round) + 1
-		data, ok, err := r.ReadVersionBefore(0, seq, at)
+		data, _, ok, err := r.VersionBefore(0, seq, at)
 		if err != nil || !ok || data[0] != want {
 			t.Fatalf("round %d version lost: %v ok=%v got=%d want=%d", round, err, ok, data[0], want)
 		}

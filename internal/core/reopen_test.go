@@ -136,7 +136,7 @@ func TestReopenPreservesVersionHistory(t *testing.T) {
 			if v.trim {
 				continue
 			}
-			data, ok, err := r2.ReadVersionBefore(lpn, v.seq+1, at)
+			data, _, ok, err := r2.VersionBefore(lpn, v.seq+1, at)
 			if err != nil {
 				t.Fatalf("version (%d, %d): %v", lpn, v.seq, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/ftl"
@@ -160,16 +161,20 @@ type pageVersion struct {
 // overwrites, trims, and writes to pages that were zeroes at the cut, so
 // zeroings interleave the rollback. Half the histories restore after a drain
 // and a power cycle (every version off the stream), half on the running
-// device (local pins beside streamed records). Then, chunk size random:
-// every page reads what the map held at the cut; the report's counts are the
-// per-LPN decisions the model makes; and the log gained nothing but
-// KindRecovery / KindRecoveryTrim entries, in LPN order, each recording the
-// restored content's hash — logged a chunk at a time, so the writes of one
-// submission share one arrival time.
+// device: local pins beside streamed records, past the offload watermark, so
+// the restore's own churn ships pins of LPNs its cursor has not reached while
+// it runs. Seeds 1-24 roll back every LPN; seeds 25-48 a random ascending set
+// of victims, as a forensic window restore does. Then, chunk size random:
+// every page in scope reads what the map held at the cut and every other page
+// what it held before the restore; the report's counts are the per-LPN
+// decisions the model makes; and the log gained nothing but KindRecovery /
+// KindRecoveryTrim entries of pages in scope, in LPN order, each recording
+// the restored content's hash — logged a chunk at a time, so the writes of
+// one submission share one arrival time.
 func TestRestoreImageMatchesMapReplay(t *testing.T) {
 	const lpns = 120
-	zeroed, pinned := 0, 0
-	for seed := int64(1); seed <= 24; seed++ {
+	zeroed, pinned, outOfScope := 0, 0, 0
+	for seed := int64(1); seed <= 48; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := oracleConfig()
 		e := newEnv(t, cfg)
@@ -181,11 +186,6 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 		live := seed%2 == 1
 		cutAt := 150 + rng.Intn(100)
 		ops := cutAt + 100 + rng.Intn(100)
-		if live {
-			// Few enough pins, with the ones the rollback makes, to stay under
-			// the offload watermark: no local version ships mid-restore.
-			ops = cutAt + 12
-		}
 		var err error
 		for i := 0; i < ops; i++ {
 			if i == cutAt {
@@ -234,9 +234,27 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 		}
 		pinned += r.Stats().RetainedNow
 
+		// The scope: every LPN, or each with probability 1/3 (drawn apart from
+		// the history's generator, so seeds 1-24 replay the same histories).
+		var scope []uint64
+		inScope := func(uint64) bool { return true }
+		if seed > 24 {
+			pick := rand.New(rand.NewSource(-seed))
+			scope = []uint64{}
+			for lpn := uint64(0); lpn < r.LogicalPages(); lpn++ {
+				if pick.Intn(3) == 0 {
+					scope = append(scope, lpn)
+				}
+			}
+			inScope = func(lpn uint64) bool { _, in := slices.BinarySearch(scope, lpn); return in }
+		}
+
 		// The decisions, from the model and the device's live table.
 		var want RestoreReport
 		for lpn := uint64(0); lpn < r.LogicalPages(); lpn++ {
+			if !inScope(lpn) {
+				continue
+			}
 			target, mapped := atCut[lpn]
 			switch live := r.WriteSeqOf(lpn); {
 			case !mapped && live == NoSeq, mapped && live == target.seq:
@@ -249,7 +267,9 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 		}
 		logged := r.Log().NextSeq()
 		chunk := 1 + rng.Intn(24)
-		at, rep, err := r.RestoreImage(cut, RestoreOptions{Dial: dial, Dedup: true, Delta: true, ChunkPages: chunk}, at)
+		// A window restore streams the full image of its victims, not a delta.
+		opts := RestoreOptions{Dial: dial, LPNs: scope, Dedup: true, Delta: scope == nil, ChunkPages: chunk}
+		at, rep, err := r.RestoreImage(cut, opts, at)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -263,13 +283,16 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: read lpn %d: %v", seed, lpn, err)
 			}
-			if target := atCut[lpn].data; target == nil {
+			target, when := atCut[lpn].data, "at the cut"
+			if !inScope(lpn) {
+				target, when = now[lpn].data, "before the restore"
+				outOfScope++
+			}
+			if target == nil {
 				target = make([]byte, 512)
-				if !bytes.Equal(data, target) {
-					t.Fatalf("seed %d: lpn %d is not zeroes after the restore", seed, lpn)
-				}
-			} else if !bytes.Equal(data, target) {
-				t.Fatalf("seed %d: lpn %d differs from the map replay at the cut", seed, lpn)
+			}
+			if !bytes.Equal(data, target) {
+				t.Fatalf("seed %d: lpn %d differs from the map replay %s", seed, lpn, when)
 			}
 		}
 
@@ -289,6 +312,8 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 			}
 			last = int64(en.LPN)
 			switch target, mapped := atCut[en.LPN]; {
+			case !inScope(en.LPN):
+				t.Fatalf("seed %d: the restore logged %+v for a page out of its scope", seed, en)
 			case en.Kind == oplog.KindRecovery && mapped && en.DataHash == oplog.HashData(target.data):
 				arrivals[en.At] = true
 			case en.Kind == oplog.KindRecoveryTrim && !mapped && en.DataHash == [oplog.HashSize]byte{}:
@@ -306,7 +331,7 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 		}
 		r.Close()
 	}
-	if zeroed == 0 || pinned == 0 {
-		t.Fatalf("%d zeroings, %d local pins across the histories: the test vehicle lost its teeth", zeroed, pinned)
+	if zeroed == 0 || pinned == 0 || outOfScope == 0 {
+		t.Fatalf("%d zeroings, %d local pins, %d pages out of scope across the histories: the test vehicle lost its teeth", zeroed, pinned, outOfScope)
 	}
 }

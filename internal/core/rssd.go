@@ -253,6 +253,10 @@ type RSSD struct {
 
 	scratch scratch // the working memory of host and restore runs
 
+	// rolling is the restore in flight (nil when none): releaseSegment holds
+	// the acked pins at or past its cursor.
+	rolling *rollback
+
 	stats Stats
 }
 
@@ -492,10 +496,7 @@ func (r *RSSD) OnErased(lpn, ppn uint64, at simclock.Time) {}
 // Pressure has no completion time to report).
 func (r *RSSD) Pressure(needPages int, at simclock.Time) {
 	r.stats.PressureEvents++
-	target := len(r.retained) - needPages
-	if target < 0 {
-		target = 0
-	}
+	target := max(r.pins()-needPages, 0)
 	if r.client != nil {
 		r.maybeRedial(at)
 		r.pollOffload(at)
@@ -511,7 +512,7 @@ func (r *RSSD) Pressure(needPages int, at simclock.Time) {
 				r.stats.OffloadStallTime += end.Sub(staged)
 			}
 			at = end
-			if len(r.retained) <= target {
+			if r.pins() <= target {
 				return
 			}
 			r.maybeRedial(at)

@@ -102,7 +102,7 @@ func TestInputValidation(t *testing.T) {
 	if _, err := e.r.Trim(1<<40, 0); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := e.r.ReadVersionBefore(1<<40, 1, 0); !errors.Is(err, ftl.ErrOutOfRange) {
+	if _, _, _, err := e.r.VersionBefore(1<<40, 1, 0); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestOverwriteRetainsOldVersion(t *testing.T) {
 		t.Fatalf("version = %+v", vs[0])
 	}
 	// The old content is readable as the pre-overwrite version.
-	data, ok, err := e.r.ReadVersionBefore(5, 1, at)
+	data, _, ok, err := e.r.VersionBefore(5, 1, at)
 	if err != nil || !ok || data[0] != 0xAA {
 		t.Fatalf("version before overwrite: %v %v %v", data[0], ok, err)
 	}
@@ -166,12 +166,12 @@ func TestEnhancedTrimRetainsData(t *testing.T) {
 		t.Fatalf("trimmed version = %+v", vs)
 	}
 	// Pre-trim content is recoverable.
-	data, ok, err := e.r.ReadVersionBefore(2, 1, at)
+	data, _, ok, err := e.r.VersionBefore(2, 1, at)
 	if err != nil || !ok || data[0] != 0xCC {
 		t.Fatalf("pre-trim version: %v %v %v", data, ok, err)
 	}
 	// Post-trim state reads as zeroes.
-	data, ok, err = e.r.ReadVersionBefore(2, 2, at)
+	data, _, ok, err = e.r.VersionBefore(2, 2, at)
 	if err != nil || !ok || data[0] != 0 {
 		t.Fatalf("post-trim version: %v %v %v", data, ok, err)
 	}
@@ -285,9 +285,9 @@ func TestZeroDataLossUnderChurn(t *testing.T) {
 		}
 		pick := rng.Intn(len(vs))
 		before := vs[pick].seq + 1 // just after that write
-		data, ok, err := e.r.ReadVersionBefore(lpn, before, at)
+		data, _, ok, err := e.r.VersionBefore(lpn, before, at)
 		if err != nil {
-			t.Fatalf("ReadVersionBefore(%d, %d): %v", lpn, before, err)
+			t.Fatalf("VersionBefore(%d, %d): %v", lpn, before, err)
 		}
 		if !ok || data[0] != vs[pick].data {
 			t.Fatalf("version (%d,%d) = %v,%v want %d", lpn, before, data[0], ok, vs[pick].data)
@@ -356,7 +356,7 @@ func TestGCAttackResistance(t *testing.T) {
 			}
 		}
 	}
-	data, ok, err := e.r.ReadVersionBefore(7, victimSeq, at)
+	data, _, ok, err := e.r.VersionBefore(7, victimSeq, at)
 	if err != nil || !ok || !bytes.Equal(data, victim) {
 		t.Fatalf("victim data lost to GC attack: ok=%v err=%v", ok, err)
 	}
@@ -395,7 +395,7 @@ func TestRestoreWriteLogsRecovery(t *testing.T) {
 	e := newEnv(t, testConfig())
 	at := simclock.Time(0)
 	at, _ = e.r.Write(0, fill(1, 512), at)
-	at, _ = e.r.RestoreWrite(0, fill(2, 512), at)
+	at, _ = e.r.restoreBatch([]restoreOp{{LPN: 0, Data: fill(2, 512), Hash: oplog.HashData(fill(2, 512))}}, at)
 	entries := e.r.Log().All()
 	last := entries[len(entries)-1]
 	if last.Kind != oplog.KindRecovery {
@@ -411,7 +411,7 @@ func TestRestoreTrim(t *testing.T) {
 	e := newEnv(t, testConfig())
 	at := simclock.Time(0)
 	at, _ = e.r.Write(0, fill(1, 512), at)
-	at, _ = e.r.RestoreTrim(0, at)
+	at, _ = e.r.restoreBatch([]restoreOp{{LPN: 0}}, at)
 	data, _, _ := e.r.Read(0, at)
 	if data[0] != 0 {
 		t.Fatal("restore trim not visible")
@@ -423,7 +423,7 @@ func TestRestoreTrim(t *testing.T) {
 
 func TestReadVersionNeverWritten(t *testing.T) {
 	e := newEnv(t, testConfig())
-	data, ok, err := e.r.ReadVersionBefore(9, 100, 0)
+	data, _, ok, err := e.r.VersionBefore(9, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestTrimThenRewriteVersioning(t *testing.T) {
 		{3, 0x22}, // after rewrite
 	}
 	for _, c := range cases {
-		data, _, err := e.r.ReadVersionBefore(1, c.before, at)
+		data, _, _, err := e.r.VersionBefore(1, c.before, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +471,7 @@ func TestVersionsSurviveOffload(t *testing.T) {
 	if len(e.r.RetainedVersions(3)) != 0 {
 		t.Fatal("local pins remain after drain")
 	}
-	data, ok, err := e.r.ReadVersionBefore(3, 1, at)
+	data, _, ok, err := e.r.VersionBefore(3, 1, at)
 	if err != nil || !ok || data[0] != 0x77 {
 		t.Fatalf("offloaded version: %v %v %v", data, ok, err)
 	}

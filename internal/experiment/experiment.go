@@ -79,6 +79,7 @@ type Rig struct {
 }
 
 // NewRSSDRig wires an RSSD to an in-process remote server and filesystem.
+// The device dials its own restore sessions on the same server.
 func NewRSSDRig(s Scale) (*Rig, error) {
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, PSK)
@@ -89,6 +90,7 @@ func NewRSSDRig(s Scale) (*Rig, error) {
 	cfg := core.DefaultConfig()
 	cfg.FTL = s.ftlConfig()
 	cfg.CheckpointEvery = 4096
+	cfg.Dial = func() (*remote.Client, error) { return remote.Loopback(srv, PSK, 1) }
 	dev := core.New(cfg, client)
 	return &Rig{
 		FS:     host.NewFlatFS(dev, simclock.NewClock()),

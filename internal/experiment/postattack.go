@@ -57,23 +57,25 @@ func RecoverySpeed(s Scale, fileCounts []int) ([]RecoveryRow, error) {
 			rig.Client.Close()
 			return nil, err
 		}
-		eng := recovery.NewEngine(rig.Dev, rig.Client, recovery.Options{Verify: true})
+		eng := recovery.NewEngine(rig.Dev, rig.Client, recovery.Options{})
+		t0 := time.Now()
 		_, rep, err := eng.RestoreWindow(win, rig.FS.Clock().Now())
+		wall := time.Since(t0)
 		rig.Client.Close()
 		if err != nil {
 			return nil, err
 		}
-		mib := float64(rep.BytesRestored) / float64(1<<20)
+		mib := float64(rep.PagesRestored*rig.Dev.PageSize()) / float64(1<<20)
 		row := RecoveryRow{
 			Files:       n,
-			VictimPages: rep.VictimPages,
+			VictimPages: len(win.Victims),
 			MiB:         mib,
-			SimTime:     rep.SimTime,
-			WallTime:    rep.WallTime,
-			Complete:    rep.Complete(),
+			SimTime:     rep.RTO,
+			WallTime:    wall,
+			Complete:    rep.PagesRestored+rep.PagesZeroed+rep.PagesKept == len(win.Victims),
 		}
-		if rep.WallTime > 0 {
-			row.MiBPerSecWall = mib / rep.WallTime.Seconds()
+		if wall > 0 {
+			row.MiBPerSecWall = mib / wall.Seconds()
 		}
 		rows = append(rows, row)
 	}

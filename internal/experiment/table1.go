@@ -79,7 +79,7 @@ func runDefenseCell(s Scale, sys SystemName, atkName AttackName) (DefenseCell, e
 		}
 		cell.Forensics = ev.ChainIntact
 		// Recovery: restore and compare against the snapshot layout.
-		eng := recovery.NewEngine(rig.Dev, rig.Client, recovery.Options{Verify: true})
+		eng := recovery.NewEngine(rig.Dev, rig.Client, recovery.Options{})
 		at, _, err := eng.RestoreWindow(win, rig.FS.Clock().Now())
 		if err != nil {
 			return cell, err

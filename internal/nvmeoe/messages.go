@@ -13,26 +13,23 @@ import (
 // FetchKind selects what a MsgFetch asks the remote store for.
 type FetchKind uint8
 
-// The numbers are wire values. 3 and 7 are retired and stay unassigned: a
+// The numbers are wire values. 2, 3 and 7 are retired and stay unassigned: a
 // server answers them, like any unknown kind, with an error message.
 const (
 	// FetchEntries requests log entries with From <= Seq < To.
 	FetchEntries FetchKind = 1
-	// FetchVersion requests the newest retained version of LPN written
-	// before sequence Before.
-	FetchVersion FetchKind = 2
 	// FetchCheckpoint requests the newest mapping checkpoint with
 	// Seq <= Before.
 	FetchCheckpoint FetchKind = 4
 	// FetchHead requests the remote chain state: highest contiguous
 	// sequence and its chain hash (used to anchor forensic verification).
 	FetchHead FetchKind = 5
-	// FetchImageStream requests the point-in-time image — for every LPN the
-	// newest retained version written before sequence Before — as a stream
-	// of LPN-ordered, codec-framed chunks (MsgFetchChunkRef, then
-	// MsgFetchEnd). From is the first LPN wanted, which is how a restorer
-	// resumes an interrupted stream; ChunkPages bounds pages per chunk
-	// (0 = server default).
+	// FetchImageStream requests the point-in-time image — for every LPN in
+	// [From, To) the newest retained version written before sequence Before
+	// — as a stream of LPN-ordered, codec-framed chunks (MsgFetchChunkRef,
+	// then MsgFetchEnd). A restorer resumes an interrupted stream by asking
+	// again from its cursor, and one page is a one-LPN range; ChunkPages
+	// bounds pages per chunk (0 = server default).
 	FetchImageStream FetchKind = 6
 	// FetchHeld requests the identity of every page version the store holds
 	// for the device — (LPN, WriteSeq, StaleSeq, Cause, Hash), no payloads.
@@ -42,8 +39,9 @@ const (
 )
 
 // FetchReq is a retrieval request issued during recovery or forensics.
-// For FetchImageStream, From bounds logical page numbers rather than log
-// sequences.
+// For FetchImageStream, From and To bound logical page numbers rather than
+// log sequences. No kind reads LPN; the field keeps the message at its one
+// size.
 type FetchReq struct {
 	Kind       FetchKind
 	LPN        uint64

@@ -287,7 +287,7 @@ func TestSegmentOverWire(t *testing.T) {
 }
 
 func TestFetchReqRoundTrip(t *testing.T) {
-	r := FetchReq{Kind: FetchVersion, LPN: 5, From: 1, To: 2, Before: 99, ChunkPages: 64}
+	r := FetchReq{Kind: FetchImageStream, LPN: 5, From: 1, To: 2, Before: 99, ChunkPages: 64}
 	got, err := UnmarshalFetchReq(r.Marshal())
 	if err != nil || got != r {
 		t.Fatalf("round trip: %+v %v", got, err)

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -25,6 +26,8 @@ type rig struct {
 	client *remote.Client
 }
 
+// newRig wires a device to an in-process server it also dials its restore
+// sessions on.
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	store := remote.NewStore(remote.NewMemStore())
@@ -34,7 +37,9 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	dev := core.New(rigConfig(), client)
+	cfg := rigConfig()
+	cfg.Dial = func() (*remote.Client, error) { return remote.Loopback(srv, psk, 1) }
+	dev := core.New(cfg, client)
 	return &rig{fs: host.NewFlatFS(dev, simclock.NewClock()), dev: dev, store: store, client: client}
 }
 
@@ -68,8 +73,9 @@ func snapshotFiles(t *testing.T, fs *host.FlatFS) map[string][]byte {
 	return snap
 }
 
-// analyzeAndRestore runs forensics then recovery, returning the report.
-func analyzeAndRestore(t *testing.T, r *rig, verify bool) Report {
+// analyzeAndRestore runs forensics then recovery, returning the report; every
+// victim must have been decided exactly once.
+func analyzeAndRestore(t *testing.T, r *rig) core.RestoreReport {
 	t.Helper()
 	a := forensic.NewAnalyzer(r.dev, r.client)
 	ev, err := a.Timeline()
@@ -80,10 +86,13 @@ func analyzeAndRestore(t *testing.T, r *rig, verify bool) Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(r.dev, r.client, Options{Verify: verify})
+	eng := NewEngine(r.dev, r.client, Options{})
 	_, rep, err := eng.RestoreWindow(win, r.fs.Clock().Now())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := rep.PagesRestored + rep.PagesZeroed + rep.PagesKept; n != len(win.Victims) {
+		t.Fatalf("%d of %d victims decided: %v", n, len(win.Victims), rep)
 	}
 	return rep
 }
@@ -97,12 +106,8 @@ func TestRecoveryAfterEncryptor(t *testing.T) {
 	if _, err := (&attack.Encryptor{Key: [32]byte{1}}).Run(r.fs, rng); err != nil {
 		t.Fatal(err)
 	}
-	rep := analyzeAndRestore(t, r, true)
-	if !rep.Complete() {
-		t.Fatalf("recovery incomplete: %+v", rep)
-	}
-	if rep.PagesVerified == 0 {
-		t.Fatal("nothing was verified")
+	if rep := analyzeAndRestore(t, r); rep.PagesRestored == 0 {
+		t.Fatalf("nothing was rolled back: %v", rep)
 	}
 	for name, want := range snap {
 		got, err := r.fs.ReadFile(name)
@@ -127,7 +132,7 @@ func TestRecoveryAfterGCAttack(t *testing.T) {
 	if r.dev.Stats().DroppedPages != 0 {
 		t.Fatalf("RSSD dropped %d pages under GC attack", r.dev.Stats().DroppedPages)
 	}
-	analyzeAndRestore(t, r, false)
+	analyzeAndRestore(t, r)
 	for name, want := range snap {
 		got, err := r.fs.ReadFile(name)
 		if err != nil {
@@ -156,10 +161,7 @@ func TestRecoveryAfterTrimmingAttack(t *testing.T) {
 	if _, err := (&attack.TrimmingAttack{Key: [32]byte{3}}).Run(r.fs, rng); err != nil {
 		t.Fatal(err)
 	}
-	rep := analyzeAndRestore(t, r, true)
-	if rep.VerifyFailures != 0 {
-		t.Fatalf("verify failures: %+v", rep)
-	}
+	analyzeAndRestore(t, r)
 	// The trimmed pages hold their original plaintext again (block-level
 	// restore; re-attaching filesystem names is the filesystem's job).
 	ps := r.dev.PageSize()
@@ -192,8 +194,7 @@ func TestRecoveryAfterTimingAttack(t *testing.T) {
 	if _, err := atk.Run(r.fs, rng); err != nil {
 		t.Fatal(err)
 	}
-	rep := analyzeAndRestore(t, r, false)
-	if rep.PagesRestored == 0 {
+	if rep := analyzeAndRestore(t, r); rep.PagesRestored == 0 {
 		t.Fatalf("nothing restored: %+v", rep)
 	}
 	// Seeded victim files roll back to their pre-window content.
@@ -238,7 +239,7 @@ func TestRecoveryIsLoggedAsRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	attack.Seed(r.fs, rng, 5, 2)
 	(&attack.Encryptor{Key: [32]byte{1}}).Run(r.fs, rng)
-	analyzeAndRestore(t, r, false)
+	analyzeAndRestore(t, r)
 	a := forensic.NewAnalyzer(r.dev, r.client)
 	ev, err := a.Timeline()
 	if err != nil {
@@ -255,25 +256,9 @@ func TestRecoveryIsLoggedAsRecovery(t *testing.T) {
 	}
 }
 
-func TestReportCompleteSemantics(t *testing.T) {
-	r := Report{VictimPages: 3, PagesRestored: 2, PagesZeroed: 1}
-	if !r.Complete() {
-		t.Fatal("should be complete")
-	}
-	r.VerifyFailures = 1
-	if r.Complete() {
-		t.Fatal("verify failure should mean incomplete")
-	}
-	r = Report{VictimPages: 3, PagesRestored: 2}
-	if r.Complete() {
-		t.Fatal("missing page should mean incomplete")
-	}
-}
-
-// TestVerifyFailsClosedWhenEntryUnavailable: a retained version whose write
-// entry can be found neither in the local log (pruned) nor remotely (no
-// client) is unverifiable. It counts as a verify failure and is not written
-// back as recovered.
+// TestVerifyFailsClosedWhenEntryUnavailable: a device with no remote to dial
+// has no image stream to check a victim against. Its window restore fails
+// with ErrNoDial and writes nothing back, not even from its own pins.
 func TestVerifyFailsClosedWhenEntryUnavailable(t *testing.T) {
 	dev := core.New(rigConfig(), nil)
 	plain, junk := make([]byte, 512), make([]byte, 512)
@@ -286,15 +271,43 @@ func TestVerifyFailsClosedWhenEntryUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Log().Prune(dev.Log().NextSeq())
+	logged := dev.Log().NextSeq()
 	win := forensic.Window{StartSeq: 1, EndSeq: 2, Victims: []uint64{40}}
-	_, rep, err := NewEngine(dev, nil, Options{Verify: true}).RestoreWindow(win, at)
+	_, rep, err := NewEngine(dev, nil, Options{}).RestoreWindow(win, at)
+	if !errors.Is(err, core.ErrNoDial) || rep.PagesRestored+rep.PagesZeroed != 0 {
+		t.Fatalf("window restore without a remote: err=%v, report %+v", err, rep)
+	}
+	if dev.Log().NextSeq() != logged {
+		t.Fatal("a restore without a remote logged a recovery")
+	}
+	if got, _, _ := dev.Read(40, at); !bytes.Equal(got, junk) {
+		t.Fatal("a restore without a remote wrote to the device")
+	}
+}
+
+// TestOffloadFailureDoesNotFailHostIO: killing the remote session of a device
+// that cannot redial must not fail writes; retention accumulates and the
+// error is surfaced out of band.
+func TestOffloadFailureDoesNotFailHostIO(t *testing.T) {
+	client, err := remote.Loopback(remote.NewServer(remote.NewStore(remote.NewMemStore()), psk), psk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.VerifyFailures != 1 || rep.PagesVerified != 0 || rep.PagesRestored != 0 {
-		t.Fatalf("unverifiable version accepted: %+v", rep)
+	dev := core.New(rigConfig(), client)
+	at := simclock.Time(0)
+	page := make([]byte, 512)
+	// Sever the NVMe-oE session.
+	client.Close()
+	for i := 0; i < 800; i++ {
+		at, err = dev.Write(uint64(i)%8, page, at)
+		if err != nil {
+			t.Fatalf("write %d failed after remote loss: %v", i, err)
+		}
 	}
-	if got, _, _ := dev.Read(40, at); !bytes.Equal(got, junk) {
-		t.Fatal("an unverified version was written back")
+	if dev.Stats().OffloadErrors == 0 {
+		t.Fatal("offload errors not counted")
+	}
+	if dev.LastOffloadError() == nil {
+		t.Fatal("last offload error not surfaced")
 	}
 }

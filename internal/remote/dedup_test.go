@@ -72,7 +72,7 @@ func TestMixedLiteralDedupRestore(t *testing.T) {
 		if dedup {
 			cache = NewResolveCache()
 		}
-		_, err := cl.FetchImageStream(from, 100, 0, 8, cache, func(ps []oplog.PageRecord, cs ChunkStats) error {
+		_, err := cl.FetchImageStream(from, ^uint64(0), 100, 0, 8, cache, func(ps []oplog.PageRecord, cs ChunkStats) error {
 			for _, p := range ps {
 				p.Data = append([]byte(nil), p.Data...)
 				pages = append(pages, p)
@@ -184,7 +184,7 @@ func TestImageStreamAcceptsOneChunkForm(t *testing.T) {
 			t.Fatal(err)
 		}
 		pages := 0
-		_, err = cl.FetchImageStream(0, 100, 0, 8, nil, func(ps []oplog.PageRecord, cs ChunkStats) error {
+		_, err = cl.FetchImageStream(0, ^uint64(0), 100, 0, 8, nil, func(ps []oplog.PageRecord, cs ChunkStats) error {
 			pages += len(ps)
 			return nil
 		})
@@ -198,10 +198,10 @@ func TestImageStreamAcceptsOneChunkForm(t *testing.T) {
 	}
 }
 
-// TestServerRefusesRetiredForms: a fetch kind that was retired (3, the
-// monolithic image; 7, the LPN range), a segment push without the codec
-// header and the retired message type each get CodeBadData, change nothing,
-// and leave the session serving.
+// TestServerRefusesRetiredForms: a fetch kind that was retired (2, the
+// one-page version; 3, the monolithic image; 7, the LPN range), a segment push
+// without the codec header and the retired message type each get
+// CodeBadData, change nothing, and leave the session serving.
 func TestServerRefusesRetiredForms(t *testing.T) {
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
@@ -224,7 +224,7 @@ func TestServerRefusesRetiredForms(t *testing.T) {
 			t.Fatalf("%s: session or chain did not survive: head %+v, %v", what, h, err)
 		}
 	}
-	for _, kind := range []nvmeoe.FetchKind{3, 7, 0, 9} {
+	for _, kind := range []nvmeoe.FetchKind{2, 3, 7, 0, 9} {
 		req := nvmeoe.FetchReq{Kind: kind, To: 100, Before: 100}
 		_, err := cl.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
 		badData(fmt.Sprintf("fetch kind %d", kind), err)

@@ -184,7 +184,7 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 
 	var streamed []oplog.PageRecord
 	var chunks int
-	end, err := cl.FetchImageStream(0, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
+	end, err := cl.FetchImageStream(0, 40, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
 		if cs.WireBytes <= 0 || cs.LogicalBytes <= 0 || cs.WireBytes > cs.LogicalBytes+64 {
 			return fmt.Errorf("implausible chunk sizes wire=%d logical=%d", cs.WireBytes, cs.LogicalBytes)
 		}
@@ -211,7 +211,7 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 	}
 
 	// Resume: a stream opened at LPN 25 serves only the tail.
-	end2, err := cl.FetchImageStream(25, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
+	end2, err := cl.FetchImageStream(25, 40, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
 		for _, p := range pages {
 			if p.LPN < 25 {
 				return fmt.Errorf("resumed stream re-served lpn %d", p.LPN)

@@ -280,17 +280,30 @@ func TestClientServerEndToEnd(t *testing.T) {
 	if err != nil || len(entries) != 10 || entries[0].Seq != 5 {
 		t.Fatalf("FetchEntries = %d entries, %v", len(entries), err)
 	}
-	rec, ok, err := cl.FetchVersion(2, 11)
-	if err != nil || !ok || rec.WriteSeq != 10 {
-		t.Fatalf("FetchVersion = %+v %v %v", rec, ok, err)
+	// One page is a one-LPN image stream.
+	version := func(lpn, before uint64) (recs []oplog.PageRecord) {
+		t.Helper()
+		_, err := cl.FetchImageStream(lpn, lpn+1, before, 0, 1, nil, func(ps []oplog.PageRecord, _ ChunkStats) error {
+			recs = append(recs, ps...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("version of lpn %d before %d: %v", lpn, before, err)
+		}
+		return recs
 	}
-	_, ok, err = cl.FetchVersion(2, 1)
-	if err != nil || ok {
-		t.Fatalf("FetchVersion before first write: ok=%v err=%v", ok, err)
+	if recs := version(2, 11); len(recs) != 1 || recs[0].LPN != 2 || recs[0].WriteSeq != 10 {
+		t.Fatalf("version of lpn 2 before 11 = %+v", recs)
 	}
-	end, err := cl.FetchImageStream(0, 30, 0, 0, nil, func([]oplog.PageRecord, ChunkStats) error { return nil })
+	if recs := version(2, 1); len(recs) != 0 {
+		t.Fatalf("version before the first write = %+v", recs)
+	}
+	end, err := cl.FetchImageStream(0, 8, 30, 0, 0, nil, func([]oplog.PageRecord, ChunkStats) error { return nil })
 	if err != nil || end.Pages != 8 {
 		t.Fatalf("FetchImageStream = %+v, %v", end, err)
+	}
+	if end, err = cl.FetchImageStream(2, 5, 30, 0, 0, nil, func([]oplog.PageRecord, ChunkStats) error { return nil }); err != nil || end.Pages != 3 || end.NextLPN != 5 {
+		t.Fatalf("FetchImageStream [2, 5) = %+v, %v", end, err)
 	}
 	cp, ok, err := cl.FetchCheckpoint(100)
 	if err != nil || !ok || cp.Seq != 12 {

@@ -372,12 +372,6 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	case nvmeoe.FetchEntries:
 		seg := &oplog.Segment{DeviceID: deviceID, Entries: s.Store.Entries(deviceID, req.From, req.To)}
 		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
-	case nvmeoe.FetchVersion:
-		seg := &oplog.Segment{DeviceID: deviceID}
-		if rec, ok := s.Store.Version(deviceID, req.LPN, req.Before); ok {
-			seg.Pages = []oplog.PageRecord{rec}
-		}
-		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
 	case nvmeoe.FetchImageStream:
 		return s.serveImageStream(ss, req)
 	case nvmeoe.FetchCheckpoint:
@@ -397,13 +391,15 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	}
 }
 
-// serveImageStream streams the device's point-in-time image in LPN order:
-// codec-framed chunks of at most ChunkPages pages each, terminated by a
-// StreamEnd trailer. Each chunk is computed fresh from the store rather
-// than from an up-front snapshot, so pages the device offloads while its
-// own restore is running are served by later chunks instead of silently
-// missed. A stream opened with From > 0 is a resume: the device already
-// applied everything below From and the server just continues from there.
+// serveImageStream streams the device's point-in-time image of the LPNs in
+// [From, To) in LPN order: codec-framed chunks of at most ChunkPages pages
+// each, terminated by a StreamEnd trailer. Each chunk is computed fresh from
+// the store rather than from an up-front snapshot, so pages the device
+// offloads while its own restore is running are served by later chunks
+// instead of silently missed. The ledger counts a stream opened with
+// From > 0 as a resume — the device already applied everything below From
+// and the server just continues from there — and so also the first stream
+// of a restore scoped to LPNs past 0.
 //
 // Every chunk is a MsgFetchChunkRef frame and every page in it carries its
 // content hash. Two orthogonal reductions apply on request. With
@@ -441,7 +437,7 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 	from := req.From
 	end := nvmeoe.StreamEnd{NextLPN: from}
 	for {
-		pages, next, more := s.Store.ImageRange(deviceID, from, ^uint64(0), req.Before, chunkPages, only)
+		pages, next, more := s.Store.ImageRange(deviceID, from, req.To, req.Before, chunkPages, only)
 		if len(pages) > 0 {
 			refPages = refPages[:0]
 			for i := range pages {
@@ -611,19 +607,6 @@ func (c *Client) FetchEntries(from, to uint64) ([]oplog.Entry, error) {
 	return seg.Entries, nil
 }
 
-// FetchVersion retrieves the newest retained version of lpn written before
-// the given sequence, reporting ok=false when none is stored.
-func (c *Client) FetchVersion(lpn, before uint64) (oplog.PageRecord, bool, error) {
-	seg, err := c.fetchSegment(nvmeoe.FetchReq{Kind: nvmeoe.FetchVersion, LPN: lpn, Before: before})
-	if err != nil {
-		return oplog.PageRecord{}, false, err
-	}
-	if len(seg.Pages) == 0 {
-		return oplog.PageRecord{}, false, nil
-	}
-	return seg.Pages[0], true, nil
-}
-
 // ChunkStats describes one streamed restore chunk as the client saw it:
 // wire and logical sizes plus how the pages arrived — full literal
 // payloads or hash references resolved from the cache.
@@ -635,10 +618,11 @@ type ChunkStats struct {
 }
 
 // FetchImageStream streams the point-in-time image before the given
-// sequence as LPN-ordered chunks, invoking fn once per chunk with the
-// decoded pages (the slice is reused for the next chunk, the payloads are
-// not). from > 0 resumes an interrupted stream: only LPNs at or past it
-// are served. anchor > 0 asks for a checkpoint-anchored delta: only LPNs
+// sequence of the LPNs in [from, to) as LPN-ordered chunks, invoking fn once
+// per chunk with the decoded pages (the slice is reused for the next chunk,
+// the payloads are not). A whole image is [0, LogicalPages()); a restorer
+// resumes an interrupted stream by asking again from its cursor, and one page
+// is [lpn, lpn+1). anchor > 0 asks for a checkpoint-anchored delta: only LPNs
 // touched at or after the anchor are streamed. The session is busy for the
 // whole stream; if fn returns an error the stream is abandoned mid-flight
 // and the session must be closed, which is exactly what a resuming
@@ -651,11 +635,11 @@ type ChunkStats struct {
 // restore only to dedup copies — the server's sent set is per session, so
 // a resumed stream re-literals whatever it references and a fresh session
 // is always self-contained.
-func (c *Client) FetchImageStream(from, before, anchor uint64, chunkPages int, cache *ResolveCache, fn func(pages []oplog.PageRecord, cs ChunkStats) error) (nvmeoe.StreamEnd, error) {
+func (c *Client) FetchImageStream(from, to, before, anchor uint64, chunkPages int, cache *ResolveCache, fn func(pages []oplog.PageRecord, cs ChunkStats) error) (nvmeoe.StreamEnd, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	req := nvmeoe.FetchReq{
-		Kind: nvmeoe.FetchImageStream, From: from, Before: before,
+		Kind: nvmeoe.FetchImageStream, From: from, To: to, Before: before,
 		ChunkPages: uint32(chunkPages), Anchor: anchor,
 	}
 	if cache != nil {
