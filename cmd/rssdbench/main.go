@@ -16,18 +16,12 @@
 //	rssdbench -exp retention      # storage tiers: local server vs modeled S3 (capacity/latency/cost)
 //	rssdbench -exp recovery       # fleet power-cycle: attack -> detect -> N concurrent streamed restores
 //	rssdbench -exp dedup          # content-addressed restore: dedup+delta vs full-image, scaling curve
-//	rssdbench -exp qos            # shared-NIC QoS: restore storm vs offload + lifecycle, strict-priority vs FIFO
 //	rssdbench -exp soak           # chaos soak: multi-day horizon, seeded fault injection, continuous invariants
 //
 // -scale small uses the test-sized configuration for a quick pass, and
 // -short shrinks further to the CI smoke size (small scale, 2 devices —
 // an explicitly-set -devices is honored). -servers selects the ingest
 // server count for -exp fleet and is rejected elsewhere.
-// -qos toggles strict-priority classing on the shared recovery NIC for
-// -exp recovery (on by default; false runs the FIFO baseline), and
-// -qosfloors sets the offload,lifecycle guaranteed floors for the
-// experiments that price the shared NIC (recovery, qos). Like -servers,
-// both are rejected for experiments that do not consume them.
 // -backend selects the storage tier(s) for -exp retention: mem, dir,
 // s3sim, a comma-separated list, or all.
 // -json additionally writes each experiment's rows to BENCH_<name>.json
@@ -52,7 +46,6 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/netsim"
 	"repro/internal/remote"
 )
 
@@ -64,11 +57,9 @@ func run() int {
 	exp := flag.String("exp", "all", "experiment to run: all, or one registered name (an unknown name prints the registry)")
 	scaleFlag := flag.String("scale", "full", "experiment scale (full, small)")
 	jsonOut := flag.Bool("json", false, "write machine-readable BENCH_<name>.json per experiment")
-	fleetDevices := flag.Int("devices", 8, "device count for -exp fleet, retention, recovery, dedup, qos, and soak")
+	fleetDevices := flag.Int("devices", 8, "device count for -exp fleet, retention, recovery, dedup, and soak")
 	fleetServers := flag.Int("servers", 1, "ingest server count for -exp fleet (>1 runs the cluster control plane: consistent-hash placement, injected failover, scaling curve)")
 	backendFlag := flag.String("backend", "all", "storage tier(s) for -exp retention: mem, dir, s3sim, a comma list, or all")
-	qosFlag := flag.Bool("qos", true, "strict-priority QoS on the shared recovery NIC for -exp recovery (false: FIFO baseline)")
-	qosFloors := flag.String("qosfloors", "0.10,0.05", "offload,lifecycle guaranteed floor fractions on the shared NIC for -exp recovery and qos")
 	short := flag.Bool("short", false, "CI smoke size: small scale, 2 devices (explicit -devices wins)")
 	seedFlag := flag.Int64("seed", 1, "chaos schedule seed for -exp soak (every fault draw replays from it)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
@@ -87,33 +78,12 @@ func run() int {
 			*exp, strings.Join(serverExps, ", "))
 		return 2
 	}
-	// The QoS knobs follow the same registry rule: -qos picks the arbiter
-	// mode for the recovery run (the qos experiment always measures both
-	// modes), -qosfloors configures any experiment that prices the shared
-	// NIC.
-	qosExps := []string{"recovery"}
-	if explicit["qos"] && !slices.Contains(qosExps, *exp) {
-		fmt.Fprintf(os.Stderr, "-qos is not supported by -exp %s (supported: %s)\n",
-			*exp, strings.Join(qosExps, ", "))
-		return 2
-	}
 	// -seed is the chaos schedule's replay handle; only the soak draws
 	// from it, so anywhere else it is a typo worth stopping on.
 	seedExps := []string{"soak"}
 	if explicit["seed"] && !slices.Contains(seedExps, *exp) {
 		fmt.Fprintf(os.Stderr, "-seed is not supported by -exp %s (supported: %s)\n",
 			*exp, strings.Join(seedExps, ", "))
-		return 2
-	}
-	qosFloorExps := []string{"recovery", "qos"}
-	if explicit["qosfloors"] && !slices.Contains(qosFloorExps, *exp) {
-		fmt.Fprintf(os.Stderr, "-qosfloors is not supported by -exp %s (supported: %s)\n",
-			*exp, strings.Join(qosFloorExps, ", "))
-		return 2
-	}
-	floors, err := netsim.ParseFloors(*qosFloors)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-qosfloors %q: %v\n", *qosFloors, err)
 		return 2
 	}
 	if *fleetServers < 1 {
@@ -204,15 +174,13 @@ func run() int {
 			"experiment": name,
 			"scale":      *scaleFlag,
 			"flags": map[string]any{
-				"exp":       *exp,
-				"scale":     *scaleFlag,
-				"devices":   *fleetDevices,
-				"servers":   *fleetServers,
-				"backend":   *backendFlag,
-				"short":     *short,
-				"qos":       *qosFlag,
-				"qosfloors": *qosFloors,
-				"seed":      *seedFlag,
+				"exp":     *exp,
+				"scale":   *scaleFlag,
+				"devices": *fleetDevices,
+				"servers": *fleetServers,
+				"backend": *backendFlag,
+				"short":   *short,
+				"seed":    *seedFlag,
 			},
 			"rows": rows,
 		}, "", "  ")
@@ -354,7 +322,7 @@ func run() int {
 	})
 
 	register("recovery", func() error {
-		res, err := experiment.FleetRecovery(s, *fleetDevices, netsim.Config{Floors: floors, FIFO: !*qosFlag})
+		res, err := experiment.FleetRecovery(s, *fleetDevices)
 		if err != nil {
 			return err
 		}
@@ -372,21 +340,6 @@ func run() int {
 			*fleetDevices)
 		fmt.Print(experiment.RenderDedup(res))
 		return persist("dedup", res)
-	})
-
-	register("qos", func() error {
-		qosDevices := *fleetDevices
-		if !explicit["devices"] && !*short {
-			qosDevices = 64 // the contention story needs a fleet-sized storm
-		}
-		res, err := experiment.QoSRun(s, qosDevices, netsim.Config{Floors: floors})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Shared-NIC QoS — %d-device restore storm vs steady-state offload + lifecycle lanes, strict-priority vs FIFO\n",
-			res.Devices)
-		fmt.Print(experiment.RenderQoS(res))
-		return persist("qos", res)
 	})
 
 	register("soak", func() error {

@@ -62,10 +62,10 @@ type Config struct {
 	// host stalls until the oldest segment resolves — the backpressure
 	// point of the pipeline. Default 8.
 	OffloadQueueDepth int
-	// NIC, when set, is the shared server-NIC QoS arbiter this device's
+	// NIC, when set, is the shared server-NIC arbiter this device's
 	// offload traffic is charged to (as one ClassOffload flow): transfers
-	// contend with fleet restore streams and lifecycle transfers under
-	// the arbiter's strict-priority + guaranteed-floor policy. nil gives
+	// contend with fleet restore streams under the arbiter's strict
+	// priority, which guarantees offload 10 % of the line. nil gives
 	// the device a private 1200 MB/s, 30µs link — an arbiter whose only
 	// flow is this one, so every transfer sees the full line.
 	NIC *netsim.Arbiter

@@ -2,9 +2,8 @@
 // per table, figure, and performance claim of the paper, runnable both
 // from cmd/rssdbench and from the root-level Go benchmarks.
 //
-// DESIGN.md carries the experiment index (what each experiment reproduces
-// and which modules it exercises); EXPERIMENTS.md records paper-reported
-// versus measured results.
+// README.md describes what the experiments reproduce and how to run
+// them; rssdbench -json records each one's rows in BENCH_<name>.json.
 package experiment
 
 import (

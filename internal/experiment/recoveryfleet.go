@@ -88,10 +88,8 @@ type RecoverySummary struct {
 	TotalRedials uint64
 	MaxDrainMs   float64
 
-	// Shared-NIC QoS ledger: restores, the post-restore offload drain, and
-	// any lifecycle traffic all rode one arbiter. QoS false means the run
-	// used the FIFO (classless) baseline.
-	QoS      bool
+	// Shared-NIC ledger: restores and the post-restore offload drain both
+	// rode one arbiter.
 	NICStats [netsim.NumClasses]netsim.QoSStats
 
 	// Dedup ledger: pages by wire form across the fleet, the derived hit
@@ -123,12 +121,10 @@ type recoveredDevice struct {
 // FleetRecovery runs the fleet power-cycle recovery scenario. Restores
 // ride the content-addressed path: hash-reference chunks resolved from a
 // device-side cache plus a checkpoint-anchored delta that streams only
-// pages touched since the pre-attack checkpoint. nicCfg
-// sizes the server's shared-NIC QoS arbiter, which both the restore
-// streams and the post-restore offload drain are charged to (zero value:
-// netsim defaults — strict priority, standard floors; FIFO true runs the
-// classless baseline).
-func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetResult, error) {
+// pages touched since the pre-attack checkpoint. The restore streams and
+// the post-restore offload drain are charged to the server's one shared
+// NIC arbiter at the netsim defaults.
+func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
 	if devices <= 0 {
 		devices = 8
 	}
@@ -137,7 +133,7 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 	srv := remote.NewServer(store, PSK)
 	engine := detect.NewEngine(detectConfig(s))
 	engine.Attach(store)
-	nic := netsim.New(nicCfg)
+	nic := netsim.New(netsim.Config{})
 	srv.NIC = nic
 	link := remote.NewRecoveryLinkOn(nic) // restore class on the shared NIC
 
@@ -192,7 +188,7 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 	gateOnce := make([]sync.Once, devices)
 	for i := 0; i < devices; i++ {
 		// The reopened device's offload drain rides the same shared NIC the
-		// restore streams do — that cross-class traffic is what the QoS
+		// restore streams do — that cross-class traffic is what the
 		// arbiter exists to schedule.
 		devs[i].cfg.NIC = nic
 		wg.Add(1)
@@ -235,7 +231,7 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 	rows := make([]RecoveryDeviceRow, devices)
 	sum := RecoverySummary{
 		Devices: devices, AllVerified: true, PeakSessions: link.PeakSessions(),
-		ChainsVerified: chainsOK, QoS: !nic.FIFO(), NICStats: nic.Stats(),
+		ChainsVerified: chainsOK, NICStats: nic.Stats(),
 	}
 	var totalRTO, maxRTO simclock.Duration
 	var logicalBytes uint64
@@ -491,10 +487,19 @@ func RenderFleetRecovery(res *RecoveryFleetResult) string {
 		"          dedup: %d literal + %d ref pages (%.0f%% wire hit rate), store %d unique / %d refs (%.0f%% content dedup)\n",
 		s.LiteralPages, s.RefPages, s.DedupHitRate*100,
 		s.StoreUniquePages, s.StoreTotalRefs, s.StoreHitRate*100)
-	mode := "strict-priority qos"
-	if !s.QoS {
-		mode = "fifo baseline"
-	}
-	out += "shared NIC (" + mode + "):\n" + qosStatsTable(s.NICStats).String()
+	out += "shared NIC (strict priority, offload floor 10%):\n" + nicStatsTable(s.NICStats).String()
 	return out
+}
+
+// nicStatsTable renders a per-class NIC ledger snapshot.
+func nicStatsTable(stats [netsim.NumClasses]netsim.QoSStats) *metrics.Table {
+	t := metrics.NewTable("class", "grants", "MB", "flows_peak",
+		"wait_p50_ms", "wait_p99_ms", "throttled", "min_alloc_MBps")
+	for _, st := range stats {
+		t.AddRow(st.Class, st.Grants,
+			fmt.Sprintf("%.1f", float64(st.BytesGranted)/1e6), st.QueuePeak,
+			fmt.Sprintf("%.3f", st.WaitP50Ms), fmt.Sprintf("%.3f", st.WaitP99Ms),
+			st.Throttled, fmt.Sprintf("%.1f", st.MinAllocMBps))
+	}
+	return t
 }

@@ -12,7 +12,7 @@ import (
 // deliberately cut recovery link, verified rollback, an outage-drain with
 // redial — run once for the tests below.
 var fleetRecoverySmall = sync.OnceValues(func() (*RecoveryFleetResult, error) {
-	return FleetRecovery(SmallScale(), 2, netsim.Config{})
+	return FleetRecovery(SmallScale(), 2)
 })
 
 // TestFleetRecoveryScenario checks the run's shape: detection, concurrency,
@@ -49,9 +49,6 @@ func TestFleetRecoveryScenario(t *testing.T) {
 	}
 	if s.TotalRedials < uint64(s.Devices) {
 		t.Fatalf("outage did not exercise redial on every device: %d", s.TotalRedials)
-	}
-	if !s.QoS {
-		t.Fatal("default run did not use strict-priority QoS on the shared NIC")
 	}
 	if s.NICStats[netsim.ClassRestore].Grants == 0 || s.NICStats[netsim.ClassOffload].Grants == 0 {
 		t.Fatalf("shared NIC ledger missing a traffic class: %+v", s.NICStats)

@@ -13,10 +13,10 @@ import (
 )
 
 // restoreRun is the one power-on restore harness every fleet experiment
-// drives its restores through (recovery, dedup, qos). It owns the pieces
+// drives its restores through (recovery, dedup, soak). It owns the pieces
 // the experiments used to copy-paste: the dial factory, the reopen over
 // the surviving flash, the mid-stream choke injection, the streamed
-// RestoreImage call charged to the recovery link's QoS arbiter, and the
+// RestoreImage call charged to the recovery link's NIC arbiter, and the
 // page-identical verification — so the link/NIC setup lives in exactly
 // one place.
 type restoreRun struct {

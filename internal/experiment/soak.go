@@ -719,7 +719,7 @@ func (sd *soakDevice) powerCycleRestore(s Scale, cluster *remote.Cluster, inj *c
 }
 
 // soakRestoreLink charges the restore stream to the current owner's NIC,
-// where it contends with offload and lifecycle classes under QoS.
+// where it contends with the fleet's offload flows.
 func soakRestoreLink(cluster *remote.Cluster, id uint64) *remote.RecoveryLink {
 	if owner, ok := cluster.Owner(id); ok {
 		if srv := cluster.Server(owner); srv != nil && srv.NIC != nil {

@@ -1,27 +1,24 @@
 // Package netsim models the one resource every remote interaction in this
 // system ultimately fights over: the storage server's NIC. Before it
-// existed the simulation priced three kinds of traffic on three
+// existed the simulation priced restore and offload traffic on two
 // disconnected links — remote.RecoveryLink fair-shared restore streams
-// among themselves, the offload engine charged a private per-device
-// NVMe-oE link, and lifecycle/tiering transfers were not modeled at all —
-// so a fleet-wide restore wave and steady-state offload never contended
-// and the published RTO numbers were optimistic.
+// among themselves while the offload engine charged a private per-device
+// NVMe-oE link — so a fleet-wide restore wave and steady-state offload
+// never contended and the published RTO numbers were optimistic.
 //
-// The Arbiter is a single shared-NIC scheduler with three traffic
-// classes, in strict priority order:
+// The Arbiter is a single shared-NIC scheduler with two traffic classes,
+// in strict priority order:
 //
-//	ClassRestore   > ClassOffload > ClassLifecycle
+//	ClassRestore > ClassOffload
 //
-// Admission is strict priority with guaranteed floors: a class receives
-// everything the classes above it left, minus the floor reservations of
-// the active classes below it — so restore traffic preempts offload
-// during a restore storm, but offload keeps a configurable guaranteed
-// fraction of line rate (default 10%) and lifecycle keeps its own floor
-// (default 5%), which is what prevents starvation. Inside a class,
-// bandwidth is weighted fair queueing over chunk-sized grants: each open
-// flow's grant is priced at the class allocation split by flow weight, in
-// simulated time, so the whole scheme stays deterministic (no wall-clock
-// anywhere).
+// Its one policy is strict priority with a guaranteed offload floor:
+// restore takes the line minus the offload floor while offload has open
+// flows, and offload takes what restore left — never less than 10 % of
+// line rate, which is what keeps a restore storm from starving it. Inside
+// a class, bandwidth is weighted fair queueing over chunk-sized grants:
+// each open flow's grant is priced at the class allocation split by flow
+// weight, in simulated time, so the whole scheme stays deterministic (no
+// wall-clock anywhere).
 //
 // A flow counts toward its class's WFQ denominator while it is open —
 // the same session semantics remote.RecoveryLink has always used
@@ -32,18 +29,13 @@
 // grants, bytes, peak open flows, grant-wait percentiles through
 // metrics.Histogram, how many grants were priced under cross-class
 // contention (Throttled), and the lowest class allocation any grant saw
-// (MinAllocMBps — the number the starvation gate checks against the
-// floor). Setting Config.FIFO disables classing entirely: every flow
-// shares the line proportionally to its weight regardless of class — the
-// pure processor-sharing baseline the QoS experiment quantifies the win
-// against.
+// (MinAllocMBps — the number the starvation invariant checks against the
+// floor).
 package netsim
 
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/metrics"
@@ -53,12 +45,11 @@ import (
 // Class is a traffic class on the shared NIC. Smaller is higher priority.
 type Class uint8
 
-// The three classes, in strict priority order.
+// The two classes, in strict priority order.
 const (
-	ClassRestore   Class = iota // fleet recovery image streams
-	ClassOffload                // steady-state segment offload (NVMe-oE push)
-	ClassLifecycle              // retention GC / tier-transition transfers
-	NumClasses     = 3
+	ClassRestore Class = iota // fleet recovery image streams
+	ClassOffload              // steady-state segment offload (NVMe-oE push)
+	NumClasses   = 2
 )
 
 // String names the class for ledgers and reports.
@@ -68,25 +59,21 @@ func (c Class) String() string {
 		return "restore"
 	case ClassOffload:
 		return "offload"
-	case ClassLifecycle:
-		return "lifecycle"
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
 // Defaults: the recovery-link NIC model (25 GbE-class line rate, a
-// request/credit round trip) and the guaranteed floors — restore needs no
-// floor (it is the top priority), offload keeps >= 10% of line rate
-// through a restore storm, lifecycle keeps >= 5%.
+// request/credit round trip).
 const (
 	DefaultMBps = 3000
 	DefaultRTT  = 50 * simclock.Microsecond
 )
 
-// DefaultFloors returns the default guaranteed-floor fractions per class.
-func DefaultFloors() [NumClasses]float64 {
-	return [NumClasses]float64{ClassOffload: 0.10, ClassLifecycle: 0.05}
-}
+// floors is the fraction of line rate each class is guaranteed while it
+// has open flows: restore needs none (it is the top priority), offload
+// keeps 10 % through a restore storm.
+var floors = [NumClasses]float64{ClassOffload: 0.10}
 
 // Config configures one shared-NIC arbiter.
 type Config struct {
@@ -94,14 +81,6 @@ type Config struct {
 	// Zero values take the defaults above.
 	MBps float64
 	RTT  simclock.Duration
-	// Floors[c] is the fraction of line rate class c is guaranteed while
-	// it has open flows, regardless of higher-priority demand. An all-zero
-	// array takes DefaultFloors; negative entries clamp to zero. Floors
-	// are honored as long as they sum to <= 1.
-	Floors [NumClasses]float64
-	// FIFO disables classing: every flow shares the line proportionally to
-	// its weight, priority and floors ignored. This is the no-QoS baseline.
-	FIFO bool
 }
 
 // classLedger is one class's slice of the QoS ledger. All fields are
@@ -114,18 +93,16 @@ type classLedger struct {
 	minAlloc  float64 // lowest class allocation (MBps) any grant was priced at
 	wait      *metrics.Histogram
 	spanSet   bool
-	first     simclock.Time // earliest timed grant start
-	last      simclock.Time // latest timed grant completion
+	first     simclock.Time // earliest grant start
+	last      simclock.Time // latest grant completion
 }
 
 // Arbiter is the shared-NIC QoS scheduler. Safe for concurrent use: every
 // device goroutine charging the NIC prices its grants through one mutex,
 // exactly like the RecoveryLink it generalizes.
 type Arbiter struct {
-	mbps   float64
-	rtt    simclock.Duration
-	floors [NumClasses]float64
-	fifo   bool
+	mbps float64
+	rtt  simclock.Duration
 
 	mu     sync.Mutex
 	active [NumClasses]int
@@ -141,17 +118,7 @@ func New(cfg Config) *Arbiter {
 	if cfg.RTT <= 0 {
 		cfg.RTT = DefaultRTT
 	}
-	allZero := true
-	for c := range cfg.Floors {
-		if cfg.Floors[c] < 0 {
-			cfg.Floors[c] = 0
-		}
-		allZero = allZero && cfg.Floors[c] == 0
-	}
-	if allZero {
-		cfg.Floors = DefaultFloors()
-	}
-	a := &Arbiter{mbps: cfg.MBps, rtt: cfg.RTT, floors: cfg.Floors, fifo: cfg.FIFO}
+	a := &Arbiter{mbps: cfg.MBps, rtt: cfg.RTT}
 	for c := range a.led {
 		a.led[c].minAlloc = math.Inf(1)
 		a.led[c].wait = metrics.NewHistogram(0)
@@ -165,15 +132,12 @@ func (a *Arbiter) LineMBps() float64 { return a.mbps }
 // RTT returns the per-grant round trip.
 func (a *Arbiter) RTT() simclock.Duration { return a.rtt }
 
-// FIFO reports whether classing is disabled (the no-QoS baseline).
-func (a *Arbiter) FIFO() bool { return a.fifo }
-
 // Floors returns the guaranteed-floor fractions.
-func (a *Arbiter) Floors() [NumClasses]float64 { return a.floors }
+func (a *Arbiter) Floors() [NumClasses]float64 { return floors }
 
-// Flow is one open session on the NIC: a restore stream, one device's
-// offload pipeline, or a lifecycle transfer lane. It participates in its
-// class's WFQ denominator from Open until Close.
+// Flow is one open session on the NIC: a restore stream or one device's
+// offload pipeline. It participates in its class's WFQ denominator from
+// Open until Close.
 type Flow struct {
 	a    *Arbiter
 	c    Class
@@ -215,39 +179,22 @@ func (f *Flow) Close() {
 // WFQ share of its class allocation and recorded in the class ledger
 // (including the conservation span).
 func (f *Flow) Grant(bytes int, start simclock.Time) simclock.Time {
-	return start.Add(f.a.grant(f.c, f.w, bytes, start, true))
+	return start.Add(f.a.grant(f.c, f.w, bytes, start))
 }
 
-// GrantDur prices one transfer without anchoring it in time (for callers
-// that track their own clocks). The wait still lands in the
-// ledger; the conservation span does not move.
-func (f *Flow) GrantDur(bytes int) simclock.Duration {
-	return f.a.grant(f.c, f.w, bytes, 0, false)
-}
-
-// GrantClass prices one transfer for an equal-weight session of class c
-// without a Flow handle — the RecoveryLink delegation path, where Open
-// and pricing are decoupled. A class with no open flows is priced as a
-// single solo session (the share is clamped to 1).
-func (a *Arbiter) GrantClass(c Class, bytes int) simclock.Duration {
-	return a.grant(c, 0, bytes, 0, false)
-}
-
-// GrantClassAt is GrantClass anchored at `now`, so the grant contributes
-// to the class's conservation span.
+// GrantClassAt prices one transfer starting at `now` for an equal-weight
+// session of class c without a Flow handle — the RecoveryLink path, where
+// Open and pricing are decoupled. A class with no open flows is priced as
+// a single solo session (the share is clamped to 1).
 func (a *Arbiter) GrantClassAt(c Class, bytes int, now simclock.Time) simclock.Duration {
-	return a.grant(c, 0, bytes, now, true)
+	return a.grant(c, 0, bytes, now)
 }
 
-// minAllocFrac floors a zero class allocation (a floorless class fully
-// preempted) so a grant is never priced at infinite duration.
-const minAllocFrac = 1e-3
-
-// grant prices one transfer of `bytes` for a flow of class c with the
-// given weight (0 = class-level equal-weight pricing) and folds it into
-// the ledger. Returns the grant duration: RTT + bytes over the flow's
-// share of the class allocation.
-func (a *Arbiter) grant(c Class, flowWeight float64, bytes int, now simclock.Time, timed bool) simclock.Duration {
+// grant prices one transfer of `bytes` starting at `now` for a flow of
+// class c with the given weight (0 = class-level equal-weight pricing) and
+// folds it into the ledger. Returns the grant duration: RTT + bytes over
+// the flow's share of the class allocation.
+func (a *Arbiter) grant(c Class, flowWeight float64, bytes int, now simclock.Time) simclock.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
@@ -266,9 +213,6 @@ func (a *Arbiter) grant(c Class, flowWeight float64, bytes int, now simclock.Tim
 	}
 
 	alloc := a.classAllocLocked(c)
-	if alloc <= 0 {
-		alloc = a.mbps * minAllocFrac
-	}
 	// This multiplication order is pinned: netsim_test.go holds an
 	// uncontended grant bit-identical to RTT + bytes·share/(MBps·1e6)
 	// computed this way, and committed BENCH rows depend on it.
@@ -284,14 +228,12 @@ func (a *Arbiter) grant(c Class, flowWeight float64, bytes int, now simclock.Tim
 		led.minAlloc = alloc
 	}
 	led.wait.Observe(dur)
-	if timed {
-		if !led.spanSet || now < led.first {
-			led.first = now
-			led.spanSet = true
-		}
-		if done := now.Add(dur); done > led.last {
-			led.last = done
-		}
+	if !led.spanSet || now < led.first {
+		led.first = now
+		led.spanSet = true
+	}
+	if done := now.Add(dur); done > led.last {
+		led.last = done
 	}
 	return dur
 }
@@ -309,58 +251,23 @@ func (a *Arbiter) crossActiveLocked(c Class) bool {
 
 // classAllocLocked computes class c's instantaneous bandwidth allocation
 // in MBps, treating c as active even when it has no open flows (a grant
-// is demand).
-//
-// Strict mode walks classes in priority order: each active class takes
-// what its superiors left, minus the floor reservations of the active
-// classes below it, but never less than its own floor (and never more
-// than what remains — allocations always conserve the line). FIFO mode
-// splits the line proportionally to class weight sums: no priority, no
-// floors — the baseline where a restore storm and background offload
-// trample each other.
+// is demand). Restore takes the line minus the offload floor while
+// offload has demand; offload takes what restore leaves, which is the
+// whole line when no restore is open and exactly its floor otherwise.
+// The two allocations always sum to the line.
 func (a *Arbiter) classAllocLocked(c Class) float64 {
 	line := a.mbps
-	if a.fifo {
-		var tot, mine float64
-		for q := Class(0); q < NumClasses; q++ {
-			w := a.wsum[q]
-			if q == c && w <= 0 {
-				w = 1 // phantom solo session
-			}
-			tot += w
-			if q == c {
-				mine = w
-			}
-		}
-		return line * mine / tot
+	restore := line
+	if c == ClassOffload || a.active[ClassOffload] > 0 {
+		restore -= floors[ClassOffload] * line
 	}
-	avail := line
-	for p := Class(0); p < NumClasses; p++ {
-		if a.active[p] == 0 && p != c {
-			continue
-		}
-		var reserved float64
-		for q := p + 1; q < NumClasses; q++ {
-			if a.active[q] > 0 || q == c {
-				reserved += a.floors[q] * line
-			}
-		}
-		alloc := avail - reserved
-		if fl := a.floors[p] * line; alloc < fl {
-			alloc = fl
-		}
-		if alloc > avail {
-			alloc = avail
-		}
-		if alloc < 0 {
-			alloc = 0
-		}
-		if p == c {
-			return alloc
-		}
-		avail -= alloc
+	switch {
+	case c == ClassRestore:
+		return restore
+	case a.active[ClassRestore] > 0:
+		return line - restore
 	}
-	return 0 // unreachable: the loop always reaches p == c
+	return line
 }
 
 // ActiveFlows returns the number of open flows in class c.
@@ -420,25 +327,11 @@ func (a *Arbiter) Stats() [NumClasses]QoSStats {
 	return out
 }
 
-// Table renders the per-class ledger as a metrics table — the experiment
-// harness prints one per arbiter next to its device tables.
-func (a *Arbiter) Table() *metrics.Table {
-	t := metrics.NewTable("class", "grants", "MB", "flows_peak",
-		"wait_p50_ms", "wait_p99_ms", "throttled", "min_alloc_MBps")
-	for _, st := range a.Stats() {
-		t.AddRow(st.Class, st.Grants,
-			fmt.Sprintf("%.1f", float64(st.BytesGranted)/1e6), st.QueuePeak,
-			fmt.Sprintf("%.3f", st.WaitP50Ms), fmt.Sprintf("%.3f", st.WaitP99Ms),
-			st.Throttled, fmt.Sprintf("%.1f", st.MinAllocMBps))
-	}
-	return t
-}
-
 // Conservation reports the total bytes granted across all classes, the
-// simulated span from the first timed grant's start to the last timed
-// grant's completion, and the implied aggregate rate in MBps. The rate
-// can never legitimately exceed the line rate — the conservation gate
-// the QoS experiment enforces.
+// simulated span from the first grant's start to the last grant's
+// completion, and the implied aggregate rate in MBps. The rate can never
+// legitimately exceed the line rate — the conservation invariant the soak
+// checks on every server NIC.
 func (a *Arbiter) Conservation() (bytes uint64, span simclock.Duration, mbps float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -464,32 +357,4 @@ func (a *Arbiter) Conservation() (bytes uint64, span simclock.Duration, mbps flo
 		mbps = float64(bytes) / span.Seconds() / 1e6
 	}
 	return bytes, span, mbps
-}
-
-// ParseFloors parses the rssdbench -qosfloors value: "offload,lifecycle"
-// guaranteed fractions, e.g. "0.10,0.05" (restore, the top priority,
-// needs no floor). Each must be in [0, 0.5] and together they must leave
-// the restore class a majority of the line.
-func ParseFloors(s string) ([NumClasses]float64, error) {
-	var out [NumClasses]float64
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return out, fmt.Errorf("want \"offload,lifecycle\" fractions, got %q", s)
-	}
-	sum := 0.0
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return out, fmt.Errorf("floor %q: %w", p, err)
-		}
-		if v < 0 || v > 0.5 {
-			return out, fmt.Errorf("floor %v out of range [0, 0.5]", v)
-		}
-		out[ClassOffload+Class(i)] = v
-		sum += v
-	}
-	if sum >= 0.5 {
-		return out, fmt.Errorf("floors sum to %.2f; must leave restore a majority of the line", sum)
-	}
-	return out, nil
 }

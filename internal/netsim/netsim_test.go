@@ -8,10 +8,16 @@ import (
 	"repro/internal/simclock"
 )
 
+// grantDur is one flow grant's duration: its completion instant for a
+// transfer starting at zero.
+func grantDur(f *Flow, bytes int) simclock.Duration {
+	return f.Grant(bytes, 0).Sub(0)
+}
+
 // TestLegacyEquivalence: an uncontended grant must be bit-identical to
-// the legacy link formulas this arbiter replaced — RecoveryLink.ChunkTime
-// (share in the numerator) and the engine's xferDur (share 1) — so the
-// delegation shims cannot drift.
+// the legacy link formulas this arbiter replaced — the recovery link's
+// fair share (share in the numerator) and the engine's xferDur (share 1)
+// — so the delegation shims cannot drift.
 func TestLegacyEquivalence(t *testing.T) {
 	a := New(Config{MBps: 1000, RTT: simclock.Microsecond})
 	bytes := 1_000_000
@@ -19,22 +25,22 @@ func TestLegacyEquivalence(t *testing.T) {
 		return simclock.Microsecond +
 			simclock.Duration(float64(bytes)*float64(share)/(1000*1e6)*float64(simclock.Second))
 	}
-	if got := a.GrantClass(ClassRestore, bytes); got != legacy(1) {
+	if got := a.GrantClassAt(ClassRestore, bytes, 0); got != legacy(1) {
 		t.Fatalf("solo class grant = %v, want %v", got, legacy(1))
 	}
 	f1 := a.Open(ClassRestore, 1)
 	f2 := a.Open(ClassRestore, 1)
 	f3 := a.Open(ClassRestore, 1)
-	if got := a.GrantClass(ClassRestore, bytes); got != legacy(3) {
+	if got := a.GrantClassAt(ClassRestore, bytes, 0); got != legacy(3) {
 		t.Fatalf("3-way class grant = %v, want %v", got, legacy(3))
 	}
-	if got := f1.GrantDur(bytes); got != legacy(3) {
+	if got := grantDur(f1, bytes); got != legacy(3) {
 		t.Fatalf("3-way flow grant = %v, want %v", got, legacy(3))
 	}
 	f2.Close()
 	f2.Close() // idempotent
 	f3.Close()
-	if got := f1.GrantDur(bytes); got != legacy(1) {
+	if got := grantDur(f1, bytes); got != legacy(1) {
 		t.Fatalf("share not returned on close: %v", got)
 	}
 	f1.Close()
@@ -44,41 +50,35 @@ func TestLegacyEquivalence(t *testing.T) {
 	fo := b.Open(ClassOffload, 1)
 	want := 30*simclock.Microsecond +
 		simclock.Duration(float64(bytes)/(1200*1e6)*float64(simclock.Second))
-	if got := fo.GrantDur(bytes); got != want {
+	if got := grantDur(fo, bytes); got != want {
 		t.Fatalf("solo offload grant = %v, want xferDur %v", got, want)
 	}
 	fo.Close()
 }
 
-// TestStrictPriorityFloors: with all three classes active the allocations
-// are (1 - floors) / floor(offload) / floor(lifecycle) of line, and they
-// sum to exactly the line rate.
+// TestStrictPriorityFloors: with both classes active the allocations are
+// the line minus the offload floor and the floor itself — 900 / 100 of a
+// 1000 MBps line — and they sum to exactly the line rate.
 func TestStrictPriorityFloors(t *testing.T) {
 	a := New(Config{MBps: 1000, RTT: simclock.Microsecond})
 	fr := a.Open(ClassRestore, 1)
 	fo := a.Open(ClassOffload, 1)
-	fl := a.Open(ClassLifecycle, 1)
 	defer fr.Close()
-	defer fo.Close()
-	defer fl.Close()
 
 	a.mu.Lock()
 	ar := a.classAllocLocked(ClassRestore)
 	ao := a.classAllocLocked(ClassOffload)
-	al := a.classAllocLocked(ClassLifecycle)
 	a.mu.Unlock()
-	within := func(got, want float64) bool { return got > want*0.999 && got < want*1.001 }
-	if !within(ar, 850) || !within(ao, 100) || !within(al, 50) {
-		t.Fatalf("allocs = %.1f/%.1f/%.1f, want 850/100/50", ar, ao, al)
+	if ar != 900 || ao != 100 {
+		t.Fatalf("allocs = %v/%v, want 900/100", ar, ao)
 	}
-	if sum := ar + ao + al; sum > 1000*1.0000001 {
-		t.Fatalf("allocations overcommit the line: %.3f", sum)
+	if sum := ar + ao; sum != 1000 {
+		t.Fatalf("allocations do not sum to the line: %v", sum)
 	}
 
-	// Restore-only demand still gets the full line (no reservation for
-	// inactive classes), and offload alone gets the full line too.
+	// Restore-only demand still gets the full line (no reservation for an
+	// idle offload class).
 	fo.Close()
-	fl.Close()
 	a.mu.Lock()
 	solo := a.classAllocLocked(ClassRestore)
 	a.mu.Unlock()
@@ -87,27 +87,35 @@ func TestStrictPriorityFloors(t *testing.T) {
 	}
 }
 
-// TestFIFOBaseline: with classing disabled, a restore flow competing with
-// 9 other flows gets 1/10 of the line no matter its class — the
-// no-priority trampling the QoS experiment quantifies.
-func TestFIFOBaseline(t *testing.T) {
-	a := New(Config{MBps: 1000, RTT: simclock.Microsecond, FIFO: true})
-	fr := a.Open(ClassRestore, 1)
-	for i := 0; i < 6; i++ {
-		defer a.Open(ClassOffload, 1).Close()
+// TestRestoreBoundUnderOffload: with k restore sessions open, a restore
+// grant costs at most 1/(1 - offload floor) of the same grant with offload
+// idle, however many offload flows are open. Each arbiter here is built
+// for one grant and dropped, so its flows are never closed.
+func TestRestoreBoundUnderOffload(t *testing.T) {
+	const bytes = 1 << 20
+	bound := 1 / (1 - floors[ClassOffload])
+	open := func(a *Arbiter, c Class, n int) *Flow {
+		var f *Flow
+		for i := 0; i < n; i++ {
+			f = a.Open(c, 1)
+		}
+		return f
 	}
-	for i := 0; i < 3; i++ {
-		defer a.Open(ClassLifecycle, 1).Close()
-	}
-	bytes := 1_000_000
-	want := simclock.Microsecond +
-		simclock.Duration(float64(bytes)*10/(1000*1e6)*float64(simclock.Second))
-	if got := fr.GrantDur(bytes); got != want {
-		t.Fatalf("fifo 10-way grant = %v, want %v", got, want)
-	}
-	fr.Close()
-	if st := a.ClassStats(ClassRestore); st.Throttled != 1 {
-		t.Fatalf("fifo cross-class grant not counted throttled: %+v", st)
+	for k := 1; k <= 8; k *= 2 {
+		base := grantDur(open(New(Config{}), ClassRestore, k), bytes)
+		for n := 1; n <= 64; n *= 4 {
+			a := New(Config{})
+			fr := open(a, ClassRestore, k)
+			open(a, ClassOffload, n)
+			got := grantDur(fr, bytes)
+			if got <= base || float64(got) > float64(base)*bound {
+				t.Fatalf("k=%d, %d offload flows: restore grant %v vs %v with offload idle (bound %.4fx)",
+					k, n, got, base, bound)
+			}
+			if st := a.ClassStats(ClassRestore); st.Throttled != 1 {
+				t.Fatalf("k=%d, %d offload flows: contended grant not counted throttled: %+v", k, n, st)
+			}
+		}
 	}
 }
 
@@ -119,11 +127,11 @@ type grantEvent struct {
 }
 
 // TestConservationAndStarvationProperty is the property-style invariant
-// check: random interleavings of 3-class demand over a fixed flow
+// check: random interleavings of two-class demand over a fixed flow
 // population must (a) never have instantaneous granted rate exceeding the
-// line at any point of the timeline, and (b) never hold a lifecycle grant
-// past its burst window — RTT plus the bytes served at the lifecycle
-// floor (its guaranteed worst case). Runs under -race in CI.
+// line at any point of the timeline, and (b) never hold an offload grant
+// past its burst window — RTT plus the bytes served at the offload floor
+// (its guaranteed worst case). Runs under -race in CI.
 func TestConservationAndStarvationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x90D0))
 	const line = 2000.0
@@ -135,14 +143,14 @@ func TestConservationAndStarvationProperty(t *testing.T) {
 			now simclock.Time
 		}
 		var flows []*openFlow
-		counts := [NumClasses]int{1 + rng.Intn(4), 1 + rng.Intn(4), 1 + rng.Intn(3)}
+		counts := [NumClasses]int{1 + rng.Intn(4), 1 + rng.Intn(4)}
 		for c := Class(0); c < NumClasses; c++ {
 			for i := 0; i < counts[c]; i++ {
 				flows = append(flows, &openFlow{f: a.Open(c, 1)})
 			}
 		}
 		var events []grantEvent
-		var lifecycleGrants int
+		var offloadGrants int
 		floors := a.Floors()
 		for g := 0; g < 200; g++ {
 			of := flows[rng.Intn(len(flows))]
@@ -154,21 +162,21 @@ func TestConservationAndStarvationProperty(t *testing.T) {
 			if xfer := dur - rtt; xfer > 0 {
 				events = append(events, grantEvent{start, done, float64(bytes) / xfer.Seconds()})
 			}
-			if of.f.Class() == ClassLifecycle {
-				lifecycleGrants++
+			if of.f.Class() == ClassOffload {
+				offloadGrants++
 				// Non-starvation: the floor bounds the burst window even
-				// with every class contending. share <= open lifecycle
-				// flows; allocation >= floor * line.
+				// with restore contending. share <= open offload flows;
+				// allocation >= floor * line.
 				worst := rtt + simclock.Duration(
-					float64(bytes)*float64(counts[ClassLifecycle])/
-						(floors[ClassLifecycle]*line*1e6)*float64(simclock.Second))
+					float64(bytes)*float64(counts[ClassOffload])/
+						(floors[ClassOffload]*line*1e6)*float64(simclock.Second))
 				if dur > worst+worst/100 {
-					t.Fatalf("round %d: lifecycle grant %v exceeds burst window %v", round, dur, worst)
+					t.Fatalf("round %d: offload grant %v exceeds burst window %v", round, dur, worst)
 				}
 			}
 		}
-		if lifecycleGrants == 0 {
-			continue // this round never touched lifecycle; population guarantees most do
+		if offloadGrants == 0 {
+			continue // this round never touched offload; population guarantees most do
 		}
 		// Sweep every interval boundary: the instantaneous sum of granted
 		// rates must conserve the line. (Population is fixed for the whole
@@ -228,19 +236,6 @@ func TestConcurrentGrants(t *testing.T) {
 	for c := Class(0); c < NumClasses; c++ {
 		if a.ActiveFlows(c) != 0 {
 			t.Fatalf("class %v still has open flows", c)
-		}
-	}
-}
-
-// TestParseFloors covers the -qosfloors flag syntax.
-func TestParseFloors(t *testing.T) {
-	got, err := ParseFloors("0.2, 0.1")
-	if err != nil || got[ClassOffload] != 0.2 || got[ClassLifecycle] != 0.1 || got[ClassRestore] != 0 {
-		t.Fatalf("ParseFloors = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0.1", "0.1,0.2,0.3", "x,0.1", "0.6,0.1", "0.3,0.25", "-0.1,0.1"} {
-		if _, err := ParseFloors(bad); err == nil {
-			t.Fatalf("ParseFloors(%q) accepted", bad)
 		}
 	}
 }

@@ -34,10 +34,6 @@ type ClusterConfig struct {
 	PSK []byte
 	// Server is the per-server ingest config (decode lane sizing).
 	Server ServerConfig
-	// NIC sizes each server's egress-NIC QoS arbiter (one arbiter per
-	// server — servers have independent NICs). The zero value selects the
-	// netsim defaults (3000 MB/s line, 50µs RTT, standard floors).
-	NIC netsim.Config
 	// VirtualNodes per weight-100 server (0: DefaultVirtualNodes).
 	VirtualNodes int
 	// LoadFactor bounds per-server device count at LoadFactor×mean
@@ -160,7 +156,7 @@ func NewCluster(store *Store, cfg ClusterConfig) *Cluster {
 	for i := 0; i < cfg.Servers; i++ {
 		srv := NewServer(store, cfg.PSK)
 		srv.Config = cfg.Server
-		srv.NIC = netsim.New(cfg.NIC)
+		srv.NIC = netsim.New(netsim.Config{}) // servers have independent NICs
 		c.nodes = append(c.nodes, &clusterNode{id: i, srv: srv, alive: true, weight: 100})
 		ring.AddNode(i, 100)
 	}

@@ -241,26 +241,27 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 // its solo transfer time plus RTT — the NIC is split fairly.
 func TestRecoveryLinkFairShare(t *testing.T) {
 	// 1 GB/s with a 1µs RTT: a 1 MB chunk takes 1ms solo.
-	l := NewRecoveryLinkOn(netsim.New(netsim.Config{RTT: simclock.Microsecond, MBps: 1000}))
+	arb := netsim.New(netsim.Config{RTT: simclock.Microsecond, MBps: 1000})
+	l := NewRecoveryLinkOn(arb)
 	const bytes = 1e6
 	rel1 := l.Open()
-	solo := l.ChunkTime(bytes)
+	solo := l.ChunkTimeAt(bytes, 0)
 	if want := simclock.Microsecond + simclock.Millisecond; solo != want {
 		t.Fatalf("solo chunk = %v, want %v", solo, want)
 	}
 	rel2 := l.Open()
 	rel3 := l.Open()
-	if got := l.ChunkTime(bytes); got != simclock.Microsecond+3*simclock.Millisecond {
+	if got := l.ChunkTimeAt(bytes, 0); got != simclock.Microsecond+3*simclock.Millisecond {
 		t.Fatalf("3-way chunk = %v", got)
 	}
 	rel2()
 	rel2() // release is idempotent
 	rel3()
-	if got := l.ChunkTime(bytes); got != solo {
+	if got := l.ChunkTimeAt(bytes, 0); got != solo {
 		t.Fatalf("share not returned after release: %v", got)
 	}
 	rel1()
-	if l.Active() != 0 || l.PeakSessions() != 3 {
-		t.Fatalf("active=%d peak=%d", l.Active(), l.PeakSessions())
+	if active := arb.ActiveFlows(netsim.ClassRestore); active != 0 || l.PeakSessions() != 3 {
+		t.Fatalf("active=%d peak=%d", active, l.PeakSessions())
 	}
 }

@@ -6,26 +6,25 @@ import (
 )
 
 // RecoveryLink models the storage server's NIC during fleet recovery.
-// Steady-state offload is device-bound — each device owns its NVMe-oE
-// link — but recovery inverts the direction: after a fleet-wide incident,
-// N devices pull their images from ONE server concurrently, and the
-// server's egress NIC is the bottleneck (Project Almanac's observation
-// that restore traffic, not ingest, is the bandwidth cliff). The model is
-// processor sharing with per-session fair share: a chunk transferred while
-// k sessions are recovering sees BW/k of the NIC.
+// After a fleet-wide incident, N devices pull their images from ONE
+// server concurrently, and the server's egress NIC is the bottleneck
+// (Project Almanac's observation that restore traffic, not ingest, is the
+// bandwidth cliff). The model is processor sharing with per-session fair
+// share: a chunk transferred while k sessions are recovering sees BW/k of
+// the restore class's allocation.
 //
 // Devices recovering concurrently register with Open and charge each
-// chunk's simulated time through ChunkTime. The instantaneous session
+// chunk's simulated time through ChunkTimeAt. The instantaneous session
 // count prices the share, so a device that finishes early returns its
 // share to the stragglers — exactly the fairness a per-connection TCP
 // share would give.
 //
 // RecoveryLink is a thin wrapper over the restore class of a shared-NIC
-// QoS arbiter (internal/netsim), which does the pricing. On an arbiter
+// arbiter (internal/netsim), which does the pricing. On an arbiter
 // nothing else uses, restore is the only active class, so it always holds
-// the full line and the fair share is the session count; on a server's
-// shared NIC, restore traffic contends with offload and lifecycle classes
-// under the QoS policy.
+// the full line; on a server's shared NIC, restore streams contend with
+// the devices' offload flows under the arbiter's strict priority, which
+// leaves offload its 10 % floor.
 type RecoveryLink struct {
 	arb *netsim.Arbiter
 }
@@ -45,24 +44,12 @@ func (l *RecoveryLink) Open() (release func()) {
 	return f.Close
 }
 
-// ChunkTime prices one chunk transfer at the current fair share of the
-// restore class's NIC allocation: RTT + bytes / (allocation / sessions).
-// On an arbiter only restores use, the allocation is the full line:
-// RTT + bytes / (BW / sessions).
-func (l *RecoveryLink) ChunkTime(bytes int) simclock.Duration {
-	return l.arb.GrantClass(netsim.ClassRestore, bytes)
-}
-
-// ChunkTimeAt is ChunkTime anchored at the caller's simulated clock, so
-// the grant contributes to the arbiter's conservation span. The restorer
-// charges chunks through this.
+// ChunkTimeAt prices one chunk transfer starting at the caller's
+// simulated clock at the current fair share of the restore class's NIC
+// allocation: RTT + bytes / (allocation / sessions). The grant lands in
+// the arbiter's ledger and conservation span.
 func (l *RecoveryLink) ChunkTimeAt(bytes int, now simclock.Time) simclock.Duration {
 	return l.arb.GrantClassAt(netsim.ClassRestore, bytes, now)
-}
-
-// Active returns the number of sessions currently recovering.
-func (l *RecoveryLink) Active() int {
-	return l.arb.ActiveFlows(netsim.ClassRestore)
 }
 
 // PeakSessions returns the most sessions ever recovering at once.

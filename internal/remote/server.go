@@ -35,12 +35,12 @@ type Server struct {
 	// Config tunes the ingest path (decode lane sizing). Set it before the
 	// first connection is served.
 	Config ServerConfig
-	// NIC is this server's egress-NIC QoS arbiter: the single shared link
-	// that restore streams, device offload traffic, and lifecycle
-	// transfers all contend on (internal/netsim). Set it before sessions
-	// attach, or let NICArbiter build the default one lazily. Experiments
-	// wire it into device configs (core.Config.NIC) and restore links
-	// (NewRecoveryLinkOn) so every traffic class is priced on one line.
+	// NIC is this server's egress-NIC arbiter: the single shared link that
+	// restore streams and device offload traffic contend on
+	// (internal/netsim). Set it before sessions attach, or let NICArbiter
+	// build the default one lazily. Experiments wire it into device
+	// configs (core.Config.NIC) and restore links (NewRecoveryLinkOn) so
+	// both traffic classes are priced on one line.
 	NIC *netsim.Arbiter
 
 	mu            sync.Mutex
