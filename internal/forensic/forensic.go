@@ -90,16 +90,15 @@ func (a *Analyzer) Timeline() (*Evidence, error) {
 			return nil, fmt.Errorf("forensic: fetch head: %w", err)
 		}
 		// One allocation for the whole timeline: the remote prefix the head
-		// has just announced, and the local suffix behind it.
+		// has just announced, each batch decoded into its place, and the local
+		// suffix behind it.
 		entries = make([]oplog.Entry, 0, max(head.NextSeq, a.dev.Log().NextSeq()))
 		const batch = 4096
 		for from := uint64(0); from < head.NextSeq; from += batch {
 			to := min(from+batch, head.NextSeq)
-			got, err := a.client.FetchEntries(from, to)
-			if err != nil {
+			if entries, err = a.client.AppendEntries(entries, from, to); err != nil {
 				return nil, fmt.Errorf("forensic: fetch entries [%d,%d): %w", from, to, err)
 			}
-			entries = append(entries, got...)
 		}
 	}
 	ev := &Evidence{RemoteEntries: len(entries), ChainIntact: true}
@@ -114,11 +113,8 @@ func (a *Analyzer) Timeline() (*Evidence, error) {
 		prev = e.Hash
 	}
 	// Local suffix: everything at or beyond what the remote holds.
-	for _, e := range a.dev.Log().All() {
-		if e.Seq >= uint64(ev.RemoteEntries) {
-			entries = append(entries, e)
-		}
-	}
+	log := a.dev.Log()
+	entries = append(entries, log.Entries(uint64(ev.RemoteEntries), log.NextSeq())...)
 	ev.Entries = entries
 	ev.LocalEntries = len(entries) - ev.RemoteEntries
 	if broken == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/simclock"
 )
@@ -70,9 +71,16 @@ var (
 // MarshaledSize returns exactly len(Marshal()) without marshaling; the
 // offload engine uses it to size pooled encode buffers and to model the
 // encode stage's simulated duration before the real encode runs.
-func (s *Segment) MarshaledSize() int {
-	size := headerSize + len(s.Entries)*EntrySize
-	if len(s.Entries) > 0 {
+func (s *Segment) MarshaledSize() int { return s.MarshaledSizeRuns(s.Entries) }
+
+// MarshaledSizeRuns is MarshaledSize with runs in place of s.Entries, as
+// AppendMarshalRuns writes them.
+func (s *Segment) MarshaledSizeRuns(runs ...[]Entry) int {
+	size := headerSize
+	for _, r := range runs {
+		size += len(r) * EntrySize
+	}
+	if size > headerSize {
 		size += chainSize
 	}
 	for i := range s.Pages {
@@ -90,21 +98,40 @@ func (s *Segment) Marshal() []byte {
 // segment is appended to b and the extended slice returned. With a pooled
 // buffer of capacity MarshaledSize it allocates nothing — the encode hot
 // loop's contract.
-func (s *Segment) AppendMarshal(b []byte) []byte {
+func (s *Segment) AppendMarshal(b []byte) []byte { return s.AppendMarshalRuns(b, s.Entries) }
+
+// AppendMarshalRuns is AppendMarshal with runs, laid end to end, in place of
+// s.Entries: byte for byte the marshal of s with Entries set to their
+// concatenation, which is never built. remote.Store keeps a device's chain as
+// one run per accepted segment and answers a fetch this way.
+func (s *Segment) AppendMarshalRuns(b []byte, runs ...[]Entry) []byte {
+	n := 0
+	var first, last *Entry
+	for _, r := range runs {
+		if len(r) > 0 {
+			if first == nil {
+				first = &r[0]
+			}
+			last = &r[len(r)-1]
+		}
+		n += len(r)
+	}
 	b = binary.LittleEndian.AppendUint32(b, segmentMagic)
 	b = binary.LittleEndian.AppendUint64(b, s.DeviceID)
 	b = binary.LittleEndian.AppendUint64(b, s.FirstSeq)
 	b = binary.LittleEndian.AppendUint64(b, s.LastSeq)
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.FirstTime))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.LastTime))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Entries)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Pages)))
-	if n := len(s.Entries); n > 0 {
-		b = append(b, s.Entries[0].PrevHash[:]...)
-		b = append(b, s.Entries[n-1].Hash[:]...)
+	if n > 0 {
+		b = append(b, first.PrevHash[:]...)
+		b = append(b, last.Hash[:]...)
 	}
-	for i := range s.Entries {
-		b = s.Entries[i].Marshal(b)
+	for _, r := range runs {
+		for i := range r {
+			b = r[i].Marshal(b)
+		}
 	}
 	for i := range s.Pages {
 		p := &s.Pages[i]
@@ -126,58 +153,12 @@ func (s *Segment) AppendMarshal(b []byte) []byte {
 // contiguous, is refused with ErrBadSegment wrapping a *ChainError. What is
 // left to the caller is whether that first PrevHash is the hash it expected.
 func UnmarshalSegment(b []byte) (*Segment, error) {
-	if len(b) < headerSize {
-		return nil, ErrBadSegment
+	s := &Segment{}
+	entries, nPages, b, err := s.decodeEntries(nil, b)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(b[0:]) != segmentMagic {
-		return nil, ErrBadMagic
-	}
-	s := &Segment{
-		DeviceID:  binary.LittleEndian.Uint64(b[4:]),
-		FirstSeq:  binary.LittleEndian.Uint64(b[12:]),
-		LastSeq:   binary.LittleEndian.Uint64(b[20:]),
-		FirstTime: simclock.Time(binary.LittleEndian.Uint64(b[28:])),
-		LastTime:  simclock.Time(binary.LittleEndian.Uint64(b[36:])),
-	}
-	nEntries := binary.LittleEndian.Uint32(b[44:])
-	nPages := binary.LittleEndian.Uint32(b[48:])
-	b = b[headerSize:]
-	// The counts are the sender's claim: hold them against the bytes that
-	// follow before sizing anything by them.
-	entryBytes := uint64(nEntries) * EntrySize
-	if nEntries > 0 {
-		entryBytes += chainSize
-	}
-	if entryBytes > uint64(len(b)) || uint64(nPages) > (uint64(len(b))-entryBytes)/pageHeaderSize {
-		return nil, fmt.Errorf("%w: %d entries and %d pages claimed in %d bytes", ErrBadSegment, nEntries, nPages, len(b))
-	}
-	s.Entries = make([]Entry, nEntries)
-	if nEntries > 0 {
-		// One stack buffer holds what an entry's hash covers: the previous
-		// hash, then the body as it lies in b.
-		var sealed [HashSize + EntrySize]byte
-		prev, body := sealed[:HashSize], sealed[HashSize:]
-		copy(prev, b)
-		last := [HashSize]byte(b[HashSize:chainSize])
-		b = b[chainSize:]
-		for i := range s.Entries {
-			e := &s.Entries[i]
-			copy(body, b)
-			e.setBody(body)
-			e.PrevHash = [HashSize]byte(prev)
-			e.Hash = sha256.Sum256(sealed[:])
-			if i > 0 && e.Seq != s.Entries[i-1].Seq+1 {
-				return nil, fmt.Errorf("%w: %w", ErrBadSegment, &ChainError{Index: i, Seq: e.Seq, Reason: "sequence gap"})
-			}
-			copy(prev, e.Hash[:])
-			b = b[EntrySize:]
-		}
-		if e := &s.Entries[nEntries-1]; e.Hash != last {
-			return nil, fmt.Errorf("%w: %w", ErrBadSegment,
-				&ChainError{Index: int(nEntries) - 1, Seq: e.Seq, Reason: "derived chain does not end at the segment's last hash"})
-		}
-		s.derived = s.Entries
-	}
+	s.Entries, s.derived = entries, entries
 	s.Pages = make([]PageRecord, 0, nPages)
 	for i := uint32(0); i < nPages; i++ {
 		if len(b) < pageHeaderSize {
@@ -202,6 +183,82 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSegment, len(b))
 	}
 	return s, nil
+}
+
+// AppendSegmentEntries decodes a page-less segment marshal, what a
+// FetchEntries reply carries, and appends its chain to dst, derived and held
+// as UnmarshalSegment does. It accepts exactly what UnmarshalSegment accepts
+// with no pages. On error it returns dst, its elements as they were.
+func AppendSegmentEntries(dst []Entry, b []byte) ([]Entry, error) {
+	var hdr Segment
+	out, _, rest, err := hdr.decodeEntries(dst, b)
+	if err == nil && len(rest) != 0 {
+		// Page records, which the header's count says are there, are
+		// trailing bytes here.
+		err = fmt.Errorf("%w: %d trailing bytes", ErrBadSegment, len(rest))
+	}
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// decodeEntries reads the header at the front of b into s and appends the
+// chain the marshal carries to dst, returning the extended slice, the page
+// count and the bytes behind the entries. The counts are the sender's claim:
+// they are held against the bytes that follow before anything is sized by
+// them. On error dst's elements are as they were.
+func (s *Segment) decodeEntries(dst []Entry, b []byte) ([]Entry, uint32, []byte, error) {
+	if len(b) < headerSize {
+		return nil, 0, nil, ErrBadSegment
+	}
+	if binary.LittleEndian.Uint32(b[0:]) != segmentMagic {
+		return nil, 0, nil, ErrBadMagic
+	}
+	s.DeviceID = binary.LittleEndian.Uint64(b[4:])
+	s.FirstSeq = binary.LittleEndian.Uint64(b[12:])
+	s.LastSeq = binary.LittleEndian.Uint64(b[20:])
+	s.FirstTime = simclock.Time(binary.LittleEndian.Uint64(b[28:]))
+	s.LastTime = simclock.Time(binary.LittleEndian.Uint64(b[36:]))
+	nEntries := int(binary.LittleEndian.Uint32(b[44:]))
+	nPages := binary.LittleEndian.Uint32(b[48:])
+	b = b[headerSize:]
+	entryBytes := uint64(nEntries) * EntrySize
+	if nEntries > 0 {
+		entryBytes += chainSize
+	}
+	if entryBytes > uint64(len(b)) || uint64(nPages) > (uint64(len(b))-entryBytes)/pageHeaderSize {
+		return nil, 0, nil, fmt.Errorf("%w: %d entries and %d pages claimed in %d bytes", ErrBadSegment, nEntries, nPages, len(b))
+	}
+	if nEntries == 0 {
+		return dst, nPages, b, nil
+	}
+	out := slices.Grow(dst, nEntries)[:len(dst)+nEntries]
+	entries := out[len(dst):]
+	// One stack buffer holds what an entry's hash covers: the previous hash,
+	// then the body as it lies in b.
+	var sealed [HashSize + EntrySize]byte
+	prev, body := sealed[:HashSize], sealed[HashSize:]
+	copy(prev, b)
+	last := [HashSize]byte(b[HashSize:chainSize])
+	b = b[chainSize:]
+	for i := range entries {
+		e := &entries[i]
+		copy(body, b)
+		e.setBody(body)
+		e.PrevHash = [HashSize]byte(prev)
+		e.Hash = sha256.Sum256(sealed[:])
+		if i > 0 && e.Seq != entries[i-1].Seq+1 {
+			return nil, 0, nil, fmt.Errorf("%w: %w", ErrBadSegment, &ChainError{Index: i, Seq: e.Seq, Reason: "sequence gap"})
+		}
+		copy(prev, e.Hash[:])
+		b = b[EntrySize:]
+	}
+	if e := &entries[nEntries-1]; e.Hash != last {
+		return nil, 0, nil, fmt.Errorf("%w: %w", ErrBadSegment,
+			&ChainError{Index: nEntries - 1, Seq: e.Seq, Reason: "derived chain does not end at the segment's last hash"})
+	}
+	return out, nPages, b, nil
 }
 
 // VerifyChain checks that the segment's entries form an unbroken hash chain

@@ -46,6 +46,28 @@ func TestAppendMarshalMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalRunsMatchesMarshal: a segment marshaled from runs, empty
+// ones among them, is byte for byte the segment whose Entries are the runs
+// laid end to end, and MarshaledSizeRuns is its length.
+func TestAppendMarshalRunsMatchesMarshal(t *testing.T) {
+	seg := allocTestSegment()
+	all := chainedSegment(64).Entries
+	for _, cuts := range [][]int{{}, {0}, {64}, {0, 1, 1, 40, 63}, {32, 32, 64}} {
+		var runs [][]Entry
+		from := 0
+		for _, to := range append(cuts, len(all)) {
+			runs = append(runs, all[from:to])
+			from = to
+		}
+		seg.Entries = all
+		want := seg.Marshal()
+		seg.Entries = nil
+		if got := seg.AppendMarshalRuns(nil, runs...); !bytes.Equal(got, want) || seg.MarshaledSizeRuns(runs...) != len(want) {
+			t.Fatalf("runs cut at %v: %d bytes (size %d), Marshal %d", cuts, len(got), seg.MarshaledSizeRuns(runs...), len(want))
+		}
+	}
+}
+
 // TestMarshalSteadyStateAllocs: sealing a segment into a pooled buffer is
 // allocation-free once the buffer is warm — the seal side of the
 // zero-allocation datapath contract.

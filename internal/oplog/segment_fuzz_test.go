@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime/metrics"
+	"slices"
 	"testing"
 )
 
@@ -112,22 +113,9 @@ func FuzzUnmarshalSegment(f *testing.F) {
 	f.Add(oldLayout(allocTestSegment()))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// In memory an entry is twice its 77 bytes on the wire and a page
-		// record of no data twice its 61; the rest is error text. The
-		// counter is the process's, and a fuzzing worker allocates on the
-		// side: what the decoder itself allocates shows on every try.
-		limit := uint64(4*len(b) + 64<<10)
 		var seg *Segment
 		var err error
-		allocated := ^uint64(0)
-		for try := 0; try < 3 && allocated > limit; try++ {
-			before := heapAllocated()
-			seg, err = UnmarshalSegment(b)
-			allocated = min(allocated, heapAllocated()-before)
-		}
-		if allocated > limit {
-			t.Fatalf("%d bytes in, %d allocated (limit %d)", len(b), allocated, limit)
-		}
+		withinDecodeBound(t, b, func() { seg, err = UnmarshalSegment(b) })
 		if err != nil {
 			if seg != nil || !(errors.Is(err, ErrBadSegment) || errors.Is(err, ErrBadMagic)) {
 				t.Fatalf("err=%v, segment %v", err, seg != nil)
@@ -141,6 +129,69 @@ func FuzzUnmarshalSegment(f *testing.F) {
 		}
 		if again := seg.Marshal(); !bytes.Equal(again, b) {
 			t.Fatalf("accepted %d bytes, marshals back to %d different ones", len(b), len(again))
+		}
+	})
+}
+
+// withinDecodeBound runs decode, which decodes b, and fails t if it allocated
+// more than a small multiple of b. In memory an entry is twice its 77 bytes
+// on the wire and a page record of no data twice its 61; the rest is error
+// text. The counter is the process's, and a fuzzing worker allocates on the
+// side: what the decoder itself allocates shows on every one of three tries.
+func withinDecodeBound(t *testing.T, b []byte, decode func()) {
+	t.Helper()
+	limit := uint64(4*len(b) + 64<<10)
+	allocated := ^uint64(0)
+	for try := 0; try < 3 && allocated > limit; try++ {
+		before := heapAllocated()
+		decode()
+		allocated = min(allocated, heapAllocated()-before)
+	}
+	if allocated > limit {
+		t.Fatalf("%d bytes in, %d allocated (limit %d)", len(b), allocated, limit)
+	}
+}
+
+// FuzzAppendSegmentEntries holds the fetch path's decoder to the segment
+// decoder on arbitrary bytes: it accepts exactly what UnmarshalSegment accepts
+// with no pages, appending the same entries behind dst's; on error it leaves
+// dst's elements as they were; and it stays inside the same allocation bound.
+//
+//	go test -run xxx -fuzz FuzzAppendSegmentEntries -fuzztime 30s ./internal/oplog
+func FuzzAppendSegmentEntries(f *testing.F) {
+	f.Add(chainedSegment(5).Marshal())
+	f.Add(allocTestSegment().Marshal())
+	f.Add((&Segment{DeviceID: 1}).Marshal())
+	f.Add(lyingHeader(hdrEntryCount, 1<<20))
+	f.Add(oldLayout(chainedSegment(3)))
+
+	prefix := chainedSegment(3).Entries
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dst := slices.Clone(prefix)
+		var got []Entry
+		var err error
+		withinDecodeBound(t, b, func() { got, err = AppendSegmentEntries(dst, b) })
+		seg, segErr := UnmarshalSegment(b)
+		if segErr == nil && len(seg.Pages) > 0 {
+			segErr = ErrBadSegment
+		}
+		if (err == nil) != (segErr == nil) {
+			t.Fatalf("AppendSegmentEntries err=%v, UnmarshalSegment err=%v", err, segErr)
+		}
+		if !slices.Equal(dst, prefix) {
+			t.Fatal("dst's elements were written")
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadSegment) && !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("err=%v", err)
+			}
+			if len(got) != len(dst) || &got[0] != &dst[0] {
+				t.Fatalf("on error returned %d entries, not dst", len(got))
+			}
+			return
+		}
+		if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], seg.Entries) {
+			t.Fatalf("appended %d entries, UnmarshalSegment decoded %d", len(got)-len(prefix), len(seg.Entries))
 		}
 	})
 }

@@ -214,6 +214,9 @@ type session struct {
 	pendMu  sync.Mutex
 	pending int // segments enqueued to the lane, not yet fully ingested
 	idle    sync.Cond
+
+	// runs holds the store views of one entries reply (serveEntries).
+	runs [][]oplog.Entry
 }
 
 func newSession(s *Server, nc net.Conn, conn *nvmeoe.Conn, deviceID uint64) *session {

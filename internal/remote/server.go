@@ -370,8 +370,7 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	deviceID := ss.deviceID
 	switch req.Kind {
 	case nvmeoe.FetchEntries:
-		seg := &oplog.Segment{DeviceID: deviceID, Entries: s.Store.Entries(deviceID, req.From, req.To)}
-		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
+		return s.serveEntries(ss, req)
 	case nvmeoe.FetchImageStream:
 		return s.serveImageStream(ss, req)
 	case nvmeoe.FetchCheckpoint:
@@ -389,6 +388,23 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	default:
 		return ss.sendErr(CodeBadData, fmt.Errorf("unknown fetch kind %d", req.Kind))
 	}
+}
+
+// serveEntries answers FetchEntries from the store's runs, marshaled and
+// codec-framed in two pooled buffers as core.encodeStaged does. The reply is
+// byte for byte the frame of a Segment whose Entries are Store.Entries(…).
+func (s *Server) serveEntries(ss *session, req nvmeoe.FetchReq) error {
+	ss.runs = s.Store.appendRuns(ss.runs[:0], ss.deviceID, req.From, req.To)
+	seg := oplog.Segment{DeviceID: ss.deviceID}
+	raw := bufpool.Get(seg.MarshaledSizeRuns(ss.runs...))
+	raw.B = seg.AppendMarshalRuns(raw.B, ss.runs...)
+	clear(ss.runs)
+	blob := bufpool.Get(nvmeoe.BlobOverhead + len(raw.B))
+	blob.B = nvmeoe.AppendSegmentBlob(blob.B, raw.B)
+	raw.Release()
+	err := ss.writeMsg(nvmeoe.MsgFetchResp, blob.B)
+	blob.Release()
+	return err
 }
 
 // serveImageStream streams the device's point-in-time image of the LPNs in
@@ -584,27 +600,27 @@ func (c *Client) PushCheckpoint(cp *nvmeoe.Checkpoint) error {
 	return err
 }
 
-// fetchSegment round-trips one fetch request whose reply is a codec-framed
-// segment marshal.
-func (c *Client) fetchSegment(req nvmeoe.FetchReq) (*oplog.Segment, error) {
-	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := nvmeoe.DecodeSegmentBlob(body)
-	if err != nil {
-		return nil, err
-	}
-	return oplog.UnmarshalSegment(raw)
-}
-
 // FetchEntries retrieves log entries with from <= Seq < to.
 func (c *Client) FetchEntries(from, to uint64) ([]oplog.Entry, error) {
-	seg, err := c.fetchSegment(nvmeoe.FetchReq{Kind: nvmeoe.FetchEntries, From: from, To: to})
+	return c.AppendEntries(nil, from, to)
+}
+
+// AppendEntries is FetchEntries appending to dst (oplog.AppendSegmentEntries),
+// the reply decoded through a pooled buffer; on error dst is returned as it
+// was.
+func (c *Client) AppendEntries(dst []oplog.Entry, from, to uint64) ([]oplog.Entry, error) {
+	req := nvmeoe.FetchReq{Kind: nvmeoe.FetchEntries, From: from, To: to}
+	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return seg.Entries, nil
+	buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(body))
+	defer buf.Release()
+	raw, err := nvmeoe.AppendDecodeSegmentBlob(buf.B, body)
+	if err != nil {
+		return dst, err
+	}
+	return oplog.AppendSegmentEntries(dst, raw)
 }
 
 // ChunkStats describes one streamed restore chunk as the client saw it:
@@ -746,7 +762,16 @@ func (c *Client) FetchCheckpoint(before uint64) (nvmeoe.Checkpoint, bool, error)
 // reply carries the whole listing at 61 bytes per version before the codec,
 // so a single frame covers about a million versions.
 func (c *Client) FetchHeld() ([]oplog.PageRecord, error) {
-	seg, err := c.fetchSegment(nvmeoe.FetchReq{Kind: nvmeoe.FetchHeld})
+	req := nvmeoe.FetchReq{Kind: nvmeoe.FetchHeld}
+	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := nvmeoe.DecodeSegmentBlob(body)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := oplog.UnmarshalSegment(raw)
 	if err != nil {
 		return nil, err
 	}

@@ -45,12 +45,13 @@ type Store struct {
 }
 
 type deviceLog struct {
-	mu          sync.RWMutex
-	entries     []oplog.Entry // contiguous from seq entriesBase
-	entriesBase uint64
-	nextSeq     uint64
-	headHash    [oplog.HashSize]byte
-	versions    map[uint64][]oplog.PageRecord // lpn -> records sorted by WriteSeq
+	mu sync.RWMutex
+	// runs is the chain [0, nextSeq), one run per segment with entries: the
+	// Entries slice that segment was accepted with, never written again.
+	runs     [][]oplog.Entry
+	nextSeq  uint64
+	headHash [oplog.HashSize]byte
+	versions map[uint64][]oplog.PageRecord // lpn -> records sorted by WriteSeq
 	// lpns is the key set of versions, ascending: sortedLPNs builds it on
 	// demand and whoever gives an LPN its first version or takes its last
 	// (under mu's write lock) drops it. lpnsMu orders builders, which hold
@@ -131,9 +132,11 @@ func (s *Store) Devices() []uint64 {
 // AppendSegment verifies and ingests one offloaded segment, encoding it
 // through the wire codec before persisting. Sessions that already hold the
 // encoded wire form (Server) use AppendSegmentBlob to store those exact
-// bytes instead of re-encoding.
+// bytes instead of re-encoding. The store keeps a copy of seg's entries.
 func (s *Store) AppendSegment(seg *oplog.Segment) error {
-	return s.AppendSegmentBlob(seg, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
+	own := *seg
+	own.Entries = slices.Clone(seg.Entries)
+	return s.AppendSegmentBlob(&own, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
 }
 
 // AppendSegmentBlob verifies and ingests one offloaded segment: page
@@ -141,7 +144,7 @@ func (s *Store) AppendSegment(seg *oplog.Segment) error {
 // exactly. blob is the codec-framed wire encoding of seg and is persisted
 // verbatim — compressed on the wire is compressed at rest. Only the
 // segment's own device shard is locked, so ingest from different devices
-// runs concurrently.
+// runs concurrently. The store keeps seg.Entries: do not write it again.
 func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
 	if err := seg.VerifyPages(); err != nil {
 		return fmt.Errorf("remote: reject segment: %w", err)
@@ -221,7 +224,7 @@ func (d *deviceLog) extends(seg *oplog.Segment) error {
 // key and sizes are ledgered.
 func (d *deviceLog) adopt(chunks *chunkIndex, seg *oplog.Segment, key string, logical, stored int) {
 	if n := len(seg.Entries); n > 0 {
-		d.entries = append(d.entries, seg.Entries...)
+		d.runs = append(d.runs, seg.Entries)
 		d.nextSeq = seg.Entries[n-1].Seq + 1
 		d.headHash = seg.Entries[n-1].Hash
 	}
@@ -263,28 +266,30 @@ func (s *Store) AppendCheckpoint(deviceID uint64, cp nvmeoe.Checkpoint) error {
 	return nil
 }
 
-// Entries returns stored entries with from <= Seq < to.
+// Entries returns a copy of the stored entries with from <= Seq < to.
 func (s *Store) Entries(deviceID, from, to uint64) []oplog.Entry {
+	return slices.Concat(s.appendRuns(nil, deviceID, from, to)...)
+}
+
+// appendRuns appends to dst the stored entries with from <= Seq < to as views
+// into the runs that hold them, the first found by binary search. A run is
+// never written after adopt, so the views stay valid once the lock is gone.
+func (s *Store) appendRuns(dst [][]oplog.Entry, deviceID, from, to uint64) [][]oplog.Entry {
 	d, ok := s.lookup(deviceID)
-	if ok {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-	}
 	if !ok {
-		return nil
+		return dst
 	}
-	if to > d.nextSeq {
-		to = d.nextSeq
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	to = min(to, d.nextSeq)
+	i := sort.Search(len(d.runs), func(i int) bool { return d.runs[i][0].Seq > from }) - 1
+	for ; from < to; i++ {
+		r := d.runs[i]
+		r = r[from-r[0].Seq : min(to-r[0].Seq, uint64(len(r)))]
+		dst = append(dst, r)
+		from += uint64(len(r))
 	}
-	if from < d.entriesBase {
-		from = d.entriesBase
-	}
-	if from >= to {
-		return nil
-	}
-	out := make([]oplog.Entry, to-from)
-	copy(out, d.entries[from-d.entriesBase:to-d.entriesBase])
-	return out
+	return dst
 }
 
 // Version returns the newest retained version of lpn written strictly
@@ -471,7 +476,7 @@ func (s *Store) DeviceStats(deviceID uint64) Stats {
 	}
 	return Stats{
 		Segments:     len(d.segKeys),
-		Entries:      len(d.entries),
+		Entries:      int(d.nextSeq), // the chain starts at sequence 0
 		Versions:     nv,
 		PageBytes:    d.pageBytes,
 		Checkpoints:  len(d.checkpoints),
@@ -498,23 +503,13 @@ func (s *Store) TouchedSince(deviceID, since uint64) map[uint64]struct{} {
 	if since == 0 {
 		return nil
 	}
-	d, ok := s.lookup(deviceID)
-	if !ok {
-		return map[uint64]struct{}{}
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	touched := map[uint64]struct{}{}
-	if since < d.entriesBase {
-		since = d.entriesBase
-	}
-	if since >= d.nextSeq {
-		return touched
-	}
-	for _, e := range d.entries[since-d.entriesBase:] {
-		switch e.Kind {
-		case oplog.KindWrite, oplog.KindTrim, oplog.KindRecovery, oplog.KindRecoveryTrim:
-			touched[e.LPN] = struct{}{}
+	for _, run := range s.appendRuns(nil, deviceID, since, ^uint64(0)) {
+		for i := range run {
+			switch e := &run[i]; e.Kind {
+			case oplog.KindWrite, oplog.KindTrim, oplog.KindRecovery, oplog.KindRecoveryTrim:
+				touched[e.LPN] = struct{}{}
+			}
 		}
 	}
 	return touched
