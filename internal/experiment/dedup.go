@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/nand"
 	"repro/internal/netsim"
 	"repro/internal/nvmeoe"
-	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 )
@@ -118,7 +116,6 @@ func dedupPage(p []byte, contentID int) {
 
 // dedupDevice carries one device of a cohort across its power cycle.
 type dedupDevice struct {
-	cfg      core.Config
 	nand     *nand.Device
 	cut      uint64
 	want     map[uint64][]byte
@@ -128,23 +125,16 @@ type dedupDevice struct {
 	verified bool
 }
 
-// runDedupSetup writes the image corpus, checkpoints, diverges, and powers
+// dedupSetup writes the image corpus, checkpoints, diverges, and powers
 // off one device.
-func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uniquePages int) (*dedupDevice, error) {
-	client, err := remote.Loopback(srv, PSK, deviceID)
+func (r *fleetRig) dedupSetup(id uint64, imagePages, uniquePages int) (*dedupDevice, error) {
+	rd, err := r.device(id, false)
 	if err != nil {
 		return nil, err
 	}
-	defer client.Close()
-
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
-	cfg.OffloadHighWater = 0.50
-	cfg.OffloadLowWater = 0.25
-	dev := core.New(cfg, client)
-	defer dev.Close()
-	d := &dedupDevice{cfg: cfg, want: make(map[uint64][]byte, imagePages)}
+	defer rd.close()
+	dev := rd.dev
+	d := &dedupDevice{want: make(map[uint64][]byte, imagePages)}
 
 	// Two write passes: v1 (the as-installed image) then v2 (an update
 	// wave, the pre-attack state). The overwrite retires every v1 page
@@ -153,7 +143,7 @@ func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uni
 	// and exactly what the checkpoint anchor exists to skip. Both passes
 	// draw from shared content spaces so dedup works across devices.
 	at := simclock.Time(0)
-	page := make([]byte, s.PageSize)
+	page := make([]byte, r.s.PageSize)
 	for pass := 0; pass < 2; pass++ {
 		for lpn := 0; lpn < imagePages; lpn++ {
 			dedupPage(page, pass*uniquePages+lpn%uniquePages)
@@ -178,8 +168,8 @@ func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uni
 	// device-private junk (an encryptor's write pattern — incompressible
 	// and unique, so neither codec nor dedup can help these pages; only
 	// the delta can, by being the only thing that needs streaming).
-	rng := rand.New(rand.NewSource(int64(900 + deviceID)))
-	junk := make([]byte, s.PageSize)
+	rng := rand.New(rand.NewSource(int64(900 + id)))
+	junk := make([]byte, r.s.PageSize)
 	for _, lpn := range rng.Perm(imagePages)[:imagePages*dedupDivergePct/100] {
 		rng.Read(junk)
 		if at, err = dev.Write(uint64(lpn), junk, at); err != nil {
@@ -195,74 +185,38 @@ func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uni
 	return d, nil
 }
 
-// runDedupRestore powers the device back on and restores the checkpointed
-// image through the shared restore harness, verifying page-identical.
-func runDedupRestore(srv *remote.Server, link *remote.RecoveryLink, d *dedupDevice, deviceID uint64, dedup bool) error {
-	rd, err := restoreRun{
-		Server: srv, Link: link, ChunkPages: 64,
-		Dedup: dedup, Delta: dedup,
-	}.run(d.cfg, d.nand, deviceID, d.cut, d.want, d.endAt)
-	if err != nil {
-		return err
-	}
-	d.rep = rd.rep
-	d.verified = rd.verified
-	rd.dev.Close()
-	rd.client.Close()
-	return nil
-}
-
-// runDedupCohort runs one full cohort (setup + concurrent restore) on its
-// own store and server, returning the cohort stats plus the store handle.
-func runDedupCohort(s Scale, devices, imagePages, uniquePages int, dedup bool) (DedupCohort, *remote.Store, *remote.Server, []*dedupDevice, error) {
+// dedupCohort runs one full cohort (setup + concurrent restore) on the
+// rig: each device powers back on and restores its checkpointed image,
+// verified page-identical.
+func (r *fleetRig) dedupCohort(devices, imagePages, uniquePages int, dedup bool) (DedupCohort, []*dedupDevice, error) {
 	co := DedupCohort{Dedup: dedup}
-	store := remote.NewStore(remote.NewMemStore())
-	srv := remote.NewServer(store, PSK)
-	link := remote.NewRecoveryLinkOn(netsim.New(netsim.Config{}))
-
 	devs := make([]*dedupDevice, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	for i := 0; i < devices; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			devs[i], errs[i] = runDedupSetup(s, srv, uint64(i+1), imagePages, uniquePages)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return co, nil, nil, nil, fmt.Errorf("device %d setup: %w", i+1, err)
-		}
+	if err := spawn(devices, func(i int) (err error) {
+		devs[i], err = r.dedupSetup(uint64(i+1), imagePages, uniquePages)
+		return err
+	}); err != nil {
+		return co, nil, fmt.Errorf("setup: %w", err)
 	}
 	// Leak check around the restore storm: the outstanding-buffer gauge
 	// may move only by the pooled pages the surviving NAND arrays hold
 	// for restored flash content.
-	poolBase := bufpool.Outstanding()
-	var resBase int64
-	for _, d := range devs {
-		resBase += d.nand.HeldPageBufs()
-	}
-	for i := 0; i < devices; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = runDedupRestore(srv, link, devs[i], uint64(i+1), dedup)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	pool := r.markPool()
+	if err := spawn(devices, func(i int) error {
+		d := devs[i]
+		rd, err := r.restore(uint64(i+1), d.nand, d.cut, d.want, d.endAt, restoreOpts{
+			chunkPages: 64, dedup: dedup,
+		})
 		if err != nil {
-			return co, nil, nil, nil, fmt.Errorf("device %d restore: %w", i+1, err)
+			return err
 		}
+		d.rep, d.verified = rd.rep, rd.verified
+		rd.close()
+		return nil
+	}); err != nil {
+		return co, nil, fmt.Errorf("restore: %w", err)
 	}
-	var resNow int64
-	for _, d := range devs {
-		resNow += d.nand.HeldPageBufs()
-	}
-	if drift := bufpool.Outstanding().Sub(poolBase).Total() - (resNow - resBase); drift != 0 {
-		return co, nil, nil, nil, fmt.Errorf(
+	if drift := r.poolDrift(pool); drift != 0 {
+		return co, nil, fmt.Errorf(
 			"bufpool outstanding-buffer gauge drifted %+d beyond NAND residency across the restore cohort", drift)
 	}
 
@@ -287,7 +241,7 @@ func runDedupCohort(s Scale, devices, imagePages, uniquePages int, dedup bool) (
 	if t := co.LiteralPages + co.RefPages; t > 0 {
 		co.HitRate = float64(co.RefPages) / float64(t)
 	}
-	return co, store, srv, devs, nil
+	return co, devs, nil
 }
 
 // dedupRTOModel projects the measured per-device restore onto an N-device
@@ -316,23 +270,19 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 
 	// Size the image from the device geometry, bounded by the scale's
 	// replay budget so -short stays CI-sized.
-	probe := core.DefaultConfig()
-	probe.FTL = s.ftlConfig()
-	logical := int(core.New(probe, nil).LogicalPages())
-	imagePages := logical / 2
-	if cap := s.TraceOps / 2; imagePages > cap {
-		imagePages = cap
-	}
-	uniquePages := imagePages / dedupDupFactor
-	if uniquePages < 1 {
-		uniquePages = 1
-	}
+	imagePages := min(int(s.ftlConfig().LogicalPages())/2, s.TraceOps/2)
+	uniquePages := max(imagePages/dedupDupFactor, 1)
 
-	full, _, _, fullDevs, err := runDedupCohort(s, devices, imagePages, uniquePages, false)
+	// Each cohort restores on its own one-server stack.
+	fullRig := newFleetRig(s, rigSpec{tune: remote.Profile("mem")})
+	defer fullRig.close()
+	full, fullDevs, err := fullRig.dedupCohort(devices, imagePages, uniquePages, false)
 	if err != nil {
 		return nil, fmt.Errorf("full cohort: %w", err)
 	}
-	dedup, store, srv, dedupDevs, err := runDedupCohort(s, devices, imagePages, uniquePages, true)
+	r := newFleetRig(s, rigSpec{tune: remote.Profile("mem")})
+	defer r.close()
+	dedup, dedupDevs, err := r.dedupCohort(devices, imagePages, uniquePages, true)
 	if err != nil {
 		return nil, fmt.Errorf("dedup cohort: %w", err)
 	}
@@ -361,15 +311,14 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 	}
 	for i := 0; i < devices; i++ {
 		id := uint64(i + 1)
-		entries := store.Entries(id, 0, store.Head(id).NextSeq)
-		if err := oplog.VerifyChain(entries, [oplog.HashSize]byte{}); err != nil {
+		if r.audit(id, nil).chainErr != nil {
 			m.ChainsOK = false
 		}
-		rs := srv.RecoveryStats(id)
+		rs := r.cluster.Server(0).RecoveryStats(id)
 		m.ServerPagesLiteral += rs.PagesLiteral
 		m.ServerPagesRef += rs.PagesRef
 	}
-	ds := store.Dedup()
+	ds := r.store.Dedup()
 	m.StoreUniquePages = ds.UniquePages
 	m.StoreTotalRefs = ds.TotalRefs
 	m.StoreHitRate = ds.HitRate()

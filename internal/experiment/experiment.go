@@ -10,16 +10,11 @@ import (
 	"math/rand"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/nand"
-	"repro/internal/remote"
 	"repro/internal/simclock"
 )
-
-// PSK is the enrollment key used by every experiment device.
-var PSK = []byte("rssd-experiment-psk-0123456789ab")
 
 // Scale selects how much work experiments do. Small keeps unit tests
 // quick; Full is what cmd/rssdbench and the benchmarks use.
@@ -67,36 +62,6 @@ func (s Scale) ftlConfig() ftl.Config {
 		GCLowWater:    3,
 		GCHighWater:   6,
 	}
-}
-
-// Rig is a fully wired RSSD device with host filesystem and remote server.
-type Rig struct {
-	FS     *host.FlatFS
-	Dev    *core.RSSD
-	Store  *remote.Store
-	Client *remote.Client
-}
-
-// NewRSSDRig wires an RSSD to an in-process remote server and filesystem.
-// The device dials its own restore sessions on the same server.
-func NewRSSDRig(s Scale) (*Rig, error) {
-	store := remote.NewStore(remote.NewMemStore())
-	srv := remote.NewServer(store, PSK)
-	client, err := remote.Loopback(srv, PSK, 1)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.CheckpointEvery = 4096
-	cfg.Dial = func() (*remote.Client, error) { return remote.Loopback(srv, PSK, 1) }
-	dev := core.New(cfg, client)
-	return &Rig{
-		FS:     host.NewFlatFS(dev, simclock.NewClock()),
-		Dev:    dev,
-		Store:  store,
-		Client: client,
-	}, nil
 }
 
 // BaselineRig is a conventional FTL with a baseline retention policy.

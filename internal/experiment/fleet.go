@@ -7,14 +7,9 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/batch"
-	"repro/internal/core"
-	"repro/internal/detect"
-	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/remote"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // The fleet experiment is the end-to-end exercise of the asynchronous
@@ -95,6 +90,8 @@ type FleetResult struct {
 // fleetPass is one fleet execution.
 type fleetPass struct {
 	rows     []FleetDeviceRow
+	devs     []*rigDevice
+	fail     FleetFailover
 	wall     time.Duration
 	totalLat simclock.Duration
 	records  int
@@ -113,7 +110,10 @@ func Fleet(s Scale, devices, servers int) (*FleetResult, error) {
 	if servers > 1 {
 		return fleetCluster(s, devices, servers)
 	}
-	pass, err := runFleetOn(fleetScale(s), devices, remote.Profile("mem"), remote.NewStore(remote.NewMemStore()))
+	s = fleetScale(s)
+	r := newFleetRig(s, rigSpec{tune: remote.Profile("mem"), detect: true})
+	defer r.close()
+	pass, err := r.runFleet(devices, max(s.TraceOps/8, 400), nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -147,108 +147,107 @@ func (pass *fleetPass) summary(devices int) FleetSummary {
 	return sum
 }
 
-// runFleetOn executes one pass against the given store (any storage tier):
-// every device runs concurrently against one shared server, replaying its
-// benign trace and, on every other device, its assigned ransomware
-// variant. The retention experiment reuses the same pass per backend tier
-// with that tier's watermark/queue profile.
-func runFleetOn(s Scale, devices int, tune remote.BackendProfile, store *remote.Store) (*fleetPass, error) {
-	if devices <= 0 {
-		devices = 8
+// runFleet runs every device of the fleet concurrently — replayOps records
+// of benign replay, then, on every odd index, its ransomware variant — and
+// then audits each device against the store: zero entries or segments
+// lost, every chain verified from genesis. kill, when set, runs once every
+// device is a third of the way through its replay (or has failed), and
+// holds each there until it has run, so the devices of the server it kills
+// must heal through the redial path to finish; it returns that server (-1
+// for none) and how many devices it remapped.
+func (r *fleetRig) runFleet(devices, replayOps int, kill func() (server, remapped int)) (*fleetPass, error) {
+	pass := &fleetPass{
+		rows: make([]FleetDeviceRow, devices),
+		devs: make([]*rigDevice, devices),
+		fail: FleetFailover{KilledServer: -1},
 	}
-	srv := remote.NewServer(store, PSK)
-	engine := detect.NewEngine(detectConfig(s))
-	engine.Attach(store)
-
-	rows := make([]FleetDeviceRow, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
+	var third sync.WaitGroup
+	third.Add(devices)
+	marks := make([]sync.Once, devices)
+	killed := make(chan struct{})
+	if kill != nil {
+		go func() {
+			defer close(killed)
+			third.Wait()
+			pass.fail.KilledServer, pass.fail.DevicesRemapped = kill()
+		}()
+	}
 	start := time.Now()
-	attackIdx := 0
-	for i := 0; i < devices; i++ {
-		var atk attack.Attack
-		if i%2 == 1 {
-			atk = makeAttack(fleetAttacks[attackIdx%len(fleetAttacks)])
-			attackIdx++
+	err := spawn(devices, func(i int) (err error) {
+		var hold func()
+		if kill != nil {
+			// A device that fails before its mark must still pass it, or
+			// the kill — and the fleet held behind it — waits forever.
+			defer marks[i].Do(third.Done)
+			hold = func() {
+				marks[i].Do(third.Done)
+				<-killed
+			}
 		}
-		wg.Add(1)
-		go func(i int, atk attack.Attack) {
-			defer wg.Done()
-			rows[i], errs[i] = runFleetDevice(s, srv, engine, uint64(i+1), i, atk, tune)
-		}(i, atk)
+		pass.rows[i], pass.devs[i], err = r.fleetDevice(i, fleetAttack(i), replayOps, hold)
+		return err
+	})
+	pass.wall = time.Since(start)
+	if kill != nil {
+		<-killed
 	}
-	wg.Wait()
-	pass := &fleetPass{rows: rows, wall: time.Since(start)}
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("device %d: %w", i+1, errs[i])
-		}
+	if err != nil {
+		return nil, err
 	}
-	for _, row := range rows {
+
+	for i, d := range pass.devs {
+		row := pass.rows[i]
 		pass.records += row.Records
 		pass.pageOps += row.PageOps
 		pass.segments += row.Segments
 		pass.totalLat += simclock.Duration(row.MeanLatUs * 1000 * float64(row.Records))
+		st := d.dev.Stats()
+		f := &pass.fail
+		f.Redials += st.Redials
+		f.RedialAttempts += st.RedialAttempts
+		f.RedialWaitMs += float64(st.RedialWaitTime) / float64(simclock.Millisecond)
+		f.ResumeGap += st.ResumeGap
+		a := r.audit(d.id, d.dev)
+		if a.chainErr != nil {
+			return nil, fmt.Errorf("device %d chain: %w", d.id, a.chainErr)
+		}
+		f.EntriesLost += a.entriesLost
+		f.SegmentsLost += a.segmentsLost
+		f.ChainsVerified++
+	}
+	pass.fail.Handoffs = int(r.handoffs.Load())
+	if f := pass.fail; f.EntriesLost > 0 || f.SegmentsLost > 0 {
+		// The zero-loss contract is the point of the failover design; a
+		// violation fails the run (and CI) rather than hiding in a report.
+		return nil, fmt.Errorf("durability violated: %d segments / %d entries lost", f.SegmentsLost, f.EntriesLost)
 	}
 	return pass, nil
 }
 
-// runFleetDevice drives one device of the fleet: benign replay (measured),
-// then the assigned attack (streamed to detection), then a final flush.
-func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID uint64, idx int, atk attack.Attack, tune remote.BackendProfile) (FleetDeviceRow, error) {
-	row := FleetDeviceRow{Device: deviceID}
-	client, err := remote.Loopback(srv, PSK, deviceID)
+// fleetDevice drives fleet device idx: benign replay (measured), then its
+// attack, if any, streamed to detection, then a final flush. hold, when
+// set, runs a third of the way through the replay.
+func (r *fleetRig) fleetDevice(idx int, atk attack.Attack, replayOps int, hold func()) (FleetDeviceRow, *rigDevice, error) {
+	id := uint64(idx + 1)
+	row := FleetDeviceRow{Device: id}
+	d, err := r.device(id, false)
 	if err != nil {
-		return row, err
+		return row, nil, err
 	}
-	defer client.Close()
-
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
-	// Fleet devices drain eagerly (the tier profile's watermarks sit well
-	// below the solo-device defaults): a device backing a shared server
-	// keeps its retention backlog small, which also keeps the offload
-	// pipeline — the thing this experiment measures — continuously busy.
-	// High-latency tiers get a deeper staging queue from their profile so
-	// the long acks stay hidden behind host I/O.
-	cfg.OffloadHighWater = tune.OffloadHighWater
-	cfg.OffloadLowWater = tune.OffloadLowWater
-	cfg.OffloadQueueDepth = tune.OffloadQueueDepth
-	dev := core.New(cfg, client)
-	defer dev.Close()
-	fs := host.NewFlatFS(dev, simclock.NewClock())
-
-	profName := fleetProfiles[idx%len(fleetProfiles)]
-	row.Role = profName
-	prof, ok := workload.ProfileByName(profName)
-	if !ok {
-		return row, fmt.Errorf("unknown workload %q", profName)
-	}
+	dev, fs := d.dev, d.fs
 
 	// Phase 1 — benign replay through the batched datapath, measured.
-	replayOps := s.TraceOps / 8
-	if replayOps < 400 {
-		replayOps = 400
-	}
-	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), int64(1000+idx))
+	g, profName := r.generator(d, idx, int64(1000+idx))
+	row.Role = profName
 	h := metrics.NewHistogram(0)
-	var ops []batch.Op
-	var end simclock.Time
-	for j := 0; j < replayOps; j++ {
-		rec := g.Next()
-		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-		if len(ops) == 0 {
-			continue
-		}
-		done, err := submitRecord(dev, ops, rec.At)
-		if err != nil {
-			return row, err
-		}
-		h.Observe(done.Sub(rec.At))
-		end = simclock.Max(end, done)
-		row.Records++
+	end, records, err := replay(dev, g, replayOps, replayOpts{
+		hold: hold,
+		each: func(issue, done simclock.Time) { h.Observe(done.Sub(issue)) },
+	})
+	if err != nil {
+		return row, d, err
 	}
+	row.Records = records
 	row.MeanLatUs = float64(h.Mean()) / 1000
 	row.P99LatUs = float64(h.Percentile(99)) / 1000
 	row.ReplaySegments = dev.Stats().OffloadSegments
@@ -261,23 +260,23 @@ func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID
 		row.Role = profName + "+" + atk.Name()
 		fs.Clock().AdvanceTo(end)
 		rng := rand.New(rand.NewSource(int64(77 + idx)))
-		if _, _, err := seedAndSnapshot(fs, rng, s); err != nil {
-			return row, err
+		if _, _, err := seedAndSnapshot(fs, rng, r.s); err != nil {
+			return row, d, err
 		}
 		// Flush the pre-attack history: anything detection flags in it is
 		// a false alert, not attack coverage.
 		if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-			return row, err
+			return row, d, err
 		}
 		attackStart = dev.Log().NextSeq()
 		if _, err := atk.Run(fs, rng); err != nil {
-			return row, err
+			return row, d, err
 		}
 	}
 
 	// Phase 3 — final flush so detection has seen the full history.
 	if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-		return row, err
+		return row, d, err
 	}
 
 	st := dev.Stats()
@@ -294,17 +293,8 @@ func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID
 	if st.OffloadSegments > 0 {
 		row.AckLatUs = float64(st.OffloadAckTime) / float64(st.OffloadSegments) / 1000
 	}
-	for _, a := range engine.AlertsFor(deviceID) {
-		if a.AtSeq >= attackStart {
-			if !row.Detected {
-				row.Detected = true
-				row.OpsToAlert = a.AtSeq - attackStart
-			}
-		} else {
-			row.FalseAlerts++
-		}
-	}
-	return row, nil
+	row.Detected, row.OpsToAlert, row.FalseAlerts = r.verdict(id, attackStart)
+	return row, d, nil
 }
 
 // RenderFleet renders the per-device table and the fleet summary.

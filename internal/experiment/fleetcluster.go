@@ -2,22 +2,14 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/attack"
-	"repro/internal/batch"
-	"repro/internal/core"
-	"repro/internal/detect"
-	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // The cluster half of the fleet experiment: the same per-device RSSD
@@ -161,145 +153,32 @@ func fleetCluster(s Scale, devices, servers int) (*FleetResult, error) {
 // runFleetClusterPass drives the full fleet through the cluster with one
 // injected server kill and verifies the durability contract afterwards.
 func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClusterResult, error) {
-	store := remote.NewStore(remote.NewMemStore())
-	cluster := remote.NewCluster(store, remote.ClusterConfig{
-		Servers: servers,
-		PSK:     PSK,
-		Server:  remote.ServerConfig{DecodeWorkers: 4},
+	r := newFleetRig(s, rigSpec{
+		tune:    remote.Profile("mem"),
+		cluster: remote.ClusterConfig{Servers: servers, Server: remote.ServerConfig{DecodeWorkers: 4}},
+		detect:  true,
 	})
-	defer cluster.Close()
-
-	// One detection engine per server; segments route to the current
-	// owner's engine and OnMove hands the device's window state over
-	// before routing can observe the new owner (cluster lock ordering).
-	engines := make([]*detect.Engine, servers)
-	for i := range engines {
-		engines[i] = detect.NewEngine(detectConfig(s))
-	}
-	var handoffs atomic.Int64
-	cluster.OnMove = func(dev uint64, from, to int) {
-		if from >= 0 && from < servers && to >= 0 && to < servers {
-			engines[from].Handoff(dev, engines[to])
-			handoffs.Add(1)
-		}
-	}
-	store.Subscribe(func(dev uint64, seg *oplog.Segment) {
-		owner, ok := cluster.Owner(dev)
-		if !ok || owner < 0 || owner >= servers {
-			owner = 0
-		}
-		engines[owner].Observe(dev, seg.Entries)
-	})
-
+	defer r.close()
 	// The kill fires once every device has passed the one-third mark of
-	// its replay — genuinely mid-stream for the whole fleet — and every
-	// device holds at the barrier until the victim is drained, so the
-	// dead server's devices must heal through the redial path to finish.
-	var third sync.WaitGroup
-	third.Add(devices)
-	killDone := make(chan struct{})
-	fail := &FleetFailover{KilledServer: -1}
-	go func() {
-		defer close(killDone)
-		third.Wait()
-		victim, ok := cluster.Owner(firstAttackedDevice(devices))
+	// its replay — genuinely mid-stream for the whole fleet.
+	pass, err := r.runFleet(devices, clusterReplayOps(s, devices), func() (int, int) {
+		victim, ok := r.cluster.Owner(firstAttackedDevice(devices))
 		if !ok {
-			return
+			return -1, 0
 		}
-		moves, err := cluster.Kill(victim)
+		moves, err := r.cluster.Kill(victim)
 		if err != nil {
-			return
+			return -1, 0
 		}
-		fail.KilledServer = victim
-		fail.DevicesRemapped = len(moves)
-	}()
-
-	rows := make([]FleetDeviceRow, devices)
-	devs := make([]*core.RSSD, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	start := time.Now()
-	attackIdx := 0
-	for i := 0; i < devices; i++ {
-		var atk attack.Attack
-		if i%2 == 1 {
-			atk = makeAttack(fleetAttacks[attackIdx%len(fleetAttacks)])
-			attackIdx++
-		}
-		wg.Add(1)
-		go func(i int, atk attack.Attack) {
-			defer wg.Done()
-			released := false
-			hold := func() {
-				if !released {
-					released = true
-					third.Done()
-					<-killDone
-				}
-			}
-			// A device that errors out before its barrier must still
-			// release it, or the killer — and with it the whole fleet —
-			// waits forever.
-			defer func() {
-				if !released {
-					released = true
-					third.Done()
-				}
-			}()
-			rows[i], devs[i], errs[i] = runFleetClusterDevice(s, cluster, engines, uint64(i+1), i, atk, hold, devices)
-		}(i, atk)
-	}
-	wg.Wait()
-	pass := &fleetPass{rows: rows, wall: time.Since(start)}
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, nil, fmt.Errorf("device %d: %w", i+1, errs[i])
-		}
+		return victim, len(moves)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
-	// The durability contract, checked device by device: everything the
-	// device logged is in the store, everything the device believes was
-	// acked is present as full segments, and the hash chain verifies from
-	// genesis — across a server kill and every resulting redial.
-	for i, dev := range devs {
-		deviceID := uint64(i + 1)
-		st := dev.Stats()
-		fail.Redials += st.Redials
-		fail.RedialAttempts += st.RedialAttempts
-		fail.RedialWaitMs += float64(st.RedialWaitTime) / float64(simclock.Millisecond)
-		fail.ResumeGap += st.ResumeGap
-		want := dev.Log().NextSeq()
-		head := store.Head(deviceID).NextSeq
-		if head < want {
-			fail.EntriesLost += want - head
-		}
-		if acked, stored := st.OffloadSegments, uint64(store.DeviceStats(deviceID).Segments); acked > stored {
-			fail.SegmentsLost += int(acked - stored)
-		}
-		if err := oplog.VerifyChain(store.Entries(deviceID, 0, head), [oplog.HashSize]byte{}); err != nil {
-			return nil, nil, fmt.Errorf("device %d chain after failover: %w", deviceID, err)
-		}
-		fail.ChainsVerified++
-		dev.Close()
-	}
-	fail.Handoffs = int(handoffs.Load())
-	if fail.EntriesLost > 0 || fail.SegmentsLost > 0 {
-		// The zero-loss contract is the point of the failover design; a
-		// violation fails the run (and CI) rather than hiding in a report.
-		return nil, nil, fmt.Errorf("durability violated across server kill: %d segments / %d entries lost",
-			fail.SegmentsLost, fail.EntriesLost)
-	}
-
-	for i := range rows {
-		pass.records += rows[i].Records
-		pass.pageOps += rows[i].PageOps
-		pass.segments += rows[i].Segments
-		pass.totalLat += simclock.Duration(rows[i].MeanLatUs * 1000 * float64(rows[i].Records))
-	}
-
-	cres := &FleetClusterResult{Servers: servers, Devices: devices, Failover: *fail}
-	cres.SpreadMaxMin = spreadMaxMin(cluster.Spread())
-	for _, si := range cluster.Servers() {
+	cres := &FleetClusterResult{Servers: servers, Devices: devices, Failover: pass.fail}
+	cres.SpreadMaxMin = spreadMaxMin(r.cluster.Spread())
+	for _, si := range r.cluster.Servers() {
 		cres.ServerRows = append(cres.ServerRows, FleetServerRow{
 			Server:    si.ID,
 			Alive:     si.Alive,
@@ -322,117 +201,6 @@ func firstAttackedDevice(devices int) uint64 {
 		return 2
 	}
 	return 1
-}
-
-// runFleetClusterDevice is runFleetDevice's cluster twin: the device dials
-// through the placement-aware factory, holds at the kill barrier one third
-// of the way through its replay, and relies on core's redial path — not
-// the test harness — to heal the session a kill cut.
-func runFleetClusterDevice(s Scale, cluster *remote.Cluster, engines []*detect.Engine, deviceID uint64, idx int, atk attack.Attack, hold func(), devices int) (FleetDeviceRow, *core.RSSD, error) {
-	row := FleetDeviceRow{Device: deviceID}
-	client, err := cluster.Dial(deviceID)
-	if err != nil {
-		return row, nil, err
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
-	cfg.Dial = cluster.DialFunc(deviceID)
-	tune := remote.Profile("mem")
-	cfg.OffloadHighWater = tune.OffloadHighWater
-	cfg.OffloadLowWater = tune.OffloadLowWater
-	cfg.OffloadQueueDepth = tune.OffloadQueueDepth
-	dev := core.New(cfg, client)
-	fs := host.NewFlatFS(dev, simclock.NewClock())
-
-	profName := fleetProfiles[idx%len(fleetProfiles)]
-	row.Role = profName
-	prof, ok := workload.ProfileByName(profName)
-	if !ok {
-		return row, dev, fmt.Errorf("unknown workload %q", profName)
-	}
-
-	replayOps := clusterReplayOps(s, devices)
-	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), int64(1000+idx))
-	h := metrics.NewHistogram(0)
-	var ops []batch.Op
-	var end simclock.Time
-	held := false
-	for j := 0; j < replayOps; j++ {
-		if !held && j >= replayOps/3 {
-			held = true
-			hold()
-		}
-		rec := g.Next()
-		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-		if len(ops) == 0 {
-			continue
-		}
-		done, err := submitRecord(dev, ops, rec.At)
-		if err != nil {
-			return row, dev, err
-		}
-		h.Observe(done.Sub(rec.At))
-		end = simclock.Max(end, done)
-		row.Records++
-	}
-	if !held {
-		hold() // replay too short to hit the mark mid-loop
-	}
-	row.MeanLatUs = float64(h.Mean()) / 1000
-	row.P99LatUs = float64(h.Percentile(99)) / 1000
-	row.ReplaySegments = dev.Stats().OffloadSegments
-
-	attackStart := ^uint64(0)
-	if atk != nil {
-		row.Attacked = true
-		row.Role = profName + "+" + atk.Name()
-		fs.Clock().AdvanceTo(end)
-		rng := rand.New(rand.NewSource(int64(77 + idx)))
-		if _, _, err := seedAndSnapshot(fs, rng, s); err != nil {
-			return row, dev, err
-		}
-		if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-			return row, dev, err
-		}
-		attackStart = dev.Log().NextSeq()
-		if _, err := atk.Run(fs, rng); err != nil {
-			return row, dev, err
-		}
-	}
-
-	if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-		return row, dev, err
-	}
-
-	st := dev.Stats()
-	row.PageOps = int(st.HostWrites + st.HostReads + st.HostTrims)
-	row.SimMs = float64(simclock.Max(fs.Clock().Now(), end)) / float64(simclock.Millisecond)
-	row.Segments = st.OffloadSegments
-	row.QueuePeak = st.OffloadQueuePeak
-	row.Stalls = st.OffloadStalls
-	row.WireBytes = st.OffloadBytesWire
-	row.EncodeMs = float64(st.EncodeTime) / float64(simclock.Millisecond)
-	row.EncodeQPeak = st.EncodeQueuePeak
-	if st.OffloadSegments > 0 {
-		row.AckLatUs = float64(st.OffloadAckTime) / float64(st.OffloadSegments) / 1000
-	}
-	// A device's alerts may be split across engines when failover or
-	// rebalancing moved it mid-history.
-	for _, e := range engines {
-		for _, a := range e.AlertsFor(deviceID) {
-			if a.AtSeq >= attackStart {
-				if !row.Detected || a.AtSeq-attackStart < row.OpsToAlert {
-					row.Detected = true
-					row.OpsToAlert = a.AtSeq - attackStart
-				}
-			} else {
-				row.FalseAlerts++
-			}
-		}
-	}
-	return row, dev, nil
 }
 
 // spreadMaxMin reduces a device-count spread to its max/min ratio.

@@ -173,16 +173,8 @@ func LifetimeWAF(s Scale, workloads []string) ([]LifetimeRow, error) {
 // replayAll pushes a full generated trace through any perfDevice, one
 // submission batch per trace record, dispatched at trace arrival time.
 func replayAll(dev perfDevice, prof workload.Profile, s Scale, seed int64) error {
-	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), seed)
-	var ops []batch.Op
-	for i := 0; i < s.TraceOps; i++ {
-		rec := g.Next()
-		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-		if _, err := submitRecord(dev, ops, rec.At); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := replay(dev, workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), seed), s.TraceOps, replayOpts{})
+	return err
 }
 
 // RenderLifetime renders the WAF comparison.

@@ -6,18 +6,11 @@ import (
 	"sync"
 
 	"repro/internal/attack"
-	"repro/internal/batch"
-	"repro/internal/bufpool"
-	"repro/internal/core"
-	"repro/internal/detect"
-	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/nand"
 	"repro/internal/netsim"
-	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // The fleet recovery experiment is the paper's trusted post-attack
@@ -110,7 +103,6 @@ type RecoveryFleetResult struct {
 
 // recoveredDevice carries one device's state across the power cycle.
 type recoveredDevice struct {
-	cfg   core.Config
 	nand  *nand.Device
 	cut   uint64            // rollback point: log seq at the pre-attack snapshot
 	want  map[uint64][]byte // expected page contents at the cut
@@ -128,14 +120,8 @@ func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
 	if devices <= 0 {
 		devices = 8
 	}
-	s = fleetScale(s)
-	store := remote.NewStore(remote.NewMemStore())
-	srv := remote.NewServer(store, PSK)
-	engine := detect.NewEngine(detectConfig(s))
-	engine.Attach(store)
-	nic := netsim.New(netsim.Config{})
-	srv.NIC = nic
-	link := remote.NewRecoveryLinkOn(nic) // restore class on the shared NIC
+	r := newFleetRig(fleetScale(s), rigSpec{tune: remote.Profile("mem"), detect: true})
+	defer r.close()
 
 	// The mid-restore disconnect victim: an attacked device when there is
 	// one (odd indexes attack), else the only device.
@@ -146,72 +132,37 @@ func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
 
 	// Phase A — workloads + attacks + streaming detection, concurrently.
 	devs := make([]*recoveredDevice, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	attackIdx := 0
-	for i := 0; i < devices; i++ {
-		var atk attack.Attack
-		if i%2 == 1 {
-			atk = makeAttack(fleetAttacks[attackIdx%len(fleetAttacks)])
-			attackIdx++
-		}
-		wg.Add(1)
-		go func(i int, atk attack.Attack) {
-			defer wg.Done()
-			devs[i], errs[i] = runRecoverySetup(s, srv, engine, uint64(i+1), i, atk)
-		}(i, atk)
-	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("device %d setup: %w", i+1, errs[i])
-		}
+	if err := spawn(devices, func(i int) (err error) {
+		devs[i], err = r.recoverySetup(i, fleetAttack(i))
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("setup: %w", err)
 	}
 
 	// Phase B/C — power-cycle all N, then reopen + concurrent streamed
-	// restore + verify + outage drain. The barrier above means every
-	// device starts recovering at once: this is the fleet-wide incident.
-	// The outstanding-buffer gauge brackets the whole incident: it may
-	// move only by the pooled pages the surviving NAND arrays hold.
-	poolBase := bufpool.Outstanding()
-	var residencyBase int64
-	for _, d := range devs {
-		residencyBase += d.nand.HeldPageBufs()
-	}
+	// restore + verify + outage drain. Every device starts recovering at
+	// once: this is the fleet-wide incident. The outstanding-buffer gauge
+	// brackets the whole incident: it may move only by the pooled pages the
+	// surviving NAND arrays hold.
+	pool := r.markPool()
 	// Restore-start barrier: no device streams until every device's first
-	// restore session is dialed, so the link's peak-sessions gauge reads
+	// restore session is dialed, so the NIC's restore-session peak reads
 	// the fleet size structurally — not by scheduling luck on a loaded
 	// host. The deferred once keeps a pre-dial failure from wedging the
 	// survivors at the barrier.
 	var restoreGate sync.WaitGroup
 	restoreGate.Add(devices)
 	gateOnce := make([]sync.Once, devices)
-	for i := 0; i < devices; i++ {
-		// The reopened device's offload drain rides the same shared NIC the
-		// restore streams do — that cross-class traffic is what the
-		// arbiter exists to schedule.
-		devs[i].cfg.NIC = nic
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer gateOnce[i].Do(restoreGate.Done)
-			errs[i] = runRecoveryRestore(srv, link, devs[i], uint64(i+1), i == chokeIdx, func() {
-				gateOnce[i].Do(restoreGate.Done)
-				restoreGate.Wait()
-			})
-		}(i)
+	if err := spawn(devices, func(i int) error {
+		defer gateOnce[i].Do(restoreGate.Done)
+		return r.recoveryRestore(devs[i], i == chokeIdx, func() {
+			gateOnce[i].Do(restoreGate.Done)
+			restoreGate.Wait()
+		})
+	}); err != nil {
+		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("device %d recovery: %w", i+1, errs[i])
-		}
-	}
-	var residencyNow int64
-	for _, d := range devs {
-		residencyNow += d.nand.HeldPageBufs()
-	}
-	if drift := bufpool.Outstanding().Sub(poolBase).Total() - (residencyNow - residencyBase); drift != 0 {
+	if drift := r.poolDrift(pool); drift != 0 {
 		return nil, fmt.Errorf(
 			"bufpool outstanding-buffer gauge drifted %+d beyond NAND residency across the fleet recovery", drift)
 	}
@@ -221,53 +172,52 @@ func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
 	// chain the rollback is trusted on.
 	chainsOK := true
 	for i := 0; i < devices; i++ {
-		id := uint64(i + 1)
-		entries := store.Entries(id, 0, store.Head(id).NextSeq)
-		if err := oplog.VerifyChain(entries, [oplog.HashSize]byte{}); err != nil {
+		if r.audit(uint64(i+1), nil).chainErr != nil {
 			chainsOK = false
 		}
 	}
 
+	nic := r.cluster.Server(0).NIC
 	rows := make([]RecoveryDeviceRow, devices)
 	sum := RecoverySummary{
-		Devices: devices, AllVerified: true, PeakSessions: link.PeakSessions(),
+		Devices: devices, AllVerified: true, PeakSessions: nic.ClassStats(netsim.ClassRestore).QueuePeak,
 		ChainsVerified: chainsOK, NICStats: nic.Stats(),
 	}
 	var totalRTO, maxRTO simclock.Duration
 	var logicalBytes uint64
 	for i, d := range devs {
 		rows[i] = d.row
-		r := &rows[i]
-		if r.Attacked {
+		row := &rows[i]
+		if row.Attacked {
 			sum.Attacked++
-			if r.Detected {
+			if row.Detected {
 				sum.Caught++
 			}
 		}
-		sum.FalseAlerts += r.FalseAlerts
-		if !r.Verified {
+		sum.FalseAlerts += row.FalseAlerts
+		if !row.Verified {
 			sum.AllVerified = false
 		}
-		rto := simclock.Duration(r.RTOms * float64(simclock.Millisecond))
+		rto := simclock.Duration(row.RTOms * float64(simclock.Millisecond))
 		totalRTO += rto
 		if rto > maxRTO {
 			maxRTO = rto
 		}
-		sum.WireMiB += r.RestoreWireMiB
-		sum.LogicalMiB += r.RestoreLogicalMiB
-		logicalBytes += uint64(r.RestoreLogicalMiB * float64(1<<20))
-		sum.Resumes += r.Resumes
-		sum.TotalRedials += r.Redials
-		if r.DrainMs > sum.MaxDrainMs {
-			sum.MaxDrainMs = r.DrainMs
+		sum.WireMiB += row.RestoreWireMiB
+		sum.LogicalMiB += row.RestoreLogicalMiB
+		logicalBytes += uint64(row.RestoreLogicalMiB * float64(1<<20))
+		sum.Resumes += row.Resumes
+		sum.TotalRedials += row.Redials
+		if row.DrainMs > sum.MaxDrainMs {
+			sum.MaxDrainMs = row.DrainMs
 		}
-		sum.LiteralPages += r.LiteralPages
-		sum.RefPages += r.RefPages
+		sum.LiteralPages += row.LiteralPages
+		sum.RefPages += row.RefPages
 	}
 	if total := sum.LiteralPages + sum.RefPages; total > 0 {
 		sum.DedupHitRate = float64(sum.RefPages) / float64(total)
 	}
-	ds := store.Dedup()
+	ds := r.store.Dedup()
 	sum.StoreUniquePages = ds.UniquePages
 	sum.StoreTotalRefs = ds.TotalRefs
 	sum.StoreHitRate = ds.HitRate()
@@ -282,58 +232,31 @@ func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
 	return &RecoveryFleetResult{Rows: rows, Summary: sum}, nil
 }
 
-// runRecoverySetup drives one device up to the power cycle: benign
+// recoverySetup drives fleet device idx up to the power cycle: benign
 // replay, pre-attack snapshot + flush, then the assigned attack (or more
 // benign churn, so benign devices also have real rollback work), a final
 // flush, and the detection verdict.
-func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, deviceID uint64, idx int, atk attack.Attack) (*recoveredDevice, error) {
-	client, err := remote.Loopback(srv, PSK, deviceID)
+func (r *fleetRig) recoverySetup(idx int, atk attack.Attack) (*recoveredDevice, error) {
+	id := uint64(idx + 1)
+	d, err := r.device(id, false)
 	if err != nil {
 		return nil, err
 	}
-	defer client.Close()
-
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
-	cfg.OffloadHighWater = 0.50
-	cfg.OffloadLowWater = 0.25
-	dev := core.New(cfg, client)
-	defer dev.Close()
-	fs := host.NewFlatFS(dev, simclock.NewClock())
-	d := &recoveredDevice{cfg: cfg}
-
-	profName := fleetProfiles[idx%len(fleetProfiles)]
-	d.row = RecoveryDeviceRow{Device: deviceID, Role: profName}
-	prof, ok := workload.ProfileByName(profName)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q", profName)
-	}
-	replayOps := s.TraceOps / 16
-	if replayOps < 250 {
-		replayOps = 250
-	}
-	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), int64(4000+idx))
-	var ops []batch.Op
-	var end simclock.Time
-	for j := 0; j < replayOps; j++ {
-		rec := g.Next()
-		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-		if len(ops) == 0 {
-			continue
-		}
-		done, err := submitRecord(dev, ops, rec.At)
-		if err != nil {
-			return nil, err
-		}
-		end = simclock.Max(end, done)
+	defer d.close()
+	dev, fs := d.dev, d.fs
+	g, profName := r.generator(d, idx, int64(4000+idx))
+	rd := &recoveredDevice{row: RecoveryDeviceRow{Device: id, Role: profName}}
+	replayOps := max(r.s.TraceOps/16, 250)
+	end, _, err := replay(dev, g, replayOps, replayOpts{})
+	if err != nil {
+		return nil, err
 	}
 	fs.Clock().AdvanceTo(end)
 
 	// Pre-attack snapshot: seed the corpus, flush everything remote, and
 	// remember the rollback point plus the exact page contents.
 	rng := rand.New(rand.NewSource(int64(177 + idx)))
-	snap, extents, err := seedAndSnapshot(fs, rng, s)
+	snap, extents, err := seedAndSnapshot(fs, rng, r.s)
 	if err != nil {
 		return nil, err
 	}
@@ -345,30 +268,24 @@ func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, device
 	if _, err := dev.CheckpointNow(fs.Clock().Now()); err != nil {
 		return nil, err
 	}
-	d.cut = dev.Log().NextSeq()
-	d.want = expectedPages(snap, extents, s.PageSize)
-	d.row.SnapshotPages = len(d.want)
+	rd.cut = dev.Log().NextSeq()
+	rd.want = expectedPages(snap, extents, r.s.PageSize)
+	rd.row.SnapshotPages = len(rd.want)
 
 	if atk != nil {
-		d.row.Attacked = true
-		d.row.Role = profName + "+" + atk.Name()
+		rd.row.Attacked = true
+		rd.row.Role = profName + "+" + atk.Name()
 		if _, err := atk.Run(fs, rng); err != nil {
 			return nil, err
 		}
 	} else {
-		// Benign post-snapshot churn: legitimate overwrites the drill's
-		// fleet-wide rollback will discard, so benign devices restore real
-		// work too (and must stay false-alert free doing it).
-		at := fs.Clock().Now()
-		for j := 0; j < replayOps/2; j++ {
-			rec := g.Next()
-			ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-			if len(ops) == 0 {
-				continue
-			}
-			if at, err = submitRecord(dev, ops, at); err != nil {
-				return nil, err
-			}
+		// Benign post-snapshot churn, each record issued as the last
+		// completes: legitimate overwrites the drill's fleet-wide rollback
+		// will discard, so benign devices restore real work too (and must
+		// stay false-alert free doing it).
+		at, _, err := replay(dev, g, replayOps/2, replayOpts{chained: true, start: fs.Clock().Now()})
+		if err != nil {
+			return nil, err
 		}
 		fs.Clock().AdvanceTo(at)
 	}
@@ -378,32 +295,28 @@ func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, device
 	if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
 		return nil, err
 	}
-	for _, a := range engine.AlertsFor(deviceID) {
-		if a.AtSeq >= d.cut {
-			d.row.Detected = true
-		} else {
-			d.row.FalseAlerts++
-		}
-	}
-	d.nand = dev.FTL().Device() // the flash array survives the power cycle
-	d.endAt = fs.Clock().Now()
-	return d, nil
+	rd.row.Detected, _, rd.row.FalseAlerts = r.verdict(id, rd.cut)
+	rd.nand = dev.FTL().Device() // the flash array survives the power cycle
+	rd.endAt = fs.Clock().Now()
+	return rd, nil
 }
 
-// runRecoveryRestore is one device's recovery: reopen over the surviving
+// recoveryRestore is one device's recovery: reopen over the surviving
 // flash, stream-restore the pre-attack image (resuming through a cut link
 // when choked), verify page-identical, then drain the restore backlog
 // across a simulated offload outage via the redial path.
-func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recoveredDevice, deviceID uint64, choke bool, gate func()) error {
-	rd, err := restoreRun{
-		Server: srv, Link: link, ChunkPages: 16,
-		Dedup: true, Delta: true, Choke: choke, Gate: gate,
-	}.run(d.cfg, d.nand, deviceID, d.cut, d.want, d.endAt)
+func (r *fleetRig) recoveryRestore(d *recoveredDevice, choke bool, gate func()) error {
+	// The reopened device's offload drain rides the same shared NIC the
+	// restore streams do: that cross-class traffic is what the arbiter
+	// exists to schedule.
+	rd, err := r.restore(d.row.Device, d.nand, d.cut, d.want, d.endAt, restoreOpts{
+		chunkPages: 16, dedup: true, nic: true, choke: choke, gate: gate,
+	})
 	if err != nil {
 		return err
 	}
+	defer rd.close()
 	dev, at, rep := rd.dev, rd.at, rd.rep
-	defer dev.Close()
 
 	d.row.RTOms = float64(rep.RTO) / 1e6
 	d.row.RestoredPages = rep.PagesRestored

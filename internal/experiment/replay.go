@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"repro/internal/batch"
+	"repro/internal/host"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -31,6 +32,54 @@ func recordBatch(g *workload.Generator, rec workload.Record, logical uint64, ops
 		}
 	}
 	return ops
+}
+
+// replayOpts shapes one replay. Open loop, a record issues at its trace
+// time plus off; chained, at the previous record's completion, the first at
+// start. hold, when set, runs once as the loop reaches record n/3, or after
+// the loop when it never does; each, when set, sees every submitted record.
+type replayOpts struct {
+	off     simclock.Duration
+	chained bool
+	start   simclock.Time
+	hold    func()
+	each    func(issue, done simclock.Time)
+}
+
+// replay submits n trace records of g to dev, one batch per record, and
+// returns the latest completion and how many records submitted (a record
+// wholly past the device's logical space submits nothing).
+func replay(dev host.BatchDevice, g *workload.Generator, n int, o replayOpts) (simclock.Time, int, error) {
+	var ops []batch.Op
+	var end simclock.Time
+	prev, records, held := o.start, 0, o.hold == nil
+	for j := 0; j < n; j++ {
+		if !held && j >= n/3 {
+			held = true
+			o.hold()
+		}
+		rec := g.Next()
+		if ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0]); len(ops) == 0 {
+			continue
+		}
+		issue := rec.At.Add(o.off)
+		if o.chained {
+			issue = prev
+		}
+		done, err := submitRecord(dev, ops, issue)
+		if err != nil {
+			return end, records, err
+		}
+		prev, end = done, simclock.Max(end, done)
+		records++
+		if o.each != nil {
+			o.each(issue, done)
+		}
+	}
+	if !held {
+		o.hold()
+	}
+	return end, records, nil
 }
 
 // submitRecord submits one record's batch at issue time and returns when

@@ -72,6 +72,9 @@ func Retention(s Scale, devices int, backends []string) ([]RetentionTierRow, err
 	if len(backends) == 0 {
 		backends = RetentionBackends
 	}
+	if devices <= 0 {
+		devices = 8
+	}
 	s = fleetScale(s)
 	var rows []RetentionTierRow
 	for _, name := range backends {
@@ -111,7 +114,9 @@ func retentionTier(s Scale, devices int, backend string) (RetentionTierRow, erro
 	row.QueueDepth = tune.OffloadQueueDepth
 	row.HighWater = tune.OffloadHighWater
 	row.LowWater = tune.OffloadLowWater
-	pass, err := runFleetOn(s, devices, tune, store)
+	rig := newFleetRig(s, rigSpec{store: store, tune: tune, detect: true})
+	defer rig.close()
+	pass, err := rig.runFleet(devices, max(s.TraceOps/8, 400), nil)
 	if err != nil {
 		return row, err
 	}
@@ -166,8 +171,10 @@ func retentionTier(s Scale, devices int, backend string) (RetentionTierRow, erro
 		row.PendingListKeys = s3.PendingListKeys()
 	}
 
-	// Restart recovery on this tier: a settled reload must rebuild every
-	// device's chain head even where LIST was lagging moments before.
+	// Restart recovery on this tier: with the servers down, a settled reload
+	// must rebuild every device's chain head even where LIST was lagging
+	// moments before.
+	rig.close()
 	heads := map[uint64]uint64{}
 	for _, id := range store.Devices() {
 		heads[id] = store.Head(id).NextSeq

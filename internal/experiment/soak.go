@@ -5,18 +5,10 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/batch"
-	"repro/internal/bufpool"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/detect"
-	"repro/internal/host"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/workload"
@@ -110,14 +102,13 @@ type SoakResult struct {
 	RedialExhausted uint64
 	ResumeGap       uint64
 
-	Restores         int
-	RestoreResumes   int
-	RestoresVerified int
-	AttacksLaunched  int
-	AttackedDevices  int
-	AttacksCaught    int
-	FalseAlerts      int
-	RetentionDrops   int
+	Restores        int
+	RestoreResumes  int
+	AttacksLaunched int
+	AttackedDevices int
+	AttacksCaught   int
+	FalseAlerts     int
+	RetentionDrops  int
 
 	EntriesLost     uint64
 	SegmentsLost    int
@@ -135,12 +126,8 @@ type SoakResult struct {
 
 // soakDevice is one device's soak state across waves.
 type soakDevice struct {
-	id     uint64
-	idx    int
-	dev    *core.RSSD
-	client *remote.Client
-	fs     *host.FlatFS
-	gen    *workload.Generator
+	*rigDevice
+	gen *workload.Generator
 
 	end simclock.Time     // device sim time high-water mark
 	off simclock.Duration // wave-gap offset added to generator timestamps
@@ -149,8 +136,6 @@ type soakDevice struct {
 	attackedAt uint64 // first attack's start seq; ^0 when never attacked
 	restores   int
 	resumes    int
-	nextDrop   int // retention cursor: next segment index to consider
-	err        error
 }
 
 const (
@@ -190,62 +175,38 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 	// The whole stack assembles around the injector: the object store is
 	// wrapped (tier faults), every dialed conn is wrapped (conn/wire
 	// faults), and the wave loop draws kills.
-	store := remote.NewStore(inj.WrapStore(remote.NewMemStore()))
-	cluster := remote.NewCluster(store, remote.ClusterConfig{
-		Servers:  o.Servers,
-		PSK:      PSK,
-		Server:   remote.ServerConfig{DecodeWorkers: 2},
-		WrapConn: inj.WrapConn,
-		// Live ingest-skew rebalancing thresholds: sensitive enough that
-		// the soak's uneven per-wave ingest actually drives moves.
-		SkewFactor: 1.25, SkewTicks: 1, SkewMinPeak: 2, SkewMinBytes: 4 << 10,
+	r := newFleetRig(s, rigSpec{
+		store: remote.NewStore(inj.WrapStore(remote.NewMemStore())),
+		tune:  remote.Profile("mem"),
+		cluster: remote.ClusterConfig{
+			Servers:  o.Servers,
+			Server:   remote.ServerConfig{DecodeWorkers: 2},
+			WrapConn: inj.WrapConn,
+			// Live ingest-skew rebalancing thresholds: sensitive enough that
+			// the soak's uneven per-wave ingest actually drives moves.
+			SkewFactor: 1.25, SkewTicks: 1, SkewMinPeak: 2, SkewMinBytes: 4 << 10,
+		},
+		detect: true,
 	})
-	defer cluster.Close()
-
-	engines := make([]*detect.Engine, o.Servers)
-	for i := range engines {
-		engines[i] = detect.NewEngine(detectConfig(s))
-	}
-	var handoffs int
-	var handoffMu sync.Mutex
-	cluster.OnMove = func(dev uint64, from, to int) {
-		if from >= 0 && from < o.Servers && to >= 0 && to < o.Servers {
-			engines[from].Handoff(dev, engines[to])
-			handoffMu.Lock()
-			handoffs++
-			handoffMu.Unlock()
-		}
-	}
-	store.Subscribe(func(dev uint64, seg *oplog.Segment) {
-		owner, ok := cluster.Owner(dev)
-		if !ok || owner < 0 || owner >= o.Servers {
-			owner = 0
-		}
-		engines[owner].Observe(dev, seg.Entries)
-	})
+	defer r.close()
+	store, cluster := r.store, r.cluster
 
 	devs := make([]*soakDevice, o.Devices)
 	for i := range devs {
-		sd, err := newSoakDevice(s, cluster, i)
+		d, err := r.device(uint64(i+1), true)
 		if err != nil {
 			return nil, fmt.Errorf("soak setup device %d: %w", i+1, err)
 		}
-		devs[i] = sd
+		gen, _ := r.generator(d, i, int64(4000+i))
+		devs[i] = &soakDevice{rigDevice: d, gen: gen, attackedAt: ^uint64(0)}
 	}
-	defer func() {
-		for _, sd := range devs {
-			if sd != nil && sd.dev != nil {
-				sd.dev.Close()
-			}
-			if sd != nil && sd.client != nil {
-				sd.client.Close()
-			}
-		}
-	}()
 	ids := make([]uint64, o.Devices)
 	for i := range ids {
 		ids[i] = uint64(i + 1)
 	}
+	// nextDrop is the retention cursor per device: the next segment index
+	// the tick considers. Only the tick moves it.
+	nextDrop := make([]int, o.Devices)
 
 	opsPerWave := s.TraceOps / (o.Devices * o.Waves)
 	if opsPerWave < 60 {
@@ -254,8 +215,7 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 
 	res := &SoakResult{Seed: o.Seed, Devices: o.Devices, Servers: o.Servers,
 		Waves: o.Waves, Short: o.Short, Violations: []string{}, GateFailures: []string{}}
-	var poolBase bufpool.Gauge
-	var poolBaseHeld int64
+	var pool poolMark
 	var heapBase uint64
 	var storeBase int64
 	start := time.Now()
@@ -294,34 +254,25 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 		}
 
 		// The wave itself: replay, attack, restore, and the retention
-		// tick all genuinely concurrent — attacks land mid-restore and
-		// mid-expiry because nothing serializes them.
-		var wg sync.WaitGroup
-		for i, sd := range devs {
-			wg.Add(1)
-			go func(i int, sd *soakDevice) {
-				defer wg.Done()
-				switch {
-				case doRestore && i == restoreIdx:
-					sd.err = sd.powerCycleRestore(s, cluster, inj)
-				case i == attackIdx:
-					sd.err = sd.attackWave(s, inj, atkName, opsPerWave, w)
-				default:
-					sd.err = sd.replay(inj, opsPerWave)
-				}
-			}(i, sd)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wave.Drops = soakRetentionTick(store, devs)
-		}()
-		wg.Wait()
-		for _, sd := range devs {
-			if sd.err != nil {
-				return res, fmt.Errorf("soak wave %d device %d (reproduce with -exp soak -seed %d): %w",
-					w, sd.id, o.Seed, sd.err)
+		// tick (the last index, started after every device) all genuinely
+		// concurrent — attacks land mid-restore and mid-expiry because
+		// nothing serializes them.
+		err := spawn(len(devs)+1, func(i int) error {
+			if i == len(devs) {
+				wave.Drops = soakRetentionTick(store, nextDrop)
+				return nil
 			}
+			switch sd := devs[i]; {
+			case doRestore && i == restoreIdx:
+				return sd.powerCycleRestore(r, inj)
+			case i == attackIdx:
+				return sd.attackWave(s, inj, atkName, opsPerWave, w)
+			default:
+				return sd.replay(inj, opsPerWave)
+			}
+		})
+		if err != nil {
+			return res, fmt.Errorf("soak wave %d (reproduce with -exp soak -seed %d): %w", w, o.Seed, err)
 		}
 		if doRestore {
 			wave.Resumes = devs[restoreIdx].resumes
@@ -330,20 +281,8 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 		// Quiesce: every device drains its offload pipeline healthy —
 		// this is where most pending faults heal (and the proof none
 		// wedged the pipeline).
-		var qg sync.WaitGroup
-		for _, sd := range devs {
-			qg.Add(1)
-			go func(sd *soakDevice) {
-				defer qg.Done()
-				sd.err = sd.flushHealthy(inj)
-			}(sd)
-		}
-		qg.Wait()
-		for _, sd := range devs {
-			if sd.err != nil {
-				return res, fmt.Errorf("soak wave %d quiesce device %d (reproduce with -exp soak -seed %d): %w",
-					w, sd.id, o.Seed, sd.err)
-			}
+		if err := spawn(len(devs), func(i int) error { return devs[i].flushHealthy(inj) }); err != nil {
+			return res, fmt.Errorf("soak wave %d quiesce (reproduce with -exp soak -seed %d): %w", w, o.Seed, err)
 		}
 
 		if wave.KilledServer >= 0 {
@@ -380,15 +319,14 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 			// Steady-state baselines land after the first wave: sessions
 			// at rest legitimately hold staged buffers, so wave 0's
 			// quiesce — not process start — is the honest anchor.
-			poolBase = bufpool.Outstanding()
-			poolBaseHeld = nandResidency(devs)
+			pool = r.markPool()
 			runtime.GC()
 			var m runtime.MemStats
 			runtime.ReadMemStats(&m)
 			heapBase = m.HeapAlloc
 			storeBase = storeFootprint(store, ids)
 		} else {
-			iv.PoolSteady(poolBase, nandResidency(devs)-poolBaseHeld)
+			iv.PoolSteady(pool.gauge, r.held()-pool.held)
 		}
 
 		wave.Faults = inj.TotalInjected()
@@ -417,43 +355,23 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 		res.ResumeGap += st.ResumeGap
 		res.Restores += sd.restores
 		res.RestoreResumes += sd.resumes
-		want := sd.dev.Log().NextSeq()
-		head := store.Head(sd.id).NextSeq
-		if head < want {
-			res.EntriesLost += want - head
-		}
-		if acked, stored := st.OffloadSegments, uint64(store.DeviceStats(sd.id).Segments); acked > stored {
-			res.SegmentsLost += int(acked - stored)
-		}
+		a := r.audit(sd.id, sd.dev)
+		res.EntriesLost += a.entriesLost
+		res.SegmentsLost += a.segmentsLost
+		caught, _, falseAlerts := r.verdict(sd.id, sd.attackedAt)
+		res.FalseAlerts += falseAlerts
 		if sd.attackedAt != ^uint64(0) {
 			res.AttackedDevices++
-			hit := false
-			for _, e := range engines {
-				for _, a := range e.AlertsFor(sd.id) {
-					if a.AtSeq >= sd.attackedAt {
-						hit = true
-					} else {
-						res.FalseAlerts++
-					}
-				}
-			}
-			if hit {
+			if caught {
 				res.AttacksCaught++
-			}
-		} else {
-			for _, e := range engines {
-				res.FalseAlerts += len(e.AlertsFor(sd.id))
 			}
 		}
 	}
-	res.RestoresVerified = res.Restores // a failed verify errors the wave
 	res.AttacksLaunched = o.Waves
-	for _, sd := range devs {
-		res.RetentionDrops += sd.nextDrop
+	for _, n := range nextDrop {
+		res.RetentionDrops += n
 	}
-	handoffMu.Lock()
-	res.Handoffs = handoffs
-	handoffMu.Unlock()
+	res.Handoffs = int(r.handoffs.Load())
 
 	inj.Finish()
 	led := inj.Ledger()
@@ -467,7 +385,7 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 		}
 	}
 
-	res.BufpoolDelta = bufpool.Outstanding().Sub(poolBase).Total() - (nandResidency(devs) - poolBaseHeld)
+	res.BufpoolDelta = r.poolDrift(pool)
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
@@ -497,51 +415,13 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 	gate(res.HeapDeltaMB <= 3*res.StoreGrowthMB+64,
 		"heap grew %.1f MB against %.1f MB of store growth", res.HeapDeltaMB, res.StoreGrowthMB)
 	gate(res.ChainsVerified > 0, "no chains verified")
+	gate(res.InvariantChecks > 0, "no invariant checks ran")
+	gate(res.Restores > 0, "no mid-soak restore ran")
 	if len(res.GateFailures) > 0 {
 		return res, fmt.Errorf("soak gates failed (reproduce with -exp soak -seed %d):\n  %s",
 			o.Seed, strings.Join(res.GateFailures, "\n  "))
 	}
 	return res, nil
-}
-
-// newSoakDevice builds one fleet device dialed through the cluster, its
-// offload NIC charged to its initial owner's arbiter.
-func newSoakDevice(s Scale, cluster *remote.Cluster, idx int) (*soakDevice, error) {
-	id := uint64(idx + 1)
-	client, err := cluster.Dial(id)
-	if err != nil {
-		return nil, err
-	}
-	cfg := soakDeviceConfig(s, cluster, id)
-	dev := core.New(cfg, client)
-	fs := host.NewFlatFS(dev, simclock.NewClock())
-	profName := fleetProfiles[idx%len(fleetProfiles)]
-	prof, ok := workload.ProfileByName(profName)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q", profName)
-	}
-	return &soakDevice{
-		id: id, idx: idx, dev: dev, fs: fs,
-		gen:        workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), int64(4000+idx)),
-		attackedAt: ^uint64(0),
-	}, nil
-}
-
-func soakDeviceConfig(s Scale, cluster *remote.Cluster, id uint64) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = id
-	cfg.Dial = cluster.DialFunc(id)
-	tune := remote.Profile("mem")
-	cfg.OffloadHighWater = tune.OffloadHighWater
-	cfg.OffloadLowWater = tune.OffloadLowWater
-	cfg.OffloadQueueDepth = tune.OffloadQueueDepth
-	if owner, ok := cluster.Owner(id); ok {
-		if srv := cluster.Server(owner); srv != nil {
-			cfg.NIC = srv.NIC
-		}
-	}
-	return cfg
 }
 
 // fleetNow is the fleet's sim-time high-water mark — the clock kill/revive
@@ -557,24 +437,14 @@ func fleetNow(devs []*soakDevice) simclock.Time {
 // replay drives ops benign records through the device, observing health
 // at record boundaries so the injector can stamp heals in sim time.
 func (sd *soakDevice) replay(inj *chaos.Injector, ops int) error {
-	var batchOps []batch.Op
-	for j := 0; j < ops; j++ {
-		rec := sd.gen.Next()
-		batchOps = recordBatch(sd.gen, rec, sd.dev.LogicalPages(), batchOps[:0])
-		if len(batchOps) == 0 {
-			continue
-		}
-		done, err := submitRecord(sd.dev, batchOps, rec.At+simclock.Time(sd.off))
-		if err != nil {
-			return err
-		}
+	_, _, err := replay(sd.dev, sd.gen, ops, replayOpts{off: sd.off, each: func(_, done simclock.Time) {
 		sd.end = simclock.Max(sd.end, done)
 		sd.records++
 		if sd.records%8 == 0 {
 			inj.Observe(sd.id, sd.end, sd.dev.LastOffloadError() == nil)
 		}
-	}
-	return nil
+	}})
+	return err
 }
 
 // attackWave is replay with an attack landing mid-wave: half the cover
@@ -635,7 +505,7 @@ func (sd *soakDevice) flushHealthy(inj *chaos.Injector) error {
 // session is subject to the same conn faults as everything else and must
 // resume across injected mid-restore disconnects. Content is verified
 // against pages sampled before the cycle.
-func (sd *soakDevice) powerCycleRestore(s Scale, cluster *remote.Cluster, inj *chaos.Injector) error {
+func (sd *soakDevice) powerCycleRestore(r *fleetRig, inj *chaos.Injector) error {
 	if err := sd.flushHealthy(inj); err != nil {
 		return err
 	}
@@ -676,25 +546,17 @@ func (sd *soakDevice) powerCycleRestore(s Scale, cluster *remote.Cluster, inj *c
 
 	// Power cycle: flash survives, device state does not.
 	nand := sd.dev.FTL().Device()
-	sd.dev.Close()
-	if sd.client != nil {
-		sd.client.Close()
-		sd.client = nil
-	}
+	sd.close()
 
 	// The restore stream resumes over injected cuts by itself, but the
 	// reopen's log fetch is a single session with no resume cursor — when
 	// chaos cuts THAT session, power-on retries on a fresh dial, exactly
 	// like firmware would.
-	var rd *restoredDevice
+	var rd *restored
 	var err error
 	for attempt := 0; attempt < 6; attempt++ {
-		rd, err = restoreRun{
-			Dial:  cluster.DialFunc(sd.id),
-			Link:  soakRestoreLink(cluster, sd.id),
-			Dedup: true,
-			Delta: true,
-		}.run(soakDeviceConfig(s, cluster, sd.id), nand, sd.id, cut, want, sd.end+simclock.Time(soakOutage))
+		rd, err = r.restore(sd.id, nand, cut, want, sd.end+simclock.Time(soakOutage),
+			restoreOpts{dedup: true, nic: true})
 		if err == nil {
 			break
 		}
@@ -702,61 +564,49 @@ func (sd *soakDevice) powerCycleRestore(s Scale, cluster *remote.Cluster, inj *c
 	if err != nil {
 		return fmt.Errorf("mid-soak restore: %w", err)
 	}
-	sd.dev, sd.client = rd.dev, rd.client
+	// A fresh host view over the restored device; its clock resumes where
+	// the device's timeline is.
+	sd.rigDevice = rd.rigDevice
 	sd.end = simclock.Max(sd.end, rd.at)
+	sd.fs.Clock().AdvanceTo(sd.end)
 	sd.restores++
 	sd.resumes += rd.rep.Resumes
 	if !rd.verified {
 		return fmt.Errorf("restored image diverged from the pre-cycle content")
 	}
-	// Fresh host view over the restored device; the clock resumes where
-	// the device's timeline is.
-	clk := simclock.NewClock()
-	clk.AdvanceTo(sd.end)
-	sd.fs = host.NewFlatFS(sd.dev, clk)
 	inj.Observe(sd.id, sd.end, sd.dev.LastOffloadError() == nil)
 	return nil
 }
 
-// soakRestoreLink charges the restore stream to the current owner's NIC,
-// where it contends with the fleet's offload flows.
-func soakRestoreLink(cluster *remote.Cluster, id uint64) *remote.RecoveryLink {
-	if owner, ok := cluster.Owner(id); ok {
-		if srv := cluster.Server(owner); srv != nil && srv.NIC != nil {
-			return remote.NewRecoveryLinkOn(srv.NIC)
-		}
-	}
-	return remote.NewRecoveryLinkOn(netsim.New(netsim.Config{}))
-}
-
 // soakRetentionTick is the minimal retention pass: for each device,
-// consider the oldest undropped segment; when every retained page in it
-// has a newer version in the store (fully superseded), expire its pages
-// via DropSegmentPages. The evidence chain is never touched, and the
-// newest version of every page always survives — which is why expiry is
-// safe to run concurrently with a restore at the head.
-func soakRetentionTick(store *remote.Store, devs []*soakDevice) int {
+// consider the oldest undropped segment (device i+1's is nextDrop[i]); when
+// every retained page in it has a newer version in the store (fully
+// superseded), expire its pages via DropSegmentPages. The evidence chain is
+// never touched, and the newest version of every page always survives —
+// which is why expiry is safe to run concurrently with a restore at the
+// head.
+func soakRetentionTick(store *remote.Store, nextDrop []int) int {
 	drops := 0
-	for _, sd := range devs {
-		i := sd.nextDrop
-		if i >= store.DeviceStats(sd.id).Segments {
+	for d, i := range nextDrop {
+		id := uint64(d + 1)
+		if i >= store.DeviceStats(id).Segments {
 			continue
 		}
-		seg, err := store.FetchSegment(sd.id, i)
+		seg, err := store.FetchSegment(id, i)
 		if err != nil {
 			// A chaos tier fault on the segment read: retry once — the
 			// first-touch fault has been consumed, the retry heals.
-			if seg, err = store.FetchSegment(sd.id, i); err != nil {
+			if seg, err = store.FetchSegment(id, i); err != nil {
 				continue
 			}
 		}
 		if len(seg.Pages) == 0 {
-			sd.nextDrop++ // nothing retained; nothing to expire
+			nextDrop[d]++ // nothing retained; nothing to expire
 			continue
 		}
 		superseded := true
 		for p := range seg.Pages {
-			v, ok := store.Version(sd.id, seg.Pages[p].LPN, ^uint64(0))
+			v, ok := store.Version(id, seg.Pages[p].LPN, ^uint64(0))
 			if !ok || v.WriteSeq <= seg.Pages[p].WriteSeq {
 				superseded = false
 				break
@@ -765,24 +615,13 @@ func soakRetentionTick(store *remote.Store, devs []*soakDevice) int {
 		if !superseded {
 			continue // not expired yet; reconsider next wave
 		}
-		if err := store.DropSegmentPages(sd.id, i); err != nil {
+		if err := store.DropSegmentPages(id, i); err != nil {
 			continue
 		}
-		sd.nextDrop++
+		nextDrop[d]++
 		drops++
 	}
 	return drops
-}
-
-// nandResidency sums the pooled page buffers the fleet's NAND arrays hold
-// for live flash content — the one legitimate long-lived pool consumer the
-// leak gate must net out.
-func nandResidency(devs []*soakDevice) int64 {
-	var n int64
-	for _, sd := range devs {
-		n += sd.dev.FTL().Device().HeldPageBufs()
-	}
-	return n
 }
 
 // storeFootprint approximates the durable store's in-memory weight for

@@ -156,9 +156,7 @@ func runDefenseCell(s Scale, sys SystemName, atkName AttackName) (DefenseCell, e
 // over-provisioned space RSSD has locally.
 func (s Scale) retentionBudgetPages() int {
 	cfg := s.ftlConfig()
-	total := cfg.NAND.Geometry.TotalPages()
-	logical := int(float64(cfg.NAND.Geometry.TotalBlocks())*(1-cfg.OverProvision)) * cfg.NAND.Geometry.PagesPerBlock
-	return total - logical
+	return cfg.NAND.Geometry.TotalPages() - int(cfg.LogicalPages())
 }
 
 // RenderDefenseMatrix formats the matrix the way Table 1 lays it out: one
