@@ -61,7 +61,7 @@ func main() {
 	cur, at2, _ := dev2.Read(0, at)
 	fmt.Printf("  live state:   page 0 = %q, page 1 trimmed reads zeroes\n", string(cur[:2]))
 	for seq := uint64(1); seq <= 3; seq++ {
-		v, _, _, _ := dev2.VersionBefore(0, seq, at2)
+		v, _, _ := dev2.VersionBefore(0, seq, at2)
 		fmt.Printf("  history:      version before op %d = %q\n", seq, string(v[:2]))
 	}
 	fmt.Printf("  chain:        resumed at seq %d, splicing onto the remote head\n", dev2.Log().NextSeq())

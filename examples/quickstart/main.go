@@ -49,11 +49,15 @@ func main() {
 
 	// 4. Both old versions are still there.
 	for _, before := range []uint64{1, 2, 3} {
-		v, _, ok, err := dev.VersionBefore(0, before, at)
+		v, ws, err := dev.VersionBefore(0, before, at)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("content just before op %d (exists=%v): %.34q\n", before, ok, string(v))
+		from := "zeroes"
+		if ws != core.NoSeq {
+			from = fmt.Sprintf("written by op %d", ws)
+		}
+		fmt.Printf("content just before op %d (%s): %.34q\n", before, from, string(v))
 	}
 
 	// 5. Drain retention to the remote server and look at the footprint.

@@ -144,7 +144,7 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 	if err != nil || rep.PagesRestored != 1 {
 		t.Fatalf("clean pin: restored %d, err %v", rep.PagesRestored, err)
 	}
-	if data, ws, _, err := r.VersionBefore(0, cut, at); err != nil || ws != 0 || !bytes.Equal(data, fill(1, 512)) {
+	if data, ws, err := r.VersionBefore(0, cut, at); err != nil || ws != 0 || !bytes.Equal(data, fill(1, 512)) {
 		t.Fatalf("clean pin: version write %d, err %v", ws, err)
 	}
 	if es := r.Log().All(); es[len(es)-1].Kind != oplog.KindRecovery || es[len(es)-1].DataHash != oplog.HashData(fill(1, 512)) {
@@ -163,7 +163,7 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 	if r.WriteSeqOf(0) != 1 {
 		t.Fatalf("live version is write seq %d, want the untouched overwrite at 1", r.WriteSeqOf(0))
 	}
-	if data, _, _, err := r.VersionBefore(0, cut, at); err == nil || !strings.Contains(err.Error(), "write-time content hash") {
+	if data, _, err := r.VersionBefore(0, cut, at); err == nil || !strings.Contains(err.Error(), "write-time content hash") {
 		t.Fatalf("corrupt pin: version query returned %d bytes, err %v", len(data), err)
 	}
 }

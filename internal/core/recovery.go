@@ -10,8 +10,8 @@ package core
 //     the post-reboot log onto the remote chain head.
 //   - decide is the one answer to "what did this page hold before sequence
 //     s?": the newest of the live mapping, the local pins and the remote
-//     store's record, or zeroes. VersionBefore asks it for one page, whose
-//     remote part is a one-LPN image stream.
+//     store's record if nothing superseded it before s, else zeroes.
+//     VersionBefore asks it for one page over a one-LPN image stream.
 //   - RestoreImage is the one way recovered bytes enter the device: it
 //     streams the image before the cut — of every LPN, or of the ascending
 //     LPNs RestoreOptions.LPNs names — in LPN-ordered codec-framed chunks
@@ -76,8 +76,8 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 // page that was already stale at the checkpoint and that the server does not
 // hold — the unacked tail, a version the server expired since: such a page is
 // pinned again, and the operation that superseded it (what a point-in-time
-// query needs to tell an overwrite from a trim gap) lies before the
-// checkpoint. With nothing of the kind on flash — a drain before power-off,
+// query needs to tell whether the version was still current at its cut) lies
+// before the checkpoint. With nothing of the kind on flash — a drain before power-off,
 // nothing expired since — the fetch is the tail after the checkpoint, however
 // long the history before it; with no checkpoint floor is genesis.
 //
@@ -310,7 +310,6 @@ func (r *RSSD) WriteSeqOf(lpn uint64) uint64 {
 // version is what a page held just before a cut, as decide finds it.
 type version struct {
 	writeSeq uint64 // the write that put the bytes there; NoSeq: zeroes
-	written  bool   // a write before the cut named the page (zeroes: trimmed since)
 	live     bool   // the live mapping holds it
 	data     []byte // a pin's or a streamed record's bytes; nil when live or zeroes
 	hash     [oplog.HashSize]byte
@@ -319,15 +318,15 @@ type version struct {
 // decide is the one answer to "what did lpn hold just before the cut
 // `before`?". Of the live mapping, the local pins and rec — the remote
 // store's newest version before the cut, nil when it holds none — the newest
-// written before the cut wins, and the page reads as zeroes when the winner
-// was trimmed away before the cut. (A winner staled by an overwrite before
-// the cut implies a newer version that would have won; if that one was
-// dropped offline, the older data is the best surviving restore.) A streamed
-// record was checked against its hash on arrival; a pin is read, hashed once
-// and used only if it matches the write-time hash its OOB has carried since
-// the write.
+// written before the cut is the page's content at the cut only if nothing
+// superseded it before the cut; otherwise the page reads as zeroes. Whatever
+// superseded it did not survive, or it would have won: a trim, whose answer
+// is zeroes, or an overwrite expired since, whose bytes no candidate holds. A
+// streamed record was checked against its hash on arrival; a pin is read,
+// hashed once and used only if it matches the write-time hash its OOB has
+// carried since the write.
 func (r *RSSD) decide(lpn, before uint64, rec *oplog.PageRecord, at simclock.Time) (version, error) {
-	ws, staleSeq, cause := NoSeq, NoSeq, ftl.StaleCause(0)
+	ws, staleSeq := NoSeq, NoSeq
 	live := r.lpnWriteSeq[lpn] != NoSeq && r.lpnWriteSeq[lpn] < before
 	if live {
 		ws = r.lpnWriteSeq[lpn]
@@ -337,31 +336,29 @@ func (r *RSSD) decide(lpn, before uint64, rec *oplog.PageRecord, at simclock.Tim
 	for i := len(vs) - 1; i >= 0; i-- { // writeSeq order: the first that qualifies is the newest
 		if re := vs[i]; !re.released && re.writeSeq != NoSeq && re.writeSeq < before {
 			if ws == NoSeq || re.writeSeq > ws {
-				pin, live, ws, staleSeq, cause = re, false, re.writeSeq, re.staleSeq, re.cause
+				pin, live, ws, staleSeq = re, false, re.writeSeq, re.staleSeq
 			}
 			break
 		}
 	}
 	if rec != nil && (ws == NoSeq || rec.WriteSeq > ws) {
-		pin, live, ws, staleSeq, cause = nil, false, rec.WriteSeq, rec.StaleSeq, ftl.StaleCause(rec.Cause)
+		pin, live, ws, staleSeq = nil, false, rec.WriteSeq, rec.StaleSeq
 	} else {
 		rec = nil
 	}
 	switch {
-	case ws == NoSeq:
+	case ws == NoSeq, staleSeq < before: // a live version's NoSeq is never below the cut
 		return version{writeSeq: NoSeq}, nil
-	case staleSeq != NoSeq && staleSeq < before && cause == ftl.CauseTrim:
-		return version{writeSeq: NoSeq, written: true}, nil
 	case live:
-		return version{writeSeq: ws, written: true, live: true}, nil
+		return version{writeSeq: ws, live: true}, nil
 	case rec != nil:
-		return version{writeSeq: ws, written: true, data: rec.Data, hash: rec.Hash}, nil
+		return version{writeSeq: ws, data: rec.Data, hash: rec.Hash}, nil
 	}
 	data, oob, _, err := r.f.ReadPhysical(pin.ppn, at)
 	if err != nil {
 		return version{}, fmt.Errorf("read pin for lpn %d (ppn %d): %w", lpn, pin.ppn, err)
 	}
-	v := version{writeSeq: ws, written: true, data: data, hash: oplog.HashData(data)}
+	v := version{writeSeq: ws, data: data, hash: oplog.HashData(data)}
 	if v.hash != oob.Hash {
 		return version{}, fmt.Errorf("pin for lpn %d (ppn %d, write seq %d) fails its write-time content hash", lpn, pin.ppn, oob.Seq)
 	}
@@ -375,11 +372,10 @@ func (r *RSSD) decide(lpn, before uint64, rec *oplog.PageRecord, at simclock.Tim
 // have observed.
 //
 // writeSeq is the log sequence of the write that produced the returned data,
-// or NoSeq for zeroes; ok reports whether a write before `before` named the
-// page at all (false: never written).
-func (r *RSSD) VersionBefore(lpn, before uint64, at simclock.Time) (data []byte, writeSeq uint64, ok bool, err error) {
+// or NoSeq for zeroes.
+func (r *RSSD) VersionBefore(lpn, before uint64, at simclock.Time) (data []byte, writeSeq uint64, err error) {
 	if lpn >= r.f.LogicalPages() {
-		return nil, NoSeq, false, ftl.ErrOutOfRange
+		return nil, NoSeq, ftl.ErrOutOfRange
 	}
 	var rec *oplog.PageRecord
 	if r.client != nil {
@@ -390,23 +386,23 @@ func (r *RSSD) VersionBefore(lpn, before uint64, at simclock.Time) (data []byte,
 			return nil
 		})
 		if err != nil {
-			return nil, NoSeq, false, fmt.Errorf("core: fetch version lpn %d: %w", lpn, err)
+			return nil, NoSeq, fmt.Errorf("core: fetch version lpn %d: %w", lpn, err)
 		}
 	}
 	v, err := r.decide(lpn, before, rec, at)
 	switch {
 	case err != nil:
-		return nil, NoSeq, false, fmt.Errorf("core: version of lpn %d: %w", lpn, err)
+		return nil, NoSeq, fmt.Errorf("core: version of lpn %d: %w", lpn, err)
 	case v.live:
 		if data, _, _, err = r.f.ReadPhysical(r.f.Lookup(lpn), at); err != nil {
-			return nil, NoSeq, false, fmt.Errorf("core: read lpn %d: %w", lpn, err)
+			return nil, NoSeq, fmt.Errorf("core: read lpn %d: %w", lpn, err)
 		}
 	case v.data != nil:
 		data = v.data
 	default:
 		data = make([]byte, r.f.PageSize())
 	}
-	return data, v.writeSeq, v.written, nil
+	return data, v.writeSeq, nil
 }
 
 // --- The logged restore primitive -----------------------------------------
@@ -548,7 +544,7 @@ type RestoreOptions struct {
 // RestoreReport summarizes one resumable restore.
 type RestoreReport struct {
 	PagesRestored int // rolled back by a logged recovery write
-	PagesZeroed   int // rolled back to unmapped (trim gap / never written)
+	PagesZeroed   int // rolled back to unmapped (trim gap / never written / version at the cut gone)
 	PagesKept     int // live state already matched the target
 	Chunks        int
 	Resumes       int // mid-stream disconnects survived

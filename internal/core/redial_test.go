@@ -161,9 +161,9 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	// churn, then 1 again from the post-disconnect round.
 	for round, want := range []byte{1, 2, 3, 4, 1} {
 		seq := uint64(4*round) + 1
-		data, _, ok, err := r.VersionBefore(0, seq, at)
-		if err != nil || !ok || data[0] != want {
-			t.Fatalf("round %d version lost: %v ok=%v got=%d want=%d", round, err, ok, data[0], want)
+		data, ws, err := r.VersionBefore(0, seq, at)
+		if err != nil || ws != seq-1 || data[0] != want {
+			t.Fatalf("round %d version lost: %v write %d got=%d want=%d", round, err, ws, data[0], want)
 		}
 	}
 }

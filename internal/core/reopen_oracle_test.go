@@ -31,6 +31,10 @@ type staleRef struct {
 	cause ftl.StaleCause
 }
 
+// lpnOp is one entry of an LPN's history: a write makes itself live, a trim
+// makes nothing live (NoSeq).
+type lpnOp struct{ seq, live uint64 }
+
 type pinRef struct {
 	lpn, writeSeq uint64
 	staleRef
@@ -38,19 +42,21 @@ type pinRef struct {
 
 // genesisReplay is the reference: one pass over store.Entries from 0.
 type genesisReplay struct {
-	head   uint64
-	live   map[uint64]uint64               // lpn -> seq of its current write
-	staled map[uint64]staleRef             // write seq -> what superseded it
-	hashAt map[uint64][oplog.HashSize]byte // write seq -> content hash
-	cps    []uint64                        // KindCheckpoint entries in the chain
+	head    uint64
+	live    map[uint64]uint64               // lpn -> seq of its current write
+	history map[uint64][]lpnOp              // lpn -> its writes and trims, in order
+	staled  map[uint64]staleRef             // write seq -> what superseded it
+	hashAt  map[uint64][oplog.HashSize]byte // write seq -> content hash
+	cps     []uint64                        // KindCheckpoint entries in the chain
 }
 
 func replayFromGenesis(store *remote.Store, dev uint64) *genesisReplay {
 	g := &genesisReplay{
-		head:   store.Head(dev).NextSeq,
-		live:   map[uint64]uint64{},
-		staled: map[uint64]staleRef{},
-		hashAt: map[uint64][oplog.HashSize]byte{},
+		head:    store.Head(dev).NextSeq,
+		live:    map[uint64]uint64{},
+		history: map[uint64][]lpnOp{},
+		staled:  map[uint64]staleRef{},
+		hashAt:  map[uint64][oplog.HashSize]byte{},
 	}
 	for _, e := range store.Entries(dev, 0, g.head) {
 		switch e.Kind {
@@ -59,12 +65,14 @@ func replayFromGenesis(store *remote.Store, dev uint64) *genesisReplay {
 				g.staled[prev] = staleRef{e.Seq, ftl.CauseOverwrite}
 			}
 			g.live[e.LPN] = e.Seq
+			g.history[e.LPN] = append(g.history[e.LPN], lpnOp{e.Seq, e.Seq})
 			g.hashAt[e.Seq] = e.DataHash
 		case oplog.KindTrim, oplog.KindRecoveryTrim:
 			if prev, ok := g.live[e.LPN]; ok {
 				g.staled[prev] = staleRef{e.Seq, ftl.CauseTrim}
 			}
 			delete(g.live, e.LPN)
+			g.history[e.LPN] = append(g.history[e.LPN], lpnOp{e.Seq, NoSeq})
 		case oplog.KindCheckpoint:
 			g.cps = append(g.cps, e.Seq)
 		}
@@ -119,44 +127,45 @@ func (g *genesisReplay) classifyFlash(flash []flashPage, listed []oplog.PageReco
 	return pins, held, nil
 }
 
-// versionBefore predicts VersionBefore(lpn, before): the newest surviving
-// version written before the cut — live, pinned again, or at the server —
-// or zeroes when that version was already trimmed away at the cut.
-func (g *genesisReplay) versionBefore(store *remote.Store, dev uint64, pins map[uint64]pinRef, lpn, before uint64) (writeSeq uint64, ok bool) {
-	best, by, found := uint64(0), staleRef{seq: NoSeq}, false
-	consider := func(ws uint64, s staleRef) {
-		if ws < before && (!found || ws > best) {
-			best, by, found = ws, s, true
+// versionBefore predicts VersionBefore(lpn, before) from the chain: the write
+// live at the cut, if its version survives — live, pinned again, or at the
+// server — and zeroes otherwise. lost reports a write live at the cut whose
+// version is gone.
+func (g *genesisReplay) versionBefore(store *remote.Store, dev uint64, pins map[uint64]pinRef, lpn, before uint64) (writeSeq uint64, lost bool) {
+	ws := NoSeq
+	for _, op := range g.history[lpn] {
+		if op.seq >= before {
+			break
 		}
+		ws = op.live
 	}
-	if ws, mapped := g.live[lpn]; mapped {
-		consider(ws, staleRef{seq: NoSeq})
+	if ws == NoSeq {
+		return NoSeq, false
+	}
+	if cur, mapped := g.live[lpn]; mapped && cur == ws {
+		return ws, false
 	}
 	for _, p := range pins {
-		if p.lpn == lpn {
-			consider(p.writeSeq, p.staleRef)
+		if p.lpn == lpn && p.writeSeq == ws {
+			return ws, false
 		}
 	}
-	if rec, has := store.Version(dev, lpn, before); has {
-		consider(rec.WriteSeq, staleRef{rec.StaleSeq, ftl.StaleCause(rec.Cause)})
+	if rec, has := store.Version(dev, lpn, before); has && rec.WriteSeq == ws {
+		return ws, false
 	}
-	switch {
-	case !found:
-		return NoSeq, false
-	case by.seq != NoSeq && by.seq < before && by.cause == ftl.CauseTrim:
-		return NoSeq, true
-	}
-	return best, true
+	return NoSeq, true
 }
 
-// oracleTeeth counts the histories that reached each case the oracle is
-// there for, so a change to the mix that loses one fails the test.
+// oracleTeeth counts the histories (lost: the queries) that reached each case
+// the oracle is there for, so a change to the mix that loses one fails the
+// test.
 type oracleTeeth struct {
 	anchored   int // a checkpoint inside the chain
 	pulledBack int // ... and a pin staled before it: floor below the anchor
 	cpAhead    int // a checkpoint stored ahead of the chain head
 	orphan     int // ... and the chain has since grown past it: the newest table below the head is bound by nothing
 	collected  int // GC erased blocks
+	lost       int // a point-in-time query of a write live at its cut whose version is gone: zeroes
 }
 
 // reopenOracleRun drives one seeded history through two power cuts — the
@@ -330,11 +339,14 @@ func reopenOracleRun(t *testing.T, seed int64, teeth *oracleTeeth) {
 		zero := make([]byte, 512)
 		for _, cut := range cuts {
 			for lpn := uint64(0); lpn < lpns; lpn++ {
-				wantSeq, wantOK := ref.versionBefore(store, 1, pins, lpn, cut)
-				data, gotSeq, gotOK, err := r.VersionBefore(lpn, cut, at)
+				wantSeq, lost := ref.versionBefore(store, 1, pins, lpn, cut)
+				if lost {
+					teeth.lost++
+				}
+				data, gotSeq, err := r.VersionBefore(lpn, cut, at)
 				check(err)
-				if gotSeq != wantSeq || gotOK != wantOK {
-					fail("cycle %d: lpn %d before %d: write %d ok=%v, genesis replay says %d ok=%v", cycle, lpn, cut, gotSeq, gotOK, wantSeq, wantOK)
+				if gotSeq != wantSeq {
+					fail("cycle %d: lpn %d before %d: write %d, genesis replay says %d", cycle, lpn, cut, gotSeq, wantSeq)
 				}
 				if wantSeq == NoSeq && !bytes.Equal(data, zero) {
 					fail("cycle %d: lpn %d before %d: %#x where zeroes belong", cycle, lpn, cut, data[0])
@@ -397,7 +409,7 @@ func TestReopenMatchesGenesisReplay(t *testing.T) {
 	}
 	t.Logf("%d histories: %+v", seeds, teeth)
 	if teeth.anchored < seeds/2 || teeth.pulledBack < seeds/10 || teeth.anchored-teeth.pulledBack < seeds/10 ||
-		teeth.cpAhead < seeds/20 || teeth.orphan < seeds/20 || teeth.collected < seeds/2 {
+		teeth.cpAhead < seeds/20 || teeth.orphan < seeds/20 || teeth.collected < seeds/2 || teeth.lost < seeds/4 {
 		t.Fatalf("the mix lost its teeth: %+v of %d histories", teeth, seeds)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ftl"
@@ -136,12 +137,12 @@ func TestReopenPreservesVersionHistory(t *testing.T) {
 			if v.trim {
 				continue
 			}
-			data, _, ok, err := r2.VersionBefore(lpn, v.seq+1, at)
+			data, ws, err := r2.VersionBefore(lpn, v.seq+1, at)
 			if err != nil {
 				t.Fatalf("version (%d, %d): %v", lpn, v.seq, err)
 			}
-			if !ok || data[0] != v.val {
-				t.Fatalf("version (%d, %d) = %v/%v, want %d", lpn, v.seq, data[0], ok, v.val)
+			if ws != v.seq || data[0] != v.val {
+				t.Fatalf("version (%d, %d) = %v of write %d, want %d", lpn, v.seq, data[0], ws, v.val)
 			}
 		}
 	}
@@ -480,66 +481,90 @@ func TestReopenKeepsPinOnHashMismatch(t *testing.T) {
 // restore would resurrect. Unshipped, both are still on flash and older than
 // the checkpoint Reopen anchors on: they are pinned again with the operation
 // that staled each, which lies before the anchor, exactly as a replay from
-// genesis finds it. Either way the page reads zeroes after the restore.
+// genesis finds it. Expired, the server drops the first version after the
+// drain, so Reopen pins it again with nothing newer beside it on flash: the
+// overwrite that staled it lies before the cut, so it is not the page at the
+// cut. Every way the page reads zeroes at the cut and after the restore.
 func TestReopenLeavesTrimmedPageZero(t *testing.T) {
-	for _, drained := range []bool{true, false} {
-		e := newEnv(t, testConfig())
-		const lpn = 5
-		at := simclock.Time(0)
-		var err error
-		first := e.r.Log().NextSeq()
-		for _, b := range []byte{0xA1, 0xA2} {
-			if at, err = e.r.Write(lpn, fill(b, 512), at); err != nil {
+	for _, variant := range []string{"drained", "unshipped", "expired"} {
+		t.Run(variant, func(t *testing.T) {
+			e := newEnv(t, testConfig())
+			const lpn = 5
+			at := simclock.Time(0)
+			var err error
+			// ship commits the log, with or without the pages it staled.
+			ship := func() {
+				t.Helper()
+				if variant != "unshipped" {
+					at, err = e.r.OffloadNow(at)
+				} else if at, err = e.r.stage(nil, at); err == nil {
+					at = e.r.drainOffload(at)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := e.r.Log().NextSeq()
+			for _, b := range []byte{0xA1, 0xA2} {
+				if at, err = e.r.Write(lpn, fill(b, 512), at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ship() // the first version's segment holds no other version of lpn
+			if at, err = e.r.Trim(lpn, at); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if at, err = e.r.Trim(lpn, at); err != nil {
-			t.Fatal(err)
-		}
-		// ship commits the log, with or without the pages it staled.
-		ship := func() {
-			t.Helper()
-			if drained {
-				at, err = e.r.OffloadNow(at)
-			} else if at, err = e.r.stage(nil, at); err == nil {
-				at = e.r.drainOffload(at)
-			}
-			if err != nil {
+			ship()
+			if at, err = e.r.CheckpointNow(at); err != nil {
 				t.Fatal(err)
 			}
-		}
-		ship()
-		if at, err = e.r.CheckpointNow(at); err != nil {
-			t.Fatal(err)
-		}
-		sc := &cutScenario{e: e, cut: e.r.Log().NextSeq(), want: map[uint64]byte{}}
-		if at, err = e.r.Write(0, fill(0xEE, 512), at); err != nil {
-			t.Fatal(err)
-		}
-		ship()
-		sc.at = at
-		r2, dial := powerCycle(t, e)
+			sc := &cutScenario{e: e, cut: e.r.Log().NextSeq(), want: map[uint64]byte{}}
+			if at, err = e.r.Write(0, fill(0xEE, 512), at); err != nil {
+				t.Fatal(err)
+			}
+			ship()
+			if variant == "expired" {
+				expired := false
+				for i := 0; i < e.store.DeviceStats(1).Segments && !expired; i++ {
+					seg, err := e.store.FetchSegment(1, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range seg.Pages {
+						expired = expired || p.WriteSeq == first
+					}
+					if expired {
+						if err := e.store.DropSegmentPages(1, i); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !expired || heldSet(e.store, 1)[[2]uint64{lpn, first}] || !heldSet(e.store, 1)[[2]uint64{lpn, first + 1}] {
+					t.Fatal("the first version's segment was not expired alone: the test vehicle lost its teeth")
+				}
+			}
+			sc.at = at
+			r2, dial := powerCycle(t, e)
 
-		vs := r2.RetainedVersions(lpn)
-		if drained {
-			if st := r2.Stats(); st.ReopenHeld != 2 {
-				t.Fatalf("held %d stale pages, want both old versions of lpn %d", st.ReopenHeld, lpn)
+			overwritten := VersionInfo{LPN: lpn, WriteSeq: first, StaleSeq: first + 1, Cause: ftl.CauseOverwrite, Local: true}
+			trimmed := VersionInfo{LPN: lpn, WriteSeq: first + 1, StaleSeq: first + 2, Cause: ftl.CauseTrim, Local: true}
+			wantHeld, wantPins := uint64(2), []VersionInfo(nil)
+			switch variant {
+			case "unshipped":
+				wantHeld, wantPins = 0, []VersionInfo{overwritten, trimmed}
+			case "expired":
+				wantHeld, wantPins = 1, []VersionInfo{overwritten}
 			}
-			if len(vs) != 0 {
-				t.Fatalf("lpn %d re-pinned after a full drain: %+v", lpn, vs)
+			if st := r2.Stats(); st.ReopenHeld != wantHeld {
+				t.Fatalf("held %d stale pages of lpn %d, want %d", st.ReopenHeld, lpn, wantHeld)
 			}
-		} else {
-			want := []VersionInfo{
-				{LPN: lpn, WriteSeq: first, StaleSeq: first + 1, Cause: ftl.CauseOverwrite, Local: true},
-				{LPN: lpn, WriteSeq: first + 1, StaleSeq: first + 2, Cause: ftl.CauseTrim, Local: true},
+			if vs := r2.RetainedVersions(lpn); !slices.Equal(vs, wantPins) {
+				t.Fatalf("versions of lpn %d re-pinned as %+v, want %+v", lpn, vs, wantPins)
 			}
-			if len(vs) != 2 || vs[0] != want[0] || vs[1] != want[1] {
-				t.Fatalf("unshipped versions of lpn %d re-pinned as %+v, want %+v", lpn, vs, want)
+			if data, ws, err := r2.VersionBefore(lpn, sc.cut, at); err != nil || ws != NoSeq || !bytes.Equal(data, make([]byte, 512)) {
+				t.Fatalf("lpn %d before the cut: write %d err=%v, want the trim gap's zeroes", lpn, ws, err)
 			}
-			if data, _, ok, err := r2.VersionBefore(lpn, sc.cut, at); err != nil || !ok || !bytes.Equal(data, make([]byte, 512)) {
-				t.Fatalf("lpn %d before the cut: ok=%v err=%v, want the trim gap's zeroes", lpn, ok, err)
-			}
-		}
-		sc.restoreIdentical(t, r2, dial)
+			sc.restoreIdentical(t, r2, dial)
+		})
 	}
 }

@@ -159,11 +159,12 @@ type pageVersion struct {
 // map replay. Each seeded history writes, overwrites, trims and checkpoints
 // 120 LPNs, takes a cut at a random point, and goes on damaging the image —
 // overwrites, trims, and writes to pages that were zeroes at the cut, so
-// zeroings interleave the rollback. Half the histories restore after a drain
-// and a power cycle (every version off the stream), half on the running
-// device: local pins beside streamed records, past the offload watermark, so
-// the restore's own churn ships pins of LPNs its cursor has not reached while
-// it runs. Seeds 1-24 roll back every LPN; seeds 25-48 a random ascending set
+// zeroings interleave the rollback. Half the histories restore after a drain,
+// the expiry of every stored segment the cut does not need and a power cycle
+// (every version off the stream but those Reopen pins again), half on the
+// running device: local pins beside streamed records, past the offload
+// watermark, so the restore's own churn ships pins of LPNs its cursor has not
+// reached while it runs. Seeds 1-24 roll back every LPN; seeds 25-48 a random ascending set
 // of victims, as a forensic window restore does. Then, chunk size random:
 // every page in scope reads what the map held at the cut and every other page
 // what it held before the restore; the report's counts are the per-LPN
@@ -173,7 +174,7 @@ type pageVersion struct {
 // one submission share one arrival time.
 func TestRestoreImageMatchesMapReplay(t *testing.T) {
 	const lpns = 120
-	zeroed, pinned, outOfScope := 0, 0, 0
+	zeroed, pinned, outOfScope, expired := 0, 0, 0, 0
 	for seed := int64(1); seed <= 48; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := oracleConfig()
@@ -226,6 +227,22 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 		if !live {
 			if at, err = r.OffloadNow(at); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
+			}
+			// Retention expiry: the server drops every segment whose versions
+			// were all superseded before the cut, which the image at the cut
+			// does not need. Reopen pins again those still on flash.
+			for i := 0; i < e.store.DeviceStats(cfg.DeviceID).Segments; i++ {
+				seg, err := e.store.FetchSegment(cfg.DeviceID, i)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if len(seg.Pages) == 0 || slices.ContainsFunc(seg.Pages, func(p oplog.PageRecord) bool { return p.StaleSeq >= cut }) {
+					continue
+				}
+				if err := e.store.DropSegmentPages(cfg.DeviceID, i); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				expired++
 			}
 			r, _ = powerCycle(t, e)
 			if at, err = r.OffloadNow(at); err != nil {
@@ -331,7 +348,8 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 		}
 		r.Close()
 	}
-	if zeroed == 0 || pinned == 0 || outOfScope == 0 {
-		t.Fatalf("%d zeroings, %d local pins, %d pages out of scope across the histories: the test vehicle lost its teeth", zeroed, pinned, outOfScope)
+	t.Logf("%d zeroings, %d local pins, %d pages out of scope, %d segments expired", zeroed, pinned, outOfScope, expired)
+	if zeroed == 0 || pinned == 0 || outOfScope == 0 || expired == 0 {
+		t.Fatalf("%d zeroings, %d local pins, %d pages out of scope, %d segments expired across the histories: the test vehicle lost its teeth", zeroed, pinned, outOfScope, expired)
 	}
 }

@@ -102,7 +102,7 @@ func TestInputValidation(t *testing.T) {
 	if _, err := e.r.Trim(1<<40, 0); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, _, err := e.r.VersionBefore(1<<40, 1, 0); !errors.Is(err, ftl.ErrOutOfRange) {
+	if _, _, err := e.r.VersionBefore(1<<40, 1, 0); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -150,9 +150,9 @@ func TestOverwriteRetainsOldVersion(t *testing.T) {
 		t.Fatalf("version = %+v", vs[0])
 	}
 	// The old content is readable as the pre-overwrite version.
-	data, _, ok, err := e.r.VersionBefore(5, 1, at)
-	if err != nil || !ok || data[0] != 0xAA {
-		t.Fatalf("version before overwrite: %v %v %v", data[0], ok, err)
+	data, ws, err := e.r.VersionBefore(5, 1, at)
+	if err != nil || ws != 0 || data[0] != 0xAA {
+		t.Fatalf("version before overwrite: %v write %d %v", data[0], ws, err)
 	}
 }
 
@@ -166,14 +166,14 @@ func TestEnhancedTrimRetainsData(t *testing.T) {
 		t.Fatalf("trimmed version = %+v", vs)
 	}
 	// Pre-trim content is recoverable.
-	data, _, ok, err := e.r.VersionBefore(2, 1, at)
-	if err != nil || !ok || data[0] != 0xCC {
-		t.Fatalf("pre-trim version: %v %v %v", data, ok, err)
+	data, ws, err := e.r.VersionBefore(2, 1, at)
+	if err != nil || ws != 0 || data[0] != 0xCC {
+		t.Fatalf("pre-trim version: %v write %d %v", data, ws, err)
 	}
 	// Post-trim state reads as zeroes.
-	data, _, ok, err = e.r.VersionBefore(2, 2, at)
-	if err != nil || !ok || data[0] != 0 {
-		t.Fatalf("post-trim version: %v %v %v", data, ok, err)
+	data, ws, err = e.r.VersionBefore(2, 2, at)
+	if err != nil || ws != NoSeq || data[0] != 0 {
+		t.Fatalf("post-trim version: %v write %d %v", data, ws, err)
 	}
 }
 
@@ -285,12 +285,12 @@ func TestZeroDataLossUnderChurn(t *testing.T) {
 		}
 		pick := rng.Intn(len(vs))
 		before := vs[pick].seq + 1 // just after that write
-		data, _, ok, err := e.r.VersionBefore(lpn, before, at)
+		data, ws, err := e.r.VersionBefore(lpn, before, at)
 		if err != nil {
 			t.Fatalf("VersionBefore(%d, %d): %v", lpn, before, err)
 		}
-		if !ok || data[0] != vs[pick].data {
-			t.Fatalf("version (%d,%d) = %v,%v want %d", lpn, before, data[0], ok, vs[pick].data)
+		if ws != vs[pick].seq || data[0] != vs[pick].data {
+			t.Fatalf("version (%d,%d) = %v of write %d, want %d of write %d", lpn, before, data[0], ws, vs[pick].data, vs[pick].seq)
 		}
 	}
 }
@@ -356,9 +356,9 @@ func TestGCAttackResistance(t *testing.T) {
 			}
 		}
 	}
-	data, _, ok, err := e.r.VersionBefore(7, victimSeq, at)
-	if err != nil || !ok || !bytes.Equal(data, victim) {
-		t.Fatalf("victim data lost to GC attack: ok=%v err=%v", ok, err)
+	data, ws, err := e.r.VersionBefore(7, victimSeq, at)
+	if err != nil || ws != 0 || !bytes.Equal(data, victim) {
+		t.Fatalf("victim data lost to GC attack: write %d err=%v", ws, err)
 	}
 }
 
@@ -423,11 +423,11 @@ func TestRestoreTrim(t *testing.T) {
 
 func TestReadVersionNeverWritten(t *testing.T) {
 	e := newEnv(t, testConfig())
-	data, _, ok, err := e.r.VersionBefore(9, 100, 0)
+	data, ws, err := e.r.VersionBefore(9, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if ws != NoSeq {
 		t.Fatal("unwritten page reported a version")
 	}
 	if !bytes.Equal(data, make([]byte, 512)) {
@@ -450,7 +450,7 @@ func TestTrimThenRewriteVersioning(t *testing.T) {
 		{3, 0x22}, // after rewrite
 	}
 	for _, c := range cases {
-		data, _, _, err := e.r.VersionBefore(1, c.before, at)
+		data, _, err := e.r.VersionBefore(1, c.before, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,9 +471,9 @@ func TestVersionsSurviveOffload(t *testing.T) {
 	if len(e.r.RetainedVersions(3)) != 0 {
 		t.Fatal("local pins remain after drain")
 	}
-	data, _, ok, err := e.r.VersionBefore(3, 1, at)
-	if err != nil || !ok || data[0] != 0x77 {
-		t.Fatalf("offloaded version: %v %v %v", data, ok, err)
+	data, ws, err := e.r.VersionBefore(3, 1, at)
+	if err != nil || ws != 0 || data[0] != 0x77 {
+		t.Fatalf("offloaded version: %v write %d %v", data, ws, err)
 	}
 }
 
