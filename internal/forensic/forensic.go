@@ -151,10 +151,9 @@ func (w Window) String() string {
 		w.StartSeq, w.EndSeq, w.StartTime, w.EndTime, w.SuspiciousOps, w.EncryptWrites, w.MaliciousTrims, len(w.Victims))
 }
 
-// AttackWindow scans the timeline for ransomware-patterned operations and
-// returns the bounding window and victim set. alertSeq anchors the search:
-// only activity at or before the alert plus its continuation is
-// considered (recovery actions after the alert are ignored by kind).
+// AttackWindow scans the whole timeline for ransomware-patterned operations
+// and returns the bounding window and victim set. Recovery actions are
+// ignored by kind. alertSeq is not read: the scan does not start at the alert.
 func (a *Analyzer) AttackWindow(ev *Evidence, alertSeq uint64) (Window, error) {
 	type mark struct {
 		idx  int
@@ -230,7 +229,6 @@ func (a *Analyzer) AttackWindow(ev *Evidence, alertSeq uint64) (Window, error) {
 		w.Victims = append(w.Victims, lpn)
 	}
 	sort.Slice(w.Victims, func(i, j int) bool { return w.Victims[i] < w.Victims[j] })
-	_ = alertSeq
 	return w, nil
 }
 

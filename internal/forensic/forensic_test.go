@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/host"
@@ -273,8 +274,9 @@ func TestEvidenceSurvivesHostCompromise(t *testing.T) {
 
 // hostileClient is a session with a server that announces head and answers a
 // FetchEntries request with whatever entries returns for it — each reply an
-// honest marshal, so every batch arrives as a verified chain.
-func hostileClient(t *testing.T, head nvmeoe.Head, entries func(from, to uint64) []oplog.Entry) *remote.Client {
+// honest marshal in the given codec, so every batch arrives as a verified
+// chain. The deflated replies are deflated whatever that saves.
+func hostileClient(t *testing.T, codec nvmeoe.Codec, head nvmeoe.Head, entries func(from, to uint64) []oplog.Entry) *remote.Client {
 	t.Helper()
 	dc, sc := net.Pipe()
 	go func() {
@@ -295,8 +297,16 @@ func hostileClient(t *testing.T, head nvmeoe.Head, entries func(from, to uint64)
 			}
 			reply := head.Marshal()
 			if req.Kind == nvmeoe.FetchEntries {
-				seg := &oplog.Segment{DeviceID: dev, Entries: entries(req.From, req.To)}
-				reply = nvmeoe.EncodeSegmentBlob(seg.Marshal())
+				raw := (&oplog.Segment{DeviceID: dev, Entries: entries(req.From, req.To)}).Marshal()
+				reply = nvmeoe.AppendStoredHeader(nil, len(raw))
+				if codec == nvmeoe.CodecStored {
+					reply = append(reply, raw...)
+				} else {
+					d := bufpool.GetDeflater()
+					reply, _ = d.Append(reply, raw) // the error is always nil
+					d.Release()
+					reply[4] = byte(codec) // the header's codec byte
+				}
 			}
 			if conn.WriteMsg(nvmeoe.MsgFetchResp, reply) != nil {
 				return
@@ -375,20 +385,22 @@ func TestTimelineLocatesTheBreak(t *testing.T) {
 		// device's own seal on the first local entry does not.
 		{"forged prefix", head.NextSeq, func(from, to uint64) []oplog.Entry { return forged[from:to] }, int(head.NextSeq)},
 	} {
-		cl := hostileClient(t, nvmeoe.Head{NextSeq: tc.head}, tc.entries)
-		ev, err := NewAnalyzer(r.dev, cl).Timeline()
-		if tc.brokenAt < 0 {
-			if err != nil || !ev.ChainIntact || uint64(len(ev.Entries)) != r.dev.Log().NextSeq() {
-				t.Fatalf("%s: %v", tc.name, err)
+		for _, codec := range []nvmeoe.Codec{nvmeoe.CodecStored, nvmeoe.CodecDeflate} {
+			cl := hostileClient(t, codec, nvmeoe.Head{NextSeq: tc.head}, tc.entries)
+			ev, err := NewAnalyzer(r.dev, cl).Timeline()
+			if tc.brokenAt < 0 {
+				if err != nil || !ev.ChainIntact || uint64(len(ev.Entries)) != r.dev.Log().NextSeq() {
+					t.Fatalf("%s, %v: %v", tc.name, codec, err)
+				}
+				continue
 			}
-			continue
-		}
-		if !errors.Is(err, ErrChainBroken) || ev == nil || ev.ChainIntact || ev.BrokenAt != tc.brokenAt {
-			t.Fatalf("%s: err=%v, evidence %+v, want ErrChainBroken at %d", tc.name, err, ev != nil && ev.ChainIntact, tc.brokenAt)
-		}
-		if len(ev.Entries) <= ev.BrokenAt || ev.RemoteEntries+ev.LocalEntries != len(ev.Entries) {
-			t.Fatalf("%s: partial evidence of %d entries (%d remote, %d local) does not reach the break at %d",
-				tc.name, len(ev.Entries), ev.RemoteEntries, ev.LocalEntries, ev.BrokenAt)
+			if !errors.Is(err, ErrChainBroken) || ev == nil || ev.ChainIntact || ev.BrokenAt != tc.brokenAt {
+				t.Fatalf("%s, %v: err=%v, evidence %+v, want ErrChainBroken at %d", tc.name, codec, err, ev != nil && ev.ChainIntact, tc.brokenAt)
+			}
+			if len(ev.Entries) <= ev.BrokenAt || ev.RemoteEntries+ev.LocalEntries != len(ev.Entries) {
+				t.Fatalf("%s, %v: partial evidence of %d entries (%d remote, %d local) does not reach the break at %d",
+					tc.name, codec, len(ev.Entries), ev.RemoteEntries, ev.LocalEntries, ev.BrokenAt)
+			}
 		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 // persists — carry their own codec header, so the same encoded bytes travel
 // the NVMe-oE wire and land in the object store unchanged: compressed on
 // the wire IS compressed at rest, and the server never re-compresses. The
-// header is mandatory: a payload without it does not decode.
+// header is mandatory: a payload without it does not decode. Only bytes kept
+// at rest (segment blobs) or priced on the link (image-stream chunks) deflate:
+// a fetch reply is stored (AppendStoredHeader), and its header keeps the frame
+// layer from deflating it either. A decoder accepts both codecs from anyone.
 
 // Codec identifies how a segment blob's payload is encoded.
 type Codec uint8
@@ -26,11 +29,11 @@ type Codec uint8
 const (
 	// CodecDeflate stores the segment marshal DEFLATE-compressed.
 	CodecDeflate Codec = 1
-	// CodecStored stores the segment marshal verbatim: the stored-block
-	// fast path for barely-compressible pages. The encoder picks it when
-	// deflate saves less than 1/16th of the raw size — at that ratio the
-	// wire win cannot pay for inflating on every ingest, restore, and
-	// recovery read, so decode becomes a pure copy instead.
+	// CodecStored stores the segment marshal verbatim, and DecodeSegmentBlob
+	// hands it back in place. The encoder picks it when deflate saves less
+	// than 1/16th of the raw size — at that ratio the wire win cannot pay
+	// for inflating on every ingest, restore, and recovery read — and every
+	// fetch reply is stored (AppendStoredHeader).
 	CodecStored Codec = 2
 )
 
@@ -76,20 +79,24 @@ func EncodeSegmentBlob(raw []byte) []byte {
 // BlobOverhead+len(raw) it allocates nothing.
 func AppendSegmentBlob(dst, raw []byte) []byte {
 	base := len(dst)
-	var hdr [blobHeaderSize]byte
-	dst = append(dst, hdr[:]...)
-	codec := CodecDeflate
+	dst = AppendStoredHeader(dst, len(raw))
 	out, ok := AppendDeflate(dst, raw)
 	if !ok || len(raw)-(len(out)-len(dst)) < len(raw)>>storedSavingShift {
 		// Deflate failed to shrink, or shrank by less than 1/16th: take the
 		// stored fast path so every downstream decode is a straight copy.
-		codec = CodecStored
-		out = append(dst, raw...)
+		return append(dst, raw...)
 	}
-	binary.LittleEndian.PutUint32(out[base:], blobMagic)
-	out[base+4] = byte(codec)
-	binary.LittleEndian.PutUint32(out[base+5:], uint32(len(raw)))
+	out[base+4] = byte(CodecDeflate)
 	return out
+}
+
+// AppendStoredHeader appends the codec header of a stored blob whose marshal
+// is rawLen bytes; the caller appends exactly that marshal behind it. A fetch
+// reply is marshaled this way, once, into the buffer it is framed from.
+func AppendStoredHeader(dst []byte, rawLen int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, blobMagic)
+	dst = append(dst, byte(CodecStored))
+	return binary.LittleEndian.AppendUint32(dst, uint32(rawLen))
 }
 
 // DecodeSegmentBlob returns the marshaled segment inside blob, inflating
@@ -177,13 +184,7 @@ func IsSegmentBlob(b []byte) bool {
 }
 
 // Deflate compresses p, reporting false when compression does not shrink it.
-func Deflate(p []byte) ([]byte, bool) {
-	out, ok := AppendDeflate(nil, p)
-	if !ok {
-		return nil, false
-	}
-	return out, true
-}
+func Deflate(p []byte) ([]byte, bool) { return AppendDeflate(nil, p) }
 
 // AppendDeflate appends the DEFLATE compression of p to dst, reporting
 // false — with dst returned unchanged — when compression does not shrink p.

@@ -40,11 +40,9 @@ const (
 
 // FetchReq is a retrieval request issued during recovery or forensics.
 // For FetchImageStream, From and To bound logical page numbers rather than
-// log sequences. No kind reads LPN; the field keeps the message at its one
-// size.
+// log sequences.
 type FetchReq struct {
 	Kind       FetchKind
-	LPN        uint64
 	From       uint64
 	To         uint64
 	Before     uint64
@@ -94,13 +92,12 @@ func ChunkPagesForQuantum(pageSize int) uint32 {
 // ErrBadMessage reports a payload that does not decode.
 var ErrBadMessage = errors.New("nvmeoe: malformed message payload")
 
-const fetchReqSize = 1 + 4*8 + 4 + 8 + 1
+const fetchReqSize = 1 + 3*8 + 4 + 8 + 1
 
 // Marshal encodes the request.
 func (r *FetchReq) Marshal() []byte {
 	b := make([]byte, 0, fetchReqSize)
 	b = append(b, byte(r.Kind))
-	b = binary.LittleEndian.AppendUint64(b, r.LPN)
 	b = binary.LittleEndian.AppendUint64(b, r.From)
 	b = binary.LittleEndian.AppendUint64(b, r.To)
 	b = binary.LittleEndian.AppendUint64(b, r.Before)
@@ -117,13 +114,12 @@ func UnmarshalFetchReq(b []byte) (FetchReq, error) {
 	}
 	return FetchReq{
 		Kind:       FetchKind(b[0]),
-		LPN:        binary.LittleEndian.Uint64(b[1:]),
-		From:       binary.LittleEndian.Uint64(b[9:]),
-		To:         binary.LittleEndian.Uint64(b[17:]),
-		Before:     binary.LittleEndian.Uint64(b[25:]),
-		ChunkPages: binary.LittleEndian.Uint32(b[33:]),
-		Anchor:     binary.LittleEndian.Uint64(b[37:]),
-		Flags:      b[45],
+		From:       binary.LittleEndian.Uint64(b[1:]),
+		To:         binary.LittleEndian.Uint64(b[9:]),
+		Before:     binary.LittleEndian.Uint64(b[17:]),
+		ChunkPages: binary.LittleEndian.Uint32(b[25:]),
+		Anchor:     binary.LittleEndian.Uint64(b[29:]),
+		Flags:      b[37],
 	}, nil
 }
 
@@ -198,8 +194,13 @@ type Checkpoint struct {
 }
 
 // Marshal encodes the checkpoint.
-func (c *Checkpoint) Marshal() []byte {
-	b := make([]byte, 0, 16+8*len(c.WriteSeqs))
+func (c *Checkpoint) Marshal() []byte { return c.AppendMarshal(make([]byte, 0, c.MarshaledSize())) }
+
+// MarshaledSize is the length of the checkpoint's marshal.
+func (c *Checkpoint) MarshaledSize() int { return 16 + 8*len(c.WriteSeqs) }
+
+// AppendMarshal is Marshal appending to b.
+func (c *Checkpoint) AppendMarshal(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, c.Seq)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.WriteSeqs)))
 	for _, v := range c.WriteSeqs {

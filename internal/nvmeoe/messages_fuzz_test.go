@@ -16,7 +16,7 @@ var messageDecoders = []struct {
 	size   int
 	decode func(b []byte) ([]byte, error)
 }{
-	{"FetchReq", 46, func(b []byte) ([]byte, error) { m, err := UnmarshalFetchReq(b); return m.Marshal(), err }},
+	{"FetchReq", 38, func(b []byte) ([]byte, error) { m, err := UnmarshalFetchReq(b); return m.Marshal(), err }},
 	{"Ack", 16, func(b []byte) ([]byte, error) { m, err := UnmarshalAck(b); return m.Marshal(), err }},
 	{"StreamEnd", 24, func(b []byte) ([]byte, error) { m, err := UnmarshalStreamEnd(b); return m.Marshal(), err }},
 	{"Head", 40, func(b []byte) ([]byte, error) { m, err := UnmarshalHead(b); return m.Marshal(), err }},
@@ -24,9 +24,9 @@ var messageDecoders = []struct {
 	{"ErrorMsg", 0, func(b []byte) ([]byte, error) { m, err := UnmarshalErrorMsg(b); return m.Marshal(), err }},
 }
 
-// retiredSizes are the lengths earlier encodings of FetchReq (33, 37) and Ack
-// (8) had. Nothing produces them; every decoder refuses them.
-var retiredSizes = []int{33, 37, 8}
+// retiredSizes are the lengths earlier encodings of FetchReq (33, 37, 46) and
+// Ack (8) had. Nothing produces them; every decoder refuses them.
+var retiredSizes = []int{33, 37, 46, 8}
 
 // checkpointClaiming is a checkpoint header claiming n entries over a body
 // of the given length.
@@ -103,7 +103,7 @@ func FuzzMessage(f *testing.F) {
 			f.Add(byte(sel), append(b[:len(b):len(b)], 0))
 		}
 		for _, n := range retiredSizes {
-			f.Add(byte(sel), valid[0][:n])
+			f.Add(byte(sel), append(valid[0][:len(valid[0]):len(valid[0])], make([]byte, n)...)[:n])
 		}
 		f.Add(byte(sel), checkpointClaiming(1<<61, 0))
 		f.Add(byte(sel), checkpointClaiming(1<<20, 64))

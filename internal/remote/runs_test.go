@@ -157,8 +157,10 @@ func TestAppendSegmentKeepsItsOwnEntries(t *testing.T) {
 // TestFetchEntriesSteadyStateAllocs: a warmed AppendEntries into a slice with
 // room allocates the same two objects for 512 entries as for 4096 — the
 // payload ReadMsg returns on each side, the request at the server and the
-// reply at the client — and the server builds each reply in pool buffers it
-// gives back.
+// reply at the client — and the server builds each reply in a pool buffer it
+// gives back. The reply is the stored marshal, so the client reads exactly the
+// frame around BlobOverhead plus the marshal: a deflated reply is a
+// different size.
 func TestFetchEntriesSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -172,7 +174,8 @@ func TestFetchEntriesSteadyStateAllocs(t *testing.T) {
 	defer srv.Close()
 	dc, sc := net.Pipe()
 	go srv.HandleConn(sc)
-	cl, err := Dial(dc, psk, 1)
+	wire := &countingConn{Conn: dc}
+	cl, err := Dial(wire, psk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,13 @@ func TestFetchEntriesSteadyStateAllocs(t *testing.T) {
 	// mid-measurement and empty the pool: a refill is the collector's
 	// allocation, not the fetch path's.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	fetch(n) // warm the pool classes and the session's scratch
+	const frameOverhead = 20 + 16 // an nvmeoe frame's header and GCM tag
+	before := wire.read.Load()
+	fetch(n) // also warms the pool classes and the session's scratch
+	marshal := (&oplog.Segment{DeviceID: 1, Entries: dst}).MarshaledSize()
+	if got, want := wire.read.Load()-before, int64(frameOverhead+nvmeoe.BlobOverhead+marshal); got != want {
+		t.Errorf("a %d-entry reply is %d wire bytes, want %d: the stored marshal in one frame", n, got, want)
+	}
 	base := settled()
 	few := testing.AllocsPerRun(20, func() { fetch(512) })
 	many := testing.AllocsPerRun(20, func() { fetch(n) })

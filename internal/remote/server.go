@@ -363,14 +363,21 @@ func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 }
 
 // serveFetch answers one retrieval request. Every reply that carries a
-// segment marshal (entries, versions, held listings, checkpoints, restore
-// chunks) is wrapped in the segment codec. Head replies stay bare: 40
-// bytes gains nothing from a 9-byte codec header.
+// segment marshal is wrapped in the segment codec: restore chunks deflated,
+// because the link prices them, and entries, held listings and checkpoints
+// stored (nvmeoe's codec rule). Head replies stay bare: 40 bytes gains
+// nothing from a 9-byte codec header.
 func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	deviceID := ss.deviceID
 	switch req.Kind {
 	case nvmeoe.FetchEntries:
-		return s.serveEntries(ss, req)
+		ss.runs = s.Store.appendRuns(ss.runs[:0], deviceID, req.From, req.To)
+		seg := oplog.Segment{DeviceID: deviceID}
+		err := ss.writeStored(seg.MarshaledSizeRuns(ss.runs...), func(b []byte) []byte {
+			return seg.AppendMarshalRuns(b, ss.runs...)
+		})
+		clear(ss.runs)
+		return err
 	case nvmeoe.FetchImageStream:
 		return s.serveImageStream(ss, req)
 	case nvmeoe.FetchCheckpoint:
@@ -378,30 +385,25 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 		if !ok {
 			return ss.sendErr(CodeNotFound, errors.New("no checkpoint"))
 		}
-		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(cp.Marshal()))
+		return ss.writeStored(cp.MarshaledSize(), cp.AppendMarshal)
 	case nvmeoe.FetchHead:
 		h := s.Store.Head(deviceID)
 		return ss.writeMsg(nvmeoe.MsgFetchResp, h.Marshal())
 	case nvmeoe.FetchHeld:
-		seg := &oplog.Segment{DeviceID: deviceID, Pages: s.Store.HeldVersions(deviceID)}
-		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
+		seg := oplog.Segment{DeviceID: deviceID, Pages: s.Store.HeldVersions(deviceID)}
+		return ss.writeStored(seg.MarshaledSize(), seg.AppendMarshal)
 	default:
 		return ss.sendErr(CodeBadData, fmt.Errorf("unknown fetch kind %d", req.Kind))
 	}
 }
 
-// serveEntries answers FetchEntries from the store's runs, marshaled and
-// codec-framed in two pooled buffers as core.encodeStaged does. The reply is
-// byte for byte the frame of a Segment whose Entries are Store.Entries(…).
-func (s *Server) serveEntries(ss *session, req nvmeoe.FetchReq) error {
-	ss.runs = s.Store.appendRuns(ss.runs[:0], ss.deviceID, req.From, req.To)
-	seg := oplog.Segment{DeviceID: ss.deviceID}
-	raw := bufpool.Get(seg.MarshaledSizeRuns(ss.runs...))
-	raw.B = seg.AppendMarshalRuns(raw.B, ss.runs...)
-	clear(ss.runs)
-	blob := bufpool.Get(nvmeoe.BlobOverhead + len(raw.B))
-	blob.B = nvmeoe.AppendSegmentBlob(blob.B, raw.B)
-	raw.Release()
+// writeStored answers a fetch with a stored blob: marshal appends its size
+// bytes straight behind the codec header, in the one pooled buffer the frame
+// is sealed from. An entries reply is byte for byte the stored blob of a
+// Segment whose Entries are Store.Entries(…).
+func (ss *session) writeStored(size int, marshal func([]byte) []byte) error {
+	blob := bufpool.Get(nvmeoe.BlobOverhead + size)
+	blob.B = marshal(nvmeoe.AppendStoredHeader(blob.B, size))
 	err := ss.writeMsg(nvmeoe.MsgFetchResp, blob.B)
 	blob.Release()
 	return err
@@ -605,18 +607,16 @@ func (c *Client) FetchEntries(from, to uint64) ([]oplog.Entry, error) {
 	return c.AppendEntries(nil, from, to)
 }
 
-// AppendEntries is FetchEntries appending to dst (oplog.AppendSegmentEntries),
-// the reply decoded through a pooled buffer; on error dst is returned as it
-// was.
+// AppendEntries is FetchEntries appending to dst (oplog.AppendSegmentEntries);
+// on error dst is returned as it was. A stored reply, what this package's
+// server sends, is decoded in place from the frame payload.
 func (c *Client) AppendEntries(dst []oplog.Entry, from, to uint64) ([]oplog.Entry, error) {
 	req := nvmeoe.FetchReq{Kind: nvmeoe.FetchEntries, From: from, To: to}
 	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
 	if err != nil {
 		return dst, err
 	}
-	buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(body))
-	defer buf.Release()
-	raw, err := nvmeoe.AppendDecodeSegmentBlob(buf.B, body)
+	raw, err := nvmeoe.DecodeSegmentBlob(body)
 	if err != nil {
 		return dst, err
 	}
@@ -759,8 +759,8 @@ func (c *Client) FetchCheckpoint(before uint64) (nvmeoe.Checkpoint, bool, error)
 
 // FetchHeld retrieves the identity — LPN, WriteSeq, StaleSeq, Cause, Hash,
 // no payload — of every page version the server holds for this device. One
-// reply carries the whole listing at 61 bytes per version before the codec,
-// so a single frame covers about a million versions.
+// stored reply carries the whole listing at 61 bytes per version, so a single
+// frame covers about a million versions.
 func (c *Client) FetchHeld() ([]oplog.PageRecord, error) {
 	req := nvmeoe.FetchReq{Kind: nvmeoe.FetchHeld}
 	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/simclock"
@@ -256,10 +257,24 @@ func TestTamperMatrixIngestAndReload(t *testing.T) {
 	}
 }
 
+// blobAs wraps raw in the given codec whatever it saves: stored, as an honest
+// server answers a fetch, or deflated, as another server may.
+func blobAs(codec nvmeoe.Codec, raw []byte) []byte {
+	blob := nvmeoe.AppendStoredHeader(nil, len(raw))
+	if codec == nvmeoe.CodecStored {
+		return append(blob, raw...)
+	}
+	d := bufpool.GetDeflater()
+	defer d.Release()
+	blob, _ = d.Append(blob, raw) // the error is always nil
+	blob[4] = byte(codec)         // the header's codec byte
+	return blob
+}
+
 // scriptedServer answers one device session's fetches with whatever reply
-// returns for them, codec-framed: the hostile (or broken) server a client
+// returns for them, wrapped in codec: the hostile (or broken) server a client
 // must not believe.
-func scriptedServer(t *testing.T, reply func(req nvmeoe.FetchReq) []byte) *Client {
+func scriptedServer(t *testing.T, codec nvmeoe.Codec, reply func(req nvmeoe.FetchReq) []byte) *Client {
 	t.Helper()
 	dc, sc := net.Pipe()
 	go func() {
@@ -278,7 +293,7 @@ func scriptedServer(t *testing.T, reply func(req nvmeoe.FetchReq) []byte) *Clien
 			if err != nil {
 				return
 			}
-			if conn.WriteMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(reply(req))) != nil {
+			if conn.WriteMsg(nvmeoe.MsgFetchResp, blobAs(codec, reply(req))) != nil {
 				return
 			}
 		}
@@ -297,6 +312,8 @@ func scriptedServer(t *testing.T, reply func(req nvmeoe.FetchReq) []byte) *Clien
 // those come back starting at another sequence, or from another previous
 // hash, than the honest batch — what the caller holds against the batch
 // before and against what it already has (forensic.Timeline, core.Reopen).
+// Every row is served stored, which the client decodes from the frame payload
+// in place, and deflated.
 func TestTamperMatrixFetchEntries(t *testing.T) {
 	prefix, target := tamperChain(1, 42)
 	otherPrefix, _ := tamperChain(2, 43)
@@ -304,26 +321,28 @@ func TestTamperMatrixFetchEntries(t *testing.T) {
 	const split = 40
 	batches := [2][]oplog.Entry{chain[:split], chain[split:]}
 
-	var raw []byte
-	cl := scriptedServer(t, func(nvmeoe.FetchReq) []byte { return raw })
-	for b, entries := range batches {
-		good := (&oplog.Segment{DeviceID: 1, Entries: entries}).Marshal()
-		raw = good
-		got, err := cl.FetchEntries(entries[0].Seq, entries[0].Seq+uint64(len(entries)))
-		if err != nil || !reflect.DeepEqual(got, entries) {
-			t.Fatalf("batch %d, untampered: %d entries, err=%v", b, len(got), err)
-		}
-		foreign := otherPrefix.Entries[len(otherPrefix.Entries)-1].Hash
-		tamperMatrix(t, good, len(entries), 11, foreign, func(m mutant) {
-			raw = m.raw
+	for _, codec := range []nvmeoe.Codec{nvmeoe.CodecStored, nvmeoe.CodecDeflate} {
+		var raw []byte
+		cl := scriptedServer(t, codec, func(nvmeoe.FetchReq) []byte { return raw })
+		for b, entries := range batches {
+			good := (&oplog.Segment{DeviceID: 1, Entries: entries}).Marshal()
+			raw = good
 			got, err := cl.FetchEntries(entries[0].Seq, entries[0].Seq+uint64(len(entries)))
-			if err == nil && m.resealed && len(got) > 0 && oplog.VerifyChain(got, got[0].PrevHash) == nil &&
-				(got[0].PrevHash != entries[0].PrevHash || got[0].Seq != entries[0].Seq) {
-				return // a chain, but from somewhere else: the caller's compare
+			if err != nil || !reflect.DeepEqual(got, entries) {
+				t.Fatalf("%v batch %d, untampered: %d entries, err=%v", codec, b, len(got), err)
 			}
-			if err == nil || got != nil || !errors.Is(err, oplog.ErrBadSegment) {
-				t.Fatalf("batch %d, %s (resealed=%v): %d entries, err=%v, want none and ErrBadSegment", b, m.what, m.resealed, len(got), err)
-			}
-		})
+			foreign := otherPrefix.Entries[len(otherPrefix.Entries)-1].Hash
+			tamperMatrix(t, good, len(entries), 11, foreign, func(m mutant) {
+				raw = m.raw
+				got, err := cl.FetchEntries(entries[0].Seq, entries[0].Seq+uint64(len(entries)))
+				if err == nil && m.resealed && len(got) > 0 && oplog.VerifyChain(got, got[0].PrevHash) == nil &&
+					(got[0].PrevHash != entries[0].PrevHash || got[0].Seq != entries[0].Seq) {
+					return // a chain, but from somewhere else: the caller's compare
+				}
+				if err == nil || got != nil || !errors.Is(err, oplog.ErrBadSegment) {
+					t.Fatalf("%v batch %d, %s (resealed=%v): %d entries, err=%v, want none and ErrBadSegment", codec, b, m.what, m.resealed, len(got), err)
+				}
+			})
+		}
 	}
 }
