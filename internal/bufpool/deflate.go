@@ -15,17 +15,26 @@
 //     count of literal bytes before it; the writer reads those bytes from
 //     the input again. Both histograms are counted as tokens are emitted, so
 //     nothing walks the block a second time just to count it.
-//   - Code lengths come from one sort of packed freq<<9|sym words and an
-//     in-place two-queue merge; canonical codes are stored bit-reversed, next
-//     to their lengths, ready for an LSB-first accumulator.
+//   - Code lengths come from a counting sort of packed freq<<9|sym words and
+//     an in-place two-queue merge; canonical codes are stored bit-reversed,
+//     next to their lengths, ready for an LSB-first accumulator.
 //   - The exact size of a block is known before its first bit is written, so
 //     room in dst is checked once per block and the token loop stores eight
 //     bytes at a time without looking.
 //
+// One rule decides the blocks: a match-less literal run of at least 1 KiB
+// that no code could shrink by a sixteenth is a stored block of its own, so
+// that every decoder of the stream copies those bytes instead of decoding
+// them one code at a time. The run's collision entropy −log₂ Σ p², which no
+// code beats, is the test. The blocks between such runs are short and
+// mostly take the fixed-Huffman code, which costs no header; a lower bound
+// on the dynamic code's size skips building that code wherever the fixed
+// one cannot lose.
+//
 // The stream format is the decoder's (inflate.go shares the length and
-// distance tables and the code-length order): blocks of at most 65 535 input
-// bytes, each dynamic-Huffman unless storing it is within 1/16th as small,
-// the last one flagged final.
+// distance tables, the fixed code and the code-length order): blocks of at
+// most 65 535 input bytes, each stored, fixed- or dynamic-Huffman, the last
+// one flagged final.
 package bufpool
 
 import (
@@ -47,6 +56,12 @@ const (
 	// maxBlockBytes is the input one block covers: what a stored block's
 	// 16-bit LEN can carry, should the block turn out not to compress.
 	maxBlockBytes = 65535
+
+	// A match-less literal run of at least minRunBytes ends the block before
+	// it and is stored as a block of its own when, by the collision bound
+	// storeRun tests, no code could shrink it by a sixteenth.
+	minRunBytes     = 1 << 10
+	storeCollisions = 182
 
 	// The search stops inputMargin bytes short of the block's end so that its
 	// eight-byte loads stay inside the block; shorter blocks are all literals.
@@ -121,7 +136,8 @@ type Deflater struct {
 	clenCode [numCodeLens]uint32
 
 	// Code lengths: literal/length symbols first, the distance symbols moved
-	// up behind the last one in use when the header is written.
+	// up behind the last one in use when the header is written. Before
+	// that, dynamicBound marks the symbols in use here.
 	lens     [numLitSyms + numDistSyms]uint8
 	distLens [numDistSyms]uint8
 	clenLens [numCodeLens]uint8
@@ -129,6 +145,8 @@ type Deflater struct {
 	// extra bits of 16, 17 and 18 above it.
 	runs  [numLitSyms + numDistSyms]uint16
 	nruns int
+	// How many of each alphabet's lengths the header lists.
+	numLit, numDist, numClen int
 
 	sorted [numLitSyms]uint32 // freq<<9 | sym, then sorted
 	weight [numLitSyms]uint32 // the merge's working array
@@ -150,7 +168,8 @@ func (d *Deflater) Release() {
 // Append appends the complete DEFLATE stream of p to dst and returns the
 // extended slice, growing dst only when the stream does not fit; with room
 // for the stream and blockSlack bytes more it performs zero allocations. The
-// error is always nil.
+// error is always nil. Each block search tokenizes is followed by the
+// incompressible run it stopped at, if any, stored.
 //
 // Bytes of dst below len(dst) are never written, but the spare capacity is
 // scratch, as it is for Inflater.Append: word-wide stores may leave up to
@@ -158,17 +177,29 @@ func (d *Deflater) Release() {
 func (d *Deflater) Append(dst, p []byte) ([]byte, error) {
 	w := bitWriter{out: dst[:cap(dst)], pos: len(dst)}
 	d.cur += epochGap
-	for start := 0; ; start += maxBlockBytes {
+	for start := 0; ; {
 		end := min(start+maxBlockBytes, len(p))
 		if d.cur >= epochWrap {
 			d.table = [1 << hashBits]tableEntry{}
 			d.cur = epochGap
 		}
-		d.search(p, start, end)
-		d.writeBlock(&w, p, start, end, end == len(p))
-		if end == len(p) {
+		mid, next := d.search(p, start, end)
+		final := uint32(0)
+		if next == len(p) {
+			final = 1
+		}
+		if mid == next {
+			d.writeBlock(&w, p, start, mid, final)
+		} else {
+			if mid > start {
+				d.writeBlock(&w, p, start, mid, 0)
+			}
+			w.stored(p[mid:next], final)
+		}
+		if final == 1 {
 			return w.finish(), nil
 		}
+		start = next
 	}
 }
 
@@ -191,16 +222,19 @@ func matchLen(p []byte, s, t, max int) int {
 	return n
 }
 
-// search tokenizes the block p[start:end] into d.tokens and counts both
-// histograms; the literals after the last match get no token. Matches may
-// start anywhere in p before the block but end inside it.
-func (d *Deflater) search(p []byte, start, end int) {
+// search tokenizes p[start:end] into d.tokens and counts both histograms;
+// the literals after the last match get no token. Matches may start anywhere
+// in p before the block but end inside it. It stops early at the first
+// match-less literal run of at least minRunBytes that is incompressible,
+// and returns the bounds of the two blocks it leaves: the Huffman block
+// p[start:mid], then that run p[mid:next] to be stored, empty when it did
+// not stop.
+func (d *Deflater) search(p []byte, start, end int) (mid, next int) {
 	d.litFreq = [numLitSyms]uint32{endOfBlock: 1}
 	d.distFreq = [numDistSyms]uint32{}
 	// A position's table offset is base plus the position; uint32 arithmetic
 	// wraps, distances come out right regardless.
 	base := d.cur - uint32(start)
-	d.cur += uint32(end - start)
 	table := &d.table
 	ntok := 0
 	nextEmit := start
@@ -215,12 +249,13 @@ func (d *Deflater) search(p []byte, start, end int) {
 			// growing steps the longer none is found, so that incompressible
 			// stretches are crossed quickly.
 			var cand tableEntry
+			var h uint32
 			for skip := 32; ; skip += skip >> 5 {
 				next := s + skip>>5
 				if next > sLimit {
 					break search
 				}
-				h := hash4(cv)
+				h = hash4(cv)
 				cand = table[h]
 				table[h] = tableEntry{base + uint32(s), cv}
 				if cv == cand.val && base+uint32(s)-cand.off-1 < maxMatchDist {
@@ -230,18 +265,31 @@ func (d *Deflater) search(p []byte, start, end int) {
 				cv = load32(p, s)
 			}
 
-			run := p[nextEmit:s]
-			for _, b := range run {
-				d.litFreq[b]++
+			// A probe that strode over the start of the match finds it
+			// late: take back the literals it covers.
+			dist := int(base + uint32(s) - cand.off)
+			for s > nextEmit && s > dist && p[s-1] == p[s-1-dist] {
+				s--
 			}
-			lits := uint64(len(run))
+			if run := p[nextEmit:s]; len(run) < minRunBytes {
+				for _, b := range run {
+					d.litFreq[b]++
+				}
+			} else if d.storeRun(run) {
+				// The next block starts at the match found here: give the
+				// probe its candidate back, for the next search to find.
+				table[h] = cand
+				d.ntok = ntok
+				d.cur = base + uint32(s)
+				return nextEmit, s
+			}
+			lits := uint64(s - nextEmit)
 			for {
 				// Four bytes match at s. Extend, but not beyond 258: the
 				// re-probe after a capped match is what leaves the phases of
 				// a repeating text in the table for later probes to find,
 				// and splitting one long match into same-distance tokens
 				// instead costs several per cent of output.
-				dist := int(base + uint32(s) - cand.off)
 				length := minMatch + matchLen(p, s+minMatch, s-dist+minMatch, min(maxMatch, end-s)-minMatch)
 				ls, ds := lenSym[length-3], distSymOf(dist)
 				d.litFreq[257+int(ls)]++
@@ -269,13 +317,47 @@ func (d *Deflater) search(p []byte, start, end int) {
 					cv = uint32(x >> 8)
 					break
 				}
+				dist = int(base + uint32(s) - cand.off)
 			}
 		}
 	}
-	for _, b := range p[nextEmit:end] {
-		d.litFreq[b]++
+	mid = end
+	if run := p[nextEmit:end]; len(run) < minRunBytes {
+		for _, b := range run {
+			d.litFreq[b]++
+		}
+	} else if d.storeRun(run) {
+		mid = nextEmit
 	}
 	d.ntok = ntok
+	d.cur = base + uint32(end)
+	return mid, end
+}
+
+// storeRun reports whether the match-less literal run b, at least
+// minRunBytes long, is to be stored: whether even an ideal code of its byte
+// histogram would save less than a sixteenth of it. No such code beats the
+// histogram's Shannon entropy, and that is at least its collision entropy
+// −log₂ Σ p², so the test is Σ f² · storeCollisions < n²: above log₂ 182 ≈
+// 7.51 bits a byte, no code saves half a bit. A run it does not store is
+// counted into the literal histogram.
+func (d *Deflater) storeRun(b []byte) bool {
+	var freq [256]uint32
+	for _, c := range b {
+		freq[c]++
+	}
+	sq := uint64(0)
+	for _, f := range freq {
+		sq += uint64(f) * uint64(f)
+	}
+	n := uint64(len(b))
+	if sq*storeCollisions < n*n {
+		return true
+	}
+	for c, f := range freq {
+		d.litFreq[c] += f
+	}
+	return false
 }
 
 // lenSym maps a match length less 3 to its length symbol less 257; distSym
@@ -310,30 +392,30 @@ func distSymOf(dist int) uint8 {
 	return distSym[256+(dist-1)>>7]
 }
 
-// buildCode gives every symbol with a nonzero frequency a code of at most
-// limit bits: lens receives the lengths (zero for unused symbols), codes the
-// canonical codes, bit-reversed, with their lengths above bit 16. A lone
-// symbol gets a one-bit code, the one incomplete code DEFLATE allows; no
-// symbol at all leaves lens zero, which is legal for the distances of a
-// block of literals.
-func (d *Deflater) buildCode(freq, codes []uint32, lens []uint8, limit int) {
+// buildCode gives every symbol with a nonzero frequency a code length of at
+// most limit bits in lens, zero for unused symbols, and returns what the
+// code spends on the symbols counted, Σ freq · length; canonicalCodes turns
+// the lengths into codes once the block has chosen them. A lone symbol gets a
+// one-bit code, the one incomplete code DEFLATE allows; no symbol at all
+// leaves lens zero, which is legal for the distances of a block of literals.
+func (d *Deflater) buildCode(freq []uint32, lens []uint8, limit int) (cost int) {
+	clear(lens)
 	n := 0
 	for sym, f := range freq {
-		lens[sym] = 0
-		if f != 0 {
-			d.sorted[n] = f<<9 | uint32(sym)
-			n++
-		}
+		// Written for every symbol, kept for the used ones: no branch to
+		// mispredict on a sparse alphabet.
+		d.sorted[n] = f<<9 | uint32(sym)
+		n += int((f | -f) >> 31)
 	}
 	if n < 2 {
 		if n == 1 {
-			sym := d.sorted[0] & 511
-			lens[sym], codes[sym] = 1, 1<<16
+			lens[d.sorted[0]&511] = 1
+			cost = int(d.sorted[0] >> 9)
 		}
-		return
+		return cost
 	}
 	sorted, w := d.sorted[:n], d.weight[:n]
-	slices.Sort(sorted)
+	sortByFreq(sorted, w)
 	for i, v := range sorted {
 		w[i] = v >> 9
 	}
@@ -372,13 +454,65 @@ func (d *Deflater) buildCode(freq, codes []uint32, lens []uint8, limit int) {
 	for l := limit; l > 0; l-- {
 		for c := count[l]; c > 0; c-- {
 			lens[sorted[i]&511] = uint8(l)
+			cost += int(sorted[i]>>9) * l
 			i++
 		}
 	}
+	return cost
+}
+
+// sortByFreq sorts words of the form freq<<9 | sym, in symbol order, by
+// frequency, equal frequencies staying in symbol order: by insertion when
+// there are few, else by one stable counting pass per byte of frequency in
+// use, the least significant first, over only the buckets that byte reaches.
+// tmp is scratch of the same length.
+func sortByFreq(v, tmp []uint32) {
+	if len(v) <= 32 {
+		for i := 1; i < len(v); i++ {
+			x, j := v[i], i
+			for ; j > 0 && v[j-1] > x; j-- {
+				v[j] = v[j-1]
+			}
+			v[j] = x
+		}
+		return
+	}
+	all := uint32(0)
+	for _, x := range v {
+		all |= x
+	}
+	src, dst := v, tmp
+	for shift := uint(9); all>>shift != 0; shift += 8 {
+		var start [256]uint16
+		for _, x := range src {
+			start[x>>shift&255]++
+		}
+		sum := uint16(0)
+		for b := range min(all>>shift+1, 256) {
+			start[b], sum = sum, sum+start[b]
+		}
+		for _, x := range src {
+			b := x >> shift & 255
+			dst[start[b]] = x
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(v, src)
+}
+
+// canonicalCodes gives every symbol its §3.2.2 canonical code, bit-reversed,
+// with its length above bit 16.
+func canonicalCodes(codes []uint32, lens []uint8) {
+	var count [maxCodeBits + 1]uint16
+	for _, l := range lens {
+		count[l]++
+	}
+	count[0] = 0
 	var next [maxCodeBits + 1]uint16
 	code := uint16(0)
-	for l := 1; l <= limit; l++ {
-		code = (code + uint16(count[l-1])) << 1
+	for l := 1; l <= maxCodeBits; l++ {
+		code = (code + count[l-1]) << 1
 		next[l] = code
 	}
 	for sym, l := range lens {
@@ -386,6 +520,22 @@ func (d *Deflater) buildCode(freq, codes []uint32, lens []uint8, limit int) {
 			codes[sym] = uint32(bits.Reverse16(next[l])>>(16-l)) | uint32(l)<<16
 			next[l]++
 		}
+	}
+}
+
+// The fixed-Huffman codes of §3.2.6 as the writer wants them. The literal
+// code is built over all 288 symbols, whose last two no stream may use.
+var (
+	fixedLitCode  [numLitSyms]uint32
+	fixedDistCode [numDistSyms]uint32
+)
+
+func init() {
+	var lit [maxNumLit]uint32
+	canonicalCodes(lit[:], fixedLitLens[:])
+	copy(fixedLitCode[:], lit[:])
+	for ds := range fixedDistCode {
+		fixedDistCode[ds] = uint32(bits.Reverse16(uint16(ds))>>11) | 5<<16
 	}
 }
 
@@ -536,42 +686,32 @@ func (w *bitWriter) stored(b []byte, final uint32) {
 	w.pos += copy(w.out[w.pos:], b)
 }
 
-// writeBlock writes the block search has just tokenized: dynamic Huffman,
-// or stored when that is within a sixteenth as small.
-func (d *Deflater) writeBlock(w *bitWriter, p []byte, start, end int, last bool) {
-	final := uint32(0)
-	if last {
-		final = 1
+// writeBlock writes the block search has just tokenized in the smaller
+// Huffman form — fixed, whose code costs no header, or dynamic, built only
+// when dynamicBound leaves it a chance to win — or stored, when that is
+// within a sixteenth of the better of the two.
+func (d *Deflater) writeBlock(w *bitWriter, p []byte, start, end int, final uint32) {
+	// The extra bits of lengths and distances cost both Huffman forms alike.
+	extra := 0
+	for sym, e := range lenExtra {
+		extra += int(d.litFreq[257+sym]) * int(e)
 	}
-	d.buildCode(d.litFreq[:], d.litCode[:], d.lens[:numLitSyms], maxCodeBits)
-	d.buildCode(d.distFreq[:], d.distCode[:], d.distLens[:], maxCodeBits)
-	numLit, numDist := numLitSyms, numDistSyms
-	for numLit > 257 && d.lens[numLit-1] == 0 {
-		numLit--
-	}
-	for numDist > 1 && d.distLens[numDist-1] == 0 {
-		numDist--
-	}
-	copy(d.lens[numLit:], d.distLens[:numDist])
-	d.runLengths(d.lens[:numLit+numDist])
-	d.buildCode(d.clenFreq[:], d.clenCode[:], d.clenLens[:], clenLimit)
-	numClen := numCodeLens
-	for numClen > 4 && d.clenLens[codeOrder[numClen-1]] == 0 {
-		numClen--
-	}
-
-	size := 3 + 5 + 5 + 4 + 3*numClen + int(2*d.clenFreq[16]+3*d.clenFreq[17]+7*d.clenFreq[18])
-	for sym, f := range d.clenFreq {
-		size += int(f) * int(d.clenLens[sym])
+	fixed := 3 + extra
+	for sym, f := range d.distFreq {
+		extra += int(f) * int(distExtra[sym])
+		fixed += int(f) * int(5+distExtra[sym])
 	}
 	for sym, f := range d.litFreq {
-		size += int(f) * int(d.lens[sym])
+		fixed += int(f) * int(fixedLitLens[sym])
 	}
-	for sym, extra := range lenExtra {
-		size += int(d.litFreq[257+sym]) * int(extra)
-	}
-	for sym, f := range d.distFreq {
-		size += int(f) * int(d.distLens[sym]+distExtra[sym])
+	// Build the dynamic code only when it might beat the fixed one: on the
+	// short blocks between stored runs its header alone usually costs more
+	// than the fixed code loses.
+	d.trimAlphabets()
+	size, dynamic := fixed, math.MaxInt
+	if d.dynamicBound()+extra < fixed {
+		dynamic = d.buildDynamic() + extra
+		size = min(fixed, dynamic)
 	}
 	if (end-start+5)*8 < size+size>>4 {
 		w.stored(p[start:end], final)
@@ -579,24 +719,14 @@ func (d *Deflater) writeBlock(w *bitWriter, p []byte, start, end int, last bool)
 	}
 
 	w.reserve(size>>3 + blockSlack)
-	w.put(final|2<<1, 3)
-	w.put(uint32(numLit-257), 5)
-	w.put(uint32(numDist-1), 5)
-	w.put(uint32(numClen-4), 4)
-	for _, sym := range codeOrder[:numClen] {
-		w.put(uint32(d.clenLens[sym]), 3)
-	}
-	for _, r := range d.runs[:d.nruns] {
-		sym := r & 0xff
-		w.putCode(d.clenCode[sym])
-		switch sym {
-		case 16:
-			w.put(uint32(r>>8), 2)
-		case 17:
-			w.put(uint32(r>>8), 3)
-		case 18:
-			w.put(uint32(r>>8), 7)
-		}
+	lit, dc := &fixedLitCode, &fixedDistCode
+	if dynamic < fixed {
+		canonicalCodes(d.litCode[:d.numLit], d.lens[:d.numLit])
+		canonicalCodes(d.distCode[:], d.distLens[:])
+		d.writeHeader(w, final)
+		lit, dc = &d.litCode, &d.distCode
+	} else {
+		w.put(final|1<<1, 3)
 	}
 	w.flush()
 
@@ -605,7 +735,6 @@ func (d *Deflater) writeBlock(w *bitWriter, p []byte, start, end int, last bool)
 	// literals after the last match ride the same loop as a token with no
 	// match.
 	out, pos, acc, n := w.out, w.pos, w.acc, w.n
-	lit, dc := &d.litCode, &d.distCode
 	for i, k := start, 0; ; k++ {
 		t, run := uint64(0), end-i
 		if k < d.ntok {
@@ -658,4 +787,179 @@ func (d *Deflater) writeBlock(w *bitWriter, p []byte, start, end int, last bool)
 	}
 	w.pos, w.acc, w.n = pos, acc, n
 	w.putCode(lit[endOfBlock])
+}
+
+// trimAlphabets sets how many literal/length and distance code lengths the
+// header lists: through the last symbol in use, at least 257 and 1.
+func (d *Deflater) trimAlphabets() {
+	d.numLit, d.numDist = numLitSyms, numDistSyms
+	for d.numLit > 257 && d.litFreq[d.numLit-1] == 0 {
+		d.numLit--
+	}
+	for d.numDist > 1 && d.distFreq[d.numDist-1] == 0 {
+		d.numDist--
+	}
+}
+
+// buildDynamic builds the block's dynamic codes and its header, and returns
+// their size in bits: header and codes, without the extra bits of lengths
+// and distances.
+func (d *Deflater) buildDynamic() int {
+	size := d.buildCode(d.litFreq[:], d.lens[:numLitSyms], maxCodeBits)
+	size += d.buildCode(d.distFreq[:], d.distLens[:], maxCodeBits)
+	copy(d.lens[d.numLit:], d.distLens[:d.numDist])
+	d.runLengths(d.lens[:d.numLit+d.numDist])
+	size += d.buildCode(d.clenFreq[:], d.clenLens[:], clenLimit)
+	d.numClen = numCodeLens
+	for d.numClen > 4 && d.clenLens[codeOrder[d.numClen-1]] == 0 {
+		d.numClen--
+	}
+	return size + 3 + 5 + 5 + 4 + 3*d.numClen + int(2*d.clenFreq[16]+3*d.clenFreq[17]+7*d.clenFreq[18])
+}
+
+// dynamicBound returns a lower bound on what buildDynamic would return,
+// for a fraction of its cost.
+//
+// The codes cannot spend less on the symbols than the entropy of their
+// histograms. The header's code-length sequence has a zero wherever a
+// symbol is unused, and runLengths codes those runs of zeros one way only,
+// so its zeros, 17s and 18s are known; a run of k used symbols takes at
+// least one length and a repeat 16 for every six after it, or k lengths
+// when k < 4. Counting every length and 16 as one symbol, no code for the
+// sequence is cheaper than a Huffman code of those four counts. And the
+// header lists at least as many code-length code lengths as minClens says
+// the two codes' sizes need.
+func (d *Deflater) dynamicBound() int {
+	// Floor, and a bit less, for the rounding of the logarithms.
+	size := int(entropyBits(d.litFreq[:])+entropyBits(d.distFreq[:])) - 1
+
+	used := d.lens[:d.numLit+d.numDist]
+	nlit, ndist := 0, 0
+	for sym, f := range d.litFreq[:d.numLit] {
+		used[sym] = uint8((f | -f) >> 31)
+		nlit += int(used[sym])
+	}
+	for sym, f := range d.distFreq[:d.numDist] {
+		used[d.numLit+sym] = uint8((f | -f) >> 31)
+		ndist += int(used[d.numLit+sym])
+	}
+	// counts: zeros, 17s, 18s, then lengths and 16s together.
+	var counts [4]uint32
+	for i := 0; i < len(used); {
+		u := used[i]
+		run := 1
+		for rep := uint64(u) * 0x0101010101010101; i+run+8 <= len(used) && load64(used, i+run) == rep; {
+			run += 8
+		}
+		for i+run < len(used) && used[i+run] == u {
+			run++
+		}
+		i += run
+		switch {
+		case u != 0 && run < 4:
+			counts[3] += uint32(run)
+		case u != 0:
+			counts[3] += 1 + uint32(run+4)/6
+		default:
+			for ; run >= 11; run -= min(run, 138) {
+				counts[2]++
+			}
+			if run >= 3 {
+				counts[1]++
+				run = 0
+			}
+			counts[0] += uint32(run)
+		}
+	}
+	size += 3 + 5 + 5 + 4 + 3*max(minClens(nlit), minClens(ndist)) + 3*int(counts[1]) + 7*int(counts[2])
+	return size + huffmanCost(&counts)
+}
+
+// minClens returns the fewest code-length code lengths a header lists when
+// one of its codes has n symbols. A lone symbol has a one-bit code; n ≥ 2
+// make a complete code, whose shortest length is at most log₂ n, and the
+// short lengths come late in codeOrder.
+func minClens(n int) int {
+	switch {
+	case n == 0:
+		return 4
+	case n == 1:
+		return 18
+	}
+	return clensUpTo[min(bits.Len(uint(n))-1, 8)]
+}
+
+// clensUpTo[m] is one more than the first place in codeOrder of a length
+// from 1 to m.
+var clensUpTo = [9]int{1: 18, 2: 16, 3: 14, 4: 12, 5: 10, 6: 8, 7: 6, 8: 5}
+
+// entropyBits returns the entropy of a histogram in bits, T log₂ T − Σ f
+// log₂ f with T the total.
+func entropyBits(freq []uint32) float64 {
+	t, sum := uint32(0), 0.0
+	for _, f := range freq {
+		t += f
+		if f < uint32(len(xLog2x)) {
+			sum += xLog2x[f]
+		} else {
+			sum += float64(f) * math.Log2(float64(f))
+		}
+	}
+	if t == 0 {
+		return 0
+	}
+	return float64(t)*math.Log2(float64(t)) - sum
+}
+
+// xLog2x[f] is f log₂ f, for the frequencies of short blocks.
+var xLog2x = func() (t [1 << 10]float64) {
+	for f := 1; f < len(t); f++ {
+		t[f] = float64(f) * math.Log2(float64(f))
+	}
+	return t
+}()
+
+// huffmanCost returns what an optimal prefix code spends on the symbols
+// counted, a bit each when only one is in use. It sorts counts.
+func huffmanCost(counts *[4]uint32) int {
+	slices.Sort(counts[:])
+	c := counts[:]
+	for len(c) > 0 && c[0] == 0 {
+		c = c[1:]
+	}
+	if len(c) < 2 {
+		return int(counts[3])
+	}
+	var depth [4]uint32
+	copy(depth[:], c)
+	huffmanDepths(depth[:len(c)])
+	cost := 0
+	for i, n := range c {
+		cost += int(n) * int(depth[i])
+	}
+	return cost
+}
+
+// writeHeader writes the dynamic block header buildDynamic has built.
+func (d *Deflater) writeHeader(w *bitWriter, final uint32) {
+	canonicalCodes(d.clenCode[:], d.clenLens[:])
+	w.put(final|2<<1, 3)
+	w.put(uint32(d.numLit-257), 5)
+	w.put(uint32(d.numDist-1), 5)
+	w.put(uint32(d.numClen-4), 4)
+	for _, sym := range codeOrder[:d.numClen] {
+		w.put(uint32(d.clenLens[sym]), 3)
+	}
+	for _, r := range d.runs[:d.nruns] {
+		sym := r & 0xff
+		w.putCode(d.clenCode[sym])
+		switch sym {
+		case 16:
+			w.put(uint32(r>>8), 2)
+		case 17:
+			w.put(uint32(r>>8), 3)
+		case 18:
+			w.put(uint32(r>>8), 7)
+		}
+	}
 }

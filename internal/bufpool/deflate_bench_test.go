@@ -8,23 +8,35 @@ import (
 	"testing"
 )
 
-// benchRefChunk lays out a dedup restore chunk of literal pages the way
-// nvmeoe.AppendRefChunk does (which this package cannot import): a 16-byte
-// header, then per page 62 bytes of sequence numbers, flags and content hash
-// and the page itself. It is what the restore stream deflates.
-func benchRefChunk(seed int64, pages int, randomFrac float64) []byte {
+// benchRefChunk lays out a restore chunk the way nvmeoe.AppendRefChunk does
+// (which this package cannot import): a 16-byte header, then per page 62
+// bytes of sequence numbers, flags and content hash, and a literal page's
+// payload. A share literalFrac of the pages are literals; the rest are hash
+// references to literals an earlier chunk carried, with no payload, as a
+// stream opened with the dedup flag sends them. It is what the restore
+// stream deflates.
+func benchRefChunk(seed int64, pages int, literalFrac, randomFrac float64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	b := binary.LittleEndian.AppendUint32(nil, 0x48535352)
 	b = binary.LittleEndian.AppendUint64(b, 7)
 	b = binary.LittleEndian.AppendUint32(b, uint32(pages))
 	for j := 0; j < pages; j++ {
+		literal := literalFrac >= 1 || rng.Float64() < literalFrac
 		b = binary.LittleEndian.AppendUint64(b, uint64(1000+j))
 		b = binary.LittleEndian.AppendUint64(b, uint64(5000+rng.Intn(4096)))
 		b = binary.LittleEndian.AppendUint64(b, ^uint64(0))
-		b = append(b, 0, 0)
+		if literal {
+			b = append(b, 0, 0)
+		} else {
+			b = append(b, 0, 1)
+		}
 		var hash [32]byte
 		rng.Read(hash[:])
 		b = append(b, hash[:]...)
+		if !literal {
+			b = binary.LittleEndian.AppendUint32(b, 0)
+			continue
+		}
 		b = binary.LittleEndian.AppendUint32(b, benchPageSize)
 		b = append(b, benchPage(rng, randomFrac)...)
 	}
@@ -43,19 +55,21 @@ type benchCase struct {
 }
 
 // deflateCases are the payloads the encoder meets on the datapath: first the
-// four BenchmarkInflate decodes, then smaller entry batches down to a
-// three-entry FetchEntries reply, a segment of encrypted pages (which ends up
-// stored), and a restore chunk.
+// five BenchmarkInflate decodes, the last of them a dedup restore chunk, then
+// smaller entry batches down to a three-entry FetchEntries reply, a segment
+// of encrypted pages (which ends up stored), and a restore chunk of literals
+// only.
 func deflateCases() []benchCase {
 	return []benchCase{
 		{"pages16_random35", benchSegment(1, 16, 0.35)},
 		{"pages4_random35", benchSegment(2, 4, 0.35)},
 		{"pages16_random10", benchSegment(3, 16, 0.10)},
 		{"entries4096", benchEntrySegment(4, 4096)},
+		{"refchunk64_lit30_random35", benchRefChunk(9, 64, 0.30, 0.35)},
 		{"entries64", benchEntrySegment(5, 64)},
 		{"entries3_reply", benchEntrySegment(6, 3)},
 		{"ciphertext70k", benchCiphertext(7, 70<<10)},
-		{"refchunk32_random10", benchRefChunk(8, 32, 0.10)},
+		{"refchunk32_random10", benchRefChunk(8, 32, 1, 0.10)},
 	}
 }
 

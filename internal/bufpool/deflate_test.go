@@ -3,7 +3,7 @@ package bufpool
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -166,8 +166,8 @@ func optimalCost(freq []uint32) (cost uint64) {
 
 // TestBuildCodeProperties: over random frequency profiles, flat to steeply
 // skewed, every code is complete, within its limit, gives no rarer symbol a
-// shorter code, and costs what Huffman's costs whenever the limit did not
-// bind.
+// shorter code, costs what Huffman's costs whenever the limit did not bind,
+// and costs what buildCode returns, which writeBlock sizes the block by.
 func TestBuildCodeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := GetDeflater()
@@ -188,7 +188,8 @@ func TestBuildCodeProperties(t *testing.T) {
 			freq[sym] = uint32(f)
 		}
 		lens, codes := make([]uint8, n), make([]uint32, n)
-		d.buildCode(freq, codes, lens, limit)
+		spent := d.buildCode(freq, lens, limit)
+		canonicalCodes(codes, lens)
 
 		if got := kraftSum(lens, limit); got != 1<<limit {
 			t.Fatalf("trial %d: Kraft sum %d of %d", trial, got, 1<<limit)
@@ -209,6 +210,9 @@ func TestBuildCodeProperties(t *testing.T) {
 				}
 			}
 		}
+		if uint64(spent) != cost {
+			t.Fatalf("trial %d: buildCode says the code spends %d bits, Σ freq·len is %d", trial, spent, cost)
+		}
 		if best := optimalCost(freq); cost < best || (deepest < limit && cost != best) {
 			t.Fatalf("trial %d: cost %d, Huffman %d, deepest code %d of %d", trial, cost, best, deepest, limit)
 		}
@@ -217,7 +221,8 @@ func TestBuildCodeProperties(t *testing.T) {
 
 // TestDeflateLengthLimit: Fibonacci frequencies make Huffman's tree a path,
 // 21 deep for 22 symbols (21 literals and end-of-block); the code handed to the writer stops at 15 (and, for
-// the header's own alphabet, at 7), stays complete, and decodes.
+// the header's own alphabet, at 7), stays complete, costs what buildCode
+// returns, and decodes.
 func TestDeflateLengthLimit(t *testing.T) {
 	d := GetDeflater()
 	defer d.Release()
@@ -229,10 +234,17 @@ func TestDeflateLengthLimit(t *testing.T) {
 		raw = append(raw, bytes.Repeat([]byte{byte('A' + sym)}, a)...)
 	}
 	for _, limit := range []int{maxCodeBits, clenLimit} {
-		lens, codes := make([]uint8, numLitSyms), make([]uint32, numLitSyms)
-		d.buildCode(freq, codes, lens, limit)
+		lens := make([]uint8, numLitSyms)
+		spent := d.buildCode(freq, lens, limit)
 		if got := kraftSum(lens, limit); got != 1<<limit {
 			t.Fatalf("limit %d: Kraft sum %d of %d", limit, got, 1<<limit)
+		}
+		cost := 0
+		for sym, l := range lens {
+			cost += int(freq[sym]) * int(l)
+		}
+		if spent != cost {
+			t.Fatalf("limit %d: buildCode says the code spends %d bits, Σ freq·len is %d", limit, spent, cost)
 		}
 		if lens['A'] != uint8(limit) || lens['A'+20] > 2 {
 			t.Fatalf("limit %d: rarest symbol %d bits, commonest %d", limit, lens['A'], lens['A'+20])
@@ -248,7 +260,7 @@ func TestDeflateLengthLimit(t *testing.T) {
 	}
 	d.distFreq, d.ntok = [numDistSyms]uint32{}, 0
 	var w bitWriter
-	d.writeBlock(&w, raw, 0, len(raw), true)
+	d.writeBlock(&w, raw, 0, len(raw), 1)
 	comp := w.finish()
 	if comp[0]>>1&3 != 2 || d.lens['A'] != maxCodeBits {
 		t.Fatalf("block type %d, rarest literal %d bits: want a dynamic block with a 15-bit code", comp[0]>>1&3, d.lens['A'])
@@ -256,31 +268,55 @@ func TestDeflateLengthLimit(t *testing.T) {
 	checkStream(t, comp, raw)
 }
 
-// storedBlockLens walks a stream made of stored blocks only.
-func storedBlockLens(t *testing.T, comp []byte) (lens []int) {
+// A blockForm is one block of a stream: its type (0 stored, 1 fixed, 2
+// dynamic Huffman), the bytes it decodes to, and the bits it takes.
+type blockForm struct {
+	typ, n, bits int
+}
+
+// blockForms walks comp block by block with the in-house decoder's own
+// block readers and returns each block's form.
+func blockForms(t *testing.T, comp []byte, rawLen int) (forms []blockForm) {
 	t.Helper()
-	for pos := 0; ; {
-		if comp[pos]&6 != 0 {
-			t.Fatalf("block at byte %d is not stored", pos)
-		}
-		n := int(binary.LittleEndian.Uint16(comp[pos+1:]))
-		if nn := binary.LittleEndian.Uint16(comp[pos+3:]); uint16(n) != ^nn {
-			t.Fatalf("block at byte %d: LEN %#x, NLEN %#x", pos, n, nn)
-		}
-		lens = append(lens, n)
-		final := comp[pos]&1 != 0
-		pos += 5 + n
-		if final {
-			if pos != len(comp) {
-				t.Fatalf("%d bytes after the final block", len(comp)-pos)
+	i := GetInflater()
+	defer i.Release()
+	i.br = bitReader{in: comp}
+	r := &i.br
+	consumed := func() int { return r.pos*8 - int(r.n) }
+	dst := make([]byte, 0, rawLen+InflateSlack)
+	for {
+		at, before := consumed(), len(dst)
+		final, typ := r.take(1), r.take(2)
+		var err error
+		switch typ {
+		case 0:
+			dst, err = i.stored(dst, rawLen)
+		case 1:
+			dst, err = i.block(dst, 0, rawLen, fixedLit, fixedDist)
+		case 2:
+			if err = i.readDynamicHeader(); err == nil {
+				dst, err = i.block(dst, 0, rawLen, huffTable{i.lit[:], i.litBits}, huffTable{i.dist[:], i.distBits})
 			}
-			return lens
+		default:
+			err = ErrCorrupt
+		}
+		if err != nil || r.err != nil {
+			t.Fatalf("block %d: err=%v, %v", len(forms), err, r.err)
+		}
+		forms = append(forms, blockForm{int(typ), len(dst) - before, consumed() - at})
+		if final == 1 {
+			if len(dst) != rawLen || (consumed()+7)/8 != len(comp) {
+				t.Fatalf("%d bytes decoded of %d; %d bits of %d bytes read", len(dst), rawLen, consumed(), len(comp))
+			}
+			return forms
 		}
 	}
 }
 
 // TestDeflateBlockBoundaries: blocks end where a stored block's 16-bit LEN
-// needs them to, and matches still reach across them.
+// needs them to, and matches still reach across them. Noise fills whole
+// stored blocks; a one-byte tail is a fixed-Huffman block, 3 header bits, its
+// literal and end-of-block (18 or 19 bits), where storing it would take 48.
 func TestDeflateBlockBoundaries(t *testing.T) {
 	noise := make([]byte, 2*maxBlockBytes+1)
 	rand.New(rand.NewSource(13)).Read(noise)
@@ -294,17 +330,126 @@ func TestDeflateBlockBoundaries(t *testing.T) {
 		{2*maxBlockBytes + 1, []int{65535, 65535, 1}},
 	} {
 		comp := deflateAll(t, noise[:tc.n])
-		got := storedBlockLens(t, comp)
-		if len(got) != len(tc.want) {
-			t.Fatalf("%d bytes of noise: stored blocks %v, want %v", tc.n, got, tc.want)
+		forms := blockForms(t, comp, tc.n)
+		if len(forms) != len(tc.want) {
+			t.Fatalf("%d bytes of noise: blocks %v, want %d", tc.n, forms, len(tc.want))
 		}
-		for j := range got {
-			if got[j] != tc.want[j] {
-				t.Fatalf("%d bytes of noise: stored blocks %v, want %v", tc.n, got, tc.want)
+		for j, f := range forms {
+			if f.n != tc.want[j] {
+				t.Fatalf("%d bytes of noise: blocks %v, want sizes %v", tc.n, forms, tc.want)
+			}
+			tail := f.n == 1
+			if wantBits := 3 + int(fixedLitLens[noise[tc.n-1]]) + 7; tail && (f.typ != 1 || f.bits != wantBits) {
+				t.Fatalf("%d bytes of noise: tail block %+v, want fixed in %d bits", tc.n, f, wantBits)
+			}
+			if !tail && f.typ != 0 {
+				t.Fatalf("%d bytes of noise: block %d is %+v, want stored", tc.n, j, f)
 			}
 		}
 		if comp := deflateAll(t, text[:tc.n]); len(comp) > tc.n/50 {
 			t.Fatalf("%d bytes of text: %d deflated", tc.n, len(comp))
+		}
+	}
+}
+
+// TestDeflateStoresIncompressibleRuns: a match-less run of noise of at least
+// minRunBytes between texts is a stored block of its own, which starts where
+// the noise does and ends at most a few probe strides of text past it; a
+// shorter run, and a run from a 64-symbol alphabet, which a code shrinks by
+// a quarter, stay in Huffman blocks. Every stream decodes through
+// compress/flate and through both in-house loops.
+func TestDeflateStoresIncompressibleRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	text := bytes.Repeat([]byte("retained versions, in time order. "), 60)
+	type run struct{ at, n int }
+	for _, tc := range []struct {
+		name    string
+		runs    []int
+		symbols int
+		stored  bool
+	}{
+		{"1024+1434+4096", []int{1024, 1434, 4096}, 256, true},
+		{"1023", []int{1023}, 256, false},
+		{"2KiB-of-64", []int{2048}, 64, false},
+	} {
+		raw := bytes.Clone(text)
+		var want []run
+		for _, n := range tc.runs {
+			want = append(want, run{len(raw), n})
+			for j := 0; j < n; j++ {
+				b := byte(rng.Intn(tc.symbols))
+				if j == 0 || j == n-1 {
+					b |= 0x80 // text is ASCII: neither end of the run passes for it
+				}
+				raw = append(raw, b)
+			}
+			raw = append(raw, text...)
+		}
+		comp := deflateAll(t, raw)
+		i := GetInflater()
+		careful, err := i.AppendLimited(make([]byte, 0, len(raw)), comp, len(raw))
+		i.Release()
+		if err != nil || !bytes.Equal(careful, raw) {
+			t.Fatalf("%s: careful loop alone: err=%v", tc.name, err)
+		}
+		var got []run
+		at := 0
+		for _, f := range blockForms(t, comp, len(raw)) {
+			if f.typ == 0 {
+				got = append(got, run{at, f.n})
+			}
+			at += f.n
+		}
+		if !tc.stored {
+			if len(got) != 0 {
+				t.Fatalf("%s: stored blocks %v", tc.name, got)
+			}
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: stored blocks %v, want one at each of %v", tc.name, got, want)
+		}
+		for j := range got {
+			if got[j].at != want[j].at || got[j].n < want[j].n || got[j].n >= want[j].n+128 {
+				t.Fatalf("%s: stored blocks %v, want one at each of %v", tc.name, got, want)
+			}
+		}
+	}
+}
+
+// TestDeflateDynamicBound: the bound that lets writeBlock skip building the
+// dynamic code never exceeds what building it costs, over sparse to dense,
+// flat to skewed histograms and every block of the datapath payloads.
+func TestDeflateDynamicBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	d := GetDeflater()
+	defer d.Release()
+	check := func(what string) {
+		d.trimAlphabets()
+		bound := d.dynamicBound()
+		if size := d.buildDynamic(); bound > size {
+			t.Fatalf("%s: bound %d bits, dynamic code and header %d", what, bound, size)
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		d.litFreq = [numLitSyms]uint32{endOfBlock: 1}
+		d.distFreq = [numDistSyms]uint32{}
+		lits, dists := 1+rng.Intn(numLitSyms), rng.Intn(numDistSyms+1)
+		scale := 1 + rng.Intn(1<<uint(rng.Intn(12)))
+		for _, sym := range rng.Perm(numLitSyms)[:lits] {
+			d.litFreq[sym] += uint32(1 + rng.Intn(scale))
+		}
+		for _, sym := range rng.Perm(numDistSyms)[:dists] {
+			d.distFreq[sym] = uint32(1 + rng.Intn(scale))
+		}
+		check(fmt.Sprintf("trial %d", trial))
+	}
+	for _, c := range deflateCases() {
+		d.cur += epochGap
+		for start := 0; start < len(c.raw); {
+			mid, next := d.search(c.raw, start, min(start+maxBlockBytes, len(c.raw)))
+			check(fmt.Sprintf("%s at %d..%d", c.name, start, mid))
+			start = next
 		}
 	}
 }

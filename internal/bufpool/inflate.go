@@ -319,6 +319,24 @@ var (
 	// decode reads them concurrently but never writes.
 	fixedLit  huffTable
 	fixedDist huffTable
+
+	// fixedLitLens are the fixed code's literal/length lengths, which the
+	// encoder prices and codes with too.
+	fixedLitLens = func() (lens [maxNumLit]uint8) {
+		for sym := range lens {
+			switch {
+			case sym < 144:
+				lens[sym] = 8
+			case sym < 256:
+				lens[sym] = 9
+			case sym < 280:
+				lens[sym] = 7
+			default:
+				lens[sym] = 8
+			}
+		}
+		return lens
+	}()
 )
 
 func init() {
@@ -336,19 +354,6 @@ func init() {
 		clenProto[s] = hLit | uint32(s)<<16
 	}
 
-	var lit [maxNumLit]uint8
-	for j := 0; j < 144; j++ {
-		lit[j] = 8
-	}
-	for j := 144; j < 256; j++ {
-		lit[j] = 9
-	}
-	for j := 256; j < 280; j++ {
-		lit[j] = 7
-	}
-	for j := 280; j < maxNumLit; j++ {
-		lit[j] = 8
-	}
 	// All 32 distance codes are 5 bits; 30 and 31 decode but are rejected
 	// as corrupt when they appear, per the RFC.
 	var dist [maxNumDist]uint8
@@ -358,7 +363,7 @@ func init() {
 	fixedLit.tab = make([]uint32, 1<<9)
 	fixedDist.tab = make([]uint32, 1<<5)
 	var err error
-	if fixedLit.bits, err = build(fixedLit.tab, litBits, lit[:], litProto[:]); err != nil {
+	if fixedLit.bits, err = build(fixedLit.tab, litBits, fixedLitLens[:], litProto[:]); err != nil {
 		panic(err)
 	}
 	if fixedDist.bits, err = build(fixedDist.tab, distBits, dist[:], distProto[:]); err != nil {

@@ -219,3 +219,43 @@ func TestInflateDynamicSteadyStateAllocs(t *testing.T) {
 		out.Release()
 	}
 }
+
+// TestInflateFixedSteadyStateAllocs: the in-house encoder puts
+// fixed-Huffman blocks between the stored runs of a segment of pages, and
+// both loops decode them for free — the fast one with InflateSlack to spare,
+// the careful one into a destination of exactly the decoded size.
+func TestInflateFixedSteadyStateAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	raw := benchSegment(2, 4, 0.35)
+	d := GetDeflater()
+	comp, _ := d.Append(nil, raw)
+	d.Release()
+	fixed := 0
+	for _, f := range blockForms(t, comp, len(raw)) {
+		if f.typ == 1 {
+			fixed++
+		}
+	}
+	if fixed == 0 {
+		t.Fatal("no fixed-Huffman block in the stream")
+	}
+	for _, spare := range []int{InflateSlack, 0} {
+		out := make([]byte, 0, len(raw)+spare)
+		i := GetInflater()
+		n := testing.AllocsPerRun(30, func() {
+			var err error
+			if out, err = i.AppendLimited(out[:0], comp, len(raw)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		i.Release()
+		if n != 0 {
+			t.Errorf("spare %d: %v allocs/op, want 0", spare, n)
+		}
+		if !bytes.Equal(out, raw) {
+			t.Fatalf("spare %d: roundtrip mismatch", spare)
+		}
+	}
+}

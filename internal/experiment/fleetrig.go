@@ -73,6 +73,10 @@ type fleetRig struct {
 
 	mu    sync.Mutex
 	built []*rigDevice // every device built, for close and the pool gate
+
+	// chokedHandlers are the server sides of choked restore sessions, which
+	// hold a chunk's pooled buffers until their write fails on the cut link.
+	chokedHandlers sync.WaitGroup
 }
 
 func newFleetRig(s Scale, spec rigSpec) *fleetRig {
@@ -235,7 +239,11 @@ func (r *fleetRig) restore(id uint64, nd *nand.Device, cut uint64, want map[uint
 				return cfg.Dial()
 			}
 			dc, sc := net.Pipe()
-			go r.owner(id).HandleConn(sc)
+			r.chokedHandlers.Add(1)
+			go func() {
+				defer r.chokedHandlers.Done()
+				r.owner(id).HandleConn(sc)
+			}()
 			// Handshake (2 reads) + one 3-read chunk frame: the link dies
 			// with the first chunk applied and the rest unsent.
 			return remote.Dial(remote.NewChokeConn(dc, 5), PSK, id)
@@ -372,6 +380,7 @@ func (r *fleetRig) markPool() poolMark { return poolMark{bufpool.Outstanding(), 
 // poolDrift is how far the gauge moved since m beyond what the flash
 // arrays' residency moved: nonzero only when a transient path leaked.
 func (r *fleetRig) poolDrift(m poolMark) int64 {
+	r.chokedHandlers.Wait()
 	return bufpool.Outstanding().Sub(m.gauge).Total() - (r.held() - m.held)
 }
 

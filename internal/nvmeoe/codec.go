@@ -21,6 +21,12 @@ import (
 // at rest (segment blobs) or priced on the link (image-stream chunks) deflate:
 // a fetch reply is stored (AppendStoredHeader), and its header keeps the frame
 // layer from deflating it either. A decoder accepts both codecs from anyone.
+//
+// The same rule holds inside a deflate blob, one block at a time: the
+// encoder stores every match-less run of at least 1 KiB that no code could
+// shrink by a sixteenth — the random part of a page — as a block of its own,
+// so the server's ingest, a restore and a re-push copy those bytes instead
+// of Huffman-decoding them, and codes only what compresses.
 
 // Codec identifies how a segment blob's payload is encoded.
 type Codec uint8
