@@ -12,7 +12,7 @@ import (
 // These tests hold the "one SHA-256 pass per page per side of the wire" rule
 // to its security claim: the hash a retained version ships under is the one
 // the evidence chain bound when the host wrote it, so nothing that happens
-// to the bytes between the write and the server's VerifyPages — a flash read
+// to the bytes between the write and the server's page check — a flash read
 // error, a bad GC copy — can be acked as a retained version.
 
 // churnHash is the DataHash churn's write at log sequence seq recorded:
@@ -48,7 +48,7 @@ func TestFlashReadErrorAtSealNeverAcked(t *testing.T) {
 	}
 	var re *remote.RemoteError
 	if err := e.r.LastOffloadError(); !errors.As(err, &re) || !strings.Contains(re.Text, "content hash mismatch") {
-		t.Fatalf("LastOffloadError = %v, want the server's VerifyPages rejection", err)
+		t.Fatalf("LastOffloadError = %v, want the server's page-check rejection", err)
 	}
 	if st.ReleasedPins != 0 || st.OffloadPages != 0 {
 		t.Fatalf("%d pins released, %d pages counted offloaded with every read corrupt", st.ReleasedPins, st.OffloadPages)

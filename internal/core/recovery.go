@@ -85,9 +85,9 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 // its (LPN, write sequence) with the content hash in that page's own OOB,
 // stamped by the device when it wrote the page. That is the trust an ack
 // carries — the listing arrives over the authenticated session from a store
-// that ran VerifyPages before indexing the version — held against the one
-// witness that did not cross the network. Everything else on flash that is
-// stale and committed is pinned and shipped again.
+// that held each page to its hash before indexing the version — held against
+// the one witness that did not cross the network. Everything else on flash
+// that is stale and committed is pinned and shipped again.
 //
 // Durability model: state covered by offloaded log entries is recovered
 // exactly. Flash pages whose OOB sequence is beyond the remote head belong

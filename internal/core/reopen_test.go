@@ -432,7 +432,7 @@ func TestReopenKeepsPinOnHashMismatch(t *testing.T) {
 	sc := newCutScenario(t, 24)
 	unacked := sc.commitLogOnly(t)
 	// Forge one unacked version at the server: same identity, other bytes.
-	// The segment passes VerifyPages (hash matches its own data) and carries
+	// The segment passes the page check (hash matches its own data) and carries
 	// no entries, so the chain check has nothing to object to.
 	var victim *retEntry
 	for _, re := range sc.e.r.retained {

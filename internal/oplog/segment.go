@@ -152,6 +152,8 @@ func (s *Segment) AppendMarshalRuns(b []byte, runs ...[]Entry) []byte {
 // does not end at the carried last hash, or whose sequences are not
 // contiguous, is refused with ErrBadSegment wrapping a *ChainError. What is
 // left to the caller is whether that first PrevHash is the hash it expected.
+// Each page's Data aliases b: the caller keeps b as long as it uses a page,
+// or copies what it keeps.
 func UnmarshalSegment(b []byte) (*Segment, error) {
 	s := &Segment{}
 	entries, nPages, b, err := s.decodeEntries(nil, b)
@@ -175,7 +177,7 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 		if uint32(len(b)) < n {
 			return nil, fmt.Errorf("%w: page %d data", ErrBadSegment, i)
 		}
-		p.Data = append([]byte(nil), b[:n]...)
+		p.Data = b[:n:n]
 		b = b[n:]
 		s.Pages = append(s.Pages, p)
 	}
@@ -275,8 +277,8 @@ func (s *Segment) VerifyChain(prev [HashSize]byte) error {
 	return nil
 }
 
-// VerifyPages checks each page record's content hash. Recovery refuses to
-// restore from a page whose hash does not match the log.
+// VerifyPages checks each page record's content hash, one SHA-256 a page.
+// The remote store hashes only a page whose content it does not yet hold.
 func (s *Segment) VerifyPages() error {
 	for i := range s.Pages {
 		p := &s.Pages[i]

@@ -157,21 +157,39 @@ func TestUnmarshalDerivesTheChain(t *testing.T) {
 }
 
 // TestUnmarshalSegmentAllocsDoNotGrowWithEntries: the chain is derived
-// through one stack buffer — the segment and its entry slice are all a
-// decode allocates, however many entries it seals.
+// through one stack buffer and every page's Data aliases the marshal — the
+// segment, its entry slice and its page slice are all a decode allocates,
+// however many entries it seals and pages it carries.
 func TestUnmarshalSegmentAllocsDoNotGrowWithEntries(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
 	}
-	allocs := func(n int) float64 {
-		raw := chainedSegment(n).Marshal()
+	allocs := func(entries, pages int) float64 {
+		seg := chainedSegment(entries)
+		for i := 0; i < pages; i++ {
+			data := bytes.Repeat([]byte{byte(i)}, 4096)
+			seg.Pages = append(seg.Pages, PageRecord{LPN: uint64(i), WriteSeq: 100, StaleSeq: 101, Hash: HashData(data), Data: data})
+		}
+		raw := seg.Marshal()
+		got, err := UnmarshalSegment(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got.Pages {
+			if d := got.Pages[i].Data; !bytes.Equal(d, seg.Pages[i].Data) || cap(d) != len(d) || &d[0] != &raw[len(raw)-(pages-i)*(pageHeaderSize+4096)+pageHeaderSize] {
+				t.Fatalf("page %d of %d: Data is not its bytes of the marshal, capped", i, pages)
+			}
+		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := UnmarshalSegment(raw); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if few, many := allocs(4), allocs(1024); few != 2 || many != 2 {
+	if few, many := allocs(4, 0), allocs(1024, 0); few != 2 || many != 2 {
 		t.Fatalf("UnmarshalSegment: %v allocs for 4 entries, %v for 1024, want 2 and 2", few, many)
+	}
+	if one, many := allocs(4, 1), allocs(4, 64); one != 3 || many != 3 {
+		t.Fatalf("UnmarshalSegment: %v allocs for 1 page, %v for 64, want 3 and 3", one, many)
 	}
 }

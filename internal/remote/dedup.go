@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -11,12 +12,12 @@ import (
 // chunkIndex is the fleet-wide content-addressed page store: one physical
 // copy per distinct page content, shared across every device and segment
 // the store holds. Pages are keyed by their seal-time SHA-256
-// (oplog.PageRecord.Hash), which Segment.VerifyPages has already checked
-// against the payload before anything reaches the index — so interning by
-// hash cannot be poisoned by a device lying about its content. The index
-// is sharded by the hash's first byte; shard locks are leaves in the lock
-// order (device shard lock -> chunk shard lock) and are never held across
-// calls out of this file.
+// (oplog.PageRecord.Hash), which verify has held against the payload before
+// anything reaches the index — so interning by hash cannot be poisoned by a
+// device lying about its content. The index owns its copies. It is sharded
+// by the hash's first byte; shard locks are leaves in the lock order (device
+// shard lock -> chunk shard lock) and are never held across calls out of
+// this file.
 type chunkIndex struct {
 	shards [chunkShards]chunkShard
 }
@@ -43,6 +44,25 @@ func newChunkIndex() *chunkIndex {
 
 func (ci *chunkIndex) shard(h [oplog.HashSize]byte) *chunkShard {
 	return &ci.shards[h[0]&(chunkShards-1)]
+}
+
+// verify holds each page to the hash it claims and points its Data at a copy
+// the index can keep: a page whose hash the index holds must equal that copy
+// byte for byte, so it hashes to the same key; any other page is copied and
+// the copy SHA-256'd. On success no page aliases the caller's buffer.
+func (ci *chunkIndex) verify(pages []oplog.PageRecord) error {
+	for i := range pages {
+		p := &pages[i]
+		canon, held := ci.lookup(p.Hash)
+		if !held {
+			canon = bytes.Clone(p.Data)
+		}
+		if held && !bytes.Equal(p.Data, canon) || !held && oplog.HashData(canon) != p.Hash {
+			return fmt.Errorf("page record %d (lpn %d, writeSeq %d): content hash mismatch", i, p.LPN, p.WriteSeq)
+		}
+		p.Data = canon
+	}
+	return nil
 }
 
 // intern records one reference to content hash h. On first sight data

@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/simclock"
@@ -351,6 +355,179 @@ func TestDedupRefcountConcurrent(t *testing.T) {
 				if !ok || !bytes.Equal(rec.Data, pool[int(lpn)%poolN]) {
 					t.Fatalf("device %d lpn %d lost its payload after expiry churn", dev, lpn)
 				}
+			}
+		}
+	}
+}
+
+// TestForgedDedupHitRefused: a page that claims a hash the index holds but
+// carries other bytes is refused by the compare that stands in for its
+// SHA-256, live and at Reload, however close its bytes come to the held
+// copy — and so is one that claims a hash nothing holds. A refusal leaves
+// head, version index, chunk refcounts and tier as they were.
+func TestForgedDedupHitRefused(t *testing.T) {
+	prefix, target := tamperChain(1, 42)
+	held := prefix.Pages[1]
+	st := NewStore(NewMemStore())
+	if err := st.AppendSegment(prefix); err != nil {
+		t.Fatal(err)
+	}
+	before, dedupBefore := snapshot(t, st, 1), st.Dedup()
+	flipped := slices.Clone(held.Data)
+	flipped[len(flipped)/2] ^= 0x10
+	for _, tc := range []struct {
+		what string
+		hash [oplog.HashSize]byte
+		data []byte
+	}{
+		{"held hash, one bit flipped", held.Hash, flipped},
+		{"held hash, one byte short", held.Hash, held.Data[:len(held.Data)-1]},
+		{"held hash, one byte long", held.Hash, append(slices.Clone(held.Data), 0)},
+		{"held hash, no bytes", held.Hash, nil},
+		{"held hash, another held page's bytes", held.Hash, prefix.Pages[0].Data},
+		{"hash nothing holds", oplog.HashData([]byte("elsewhere")), held.Data},
+	} {
+		forged := *target
+		forged.Pages = slices.Clone(target.Pages)
+		forged.Pages[3].Hash, forged.Pages[3].Data = tc.hash, tc.data
+		raw := forged.Marshal()
+		seg, err := oplog.UnmarshalSegment(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := nvmeoe.EncodeSegmentBlob(raw)
+		if err := st.AppendSegmentBlob(seg, blob); err == nil || !strings.Contains(err.Error(), "page record 3") {
+			t.Fatalf("%s: AppendSegmentBlob err=%v, want page record 3 refused", tc.what, err)
+		}
+		if after := snapshot(t, st, 1); !reflect.DeepEqual(after, before) || st.Dedup() != dedupBefore {
+			t.Fatalf("%s: refused, but the store changed: stats %+v -> %+v, dedup %+v -> %+v",
+				tc.what, before.stats, after.stats, dedupBefore, st.Dedup())
+		}
+		tier := NewMemStore()
+		for k, v := range before.tier {
+			tier.Put(k, v)
+		}
+		tier.Put(fmt.Sprintf("dev/1/seg/%020d", target.FirstSeq), blob)
+		if err := NewStore(tier).Reload(); err == nil || !strings.Contains(err.Error(), "page record 3") {
+			t.Fatalf("%s: Reload err=%v, want page record 3 refused", tc.what, err)
+		}
+	}
+	if err := st.AppendSegment(target); err != nil {
+		t.Fatalf("the honest segment after the forgeries: %v", err)
+	}
+}
+
+// TestDedupHitReleasedBeforeAdopt: a page verified against a held copy that
+// the last reference drops before adopt is interned as that verified copy,
+// not as the buffer it was decoded into; nor is a page the index never held.
+// Step by step on the index, then as it races on the store: device 1 expires
+// the only holder while device 2 ingests the same content from a buffer it
+// overwrites once the append returns. Whichever goes first, device 2 reads
+// the content back and the index holds it once. Runs under -race in CI.
+func TestDedupHitReleasedBeforeAdopt(t *testing.T) {
+	content := incompressiblePage(4096, 7)
+	h := oplog.HashData(content)
+
+	ci := newChunkIndex()
+	ci.intern(h, content)
+	decoded := slices.Clone(content)
+	pages := []oplog.PageRecord{{Hash: h, Data: decoded}}
+	if err := ci.verify(pages); err != nil {
+		t.Fatal(err)
+	}
+	ci.release(h)
+	got, hit := ci.intern(h, pages[0].Data)
+	clear(decoded)
+	if canon, _ := ci.lookup(h); hit || !bytes.Equal(got, content) || !bytes.Equal(canon, content) {
+		t.Fatalf("intern after the holder went: hit=%v, canonical copy is the decode buffer", hit)
+	}
+	ci, decoded = newChunkIndex(), slices.Clone(content)
+	pages = []oplog.PageRecord{{Hash: h, Data: decoded}}
+	if err := ci.verify(pages); err != nil {
+		t.Fatal(err)
+	}
+	ci.intern(h, pages[0].Data)
+	clear(decoded)
+	if canon, _ := ci.lookup(h); !bytes.Equal(canon, content) {
+		t.Fatal("first sight of a content: canonical copy is the decode buffer")
+	}
+
+	page := func(dev uint64, data []byte) *oplog.Segment {
+		return &oplog.Segment{DeviceID: dev, Pages: []oplog.PageRecord{{LPN: 5, WriteSeq: 1, StaleSeq: 2, Hash: h, Data: data}}}
+	}
+	for round := 0; round < 200; round++ {
+		st := NewStore(NewMemStore())
+		if err := st.AppendSegment(page(1, content)); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		dropped := make(chan error)
+		go func() {
+			<-start
+			dropped <- st.DropSegmentPages(1, 0)
+		}()
+		buf := slices.Clone(content)
+		close(start)
+		err := st.AppendSegment(page(2, buf))
+		clear(buf)
+		if dropErr := <-dropped; err != nil || dropErr != nil {
+			t.Fatalf("round %d: append %v, drop %v", round, err, dropErr)
+		}
+		v, ok := st.Version(2, 5, ^uint64(0))
+		if ds := st.Dedup(); !ok || !bytes.Equal(v.Data, content) || ds.UniquePages != 1 || ds.TotalRefs != 1 {
+			t.Fatalf("round %d: device 2 holds its page %v with the right bytes %v; index %+v", round, ok, ok && bytes.Equal(v.Data, content), ds)
+		}
+	}
+}
+
+// TestFetchSegmentOwnsItsPages: a segment FetchSegment returns keeps its
+// pages after the pool class its marshal was decoded in has been rented and
+// overwritten — deflated and stored blobs alike.
+func TestFetchSegmentOwnsItsPages(t *testing.T) {
+	st := NewStore(NewMemStore())
+	deflated := buildDedupSegments(1, 1, 8, dedupContent(8))[0]
+	stored := &oplog.Segment{DeviceID: 2}
+	for i := range 8 {
+		data := incompressiblePage(4096, uint64(50+i))
+		stored.Pages = append(stored.Pages, oplog.PageRecord{LPN: uint64(i), Hash: oplog.HashData(data), Data: data})
+	}
+	for _, tc := range []struct {
+		seg   *oplog.Segment
+		codec nvmeoe.Codec
+	}{{deflated, nvmeoe.CodecDeflate}, {stored, nvmeoe.CodecStored}} {
+		seg := tc.seg
+		want := slices.Clone(seg.Pages)
+		if err := st.AppendSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+		if blob, err := st.Blobs().Get(fmt.Sprintf("dev/%d/seg/%020d", seg.DeviceID, 0)); err != nil || nvmeoe.Codec(blob[4]) != tc.codec {
+			t.Fatalf("device %d: blob err=%v, want codec %v", seg.DeviceID, err, tc.codec)
+		}
+		got, err := st.FetchSegment(seg.DeviceID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := got.MarshaledSize()
+		for round := 0; round < 4; round++ {
+			var rented []*bufpool.Buf
+			for range 4 {
+				buf := bufpool.Get(size)
+				buf.B = buf.B[:cap(buf.B)]
+				for i := range buf.B {
+					buf.B[i] = 0xa5
+				}
+				rented = append(rented, buf)
+			}
+			for _, buf := range rented {
+				buf.Release()
+			}
+		}
+		if len(got.Pages) != len(want) {
+			t.Fatalf("device %d: fetched %d pages, stored %d", seg.DeviceID, len(got.Pages), len(want))
+		}
+		for i, p := range got.Pages {
+			if !bytes.Equal(p.Data, want[i].Data) || oplog.HashData(p.Data) != p.Hash {
+				t.Fatalf("device %d page %d: bytes changed after its decode buffer's pool class was reused", seg.DeviceID, i)
 			}
 		}
 	}

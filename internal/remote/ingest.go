@@ -292,7 +292,6 @@ func (ss *session) ingestSegment(body []byte) {
 		logical = len(raw)
 		seg, err = oplog.UnmarshalSegment(raw)
 	}
-	buf.Release() // UnmarshalSegment copies page data; the buffer is done
 	decodeDur := time.Since(start)
 	if err == nil && seg.DeviceID != ss.deviceID {
 		err = fmt.Errorf("segment for device %d on session of device %d", seg.DeviceID, ss.deviceID)
@@ -302,6 +301,7 @@ func (ss *session) ingestSegment(body []byte) {
 		// compressed at rest, and the server never re-compresses.
 		err = ss.srv.Store.AppendSegmentBlob(seg, body)
 	}
+	buf.Release() // seg's pages alias buf until the store's verify repoints them
 
 	ss.led.mu.Lock()
 	ss.led.st.DecodeTime += decodeDur

@@ -170,7 +170,7 @@ func TestServerDecodeSteadyStateAllocs(t *testing.T) {
 		data []byte
 	}{
 		{"deflate", compressiblePage(16 << 10)},
-		{"stored", incompressiblePage(16 << 10)},
+		{"stored", incompressiblePage(16<<10, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seg := buildSegments(1, 1, 1)[0]
@@ -198,9 +198,11 @@ func compressiblePage(n int) []byte {
 	return b
 }
 
-func incompressiblePage(n int) []byte {
+// incompressiblePage is n bytes of xorshift noise, distinct per seed:
+// content no code shrinks and no other seed repeats.
+func incompressiblePage(n int, seed uint64) []byte {
 	b := make([]byte, n)
-	x := uint64(0x9e3779b97f4a7c15)
+	x := (seed + 1) * 0x9e3779b97f4a7c15
 	for i := range b {
 		x ^= x << 13
 		x ^= x >> 7

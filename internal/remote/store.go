@@ -139,14 +139,15 @@ func (s *Store) AppendSegment(seg *oplog.Segment) error {
 	return s.AppendSegmentBlob(&own, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
 }
 
-// AppendSegmentBlob verifies and ingests one offloaded segment: page
-// hashes must match, and the entries must extend the device's chain
-// exactly. blob is the codec-framed wire encoding of seg and is persisted
-// verbatim — compressed on the wire is compressed at rest. Only the
-// segment's own device shard is locked, so ingest from different devices
-// runs concurrently. The store keeps seg.Entries: do not write it again.
+// AppendSegmentBlob verifies and ingests one offloaded segment: every page
+// must match its hash (chunkIndex.verify), and the entries must extend the
+// device's chain exactly. blob is the codec-framed wire encoding of seg and
+// is persisted verbatim — compressed on the wire is compressed at rest. Only
+// the segment's own device shard is locked, so ingest from different devices
+// runs concurrently. The store keeps seg.Entries: do not write it again, but
+// none of its page bytes: verify points each page's Data at the store's copy.
 func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
-	if err := seg.VerifyPages(); err != nil {
+	if err := s.chunks.verify(seg.Pages); err != nil {
 		return fmt.Errorf("remote: reject segment: %w", err)
 	}
 	d := s.dev(seg.DeviceID)
@@ -218,10 +219,10 @@ func (d *deviceLog) extends(seg *oplog.Segment) error {
 	return seg.VerifyChain(d.headHash)
 }
 
-// adopt indexes a segment that passed VerifyPages and extends: the chain
-// advances, every page is interned by its verified hash so the version index
-// (and every subscriber) sees the canonical physical copy, and the blob's
-// key and sizes are ledgered.
+// adopt indexes a segment that passed chunkIndex.verify and extends: the
+// chain advances, every page is interned by its verified hash so the version
+// index (and every subscriber) sees the canonical physical copy, and the
+// blob's key and sizes are ledgered.
 func (d *deviceLog) adopt(chunks *chunkIndex, seg *oplog.Segment, key string, logical, stored int) {
 	if n := len(seg.Entries); n > 0 {
 		d.runs = append(d.runs, seg.Entries)
@@ -314,7 +315,7 @@ func (s *Store) Version(deviceID, lpn, before uint64) (oplog.PageRecord, bool) {
 // HeldVersions lists every page version the store holds for the device, in
 // (LPN, WriteSeq) order, with the payloads left out: the listing costs
 // O(versions) whatever the page size. It is what a reopening device
-// compares its flash against — a version listed here passed VerifyPages at
+// compares its flash against — a version listed here was held to its hash at
 // ingest and was acked, and stays listed until DropSegmentPages expires
 // it. An unknown device holds nothing.
 func (s *Store) HeldVersions(deviceID uint64) []oplog.PageRecord {
@@ -594,17 +595,13 @@ func (s *Store) FetchSegment(deviceID uint64, i int) (*oplog.Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Decode into a pooled buffer sized by the blob's logical-size header:
-	// the marshal is transient (UnmarshalSegment copies what it keeps), so
-	// the cold path stops double-allocating it.
-	buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(blob))
-	raw, err := nvmeoe.AppendDecodeSegmentBlob(buf.B, blob)
+	// The segment's pages alias the decoded marshal, so the caller gets a
+	// buffer of its own, never a pooled one.
+	raw, err := nvmeoe.AppendDecodeSegmentBlob(nil, blob)
 	if err != nil {
-		buf.Release()
 		return nil, fmt.Errorf("remote: fetch %s: %w", key, err)
 	}
 	seg, err := oplog.UnmarshalSegment(raw)
-	buf.Release()
 	if err != nil {
 		return nil, fmt.Errorf("remote: fetch %s: %w", key, err)
 	}
@@ -650,29 +647,27 @@ func (s *Store) Reload() error {
 				return err
 			}
 			// Blobs land in the codec frame the wire carried. Decode goes
-			// through a pooled buffer reused across the whole rebuild — the
-			// marshal is transient (UnmarshalSegment copies what it keeps),
-			// so a fleet-sized reload does not allocate one per segment.
+			// through a pooled buffer, so a fleet-sized reload does not
+			// allocate one per segment; the pages alias it until verify
+			// points them at the index's copies.
 			buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(blob))
 			raw, err := nvmeoe.AppendDecodeSegmentBlob(buf.B, blob)
-			if err != nil {
-				buf.Release()
-				return fmt.Errorf("remote: reload %s: %w", key, err)
+			var seg *oplog.Segment
+			if err == nil {
+				seg, err = oplog.UnmarshalSegment(raw)
 			}
-			logical := len(raw)
-			seg, err := oplog.UnmarshalSegment(raw)
+			if err == nil {
+				err = chunks.verify(seg.Pages)
+			}
 			buf.Release()
 			if err != nil {
-				return fmt.Errorf("remote: reload %s: %w", key, err)
-			}
-			if err := seg.VerifyPages(); err != nil {
 				return fmt.Errorf("remote: reload %s: %w", key, err)
 			}
 			d := dev(seg.DeviceID)
 			if err := d.extends(seg); err != nil {
 				return fmt.Errorf("remote: reload %s: %w", key, err)
 			}
-			d.adopt(chunks, seg, key, logical, len(blob))
+			d.adopt(chunks, seg, key, len(raw), len(blob))
 			continue
 		}
 		if n, _ := fmt.Sscanf(key, "dev/%d/cp/%d", &devID, &seq); n == 2 {
