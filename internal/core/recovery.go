@@ -59,7 +59,9 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 //
 // It fetches four things over the session: the chain head; the payload-free
 // listing of every page version the server holds; the newest checkpoint the
-// chain records below the head; and the log from floor to the head. A
+// chain records below the head; and the log from floor to the head, one
+// request answered by a stream of frames that the client derives on every
+// core (remote.Client.AppendEntries) and Reopen replays in one pass. A
 // checkpoint is the device's own live-version table as it stood at cp.Seq,
 // pushed the moment it is taken, while the KindCheckpoint entry that binds it
 // rides the next segment. Reopen therefore reads the one entry at cp.Seq
@@ -181,40 +183,36 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	if floor < cp.Seq {
 		live = blankWriteSeqs(n)
 	}
-	const batch = 4096
-	for from := floor; from < head.NextSeq; from += batch {
-		to := min(from+batch, head.NextSeq)
-		entries, err := client.FetchEntries(from, to)
-		if err != nil {
-			return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): %w", from, to, err)
+	entries, err := client.FetchEntries(floor, head.NextSeq)
+	if err != nil {
+		return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): %w", floor, head.NextSeq, err)
+	}
+	if uint64(len(entries)) != head.NextSeq-floor {
+		return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): got %d", floor, head.NextSeq, len(entries))
+	}
+	for i := range entries {
+		e := &entries[i]
+		if e.Seq != floor+uint64(i) {
+			return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): entry %d where %d belongs", floor, head.NextSeq, e.Seq, floor+uint64(i))
 		}
-		if uint64(len(entries)) != to-from {
-			return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): got %d", from, to, len(entries))
+		if e.Seq == cp.Seq {
+			live = cp.WriteSeqs
 		}
-		for i := range entries {
-			e := &entries[i]
-			if e.Seq != from+uint64(i) {
-				return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): entry %d where %d belongs", from, to, e.Seq, from+uint64(i))
-			}
-			if e.Seq == cp.Seq {
-				live = cp.WriteSeqs
-			}
-			next, cause := e.Seq, ftl.CauseOverwrite
-			switch e.Kind {
-			case oplog.KindWrite, oplog.KindRecovery:
-			case oplog.KindTrim, oplog.KindRecoveryTrim:
-				next, cause = NoSeq, ftl.CauseTrim
-			default:
-				continue
-			}
-			if e.LPN >= n {
-				return nil, fmt.Errorf("core: reopen: entry %d names lpn %d of %d", e.Seq, e.LPN, n)
-			}
-			if prev := live[e.LPN]; prev != NoSeq {
-				staledBy[prev] = staleOp{e.Seq, cause}
-			}
-			live[e.LPN] = next
+		next, cause := e.Seq, ftl.CauseOverwrite
+		switch e.Kind {
+		case oplog.KindWrite, oplog.KindRecovery:
+		case oplog.KindTrim, oplog.KindRecoveryTrim:
+			next, cause = NoSeq, ftl.CauseTrim
+		default:
+			continue
 		}
+		if e.LPN >= n {
+			return nil, fmt.Errorf("core: reopen: entry %d names lpn %d of %d", e.Seq, e.LPN, n)
+		}
+		if prev := live[e.LPN]; prev != NoSeq {
+			staledBy[prev] = staleOp{e.Seq, cause}
+		}
+		live[e.LPN] = next
 	}
 
 	// Build the device shell (the FTL wires itself to it via Retainer).

@@ -75,30 +75,34 @@ type Evidence struct {
 // verifies the whole hash chain from genesis. It returns the evidence and
 // ErrChainBroken (with partial evidence) if verification fails.
 //
-// Each entry is hashed once. A fetched batch arrives as a chain already
-// derived and held against the reply's last hash (oplog.UnmarshalSegment),
-// so what is owed for the remote prefix is that the batches chain onto each
-// other from the zero genesis hash with contiguous sequences — a compare per
-// entry. The local suffix, which the device sealed and no server can forge,
-// is verified in full onto the last remote hash: that is the anchor the
-// remote prefix is believed by.
+// Each entry is hashed once. The remote prefix is one fetch, streamed in
+// frames that arrive as chains already derived and held against each frame's
+// last hash (remote.Client.AppendEntries, on every core), so what is owed for
+// the prefix is that the frames chain onto each other from the zero genesis
+// hash with contiguous sequences — a compare per entry. The local suffix,
+// which the device sealed and no server can forge, is verified in full onto
+// the last remote hash: that is the anchor the remote prefix is believed by.
+//
+// The server's head is a claim about a chain this device issued, so it is
+// held against the device's own log before anything is sized by it: a head
+// past the device's next sequence is refused with no fetch made.
 func (a *Analyzer) Timeline() (*Evidence, error) {
+	log := a.dev.Log()
 	var entries []oplog.Entry
 	if a.client != nil {
 		head, err := a.client.Head()
 		if err != nil {
 			return nil, fmt.Errorf("forensic: fetch head: %w", err)
 		}
-		// One allocation for the whole timeline: the remote prefix the head
-		// has just announced, each batch decoded into its place, and the local
-		// suffix behind it.
-		entries = make([]oplog.Entry, 0, max(head.NextSeq, a.dev.Log().NextSeq()))
-		const batch = 4096
-		for from := uint64(0); from < head.NextSeq; from += batch {
-			to := min(from+batch, head.NextSeq)
-			if entries, err = a.client.AppendEntries(entries, from, to); err != nil {
-				return nil, fmt.Errorf("forensic: fetch entries [%d,%d): %w", from, to, err)
-			}
+		issued := log.NextSeq()
+		if head.NextSeq > issued {
+			return nil, fmt.Errorf("forensic: remote head %d is past the %d entries this device issued", head.NextSeq, issued)
+		}
+		// One allocation for the whole timeline: the remote prefix, each
+		// frame derived into its place, and the local suffix behind it.
+		entries = make([]oplog.Entry, 0, issued)
+		if entries, err = a.client.AppendEntries(entries, 0, head.NextSeq); err != nil {
+			return nil, fmt.Errorf("forensic: fetch entries [0,%d): %w", head.NextSeq, err)
 		}
 	}
 	ev := &Evidence{RemoteEntries: len(entries), ChainIntact: true}
@@ -113,7 +117,6 @@ func (a *Analyzer) Timeline() (*Evidence, error) {
 		prev = e.Hash
 	}
 	// Local suffix: everything at or beyond what the remote holds.
-	log := a.dev.Log()
 	entries = append(entries, log.Entries(uint64(ev.RemoteEntries), log.NextSeq())...)
 	ev.Entries = entries
 	ev.LocalEntries = len(entries) - ev.RemoteEntries

@@ -3,9 +3,12 @@ package forensic
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/attack"
@@ -272,11 +275,26 @@ func TestEvidenceSurvivesHostCompromise(t *testing.T) {
 	}
 }
 
-// hostileClient is a session with a server that announces head and answers a
-// FetchEntries request with whatever entries returns for it — each reply an
-// honest marshal in the given codec, so every batch arrives as a verified
-// chain. The deflated replies are deflated whatever that saves.
-func hostileClient(t *testing.T, codec nvmeoe.Codec, head nvmeoe.Head, entries func(from, to uint64) []oplog.Entry) *remote.Client {
+// hostile is a server that announces head and answers a FetchEntries request
+// as the protocol has it — the range cut into frames of remote.FrameEntries
+// entries, then MsgFetchEnd — but each frame with whatever entries returns for
+// its range. Every frame is an honest marshal in the codec codec gives for
+// it, so each arrives as a verified chain; a deflated frame is deflated
+// whatever that saves. extra frames follow the range, and with cut > 0 the
+// connection is closed after that many frames, before MsgFetchEnd. Over a
+// net.Pipe a frame is served only once the client has read it all.
+type hostile struct {
+	head    uint64
+	entries func(from, to uint64) []oplog.Entry
+	codec   func(frame int) nvmeoe.Codec
+	extra   int
+	cut     int
+	fetches atomic.Int32 // FetchEntries requests received
+	served  atomic.Int32 // frames the client has read
+}
+
+// client dials a session with h.
+func (h *hostile) client(t *testing.T) *remote.Client {
 	t.Helper()
 	dc, sc := net.Pipe()
 	go func() {
@@ -295,20 +313,46 @@ func hostileClient(t *testing.T, codec nvmeoe.Codec, head nvmeoe.Head, entries f
 			if err != nil {
 				return
 			}
-			reply := head.Marshal()
-			if req.Kind == nvmeoe.FetchEntries {
-				raw := (&oplog.Segment{DeviceID: dev, Entries: entries(req.From, req.To)}).Marshal()
-				reply = nvmeoe.AppendStoredHeader(nil, len(raw))
-				if codec == nvmeoe.CodecStored {
-					reply = append(reply, raw...)
+			if req.Kind != nvmeoe.FetchEntries {
+				if conn.WriteMsg(nvmeoe.MsgFetchResp, (&nvmeoe.Head{NextSeq: h.head}).Marshal()) != nil {
+					return
+				}
+				continue
+			}
+			h.fetches.Add(1)
+			k := 0
+			serve := func(from, to uint64) bool {
+				if k == h.cut && h.cut > 0 {
+					return false
+				}
+				raw := (&oplog.Segment{DeviceID: dev, Entries: h.entries(from, to)}).Marshal()
+				blob := nvmeoe.AppendStoredHeader(nil, len(raw))
+				if codec := h.codec(k); codec == nvmeoe.CodecStored {
+					blob = append(blob, raw...)
 				} else {
 					d := bufpool.GetDeflater()
-					reply, _ = d.Append(reply, raw) // the error is always nil
+					blob, _ = d.Append(blob, raw) // the error is always nil
 					d.Release()
-					reply[4] = byte(codec) // the header's codec byte
+					blob[4] = byte(codec) // the header's codec byte
+				}
+				k++
+				if conn.WriteMsg(nvmeoe.MsgFetchResp, blob) != nil {
+					return false
+				}
+				h.served.Add(1)
+				return true
+			}
+			for from := req.From; from < req.To; from += remote.FrameEntries {
+				if !serve(from, min(from+remote.FrameEntries, req.To)) {
+					return
 				}
 			}
-			if conn.WriteMsg(nvmeoe.MsgFetchResp, reply) != nil {
+			for i := range uint64(h.extra) {
+				if from := req.To + i*remote.FrameEntries; !serve(from, from+remote.FrameEntries) {
+					return
+				}
+			}
+			if conn.WriteMsg(nvmeoe.MsgFetchEnd, nil) != nil {
 				return
 			}
 		}
@@ -321,17 +365,20 @@ func hostileClient(t *testing.T, codec nvmeoe.Codec, head nvmeoe.Head, entries f
 	return cl
 }
 
-// TestTimelineLocatesTheBreak: a fetched batch is a verified chain in itself,
-// so what Timeline can say of a hostile server's prefix is where a batch
+// TestTimelineLocatesTheBreak: a fetched frame is a verified chain in itself,
+// so what Timeline can say of a hostile server's prefix is where a frame
 // fails to extend the one before it; the local suffix, sealed by the device,
 // is verified entry by entry and anchors the whole. Either way BrokenAt is an
 // index into the merged timeline and the evidence gathered so far comes back.
+// A stream out of the bounds of its request, a cut connection and a head past
+// what the device issued are refused with an error and no evidence, never a
+// hang or an allocation sized by the server's claim.
 func TestTimelineLocatesTheBreak(t *testing.T) {
 	r := newRig(t)
 	rng := rand.New(rand.NewSource(11))
 	attack.Seed(r.fs, rng, 10, 2)
-	const batch = 4096 // Timeline's fetch size
-	for r.dev.Log().NextSeq() < batch+batch/2 {
+	const batch = remote.FrameEntries
+	for r.dev.Log().NextSeq() < 5*batch+batch/2 {
 		if err := attack.RunBenign(r.fs, rng, 200, simclock.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -342,8 +389,8 @@ func TestTimelineLocatesTheBreak(t *testing.T) {
 	attack.RunBenign(r.fs, rng, 30, simclock.Second)
 	head := r.store.Head(1)
 	honest := func(from, to uint64) []oplog.Entry { return r.store.Entries(1, from, to) }
-	if local := r.dev.Log().NextSeq() - head.NextSeq; head.NextSeq <= batch || local == 0 || r.dev.Log().BaseSeq() != head.NextSeq {
-		t.Fatalf("want two remote batches and a local suffix behind them: head %d, %d local from %d", head.NextSeq, local, r.dev.Log().BaseSeq())
+	if local := r.dev.Log().NextSeq() - head.NextSeq; head.NextSeq <= 5*batch || local == 0 || r.dev.Log().BaseSeq() != head.NextSeq {
+		t.Fatalf("want six remote frames and a local suffix behind them: head %d, %d local from %d", head.NextSeq, local, r.dev.Log().BaseSeq())
 	}
 
 	// A forged prefix: entry 7 rewritten and everything after it resealed,
@@ -354,53 +401,144 @@ func TestTimelineLocatesTheBreak(t *testing.T) {
 		forged[i].Seal(forged[i-1].Hash)
 	}
 
+	// A refusal is an error without evidence, not a broken chain: refusedBy
+	// is what it wraps, or errAny.
+	const refused = -2
+	errAny := errors.New("any error")
 	for _, tc := range []struct {
-		name     string
-		head     uint64
-		entries  func(from, to uint64) []oplog.Entry
-		brokenAt int
+		name      string
+		head      uint64
+		entries   func(from, to uint64) []oplog.Entry
+		extra     int
+		cut       int
+		brokenAt  int
+		refusedBy error
 	}{
-		{"honest", head.NextSeq, honest, -1},
-		// The first batch served again where the second belongs: a valid
-		// batch out of place breaks at the batch boundary.
-		{"replayed batch", head.NextSeq, func(from, to uint64) []oplog.Entry { return honest(0, to-from) }, batch},
-		// The second batch first: nothing chains onto genesis.
+		{"honest", head.NextSeq, honest, 0, 0, -1, nil},
+		// The first frame served again where the second belongs: a valid
+		// frame out of place breaks at the frame boundary.
+		{"replayed batch", head.NextSeq, func(from, to uint64) []oplog.Entry { return honest(0, to-from) }, 0, 0, batch, nil},
+		// The second frame first: nothing chains onto genesis.
 		{"batches out of order", head.NextSeq, func(from, to uint64) []oplog.Entry {
-			if from == 0 {
-				return honest(batch, head.NextSeq)
+			switch from {
+			case 0:
+				return honest(batch, 2*batch)
+			case batch:
+				return honest(0, batch)
 			}
-			return honest(0, batch)
-		}, 0},
-		// A batch that starts one entry late chains onto the entry it skipped.
+			return honest(from, to)
+		}, 0, 0, 0, nil},
+		// A frame that starts one entry late chains onto the entry it skipped.
 		{"entry withheld at the boundary", head.NextSeq, func(from, to uint64) []oplog.Entry {
 			if from == batch {
 				from++
 			}
 			return honest(from, to)
-		}, batch},
+		}, 0, 0, batch, nil},
 		// A head short of what the device knows it shipped: the local suffix
 		// does not chain onto the truncated prefix.
-		{"remote tail withheld", head.NextSeq - 5, honest, int(head.NextSeq) - 5},
+		{"remote tail withheld", head.NextSeq - 5, honest, 0, 0, int(head.NextSeq) - 5, nil},
 		// The forged prefix passes every check a server can be held to; the
 		// device's own seal on the first local entry does not.
-		{"forged prefix", head.NextSeq, func(from, to uint64) []oplog.Entry { return forged[from:to] }, int(head.NextSeq)},
+		{"forged prefix", head.NextSeq, func(from, to uint64) []oplog.Entry { return forged[from:to] }, 0, 0, int(head.NextSeq), nil},
+		// A head the device never issued: refused before anything is fetched
+		// or sized by it.
+		{"head past the device", 1 << 40, honest, 0, 0, refused, errAny},
+		// One entry more in a frame than a frame holds.
+		{"frame of more entries than asked", head.NextSeq, func(from, to uint64) []oplog.Entry {
+			if from == batch {
+				to++
+			}
+			return honest(from, to)
+		}, 0, 0, refused, remote.ErrEntriesStream},
+		// Frames past the range without end: refused at the first, neither
+		// buffered nor read on.
+		{"stream longer than asked", head.NextSeq, func(from, to uint64) []oplog.Entry {
+			return honest(from%head.NextSeq, min(from%head.NextSeq+to-from, head.NextSeq))
+		}, 1 << 30, 0, refused, remote.ErrEntriesStream},
+		// The connection cut after two frames, before MsgFetchEnd.
+		{"cut before the end", head.NextSeq, honest, 0, 2, refused, io.EOF},
 	} {
-		for _, codec := range []nvmeoe.Codec{nvmeoe.CodecStored, nvmeoe.CodecDeflate} {
-			cl := hostileClient(t, codec, nvmeoe.Head{NextSeq: tc.head}, tc.entries)
-			ev, err := NewAnalyzer(r.dev, cl).Timeline()
-			if tc.brokenAt < 0 {
+		codecs := map[string]func(int) nvmeoe.Codec{
+			"stored":  func(int) nvmeoe.Codec { return nvmeoe.CodecStored },
+			"deflate": func(int) nvmeoe.Codec { return nvmeoe.CodecDeflate },
+			// A deflated frame in a stored stream is still a frame.
+			"one deflated": func(k int) nvmeoe.Codec {
+				if k == 2 {
+					return nvmeoe.CodecDeflate
+				}
+				return nvmeoe.CodecStored
+			},
+		}
+		for cname, codec := range codecs {
+			h := &hostile{head: tc.head, entries: tc.entries, codec: codec, extra: tc.extra, cut: tc.cut}
+			ev, err := NewAnalyzer(r.dev, h.client(t)).Timeline()
+			switch tc.brokenAt {
+			case -1:
 				if err != nil || !ev.ChainIntact || uint64(len(ev.Entries)) != r.dev.Log().NextSeq() {
-					t.Fatalf("%s, %v: %v", tc.name, codec, err)
+					t.Fatalf("%s, %s: %v", tc.name, cname, err)
+				}
+				continue
+			case refused:
+				if err == nil || errors.Is(err, ErrChainBroken) || ev != nil || tc.refusedBy != errAny && !errors.Is(err, tc.refusedBy) {
+					t.Fatalf("%s, %s: err=%v, evidence %v, want a refusal by %v and no evidence", tc.name, cname, err, ev != nil, tc.refusedBy)
+				}
+				if tc.head > head.NextSeq && h.fetches.Load() != 0 {
+					t.Fatalf("%s, %s: %d entries fetches for a head past the device", tc.name, cname, h.fetches.Load())
+				}
+				if frames := (head.NextSeq + batch - 1) / batch; tc.extra > 0 && uint64(h.served.Load()) > frames+1 {
+					t.Fatalf("%s, %s: the client read %d frames of a %d-frame range", tc.name, cname, h.served.Load(), frames)
 				}
 				continue
 			}
 			if !errors.Is(err, ErrChainBroken) || ev == nil || ev.ChainIntact || ev.BrokenAt != tc.brokenAt {
-				t.Fatalf("%s, %v: err=%v, evidence %+v, want ErrChainBroken at %d", tc.name, codec, err, ev != nil && ev.ChainIntact, tc.brokenAt)
+				t.Fatalf("%s, %s: err=%v, evidence %+v, want ErrChainBroken at %d", tc.name, cname, err, ev != nil && ev.ChainIntact, tc.brokenAt)
 			}
 			if len(ev.Entries) <= ev.BrokenAt || ev.RemoteEntries+ev.LocalEntries != len(ev.Entries) {
-				t.Fatalf("%s, %v: partial evidence of %d entries (%d remote, %d local) does not reach the break at %d",
-					tc.name, codec, len(ev.Entries), ev.RemoteEntries, ev.LocalEntries, ev.BrokenAt)
+				t.Fatalf("%s, %s: partial evidence of %d entries (%d remote, %d local) does not reach the break at %d",
+					tc.name, cname, len(ev.Entries), ev.RemoteEntries, ev.LocalEntries, ev.BrokenAt)
 			}
 		}
+	}
+}
+
+// TestTimelineAllocsDoNotGrowWithFrames: Timeline makes as many allocations
+// over a remote prefix of one frame as over one of six, none of them per
+// frame: the frames are read into pool buffers, derived in place in the
+// timeline's one slice and given back.
+func TestTimelineAllocsDoNotGrowWithFrames(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	r := newRig(t)
+	rng := rand.New(rand.NewSource(5))
+	attack.Seed(r.fs, rng, 4, 1)
+	a := NewAnalyzer(r.dev, r.client)
+	// Collections mid-measurement would empty the pools: a refill is the
+	// collector's allocation, not Timeline's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	measure := func(frames uint64) float64 {
+		t.Helper()
+		for r.dev.Log().NextSeq() < (frames-1)*remote.FrameEntries+remote.FrameEntries/2 {
+			if err := attack.RunBenign(r.fs, rng, 50, simclock.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.dev.OffloadNow(r.fs.Clock().Now()); err != nil {
+			t.Fatal(err)
+		}
+		attack.RunBenign(r.fs, rng, 10, simclock.Second)
+		if head := r.store.Head(1).NextSeq; (head+remote.FrameEntries-1)/remote.FrameEntries != frames || r.dev.Log().Len() == 0 {
+			t.Fatalf("a remote prefix of %d entries and %d local, want %d frames and a local suffix", head, r.dev.Log().Len(), frames)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if ev, err := a.Timeline(); err != nil || !ev.ChainIntact {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, six := measure(1), measure(6)
+	if one != six {
+		t.Fatalf("Timeline: %v allocs over one frame, %v over six", one, six)
 	}
 }

@@ -56,7 +56,7 @@ const (
 	MsgFetchResp // server -> device
 	MsgError
 	_                // 10: retired, unassigned
-	MsgFetchEnd      // server -> device: stream trailer (StreamEnd)
+	MsgFetchEnd      // server -> device: stream trailer (StreamEnd; empty after entries frames)
 	MsgFetchChunkRef // server -> device: one codec-framed chunk (RefChunk) of an image stream
 )
 
@@ -232,30 +232,49 @@ func (c *Conn) WriteMsg(t MsgType, payload []byte) error {
 // The returned payload is freshly owned by the caller; compressed frames
 // decrypt through a pooled intermediate that never escapes.
 func (c *Conn) ReadMsg() (MsgType, []byte, error) {
+	t, pt, _, err := c.read(false)
+	return t, pt, err
+}
+
+// ReadMsgBuf is ReadMsg into a pooled buffer: the payload is buf.B, and the
+// caller releases buf once it is done with the payload. A stream's reader
+// that hands each payload on (remote.Client.AppendEntries) reads a long
+// stream without an allocation per frame.
+func (c *Conn) ReadMsgBuf() (MsgType, *bufpool.Buf, error) {
+	t, pt, buf, err := c.read(true)
+	if err == nil {
+		buf.B = pt
+	}
+	return t, buf, err
+}
+
+// read is ReadMsg, the payload in a pooled buffer when pooled is set.
+func (c *Conn) read(pooled bool) (MsgType, []byte, *bufpool.Buf, error) {
 	hdr := c.in.hdr[:]
 	if _, err := io.ReadFull(c.br, hdr); err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return 0, nil, ErrBadFrame
+		return 0, nil, nil, ErrBadFrame
 	}
 	if hdr[4] != protoVersion {
-		return 0, nil, ErrBadVersion
+		return 0, nil, nil, ErrBadVersion
 	}
 	t := MsgType(hdr[5])
 	flags := binary.LittleEndian.Uint16(hdr[6:])
 	seq := binary.LittleEndian.Uint64(hdr[8:])
 	clen := binary.LittleEndian.Uint32(hdr[16:])
 	if clen > MaxPayload {
-		return 0, nil, ErrTooLarge
+		return 0, nil, nil, ErrTooLarge
 	}
 	// A compressed frame's ciphertext is scratch (the inflated payload is
 	// what escapes); an uncompressed frame's ciphertext becomes the payload
-	// and must be a plain allocation. Either holds the tag behind it.
+	// and must be a plain allocation unless the caller takes a pooled one.
+	// Either holds the tag behind it.
 	n := int(clen) + tagSize
 	var ct []byte
 	var ctBuf *bufpool.Buf
-	if flags&flagCompressed != 0 {
+	if pooled || flags&flagCompressed != 0 {
 		ctBuf = bufpool.Get(n)
 		ct = ctBuf.B[:n]
 	} else {
@@ -263,29 +282,37 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	}
 	if _, err := io.ReadFull(c.br, ct); err != nil {
 		ctBuf.Release()
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	pt, err := c.in.aead.Open(ct[:0], c.in.nonceFor(seq), ct, hdr)
 	if err != nil {
 		ctBuf.Release()
-		return 0, nil, ErrBadMAC
+		return 0, nil, nil, ErrBadMAC
 	}
 	// The tag binds seq; strict in-order delivery rejects replays and
 	// drops (the underlying transport is reliable, so any deviation is
 	// an attack or a bug, not loss).
 	if seq != c.in.seq {
 		ctBuf.Release()
-		return 0, nil, fmt.Errorf("%w: got seq %d, want %d", ErrReplay, seq, c.in.seq)
+		return 0, nil, nil, fmt.Errorf("%w: got seq %d, want %d", ErrReplay, seq, c.in.seq)
 	}
 	c.in.seq++
-	if flags&flagCompressed != 0 {
-		pt, err = Inflate(pt)
-		ctBuf.Release()
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
-		}
+	if flags&flagCompressed == 0 {
+		return t, pt, ctBuf, nil
 	}
-	return t, pt, nil
+	var out *bufpool.Buf
+	var dst []byte
+	if pooled {
+		out = bufpool.Get(2 * len(pt))
+		dst = out.B
+	}
+	pt, err = AppendInflateLimited(dst, pt, MaxPayload)
+	ctBuf.Release()
+	if err != nil {
+		out.Release()
+		return 0, nil, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	}
+	return t, pt, out, nil
 }
 
 // Close closes the underlying connection.

@@ -16,7 +16,11 @@ type FetchKind uint8
 // The numbers are wire values. 2, 3 and 7 are retired and stay unassigned: a
 // server answers them, like any unknown kind, with an error message.
 const (
-	// FetchEntries requests log entries with From <= Seq < To.
+	// FetchEntries requests log entries with From <= Seq < To, answered by
+	// a stream: MsgFetchResp frames, each a stored page-less segment
+	// marshal of remote.FrameEntries entries (the last shorter), then an
+	// empty MsgFetchEnd. The client derives each frame's chain while the
+	// next is on the wire.
 	FetchEntries FetchKind = 1
 	// FetchCheckpoint requests the newest mapping checkpoint with
 	// Seq <= Before.

@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/simclock"
 )
@@ -335,8 +337,83 @@ func (e *ChainError) Error() string {
 // VerifyChain checks that entries form an unbroken, untampered hash chain
 // starting from prev (the hash of the entry immediately before entries[0],
 // or zero for a genesis chain). It returns nil if the chain is intact.
+//
+// A chain of at least 2×512 entries (verifyShardEntries) is cut into up to
+// GOMAXPROCS shards of at least 512 each, verified side by side: shard k from the stored Hash of the entry before it, which is what
+// the one loop would have carried there had it got that far. The error is
+// the earliest failing entry's, with the reason the one loop gives, so the
+// result does not depend on the shard count. With one P, or a shorter chain,
+// it is the one loop.
 func VerifyChain(entries []Entry, prev [HashSize]byte) error {
-	for i := range entries {
+	shards := min(runtime.GOMAXPROCS(0), len(entries)/verifyShardEntries)
+	if shards < 2 {
+		return verifyRange(entries, 0, len(entries), prev, nil)
+	}
+	c := &chainShards{entries: entries}
+	c.firstBad.Store(int64(len(entries)))
+	for k := shards - 1; k >= 0; k-- {
+		lo, hi := k*len(entries)/shards, (k+1)*len(entries)/shards
+		from := prev
+		if lo > 0 {
+			from = entries[lo-1].Hash
+		}
+		if k == 0 {
+			c.verify(lo, hi, from)
+			break
+		}
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.verify(lo, hi, from)
+		}()
+	}
+	c.wg.Wait()
+	i := int(c.firstBad.Load())
+	if i == len(entries) {
+		return nil
+	}
+	// The one loop's reason at i follows from entries[i] and the entry
+	// before it alone.
+	if i > 0 {
+		prev = entries[i-1].Hash
+	}
+	return verifyRange(entries, i, i+1, prev, nil)
+}
+
+// chainShards is what the shards of one VerifyChain share: the chain, and
+// the lowest failing index found so far (len(entries) while none is), above
+// which a shard stops, since nothing it could find would be reported.
+type chainShards struct {
+	entries  []Entry
+	firstBad atomic.Int64
+	wg       sync.WaitGroup
+}
+
+// verify checks entries[lo:hi] from prev and lowers firstBad to where that
+// fails, if it does.
+func (c *chainShards) verify(lo, hi int, prev [HashSize]byte) {
+	err := verifyRange(c.entries, lo, hi, prev, &c.firstBad)
+	if err == nil {
+		return
+	}
+	i := int64(err.(*ChainError).Index)
+	for bad := c.firstBad.Load(); i < bad && !c.firstBad.CompareAndSwap(bad, i); bad = c.firstBad.Load() {
+	}
+}
+
+// verifyShardEntries is the least number of entries VerifyChain gives one
+// shard: below it a goroutine costs more than the hashes it takes over.
+const verifyShardEntries = 512
+
+// verifyRange is VerifyChain's loop over entries[lo:hi], prev being the hash
+// entries[lo] must chain onto; indexes are into entries, so a shard's
+// sequence check at lo reads the entry before it. It gives up, returning nil,
+// once stop (when not nil) holds an index below the one it is at.
+func verifyRange(entries []Entry, lo, hi int, prev [HashSize]byte, stop *atomic.Int64) error {
+	for i := lo; i < hi; i++ {
+		if stop != nil && stop.Load() < int64(i) {
+			return nil
+		}
 		e := &entries[i]
 		if e.PrevHash != prev {
 			return &ChainError{Index: i, Seq: e.Seq, Reason: "previous-hash mismatch"}

@@ -156,11 +156,17 @@ func (s *Segment) AppendMarshalRuns(b []byte, runs ...[]Entry) []byte {
 // or copies what it keeps.
 func UnmarshalSegment(b []byte) (*Segment, error) {
 	s := &Segment{}
-	entries, nPages, b, err := s.decodeEntries(nil, b)
+	nEntries, nPages, b, err := s.decodeHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	s.Entries, s.derived = entries, entries
+	if nEntries > 0 {
+		entries := make([]Entry, nEntries)
+		if b, err = deriveChain(entries, b); err != nil {
+			return nil, err
+		}
+		s.Entries, s.derived = entries, entries
+	}
 	s.Pages = make([]PageRecord, 0, nPages)
 	for i := uint32(0); i < nPages; i++ {
 		if len(b) < pageHeaderSize {
@@ -187,35 +193,65 @@ func UnmarshalSegment(b []byte) (*Segment, error) {
 	return s, nil
 }
 
-// AppendSegmentEntries decodes a page-less segment marshal, what a
-// FetchEntries reply carries, and appends its chain to dst, derived and held
-// as UnmarshalSegment does. It accepts exactly what UnmarshalSegment accepts
-// with no pages. On error it returns dst, its elements as they were.
+// AppendSegmentEntries decodes a page-less segment marshal, what one frame of
+// a FetchEntries stream carries, and appends its chain to dst, derived and
+// held as UnmarshalSegment does. It accepts exactly what UnmarshalSegment
+// accepts with no pages. On error it returns dst, its elements as they were.
+// It is SegmentEntryCount and DeriveSegmentEntries in one call.
 func AppendSegmentEntries(dst []Entry, b []byte) ([]Entry, error) {
-	var hdr Segment
-	out, _, rest, err := hdr.decodeEntries(dst, b)
-	if err == nil && len(rest) != 0 {
-		// Page records, which the header's count says are there, are
-		// trailing bytes here.
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadSegment, len(rest))
-	}
+	n, err := SegmentEntryCount(b)
 	if err != nil {
+		return dst, err
+	}
+	out := slices.Grow(dst, n)[:len(dst)+n]
+	if err := DeriveSegmentEntries(out[len(dst):], b); err != nil {
 		return dst, err
 	}
 	return out, nil
 }
 
-// decodeEntries reads the header at the front of b into s and appends the
-// chain the marshal carries to dst, returning the extended slice, the page
-// count and the bytes behind the entries. The counts are the sender's claim:
-// they are held against the bytes that follow before anything is sized by
-// them. On error dst's elements are as they were.
-func (s *Segment) decodeEntries(dst []Entry, b []byte) ([]Entry, uint32, []byte, error) {
+// SegmentEntryCount reads the header of a page-less segment marshal and
+// returns how many entries it carries, refusing a header AppendSegmentEntries
+// refuses. A reader that places each marshal of a stream in one slice sizes
+// the place by it before the chain is derived.
+func SegmentEntryCount(b []byte) (int, error) {
+	var hdr Segment
+	n, _, _, err := hdr.decodeHeader(b)
+	return n, err
+}
+
+// DeriveSegmentEntries derives the chain of a page-less segment marshal into
+// dst, which holds exactly SegmentEntryCount(b) entries, and returns the error
+// AppendSegmentEntries would: dst is then AppendSegmentEntries' result without
+// the slice it appended to. It writes nothing outside dst and reads nothing
+// but b, so marshals of one stream derive side by side.
+func DeriveSegmentEntries(dst []Entry, b []byte) error {
+	var hdr Segment
+	n, _, b, err := hdr.decodeHeader(b)
+	if err == nil && n != len(dst) {
+		err = fmt.Errorf("%w: %d entries to derive into %d", ErrBadSegment, n, len(dst))
+	}
+	if err == nil {
+		b, err = deriveChain(dst, b)
+	}
+	if err == nil && len(b) != 0 {
+		// Page records, which the header's count says are there, are
+		// trailing bytes here.
+		err = fmt.Errorf("%w: %d trailing bytes", ErrBadSegment, len(b))
+	}
+	return err
+}
+
+// decodeHeader reads the header at the front of b into s and returns the
+// entry and page counts and the bytes behind the header. The counts are the
+// sender's claim: they are held against the bytes that follow before anything
+// is sized by them.
+func (s *Segment) decodeHeader(b []byte) (int, uint32, []byte, error) {
 	if len(b) < headerSize {
-		return nil, 0, nil, ErrBadSegment
+		return 0, 0, nil, ErrBadSegment
 	}
 	if binary.LittleEndian.Uint32(b[0:]) != segmentMagic {
-		return nil, 0, nil, ErrBadMagic
+		return 0, 0, nil, ErrBadMagic
 	}
 	s.DeviceID = binary.LittleEndian.Uint64(b[4:])
 	s.FirstSeq = binary.LittleEndian.Uint64(b[12:])
@@ -230,13 +266,19 @@ func (s *Segment) decodeEntries(dst []Entry, b []byte) ([]Entry, uint32, []byte,
 		entryBytes += chainSize
 	}
 	if entryBytes > uint64(len(b)) || uint64(nPages) > (uint64(len(b))-entryBytes)/pageHeaderSize {
-		return nil, 0, nil, fmt.Errorf("%w: %d entries and %d pages claimed in %d bytes", ErrBadSegment, nEntries, nPages, len(b))
+		return 0, 0, nil, fmt.Errorf("%w: %d entries and %d pages claimed in %d bytes", ErrBadSegment, nEntries, nPages, len(b))
 	}
-	if nEntries == 0 {
-		return dst, nPages, b, nil
+	return nEntries, nPages, b, nil
+}
+
+// deriveChain derives len(entries) entries from b, which holds the two chain
+// hashes and then the bodies (nothing when entries is empty), and returns the
+// bytes behind the bodies. The header has already been held against len(b).
+func deriveChain(entries []Entry, b []byte) ([]byte, error) {
+	n := len(entries)
+	if n == 0 {
+		return b, nil
 	}
-	out := slices.Grow(dst, nEntries)[:len(dst)+nEntries]
-	entries := out[len(dst):]
 	// One stack buffer holds what an entry's hash covers: the previous hash,
 	// then the body as it lies in b.
 	var sealed [HashSize + EntrySize]byte
@@ -251,16 +293,16 @@ func (s *Segment) decodeEntries(dst []Entry, b []byte) ([]Entry, uint32, []byte,
 		e.PrevHash = [HashSize]byte(prev)
 		e.Hash = sha256.Sum256(sealed[:])
 		if i > 0 && e.Seq != entries[i-1].Seq+1 {
-			return nil, 0, nil, fmt.Errorf("%w: %w", ErrBadSegment, &ChainError{Index: i, Seq: e.Seq, Reason: "sequence gap"})
+			return nil, fmt.Errorf("%w: %w", ErrBadSegment, &ChainError{Index: i, Seq: e.Seq, Reason: "sequence gap"})
 		}
 		copy(prev, e.Hash[:])
 		b = b[EntrySize:]
 	}
-	if e := &entries[nEntries-1]; e.Hash != last {
-		return nil, 0, nil, fmt.Errorf("%w: %w", ErrBadSegment,
-			&ChainError{Index: nEntries - 1, Seq: e.Seq, Reason: "derived chain does not end at the segment's last hash"})
+	if e := &entries[n-1]; e.Hash != last {
+		return nil, fmt.Errorf("%w: %w", ErrBadSegment,
+			&ChainError{Index: n - 1, Seq: e.Seq, Reason: "derived chain does not end at the segment's last hash"})
 	}
-	return out, nPages, b, nil
+	return b, nil
 }
 
 // VerifyChain checks that the segment's entries form an unbroken hash chain

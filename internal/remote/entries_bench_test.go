@@ -28,8 +28,8 @@ func entriesOnly(l *oplog.Log, deviceID uint64, n int) *oplog.Segment {
 }
 
 // The sweep: history lengths from 48 k to 480 k entries, delivered as
-// entries-only segments of runEntries each, so a 4096-entry fetch batch
-// crosses run boundaries.
+// entries-only segments of runEntries each, so a FrameEntries-entry frame of
+// a fetch crosses run boundaries.
 var historySweep = []int{48_000, 120_000, 240_000, 480_000}
 
 const runEntries = 1000
@@ -61,10 +61,11 @@ func ingest(b *testing.B, st *Store, raws, blobs [][]byte) {
 }
 
 // BenchmarkFetchEntries is forensic.Timeline's work for a whole history: the
-// server's store read back in 4096-entry batches, through the codec and the
-// frame layer over a net.Pipe, into one destination reused from pass to pass.
+// server's store read back in one streamed fetch, through the codec and the
+// frame layer over a net.Pipe, each frame derived on -cpu workers into one
+// destination reused from pass to pass.
 //
-//	go test -run xxx -bench 'FetchEntries|IngestEntries' -cpu 1 ./internal/remote
+//	go test -run xxx -bench 'FetchEntries|IngestEntries' -cpu 1,2 ./internal/remote
 func BenchmarkFetchEntries(b *testing.B) {
 	raws, blobs := history()
 	for _, n := range historySweep {
@@ -87,11 +88,8 @@ func BenchmarkFetchEntries(b *testing.B) {
 			b.ResetTimer()
 			wire.read.Store(0)
 			for i := 0; i < b.N; i++ {
-				dst = dst[:0]
-				for from := 0; from < n; from += 4096 {
-					if dst, err = cl.AppendEntries(dst, uint64(from), uint64(min(from+4096, n))); err != nil {
-						b.Fatal(err)
-					}
+				if dst, err = cl.AppendEntries(dst[:0], 0, uint64(n)); err != nil {
+					b.Fatal(err)
 				}
 				if len(dst) != n {
 					b.Fatalf("%d entries of %d", len(dst), n)

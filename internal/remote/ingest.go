@@ -215,7 +215,7 @@ type session struct {
 	pending int // segments enqueued to the lane, not yet fully ingested
 	idle    sync.Cond
 
-	// runs holds the store views of one entries reply (serveFetch).
+	// runs holds the store views of one entries frame (serveEntries).
 	runs [][]oplog.Entry
 }
 

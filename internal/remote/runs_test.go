@@ -155,12 +155,13 @@ func TestAppendSegmentKeepsItsOwnEntries(t *testing.T) {
 }
 
 // TestFetchEntriesSteadyStateAllocs: a warmed AppendEntries into a slice with
-// room allocates the same two objects for 512 entries as for 4096 — the
-// payload ReadMsg returns on each side, the request at the server and the
-// reply at the client — and the server builds each reply in a pool buffer it
-// gives back. The reply is the stored marshal, so the client reads exactly the
-// frame around BlobOverhead plus the marshal: a deflated reply is a
-// different size.
+// room allocates the same for 512 entries, one frame, as for 4096, four frames
+// derived on workers: the request payload ReadMsg returns at the server, and
+// nothing per frame. The server builds each frame in a pool buffer it gives
+// back, and the client reads each into a pool buffer it gives back once the
+// frame is derived. Each frame is the stored marshal of its entries, so the
+// client reads exactly those around the frame's BlobOverhead, and then an
+// empty MsgFetchEnd: a deflated frame is a different size.
 func TestFetchEntriesSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -201,16 +202,22 @@ func TestFetchEntriesSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const frameOverhead = 20 + 16 // an nvmeoe frame's header and GCM tag
 	before := wire.read.Load()
-	fetch(n) // also warms the pool classes and the session's scratch
-	marshal := (&oplog.Segment{DeviceID: 1, Entries: dst}).MarshaledSize()
-	if got, want := wire.read.Load()-before, int64(frameOverhead+nvmeoe.BlobOverhead+marshal); got != want {
-		t.Errorf("a %d-entry reply is %d wire bytes, want %d: the stored marshal in one frame", n, got, want)
+	// The first fetch also warms the pool classes, the workers and the
+	// session's scratch. The stream ends with an empty MsgFetchEnd.
+	fetch(n)
+	want := int64(frameOverhead)
+	for from := 0; from < n; from += FrameEntries {
+		frame := (&oplog.Segment{DeviceID: 1, Entries: dst[from : from+FrameEntries]}).MarshaledSize()
+		want += int64(frameOverhead + nvmeoe.BlobOverhead + frame)
+	}
+	if got := wire.read.Load() - before; got != want || want != 316_072 {
+		t.Errorf("a %d-entry stream is %d wire bytes, want %d: four stored frames and the end", n, got, want)
 	}
 	base := settled()
 	few := testing.AllocsPerRun(20, func() { fetch(512) })
 	many := testing.AllocsPerRun(20, func() { fetch(n) })
-	if few != many || many > 2 {
-		t.Errorf("AppendEntries: %v allocs for 512 entries, %v for %d, want the same and at most 2", few, many, n)
+	if few != many || many > 1 {
+		t.Errorf("AppendEntries: %v allocs for 512 entries, %v for %d, want the same and at most 1", few, many, n)
 	}
 	if !slices.Equal(dst, st.Entries(1, 0, n)) {
 		t.Fatal("fetched entries differ from the store's")

@@ -364,20 +364,14 @@ func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 
 // serveFetch answers one retrieval request. Every reply that carries a
 // segment marshal is wrapped in the segment codec: restore chunks deflated,
-// because the link prices them, and entries, held listings and checkpoints
-// stored (nvmeoe's codec rule). Head replies stay bare: 40 bytes gains
-// nothing from a 9-byte codec header.
+// because the link prices them, and entries frames, held listings and
+// checkpoints stored (nvmeoe's codec rule). Head replies stay bare: 40 bytes
+// gains nothing from a 9-byte codec header.
 func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 	deviceID := ss.deviceID
 	switch req.Kind {
 	case nvmeoe.FetchEntries:
-		ss.runs = s.Store.appendRuns(ss.runs[:0], deviceID, req.From, req.To)
-		seg := oplog.Segment{DeviceID: deviceID}
-		err := ss.writeStored(seg.MarshaledSizeRuns(ss.runs...), func(b []byte) []byte {
-			return seg.AppendMarshalRuns(b, ss.runs...)
-		})
-		clear(ss.runs)
-		return err
+		return s.serveEntries(ss, req)
 	case nvmeoe.FetchImageStream:
 		return s.serveImageStream(ss, req)
 	case nvmeoe.FetchCheckpoint:
@@ -399,8 +393,8 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 
 // writeStored answers a fetch with a stored blob: marshal appends its size
 // bytes straight behind the codec header, in the one pooled buffer the frame
-// is sealed from. An entries reply is byte for byte the stored blob of a
-// Segment whose Entries are Store.Entries(…).
+// is sealed from. An entries frame is byte for byte the stored blob of a
+// Segment whose Entries are Store.Entries(…) over the frame's range.
 func (ss *session) writeStored(size int, marshal func([]byte) []byte) error {
 	blob := bufpool.Get(nvmeoe.BlobOverhead + size)
 	blob.B = marshal(nvmeoe.AppendStoredHeader(blob.B, size))
@@ -512,8 +506,9 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 // Client is the device-side handle to a remote server session. Calls are
 // synchronous request/response, matching the single-queue offload engine.
 type Client struct {
-	mu   sync.Mutex
-	conn *nvmeoe.Conn
+	mu     sync.Mutex
+	conn   *nvmeoe.Conn
+	stream entriesStream // AppendEntries' state, under mu
 }
 
 // Dial authenticates over nc and returns a client.
@@ -600,27 +595,6 @@ func (c *Client) PushSegmentBlobTimed(blob []byte, lastSeq uint64) (simclock.Dur
 func (c *Client) PushCheckpoint(cp *nvmeoe.Checkpoint) error {
 	_, err := c.roundTrip(nvmeoe.MsgCheckpoint, cp.Marshal(), nvmeoe.MsgCheckpointAck)
 	return err
-}
-
-// FetchEntries retrieves log entries with from <= Seq < to.
-func (c *Client) FetchEntries(from, to uint64) ([]oplog.Entry, error) {
-	return c.AppendEntries(nil, from, to)
-}
-
-// AppendEntries is FetchEntries appending to dst (oplog.AppendSegmentEntries);
-// on error dst is returned as it was. A stored reply, what this package's
-// server sends, is decoded in place from the frame payload.
-func (c *Client) AppendEntries(dst []oplog.Entry, from, to uint64) ([]oplog.Entry, error) {
-	req := nvmeoe.FetchReq{Kind: nvmeoe.FetchEntries, From: from, To: to}
-	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
-	if err != nil {
-		return dst, err
-	}
-	raw, err := nvmeoe.DecodeSegmentBlob(body)
-	if err != nil {
-		return dst, err
-	}
-	return oplog.AppendSegmentEntries(dst, raw)
 }
 
 // ChunkStats describes one streamed restore chunk as the client saw it:

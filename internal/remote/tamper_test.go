@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -271,10 +272,10 @@ func blobAs(codec nvmeoe.Codec, raw []byte) []byte {
 	return blob
 }
 
-// scriptedServer answers one device session's fetches with whatever reply
-// returns for them, wrapped in codec: the hostile (or broken) server a client
-// must not believe.
-func scriptedServer(t *testing.T, codec nvmeoe.Codec, reply func(req nvmeoe.FetchReq) []byte) *Client {
+// scriptedServer answers one device session's fetches with a stream of the
+// frames reply returns for them, each wrapped in codec, then MsgFetchEnd: the
+// hostile (or broken) server a client must not believe.
+func scriptedServer(t *testing.T, codec nvmeoe.Codec, reply func(req nvmeoe.FetchReq) [][]byte) *Client {
 	t.Helper()
 	dc, sc := net.Pipe()
 	go func() {
@@ -293,7 +294,12 @@ func scriptedServer(t *testing.T, codec nvmeoe.Codec, reply func(req nvmeoe.Fetc
 			if err != nil {
 				return
 			}
-			if conn.WriteMsg(nvmeoe.MsgFetchResp, blobAs(codec, reply(req))) != nil {
+			for _, raw := range reply(req) {
+				if conn.WriteMsg(nvmeoe.MsgFetchResp, blobAs(codec, raw)) != nil {
+					return
+				}
+			}
+			if conn.WriteMsg(nvmeoe.MsgFetchEnd, nil) != nil {
 				return
 			}
 		}
@@ -306,43 +312,54 @@ func scriptedServer(t *testing.T, codec nvmeoe.Codec, reply func(req nvmeoe.Fetc
 	return cl
 }
 
-// TestTamperMatrixFetchEntries: a two-batch FetchEntries reply, each batch
-// tampered every way the matrix knows. The client returns an error and no
-// entries for every row but the two that are valid chains once resealed:
-// those come back starting at another sequence, or from another previous
-// hash, than the honest batch — what the caller holds against the batch
-// before and against what it already has (forensic.Timeline, core.Reopen).
-// Every row is served stored, which the client decodes from the frame payload
-// in place, and deflated.
+// TestTamperMatrixFetchEntries: a FetchEntries reply of three frames, each
+// frame in turn tampered every way the matrix knows while the others stay
+// honest. The client returns an error and no entries for every row but the
+// two that are valid chains once resealed: that frame's entries come back
+// starting at another sequence, or from another previous hash, than the
+// honest frame's — what the caller holds against the frame before and against
+// what it already has (forensic.Timeline, core.Reopen). A row that makes the
+// stream longer than the range asked for (an entry duplicated in the last
+// frame) is refused as a stream out of bounds. Every row is served stored,
+// which the client decodes from the frame payload in place, and deflated.
 func TestTamperMatrixFetchEntries(t *testing.T) {
 	prefix, target := tamperChain(1, 42)
 	otherPrefix, _ := tamperChain(2, 43)
 	chain := append(append([]oplog.Entry(nil), prefix.Entries...), target.Entries...)
-	const split = 40
-	batches := [2][]oplog.Entry{chain[:split], chain[split:]}
+	cuts := []int{0, 20, 50, len(chain)}
+	first, end := chain[0].Seq, chain[len(chain)-1].Seq+1
+	honest := make([][]byte, len(cuts)-1)
+	for f := range honest {
+		honest[f] = (&oplog.Segment{DeviceID: 1, Entries: chain[cuts[f]:cuts[f+1]]}).Marshal()
+	}
+	foreign := otherPrefix.Entries[len(otherPrefix.Entries)-1].Hash
 
 	for _, codec := range []nvmeoe.Codec{nvmeoe.CodecStored, nvmeoe.CodecDeflate} {
-		var raw []byte
-		cl := scriptedServer(t, codec, func(nvmeoe.FetchReq) []byte { return raw })
-		for b, entries := range batches {
-			good := (&oplog.Segment{DeviceID: 1, Entries: entries}).Marshal()
-			raw = good
-			got, err := cl.FetchEntries(entries[0].Seq, entries[0].Seq+uint64(len(entries)))
-			if err != nil || !reflect.DeepEqual(got, entries) {
-				t.Fatalf("%v batch %d, untampered: %d entries, err=%v", codec, b, len(got), err)
-			}
-			foreign := otherPrefix.Entries[len(otherPrefix.Entries)-1].Hash
+		frames := honest
+		cl := scriptedServer(t, codec, func(nvmeoe.FetchReq) [][]byte { return frames })
+		if got, err := cl.FetchEntries(first, end); err != nil || !reflect.DeepEqual(got, chain) {
+			t.Fatalf("%v, untampered: %d entries, err=%v", codec, len(got), err)
+		}
+		for f, good := range honest {
+			entries, off := chain[cuts[f]:cuts[f+1]], cuts[f]
 			tamperMatrix(t, good, len(entries), 11, foreign, func(m mutant) {
-				raw = m.raw
-				got, err := cl.FetchEntries(entries[0].Seq, entries[0].Seq+uint64(len(entries)))
-				if err == nil && m.resealed && len(got) > 0 && oplog.VerifyChain(got, got[0].PrevHash) == nil &&
-					(got[0].PrevHash != entries[0].PrevHash || got[0].Seq != entries[0].Seq) {
+				frames = slices.Clone(honest)
+				frames[f] = m.raw
+				got, err := cl.FetchEntries(first, end)
+				if n := int(binary.LittleEndian.Uint32(m.raw[segHdrCount:])); err == nil && m.resealed && len(got) >= off+n && n > 0 &&
+					oplog.VerifyChain(got[off:off+n], got[off].PrevHash) == nil &&
+					(got[off].PrevHash != entries[0].PrevHash || got[off].Seq != entries[0].Seq) {
 					return // a chain, but from somewhere else: the caller's compare
 				}
-				if err == nil || got != nil || !errors.Is(err, oplog.ErrBadSegment) {
-					t.Fatalf("%v batch %d, %s (resealed=%v): %d entries, err=%v, want none and ErrBadSegment", codec, b, m.what, m.resealed, len(got), err)
+				if err == nil || got != nil || !errors.Is(err, oplog.ErrBadSegment) && !errors.Is(err, ErrEntriesStream) {
+					t.Fatalf("%v frame %d, %s (resealed=%v): %d entries, err=%v, want none and ErrBadSegment", codec, f, m.what, m.resealed, len(got), err)
 				}
 			})
+		}
+		// The session is still in step: every refused stream was read to its end.
+		frames = honest
+		if got, err := cl.FetchEntries(first, end); err != nil || !reflect.DeepEqual(got, chain) {
+			t.Fatalf("%v, untampered after the matrix: %d entries, err=%v", codec, len(got), err)
 		}
 	}
 }
