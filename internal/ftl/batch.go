@@ -90,7 +90,6 @@ func (f *FTL) writeBatch(stream Stream, times []simclock.Time, ops []BatchWrite,
 		}
 	}
 	done := at
-	issue := at
 	pending, pendingIdx := f.pending[:0], f.pendingIdx[:0]
 	defer func() {
 		clear(pending[:cap(pending)]) // the payloads are the caller's
@@ -103,7 +102,7 @@ func (f *FTL) writeBatch(stream Stream, times []simclock.Time, ops []BatchWrite,
 			return nil
 		}
 		var err error
-		f.progTimes, _, err = f.dev.ProgramBatch(f.progTimes[:0], pending, issue)
+		f.progTimes, _, err = f.dev.ProgramBatch(f.progTimes[:0], pending, at)
 		if err != nil {
 			return fmt.Errorf("ftl: batch program: %w", err)
 		}
@@ -141,7 +140,7 @@ func (f *FTL) writeBatch(stream Stream, times []simclock.Time, ops []BatchWrite,
 				return times, done, err
 			}
 		}
-		first, n, t, err := f.alloc(stream, len(ops)-i, issue)
+		first, n, err := f.alloc(stream, len(ops)-i, at)
 		if err != nil {
 			// Program what was already allocated (invariant 1), then
 			// report the failure.
@@ -150,7 +149,6 @@ func (f *FTL) writeBatch(stream Stream, times []simclock.Time, ops []BatchWrite,
 			}
 			return times, done, err
 		}
-		issue = t
 		for j := 0; j < n; j++ {
 			op := &ops[i+j]
 			pending = append(pending, nand.PageProgram{
@@ -231,34 +229,30 @@ func (f *FTL) TrimBatch(times []simclock.Time, ops []BatchTrim, at simclock.Time
 		}
 	}
 	sso, _ := f.ret.(StaleSeqObserver)
-	cur := at
 	for i := range ops {
 		op := &ops[i]
 		f.stats.Trims++
+		out[i] = at
 		ppn := f.l2p.get(op.LPN)
 		if ppn == NoPPN {
-			out[i] = cur
 			continue
 		}
 		f.l2p.set(op.LPN, NoPPN)
 		if sso != nil {
-			sso.OnStaleContext(op.Seq, cur)
+			sso.OnStaleContext(op.Seq, at)
 		}
-		f.invalidate(op.LPN, ppn, CauseTrim, cur)
+		f.invalidate(op.LPN, ppn, CauseTrim, at)
 		if f.cfg.EagerTrimErase {
 			b := f.geo.BlockOf(ppn)
 			bi := &f.blocks[b]
 			if bi.state == blockFull && bi.valid == 0 && bi.pinned == 0 {
-				var err error
-				cur, err = f.eraseBlock(b, cur)
-				if err != nil {
-					return times, cur, err
+				if err := f.eraseBlock(b, at); err != nil {
+					return times, at, err
 				}
 			}
 		}
-		out[i] = cur
 	}
-	return times, cur, nil
+	return times, at, nil
 }
 
 // SubmitBatch makes a bare FTL a batch.Device: the batched LocalSSD

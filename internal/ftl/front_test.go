@@ -29,11 +29,13 @@ func frontConfig() Config {
 }
 
 // placementRetainer pins every stale page, sheds all pins (lowest PPN first)
-// under pressure, and folds every placement it is told about into a digest.
+// under pressure, and folds every placement it is told about into two
+// digests: sum with the time of each event, placed without any time.
 type placementRetainer struct {
-	f    *FTL
-	pins map[uint64]bool
-	sum  *placementDigest
+	f      *FTL
+	pins   map[uint64]bool
+	sum    *placementDigest
+	placed *placementDigest
 }
 
 type placementDigest struct{ h [sha256.Size]byte }
@@ -49,6 +51,7 @@ func (d *placementDigest) add(tag byte, vals ...uint64) {
 func (r *placementRetainer) OnStale(lpn, ppn uint64, cause StaleCause, at simclock.Time) bool {
 	r.pins[ppn] = true
 	r.sum.add('s', lpn, ppn, uint64(cause), uint64(at))
+	r.placed.add('s', lpn, ppn, uint64(cause))
 	return true
 }
 
@@ -56,10 +59,12 @@ func (r *placementRetainer) OnMigrate(lpn, oldPPN, newPPN uint64, at simclock.Ti
 	delete(r.pins, oldPPN)
 	r.pins[newPPN] = true
 	r.sum.add('m', lpn, oldPPN, newPPN, uint64(at))
+	r.placed.add('m', lpn, oldPPN, newPPN)
 }
 
 func (r *placementRetainer) OnErased(lpn, ppn uint64, at simclock.Time) {
 	r.sum.add('e', lpn, ppn, uint64(at))
+	r.placed.add('e', lpn, ppn)
 }
 
 func (r *placementRetainer) Pressure(need int, at simclock.Time) {
@@ -75,12 +80,16 @@ func (r *placementRetainer) Pressure(need int, at simclock.Time) {
 		delete(r.pins, ppn)
 	}
 	r.sum.add('p', uint64(need), uint64(at))
+	r.placed.add('p', uint64(need))
+	r.placed.add('r', ppns...)
 }
 
 // hostPlacementDigest drives a fixed, seeded list of host operations — per-op
 // writes, batches of every size up to three blocks, trims — through GC, pin
-// migration and pressure, and digests where every page landed and when.
-func hostPlacementDigest(t *testing.T, f *FTL, ret *placementRetainer) string {
+// migration and pressure. It returns two digests: where every page landed and
+// when, and where every page landed alone — host PPNs, victims, migrations,
+// pins, sheds and erased pages, with no time in it.
+func hostPlacementDigest(t *testing.T, f *FTL, ret *placementRetainer) (timed, placed string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20))
 	logical := int(f.LogicalPages())
@@ -92,10 +101,12 @@ func hostPlacementDigest(t *testing.T, f *FTL, ret *placementRetainer) string {
 			lpn := uint64(rng.Intn(logical))
 			at, err = f.Trim(lpn, at)
 			ret.sum.add('t', lpn, uint64(at))
+			ret.placed.add('t', lpn)
 		case k < 4:
 			lpn := uint64(rng.Intn(logical))
 			at, err = f.Write(lpn, fill(byte(op), 512), at)
 			ret.sum.add('w', lpn, f.Lookup(lpn), uint64(at))
+			ret.placed.add('w', lpn, f.Lookup(lpn))
 		default:
 			ops := make([]BatchWrite, 1+rng.Intn(12))
 			for i := range ops {
@@ -105,40 +116,58 @@ func hostPlacementDigest(t *testing.T, f *FTL, ret *placementRetainer) string {
 			ts, at, err = f.WriteBatch(nil, ops, at)
 			for i := range ops {
 				ret.sum.add('b', ops[i].LPN, uint64(ts[i]))
+				ret.placed.add('b', ops[i].LPN)
 			}
 			for lpn := 0; lpn < logical; lpn++ {
 				ret.sum.add('l', f.Lookup(uint64(lpn)))
+				ret.placed.add('l', f.Lookup(uint64(lpn)))
 			}
 		}
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
+		// The victims: which blocks each op erased, and the free list
+		// they rejoined.
+		for b := 0; b < f.geo.TotalBlocks(); b++ {
+			ret.placed.add('v', uint64(f.dev.EraseCount(uint64(b))))
+		}
+		ret.placed.add('f', f.freeList...)
 	}
 	if st := f.Stats(); st.GCMigrates == 0 || st.PinMigrates == 0 {
 		t.Fatalf("op list too light to migrate live and pinned pages: %+v", st)
 	}
-	return hex.EncodeToString(ret.sum.h[:])
+	return hex.EncodeToString(ret.sum.h[:]), hex.EncodeToString(ret.placed.h[:])
 }
 
 func newPlacementFTL(cfg Config) (*FTL, *placementRetainer) {
-	ret := &placementRetainer{pins: map[uint64]bool{}, sum: &placementDigest{}}
+	ret := &placementRetainer{pins: map[uint64]bool{}, sum: &placementDigest{}, placed: &placementDigest{}}
 	f := New(cfg, ret)
 	ret.f = f
 	return f, ret
 }
 
-// hostPlacementGolden is hostPlacementDigest of the allocator as it stood
+// hostPlacementGolden is hostPlacementDigest's placement half. It was recorded
+// where the timed half still matched the digest of the allocator as it stood
 // before the recovery front existed (one open block per stream, opened by
-// allocRun and allocPageNoGC).
-const hostPlacementGolden = "5687e63f3161fb377823a9663e28e47457e45d589f6db895ac32bcf77b9d1838"
+// allocRun and allocPageNoGC); no timing change may move it.
+const hostPlacementGolden = "659b7541786bc4891dc82ff00a3dc09fa481ed26dd16e3e3ccdbb956f03e9e63"
+
+// hostTimingGolden is its timed half: every completion time, with a GC
+// episode charged to the chips it occupies and not to the write that trips it.
+const hostTimingGolden = "f2a48449487917aae1ab592d731d78bbc1c091f6fc696d0192f49a82caf94e8d"
 
 // TestHostPlacementUnchangedWithoutRestore: while no restore runs, the host,
-// GC and log fronts place every page — and time every completion, pick every
-// victim, shed every pin — exactly as the one-block-per-stream allocator did.
+// GC and log fronts place every page — pick every victim, migrate and pin
+// every page, shed every pin — exactly as the one-block-per-stream allocator
+// did, and time every completion as recorded.
 func TestHostPlacementUnchangedWithoutRestore(t *testing.T) {
 	f, ret := newPlacementFTL(frontConfig())
-	if got := hostPlacementDigest(t, f, ret); got != hostPlacementGolden {
-		t.Fatalf("host placement digest %s, recorded %s", got, hostPlacementGolden)
+	timed, placed := hostPlacementDigest(t, f, ret)
+	if placed != hostPlacementGolden {
+		t.Fatalf("host placement digest %s, recorded %s", placed, hostPlacementGolden)
+	}
+	if timed != hostTimingGolden {
+		t.Fatalf("host timing digest %s, recorded %s", timed, hostTimingGolden)
 	}
 }
 

@@ -11,6 +11,17 @@
 // pages so GC must preserve them. This mirrors how the paper implements
 // RSSD: as a modification of the flash management firmware, not a layer
 // above the block interface.
+//
+// GC timing. An episode runs inside the allocation that trips the low
+// watermark, from that write's issue time, and collects victims up to the
+// high watermark, each starting when the one before it finished. Each step
+// occupies one lane: a victim's reads hold its chip's foreground lane, its
+// migration programs hold the foreground lane of the GC and log fronts'
+// chips, and its erase runs on its chip's background lane and sets the
+// block's readyAt. Nothing else delays other operations: the write that
+// tripped the episode issues its program at its own time, and it and every
+// later operation wait only for a chip's queue, or for a block's readyAt
+// when a program lands in a block still being erased.
 package ftl
 
 import (
@@ -398,11 +409,11 @@ func (f *FTL) Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, e
 	if len(data) != f.geo.PageSize {
 		return at, ErrBadPageSize
 	}
-	ppn, _, issue, err := f.alloc(StreamHost, 1, at)
+	ppn, _, err := f.alloc(StreamHost, 1, at)
 	if err != nil {
 		return at, err
 	}
-	done, err := f.dev.Program(ppn, data, nand.OOB{LPN: lpn}, issue)
+	done, err := f.dev.Program(ppn, data, nand.OOB{LPN: lpn}, at)
 	if err != nil {
 		return at, fmt.Errorf("ftl: program ppn %d: %w", ppn, err)
 	}
@@ -459,7 +470,7 @@ func (f *FTL) Trim(lpn uint64, at simclock.Time) (simclock.Time, error) {
 		b := f.geo.BlockOf(ppn)
 		bi := &f.blocks[b]
 		if bi.state == blockFull && bi.valid == 0 && bi.pinned == 0 {
-			return f.eraseBlock(b, at)
+			return at, f.eraseBlock(b, at)
 		}
 	}
 	return at, nil
@@ -517,21 +528,20 @@ func (f *FTL) needsNewBlock(stream Stream) bool {
 // open block on a one-way front (the run never spans blocks, so callers that
 // want more simply call again), a single page on the striped recovery front.
 // It returns the first reserved PPN and the run length (>= 1 on success). A
-// way whose block is exhausted opens a new one, running GC first unless the
-// caller is GC itself (maybeGC does not recurse); a recovery way whose chip
-// has no free block is passed over this round. Reserved pages MUST be
-// programmed before their way opens its next block — batch writers program
-// what they hold before an allocation that may collect, keeping the NAND
-// sequential-program invariant.
-func (f *FTL) alloc(stream Stream, want int, at simclock.Time) (uint64, int, simclock.Time, error) {
+// way whose block is exhausted opens a new one, running GC from time at
+// first unless the caller is GC itself (maybeGC does not recurse); a recovery
+// way whose chip has no free block is passed over this round. Reserved pages
+// MUST be programmed before their way opens its next block — batch writers
+// program what they hold before an allocation that may collect, keeping the
+// NAND sequential-program invariant.
+func (f *FTL) alloc(stream Stream, want int, at simclock.Time) (uint64, int, error) {
 	fr := &f.fronts[stream]
 	for range fr.ways {
 		wi := fr.cur
 		w := &fr.ways[wi]
 		if f.needsNewBlock(stream) {
-			var err error
-			if at, err = f.openBlock(stream, wi, at); err != nil {
-				return 0, 0, at, err
+			if err := f.openBlock(stream, wi, at); err != nil {
+				return 0, 0, err
 			}
 		}
 		fr.cur = (wi + 1) % len(fr.ways)
@@ -544,16 +554,16 @@ func (f *FTL) alloc(stream Stream, want int, at simclock.Time) (uint64, int, sim
 		}
 		ppn := f.geo.PPN(w.block, w.next)
 		w.next += n
-		return ppn, n, at, nil
+		return ppn, n, nil
 	}
-	return 0, 0, at, ErrNoSpace
+	return 0, 0, ErrNoSpace
 }
 
 // openBlock retires the filled block of way wi of the stream's front and
 // opens the next: for the host front an open block the recovery front left
 // behind, else the least-worn free block — of the way's own chip on the
 // striped front. Finding none leaves the way closed.
-func (f *FTL) openBlock(stream Stream, wi int, at simclock.Time) (simclock.Time, error) {
+func (f *FTL) openBlock(stream Stream, wi int, at simclock.Time) error {
 	fr := &f.fronts[stream]
 	w := &fr.ways[wi]
 	if w.open {
@@ -561,11 +571,10 @@ func (f *FTL) openBlock(stream Stream, wi int, at simclock.Time) (simclock.Time,
 		w.open = false
 	}
 	if stream == StreamHost && f.adoptRecoveryBlock(w) {
-		return at, nil
+		return nil
 	}
-	at, err := f.maybeGC(at)
-	if err != nil {
-		return at, err
+	if err := f.maybeGC(at); err != nil {
+		return err
 	}
 	chip := -1
 	if len(fr.ways) > 1 {
@@ -573,13 +582,13 @@ func (f *FTL) openBlock(stream Stream, wi int, at simclock.Time) (simclock.Time,
 	}
 	blk, ok := f.takeFreeBlock(chip)
 	if !ok {
-		return at, nil
+		return nil
 	}
 	*w = way{block: blk, open: true}
 	f.allocSeq++
 	f.blocks[blk].state = blockActive
 	f.blocks[blk].allocSeq = f.allocSeq
-	return at, nil
+	return nil
 }
 
 // adoptRecoveryBlock hands w the first block with room that the recovery

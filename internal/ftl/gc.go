@@ -8,11 +8,11 @@ import (
 	"repro/internal/simclock"
 )
 
-// maybeGC runs garbage collection if the free-block pool has drained to the
-// low watermark. It returns the (possibly advanced) simulated time.
-func (f *FTL) maybeGC(at simclock.Time) (simclock.Time, error) {
+// maybeGC runs a garbage-collection episode from at if the free-block pool
+// has drained to the low watermark ("GC timing" in the package doc).
+func (f *FTL) maybeGC(at simclock.Time) error {
 	if f.inGC || len(f.freeList) > f.cfg.GCLowWater {
-		return at, nil
+		return nil
 	}
 	f.inGC = true
 	defer func() { f.inGC = false }()
@@ -31,15 +31,14 @@ func (f *FTL) maybeGC(at simclock.Time) (simclock.Time, error) {
 				continue
 			}
 			if len(f.freeList) > 0 {
-				return at, nil // partially recovered; let the write go on
+				return nil // partially recovered; let the write go on
 			}
-			return at, ErrNoSpace
+			return ErrNoSpace
 		}
 		pressured = false
 		var err error
-		at, err = f.collect(victim, at)
-		if err != nil {
-			return at, err
+		if at, err = f.collect(victim, at); err != nil {
+			return err
 		}
 	}
 	return f.wearLevelOnce(at)
@@ -49,13 +48,13 @@ func (f *FTL) maybeGC(at simclock.Time) (simclock.Time, error) {
 // reaches the configured threshold, the coldest full block is recycled so
 // blocks holding cold data rejoin circulation. At most one block is moved
 // per GC episode, bounding the added write amplification.
-func (f *FTL) wearLevelOnce(at simclock.Time) (simclock.Time, error) {
+func (f *FTL) wearLevelOnce(at simclock.Time) error {
 	if f.cfg.WearLevelThreshold < 0 || len(f.freeList) == 0 {
-		return at, nil
+		return nil
 	}
 	min, max, _ := f.dev.WearSummary()
 	if max-min < f.cfg.WearLevelThreshold {
-		return at, nil
+		return nil
 	}
 	best, bestWear := -1, max+1
 	for b := range f.blocks {
@@ -67,9 +66,10 @@ func (f *FTL) wearLevelOnce(at simclock.Time) (simclock.Time, error) {
 		}
 	}
 	if best < 0 || bestWear > min+f.cfg.WearLevelThreshold/2 {
-		return at, nil
+		return nil
 	}
-	return f.collect(uint64(best), at)
+	_, err := f.collect(uint64(best), at)
+	return err
 }
 
 // reclaimable returns how many pages erasing the block would free.
@@ -111,12 +111,14 @@ func (f *FTL) pickVictim() (uint64, bool) {
 	return bestBlock, found
 }
 
-// collect migrates the victim's live and pinned pages, then erases it.
-// Migrations run batched: one grouped read of every page to move (serial
-// on the victim's chip), then one grouped program through the per-channel
-// scheduler — relocation targets live on other chips' active blocks, so
-// the programs overlap across chips instead of serializing behind each
-// other the way per-page migration does. Blocks with nothing to move (the
+// collect migrates the victim's live and pinned pages, then erases it, and
+// returns when its last migration program finishes. Migrations run batched:
+// one grouped read of every page to move (serial on the victim's chip), then
+// one grouped program once every page is in the controller's buffers. The GC
+// and log fronts are one block wide, so the live pages all program in turn
+// into the GC front's open block on its chip, and the pinned ones into the
+// log front's on its chip (a page more moves to the front's next block, on
+// another chip, when the open one fills). Blocks with nothing to move (the
 // common case under greedy GC) pay only the erase.
 func (f *FTL) collect(victim uint64, at simclock.Time) (simclock.Time, error) {
 	f.stats.GCRuns++
@@ -163,7 +165,7 @@ func (f *FTL) collect(victim uint64, at simclock.Time) (simclock.Time, error) {
 			if migs[i].pinned {
 				stream = StreamLog
 			}
-			newPPN, _, _, err := f.alloc(stream, 1, readDone)
+			newPPN, _, err := f.alloc(stream, 1, readDone)
 			if err != nil {
 				return readDone, err
 			}
@@ -198,14 +200,14 @@ func (f *FTL) collect(victim uint64, at simclock.Time) (simclock.Time, error) {
 		}
 		at = progDone
 	}
-	return f.eraseBlock(victim, at)
+	return at, f.eraseBlock(victim, at)
 }
 
-// eraseBlock physically erases a block, reporting destroyed stale pages to
-// the retainer, and returns it to the free pool. Bad blocks (endurance
+// eraseBlock physically erases block b from time at, reporting destroyed
+// stale pages to the retainer, and returns it to the free pool. Bad blocks (endurance
 // exceeded) are retired silently, shrinking the pool — that is the
 // device-lifetime effect the paper's wear experiments measure.
-func (f *FTL) eraseBlock(b uint64, at simclock.Time) (simclock.Time, error) {
+func (f *FTL) eraseBlock(b uint64, at simclock.Time) error {
 	base := b * uint64(f.geo.PagesPerBlock)
 	if f.ret != nil {
 		for i := 0; i < f.geo.PagesPerBlock; i++ {
@@ -237,16 +239,16 @@ func (f *FTL) eraseBlock(b uint64, at simclock.Time) (simclock.Time, error) {
 			// The erase that hit the endurance limit succeeded, but the
 			// block is now bad: retire it instead of recycling it.
 			f.blocks[b] = blockInfo{state: blockFull}
-			return at, nil
+			return nil
 		}
 		f.blocks[b] = blockInfo{state: blockFree}
 		f.freeList = append(f.freeList, b)
-		return at, nil
+		return nil
 	}
 	if err == nand.ErrBadBlock || f.dev.Bad(b) {
 		// Retire the block: it simply never rejoins the free list.
 		f.blocks[b] = blockInfo{state: blockFull}
-		return at, nil
+		return nil
 	}
-	return at, fmt.Errorf("ftl: erase block %d: %w", b, err)
+	return fmt.Errorf("ftl: erase block %d: %w", b, err)
 }
