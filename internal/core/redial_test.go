@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -366,5 +367,100 @@ func TestOffloadNowWaitsOutRedialBackoff(t *testing.T) {
 	}
 	if w := r2.Stats().RedialWaitTime; w > simclock.Duration(maxRedialWaits)*cfg2.RedialBackoffMax {
 		t.Fatalf("waited %v, beyond the bounded schedule", w)
+	}
+}
+
+// TestReopenRedialsMidStream cuts Reopen's first session after every read
+// count a clean Reopen needs, the last ones inside the multi-frame entries
+// stream. Each fetch is an idempotent read, so Reopen redials through
+// cfg.Dial, reissues the fetch that failed, and must adopt exactly the state
+// a clean Reopen adopts.
+func TestReopenRedialsMidStream(t *testing.T) {
+	e := newEnv(t, testConfig())
+	_, at := driveTraffic(t, e, 3*remote.FrameEntries, 7)
+	if _, err := e.r.OffloadNow(at); err != nil {
+		t.Fatal(err)
+	}
+	srv := remote.NewServer(e.store, testPSK)
+	cfg := e.r.cfg
+	cfg.Dial = func() (*remote.Client, error) { return remote.Loopback(srv, testPSK, cfg.DeviceID) }
+
+	type state struct {
+		next     uint64
+		held     uint64
+		repinned uint64
+		seqs     []uint64
+		versions [][]VersionInfo
+		pages    [][]byte
+	}
+	snapshot := func(r *RSSD) state {
+		st := r.Stats()
+		s := state{next: r.Log().NextSeq(), held: st.ReopenHeld, repinned: st.ReopenRepinned}
+		for lpn := uint64(0); lpn < r.LogicalPages(); lpn++ {
+			data, _, err := r.FTL().Read(lpn, at)
+			if err != nil {
+				t.Fatalf("read lpn %d: %v", lpn, err)
+			}
+			s.seqs = append(s.seqs, r.WriteSeqOf(lpn))
+			s.versions = append(s.versions, r.RetainedVersions(lpn))
+			s.pages = append(s.pages, data)
+		}
+		return s
+	}
+	clean, err := cfg.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	r0, err := Reopen(cfg, e.r.FTL().Device(), clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r0.Close()
+	want := snapshot(r0)
+
+	cutMidStream := false
+	for budget := 0; ; budget++ {
+		dc, sc := net.Pipe()
+		go srv.HandleConn(sc)
+		choked, err := remote.Dial(remote.NewChokeConn(dc, budget), testPSK, cfg.DeviceID)
+		if err != nil {
+			continue // the cut landed inside the handshake
+		}
+		dials := 0
+		cfg2 := cfg
+		cfg2.Dial = func() (*remote.Client, error) { dials++; return cfg.Dial() }
+		r, err := Reopen(cfg2, e.r.FTL().Device(), choked)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		got := snapshot(r)
+		r.Close()
+		choked.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget %d: reopened state differs from a clean reopen", budget)
+		}
+		if dials == 0 {
+			// The first session lasted the whole Reopen; the budget just
+			// below it cut the last fetch, the entries stream.
+			break
+		}
+		cutMidStream = true
+	}
+	if !cutMidStream {
+		t.Fatal("no budget cut the first session")
+	}
+
+	// Without a dial factory a cut still fails Reopen.
+	dc, sc := net.Pipe()
+	go srv.HandleConn(sc)
+	choked, err := remote.Dial(remote.NewChokeConn(dc, 6), testPSK, cfg.DeviceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer choked.Close()
+	cfg.Dial = nil
+	if _, err := Reopen(cfg, e.r.FTL().Device(), choked); err == nil {
+		t.Fatal("Reopen without a dial factory survived a cut session")
 	}
 }

@@ -263,9 +263,6 @@ func dedupRTOModel(meanRTOms, meanChunks, wireBytes float64, measuredDevices, n 
 
 // DedupRestore runs the content-addressed restore experiment.
 func DedupRestore(s Scale, devices int) (*DedupResult, error) {
-	if devices <= 0 {
-		devices = 8
-	}
 	s = fleetScale(s)
 
 	// Size the image from the device geometry, bounded by the scale's

@@ -1,6 +1,8 @@
-// Package experiment implements the evaluation harness: one experiment
-// per table, figure, and performance claim of the paper, runnable both
-// from cmd/rssdbench and from the root-level Go benchmarks.
+// Package experiment implements the evaluation harness: the paper's
+// tables, figures and claims that the repo benchmark does not already
+// measure. Registry describes each experiment once — name, title, the
+// flags it reads with their defaults, and its run — and cmd/rssdbench
+// walks it; the root-level Go benchmarks call the runs directly.
 //
 // README.md describes what the experiments reproduce and how to run
 // them; rssdbench -json records each one's rows in BENCH_<name>.json.
@@ -16,8 +18,8 @@ import (
 	"repro/internal/simclock"
 )
 
-// Scale selects how much work experiments do. Small keeps unit tests
-// quick; Full is what cmd/rssdbench and the benchmarks use.
+// Scale selects how much work experiments do. Small keeps unit tests and
+// rssdbench -short quick; Full is what rssdbench runs otherwise.
 type Scale struct {
 	// Blocks scales the simulated device (blocks per plane).
 	BlocksPerPlane int

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/remote"
 	"repro/internal/simclock"
+	"repro/internal/workload"
 )
 
 // The fleet experiment is the end-to-end exercise of the asynchronous
@@ -104,9 +105,6 @@ type fleetPass struct {
 // consistent-hash placement, an injected server kill healed through the
 // redial path, and the server-count scaling curve (fleetcluster.go).
 func Fleet(s Scale, devices, servers int) (*FleetResult, error) {
-	if devices <= 0 {
-		devices = 8
-	}
 	if servers > 1 {
 		return fleetCluster(s, devices, servers)
 	}
@@ -242,7 +240,7 @@ func (r *fleetRig) fleetDevice(idx int, atk attack.Attack, replayOps int, hold f
 	h := metrics.NewHistogram(0)
 	end, records, err := replay(dev, g, replayOps, replayOpts{
 		hold: hold,
-		each: func(issue, done simclock.Time) { h.Observe(done.Sub(issue)) },
+		each: func(_ workload.Record, issue, done simclock.Time) { h.Observe(done.Sub(issue)) },
 	})
 	if err != nil {
 		return row, d, err

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/batch"
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/metrics"
@@ -11,22 +10,32 @@ import (
 	"repro/internal/workload"
 )
 
-// PerfRow compares plain-SSD and RSSD latency for one workload — the
-// paper's "<1% storage performance overhead" claim (P1).
-type PerfRow struct {
-	Workload         string
-	PlainMeanW       simclock.Duration
-	RSSDMeanW        simclock.Duration
-	PlainP99W        simclock.Duration
-	RSSDP99W         simclock.Duration
-	WriteOverheadPct float64
-	PlainMeanR       simclock.Duration
-	RSSDMeanR        simclock.Duration
-	ReadOverheadPct  float64
+// PerfSystem is one system's replay of a workload: request latency from
+// trace arrival to completion, and what the replay cost the flash.
+type PerfSystem struct {
+	MeanW, P99W simclock.Duration
+	MeanR, P99R simclock.Duration
+	WAF         float64
+	Erases      uint64
 }
 
-// PerfOverhead replays identical arrival-timed traces against a plain FTL
-// and an RSSD (with live offload) and compares request latencies.
+// PerfRow compares a plain FTL with an RSSD (live offload) on one trace —
+// the paper's "<1% storage performance overhead" claim (P1) and its
+// minimal-lifetime-impact claim (P2). PeakBacklogPages and DroppedPages are
+// the RSSD's retention: the most stale pages it held locally at once, and
+// the pages it destroyed unshipped.
+type PerfRow struct {
+	Workload         string
+	Plain, RSSD      PerfSystem
+	WriteOverheadPct float64
+	ReadOverheadPct  float64
+	WAFIncreasePct   float64
+	PeakBacklogPages int
+	DroppedPages     uint64
+}
+
+// PerfOverhead replays the same arrival-timed trace of each workload
+// against a plain FTL and an RSSD, one replay per system.
 func PerfOverhead(s Scale, workloads []string) ([]PerfRow, error) {
 	var rows []PerfRow
 	for _, name := range workloads {
@@ -34,154 +43,80 @@ func PerfOverhead(s Scale, workloads []string) ([]PerfRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown workload %q", name)
 		}
-		row, err := perfOne(s, prof)
-		if err != nil {
-			return nil, fmt.Errorf("perf %s: %w", name, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// perfDevice abstracts the two systems for identical replay: any
-// batch-capable block device (plain FTL or RSSD).
-type perfDevice interface {
-	host.BatchDevice
-}
-
-func perfOne(s Scale, prof workload.Profile) (PerfRow, error) {
-	run := func(dev perfDevice) (*metrics.Histogram, *metrics.Histogram, error) {
-		// An identical generator seed gives both systems the same ops
-		// and the same content bytes.
-		g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), 23)
-		hw := metrics.NewHistogram(0)
-		hr := metrics.NewHistogram(0)
-		var ops []batch.Op
-		for i := 0; i < s.TraceOps; i++ {
-			rec := g.Next()
-			// Each record is one submission batch, dispatched at its trace
-			// arrival time: a deep multi-queue datapath accepts requests as
-			// they arrive, so queueing shows up as chip-level contention
-			// inside the device model rather than head-of-line blocking at
-			// the record level.
-			ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-			done, err := submitRecord(dev, ops, rec.At)
-			if err != nil {
-				return nil, nil, err
-			}
-			lat := done.Sub(rec.At) // latency from arrival to completion
-			switch rec.Op {
-			case workload.OpWrite:
-				hw.Observe(lat)
-			case workload.OpRead:
-				hr.Observe(lat)
-			}
-		}
-		return hw, hr, nil
-	}
-
-	plain := ftl.New(s.ftlConfig(), nil)
-	pw, pr, err := run(plain)
-	if err != nil {
-		return PerfRow{}, fmt.Errorf("plain: %w", err)
-	}
-
-	rig, err := NewRSSDRig(s)
-	if err != nil {
-		return PerfRow{}, err
-	}
-	defer rig.Client.Close()
-	rw, rr, err := run(rig.Dev)
-	if err != nil {
-		return PerfRow{}, fmt.Errorf("rssd: %w", err)
-	}
-
-	row := PerfRow{
-		Workload:   prof.Name,
-		PlainMeanW: pw.Mean(), RSSDMeanW: rw.Mean(),
-		PlainP99W: pw.Percentile(99), RSSDP99W: rw.Percentile(99),
-		PlainMeanR: pr.Mean(), RSSDMeanR: rr.Mean(),
-	}
-	if pw.Mean() > 0 {
-		row.WriteOverheadPct = 100 * (float64(rw.Mean()) - float64(pw.Mean())) / float64(pw.Mean())
-	}
-	if pr.Mean() > 0 {
-		row.ReadOverheadPct = 100 * (float64(rr.Mean()) - float64(pr.Mean())) / float64(pr.Mean())
-	}
-	return row, nil
-}
-
-// RenderPerf renders the performance-overhead comparison.
-func RenderPerf(rows []PerfRow) string {
-	tb := metrics.NewTable("workload", "write mean (plain)", "write mean (RSSD)", "write p99 (plain)", "write p99 (RSSD)", "write ovh %", "read ovh %")
-	for _, r := range rows {
-		tb.AddRow(r.Workload,
-			r.PlainMeanW.String(), r.RSSDMeanW.String(),
-			r.PlainP99W.String(), r.RSSDP99W.String(),
-			r.WriteOverheadPct, r.ReadOverheadPct)
-	}
-	return tb.String()
-}
-
-// LifetimeRow compares write amplification — the device-lifetime claim (P2).
-type LifetimeRow struct {
-	Workload       string
-	PlainWAF       float64
-	RSSDWAF        float64
-	PlainErases    uint64
-	RSSDErases     uint64
-	WAFIncreasePct float64
-}
-
-// LifetimeWAF replays identical traces and compares write amplification
-// and erase counts between plain SSD and RSSD.
-func LifetimeWAF(s Scale, workloads []string) ([]LifetimeRow, error) {
-	var rows []LifetimeRow
-	for _, name := range workloads {
-		prof, ok := workload.ProfileByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown workload %q", name)
-		}
+		row := PerfRow{Workload: name}
 		plain := ftl.New(s.ftlConfig(), nil)
-		if err := replayAll(plain, prof, s, 31); err != nil {
-			return nil, fmt.Errorf("lifetime plain %s: %w", name, err)
+		var err error
+		if row.Plain, err = perfReplay(s, prof, plain, plain, nil); err != nil {
+			return nil, fmt.Errorf("perf %s plain: %w", name, err)
 		}
 		rig, err := NewRSSDRig(s)
 		if err != nil {
 			return nil, err
 		}
-		if err := replayAll(rig.Dev, prof, s, 31); err != nil {
-			rig.Client.Close()
-			return nil, fmt.Errorf("lifetime rssd %s: %w", name, err)
-		}
-		row := LifetimeRow{
-			Workload:    name,
-			PlainWAF:    plain.WAF(),
-			RSSDWAF:     rig.Dev.FTL().WAF(),
-			PlainErases: plain.Device().Stats().Erases,
-			RSSDErases:  rig.Dev.FTL().Device().Stats().Erases,
-		}
-		if row.PlainWAF > 0 {
-			row.WAFIncreasePct = 100 * (row.RSSDWAF - row.PlainWAF) / row.PlainWAF
-		}
+		row.RSSD, err = perfReplay(s, prof, rig.Dev, rig.Dev.FTL(), func() {
+			row.PeakBacklogPages = max(row.PeakBacklogPages, rig.Dev.Stats().RetainedNow)
+		})
+		row.DroppedPages = rig.Dev.Stats().DroppedPages
 		rig.Client.Close()
+		if err != nil {
+			return nil, fmt.Errorf("perf %s rssd: %w", name, err)
+		}
+		row.WriteOverheadPct = overheadPct(float64(row.RSSD.MeanW), float64(row.Plain.MeanW))
+		row.ReadOverheadPct = overheadPct(float64(row.RSSD.MeanR), float64(row.Plain.MeanR))
+		row.WAFIncreasePct = overheadPct(row.RSSD.WAF, row.Plain.WAF)
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// replayAll pushes a full generated trace through any perfDevice, one
-// submission batch per trace record, dispatched at trace arrival time.
-func replayAll(dev perfDevice, prof workload.Profile, s Scale, seed int64) error {
-	_, _, err := replay(dev, workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), seed), s.TraceOps, replayOpts{})
-	return err
+// perfReplay replays the workload's trace (the same generator seed gives
+// both systems the same ops and content bytes) through dev, whose flash is
+// f. Each record is one submission batch issued at its trace arrival time,
+// so queueing shows up as chip contention inside the device model rather
+// than head-of-line blocking at the record level. after, when set, runs
+// after every record.
+func perfReplay(s Scale, prof workload.Profile, dev host.BatchDevice, f *ftl.FTL, after func()) (PerfSystem, error) {
+	hw, hr := metrics.NewHistogram(0), metrics.NewHistogram(0)
+	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), 23)
+	_, _, err := replay(dev, g, s.TraceOps, replayOpts{each: func(rec workload.Record, issue, done simclock.Time) {
+		switch rec.Op {
+		case workload.OpWrite:
+			hw.Observe(done.Sub(issue))
+		case workload.OpRead:
+			hr.Observe(done.Sub(issue))
+		}
+		if after != nil {
+			after()
+		}
+	}})
+	return PerfSystem{
+		MeanW: hw.Mean(), P99W: hw.Percentile(99),
+		MeanR: hr.Mean(), P99R: hr.Percentile(99),
+		WAF: f.WAF(), Erases: f.Device().Stats().Erases,
+	}, err
 }
 
-// RenderLifetime renders the WAF comparison.
-func RenderLifetime(rows []LifetimeRow) string {
-	tb := metrics.NewTable("workload", "WAF (plain)", "WAF (RSSD)", "erases (plain)", "erases (RSSD)", "WAF increase %")
+// overheadPct is how much larger got is than base, in percent (0 when
+// base is).
+func overheadPct(got, base float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return 100 * (got - base) / base
+}
+
+// RenderPerf renders the plain-vs-RSSD comparison, plain first in each
+// pair.
+func RenderPerf(rows []PerfRow) string {
+	pair := func(a, b any) string { return fmt.Sprintf("%v / %v", a, b) }
+	tb := metrics.NewTable("workload", "write mean", "write p99", "write ovh %",
+		"read mean", "read p99", "read ovh %", "WAF", "WAF +%", "erases", "peak backlog", "dropped")
 	for _, r := range rows {
-		tb.AddRow(r.Workload, r.PlainWAF, r.RSSDWAF, r.PlainErases, r.RSSDErases, r.WAFIncreasePct)
+		p, q := r.Plain, r.RSSD
+		tb.AddRow(r.Workload, pair(p.MeanW, q.MeanW), pair(p.P99W, q.P99W), r.WriteOverheadPct,
+			pair(p.MeanR, q.MeanR), pair(p.P99R, q.P99R), r.ReadOverheadPct,
+			fmt.Sprintf("%.3f / %.3f", p.WAF, q.WAF), r.WAFIncreasePct,
+			pair(p.Erases, q.Erases), r.PeakBacklogPages, r.DroppedPages)
 	}
 	return tb.String()
 }

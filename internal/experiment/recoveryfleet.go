@@ -117,9 +117,6 @@ type recoveredDevice struct {
 // the post-restore offload drain are charged to the server's one shared
 // NIC arbiter at the netsim defaults.
 func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
-	if devices <= 0 {
-		devices = 8
-	}
 	r := newFleetRig(fleetScale(s), rigSpec{tune: remote.Profile("mem"), detect: true})
 	defer r.close()
 

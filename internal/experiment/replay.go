@@ -43,7 +43,7 @@ type replayOpts struct {
 	chained bool
 	start   simclock.Time
 	hold    func()
-	each    func(issue, done simclock.Time)
+	each    func(rec workload.Record, issue, done simclock.Time)
 }
 
 // replay submits n trace records of g to dev, one batch per record, and
@@ -73,7 +73,7 @@ func replay(dev host.BatchDevice, g *workload.Generator, n int, o replayOpts) (s
 		prev, end = done, simclock.Max(end, done)
 		records++
 		if o.each != nil {
-			o.each(issue, done)
+			o.each(rec, issue, done)
 		}
 	}
 	if !held {

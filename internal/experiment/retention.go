@@ -18,7 +18,7 @@ import (
 // the wire footprint; the capacity numbers below are sized with the
 // measured, not estimated, compression.
 
-// RetentionBackends are the tiers the experiment compares by default:
+// RetentionBackends are the tiers -backend all compares:
 // free local tiers (in-memory, storage-server filesystem) and the modeled
 // S3 cloud tier.
 var RetentionBackends = []string{"mem", "dir", "s3sim"}
@@ -69,12 +69,6 @@ type RetentionTierRow struct {
 
 // Retention replays the fleet workload against each backend tier.
 func Retention(s Scale, devices int, backends []string) ([]RetentionTierRow, error) {
-	if len(backends) == 0 {
-		backends = RetentionBackends
-	}
-	if devices <= 0 {
-		devices = 8
-	}
 	s = fleetScale(s)
 	var rows []RetentionTierRow
 	for _, name := range backends {

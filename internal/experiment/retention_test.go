@@ -7,7 +7,7 @@ import "testing"
 // wire bytes, and survive a settled reload; the cloud tier must addition-
 // ally price the run.
 func TestRetentionTiers(t *testing.T) {
-	rows, err := Retention(SmallScale(), 2, nil)
+	rows, err := Retention(SmallScale(), 2, RetentionBackends)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,16 +152,10 @@ const (
 // the result is still returned (for the committed report) along with an
 // error naming every failed gate and the reproducing seed.
 func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
+	if o.Devices < 2 || o.Servers < 2 || o.Waves < 1 {
+		return nil, fmt.Errorf("soak needs at least 2 devices, 2 servers and 1 wave, got %d, %d and %d", o.Devices, o.Servers, o.Waves)
+	}
 	s = fleetScale(s)
-	if o.Devices < 2 {
-		o.Devices = 2
-	}
-	if o.Servers < 2 {
-		o.Servers = 2
-	}
-	if o.Waves < 3 {
-		o.Waves = 3
-	}
 	waveGap := soakWaveGap
 	minFaults := soakMinFaults
 	if o.Short {
@@ -437,7 +431,7 @@ func fleetNow(devs []*soakDevice) simclock.Time {
 // replay drives ops benign records through the device, observing health
 // at record boundaries so the injector can stamp heals in sim time.
 func (sd *soakDevice) replay(inj *chaos.Injector, ops int) error {
-	_, _, err := replay(sd.dev, sd.gen, ops, replayOpts{off: sd.off, each: func(_, done simclock.Time) {
+	_, _, err := replay(sd.dev, sd.gen, ops, replayOpts{off: sd.off, each: func(_ workload.Record, _, done simclock.Time) {
 		sd.end = simclock.Max(sd.end, done)
 		sd.records++
 		if sd.records%8 == 0 {
@@ -548,19 +542,10 @@ func (sd *soakDevice) powerCycleRestore(r *fleetRig, inj *chaos.Injector) error 
 	nand := sd.dev.FTL().Device()
 	sd.close()
 
-	// The restore stream resumes over injected cuts by itself, but the
-	// reopen's log fetch is a single session with no resume cursor — when
-	// chaos cuts THAT session, power-on retries on a fresh dial, exactly
-	// like firmware would.
-	var rd *restored
-	var err error
-	for attempt := 0; attempt < 6; attempt++ {
-		rd, err = r.restore(sd.id, nand, cut, want, sd.end+simclock.Time(soakOutage),
-			restoreOpts{dedup: true, nic: true})
-		if err == nil {
-			break
-		}
-	}
+	// Reopen's fetches and the restore stream both ride out injected cuts
+	// by redialing.
+	rd, err := r.restore(sd.id, nand, cut, want, sd.end+simclock.Time(soakOutage),
+		restoreOpts{dedup: true, nic: true})
 	if err != nil {
 		return fmt.Errorf("mid-soak restore: %w", err)
 	}
