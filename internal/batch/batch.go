@@ -1,6 +1,7 @@
-// Package batch defines the wire types of the batched datapath: the
-// submission-batch operations and completions every layer of the stack
-// (host filesystem, NVMe controller, RSSD core, bare FTL) exchanges.
+// Package batch defines the one way into a device: the submission-batch
+// operations and completions every layer of the stack (host filesystem, NVMe
+// controller, RSSD core, bare FTL) exchanges, and the Device interface that
+// takes them.
 //
 // The paper's prototype gets its performance from device-level parallelism
 // — multiple NAND channels, a deep NVMe queue — which a strictly per-op
@@ -8,7 +9,9 @@
 // issued, so the device sees a queue depth of one. An Op slice is the host
 // handing the device a whole submission window at once; the device is free
 // to schedule it across channels and amortize per-op costs (locking, log
-// sealing, retention checks) over the batch.
+// sealing, retention checks) over the batch. No layer keeps a per-op path
+// beside it: a device's per-op methods are one-element batches (Do), and
+// host.BlockDevice and the NVMe controller take a Device and nothing else.
 //
 // The package sits below every other layer (it depends only on simclock)
 // so that devices (internal/ftl, internal/core) and consumers
@@ -113,4 +116,18 @@ func SubmitOne(dev Device, op Op, at simclock.Time) (Result, simclock.Time, erro
 		return Result{Done: at, Err: err}, done, err
 	}
 	return res[0], done, nil
+}
+
+// Do is SubmitOne with the op's own failure folded into the error: it
+// returns a read's data and the batch's completion, or the op's completion
+// and error when the op failed.
+func Do(dev Device, op Op, at simclock.Time) ([]byte, simclock.Time, error) {
+	res, done, err := SubmitOne(dev, op, at)
+	if err != nil {
+		return nil, done, err
+	}
+	if res.Err != nil {
+		return nil, res.Done, res.Err
+	}
+	return res.Data, done, nil
 }

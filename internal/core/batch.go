@@ -17,7 +17,7 @@ import (
 // run across NAND channels, and the background duties — the retention
 // watermark check, the offload drain, the periodic checkpoint — run once
 // per batch instead of once per op. The per-op Write/Read/Trim methods in
-// rssd.go are thin wrappers over one-element batches.
+// rssd.go are thin wrappers over one-element batches (batch.Do).
 
 // Op is one operation in a submission batch (alias of the stack-wide wire
 // type; see internal/batch).
@@ -36,8 +36,8 @@ const (
 // OnStaleContext implements ftl.StaleSeqObserver: inside a grouped FTL
 // operation, it is called just before each op's invalidation so the
 // retention entries created by OnStale carry that op's log sequence.
-func (r *RSSD) OnStaleContext(seq uint64, at simclock.Time) {
-	r.curStaleSeq, r.curStaleAt = seq, at
+func (r *RSSD) OnStaleContext(seq uint64, _ simclock.Time) {
+	r.curStaleSeq = seq
 }
 
 // SubmitBatch executes a submission batch. Operations are applied in

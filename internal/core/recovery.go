@@ -538,13 +538,16 @@ func (r *RSSD) restoreWrites(run []restoreOp, at simclock.Time) (simclock.Time, 
 func (r *RSSD) restoreTrim(lpn uint64, at simclock.Time) (simclock.Time, error) {
 	oldPPN := r.f.Lookup(lpn)
 	e := r.log.Append(oplog.KindRecoveryTrim, at, lpn, oldPPN, ftl.NoPPN, 0, [oplog.HashSize]byte{})
-	r.curStaleSeq, r.curStaleAt = e.Seq, at
-	done, err := r.f.Trim(lpn, at)
+	s := &r.scratch
+	s.trims = append(s.trims[:0], ftl.BatchTrim{LPN: lpn, Seq: e.Seq})
+	var done simclock.Time
+	var err error
+	s.times, done, err = r.f.TrimBatch(s.times[:0], s.trims, at)
 	if err != nil {
 		return done, err
 	}
 	r.lpnWriteSeq[lpn] = NoSeq
-	return r.afterOp(done)
+	return r.afterOps(1, done)
 }
 
 // --- The resumable restorer -----------------------------------------------

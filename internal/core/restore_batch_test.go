@@ -353,3 +353,64 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 		t.Fatalf("%d zeroings, %d local pins, %d pages out of scope, %d segments expired across the histories: the test vehicle lost its teeth", zeroed, pinned, outOfScope, expired)
 	}
 }
+
+// TestRestoreZeroingStampsItsEntry: a restore that zeroes a mapped page
+// retains the page it unmaps as made stale by the restore's own
+// KindRecoveryTrim entry, and the server holds the offloaded version under
+// that sequence — not under 0, which names no entry at all.
+func TestRestoreZeroingStampsItsEntry(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CheckpointEvery = 0
+	store := remote.NewStore(remote.NewMemStore())
+	srv := remote.NewServer(store, testPSK)
+	defer srv.Close()
+	dial := func() (*remote.Client, error) { return remote.Loopback(srv, testPSK, cfg.DeviceID) }
+	client, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	r := New(cfg, client)
+	defer r.Close()
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, cfg.FTL.NAND.Geometry.PageSize) }
+
+	at, err := r.Write(1, page(1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := r.Log().NextSeq()
+	const lpn = 5 // first written after the cut: the restore zeroes it
+	writeSeq := r.Log().NextSeq()
+	if at, err = r.Write(lpn, page(5), at); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = r.OffloadNow(at); err != nil {
+		t.Fatal(err)
+	}
+	at, rep, err := r.RestoreImage(cut, RestoreOptions{Dial: dial, LPNs: []uint64{lpn}}, at)
+	if err != nil || rep.PagesZeroed != 1 {
+		t.Fatalf("restore zeroed %d pages, err=%v, want 1: %+v", rep.PagesZeroed, err, rep)
+	}
+	if at, err = r.OffloadNow(at); err != nil {
+		t.Fatal(err)
+	}
+
+	trimSeq := ^uint64(0)
+	for _, e := range store.Entries(cfg.DeviceID, 0, r.Log().NextSeq()) {
+		if e.Kind == oplog.KindRecoveryTrim && e.LPN == lpn {
+			trimSeq = e.Seq
+		}
+	}
+	if trimSeq == ^uint64(0) {
+		t.Fatal("the server holds no KindRecoveryTrim entry for the zeroed page")
+	}
+	var held []oplog.PageRecord
+	for _, p := range store.HeldVersions(cfg.DeviceID) {
+		if p.LPN == lpn && p.WriteSeq == writeSeq {
+			held = append(held, p)
+		}
+	}
+	if len(held) != 1 || held[0].StaleSeq != trimSeq {
+		t.Fatalf("held versions of LPN %d written at %d: %+v, want one stale at the recovery trim, seq %d", lpn, writeSeq, held, trimSeq)
+	}
+}

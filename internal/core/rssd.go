@@ -225,7 +225,6 @@ type RSSD struct {
 	lpnWriteSeq []uint64 // seq of the latest write per LPN (NoSeq if none)
 
 	curStaleSeq    uint64 // seq to attribute OnStale events to
-	curStaleAt     simclock.Time
 	offloadedUpTo  uint64 // log entries below this are durably remote (acked)
 	stagedUpTo     uint64 // log entries below this are sealed into segments
 	opsSinceCP     uint64
@@ -378,27 +377,14 @@ func (r *RSSD) retentionBudget() int { return r.f.RetentionBudgetPages() }
 // is retained. It is a thin wrapper over a one-element submission batch;
 // bulk callers should use SubmitBatch directly.
 func (r *RSSD) Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
-	res, done, err := batch.SubmitOne(r, Op{Kind: OpWrite, LPN: lpn, Data: data}, at)
-	if err != nil {
-		return done, err
-	}
-	if res.Err != nil {
-		return res.Done, res.Err
-	}
-	return done, nil
+	_, done, err := batch.Do(r, Op{Kind: OpWrite, LPN: lpn, Data: data}, at)
+	return done, err
 }
 
 // Read returns the current contents of lpn, logging a sampled read entry.
 // It is a thin wrapper over a one-element submission batch.
 func (r *RSSD) Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error) {
-	res, done, err := batch.SubmitOne(r, Op{Kind: OpRead, LPN: lpn}, at)
-	if err != nil {
-		return nil, done, err
-	}
-	if res.Err != nil {
-		return nil, res.Done, res.Err
-	}
-	return res.Data, done, nil
+	return batch.Do(r, Op{Kind: OpRead, LPN: lpn}, at)
 }
 
 // Trim invalidates lpn. With enhanced trim (the default) the stale data is
@@ -408,27 +394,16 @@ func (r *RSSD) Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error)
 // the same observable behaviour without burning erased pages. It is a thin
 // wrapper over a one-element submission batch.
 func (r *RSSD) Trim(lpn uint64, at simclock.Time) (simclock.Time, error) {
-	res, done, err := batch.SubmitOne(r, Op{Kind: OpTrim, LPN: lpn}, at)
-	if err != nil {
-		return done, err
-	}
-	if res.Err != nil {
-		return res.Done, res.Err
-	}
-	return done, nil
+	_, done, err := batch.Do(r, Op{Kind: OpTrim, LPN: lpn}, at)
+	return done, err
 }
 
-// afterOp runs the background duties a firmware event loop interleaves
-// with host I/O: watermark-driven offload and periodic checkpoints.
-func (r *RSSD) afterOp(at simclock.Time) (simclock.Time, error) {
-	return r.afterOps(1, at)
-}
-
-// afterOps is afterOp amortized over a submission batch of n mutating
-// operations: one offload watermark check per batch, with checkpoint
-// accounting advanced by the batch size. A batch larger than
-// CheckpointEvery triggers a single checkpoint where per-op submission
-// would have triggered several — acceptable, since checkpoints only bound
+// afterOps runs the background duties a firmware event loop interleaves
+// with host I/O — watermark-driven offload and periodic checkpoints — once
+// per submission batch of n mutating operations: one offload watermark
+// check, with checkpoint accounting advanced by n. A batch larger than
+// CheckpointEvery triggers a single checkpoint where n one-op batches would
+// have triggered several — acceptable, since checkpoints only bound
 // recovery's log replay.
 func (r *RSSD) afterOps(n int, at simclock.Time) (simclock.Time, error) {
 	var err error

@@ -8,13 +8,13 @@ import (
 	"repro/internal/simclock"
 )
 
-// This file implements the FTL half of the batched datapath: grouped
-// write/read/trim entry points over the sharded L2P table and the NAND
-// per-channel batch scheduler, plus the host-facing SubmitBatch that makes
-// a bare FTL a batch.Device (the batched LocalSSD baseline).
+// This file implements the FTL's datapath: grouped write/read/trim entry
+// points over the sharded L2P table and the NAND per-channel batch
+// scheduler, plus the host-facing SubmitBatch that makes a bare FTL a
+// batch.Device (the LocalSSD baseline). The per-op Write, Read and Trim are
+// one-element SubmitBatch calls.
 //
-// Batched writes keep two invariants the per-op path gets for free, on
-// whichever front they allocate:
+// Writes keep two invariants on whichever front they allocate:
 //
 //   1. NAND pages within a block are programmed in allocation order. A
 //      batch therefore programs every allocated run before allocating past
@@ -28,7 +28,7 @@ import (
 //
 // Mapping updates (invalidate old version, flip l2p) happen strictly in
 // submission order, so two writes to the same LPN in one batch behave
-// exactly like two sequential per-op writes.
+// exactly like two writes in two batches.
 
 // BatchWrite is one page write within a WriteBatch.
 type BatchWrite struct {
@@ -44,13 +44,11 @@ type BatchTrim struct {
 	Seq uint64 // operation-log sequence of the trim entry
 }
 
-// StaleSeqObserver is an optional Retainer extension for the batched
-// datapath. Per-op callers stage the invalidating operation's log sequence
-// in the retainer before each FTL call; inside a batch the FTL performs
-// many invalidations per call, so it announces each operation's sequence
-// (and completion time) immediately before that operation's OnStale /
-// invalidation runs. Retainers that record which operation made a page
-// stale (RSSD does, for forensics) implement this; others ignore it.
+// StaleSeqObserver is an optional Retainer extension: the FTL performs many
+// invalidations per call, so it announces each operation's log sequence
+// (BatchWrite.Seq, BatchTrim.Seq) and completion time immediately before
+// that operation's OnStale runs. Retainers that record which operation made
+// a page stale (RSSD does, for forensics) implement this; others ignore it.
 type StaleSeqObserver interface {
 	OnStaleContext(seq uint64, at simclock.Time)
 }
@@ -214,7 +212,7 @@ func (f *FTL) ReadBatch(times []simclock.Time, dst [][]byte, lpns []uint64, at s
 }
 
 // TrimBatch invalidates a group of logical pages as one submission.
-// Already-unmapped pages are no-ops, like per-op Trim. Eager trim erases
+// Already-unmapped pages are no-ops. Eager trim erases
 // (when configured) run suspend-capable in the background (see
 // nand.Device.Erase), so they do not advance the returned completion
 // times; their latency surfaces through the erased block's readyAt if it

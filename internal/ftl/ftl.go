@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/batch"
 	"repro/internal/bufpool"
 	"repro/internal/nand"
 	"repro/internal/simclock"
@@ -401,54 +402,16 @@ func (f *FTL) RetentionBudgetPages() int {
 
 // Write stores one page of data at logical page lpn, invalidating any
 // previous version (which the retainer may pin). It returns the simulated
-// completion time.
+// completion time. Like Read and Trim, it is a one-element SubmitBatch.
 func (f *FTL) Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
-	if lpn >= f.logicalPages {
-		return at, ErrOutOfRange
-	}
-	if len(data) != f.geo.PageSize {
-		return at, ErrBadPageSize
-	}
-	ppn, _, err := f.alloc(StreamHost, 1, at)
-	if err != nil {
-		return at, err
-	}
-	done, err := f.dev.Program(ppn, data, nand.OOB{LPN: lpn}, at)
-	if err != nil {
-		return at, fmt.Errorf("ftl: program ppn %d: %w", ppn, err)
-	}
-	if old := f.l2p.get(lpn); old != NoPPN {
-		f.invalidate(lpn, old, CauseOverwrite, done)
-	}
-	f.l2p.set(lpn, ppn)
-	f.rmap[ppn] = lpn
-	f.blocks[f.geo.BlockOf(ppn)].valid++
-	f.stats.HostWrites++
-	f.stats.HostWriteLatency += done.Sub(at)
-	return done, nil
+	_, done, err := batch.Do(f, batch.Op{Kind: batch.OpWrite, LPN: lpn, Data: data}, at)
+	return done, err
 }
 
 // Read returns the current contents of lpn. Unmapped or trimmed pages read
 // as zeroes, as on a real SSD.
 func (f *FTL) Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error) {
-	if lpn >= f.logicalPages {
-		return nil, at, ErrOutOfRange
-	}
-	f.stats.HostReads++
-	if ro, ok := f.ret.(ReadObserver); ok {
-		ro.OnHostRead(lpn, at)
-	}
-	ppn := f.l2p.get(lpn)
-	if ppn == NoPPN {
-		buf := make([]byte, f.geo.PageSize)
-		return buf, at, nil
-	}
-	data, _, done, err := f.dev.Read(ppn, at)
-	if err != nil {
-		return nil, at, fmt.Errorf("ftl: read lpn %d (ppn %d): %w", lpn, ppn, err)
-	}
-	f.stats.HostReadLatency += done.Sub(at)
-	return data, done, nil
+	return batch.Do(f, batch.Op{Kind: batch.OpRead, LPN: lpn}, at)
 }
 
 // Trim invalidates lpn without writing new data. On a conventional SSD the
@@ -456,24 +419,8 @@ func (f *FTL) Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error) 
 // when EagerTrimErase is set. A Retainer may pin it instead; that is the
 // heart of RSSD's enhanced trim.
 func (f *FTL) Trim(lpn uint64, at simclock.Time) (simclock.Time, error) {
-	if lpn >= f.logicalPages {
-		return at, ErrOutOfRange
-	}
-	f.stats.Trims++
-	ppn := f.l2p.get(lpn)
-	if ppn == NoPPN {
-		return at, nil
-	}
-	f.l2p.set(lpn, NoPPN)
-	f.invalidate(lpn, ppn, CauseTrim, at)
-	if f.cfg.EagerTrimErase {
-		b := f.geo.BlockOf(ppn)
-		bi := &f.blocks[b]
-		if bi.state == blockFull && bi.valid == 0 && bi.pinned == 0 {
-			return at, f.eraseBlock(b, at)
-		}
-	}
-	return at, nil
+	_, done, err := batch.Do(f, batch.Op{Kind: batch.OpTrim, LPN: lpn}, at)
+	return done, err
 }
 
 // invalidate marks ppn stale and offers it to the retainer.

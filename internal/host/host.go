@@ -17,15 +17,17 @@ import (
 	"repro/internal/simclock"
 )
 
-// BlockDevice is the host's view of a storage device. Both the plain FTL
+// BlockDevice is the host's view of a storage device: it takes submission
+// batches (see internal/batch) and nothing else. Both the plain FTL
 // (LocalSSD baseline) and RSSD satisfy it.
 type BlockDevice interface {
-	Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error)
-	Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error)
-	Trim(lpn uint64, at simclock.Time) (simclock.Time, error)
+	batch.Device
 	PageSize() int
 	LogicalPages() uint64
 }
+
+// BatchDevice is another name for BlockDevice; benchmark/rig.go uses it.
+type BatchDevice = BlockDevice
 
 // Filesystem errors.
 var (
@@ -126,45 +128,23 @@ func (fs *FlatFS) allocate(n uint64) ([]extent, error) {
 	return exts, nil
 }
 
-// submit pushes a group of operations to the device — as one submission
-// batch when the device is batch-capable (a whole file becomes one NVMe
-// doorbell ring), per-op otherwise — and advances the clock to the batch
-// completion. Results align with ops.
+// submit pushes a group of operations to the device as one submission
+// batch (a whole file becomes one NVMe doorbell ring) and advances the clock
+// to the batch completion. Results align with ops.
 func (fs *FlatFS) submit(ops []batch.Op) ([]batch.Result, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if bd, ok := fs.dev.(BatchDevice); ok {
-		res, done, err := bd.SubmitBatch(ops, fs.clock.Now())
-		if err != nil {
-			return nil, err
-		}
-		for i := range res {
-			if res[i].Err != nil {
-				return nil, res[i].Err
-			}
-		}
-		fs.clock.AdvanceTo(done)
-		return res, nil
+	res, done, err := fs.dev.SubmitBatch(ops, fs.clock.Now())
+	if err != nil {
+		return nil, err
 	}
-	res := make([]batch.Result, len(ops))
-	for i, op := range ops {
-		var done simclock.Time
-		var err error
-		switch op.Kind {
-		case batch.OpWrite:
-			done, err = fs.dev.Write(op.LPN, op.Data, fs.clock.Now())
-		case batch.OpRead:
-			res[i].Data, done, err = fs.dev.Read(op.LPN, fs.clock.Now())
-		case batch.OpTrim:
-			done, err = fs.dev.Trim(op.LPN, fs.clock.Now())
+	for i := range res {
+		if res[i].Err != nil {
+			return nil, res[i].Err
 		}
-		if err != nil {
-			return nil, err
-		}
-		res[i].Done = done
-		fs.clock.AdvanceTo(done)
 	}
+	fs.clock.AdvanceTo(done)
 	return res, nil
 }
 

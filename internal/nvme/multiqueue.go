@@ -3,7 +3,6 @@ package nvme
 import (
 	"fmt"
 
-	"repro/internal/batch"
 	"repro/internal/simclock"
 )
 
@@ -77,72 +76,6 @@ func (m *MultiQueue) Process(n int, at simclock.Time) simclock.Time {
 
 // ProcessAll drains every submission queue: Process(0, at).
 func (m *MultiQueue) ProcessAll(at simclock.Time) simclock.Time { return m.Process(0, at) }
-
-// --- batched command execution ---------------------------------------------
-
-// executeBatched runs a command's page operations through the device's
-// submission-batch interface when the device supports it: a multi-page
-// NVMe command becomes one device batch, scheduled across NAND channels,
-// instead of a page-at-a-time loop. A read's pages land in the completion's
-// one buffer, each op pointed at its own page of it. It reports
-// handled=false when the command must take the per-op path (partial-page
-// edges, flush, or a device without batch support).
-func (c *Controller) executeBatched(cmd Command, at *simclock.Time) (comp Completion, handled bool) {
-	dev, ok := c.dev.(batch.Device)
-	if !ok {
-		return Completion{}, false
-	}
-	end := cmd.SLBA + uint64(cmd.NLB)
-	if cmd.SLBA%c.lbasPerPage != 0 || end%c.lbasPerPage != 0 {
-		// Partial pages need read-modify-write (or are skipped, for DSM);
-		// keep those on the per-op path rather than duplicating the edge
-		// handling here.
-		return Completion{}, false
-	}
-	firstPage := cmd.SLBA / c.lbasPerPage
-	pages := int(uint64(cmd.NLB) / c.lbasPerPage)
-	ops := c.ops[:0]
-	var data []byte
-	switch cmd.Opcode {
-	case OpWrite:
-		if len(cmd.Data) != int(cmd.NLB)*LBASize {
-			return Completion{CID: cmd.CID, Status: StatusInvalid, At: *at}, true
-		}
-		for p := 0; p < pages; p++ {
-			ops = append(ops, batch.Op{
-				Kind: batch.OpWrite, LPN: firstPage + uint64(p),
-				Data: cmd.Data[p*c.pageSize : (p+1)*c.pageSize],
-			})
-		}
-	case OpRead:
-		data = make([]byte, int(cmd.NLB)*LBASize)
-		for p := 0; p < pages; p++ {
-			ops = append(ops, batch.Op{
-				Kind: batch.OpRead, LPN: firstPage + uint64(p),
-				Data: data[p*c.pageSize : (p+1)*c.pageSize],
-			})
-		}
-	case OpDSM:
-		for p := 0; p < pages; p++ {
-			ops = append(ops, batch.Op{Kind: batch.OpTrim, LPN: firstPage + uint64(p)})
-		}
-	default:
-		return Completion{}, false
-	}
-	res, done, err := dev.SubmitBatch(ops, *at)
-	clear(ops) // the payloads are the command's
-	c.ops = ops[:0]
-	*at = done
-	if err != nil {
-		return Completion{CID: cmd.CID, Status: StatusInternal, At: *at}, true
-	}
-	for i := range res {
-		if res[i].Err != nil {
-			return Completion{CID: cmd.CID, Status: StatusInternal, At: *at}, true
-		}
-	}
-	return Completion{CID: cmd.CID, Status: StatusSuccess, Data: data, At: *at}, true
-}
 
 // String aids debugging of arbitration traces.
 func (m *MultiQueue) String() string {

@@ -3,11 +3,14 @@
 // host and the device firmware.
 //
 // Commands address 512-byte logical blocks, as NVMe does; the controller
-// translates them to the device's flash pages. Multi-block commands are
-// split across pages, trims map to Dataset Management deallocations, and
-// completions preserve submission order per queue — the firmware event
-// loop processes one submission queue entry at a time, which is also the
-// concurrency model the rest of the simulation assumes.
+// translates them to the device's flash pages. The device is a batch.Device
+// and nothing else: a command's pages go to it as one submission batch,
+// scheduled across NAND channels, and a write with partial pages at its
+// edges is two — the edge pages read, then every page written. Trims map to
+// Dataset Management deallocations of whole pages, and completions preserve
+// submission order per queue — the firmware event loop processes one
+// submission queue entry at a time, which is also the concurrency model the
+// rest of the simulation assumes.
 package nvme
 
 import (
@@ -91,7 +94,7 @@ type Controller struct {
 	pageSize    int
 	lbasPerPage uint64
 	maxLBA      uint64
-	ops         []batch.Op // a batched command's page operations, reused
+	ops         []batch.Op // a command's page operations, reused
 }
 
 // NewController wraps a block device. The device's page size must be a
@@ -189,108 +192,105 @@ func (c *Controller) execute(cmd Command, at *simclock.Time) Completion {
 		comp.At = *at
 		return comp
 	}
-	// Page-aligned commands on a batch-capable device go down the batched
-	// datapath: one submission per command, scheduled across channels.
-	if bc, ok := c.executeBatched(cmd, at); ok {
-		return bc
-	}
+	var err error
 	switch cmd.Opcode {
 	case OpFlush:
-		comp.At = *at // all writes are durable on completion in this model
-
+		// All writes are durable on completion in this model.
 	case OpWrite:
 		if len(cmd.Data) != int(cmd.NLB)*LBASize {
 			comp.Status = StatusInvalid
 			break
 		}
-		// Read-modify-write for partial pages at the edges, full-page
-		// writes in the middle — exactly what a controller does.
-		firstPage := cmd.SLBA / c.lbasPerPage
-		lastPage := (end - 1) / c.lbasPerPage
-		off := 0
-		for p := firstPage; p <= lastPage; p++ {
-			pageStartLBA := p * c.lbasPerPage
-			lo := uint64(0)
-			if cmd.SLBA > pageStartLBA {
-				lo = cmd.SLBA - pageStartLBA
-			}
-			hi := c.lbasPerPage
-			if end < pageStartLBA+c.lbasPerPage {
-				hi = end - pageStartLBA
-			}
-			var page []byte
-			if lo == 0 && hi == c.lbasPerPage {
-				page = cmd.Data[off : off+c.pageSize]
-			} else {
-				old, done, err := c.dev.Read(p, *at)
-				if err != nil {
-					comp.Status = StatusInternal
-					comp.At = *at
-					return comp
-				}
-				*at = done
-				copy(old[lo*LBASize:hi*LBASize], cmd.Data[off:])
-				page = old
-			}
-			done, err := c.dev.Write(p, page, *at)
-			if err != nil {
-				comp.Status = StatusInternal
-				comp.At = *at
-				return comp
-			}
-			*at = done
-			off += int(hi-lo) * LBASize
-		}
-		comp.At = *at
-
+		err = c.write(cmd, at)
 	case OpRead:
-		out := make([]byte, 0, int(cmd.NLB)*LBASize)
-		firstPage := cmd.SLBA / c.lbasPerPage
-		lastPage := (end - 1) / c.lbasPerPage
-		for p := firstPage; p <= lastPage; p++ {
-			data, done, err := c.dev.Read(p, *at)
-			if err != nil {
-				comp.Status = StatusInternal
-				comp.At = *at
-				return comp
-			}
-			*at = done
-			pageStartLBA := p * c.lbasPerPage
-			lo := uint64(0)
-			if cmd.SLBA > pageStartLBA {
-				lo = cmd.SLBA - pageStartLBA
-			}
-			hi := c.lbasPerPage
-			if end < pageStartLBA+c.lbasPerPage {
-				hi = end - pageStartLBA
-			}
-			out = append(out, data[lo*LBASize:hi*LBASize]...)
-		}
-		comp.Data = out
-		comp.At = *at
-
+		comp.Data, err = c.read(cmd, at)
 	case OpDSM:
 		// Deallocate: whole pages are trimmed; partial pages at the
 		// edges are left alone (deallocation is advisory in NVMe).
-		firstFull := (cmd.SLBA + c.lbasPerPage - 1) / c.lbasPerPage
-		lastFull := end / c.lbasPerPage // exclusive
-		for p := firstFull; p < lastFull; p++ {
-			done, err := c.dev.Trim(p, *at)
-			if err != nil {
-				comp.Status = StatusInternal
-				comp.At = *at
-				return comp
-			}
-			*at = done
+		first := (cmd.SLBA + c.lbasPerPage - 1) / c.lbasPerPage
+		for p := first; p < end/c.lbasPerPage; p++ {
+			c.ops = append(c.ops, batch.Op{Kind: batch.OpTrim, LPN: p})
 		}
-		comp.At = *at
-
+		err = c.submit(at)
 	default:
 		comp.Status = StatusInvalid
-		comp.At = *at
 	}
-	if comp.At == 0 {
-		comp.At = *at
+	if err != nil {
+		comp = Completion{CID: cmd.CID, Status: StatusInternal}
 	}
+	comp.At = *at
 	return comp
+}
+
+// span returns the first page a command touches, how many pages it spans,
+// and its byte offset into the first of them.
+func (c *Controller) span(cmd Command) (first uint64, pages, head int) {
+	first = cmd.SLBA / c.lbasPerPage
+	last := (cmd.SLBA + uint64(cmd.NLB) - 1) / c.lbasPerPage
+	return first, int(last-first) + 1, int(cmd.SLBA-first*c.lbasPerPage) * LBASize
+}
+
+// pageOps appends one op of the given kind per page of buf, from page first.
+func (c *Controller) pageOps(kind batch.Kind, first uint64, buf []byte) {
+	for p := 0; p*c.pageSize < len(buf); p++ {
+		c.ops = append(c.ops, batch.Op{Kind: kind, LPN: first + uint64(p), Data: buf[p*c.pageSize : (p+1)*c.pageSize]})
+	}
+}
+
+// read lands every page the command spans in one buffer and returns the
+// command's blocks of it.
+func (c *Controller) read(cmd Command, at *simclock.Time) ([]byte, error) {
+	first, pages, head := c.span(cmd)
+	buf := make([]byte, pages*c.pageSize)
+	c.pageOps(batch.OpRead, first, buf)
+	if err := c.submit(at); err != nil {
+		return nil, err
+	}
+	n := int(cmd.NLB) * LBASize
+	return buf[head : head+n : head+n], nil
+}
+
+// write programs every page the command spans. Partial pages at the edges
+// are read-modify-write, exactly what a controller does: the edge pages are
+// read first, as one batch, and the command's blocks copied over them.
+func (c *Controller) write(cmd Command, at *simclock.Time) error {
+	first, pages, head := c.span(cmd)
+	src := cmd.Data
+	if tail := pages*c.pageSize - head - len(src); head > 0 || tail > 0 {
+		src = make([]byte, pages*c.pageSize)
+		if head > 0 {
+			c.pageOps(batch.OpRead, first, src[:c.pageSize])
+		}
+		if tail > 0 && (pages > 1 || head == 0) {
+			c.pageOps(batch.OpRead, first+uint64(pages-1), src[len(src)-c.pageSize:])
+		}
+		if err := c.submit(at); err != nil {
+			return err
+		}
+		copy(src[head:], cmd.Data)
+	}
+	c.pageOps(batch.OpWrite, first, src)
+	return c.submit(at)
+}
+
+// submit hands the pending page operations to the device as one batch and
+// moves *at to its completion. Any failed operation fails the command.
+func (c *Controller) submit(at *simclock.Time) error {
+	ops := c.ops
+	if len(ops) == 0 {
+		return nil
+	}
+	res, done, err := c.dev.SubmitBatch(ops, *at)
+	clear(ops) // the payloads are the command's
+	c.ops = ops[:0]
+	*at = done
+	if err != nil {
+		return err
+	}
+	for i := range res {
+		if res[i].Err != nil {
+			return res[i].Err
+		}
+	}
+	return nil
 }

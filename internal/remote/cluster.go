@@ -34,11 +34,6 @@ type ClusterConfig struct {
 	PSK []byte
 	// Server is the per-server ingest config (decode lane sizing).
 	Server ServerConfig
-	// VirtualNodes per weight-100 server (0: DefaultVirtualNodes).
-	VirtualNodes int
-	// LoadFactor bounds per-server device count at LoadFactor×mean
-	// (<=1: DefaultLoadFactor).
-	LoadFactor float64
 
 	// SkewFactor: a server is hot when its per-tick queue peak exceeds
 	// SkewFactor× the median of its peers (0: 2.0).
@@ -52,15 +47,18 @@ type ClusterConfig struct {
 	// below this many wire bytes (0: 64 KiB) — the live-skew analogue of
 	// SkewMinPeak.
 	SkewMinBytes int
-	// WeightStep: percent of weight removed per rebalance (0: 25).
-	WeightStep int
-	// MinWeight: weight floor a rebalance never cuts below (0: 25).
-	MinWeight int
 
 	// WrapConn, when set, wraps the device side of each dialed pipe —
 	// the hook fault-injection tests use to choke a session mid-stream.
 	WrapConn func(deviceID uint64, nc net.Conn) net.Conn
 }
+
+// A rebalance cuts a hot server's ring weight by weightStep percent, never
+// below minWeight.
+const (
+	weightStep = 25
+	minWeight  = 25
+)
 
 func (c *ClusterConfig) normalize() {
 	if c.Servers < 1 {
@@ -77,12 +75,6 @@ func (c *ClusterConfig) normalize() {
 	}
 	if c.SkewMinBytes <= 0 {
 		c.SkewMinBytes = 64 << 10
-	}
-	if c.WeightStep <= 0 {
-		c.WeightStep = 25
-	}
-	if c.MinWeight <= 0 {
-		c.MinWeight = 25
 	}
 }
 
@@ -146,12 +138,12 @@ type Cluster struct {
 // NewCluster builds cfg.Servers ingest servers over the shared store.
 func NewCluster(store *Store, cfg ClusterConfig) *Cluster {
 	cfg.normalize()
-	ring := NewRing(cfg.VirtualNodes)
+	ring := NewRing()
 	c := &Cluster{
 		cfg:       cfg,
 		store:     store,
 		ring:      ring,
-		placement: NewPlacement(ring, cfg.LoadFactor),
+		placement: NewPlacement(ring),
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		srv := NewServer(store, cfg.PSK)
@@ -346,7 +338,7 @@ type skewSample struct {
 // cutHottestLocked applies the shared skew policy to one set of samples: a
 // server is hot when its signal is at least SkewFactor× the median of its
 // peers (and above minSignal); after SkewTicks consecutive hot passes its
-// ring weight takes one WeightStep cut and its moved devices re-place.
+// ring weight takes one weightStep cut and its moved devices re-place.
 // Caller holds c.mu and must CloseDevice the returned moves outside the
 // lock.
 func (c *Cluster) cutHottestLocked(live []skewSample, minSignal int) (*clusterNode, []Move) {
@@ -368,7 +360,7 @@ func (c *Cluster) cutHottestLocked(live []skewSample, minSignal int) (*clusterNo
 		}
 		if s.signal >= minSignal && float64(s.signal) >= c.cfg.SkewFactor*float64(median) {
 			s.node.hotTicks++
-			if hot == nil && s.node.hotTicks >= c.cfg.SkewTicks && s.node.weight > c.cfg.MinWeight {
+			if hot == nil && s.node.hotTicks >= c.cfg.SkewTicks && s.node.weight > minWeight {
 				hot = s.node
 			}
 		} else {
@@ -378,10 +370,7 @@ func (c *Cluster) cutHottestLocked(live []skewSample, minSignal int) (*clusterNo
 	if hot == nil {
 		return nil, nil
 	}
-	w := hot.weight * (100 - c.cfg.WeightStep) / 100
-	if w < c.cfg.MinWeight {
-		w = c.cfg.MinWeight
-	}
+	w := max(hot.weight*(100-weightStep)/100, minWeight)
 	hot.weight = w
 	hot.hotTicks = 0
 	c.ring.SetWeight(hot.id, w)

@@ -500,7 +500,11 @@ func TestFetchSegmentOwnsItsPages(t *testing.T) {
 		if err := st.AppendSegment(seg); err != nil {
 			t.Fatal(err)
 		}
-		if blob, err := st.Blobs().Get(fmt.Sprintf("dev/%d/seg/%020d", seg.DeviceID, 0)); err != nil || nvmeoe.Codec(blob[4]) != tc.codec {
+		keys, err := st.Blobs().List(fmt.Sprintf("dev/%d/seg/", seg.DeviceID))
+		if err != nil || len(keys) != 1 {
+			t.Fatalf("device %d: segment keys %q, err=%v, want one", seg.DeviceID, keys, err)
+		}
+		if blob, err := st.Blobs().Get(keys[0]); err != nil || nvmeoe.Codec(blob[4]) != tc.codec {
 			t.Fatalf("device %d: blob err=%v, want codec %v", seg.DeviceID, err, tc.codec)
 		}
 		got, err := st.FetchSegment(seg.DeviceID, 0)

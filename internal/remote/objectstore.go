@@ -24,7 +24,9 @@ import (
 )
 
 // ObjectStore is the blob-storage abstraction segments are persisted to.
-// Implementations must be safe for concurrent use.
+// Implementations must be safe for concurrent use. Put takes ownership of
+// data: the caller must not write to it afterwards, and the store may keep
+// it as the stored blob.
 type ObjectStore interface {
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, error)
@@ -45,11 +47,11 @@ type MemStore struct {
 // NewMemStore returns an empty in-memory object store.
 func NewMemStore() *MemStore { return &MemStore{data: map[string][]byte{}} }
 
-// Put stores a copy of data under key.
+// Put stores data under key, keeping the caller's slice.
 func (m *MemStore) Put(key string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data[key] = append([]byte(nil), data...)
+	m.data[key] = data
 	return nil
 }
 

@@ -22,12 +22,12 @@ import (
 //     a rebalance explicitly evicts it — never because an unrelated
 //     membership change shifted arcs).
 
-// DefaultVirtualNodes is the vnode count a weight-100 node contributes.
-const DefaultVirtualNodes = 192
+// virtualNodes is the vnode count a weight-100 node contributes.
+const virtualNodes = 192
 
-// DefaultLoadFactor bounds a node's device count at LoadFactor times the
-// fleet mean during bounded-load placement.
-const DefaultLoadFactor = 1.10
+// loadFactor bounds a node's device count at loadFactor times the fleet
+// mean during bounded-load placement.
+const loadFactor = 1.10
 
 // mix64 is the splitmix64 finalizer: a cheap, well-dispersed 64-bit mix
 // used for vnode positions and device keys alike.
@@ -56,22 +56,18 @@ type ringSlot struct {
 }
 
 // Ring is a weighted consistent-hash ring. A node of weight w contributes
-// vnodes*w/100 virtual nodes; halving a weight removes half the node's
-// arcs, shrinking (never shuffling) its share. Safe for concurrent use.
+// virtualNodes*w/100 virtual nodes; halving a weight removes half the
+// node's arcs, shrinking (never shuffling) its share. Safe for concurrent
+// use.
 type Ring struct {
 	mu      sync.RWMutex
-	vnodes  int
 	weights map[int]int
 	slots   []ringSlot
 }
 
-// NewRing returns a ring with the given vnodes-per-weight-100 (0 selects
-// DefaultVirtualNodes).
-func NewRing(vnodesPer int) *Ring {
-	if vnodesPer <= 0 {
-		vnodesPer = DefaultVirtualNodes
-	}
-	return &Ring{vnodes: vnodesPer, weights: map[int]int{}}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{weights: map[int]int{}}
 }
 
 // rebuild regenerates the sorted slot array from the weight table.
@@ -79,7 +75,7 @@ func NewRing(vnodesPer int) *Ring {
 func (r *Ring) rebuild() {
 	r.slots = r.slots[:0]
 	for node, w := range r.weights {
-		n := r.vnodes * w / 100
+		n := virtualNodes * w / 100
 		if n < 1 {
 			n = 1
 		}
@@ -219,24 +215,19 @@ type Move struct {
 // nodes. Place pins a device to a node and keeps it there across
 // unrelated membership changes; Evict re-places a dead node's devices
 // (and only those); Rebalance sheds a hot node's devices whose arcs a
-// weight cut moved away. Load is bounded at LoadFactor times the fleet
+// weight cut moved away. Load is bounded at loadFactor times the fleet
 // mean, which is what holds the max/min device spread near 1 where a
 // pure hash would wander ±20%. Safe for concurrent use.
 type Placement struct {
-	mu         sync.Mutex
-	ring       *Ring
-	loadFactor float64
-	owner      map[uint64]int
-	loads      map[int]int
+	mu    sync.Mutex
+	ring  *Ring
+	owner map[uint64]int
+	loads map[int]int
 }
 
-// NewPlacement returns a placement over ring. loadFactor <= 1 selects
-// DefaultLoadFactor.
-func NewPlacement(ring *Ring, loadFactor float64) *Placement {
-	if loadFactor <= 1 {
-		loadFactor = DefaultLoadFactor
-	}
-	return &Placement{ring: ring, loadFactor: loadFactor, owner: map[uint64]int{}, loads: map[int]int{}}
+// NewPlacement returns a placement over ring.
+func NewPlacement(ring *Ring) *Placement {
+	return &Placement{ring: ring, owner: map[uint64]int{}, loads: map[int]int{}}
 }
 
 // capLocked computes the per-node device cap for a fleet of n devices.
@@ -245,7 +236,7 @@ func (p *Placement) capLocked(n int) int {
 	if nodes == 0 {
 		return 0
 	}
-	c := int(math.Ceil(p.loadFactor * float64(n) / float64(nodes)))
+	c := int(math.Ceil(loadFactor * float64(n) / float64(nodes)))
 	if c < 1 {
 		c = 1
 	}

@@ -15,7 +15,7 @@ func fleetIDs(n int) []uint64 {
 }
 
 func eightNodeRing() *Ring {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 8; i++ {
 		r.AddNode(i, 100)
 	}
@@ -72,7 +72,7 @@ func TestPlacementSpread512Devices(t *testing.T) {
 	}
 	for name, reorder := range orders {
 		t.Run(name, func(t *testing.T) {
-			p := NewPlacement(eightNodeRing(), 0)
+			p := NewPlacement(eightNodeRing())
 			if ratio := spreadRatio(t, p, reorder(fleetIDs(512))); ratio > 1.3 {
 				t.Fatalf("spread max/min = %.3f, want <= 1.3 (%v)", ratio, p.Spread())
 			}
@@ -122,7 +122,7 @@ func TestRingMinimalMovementOnNodeLoss(t *testing.T) {
 // layer up, through the sticky bounded-load placement the cluster uses.
 func TestPlacementEvictMovesOnlyDeadNodesDevices(t *testing.T) {
 	r := eightNodeRing()
-	p := NewPlacement(r, 0)
+	p := NewPlacement(r)
 	ids := fleetIDs(512)
 	before := map[uint64]int{}
 	for _, id := range ids {
@@ -206,7 +206,7 @@ func TestRingWeightCutShedsOnlyFromCutNode(t *testing.T) {
 // adding a node moves nobody until an explicit evict/rebalance.
 func TestPlacementSticky(t *testing.T) {
 	r := eightNodeRing()
-	p := NewPlacement(r, 0)
+	p := NewPlacement(r)
 	ids := fleetIDs(64)
 	before := map[uint64]int{}
 	for _, id := range ids {

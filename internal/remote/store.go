@@ -156,7 +156,9 @@ func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
 	if err := d.extends(seg); err != nil {
 		return fmt.Errorf("remote: reject segment: %w", err)
 	}
-	key := fmt.Sprintf("dev/%d/seg/%020d", seg.DeviceID, d.nextSeq)
+	// A segment without entries leaves nextSeq where it was, so the key
+	// also counts the device's segments: no blob overwrites another.
+	key := fmt.Sprintf("dev/%d/seg/%020d.%010d", seg.DeviceID, d.nextSeq, len(d.segKeys))
 	if err := s.blobs.Put(key, blob); err != nil {
 		return fmt.Errorf("remote: persist segment: %w", err)
 	}
@@ -637,7 +639,7 @@ func (s *Store) Reload() error {
 		}
 		return d
 	}
-	sort.Strings(keys) // seg keys are zero-padded by seq: lexical == numeric
+	sort.Strings(keys) // seg keys are zero-padded by (seq, count): lexical == ingest order
 	for _, key := range keys {
 		var devID uint64
 		var seq uint64
