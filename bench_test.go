@@ -77,16 +77,6 @@ func BenchmarkPerfOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAttackValidation replays the three Ransomware 2.0 attacks (plus
-// the classic encryptor) against an unprotected SSD.
-func BenchmarkAttackValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.AttackValidation(benchScale()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDetectionLatency measures the offloaded detection pipeline's
 // coverage/latency across all six attack variants.
 func BenchmarkDetectionLatency(b *testing.B) {

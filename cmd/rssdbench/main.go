@@ -7,15 +7,17 @@
 //	rssdbench -exp fig2        # one experiment; an unknown name prints the registry
 //	rssdbench -exp soak -seed 3 -json
 //
-// The entries are fig2 (Figure 2), table1 (Table 1), perf (claims P1 and P2:
-// latency overhead, write amplification, retention backlog), detection,
-// fleet, retention, attacks (the Ransomware 2.0 validation), recovery, dedup
-// and soak. -short is the one size switch: the small scale and each entry's
-// -short defaults. -devices, -servers, -seed and -backend are read only by
-// the entries that name them, and setting one for any other entry exits 2.
-// -json also writes each experiment's rows to BENCH_<name>.json, headed by
-// the flags the run read, with the values it used. -cpuprofile and
-// -memprofile write runtime/pprof profiles covering the selected runs.
+// The entries are fig2 (Figure 2), table1 (Table 1, with what each attack
+// cost the flash), perf (claims P1 and P2: latency overhead, write
+// amplification, retention backlog), detection, fleet, retention, recovery,
+// dedup and soak. -short is the one size switch: the small scale and each
+// entry's -short defaults. -devices, -servers, -seed and -backend are read
+// only by the entries that name them, and setting one for any other entry
+// exits 2. Each run's rows print through metrics.Render; a run whose rows
+// fail its verdicts prints them, names each failure and exits 1. -json also
+// writes each experiment's rows to BENCH_<name>.json, headed by the flags
+// the run read, with the values it used. -cpuprofile and -memprofile write
+// runtime/pprof profiles covering the selected runs.
 package main
 
 import (
@@ -24,12 +26,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -113,11 +117,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(flags) > 0 {
 			fmt.Fprintf(stdout, "    %v\n", flags)
 		}
-		rows, table, err := e.Run(o)
-		fmt.Fprint(stdout, table)
-		if rows != nil && *jsonOut {
-			if werr := persist(stdout, e.Name, o.Short, flags, rows); werr != nil && err == nil {
-				err = werr
+		rows, err := e.Run(o)
+		if produced(rows) {
+			fmt.Fprint(stdout, metrics.Render(rows))
+			if *jsonOut {
+				if werr := persist(stdout, e.Name, o.Short, flags, rows); werr != nil && err == nil {
+					err = werr
+				}
 			}
 		}
 		if err != nil {
@@ -127,6 +133,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "    (%s)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	return 0
+}
+
+// produced reports whether a run returned rows: one that failed before it
+// had any returns a typed nil.
+func produced(rows any) bool {
+	v := reflect.ValueOf(rows)
+	return v.IsValid() && !v.IsZero()
 }
 
 // persist writes one run's rows to BENCH_<name>.json. The header names the

@@ -11,7 +11,7 @@ import (
 
 func TestUnknownExperimentExits2(t *testing.T) {
 	var stderr strings.Builder
-	for _, name := range []string{"nope", "recovery-speed", "forensics", "offload", "lifetime"} {
+	for _, name := range []string{"nope", "recovery-speed", "forensics", "offload", "lifetime", "attacks"} {
 		stderr.Reset()
 		if code := run([]string{"-exp", name}, io.Discard, &stderr); code != 2 {
 			t.Errorf("-exp %s: exit %d, want 2", name, code)

@@ -3,13 +3,10 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
-	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/nand"
 	"repro/internal/netsim"
-	"repro/internal/nvmeoe"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 )
@@ -40,8 +37,6 @@ const (
 	dedupDupFactor  = 4
 	dedupDivergePct = 30
 	dedupWireGate   = 0.35 // dedup wire at 512 devices vs full model
-	dedupScaleFrom  = 8
-	dedupScaleTo    = 512
 )
 
 // DedupCohort is one measured restore cohort (dedup on or off).
@@ -91,18 +86,10 @@ type DedupScalePoint struct {
 	SpeedupX     float64
 }
 
-// DedupAllocs is the steady-state alloc audit of the dedup hot path.
-type DedupAllocs struct {
-	HashAllocsPerOp   float64
-	EncodeAllocsPerOp float64
-	Skipped           bool // race build: instrumentation allocates
-}
-
 // DedupResult is the full dedup experiment report.
 type DedupResult struct {
 	Measured DedupMeasured
 	Scaling  []DedupScalePoint
-	Allocs   DedupAllocs
 }
 
 // dedupPage fills p with the incompressible content of one corpus page.
@@ -342,112 +329,13 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 		scaling = append(scaling, p)
 	}
 
-	// Steady-state alloc audit of the dedup hot path: page hashing and
-	// hash-ref chunk encode through pooled scratch.
-	var allocs DedupAllocs
-	if bufpool.RaceEnabled {
-		allocs.Skipped = true
-	} else {
-		page := make([]byte, s.PageSize)
-		dedupPage(page, 1)
-		h := bufpool.GetHasher()
-		allocs.HashAllocsPerOp = measureAllocs(2000, func() { h.Sum256(page) })
-		h.Release()
-		refPages := make([]nvmeoe.RefPage, 64)
-		for i := range refPages {
-			refPages[i].LPN = uint64(i)
-			refPages[i].Hash = bufpool.GetHasher().Sum256(page)
-			if i%2 == 0 {
-				refPages[i].Data = page
-			} else {
-				refPages[i].Ref = true
-			}
-		}
-		encode := func() {
-			raw := bufpool.Get(nvmeoe.RefChunkWireSize(refPages))
-			raw.B = nvmeoe.AppendRefChunk(raw.B, 1, refPages)
-			blob := bufpool.Get(nvmeoe.BlobOverhead + len(raw.B))
-			blob.B = nvmeoe.AppendSegmentBlob(blob.B, raw.B)
-			blob.Release()
-			raw.Release()
-		}
-		encode() // warm
-		allocs.EncodeAllocsPerOp = measureAllocs(500, encode)
-	}
-
-	res := &DedupResult{Measured: m, Scaling: scaling, Allocs: allocs}
-
-	// Hard gates: a regression here must fail the run, not prettify a
-	// table.
-	if !m.AllVerified {
-		return res, fmt.Errorf("dedup gate: a restored image was not page-identical")
-	}
-	if !m.ChainsOK {
-		return res, fmt.Errorf("dedup gate: an evidence chain failed verification")
-	}
-	p512 := scaling[len(scaling)-1]
-	if p512.WireRatio > dedupWireGate {
-		return res, fmt.Errorf("dedup gate: wire ratio %.3f at %d devices exceeds %.2f",
-			p512.WireRatio, p512.Devices, dedupWireGate)
-	}
-	p8 := scaling[0]
+	p8, p512 := scaling[0], scaling[len(scaling)-1]
 	linear := float64(p512.Devices) / float64(p8.Devices)
-	if growth := p512.RTODedupMs / p8.RTODedupMs; growth >= linear {
-		return res, fmt.Errorf("dedup gate: RTO growth %d->%d is %.1fx (>= linear %.0fx)",
-			p8.Devices, p512.Devices, growth, linear)
-	}
-	if !allocs.Skipped && (allocs.HashAllocsPerOp != 0 || allocs.EncodeAllocsPerOp != 0) {
-		return res, fmt.Errorf("dedup gate: hot path allocates (hash %.2f/op, encode %.2f/op)",
-			allocs.HashAllocsPerOp, allocs.EncodeAllocsPerOp)
-	}
-	return res, nil
-}
-
-// RenderDedup renders the dedup experiment report.
-func RenderDedup(res *DedupResult) string {
-	m := res.Measured
-	out := fmt.Sprintf(
-		"measured: %d devices, image %d pages (%d unique x%d), %d diverged/device after checkpoint\n"+
-			"          full:  RTO mean %.2f ms, fleet wire %.2f MiB\n"+
-			"          dedup: RTO mean %.2f ms, fleet wire %.2f MiB (%.2fx of full), hit rate %.0f%%, anchor delta\n"+
-			"          store: %d unique pages / %d refs (%.0f%% content dedup); server ledger %d literal + %d ref\n",
-		m.Devices, m.ImagePages, m.UniquePages, dedupDupFactor, m.DivergedPages,
-		m.Full.MeanRTOms, m.Full.WireMiB,
-		m.Dedup.MeanRTOms, m.Dedup.WireMiB, m.WireRatio, m.Dedup.HitRate*100,
-		m.StoreUniquePages, m.StoreTotalRefs, m.StoreHitRate*100,
-		m.ServerPagesLiteral, m.ServerPagesRef)
-	if m.AllVerified && m.ChainsOK {
-		out += "          all images page-identical, all chains verified\n"
-	} else {
-		out += "          VERIFICATION FAILED\n"
-	}
-	out += "scaling (modeled on the shared recovery NIC):\n"
-	for _, p := range res.Scaling {
-		out += fmt.Sprintf("          %4d devices: wire %9.2f -> %8.2f MiB (%.2fx), RTO %8.2f -> %8.2f ms (%.1fx faster)\n",
-			p.Devices, p.WireFullMiB, p.WireDedupMiB, p.WireRatio, p.RTOFullMs, p.RTODedupMs, p.SpeedupX)
-	}
-	if res.Allocs.Skipped {
-		out += "allocs:   skipped (race build)\n"
-	} else {
-		out += fmt.Sprintf("allocs:   hash %.2f/op, ref-chunk encode %.2f/op (steady state, gate 0)\n",
-			res.Allocs.HashAllocsPerOp, res.Allocs.EncodeAllocsPerOp)
-	}
-	return out
-}
-
-// measureAllocs runs f ops times on one OS thread and returns the
-// allocator's per-op average. Like testing.AllocsPerRun it warms once, pins
-// GOMAXPROCS to 1, and divides the raw counter delta by the run count
-// (integer division, exactly as AllocsPerRun reports).
-func measureAllocs(ops int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f() // warm the pools and any lazy state
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < ops; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64((after.Mallocs - before.Mallocs) / uint64(ops))
+	growth := p512.RTODedupMs / p8.RTODedupMs
+	var v verdicts
+	v.check(m.AllVerified, "a restored image was not page-identical")
+	v.check(m.ChainsOK, "an evidence chain failed verification")
+	v.check(p512.WireRatio <= dedupWireGate, "wire ratio %.3f at %d devices exceeds %.2f", p512.WireRatio, p512.Devices, dedupWireGate)
+	v.check(growth < linear, "RTO growth %d->%d is %.1fx (>= linear %.0fx)", p8.Devices, p512.Devices, growth, linear)
+	return &DedupResult{Measured: m, Scaling: scaling}, v.err("dedup")
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/detect"
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -51,18 +50,22 @@ func detectConfig(s Scale) detect.Config {
 }
 
 // DetectionLatency runs each attack variant against an RSSD with the
-// detection pipeline attached, measuring coverage and latency.
+// detection pipeline attached, measuring coverage and latency. Every
+// variant must be caught, with no alert on the benign history before it.
 func DetectionLatency(s Scale) ([]DetectionRow, error) {
 	cfg := detectConfig(s)
 	var rows []DetectionRow
+	var v verdicts
 	for _, atk := range detectionAttacks() {
 		row, err := detectOne(s, atk, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("detection %s: %w", atk.Name(), err)
 		}
 		rows = append(rows, row)
+		v.check(row.Detected, "%s: missed", row.Attack)
+		v.check(row.FalsePositives == 0, "%s: %d false positives", row.Attack, row.FalsePositives)
 	}
-	return rows, nil
+	return rows, v.err("detection")
 }
 
 // AblationVariant names a detection configuration with parts disabled.
@@ -116,42 +119,6 @@ func DetectionAblation(s Scale) ([]AblationCell, error) {
 	return out, nil
 }
 
-// RenderDetectionAblation renders the ablation matrix: variants as rows,
-// attacks as columns.
-func RenderDetectionAblation(cells []AblationCell) string {
-	attacks := []string{}
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if !seen[c.Attack] {
-			seen[c.Attack] = true
-			attacks = append(attacks, c.Attack)
-		}
-	}
-	header := append([]string{"detector variant"}, attacks...)
-	tb := metrics.NewTable(header...)
-	byVariant := map[string]map[string]bool{}
-	order := []string{}
-	for _, c := range cells {
-		if byVariant[c.Variant] == nil {
-			byVariant[c.Variant] = map[string]bool{}
-			order = append(order, c.Variant)
-		}
-		byVariant[c.Variant][c.Attack] = c.Detected
-	}
-	for _, v := range order {
-		row := []any{v}
-		for _, a := range attacks {
-			if byVariant[v][a] {
-				row = append(row, "caught")
-			} else {
-				row = append(row, "MISSED")
-			}
-		}
-		tb.AddRow(row...)
-	}
-	return tb.String()
-}
-
 func detectOne(s Scale, atk attack.Attack, detCfg detect.Config) (DetectionRow, error) {
 	row := DetectionRow{Attack: atk.Name()}
 	rig, err := NewRSSDRig(s)
@@ -200,17 +167,4 @@ func detectOne(s Scale, atk attack.Attack, detCfg detect.Config) (DetectionRow, 
 		row.Reason = a.Reasons[0]
 	}
 	return row, nil
-}
-
-// RenderDetection renders the detection-latency table.
-func RenderDetection(rows []DetectionRow) string {
-	tb := metrics.NewTable("attack", "detected", "ops to alert", "sim time to alert", "false pos", "reason")
-	for _, r := range rows {
-		tta := "-"
-		if r.Detected {
-			tta = r.TimeToAlert.String()
-		}
-		tb.AddRow(r.Attack, r.Detected, r.OpsToAlert, tta, r.FalsePositives, r.Reason)
-	}
-	return tb.String()
 }

@@ -9,7 +9,9 @@
 package experiment
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/ftl"
@@ -174,9 +176,23 @@ func grade(frac float64) string {
 	}
 }
 
-func pct(n, d int) float64 {
-	if d == 0 {
-		return 0
+// verdicts collects the checks a run holds its rows to. A run returns its
+// rows together with err, so a failed check is printed and recorded with
+// the rows it failed on, and rssdbench exits 1.
+type verdicts []string
+
+// check records the failure format describes unless ok holds.
+func (v *verdicts) check(ok bool, format string, args ...any) {
+	if !ok {
+		*v = append(*v, fmt.Sprintf(format, args...))
 	}
-	return 100 * float64(n) / float64(d)
+}
+
+// err names every failed check under the heading format gives, or is nil
+// when all held.
+func (v verdicts) err(format string, args ...any) error {
+	if len(v) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s failed:\n  %s", fmt.Sprintf(format, args...), strings.Join(v, "\n  "))
 }

@@ -1,13 +1,10 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The experiment tests assert the *shape* of the paper's results at small
-// scale: who wins, by roughly what factor, and which defenses hold. The
-// full-scale numbers live in EXPERIMENTS.md via cmd/rssdbench.
+// scale: who wins, by roughly what factor, and which defenses hold.
+// cmd/rssdbench prints the full-scale numbers.
 
 func TestFig2RetentionShape(t *testing.T) {
 	rows, err := Fig2Retention(SmallScale())
@@ -41,10 +38,6 @@ func TestFig2RetentionShape(t *testing.T) {
 			t.Fatalf("%s: RSSD advantage only %.1fx", r.Workload, r.RSSDDays/r.LocalSSDDays)
 		}
 	}
-	out := RenderFig2(rows)
-	if !strings.Contains(out, "webusers") {
-		t.Fatalf("render missing workloads:\n%s", out)
-	}
 }
 
 func TestDefenseMatrixMatchesTable1(t *testing.T) {
@@ -72,11 +65,18 @@ func TestDefenseMatrixMatchesTable1(t *testing.T) {
 			t.Errorf("RSSD/%s: no trusted evidence chain", atk)
 		}
 	}
-	// LocalSSD: unrecoverable under every attack.
+	// LocalSSD: Ransomware 2.0 destroys every victim page, the GC attack
+	// by forcing garbage collection and the trimming attack by trimming.
 	for _, atk := range AllAttacks {
-		if c := get(SysLocalSSD, atk); c.Grade == "full" {
-			t.Errorf("LocalSSD/%s: unexpectedly recovered (%.0f%%)", atk, 100*c.Frac)
+		if c := get(SysLocalSSD, atk); c.Recovered != 0 || c.Grade != "none" {
+			t.Errorf("LocalSSD/%s: %d of %d victim pages survived (grade %s)", atk, c.Recovered, c.VictimPages, c.Grade)
 		}
+	}
+	if c := get(SysLocalSSD, AtkGC); c.GCRuns == 0 {
+		t.Error("GC attack forced no garbage collection")
+	}
+	if c := get(SysLocalSSD, AtkTrimming); c.TrimsIssued == 0 {
+		t.Error("trimming attack issued no trims")
 	}
 	// FlashGuard-like: recovers the classic encryptor and survives the GC
 	// attack, but the timing and trimming attacks defeat it (Table 1 row).
@@ -103,13 +103,6 @@ func TestDefenseMatrixMatchesTable1(t *testing.T) {
 	if c := get(SysTimeSSD, AtkTrimming); c.Grade == "full" {
 		t.Errorf("TimeSSD/trimming: unexpectedly defended (%.0f%%)", 100*c.Frac)
 	}
-
-	out := RenderDefenseMatrix(cells)
-	for _, want := range []string{"RSSD", "LocalSSD", "forensics"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
 }
 
 // TestPerfOverheadUnderOnePercentShape checks claim P1: latency stays
@@ -132,9 +125,6 @@ func TestPerfOverheadUnderOnePercentShape(t *testing.T) {
 			t.Errorf("%s: read overhead %.2f%%", r.Workload, r.ReadOverheadPct)
 		}
 	}
-	if out := RenderPerf(rows); !strings.Contains(out, "write ovh %") {
-		t.Fatalf("render broken:\n%s", out)
-	}
 }
 
 // TestLifetimeWAFShape checks claim P2: write amplification stays close
@@ -152,9 +142,6 @@ func TestLifetimeWAFShape(t *testing.T) {
 	// but write amplification must stay in the same ballpark.
 	if r.RSSD.WAF > r.Plain.WAF*1.5 {
 		t.Errorf("WAF blowup: plain %.2f vs RSSD %.2f", r.Plain.WAF, r.RSSD.WAF)
-	}
-	if out := RenderPerf(rows); !strings.Contains(out, "WAF") {
-		t.Fatalf("render broken:\n%s", out)
 	}
 }
 
@@ -176,9 +163,6 @@ func TestOffloadCostZeroLoss(t *testing.T) {
 	if budget := s.retentionBudgetPages(); r.PeakBacklogPages > budget {
 		t.Fatalf("backlog %d exceeded retention budget %d", r.PeakBacklogPages, budget)
 	}
-	if out := RenderPerf(rows); !strings.Contains(out, "peak backlog") {
-		t.Fatalf("render broken:\n%s", out)
-	}
 }
 
 func TestDetectionLatencyCoversAllVariants(t *testing.T) {
@@ -196,9 +180,6 @@ func TestDetectionLatencyCoversAllVariants(t *testing.T) {
 		if r.FalsePositives != 0 {
 			t.Errorf("%s: %d false positives on benign traffic", r.Attack, r.FalsePositives)
 		}
-	}
-	if out := RenderDetection(rows); !strings.Contains(out, "wiper") {
-		t.Fatal("render broken")
 	}
 }
 
@@ -236,34 +217,5 @@ func TestDetectionAblation(t *testing.T) {
 	// latency, which the detection-latency experiment reports.
 	if len(missed["cumulative-only"]) > 1 {
 		t.Errorf("cumulative-only missed too much: %v", missed["cumulative-only"])
-	}
-	if out := RenderDetectionAblation(cells); !strings.Contains(out, "MISSED") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestAttackValidationDestroysDataOnLocalSSD(t *testing.T) {
-	rows, err := AttackValidation(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[AttackName]ValidationRow{}
-	for _, r := range rows {
-		byName[r.Attack] = r
-	}
-	for _, atk := range AllAttacks {
-		r := byName[atk]
-		if r.SurvivingPct > 5 {
-			t.Errorf("%s: %.0f%% of victim data survived on LocalSSD", atk, r.SurvivingPct)
-		}
-	}
-	if byName[AtkGC].GCRunsForced == 0 {
-		t.Error("GC attack forced no garbage collection")
-	}
-	if byName[AtkTrimming].TrimsIssued == 0 {
-		t.Error("trimming attack issued no trims")
-	}
-	if out := RenderValidation(rows); !strings.Contains(out, "surviving %") {
-		t.Fatal("render broken")
 	}
 }

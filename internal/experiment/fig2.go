@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ftl"
-	"repro/internal/metrics"
 	"repro/internal/nvmeoe"
 	"repro/internal/simclock"
 	"repro/internal/workload"
@@ -140,13 +139,4 @@ func replayRecord(f *ftl.FTL, g *workload.Generator, rec workload.Record, at *si
 	}
 	*at = simclock.Max(*at, done)
 	return nil
-}
-
-// RenderFig2 renders the retention table (Figure 2's data as rows).
-func RenderFig2(rows []RetentionRow) string {
-	tb := metrics.NewTable("workload", "stale GiB/day", "deflate ratio", "LocalSSD (days)", "+Compression (days)", "RSSD (days)")
-	for _, r := range rows {
-		tb.AddRow(r.Workload, r.StaleGiBPerDay, r.CompressRatio, r.LocalSSDDays, r.CompressionDays, r.RSSDDays)
-	}
-	return tb.String()
 }

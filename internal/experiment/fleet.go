@@ -8,19 +8,19 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/metrics"
-	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
 
 // The fleet experiment is the end-to-end exercise of the asynchronous
 // offload pipeline: N devices — each a full RSSD with its own staging
-// engine — stream segments concurrently into one server over net.Pipe
-// NVMe-oE sessions, the store ingests them on sharded per-device indexes,
-// and the detection pipeline scores every device's window as segments
-// arrive. Half the devices additionally run a ransomware variant
+// engine — stream segments concurrently into a cluster of servers over
+// net.Pipe NVMe-oE sessions, the store ingests them on sharded per-device
+// indexes, and the detection pipeline scores every device's window as
+// segments arrive. Half the devices additionally run a ransomware variant
 // (encryptor, timing attack, trimming attack, cycled); streaming detection
-// must catch each of them with no false alerts on the benign traffic.
+// must catch each of them with no false alerts on the benign traffic. The
+// retention experiment runs the same pass on one server, per storage tier.
 
 // fleetProfiles are the benign replay workloads cycled across the fleet.
 // They are low-entropy members of the corpus: live-traffic detection must
@@ -79,13 +79,13 @@ type FleetSummary struct {
 	MeanLatUs      float64 // mean host batch latency
 }
 
-// FleetResult is the full fleet report. Cluster is set only on
-// multi-server runs (fleetcluster.go); per-device Rows are dropped past 64
+// FleetResult is the full fleet report: the devices, their summary and the
+// control plane (fleetcluster.go). Per-device Rows are dropped past 64
 // devices to keep the committed report compact.
 type FleetResult struct {
 	Rows    []FleetDeviceRow `json:",omitempty"`
 	Summary FleetSummary
-	Cluster *FleetClusterResult `json:",omitempty"`
+	Cluster FleetClusterResult
 }
 
 // fleetPass is one fleet execution.
@@ -100,22 +100,45 @@ type fleetPass struct {
 	segments uint64
 }
 
-// Fleet runs the fleet scenario. With servers <= 1 it is the classic
-// single-server run; with more it becomes the control-plane exercise —
-// consistent-hash placement, an injected server kill healed through the
-// redial path, and the server-count scaling curve (fleetcluster.go).
+// Fleet runs the fleet over a cluster of servers — consistent-hash
+// placement, an injected server kill healed through the redial path — and
+// the server-count scaling curve (fleetcluster.go). Every attack must be
+// caught with no false alert, and the modeled curve must never step down;
+// at 8 servers or more it must reach 3x.
 func Fleet(s Scale, devices, servers int) (*FleetResult, error) {
-	if servers > 1 {
-		return fleetCluster(s, devices, servers)
+	if servers < 2 {
+		return nil, fmt.Errorf("fleet needs at least 2 servers, got %d (one server is the retention experiment's mem row)", servers)
 	}
-	s = fleetScale(s)
-	r := newFleetRig(s, rigSpec{tune: remote.Profile("mem"), detect: true})
-	defer r.close()
-	pass, err := r.runFleet(devices, max(s.TraceOps/8, 400), nil)
+	s = fleetClusterScale(s, devices)
+	pass, cres, err := runFleetClusterPass(s, devices, servers)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
+		return nil, fmt.Errorf("fleet cluster: %w", err)
 	}
-	return &FleetResult{Rows: pass.rows, Summary: pass.summary(devices)}, nil
+	if cres.Curve, err = fleetScaleCurve(s, devices, servers); err != nil {
+		return nil, fmt.Errorf("fleet scale curve: %w", err)
+	}
+	first, last := cres.Curve[0], cres.Curve[len(cres.Curve)-1]
+	if first.SegsPerSec > 0 {
+		cres.ScaleUp = last.SegsPerSec / first.SegsPerSec
+	}
+	cres.ModelScaleUp = last.ModelScaleUp
+	res := &FleetResult{Summary: pass.summary(devices), Cluster: cres}
+	if devices <= 64 {
+		res.Rows = pass.rows // past 64 the committed report stays compact
+	}
+
+	var v verdicts
+	sum := res.Summary
+	v.check(sum.Caught == sum.Attacked, "caught %d of %d attacked devices", sum.Caught, sum.Attacked)
+	v.check(sum.FalseAlerts == 0, "%d false alerts", sum.FalseAlerts)
+	for i := 1; i < len(cres.Curve); i++ {
+		p, q := cres.Curve[i-1], cres.Curve[i]
+		v.check(q.ModelScaleUp >= p.ModelScaleUp, "modeled scale-up steps down from %.2fx at %d servers to %.2fx at %d", p.ModelScaleUp, p.Servers, q.ModelScaleUp, q.Servers)
+	}
+	if servers >= 8 {
+		v.check(cres.ModelScaleUp >= 3, "modeled scale-up %.2fx at %d servers, want >= 3x", cres.ModelScaleUp, servers)
+	}
+	return res, v.err("fleet")
 }
 
 // summary aggregates the pass's device rows into the fleet summary.
@@ -293,39 +316,4 @@ func (r *fleetRig) fleetDevice(idx int, atk attack.Attack, replayOps int, hold f
 	}
 	row.Detected, row.OpsToAlert, row.FalseAlerts = r.verdict(id, attackStart)
 	return row, d, nil
-}
-
-// RenderFleet renders the per-device table and the fleet summary.
-func RenderFleet(res *FleetResult) string {
-	tb := metrics.NewTable("device", "role", "records", "page ops",
-		"mean lat µs", "p99 lat µs", "segs (replay/total)", "ack µs",
-		"q peak", "stalls", "detected", "ops to alert", "false alerts")
-	for _, r := range res.Rows {
-		det := "-"
-		if r.Detected {
-			det = "caught"
-		} else if r.Attacked {
-			det = "MISSED"
-		}
-		tb.AddRow(r.Device, r.Role, r.Records, r.PageOps,
-			r.MeanLatUs, r.P99LatUs,
-			fmt.Sprintf("%d/%d", r.ReplaySegments, r.Segments),
-			r.AckLatUs, r.QueuePeak, r.Stalls, det, r.OpsToAlert, r.FalseAlerts)
-	}
-	s := res.Summary
-	out := ""
-	if len(res.Rows) > 0 {
-		out = tb.String()
-	}
-	out += fmt.Sprintf(
-		"fleet: %d devices (%d attacked, %d caught, %d false alerts), %d page ops in %.1f ms wall\n"+
-			"       %.0f page ops/s, %.0f segments/s ingested (%d segments)\n",
-		s.Devices, s.Attacked, s.Caught, s.FalseAlerts, s.PageOps, s.WallMs,
-		s.PageOpsPerSec, s.SegmentsPerSec, s.Segments)
-	if res.Cluster == nil {
-		out += fmt.Sprintf("       mean host batch latency %.2f µs\n", s.MeanLatUs)
-	} else {
-		out += RenderFleetCluster(res.Cluster)
-	}
-	return out
 }

@@ -5,17 +5,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 )
 
-// The cluster half of the fleet experiment: the same per-device RSSD
-// pipeline, but the fleet dials through a remote.Cluster — consistent-hash
-// placement over N ingest servers sharing one durable store — instead of
-// one server. Two passes:
+// The control plane of the fleet experiment: the fleet dials through a
+// remote.Cluster — consistent-hash placement over N ingest servers sharing
+// one durable store. Two passes:
 //
 //  1. Failover pass: the full fleet (half attacked) streams through the
 //     cluster while one server is killed at the one-third mark of every
@@ -110,7 +108,7 @@ type FleetScalePoint struct {
 	ModelScaleUp    float64 // vs the 1-server model point
 }
 
-// FleetClusterResult is the control-plane side of a multi-server fleet run.
+// FleetClusterResult is the control-plane side of a fleet run.
 type FleetClusterResult struct {
 	Servers      int
 	Devices      int
@@ -122,37 +120,9 @@ type FleetClusterResult struct {
 	ModelScaleUp float64 // modeled segs/s, last curve point vs first
 }
 
-// fleetCluster runs the failover pass and the scaling curve.
-func fleetCluster(s Scale, devices, servers int) (*FleetResult, error) {
-	s = fleetClusterScale(s, devices)
-	pass, cres, err := runFleetClusterPass(s, devices, servers)
-	if err != nil {
-		return nil, fmt.Errorf("fleet cluster: %w", err)
-	}
-	curve, err := fleetScaleCurve(s, devices, servers)
-	if err != nil {
-		return nil, fmt.Errorf("fleet scale curve: %w", err)
-	}
-	cres.Curve = curve
-	if len(curve) > 1 {
-		first, last := curve[0], curve[len(curve)-1]
-		if first.SegsPerSec > 0 {
-			cres.ScaleUp = last.SegsPerSec / first.SegsPerSec
-		}
-		if first.ModelSegsPerSec > 0 {
-			cres.ModelScaleUp = last.ModelSegsPerSec / first.ModelSegsPerSec
-		}
-	}
-	rows := pass.rows
-	if devices > 64 {
-		rows = nil // keep the committed report compact at fleet scale
-	}
-	return &FleetResult{Rows: rows, Summary: pass.summary(devices), Cluster: cres}, nil
-}
-
 // runFleetClusterPass drives the full fleet through the cluster with one
 // injected server kill and verifies the durability contract afterwards.
-func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClusterResult, error) {
+func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, FleetClusterResult, error) {
 	r := newFleetRig(s, rigSpec{
 		tune:    remote.Profile("mem"),
 		cluster: remote.ClusterConfig{Servers: servers, Server: remote.ServerConfig{DecodeWorkers: 4}},
@@ -173,10 +143,10 @@ func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClust
 		return victim, len(moves)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, FleetClusterResult{}, err
 	}
 
-	cres := &FleetClusterResult{Servers: servers, Devices: devices, Failover: pass.fail}
+	cres := FleetClusterResult{Servers: servers, Devices: devices, Failover: pass.fail}
 	cres.SpreadMaxMin = spreadMaxMin(r.cluster.Spread())
 	for _, si := range r.cluster.Servers() {
 		cres.ServerRows = append(cres.ServerRows, FleetServerRow{
@@ -438,46 +408,4 @@ func ingestModel(metas []ingestBlobMeta, lanes int, nicMBps, laneMBps float64) f
 		makespan = max(makespan, fin)
 	}
 	return makespan * 1000
-}
-
-// RenderFleetCluster renders the control-plane report: per-server rows,
-// the failover ledger, and the scaling curve.
-func RenderFleetCluster(c *FleetClusterResult) string {
-	st := metrics.NewTable("server", "alive", "weight", "devices", "sessions",
-		"segments", "wire MB", "q peak", "errors")
-	for _, r := range c.ServerRows {
-		alive := "up"
-		if !r.Alive {
-			alive = "KILLED"
-		}
-		st.AddRow(r.Server, alive, r.Weight, r.Devices, r.Sessions,
-			r.Segments, r.WireMB, r.QueuePeak, r.Errors)
-	}
-	f := c.Failover
-	out := st.String()
-	out += fmt.Sprintf(
-		"failover: server %d killed mid-replay; %d devices remapped, %d detection handoffs\n"+
-			"          %d redials (%d attempts, %.2f ms simulated backoff), resume gap %d entries\n"+
-			"          lost: %d segments, %d entries (gate: 0/0); %d chains verified from genesis\n"+
-			"placement spread max/min %.3f over %d devices on %d servers\n",
-		f.KilledServer, f.DevicesRemapped, f.Handoffs,
-		f.Redials, f.RedialAttempts, f.RedialWaitMs, f.ResumeGap,
-		f.SegmentsLost, f.EntriesLost, f.ChainsVerified,
-		c.SpreadMaxMin, c.Devices, c.Servers)
-	ct := metrics.NewTable("servers", "segments", "wire MB", "spread", "q peak",
-		"wall ms", "segs/s", "wire MB/s", "model ms", "model segs/s", "model x")
-	for _, p := range c.Curve {
-		ct.AddRow(p.Servers, p.Segments, p.WireMB, p.SpreadMaxMin, p.QueuePeak,
-			p.WallMs, p.SegsPerSec, p.WireMBps,
-			p.ModelMakespanMs, p.ModelSegsPerSec, p.ModelScaleUp)
-	}
-	out += ct.String()
-	lanes := 0
-	if len(c.Curve) > 0 {
-		lanes = c.Curve[0].DecodeLanes
-	}
-	out += fmt.Sprintf(
-		"scale-up at %d servers: modeled %.2fx (gate: >= 3x; per-server NIC %.0f MB/s, %d lanes x %.0f MB/s), measured %.2fx on this host's cores\n",
-		c.Servers, c.ModelScaleUp, IngestNICMBps, lanes, IngestLaneMBps, c.ScaleUp)
-	return out
 }

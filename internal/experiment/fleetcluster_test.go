@@ -2,13 +2,13 @@ package experiment
 
 import "testing"
 
-// TestFleetClusterScenario runs the multi-server fleet at test scale: 12
-// devices over 3 servers, one server killed at the one-third mark of
-// every device's replay. It checks the control plane's acceptance
-// properties end to end — zero entries or segments lost across the kill,
-// every chain verified, detection still catching every attacked device
-// with state handed off across engines, and a monotone modeled scaling
-// curve.
+// TestFleetClusterScenario runs the fleet at test scale: 12 devices over 3
+// servers, one server killed at the one-third mark of every device's
+// replay. It checks the acceptance properties end to end — every device
+// replayed, shipped and was measured, zero entries or segments lost across
+// the kill, every chain verified, detection still catching every attacked
+// device with state handed off across engines, and a monotone modeled
+// scaling curve.
 func TestFleetClusterScenario(t *testing.T) {
 	const devices, servers = 12, 3
 	res, err := Fleet(SmallScale(), devices, servers)
@@ -25,11 +25,19 @@ func TestFleetClusterScenario(t *testing.T) {
 	if sum.Segments == 0 {
 		t.Fatal("fleet shipped no segments")
 	}
+	if sum.MeanLatUs <= 0 {
+		t.Fatalf("latency not measured: %+v", sum)
+	}
+	if len(res.Rows) != devices {
+		t.Fatalf("%d device rows, want %d", len(res.Rows), devices)
+	}
+	for _, r := range res.Rows {
+		if r.Records == 0 || r.PageOps == 0 || r.Segments == 0 {
+			t.Fatalf("device %d did no work: %+v", r.Device, r)
+		}
+	}
 
 	c := res.Cluster
-	if c == nil {
-		t.Fatal("multi-server run produced no cluster report")
-	}
 	f := c.Failover
 	if f.KilledServer < 0 || f.KilledServer >= servers {
 		t.Fatalf("no server was killed: %+v", f)

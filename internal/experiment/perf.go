@@ -104,19 +104,3 @@ func overheadPct(got, base float64) float64 {
 	}
 	return 100 * (got - base) / base
 }
-
-// RenderPerf renders the plain-vs-RSSD comparison, plain first in each
-// pair.
-func RenderPerf(rows []PerfRow) string {
-	pair := func(a, b any) string { return fmt.Sprintf("%v / %v", a, b) }
-	tb := metrics.NewTable("workload", "write mean", "write p99", "write ovh %",
-		"read mean", "read p99", "read ovh %", "WAF", "WAF +%", "erases", "peak backlog", "dropped")
-	for _, r := range rows {
-		p, q := r.Plain, r.RSSD
-		tb.AddRow(r.Workload, pair(p.MeanW, q.MeanW), pair(p.P99W, q.P99W), r.WriteOverheadPct,
-			pair(p.MeanR, q.MeanR), pair(p.P99R, q.P99R), r.ReadOverheadPct,
-			fmt.Sprintf("%.3f / %.3f", p.WAF, q.WAF), r.WAFIncreasePct,
-			pair(p.Erases, q.Erases), r.PeakBacklogPages, r.DroppedPages)
-	}
-	return tb.String()
-}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/attack"
-	"repro/internal/metrics"
 	"repro/internal/nand"
 	"repro/internal/netsim"
 	"repro/internal/remote"
@@ -115,7 +114,8 @@ type recoveredDevice struct {
 // device-side cache plus a checkpoint-anchored delta that streams only
 // pages touched since the pre-attack checkpoint. The restore streams and
 // the post-restore offload drain are charged to the server's one shared
-// NIC arbiter at the netsim defaults.
+// NIC arbiter at the netsim defaults. Every attack must be caught with no
+// false alert, every restored image page-identical and every chain intact.
 func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
 	r := newFleetRig(fleetScale(s), rigSpec{tune: remote.Profile("mem"), detect: true})
 	defer r.close()
@@ -226,7 +226,13 @@ func FleetRecovery(s Scale, devices int) (*RecoveryFleetResult, error) {
 	if sum.WireMiB > 0 {
 		sum.WireRatio = sum.LogicalMiB / sum.WireMiB
 	}
-	return &RecoveryFleetResult{Rows: rows, Summary: sum}, nil
+
+	var v verdicts
+	v.check(sum.Caught == sum.Attacked, "caught %d of %d attacked devices", sum.Caught, sum.Attacked)
+	v.check(sum.FalseAlerts == 0, "%d false alerts", sum.FalseAlerts)
+	v.check(sum.AllVerified, "a restored image was not page-identical to its pre-attack snapshot")
+	v.check(sum.ChainsVerified, "an evidence chain failed verification after the restores")
+	return &RecoveryFleetResult{Rows: rows, Summary: sum}, v.err("recovery")
 }
 
 // recoverySetup drives fleet device idx up to the power cycle: benign
@@ -352,64 +358,4 @@ func (r *fleetRig) recoveryRestore(d *recoveredDevice, choke bool, gate func()) 
 		return fmt.Errorf("sticky offload error after drain: %s", st.LastOffloadError)
 	}
 	return nil
-}
-
-// RenderFleetRecovery renders the per-device table and the summary.
-func RenderFleetRecovery(res *RecoveryFleetResult) string {
-	tb := metrics.NewTable("device", "role", "detected", "RTO ms", "restored/zero/kept",
-		"chunks", "resumes", "wire MiB", "logical MiB", "verified", "backlog", "held/repinned", "shipped", "redials", "gap", "drain ms")
-	for _, r := range res.Rows {
-		det := "-"
-		if r.Detected {
-			det = "caught"
-		} else if r.Attacked {
-			det = "MISSED"
-		}
-		ver := "OK"
-		if !r.Verified {
-			ver = "MISMATCH"
-		}
-		tb.AddRow(r.Device, r.Role, det, r.RTOms,
-			fmt.Sprintf("%d/%d/%d", r.RestoredPages, r.ZeroedPages, r.KeptPages),
-			r.Chunks, r.Resumes, r.RestoreWireMiB, r.RestoreLogicalMiB,
-			ver, r.BacklogPages, fmt.Sprintf("%d/%d", r.ReopenHeld, r.ReopenRepinned), r.ShippedPages,
-			r.Redials, r.ResumeGap, r.DrainMs)
-	}
-	s := res.Summary
-	verified := "all verified page-identical"
-	if !s.AllVerified {
-		verified = "VERIFICATION FAILED"
-	}
-	chains := "chains verified"
-	if !s.ChainsVerified {
-		chains = "CHAIN VERIFICATION FAILED"
-	}
-	out := tb.String() + fmt.Sprintf(
-		"recovery: %d devices (%d attacked, %d caught, %d false alerts), %s, %s\n"+
-			"          RTO mean %.2f ms / max %.2f ms, aggregate restore %.3f GB/s over %d concurrent sessions\n"+
-			"          restore wire %.2f MiB vs logical %.2f MiB (%.2fx codec), %d mid-stream resumes\n"+
-			"          outage drain: %d redials, max %.2f ms backlog-drain\n",
-		s.Devices, s.Attacked, s.Caught, s.FalseAlerts, verified, chains,
-		s.MeanRTOms, s.MaxRTOms, s.RestoreGBps, s.PeakSessions,
-		s.WireMiB, s.LogicalMiB, s.WireRatio, s.Resumes,
-		s.TotalRedials, s.MaxDrainMs)
-	out += fmt.Sprintf(
-		"          dedup: %d literal + %d ref pages (%.0f%% wire hit rate), store %d unique / %d refs (%.0f%% content dedup)\n",
-		s.LiteralPages, s.RefPages, s.DedupHitRate*100,
-		s.StoreUniquePages, s.StoreTotalRefs, s.StoreHitRate*100)
-	out += "shared NIC (strict priority, offload floor 10%):\n" + nicStatsTable(s.NICStats).String()
-	return out
-}
-
-// nicStatsTable renders a per-class NIC ledger snapshot.
-func nicStatsTable(stats [netsim.NumClasses]netsim.QoSStats) *metrics.Table {
-	t := metrics.NewTable("class", "grants", "MB", "flows_peak",
-		"wait_p50_ms", "wait_p99_ms", "throttled", "min_alloc_MBps")
-	for _, st := range stats {
-		t.AddRow(st.Class, st.Grants,
-			fmt.Sprintf("%.1f", float64(st.BytesGranted)/1e6), st.QueuePeak,
-			fmt.Sprintf("%.3f", st.WaitP50Ms), fmt.Sprintf("%.3f", st.WaitP99Ms),
-			st.Throttled, fmt.Sprintf("%.1f", st.MinAllocMBps))
-	}
-	return t
 }

@@ -25,7 +25,7 @@ type Options struct {
 func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Short, "short", o.Short, "CI smoke size: small scale and each experiment's -short defaults")
 	fs.IntVar(&o.Devices, "devices", o.Devices, "device count"+readBy("devices"))
-	fs.IntVar(&o.Servers, "servers", o.Servers, "ingest server count; -exp fleet with more than 1 runs the cluster control plane"+readBy("servers"))
+	fs.IntVar(&o.Servers, "servers", o.Servers, "ingest server count (at least 2)"+readBy("servers"))
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "chaos schedule seed; every fault draw replays from it"+readBy("seed"))
 	fs.StringVar(&o.Backend, "backend", o.Backend, "storage tier(s): mem, dir, s3sim, a comma-separated list, or all"+readBy("backend"))
 }
@@ -53,9 +53,10 @@ type Experiment struct {
 	// their defaults at each size.
 	Reads       []string
 	Full, Short Options
-	// Run returns the rows BENCH_<name>.json records and the rendered
-	// table. A run that fails its gates may return both with its error.
-	Run func(o Options) (rows any, table string, err error)
+	// Run returns the rows BENCH_<name>.json records; rssdbench prints them
+	// through metrics.Render. A run whose rows fail its verdicts returns
+	// them together with the error naming each failure.
+	Run func(o Options) (rows any, err error)
 }
 
 // Registry is every experiment, in the order -exp all runs them.
@@ -63,39 +64,39 @@ var Registry = []Experiment{
 	{
 		Name:  "fig2",
 		Title: "Figure 2 — data retention time (days) on a 512 GiB SSD, 7% OP, 1 TiB remote budget",
-		Run: func(o Options) (any, string, error) {
-			return rendered(Fig2Retention(o.scale()))(RenderFig2)
+		Run: func(o Options) (any, error) {
+			return Fig2Retention(o.scale())
 		},
 	},
 	{
 		Name:  "table1",
 		Title: "Table 1 — defense matrix (attack replays; recovery graded none/partial/full)",
-		Run: func(o Options) (any, string, error) {
-			return rendered(DefenseMatrix(o.scale()))(RenderDefenseMatrix)
+		Run: func(o Options) (any, error) {
+			return DefenseMatrix(o.scale())
 		},
 	},
 	{
 		Name:  "perf",
 		Title: "Claims P1 and P2 — latency, write amplification and retention backlog, plain FTL vs RSSD (trace-paced replay)",
-		Run: func(o Options) (any, string, error) {
-			return rendered(PerfOverhead(o.scale(), []string{"hm", "src", "usr", "web"}))(RenderPerf)
+		Run: func(o Options) (any, error) {
+			return PerfOverhead(o.scale(), []string{"hm", "src", "usr", "web"})
 		},
 	},
 	{
 		Name:  "detection",
 		Title: "Offloaded detection — coverage and latency across six attack variants",
-		Run: func(o Options) (any, string, error) {
-			return rendered(DetectionLatency(o.scale()))(RenderDetection)
+		Run: func(o Options) (any, error) {
+			return DetectionLatency(o.scale())
 		},
 	},
 	{
 		Name:  "fleet",
-		Title: "Fleet — async offload, sharded ingest and streaming detection; over several servers, placement, failover and the scaling curve",
+		Title: "Fleet — async offload, sharded ingest and streaming detection over a cluster: placement, failover and the scaling curve",
 		Reads: []string{"devices", "servers"},
-		Full:  Options{Devices: 8, Servers: 1},
-		Short: Options{Devices: 2, Servers: 1},
-		Run: func(o Options) (any, string, error) {
-			return rendered(Fleet(o.scale(), o.Devices, o.Servers))(RenderFleet)
+		Full:  Options{Devices: 512, Servers: 8},
+		Short: Options{Devices: 64, Servers: 4},
+		Run: func(o Options) (any, error) {
+			return Fleet(o.scale(), o.Devices, o.Servers)
 		},
 	},
 	{
@@ -104,25 +105,18 @@ var Registry = []Experiment{
 		Reads: []string{"devices", "backend"},
 		Full:  Options{Devices: 8, Backend: "all"},
 		Short: Options{Devices: 2, Backend: "all"},
-		Run: func(o Options) (any, string, error) {
+		Run: func(o Options) (any, error) {
 			backends := RetentionBackends
 			if o.Backend != "all" {
 				backends = strings.Split(o.Backend, ",")
 				for i, name := range backends {
 					backends[i] = strings.TrimSpace(name)
 					if !slices.Contains(remote.Backends(), backends[i]) {
-						return nil, "", fmt.Errorf("unknown backend %q (have %v)", backends[i], remote.Backends())
+						return nil, fmt.Errorf("unknown backend %q (have %v)", backends[i], remote.Backends())
 					}
 				}
 			}
-			return rendered(Retention(o.scale(), o.Devices, backends))(RenderRetention)
-		},
-	},
-	{
-		Name:  "attacks",
-		Title: "Ransomware 2.0 validation — attacks vs. an unprotected LocalSSD",
-		Run: func(o Options) (any, string, error) {
-			return rendered(AttackValidation(o.scale()))(RenderValidation)
+			return Retention(o.scale(), o.Devices, backends)
 		},
 	},
 	{
@@ -131,8 +125,8 @@ var Registry = []Experiment{
 		Reads: []string{"devices"},
 		Full:  Options{Devices: 8},
 		Short: Options{Devices: 2},
-		Run: func(o Options) (any, string, error) {
-			return rendered(FleetRecovery(o.scale(), o.Devices))(RenderFleetRecovery)
+		Run: func(o Options) (any, error) {
+			return FleetRecovery(o.scale(), o.Devices)
 		},
 	},
 	{
@@ -141,8 +135,8 @@ var Registry = []Experiment{
 		Reads: []string{"devices"},
 		Full:  Options{Devices: 8},
 		Short: Options{Devices: 2},
-		Run: func(o Options) (any, string, error) {
-			return rendered(DedupRestore(o.scale(), o.Devices))(RenderDedup)
+		Run: func(o Options) (any, error) {
+			return DedupRestore(o.scale(), o.Devices)
 		},
 	},
 	{
@@ -151,33 +145,16 @@ var Registry = []Experiment{
 		Reads: []string{"devices", "servers", "seed"},
 		Full:  Options{Devices: 16, Servers: 3, Seed: 1},
 		Short: Options{Devices: 3, Servers: 3, Seed: 1},
-		Run: func(o Options) (any, string, error) {
+		Run: func(o Options) (any, error) {
 			waves := 16
 			if o.Short {
 				waves = 3
 			}
-			res, err := Soak(o.scale(), SoakOptions{
+			return Soak(o.scale(), SoakOptions{
 				Devices: o.Devices, Servers: o.Servers, Waves: waves, Seed: o.Seed, Short: o.Short,
 			})
-			if res == nil {
-				return nil, "", err
-			}
-			// A failed soak still renders and records its ledger: the
-			// report, and the reproducing seed in err, is what to debug.
-			return res, RenderSoak(res), err
 		},
 	},
-}
-
-// rendered pairs a run's result with its rendering, so an entry's Run is
-// one line: rendered(run(...))(render).
-func rendered[T any](rows T, err error) func(func(T) string) (any, string, error) {
-	return func(render func(T) string) (any, string, error) {
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, render(rows), nil
-	}
 }
 
 // Lookup returns the registry entry called name.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/metrics"
 	"repro/internal/remote"
 )
 
@@ -67,18 +66,22 @@ type RetentionTierRow struct {
 	ReloadOK        bool
 }
 
-// Retention replays the fleet workload against each backend tier.
+// Retention replays the fleet workload against each backend tier. Every
+// tier must see every attack caught with no false alert.
 func Retention(s Scale, devices int, backends []string) ([]RetentionTierRow, error) {
 	s = fleetScale(s)
 	var rows []RetentionTierRow
+	var v verdicts
 	for _, name := range backends {
 		row, err := retentionTier(s, devices, name)
 		if err != nil {
 			return nil, fmt.Errorf("retention %s: %w", name, err)
 		}
 		rows = append(rows, row)
+		v.check(row.Caught == row.Attacked, "%s: caught %d of %d attacked devices", name, row.Caught, row.Attacked)
+		v.check(row.FalseAlerts == 0, "%s: %d false alerts", name, row.FalseAlerts)
 	}
-	return rows, nil
+	return rows, v.err("retention")
 }
 
 func retentionTier(s Scale, devices int, backend string) (RetentionTierRow, error) {
@@ -179,38 +182,8 @@ func retentionTier(s Scale, devices int, backend string) (RetentionTierRow, erro
 	row.ReloadOK = true
 	for id, want := range heads {
 		if got := store.Head(id).NextSeq; got != want {
-			row.ReloadOK = false
 			return row, fmt.Errorf("reload head of device %d = %d, want %d", id, got, want)
 		}
 	}
 	return row, nil
-}
-
-// RenderRetention renders the tier comparison table.
-func RenderRetention(rows []RetentionTierRow) string {
-	tb := metrics.NewTable("backend", "segs", "logical MiB", "stored MiB", "wire ratio",
-		"ack µs", "tier put ms", "q depth", "budget days", "req $", "$/month", "list lag", "caught", "false")
-	for _, r := range rows {
-		// Dollar columns pre-formatted: modeled costs live in the fourth
-		// decimal, which the table's default %.2f would round to zero.
-		tb.AddRow(r.Backend, r.Segments,
-			float64(r.BytesLogical)/float64(1<<20), float64(r.BytesStored)/float64(1<<20),
-			r.WireRatio, r.MeanAckUs, r.TierPutMs, r.QueueDepth, r.BudgetDays,
-			fmt.Sprintf("%.4f", r.RequestUSD), fmt.Sprintf("%.4f", r.StorageUSDMonth),
-			r.PendingListKeys,
-			fmt.Sprintf("%d/%d", r.Caught, r.Attacked), r.FalseAlerts)
-	}
-	out := tb.String()
-	for _, r := range rows {
-		if r.Backend == "s3sim" {
-			out += fmt.Sprintf(
-				"s3sim: %d segments (%d multipart parts), durability %.2f ms/segment as the device observes it\n"+
-					"       (tier Put %.2f ms rides inside the ack; staged %d deep at %.0f%%/%.0f%% watermarks)\n"+
-					"       cost: $%.6f in requests + $%.6f/month at rest; %d keys were list-lagged at run end (settled reload OK: %v)\n",
-				r.Segments, r.MultipartParts, r.TotalAckMs,
-				r.TierPutMs, r.QueueDepth, r.HighWater*100, r.LowWater*100,
-				r.RequestUSD, r.StorageUSDMonth, r.PendingListKeys, r.ReloadOK)
-		}
-	}
-	return out
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/metrics"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/workload"
@@ -393,29 +392,24 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 	// attack's own multi-day timeline — so the bound scales with the
 	// horizon, and the wedge gate is what proves every fault healed.
 	horizonMs := res.SimDays * 24 * 3600 * 1000
-	gate := func(ok bool, format string, args ...any) {
-		if !ok {
-			res.GateFailures = append(res.GateFailures, fmt.Sprintf(format, args...))
-		}
-	}
-	gate(res.FaultsInjected >= minFaults, "only %d faults injected, want >= %d", res.FaultsInjected, minFaults)
-	gate(res.FaultClasses >= 3, "only %d fault classes fired, want >= 3", res.FaultClasses)
-	gate(res.EntriesLost == 0, "%d acked entries lost", res.EntriesLost)
-	gate(res.SegmentsLost == 0, "%d acked segments lost", res.SegmentsLost)
-	gate(res.WedgedFaults == 0, "%d faults wedged (never healed)", res.WedgedFaults)
-	gate(len(res.Violations) == 0, "%d invariant violations: %s", len(res.Violations), strings.Join(res.Violations, "; "))
-	gate(res.HealP99MsMax <= horizonMs, "heal-latency p99 %.1f ms exceeds the %.0f ms simulated horizon", res.HealP99MsMax, horizonMs)
-	gate(res.BufpoolDelta == 0, "bufpool outstanding-buffer gauge drifted %+d off baseline", res.BufpoolDelta)
-	gate(res.HeapDeltaMB <= 3*res.StoreGrowthMB+64,
+	var v verdicts
+	v.check(res.FaultsInjected >= minFaults, "only %d faults injected, want >= %d", res.FaultsInjected, minFaults)
+	v.check(res.FaultClasses >= 3, "only %d fault classes fired, want >= 3", res.FaultClasses)
+	v.check(res.EntriesLost == 0, "%d acked entries lost", res.EntriesLost)
+	v.check(res.SegmentsLost == 0, "%d acked segments lost", res.SegmentsLost)
+	v.check(res.WedgedFaults == 0, "%d faults wedged (never healed)", res.WedgedFaults)
+	v.check(len(res.Violations) == 0, "%d invariant violations: %s", len(res.Violations), strings.Join(res.Violations, "; "))
+	v.check(res.HealP99MsMax <= horizonMs, "heal-latency p99 %.1f ms exceeds the %.0f ms simulated horizon", res.HealP99MsMax, horizonMs)
+	v.check(res.BufpoolDelta == 0, "bufpool outstanding-buffer gauge drifted %+d off baseline", res.BufpoolDelta)
+	v.check(res.HeapDeltaMB <= 3*res.StoreGrowthMB+64,
 		"heap grew %.1f MB against %.1f MB of store growth", res.HeapDeltaMB, res.StoreGrowthMB)
-	gate(res.ChainsVerified > 0, "no chains verified")
-	gate(res.InvariantChecks > 0, "no invariant checks ran")
-	gate(res.Restores > 0, "no mid-soak restore ran")
-	if len(res.GateFailures) > 0 {
-		return res, fmt.Errorf("soak gates failed (reproduce with -exp soak -seed %d):\n  %s",
-			o.Seed, strings.Join(res.GateFailures, "\n  "))
-	}
-	return res, nil
+	v.check(res.ChainsVerified > 0, "no chains verified")
+	v.check(res.InvariantChecks > 0, "no invariant checks ran")
+	v.check(res.Restores > 0, "no mid-soak restore ran")
+	v.check(res.AttacksCaught == res.AttackedDevices, "caught %d of %d attacked devices", res.AttacksCaught, res.AttackedDevices)
+	v.check(res.FalseAlerts == 0, "%d false alerts", res.FalseAlerts)
+	res.GateFailures = append(res.GateFailures, v...)
+	return res, v.err("soak (reproduce with -exp soak -seed %d)", o.Seed)
 }
 
 // fleetNow is the fleet's sim-time high-water mark — the clock kill/revive
@@ -619,52 +613,4 @@ func storeFootprint(store *remote.Store, ids []uint64) int64 {
 		n += st.PageBytes + st.BytesStored + int64(st.Entries)*128
 	}
 	return n
-}
-
-// RenderSoak renders the soak report for the console.
-func RenderSoak(r *SoakResult) string {
-	ft := metrics.NewTable("class", "injected", "healed", "wedged",
-		"heal_p50_ms", "heal_p99_ms", "heal_max_ms")
-	for _, l := range r.Faults {
-		ft.AddRow(l.Class, l.Injected, l.Healed, l.Wedged,
-			fmt.Sprintf("%.1f", l.HealP50Ms), fmt.Sprintf("%.1f", l.HealP99Ms),
-			fmt.Sprintf("%.1f", l.HealMaxMs))
-	}
-	wt := metrics.NewTable("wave", "kill", "attack", "restore", "resumes",
-		"moves", "drops", "faults")
-	for _, w := range r.WaveRows {
-		kill, restore := "-", "-"
-		if w.KilledServer >= 0 {
-			kill = fmt.Sprintf("s%d", w.KilledServer)
-		}
-		if w.RestoreDevice >= 0 {
-			restore = fmt.Sprintf("d%d", w.RestoreDevice+1)
-		}
-		wt.AddRow(w.Wave, kill, fmt.Sprintf("d%d:%s", w.AttackDevice+1, w.AttackName),
-			restore, w.Resumes, w.Moves, w.Drops, w.Faults)
-	}
-	out := fmt.Sprintf("chaos soak: seed %d, %d devices / %d servers / %d waves, %.2f simulated days (%.0f ms wall)\n",
-		r.Seed, r.Devices, r.Servers, r.Waves, r.SimDays, r.WallMs)
-	out += ft.String()
-	out += wt.String()
-	out += fmt.Sprintf(
-		"faults: %d injected across %d classes, %d wedged (gate: 0); heal p99 max %.1f ms\n"+
-			"control plane: %d kills / %d revives, %d rebalance moves, %d detection handoffs, %d redials (%d exhausted)\n"+
-			"restores: %d mid-soak, %d resumed over injected disconnects, all verified; %d retention drops\n"+
-			"attacks: %d waves on %d devices, %d caught, %d false alerts\n"+
-			"durability: %d entries / %d segments lost (gate: 0/0); %d chains verified; %d invariant checks, %d violations\n"+
-			"memory: bufpool gauge delta %+d (gate: 0); heap %+.1f MB vs %.1f MB store growth\n",
-		r.FaultsInjected, r.FaultClasses, r.WedgedFaults, r.HealP99MsMax,
-		r.Kills, r.Revives, r.RebalanceMoves, r.Handoffs, r.Redials, r.RedialExhausted,
-		r.Restores, r.RestoreResumes, r.RetentionDrops,
-		r.AttacksLaunched, r.AttackedDevices, r.AttacksCaught, r.FalseAlerts,
-		r.EntriesLost, r.SegmentsLost, r.ChainsVerified, r.InvariantChecks, len(r.Violations),
-		r.BufpoolDelta, r.HeapDeltaMB, r.StoreGrowthMB)
-	for _, v := range r.Violations {
-		out += "  VIOLATION: " + v + "\n"
-	}
-	for _, g := range r.GateFailures {
-		out += "  GATE FAILED: " + g + "\n"
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,9 +40,6 @@ func TestSoakShort(t *testing.T) {
 	if res.SimDays <= 0 {
 		t.Fatal("soak reported a zero-length horizon")
 	}
-	if out := RenderSoak(res); !strings.Contains(out, "chaos soak: seed 1") {
-		t.Fatalf("render missing header:\n%s", out)
-	}
 }
 
 // TestSoakDeterministicReplay re-runs the same seed and requires the
@@ -72,5 +70,27 @@ func TestSoakDeterministicReplay(t *testing.T) {
 	}
 	if a.Kills != b.Kills {
 		t.Fatalf("kill schedule diverged: %d vs %d", a.Kills, b.Kills)
+	}
+}
+
+// TestSoakFailedVerdictReturnsRows plants one failing verdict: three waves
+// of the full horizon inject far fewer faults than its floor of
+// soakMinFaults, so the run must return its whole ledger together with an
+// error naming that verdict and the reproducing seed.
+func TestSoakFailedVerdictReturnsRows(t *testing.T) {
+	opt := SoakOptions{Devices: 2, Servers: 2, Waves: 3, Seed: 5}
+	res, err := Soak(SmallScale(), opt)
+	if err == nil {
+		t.Fatal("a three-wave full-horizon soak passed its fault floor")
+	}
+	if res == nil || len(res.WaveRows) != opt.Waves || res.ChainsVerified == 0 {
+		t.Fatalf("the failed run did not return its rows: %+v", res)
+	}
+	want := fmt.Sprintf("faults injected, want >= %d", soakMinFaults)
+	if len(res.GateFailures) != 1 || !strings.Contains(res.GateFailures[0], want) {
+		t.Fatalf("failed verdicts %q, want exactly the fault floor", res.GateFailures)
+	}
+	if msg := err.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, fmt.Sprintf("-seed %d", opt.Seed)) {
+		t.Fatalf("error %q does not name the verdict and the seed", msg)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/attack"
 	"repro/internal/baseline"
 	"repro/internal/forensic"
 	"repro/internal/ftl"
-	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/simclock"
 )
@@ -27,12 +27,21 @@ type DefenseCell struct {
 	// Forensics reports whether a trusted evidence chain identifying the
 	// attack window could be produced (RSSD only).
 	Forensics bool
+	// What the attack cost the flash: garbage collections it forced, trims
+	// it issued, and stale pages erased (Ransomware 2.0's means of
+	// destroying the old copies).
+	GCRuns      uint64
+	TrimsIssued int
+	StaleErased uint64
 }
 
 // DefenseMatrix replays every attack against every system and grades data
-// recovery, reproducing Table 1 of the paper.
+// recovery, reproducing Table 1 of the paper. It checks the table's two
+// rows the paper's claim rests on: RSSD recovers fully with forensics from
+// every attack, and an unprotected LocalSSD recovers nothing.
 func DefenseMatrix(s Scale) ([]DefenseCell, error) {
 	var out []DefenseCell
+	var v verdicts
 	for _, sys := range AllSystems {
 		for _, atk := range AllAttacks {
 			cell, err := runDefenseCell(s, sys, atk)
@@ -40,9 +49,15 @@ func DefenseMatrix(s Scale) ([]DefenseCell, error) {
 				return nil, fmt.Errorf("defense cell %s/%s: %w", sys, atk, err)
 			}
 			out = append(out, cell)
+			switch sys {
+			case SysRSSD:
+				v.check(cell.Grade == "full" && cell.Forensics, "%s/%s: grade %s, forensics %v, want full with forensics", sys, atk, cell.Grade, cell.Forensics)
+			case SysLocalSSD:
+				v.check(cell.Grade == "none", "%s/%s: grade %s, want none", sys, atk, cell.Grade)
+			}
 		}
 	}
-	return out, nil
+	return out, v.err("table1")
 }
 
 // timeSSDWindow is the TimeSSD-like bounded retention window; the timing
@@ -64,9 +79,11 @@ func runDefenseCell(s Scale, sys SystemName, atkName AttackName) (DefenseCell, e
 			return cell, err
 		}
 		want := expectedPages(snap, extents, s.PageSize)
-		if _, err := makeAttack(atkName).Run(rig.FS, rng); err != nil {
+		rep, err := makeAttack(atkName).Run(rig.FS, rng)
+		if err != nil {
 			return cell, err
 		}
+		cell.flash(rep, rig.Dev.FTL())
 		// Forensics: trusted timeline + attack window.
 		an := forensic.NewAnalyzer(rig.Dev, rig.Client)
 		ev, err := an.Timeline()
@@ -96,39 +113,24 @@ func runDefenseCell(s Scale, sys SystemName, atkName AttackName) (DefenseCell, e
 		return cell, nil
 	}
 
-	// Baseline systems: conventional FTL + retention policy.
+	// Baseline systems: conventional FTL + retention policy. A page is
+	// restorable when its current content still matches, or when the
+	// policy retained the pre-attack version. An unmodified SSD (LocalSSD)
+	// retains nothing on purpose: stale data survives only until GC, and no
+	// recovery tooling exists.
 	var rig *BaselineRig
-	var canRestore func(lpn uint64, want []byte, at simclock.Time) bool
+	var retained func(lpn uint64, want []byte, at simclock.Time) bool
 	switch sys {
 	case SysLocalSSD:
-		// An unmodified SSD retains nothing on purpose; stale data
-		// survives only until GC. Recovery tooling does not exist, so
-		// restorable = current content already matches (i.e. untouched).
 		rig = NewBaselineRig(s, nil, nil)
-		canRestore = func(lpn uint64, want []byte, at simclock.Time) bool {
-			got, _, err := rig.FTL.Read(lpn, at)
-			return err == nil && bytes.Equal(got, want)
-		}
 	case SysFlashGuard:
 		g := baseline.NewFlashGuard(s.retentionBudgetPages(), 24*simclock.Hour)
 		rig = NewBaselineRig(s, g, func(f *ftl.FTL) { g.Attach(f) })
-		canRestore = func(lpn uint64, want []byte, at simclock.Time) bool {
-			got, _, err := rig.FTL.Read(lpn, at)
-			if err == nil && bytes.Equal(got, want) {
-				return true
-			}
-			return g.CanRestore(lpn, want, at)
-		}
+		retained = g.CanRestore
 	case SysTimeSSD:
 		w := baseline.NewTimeWindow(timeSSDWindow)
 		rig = NewBaselineRig(s, w, func(f *ftl.FTL) { w.Attach(f) })
-		canRestore = func(lpn uint64, want []byte, at simclock.Time) bool {
-			got, _, err := rig.FTL.Read(lpn, at)
-			if err == nil && bytes.Equal(got, want) {
-				return true
-			}
-			return w.CanRestore(lpn, want, at)
-		}
+		retained = w.CanRestore
 	default:
 		return cell, fmt.Errorf("unknown system %q", sys)
 	}
@@ -137,13 +139,16 @@ func runDefenseCell(s Scale, sys SystemName, atkName AttackName) (DefenseCell, e
 		return cell, err
 	}
 	want := expectedPages(snap, extents, s.PageSize)
-	if _, err := makeAttack(atkName).Run(rig.FS, rng); err != nil {
+	rep, err := makeAttack(atkName).Run(rig.FS, rng)
+	if err != nil {
 		return cell, err
 	}
+	cell.flash(rep, rig.FTL)
 	at := rig.FS.Clock().Now()
 	for lpn, exp := range want {
 		cell.VictimPages++
-		if canRestore(lpn, exp, at) {
+		got, _, err := rig.FTL.Read(lpn, at)
+		if err == nil && bytes.Equal(got, exp) || retained != nil && retained(lpn, exp, at) {
 			cell.Recovered++
 		}
 	}
@@ -152,44 +157,15 @@ func runDefenseCell(s Scale, sys SystemName, atkName AttackName) (DefenseCell, e
 	return cell, nil
 }
 
+// flash records what the attack cost the flash the cell ran on.
+func (c *DefenseCell) flash(rep attack.Report, f *ftl.FTL) {
+	st := f.Stats()
+	c.GCRuns, c.TrimsIssued, c.StaleErased = st.GCRuns, rep.TrimsIssued, st.StaleErased
+}
+
 // retentionBudgetPages sizes baseline retention buffers to the same
 // over-provisioned space RSSD has locally.
 func (s Scale) retentionBudgetPages() int {
 	cfg := s.ftlConfig()
 	return cfg.NAND.Geometry.TotalPages() - int(cfg.LogicalPages())
-}
-
-// RenderDefenseMatrix formats the matrix the way Table 1 lays it out: one
-// row per system, defense columns per attack, then recovery and
-// forensics.
-func RenderDefenseMatrix(cells []DefenseCell) string {
-	bySys := map[SystemName]map[AttackName]DefenseCell{}
-	for _, c := range cells {
-		if bySys[c.System] == nil {
-			bySys[c.System] = map[AttackName]DefenseCell{}
-		}
-		bySys[c.System][c.Attack] = c
-	}
-	tb := metrics.NewTable("system", "gc", "timing", "trimming", "recovery(encryptor)", "forensics")
-	defended := func(c DefenseCell) string {
-		if c.Grade == "full" {
-			return "yes"
-		}
-		return "NO"
-	}
-	for _, sys := range AllSystems {
-		row := bySys[sys]
-		fx := "no"
-		if row[AtkEncryptor].Forensics {
-			fx = "yes"
-		}
-		tb.AddRow(string(sys),
-			defended(row[AtkGC]),
-			defended(row[AtkTiming]),
-			defended(row[AtkTrimming]),
-			fmt.Sprintf("%s (%.0f%%)", row[AtkEncryptor].Grade, 100*row[AtkEncryptor].Frac),
-			fx,
-		)
-	}
-	return tb.String()
 }

@@ -362,15 +362,6 @@ func (f *FTL) PinnedPages() int {
 	return n
 }
 
-// MappedPages returns how many logical pages currently map to flash.
-func (f *FTL) MappedPages() int {
-	n := 0
-	for _, b := range f.blocks {
-		n += b.valid
-	}
-	return n
-}
-
 // Lookup returns the current physical page of lpn, or NoPPN.
 func (f *FTL) Lookup(lpn uint64) uint64 {
 	if lpn >= f.logicalPages {

@@ -130,3 +130,61 @@ func TestMeanBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+type renderLat struct {
+	Mean simclock.Duration
+	Hits int `json:"hits"`
+}
+
+type renderRow struct {
+	Name  string `json:"name"`
+	Plain renderLat
+	Ratio float64
+	Next  *renderLat
+	Skip  int `json:"-"`
+}
+
+type renderRun struct {
+	Seed    int64 `json:"seed"`
+	Rows    []renderRow
+	Summary renderLat
+	Cost    float64
+	Cluster *renderRun
+	Notes   []string `json:"notes,omitempty"`
+}
+
+// TestRenderDerivesFromRows covers what Render derives from a run's types:
+// JSON-key names, a nested struct flattened into dotted columns and lines, a
+// titled sub-table, a String() value, floats to four significant digits,
+// nil pointers as "-", and an empty omitempty field left out.
+func TestRenderDerivesFromRows(t *testing.T) {
+	run := renderRun{
+		Seed: 3,
+		Rows: []renderRow{
+			{Name: "a", Plain: renderLat{Mean: 1500 * simclock.Microsecond, Hits: 2}, Ratio: 12345.6, Skip: 9},
+			{Name: "bb", Ratio: 0.5, Next: &renderLat{Mean: 2 * simclock.Day, Hits: 7}},
+		},
+		Summary: renderLat{Mean: simclock.Millisecond, Hits: 4},
+		Cost:    0.00012344,
+	}
+	got := Render(run)
+	want := "seed: 3\n" +
+		"Rows:\n" +
+		"name  Plain.Mean  Plain.hits  Ratio   Next.Mean  Next.hits\n" +
+		"----  ----------  ----------  ------  ---------  ---------\n" +
+		"a     1.5ms       2           12346   -          -\n" +
+		"bb    0s          0           0.5000  2d0s       7\n" +
+		"Summary.Mean: 1ms\n" +
+		"Summary.hits: 4\n" +
+		"Cost: 0.0001234\n" +
+		"Cluster: -\n"
+	if got != want {
+		t.Fatalf("Render:\n%s\nwant:\n%s", got, want)
+	}
+	if got := Render(run.Rows[1:]); !strings.HasPrefix(got, "name  Plain.Mean") || strings.Contains(got, "Rows") {
+		t.Fatalf("a slice renders as one untitled table:\n%s", got)
+	}
+	if got := Render((*renderRun)(nil)); got != "-\n" {
+		t.Fatalf("nil run: %q", got)
+	}
+}

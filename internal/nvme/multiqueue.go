@@ -30,9 +30,6 @@ func (c *Controller) MultiQueue(n, depth int) *MultiQueue {
 	return m
 }
 
-// Queues returns the number of queue pairs.
-func (m *MultiQueue) Queues() int { return len(m.qps) }
-
 // Queue returns queue pair i; hosts submit to and reap from it directly.
 func (m *MultiQueue) Queue(i int) *QueuePair { return m.qps[i] }
 

@@ -208,11 +208,6 @@ func AppendDeflate(dst, p []byte) ([]byte, bool) {
 	return out, true
 }
 
-// Inflate decompresses a Deflate result.
-func Inflate(p []byte) ([]byte, error) {
-	return AppendInflate(nil, p)
-}
-
 // AppendInflate appends the decompression of the DEFLATE stream p to dst.
 // The decompressor is pooled; with sufficient dst capacity the call
 // allocates nothing.

@@ -3,7 +3,6 @@ package remote
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/simclock"
 )
@@ -17,8 +16,6 @@ import (
 //	dir    a local storage server's filesystem (BackendOptions.Dir)
 //	s3sim  the modeled cloud tier: latency, request/storage cost,
 //	       multipart uploads, eventually-consistent LIST
-//
-// Additional tiers register with RegisterBackend.
 
 // BackendOptions parameterizes backend construction.
 type BackendOptions struct {
@@ -32,38 +29,27 @@ type BackendOptions struct {
 // BackendFactory builds one storage tier.
 type BackendFactory func(opts BackendOptions) (ObjectStore, error)
 
-var (
-	backendMu sync.RWMutex
-	backends  = map[string]BackendFactory{
-		"mem": func(BackendOptions) (ObjectStore, error) { return NewMemStore(), nil },
-		"dir": func(opts BackendOptions) (ObjectStore, error) {
-			if opts.Dir == "" {
-				return nil, fmt.Errorf("remote: dir backend needs a root directory")
-			}
-			return NewDirStore(opts.Dir)
-		},
-		"s3sim": func(opts BackendOptions) (ObjectStore, error) {
-			cfg := DefaultS3Config()
-			if opts.S3 != nil {
-				cfg = *opts.S3
-			}
-			return NewS3Sim(cfg), nil
-		},
-	}
-)
-
-// RegisterBackend adds (or replaces) a named storage tier.
-func RegisterBackend(name string, f BackendFactory) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	backends[name] = f
+// backends maps each tier's name to its constructor; it is never written.
+var backends = map[string]BackendFactory{
+	"mem": func(BackendOptions) (ObjectStore, error) { return NewMemStore(), nil },
+	"dir": func(opts BackendOptions) (ObjectStore, error) {
+		if opts.Dir == "" {
+			return nil, fmt.Errorf("remote: dir backend needs a root directory")
+		}
+		return NewDirStore(opts.Dir)
+	},
+	"s3sim": func(opts BackendOptions) (ObjectStore, error) {
+		cfg := DefaultS3Config()
+		if opts.S3 != nil {
+			cfg = *opts.S3
+		}
+		return NewS3Sim(cfg), nil
+	},
 }
 
 // OpenBackend builds the named storage tier.
 func OpenBackend(name string, opts BackendOptions) (ObjectStore, error) {
-	backendMu.RLock()
 	f, ok := backends[name]
-	backendMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("remote: unknown backend %q (have %v)", name, Backends())
 	}
@@ -72,8 +58,6 @@ func OpenBackend(name string, opts BackendOptions) (ObjectStore, error) {
 
 // Backends lists the registered tier names, sorted.
 func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
 	names := make([]string, 0, len(backends))
 	for n := range backends {
 		names = append(names, n)
@@ -110,8 +94,7 @@ type BackendProfile struct {
 	OffloadLowWater   float64
 }
 
-// profiles maps registered tiers to their tuning; Profile falls back to
-// the local-tier defaults for tiers registered without one.
+// profiles maps each tier to its tuning; it is never written.
 var profiles = map[string]BackendProfile{
 	"mem":   {OffloadQueueDepth: 8, OffloadHighWater: 0.50, OffloadLowWater: 0.25},
 	"dir":   {OffloadQueueDepth: 8, OffloadHighWater: 0.50, OffloadLowWater: 0.25},
@@ -120,19 +103,10 @@ var profiles = map[string]BackendProfile{
 
 // Profile returns the named tier's offload tuning defaults.
 func Profile(name string) BackendProfile {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
 	if p, ok := profiles[name]; ok {
 		return p
 	}
 	return BackendProfile{OffloadQueueDepth: 8, OffloadHighWater: 0.50, OffloadLowWater: 0.25}
-}
-
-// RegisterBackendProfile sets (or replaces) a tier's tuning defaults.
-func RegisterBackendProfile(name string, p BackendProfile) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	profiles[name] = p
 }
 
 // Settler is implemented by eventually-consistent backends whose LIST view

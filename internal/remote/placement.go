@@ -141,18 +141,6 @@ func (r *Ring) HasNode(node int) bool {
 	return ok
 }
 
-// Nodes returns the member node IDs in ascending order.
-func (r *Ring) Nodes() []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]int, 0, len(r.weights))
-	for n := range r.weights {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // NodeCount returns the number of member nodes.
 func (r *Ring) NodeCount() int {
 	r.mu.RLock()
@@ -351,11 +339,4 @@ func (p *Placement) Spread() map[int]int {
 		}
 	}
 	return out
-}
-
-// Placed returns how many devices have assignments.
-func (p *Placement) Placed() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.owner)
 }

@@ -83,22 +83,20 @@ func expire(t *testing.T, st *Store, devs []uint64) {
 // answers every query as the live store that wrote the tier does — the
 // chain head, the held listing, the image at every cut, the checkpoints,
 // the segment count and each segment's bytes — after a history with runs of
-// pages-only segments. Expiry lives in the index alone (the blobs stay, as
-// evidence), so both stores expire the same segments by index; that lands
-// on the same pages only if Reload lists the segments the live store holds,
-// in its order. Which device first held a shared content follows the order
-// the two rebuild in, so the dedup-hit ledger is left out.
+// pages-only segments, and after the live store expired some of them: the
+// blobs stay, as evidence, and Reload applies the expiry tombstones. Which
+// device first held a shared content follows the order the two rebuild in,
+// so the dedup-hit ledger is left out.
 func TestReloadMatchesLiveStore(t *testing.T) {
 	devs := []uint64{7, 8}
 	for seed := int64(1); seed <= 8; seed++ {
 		live := NewStore(NewMemStore())
 		reloadHistory(t, live, seed, devs)
+		expire(t, live, devs)
 		reloaded := NewStore(live.Blobs())
 		if err := reloaded.Reload(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		expire(t, live, devs)
-		expire(t, reloaded, devs)
 		for _, id := range devs {
 			what := fmt.Sprintf("seed %d device %d", seed, id)
 			sameStore(t, what, reloaded, live, id)

@@ -37,10 +37,10 @@ type Server struct {
 	Config ServerConfig
 	// NIC is this server's egress-NIC arbiter: the single shared link that
 	// restore streams and device offload traffic contend on
-	// (internal/netsim). Set it before sessions attach, or let NICArbiter
-	// build the default one lazily. Experiments wire it into device
-	// configs (core.Config.NIC) and restore links (NewRecoveryLinkOn) so
-	// both traffic classes are priced on one line.
+	// (internal/netsim). Set it before sessions attach (a Cluster gives
+	// each of its servers one). Experiments wire it into device configs
+	// (core.Config.NIC) and restore links (NewRecoveryLinkOn) so both
+	// traffic classes are priced on one line.
 	NIC *netsim.Arbiter
 
 	mu            sync.Mutex
@@ -133,17 +133,6 @@ func (s *Server) addRecovery(deviceID uint64, d RecoveryStats) {
 	rs.PagesRef += d.PagesRef
 	rs.BytesDedupSaved += d.BytesDedupSaved
 	rs.DeltaStreams += d.DeltaStreams
-}
-
-// NICArbiter returns the server's egress-NIC arbiter, lazily building a
-// default-configured one when none was assigned.
-func (s *Server) NICArbiter() *netsim.Arbiter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.NIC == nil {
-		s.NIC = netsim.New(netsim.Config{})
-	}
-	return s.NIC
 }
 
 // NewServer returns a server over store that accepts any device presenting

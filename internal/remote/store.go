@@ -520,7 +520,9 @@ func (s *Store) TouchedSince(deviceID, since uint64) map[uint64]struct{} {
 
 // DropSegmentPages removes the page payloads of the device's i-th stored
 // segment from the version and chunk indexes — the retention-expiry
-// primitive. The evidence chain (entries, blobs, checkpoints) is kept for
+// primitive. It first persists a tombstone, dev/<id>/drop/<i>, and changes
+// the indexes only once that Put succeeded, so Reload expires the same
+// versions. The evidence chain (entries, blobs, checkpoints) is kept for
 // forensics; only the retained page versions and their chunk references
 // go. A chunk's physical copy is freed only when the last page version
 // referencing it — from any device — is dropped. Each segment may be
@@ -530,13 +532,19 @@ func (s *Store) DropSegmentPages(deviceID uint64, i int) error {
 	if err != nil {
 		return err
 	}
-	d, ok := s.lookup(deviceID)
-	if !ok {
-		return fmt.Errorf("%w: device %d", ErrNotFound, deviceID)
+	if err := s.blobs.Put(fmt.Sprintf("dev/%d/drop/%010d", deviceID, i), nil); err != nil {
+		return fmt.Errorf("remote: persist expiry: %w", err)
 	}
+	d, _ := s.lookup(deviceID)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, p := range seg.Pages {
+	d.drop(s.chunks, seg.Pages)
+	return nil
+}
+
+// drop removes the version each of pages recorded and releases its chunk.
+func (d *deviceLog) drop(chunks *chunkIndex, pages []oplog.PageRecord) {
+	for _, p := range pages {
 		vs := d.versions[p.LPN]
 		for j := range vs {
 			if vs[j].WriteSeq != p.WriteSeq {
@@ -548,11 +556,10 @@ func (s *Store) DropSegmentPages(deviceID uint64, i int) error {
 				d.lpns = nil
 			}
 			d.pageBytes -= int64(len(p.Data))
-			s.chunks.release(p.Hash)
+			chunks.release(p.Hash)
 			break
 		}
 	}
-	return nil
 }
 
 // Blobs exposes the storage tier the Store persists to (tier selection,
@@ -593,6 +600,11 @@ func (s *Store) FetchSegment(deviceID uint64, i int) (*oplog.Segment, error) {
 	}
 	key := d.segKeys[i]
 	d.mu.RUnlock()
+	return s.readSegment(key)
+}
+
+// readSegment fetches and decodes the segment blob stored under key.
+func (s *Store) readSegment(key string) (*oplog.Segment, error) {
 	blob, err := s.blobs.Get(key)
 	if err != nil {
 		return nil, err
@@ -611,7 +623,8 @@ func (s *Store) FetchSegment(deviceID uint64, i int) (*oplog.Segment, error) {
 }
 
 // Reload rebuilds the in-memory indexes from the object store. It verifies
-// the full chain as it goes, so a tampered blob store is detected. This is
+// the full chain as it goes, so a tampered blob store is detected, and
+// applies every expiry tombstone once the segments are adopted. This is
 // the durability story: the index is a cache; the blobs are the truth.
 //
 // Reload is the restart-recovery path: it holds the directory lock for its
@@ -640,9 +653,19 @@ func (s *Store) Reload() error {
 		return d
 	}
 	sort.Strings(keys) // seg keys are zero-padded by (seq, count): lexical == ingest order
+	type tombstone struct {
+		devID uint64
+		seg   int
+	}
+	var drops []tombstone
 	for _, key := range keys {
 		var devID uint64
 		var seq uint64
+		var seg int
+		if n, _ := fmt.Sscanf(key, "dev/%d/drop/%d", &devID, &seg); n == 2 {
+			drops = append(drops, tombstone{devID, seg})
+			continue
+		}
 		if n, _ := fmt.Sscanf(key, "dev/%d/seg/%d", &devID, &seq); n == 2 {
 			blob, err := s.blobs.Get(key)
 			if err != nil {
@@ -684,6 +707,17 @@ func (s *Store) Reload() error {
 			d := dev(devID)
 			d.checkpoints = append(d.checkpoints, cp)
 		}
+	}
+	for _, t := range drops {
+		d, ok := devices[t.devID]
+		if !ok || t.seg >= len(d.segKeys) {
+			continue // the listing lacks the segment, so the index lacks its versions
+		}
+		seg, err := s.readSegment(d.segKeys[t.seg])
+		if err != nil {
+			return fmt.Errorf("remote: reload expiry of %s: %w", d.segKeys[t.seg], err)
+		}
+		d.drop(chunks, seg.Pages)
 	}
 	for _, d := range devices {
 		sort.Slice(d.checkpoints, func(i, j int) bool { return d.checkpoints[i].Seq < d.checkpoints[j].Seq })

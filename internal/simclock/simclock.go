@@ -63,9 +63,6 @@ func Min(t, u Time) Time {
 	return u
 }
 
-// Std converts a simulated duration to a time.Duration for reporting.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
