@@ -12,17 +12,13 @@ import (
 	"net"
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/entropy"
 	"repro/internal/experiment"
-	"repro/internal/forensic"
 	"repro/internal/ftl"
-	"repro/internal/host"
 	"repro/internal/nand"
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
-	"repro/internal/recovery"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/workload"
@@ -141,90 +137,6 @@ func BenchmarkAblationDetectors(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEnhancedTrim compares the trimming attack's damage with
-// RSSD's enhanced trim on vs. off.
-func BenchmarkAblationEnhancedTrim(b *testing.B) {
-	run := func(disable bool) int {
-		s := benchScale()
-		store := remote.NewStore(remote.NewMemStore())
-		srv := remote.NewServer(store, experiment.PSK)
-		client, err := remote.Loopback(srv, experiment.PSK, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer client.Close()
-		cfg := core.DefaultConfig()
-		cfg.FTL = ftlConfigFor(s)
-		cfg.DisableEnhancedTrim = disable
-		cfg.Dial = func() (*remote.Client, error) { return remote.Loopback(srv, experiment.PSK, 1) }
-		dev := core.New(cfg, client)
-		fsys := hostFS(dev)
-		rng := rand.New(rand.NewSource(5))
-		attack.Seed(fsys, rng, s.SeedFiles, s.MaxFilePages)
-		(&attack.TrimmingAttack{Key: [32]byte{9}}).Run(fsys, rng)
-		an := forensic.NewAnalyzer(dev, client)
-		ev, err := an.Timeline()
-		if err != nil {
-			b.Fatal(err)
-		}
-		win, err := an.AttackWindow(ev, dev.Log().NextSeq())
-		if err != nil {
-			return 0
-		}
-		eng := recovery.NewEngine(dev, client, recovery.Options{})
-		_, rep, err := eng.RestoreWindow(win, fsys.Clock().Now())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rep.PagesRestored
-	}
-	b.Run("enhanced-trim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if run(false) == 0 {
-				b.Fatal("enhanced trim restored nothing")
-			}
-		}
-	})
-	b.Run("native-trim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(true) // restores little or nothing: the ablation's point
-		}
-	})
-}
-
-// BenchmarkAblationGCPolicy compares greedy vs. cost-benefit GC WAF.
-func BenchmarkAblationGCPolicy(b *testing.B) {
-	for _, policy := range []struct {
-		name string
-		p    ftl.GCPolicy
-	}{{"greedy", ftl.GreedyGC}, {"cost-benefit", ftl.CostBenefitGC}} {
-		b.Run(policy.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ftlConfigFor(benchScale())
-				cfg.Policy = policy.p
-				f := ftl.New(cfg, nil)
-				prof, _ := workload.ProfileByName("hm")
-				g := workload.NewGenerator(prof, cfg.NAND.Geometry.PageSize, f.LogicalPages(), 3)
-				at := simclock.Time(0)
-				// Write several device capacities so GC reaches steady
-				// state; otherwise both policies trivially report WAF 1.
-				writes := int(f.LogicalPages()) * 3
-				for j := 0; j < writes; {
-					rec := g.Next()
-					if rec.Op != workload.OpWrite {
-						continue
-					}
-					if rec.LPN < f.LogicalPages() {
-						at, _ = f.Write(rec.LPN, g.Content(), at)
-						j++
-					}
-				}
-				b.ReportMetric(f.WAF(), "WAF")
-			}
-		})
-	}
-}
-
 // --- Microbenchmarks of the hot paths ---------------------------------------
 
 func smallFTLConfig() ftl.Config {
@@ -238,14 +150,6 @@ func smallFTLConfig() ftl.Config {
 		},
 		OverProvision: 0.125,
 	}
-}
-
-func ftlConfigFor(s experiment.Scale) ftl.Config {
-	cfg := smallFTLConfig()
-	cfg.NAND.Geometry.BlocksPerPlane = s.BlocksPerPlane
-	cfg.NAND.Geometry.PagesPerBlock = s.PagesPerBlock
-	cfg.NAND.Geometry.PageSize = s.PageSize
-	return cfg
 }
 
 // BenchmarkFTLWrite measures the raw FTL write path (no retention).
@@ -393,9 +297,4 @@ func BenchmarkTraceGenerator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Next()
 	}
-}
-
-// hostFS builds a FlatFS over an RSSD for the ablation benches.
-func hostFS(dev *core.RSSD) *host.FlatFS {
-	return host.NewFlatFS(dev, simclock.NewClock())
 }

@@ -1,9 +1,9 @@
-// Forensics: build a history, let ransomware strike, and produce the
+// Attack window: build a history, let ransomware strike, and produce the
 // trusted post-attack analysis report — then demonstrate tamper evidence
 // by showing that altered history cannot be re-injected into the remote
 // store.
 //
-//	go run ./examples/forensics
+//	go run ./examples/attack-window
 package main
 
 import (

@@ -188,8 +188,8 @@ func (r *RSSD) submitWrites(run []Op, res []Result, at simclock.Time, done *simc
 }
 
 // submitReads applies one read run: a grouped FTL read into the run's
-// destinations (batch.ReadDests) plus one batched append of the sampled
-// read-log entries.
+// destinations (batch.ReadDests) plus one batched append of a KindRead entry
+// per read, in submission order (the read-then-overwrite detector's input).
 func (r *RSSD) submitReads(run []Op, res []Result, at simclock.Time, done *simclock.Time) error {
 	logical := r.f.LogicalPages()
 	s := &r.scratch
@@ -222,15 +222,10 @@ func (r *RSSD) submitReads(run []Op, res []Result, at simclock.Time, done *simcl
 			*done = s.times[k]
 		}
 		r.stats.HostReads++
-		if n := r.cfg.ReadLogSampling; n > 0 {
-			r.readCounter++
-			if r.readCounter%uint64(n) == 0 {
-				s.recs = append(s.recs, oplog.Rec{
-					Kind: oplog.KindRead, At: at, LPN: s.lpns[k],
-					OldPPN: r.f.Lookup(s.lpns[k]), NewPPN: ftl.NoPPN,
-				})
-			}
-		}
+		s.recs = append(s.recs, oplog.Rec{
+			Kind: oplog.KindRead, At: at, LPN: s.lpns[k],
+			OldPPN: r.f.Lookup(s.lpns[k]), NewPPN: ftl.NoPPN,
+		})
 	}
 	r.log.AppendBatch(s.recs)
 	return nil

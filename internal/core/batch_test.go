@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/ftl"
@@ -126,31 +127,34 @@ func TestSubmitBatchDuplicateLPNAttribution(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchReadSampling: the read log sampling counter advances per
-// read inside a batch exactly as it does per-op.
+// TestSubmitBatchReadSampling: every read inside a batch is logged, one
+// KindRead entry per read in submission order, as it is per-op.
 func TestSubmitBatchReadSampling(t *testing.T) {
-	cfg := testConfig()
-	cfg.ReadLogSampling = 3
-	e := newEnv(t, cfg)
-	if _, _, err := e.r.SubmitBatch([]Op{{Kind: OpWrite, LPN: 0, Data: fill(1, 512)}}, 0); err != nil {
+	e := newEnv(t, testConfig())
+	writes := make([]Op, 4)
+	for i := range writes {
+		writes[i] = Op{Kind: OpWrite, LPN: uint64(i), Data: fill(byte(i+1), 512)}
+	}
+	if _, _, err := e.r.SubmitBatch(writes, 0); err != nil {
 		t.Fatal(err)
 	}
-	reads := make([]Op, 9)
-	for i := range reads {
-		reads[i] = Op{Kind: OpRead, LPN: 0}
+	lpns := []uint64{2, 0, 3, 0, 1, 1, 3, 2, 0}
+	reads := make([]Op, len(lpns))
+	for i, lpn := range lpns {
+		reads[i] = Op{Kind: OpRead, LPN: lpn}
 	}
 	before := e.r.Log().NextSeq()
 	if _, _, err := e.r.SubmitBatch(reads, 0); err != nil {
 		t.Fatal(err)
 	}
-	logged := 0
+	var logged []uint64
 	for _, en := range e.r.Log().All() {
 		if en.Seq >= before && en.Kind == oplog.KindRead {
-			logged++
+			logged = append(logged, en.LPN)
 		}
 	}
-	if logged != 3 {
-		t.Fatalf("sampled %d read entries for 9 reads at 1:3, want 3", logged)
+	if !slices.Equal(logged, lpns) {
+		t.Fatalf("logged reads of LPNs %v for a batch reading %v", logged, lpns)
 	}
 }
 

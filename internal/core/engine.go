@@ -538,8 +538,8 @@ func (r *RSSD) adoptHead(head nvmeoe.Head) {
 }
 
 // maybeRedial re-establishes a dead session from the configured dial
-// factory. Attempts back off exponentially in simulated time (base
-// RedialBackoff, capped at RedialBackoffMax). On success the durable
+// factory. Attempts back off exponentially in simulated time (from
+// backoffBase, capped at backoffMax). On success the durable
 // frontier is reconciled against the server's FetchHead before staging
 // resumes: entries the server stored durably but whose acks died with the
 // old session are counted into Stats.ResumeGap and NOT re-shipped — the
@@ -581,12 +581,9 @@ func (r *RSSD) maybeRedial(at simclock.Time) {
 	if err != nil {
 		r.lastOffloadErr = err
 		if r.redialBackoff == 0 {
-			r.redialBackoff = r.cfg.RedialBackoff
+			r.redialBackoff = backoffBase
 		} else {
-			r.redialBackoff *= 2
-			if r.redialBackoff > r.cfg.RedialBackoffMax {
-				r.redialBackoff = r.cfg.RedialBackoffMax
-			}
+			r.redialBackoff = min(2*r.redialBackoff, backoffMax)
 		}
 		r.nextRedialAt = at.Add(r.redialBackoff)
 		return

@@ -568,13 +568,6 @@ type RestoreOptions struct {
 	Link *remote.RecoveryLink
 	// ChunkPages bounds pages per streamed chunk (0: server default).
 	ChunkPages int
-	// BackoffBase / BackoffMax bound the resume backoff after a mid-stream
-	// disconnect (defaults: the config's redial backoff knobs).
-	BackoffBase simclock.Duration
-	BackoffMax  simclock.Duration
-	// MaxResumes bounds how many stream interruptions the restorer rides
-	// out before giving up (default 8).
-	MaxResumes int
 	// Dedup requests hash-reference chunks: each unique page content
 	// crosses the wire once per restore as a verified literal; repeats
 	// arrive as 32-byte references resolved from a device-side cache that
@@ -662,18 +655,6 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 		}
 		rb.cursor, end = rb.lpns[0], rb.lpns[len(rb.lpns)-1]+1
 	}
-	if opts.MaxResumes <= 0 {
-		opts.MaxResumes = 8
-	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = r.cfg.RedialBackoff
-	}
-	if opts.BackoffMax < opts.BackoffBase {
-		opts.BackoffMax = r.cfg.RedialBackoffMax
-	}
-	if opts.BackoffMax < opts.BackoffBase {
-		opts.BackoffMax = opts.BackoffBase
-	}
 	if opts.Link != nil {
 		release := opts.Link.Open()
 		defer release()
@@ -734,7 +715,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 	}
 
 	client, err := dial()
-	backoff := opts.BackoffBase
+	backoff := backoffBase
 	for attempts := 0; ; {
 		if err == nil && !anchorKnown {
 			// Resolve the delta anchor once: the newest verified
@@ -771,13 +752,11 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 			rep.Resumes++
 		}
 		attempts++
-		if attempts > opts.MaxResumes {
-			return at, rep, fmt.Errorf("core: restore: gave up after %d attempts: %w", opts.MaxResumes, err)
+		if attempts > maxResumes {
+			return at, rep, fmt.Errorf("core: restore: gave up after %d attempts: %w", maxResumes, err)
 		}
 		at = at.Add(backoff)
-		if backoff *= 2; backoff > opts.BackoffMax {
-			backoff = opts.BackoffMax
-		}
+		backoff = min(2*backoff, backoffMax)
 		client, err = dial()
 	}
 	// The stream covered every LPN with remote history; finish the tail

@@ -170,17 +170,17 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 }
 
 // TestRedialBackoffExponential drives the redial schedule on the simulated
-// clock: attempts must back off exponentially from RedialBackoff, cap at
-// RedialBackoffMax, resume from FetchHead on success, and leave the sticky
-// LastOffloadError in place until the first post-redial ack clears it.
+// clock: attempts must back off exponentially from 1 ms, cap at 32 ms,
+// resume from FetchHead on success, and leave the sticky LastOffloadError
+// in place until the first post-redial ack clears it.
 func TestRedialBackoffExponential(t *testing.T) {
 	cfg := testConfig()
 	cfg.DropWhenOffline = false
-	cfg.RedialBackoff = simclock.Millisecond
-	cfg.RedialBackoffMax = 4 * simclock.Millisecond
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
-	dials, failUntil := 0, 4
+	// The gap before each retry, in ms: doubling from 1, capped at 32.
+	gaps := []simclock.Duration{1, 2, 4, 8, 16, 32, 32}
+	dials, failUntil := 0, len(gaps)
 	cfg.Dial = func() (*remote.Client, error) {
 		dials++
 		if dials <= failUntil {
@@ -207,31 +207,23 @@ func TestRedialBackoffExponential(t *testing.T) {
 		t.Fatal("outage not surfaced")
 	}
 	t0 := at
-	// The schedule after attempt k fails: next attempt at t0 + sum of
-	// backoffs 1,2,4,4(cap) ms. Polls strictly before each boundary must
-	// not dial.
-	steps := []struct {
-		at    simclock.Duration
-		dials int
-	}{
-		{simclock.Millisecond - 1, 1}, // before t0+1ms: no attempt
-		{simclock.Millisecond, 2},     // attempt #2; next backoff 2ms
-		{3*simclock.Millisecond - 1, 2},
-		{3 * simclock.Millisecond, 3}, // attempt #3; next backoff 4ms
-		{7*simclock.Millisecond - 1, 3},
-		{7 * simclock.Millisecond, 4}, // attempt #4; backoff capped at 4ms
-		{11*simclock.Millisecond - 1, 4},
-		{11 * simclock.Millisecond, 5}, // attempt #5 succeeds
-	}
-	for i, s := range steps {
-		r.DrainOffload(t0.Add(s.at))
-		if dials != s.dials {
-			t.Fatalf("step %d (t0+%v): dials = %d, want %d", i, s.at, dials, s.dials)
+	// Attempt k+2 fires at t0 plus the first k+1 gaps; a poll strictly
+	// before that boundary must not dial. The last attempt succeeds.
+	var next simclock.Duration
+	for k, gap := range gaps {
+		next += gap * simclock.Millisecond
+		r.DrainOffload(t0.Add(next - 1))
+		if dials != k+1 {
+			t.Fatalf("poll at t0+%v: dials = %d, want %d", next-1, dials, k+1)
+		}
+		r.DrainOffload(t0.Add(next))
+		if dials != k+2 {
+			t.Fatalf("poll at t0+%v: dials = %d, want %d", next, dials, k+2)
 		}
 	}
 	st := r.Stats()
-	if st.RedialAttempts != 5 || st.Redials != 1 {
-		t.Fatalf("attempts/redials = %d/%d, want 5/1", st.RedialAttempts, st.Redials)
+	if want := uint64(len(gaps) + 1); st.RedialAttempts != want || st.Redials != 1 {
+		t.Fatalf("attempts/redials = %d/%d, want %d/1", st.RedialAttempts, st.Redials, want)
 	}
 	// The session is back, resumed from the (empty) server head, but the
 	// sticky error stands until a durable ack proves the path healthy.
@@ -242,7 +234,7 @@ func TestRedialBackoffExponential(t *testing.T) {
 		t.Fatal("sticky error cleared by the redial itself, not by an ack")
 	}
 
-	at = t0.Add(12 * simclock.Millisecond)
+	at = t0.Add(next + simclock.Millisecond)
 	at, err = r.OffloadNow(at)
 	if err != nil {
 		t.Fatal(err)
@@ -302,8 +294,6 @@ func TestRedialWithoutDialFactory(t *testing.T) {
 func TestOffloadNowWaitsOutRedialBackoff(t *testing.T) {
 	cfg := testConfig()
 	cfg.DropWhenOffline = false
-	cfg.RedialBackoff = simclock.Millisecond
-	cfg.RedialBackoffMax = 4 * simclock.Millisecond
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	dials, failUntil := 0, 3
@@ -349,8 +339,6 @@ func TestOffloadNowWaitsOutRedialBackoff(t *testing.T) {
 	// fails after a bounded number of waited backoffs.
 	cfg2 := testConfig()
 	cfg2.DropWhenOffline = false
-	cfg2.RedialBackoff = simclock.Millisecond
-	cfg2.RedialBackoffMax = 4 * simclock.Millisecond
 	cfg2.Dial = func() (*remote.Client, error) {
 		return nil, errors.New("no live server")
 	}
@@ -365,7 +353,7 @@ func TestOffloadNowWaitsOutRedialBackoff(t *testing.T) {
 	if _, err := r2.OffloadNow(at2); err == nil {
 		t.Fatal("OffloadNow succeeded against a permanently dead cluster")
 	}
-	if w := r2.Stats().RedialWaitTime; w > simclock.Duration(maxRedialWaits)*cfg2.RedialBackoffMax {
+	if w := r2.Stats().RedialWaitTime; w > maxRedialWaits*32*simclock.Millisecond {
 		t.Fatalf("waited %v, beyond the bounded schedule", w)
 	}
 }

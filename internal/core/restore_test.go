@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/oplog"
@@ -70,11 +72,7 @@ func TestRestoreImageResumesMidStream(t *testing.T) {
 		}
 		return clean()
 	}
-	at, rep, err := r2.RestoreImage(cut, RestoreOptions{
-		Dial:        dial,
-		ChunkPages:  2,
-		BackoffBase: simclock.Millisecond,
-	}, at)
+	at, rep, err := r2.RestoreImage(cut, RestoreOptions{Dial: dial, ChunkPages: 2}, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +121,39 @@ func TestRestoreImageResumesMidStream(t *testing.T) {
 	h := e.store.Head(1)
 	if err := oplog.VerifyChain(e.store.Entries(1, 0, h.NextSeq), [32]byte{}); err != nil {
 		t.Fatalf("chain broken after restore: %v", err)
+	}
+}
+
+// TestRestoreImageGivesUpAfterResumeBudget: when every recovery session dies
+// on its first chunk, the restore rides out maxResumes cut streams, fails on
+// the next one with the link's error, and has waited between them the
+// doubling backoff from 1 ms, capped at 32 ms, in simulated time.
+func TestRestoreImageGivesUpAfterResumeBudget(t *testing.T) {
+	sc := newCutScenario(t, 3)
+	srv := remote.NewServer(sc.e.store, testPSK)
+	var handlers sync.WaitGroup
+	defer handlers.Wait()
+	dials := 0
+	dial := func() (*remote.Client, error) {
+		dials++
+		dc, pc := net.Pipe()
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			srv.HandleConn(pc)
+		}()
+		// The handshake's two reads, then the first chunk frame's fails.
+		return remote.Dial(remote.NewChokeConn(dc, 2), testPSK, 1)
+	}
+	at, rep, err := sc.e.r.RestoreImage(sc.cut, RestoreOptions{Dial: dial, ChunkPages: 2}, sc.at)
+	if !errors.Is(err, remote.ErrLinkChoked) {
+		t.Fatalf("restore over sessions that all die: err = %v, want %v", err, remote.ErrLinkChoked)
+	}
+	if dials != maxResumes+1 || rep.Resumes != maxResumes+1 || rep.Chunks != 0 {
+		t.Fatalf("dials/resumes/chunks = %d/%d/%d, want %d/%d/0", dials, rep.Resumes, rep.Chunks, maxResumes+1, maxResumes+1)
+	}
+	if want := (1 + 2 + 4 + 8 + 16 + 32 + 32 + 32) * simclock.Millisecond; at.Sub(sc.at) != want {
+		t.Fatalf("simulated wait = %v, want %v", at.Sub(sc.at), want)
 	}
 }
 

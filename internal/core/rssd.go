@@ -47,12 +47,6 @@ type Config struct {
 	// LPN, what Reopen replays from) after that many host ops (0 disables
 	// periodic checkpoints; one is still written on demand).
 	CheckpointEvery uint64
-	// ReadLogSampling logs every Nth host read (1 = all, 0 = none).
-	// Read entries feed the read-then-overwrite ransomware detector.
-	ReadLogSampling int
-	// DisableEnhancedTrim reverts to destructive trim semantics
-	// (ablation: this is what makes the trimming attack succeed).
-	DisableEnhancedTrim bool
 	// DropWhenOffline controls behaviour when no remote client is
 	// attached and retention pressure builds: true drops the oldest
 	// retained pages (LocalSSD-like degradation), false fails writes.
@@ -76,13 +70,18 @@ type Config struct {
 	// segments until a caller attaches a new client by hand — the
 	// pre-redial behaviour.
 	Dial DialFunc
-	// RedialBackoff and RedialBackoffMax bound the redial schedule: the
-	// first attempt fires at the next background poll after the session
-	// dies, then retries back off exponentially from RedialBackoff up to
-	// RedialBackoffMax of simulated time. Defaults: 1ms, 32ms.
-	RedialBackoff    simclock.Duration
-	RedialBackoffMax simclock.Duration
 }
+
+// The retry schedule of a dead remote session, shared by the offload
+// engine's redial and the restorer's stream resume: the first retry waits
+// backoffBase of simulated time, each later one twice the one before, up to
+// backoffMax. A restore gives up after maxResumes+1 failed dials or cut
+// streams.
+const (
+	backoffBase = simclock.Millisecond
+	backoffMax  = 32 * simclock.Millisecond
+	maxResumes  = 8
+)
 
 // DefaultConfig returns the configuration used across the evaluation.
 func DefaultConfig() Config {
@@ -93,7 +92,6 @@ func DefaultConfig() Config {
 		OffloadLowWater:   0.40,
 		SegmentMaxPages:   128,
 		CheckpointEvery:   4096,
-		ReadLogSampling:   1,
 		DropWhenOffline:   true,
 		OffloadQueueDepth: 8,
 	}
@@ -228,7 +226,6 @@ type RSSD struct {
 	offloadedUpTo  uint64 // log entries below this are durably remote (acked)
 	stagedUpTo     uint64 // log entries below this are sealed into segments
 	opsSinceCP     uint64
-	readCounter    uint64
 	lastOffloadErr error
 
 	// Redial state: a transport-level failure marks the session dead; the
@@ -286,15 +283,6 @@ func (cfg Config) normalize() Config {
 	}
 	if cfg.OffloadQueueDepth <= 0 {
 		cfg.OffloadQueueDepth = 8
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = simclock.Millisecond
-	}
-	if cfg.RedialBackoffMax <= 0 {
-		cfg.RedialBackoffMax = 32 * simclock.Millisecond
-	}
-	if cfg.RedialBackoffMax < cfg.RedialBackoff {
-		cfg.RedialBackoffMax = cfg.RedialBackoff
 	}
 	return cfg
 }
@@ -381,7 +369,7 @@ func (r *RSSD) Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, 
 	return done, err
 }
 
-// Read returns the current contents of lpn, logging a sampled read entry.
+// Read returns the current contents of lpn, logging a read entry.
 // It is a thin wrapper over a one-element submission batch.
 func (r *RSSD) Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error) {
 	return batch.Do(r, Op{Kind: OpRead, LPN: lpn}, at)
@@ -428,11 +416,9 @@ func (r *RSSD) afterOps(n int, at simclock.Time) (simclock.Time, error) {
 
 // --- ftl.Retainer implementation -----------------------------------------
 
-// OnStale pins every stale page: conservative retention.
+// OnStale pins every stale page, trimmed ones included: conservative
+// retention.
 func (r *RSSD) OnStale(lpn, ppn uint64, cause ftl.StaleCause, at simclock.Time) bool {
-	if cause == ftl.CauseTrim && r.cfg.DisableEnhancedTrim {
-		return false // ablation: native destructive trim
-	}
 	re := &retEntry{
 		ppn:      ppn,
 		lpn:      lpn,

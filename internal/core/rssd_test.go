@@ -40,7 +40,6 @@ func testConfig() Config {
 		OffloadLowWater:  0.40,
 		SegmentMaxPages:  8,
 		CheckpointEvery:  0,
-		ReadLogSampling:  1,
 		DropWhenOffline:  true,
 	}
 }
@@ -174,18 +173,6 @@ func TestEnhancedTrimRetainsData(t *testing.T) {
 	data, ws, err = e.r.VersionBefore(2, 2, at)
 	if err != nil || ws != NoSeq || data[0] != 0 {
 		t.Fatalf("post-trim version: %v write %d %v", data, ws, err)
-	}
-}
-
-func TestDisabledEnhancedTrimDoesNotRetain(t *testing.T) {
-	cfg := testConfig()
-	cfg.DisableEnhancedTrim = true
-	e := newEnv(t, cfg)
-	at := simclock.Time(0)
-	at, _ = e.r.Write(2, fill(0xCC, 512), at)
-	e.r.Trim(2, at)
-	if vs := e.r.RetainedVersions(2); len(vs) != 0 {
-		t.Fatalf("ablated trim retained %d versions", len(vs))
 	}
 }
 
@@ -486,20 +473,6 @@ func TestStatsAccumulate(t *testing.T) {
 	s := e.r.Stats()
 	if s.HostWrites != 1 || s.HostReads != 1 || s.HostTrims != 1 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestReadLogSamplingDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.ReadLogSampling = 0
-	e := newEnv(t, cfg)
-	at := simclock.Time(0)
-	at, _ = e.r.Write(0, fill(1, 512), at)
-	e.r.Read(0, at)
-	for _, en := range e.r.Log().All() {
-		if en.Kind == oplog.KindRead {
-			t.Fatal("read logged despite sampling 0")
-		}
 	}
 }
 

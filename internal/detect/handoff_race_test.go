@@ -14,8 +14,8 @@ import (
 
 // These tests pin down the detection-handoff double-move contract under the
 // control-plane concurrency that actually produces double moves: a server
-// Kill and a RebalanceTick deciding about the same device window at the
-// same time. Two properties must hold whatever the interleaving:
+// Kill and a RebalanceOnIngest deciding about the same device window at
+// the same time. Two properties must hold whatever the interleaving:
 //
 //   - the alert latch never regresses: a device that alerted stays
 //     latched at whichever engine ends up owning it, and the continuing
@@ -143,8 +143,8 @@ func benignChain(dev uint64, n int) (blobs [][]byte, lastSeqs []uint64) {
 // TestClusterKillRebalanceHandoffRace is the satellite's storm: a
 // three-server cluster wired exactly like the fleet experiment (per-server
 // engines, OnMove handoffs, owner-routed segment subscription) with three
-// things racing — benign wire traffic, a kill/revive loop, and a rebalance
-// loop (both RebalanceTick and RebalanceOnIngest). Attacked devices latch
+// things racing — benign wire traffic, a kill/revive loop, and a
+// RebalanceOnIngest loop. Attacked devices latch
 // before the storm; after it settles, the continuing attack must route to
 // the surviving owner's engine and hit a still-latched state.
 func TestClusterKillRebalanceHandoffRace(t *testing.T) {
@@ -163,7 +163,7 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 		Servers: servers, PSK: psk,
 		// Hair-trigger skew thresholds so the storm's uneven ingest
 		// actually produces rebalance moves, not just rebalance calls.
-		SkewFactor: 1.01, SkewTicks: 1, SkewMinPeak: 1, SkewMinBytes: 1,
+		SkewFactor: 1.01, SkewTicks: 1, SkewMinBytes: 1,
 	})
 	defer cluster.Close()
 
@@ -237,7 +237,7 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 		}
 	}
 
-	// Storm: benign traffic, kills+revives, and both rebalancers, all
+	// Storm: benign traffic, kills+revives, and rebalancing, all
 	// concurrent. The attacked devices stay quiet so their state moves
 	// only by Handoff — any latch loss below is the control plane's fault.
 	var wg sync.WaitGroup
@@ -278,11 +278,7 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 	go func() { // rebalance loop, racing the kills on the same windows
 		defer wg.Done()
 		for i := 0; i < rebalanceOps; i++ {
-			if i%2 == 0 {
-				cluster.RebalanceTick()
-			} else {
-				cluster.RebalanceOnIngest()
-			}
+			cluster.RebalanceOnIngest()
 			runtime.Gosched()
 		}
 	}()

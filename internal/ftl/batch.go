@@ -212,12 +212,10 @@ func (f *FTL) ReadBatch(times []simclock.Time, dst [][]byte, lpns []uint64, at s
 }
 
 // TrimBatch invalidates a group of logical pages as one submission.
-// Already-unmapped pages are no-ops. Eager trim erases
-// (when configured) run suspend-capable in the background (see
-// nand.Device.Erase), so they do not advance the returned completion
-// times; their latency surfaces through the erased block's readyAt if it
-// is reprogrammed before the erase finishes. It appends per-op completion
-// times aligned with ops to times.
+// Already-unmapped pages are no-ops. A trim touches only the mapping: the
+// stale page waits for garbage collection (or the retainer's pin), so every
+// op completes at the submission time. It appends per-op completion times
+// aligned with ops to times.
 func (f *FTL) TrimBatch(times []simclock.Time, ops []BatchTrim, at simclock.Time) ([]simclock.Time, simclock.Time, error) {
 	times = append(times, make([]simclock.Time, len(ops))...)
 	out := times[len(times)-len(ops):]
@@ -240,15 +238,6 @@ func (f *FTL) TrimBatch(times []simclock.Time, ops []BatchTrim, at simclock.Time
 			sso.OnStaleContext(op.Seq, at)
 		}
 		f.invalidate(op.LPN, ppn, CauseTrim, at)
-		if f.cfg.EagerTrimErase {
-			b := f.geo.BlockOf(ppn)
-			bi := &f.blocks[b]
-			if bi.state == blockFull && bi.valid == 0 && bi.pinned == 0 {
-				if err := f.eraseBlock(b, at); err != nil {
-					return times, at, err
-				}
-			}
-		}
 	}
 	return times, at, nil
 }

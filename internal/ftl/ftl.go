@@ -1,7 +1,7 @@
 // Package ftl implements a page-mapping flash translation layer over the
 // simulated NAND array: logical-to-physical mapping, multi-stream block
-// allocation, greedy and cost-benefit garbage collection, wear-aware block
-// selection, trim, and write-amplification accounting.
+// allocation, greedy garbage collection, static wear leveling, trim, and
+// write-amplification accounting.
 //
 // Unmodified, this package is the paper's "LocalSSD" baseline: stale data
 // survives only until garbage collection reclaims it. The RSSD design
@@ -132,16 +132,9 @@ const (
 	NoLPN = ^uint64(0)
 )
 
-// GCPolicy selects the victim-block scoring function.
-type GCPolicy int
-
-const (
-	// GreedyGC picks the block with the most reclaimable pages.
-	GreedyGC GCPolicy = iota
-	// CostBenefitGC weighs reclaimable space against migration cost and
-	// block age (the classic cost-benefit cleaner).
-	CostBenefitGC
-)
+// wearLevelThreshold bounds the allowed erase-count spread. When the spread
+// reaches it, GC recycles the coldest full block (static wear leveling).
+const wearLevelThreshold = 8
 
 // Config configures the FTL.
 type Config struct {
@@ -154,16 +147,6 @@ type Config struct {
 	// drops to it; GCHighWater is where collection stops.
 	GCLowWater  int
 	GCHighWater int
-	Policy      GCPolicy
-	// EagerTrimErase erases a block as soon as trim leaves it with no
-	// valid or pinned pages, modeling drives that honour trim
-	// aggressively. The paper's trimming attack exploits exactly this
-	// fast physical destruction on conventional SSDs.
-	EagerTrimErase bool
-	// WearLevelThreshold bounds the allowed erase-count spread. When the
-	// spread reaches it, GC recycles the coldest full block (static wear
-	// leveling). Zero selects the default (8); negative disables.
-	WearLevelThreshold int
 }
 
 // DefaultConfig returns an FTL configuration over the default NAND device:
@@ -174,7 +157,6 @@ func DefaultConfig() Config {
 		OverProvision: 0.07,
 		GCLowWater:    2,
 		GCHighWater:   4,
-		Policy:        GreedyGC,
 	}
 }
 
@@ -187,11 +169,10 @@ var (
 )
 
 type blockInfo struct {
-	valid    int // live mapped pages
-	pinned   int // stale pages pinned by the retainer
-	seq      uint64
-	allocSeq uint64 // when the block last became active (for cost-benefit age)
-	state    blockStateKind
+	valid  int // live mapped pages
+	pinned int // stale pages pinned by the retainer
+	seq    uint64
+	state  blockStateKind
 }
 
 type blockStateKind uint8
@@ -235,7 +216,6 @@ type FTL struct {
 	blocks   []blockInfo
 	freeList []uint64
 	fronts   [numStreams]front
-	allocSeq uint64
 
 	logicalPages uint64
 	stats        Stats
@@ -284,9 +264,6 @@ func Attach(cfg Config, dev *nand.Device, retainer Retainer) *FTL {
 	}
 	if cfg.GCHighWater <= cfg.GCLowWater {
 		cfg.GCHighWater = cfg.GCLowWater + 2
-	}
-	if cfg.WearLevelThreshold == 0 {
-		cfg.WearLevelThreshold = 8
 	}
 	f := &FTL{
 		cfg:          cfg,
@@ -406,9 +383,9 @@ func (f *FTL) Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error) 
 }
 
 // Trim invalidates lpn without writing new data. On a conventional SSD the
-// stale page is then destroyed at the drive's convenience — immediately,
-// when EagerTrimErase is set. A Retainer may pin it instead; that is the
-// heart of RSSD's enhanced trim.
+// stale page is then destroyed when garbage collection next reclaims its
+// block. A Retainer may pin it instead; that is the heart of RSSD's
+// enhanced trim.
 func (f *FTL) Trim(lpn uint64, at simclock.Time) (simclock.Time, error) {
 	_, done, err := batch.Do(f, batch.Op{Kind: batch.OpTrim, LPN: lpn}, at)
 	return done, err
@@ -523,9 +500,7 @@ func (f *FTL) openBlock(stream Stream, wi int, at simclock.Time) error {
 		return nil
 	}
 	*w = way{block: blk, open: true}
-	f.allocSeq++
 	f.blocks[blk].state = blockActive
-	f.blocks[blk].allocSeq = f.allocSeq
 	return nil
 }
 

@@ -364,28 +364,6 @@ func TestOnErasedReportsDestroyedStaleData(t *testing.T) {
 	}
 }
 
-func TestEagerTrimErase(t *testing.T) {
-	cfg := smallConfig()
-	cfg.EagerTrimErase = true
-	f := New(cfg, nil)
-	at := simclock.Time(0)
-	// Fill exactly one block (4 pages) with distinct LPNs, then trim them.
-	for i := uint64(0); i < 4; i++ {
-		at, _ = f.Write(i, fill(byte(i), 512), at)
-	}
-	erasesBefore := f.Device().Stats().Erases
-	// Fill a second block so the first becomes Full.
-	for i := uint64(4); i < 8; i++ {
-		at, _ = f.Write(i, fill(byte(i), 512), at)
-	}
-	for i := uint64(0); i < 4; i++ {
-		at, _ = f.Trim(i, at)
-	}
-	if got := f.Device().Stats().Erases; got != erasesBefore+1 {
-		t.Fatalf("eager trim erases = %d, want %d", got, erasesBefore+1)
-	}
-}
-
 func TestWearLevelingPrefersColdBlocks(t *testing.T) {
 	f := New(smallConfig(), nil)
 	at := simclock.Time(0)
@@ -399,30 +377,6 @@ func TestWearLevelingPrefersColdBlocks(t *testing.T) {
 	min, max, _ := f.Device().WearSummary()
 	if max-min > 12 {
 		t.Fatalf("wear spread too large: min=%d max=%d", min, max)
-	}
-}
-
-func TestCostBenefitPolicyAlsoPreservesData(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Policy = CostBenefitGC
-	f := New(cfg, nil)
-	at := simclock.Time(0)
-	latest := map[uint64]byte{}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		lpn := uint64(rng.Intn(int(f.LogicalPages())))
-		var err error
-		at, err = f.Write(lpn, fill(byte(i), 512), at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		latest[lpn] = byte(i)
-	}
-	for lpn, want := range latest {
-		got, _, _ := f.Read(lpn, at)
-		if got[0] != want {
-			t.Fatalf("lpn %d = %d, want %d", lpn, got[0], want)
-		}
 	}
 }
 

@@ -45,15 +45,15 @@ func (f *FTL) maybeGC(at simclock.Time) error {
 }
 
 // wearLevelOnce performs static wear leveling: when the erase-count spread
-// reaches the configured threshold, the coldest full block is recycled so
+// reaches wearLevelThreshold, the coldest full block is recycled so
 // blocks holding cold data rejoin circulation. At most one block is moved
 // per GC episode, bounding the added write amplification.
 func (f *FTL) wearLevelOnce(at simclock.Time) error {
-	if f.cfg.WearLevelThreshold < 0 || len(f.freeList) == 0 {
+	if len(f.freeList) == 0 {
 		return nil
 	}
 	min, max, _ := f.dev.WearSummary()
-	if max-min < f.cfg.WearLevelThreshold {
+	if max-min < wearLevelThreshold {
 		return nil
 	}
 	best, bestWear := -1, max+1
@@ -65,7 +65,7 @@ func (f *FTL) wearLevelOnce(at simclock.Time) error {
 			best, bestWear = b, w
 		}
 	}
-	if best < 0 || bestWear > min+f.cfg.WearLevelThreshold/2 {
+	if best < 0 || bestWear > min+wearLevelThreshold/2 {
 		return nil
 	}
 	_, err := f.collect(uint64(best), at)
@@ -78,37 +78,20 @@ func (f *FTL) reclaimable(b uint64) int {
 	return f.geo.PagesPerBlock - bi.valid - bi.pinned
 }
 
-// pickVictim chooses a full block to collect according to the configured
-// policy. It returns false if no full block would free any space.
+// pickVictim chooses the full block with the most reclaimable pages (greedy
+// GC; the lowest block number wins a tie). It returns false if no full block
+// would free any space.
 func (f *FTL) pickVictim() (uint64, bool) {
-	bestBlock := uint64(0)
-	found := false
-	var bestScore float64
+	bestBlock, bestRec := uint64(0), 0
 	for b := range f.blocks {
-		bi := &f.blocks[b]
-		if bi.state != blockFull {
+		if f.blocks[b].state != blockFull {
 			continue
 		}
-		rec := f.reclaimable(uint64(b))
-		if rec <= 0 {
-			continue
-		}
-		var score float64
-		switch f.cfg.Policy {
-		case CostBenefitGC:
-			// Classic cost-benefit: benefit = free space * age,
-			// cost = 2 * (pages to migrate). Older, emptier blocks win.
-			live := bi.valid + bi.pinned
-			age := float64(f.allocSeq - bi.allocSeq + 1)
-			score = float64(rec) * age / float64(2*live+1)
-		default: // GreedyGC
-			score = float64(rec)
-		}
-		if !found || score > bestScore {
-			bestBlock, bestScore, found = uint64(b), score, true
+		if rec := f.reclaimable(uint64(b)); rec > bestRec {
+			bestBlock, bestRec = uint64(b), rec
 		}
 	}
-	return bestBlock, found
+	return bestBlock, bestRec > 0
 }
 
 // collect migrates the victim's live and pinned pages, then erases it, and

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -20,9 +21,9 @@ import (
 // works: chain verification at the new server continues from the same
 // per-device head the old server left behind.
 //
-// Rebalancing under skew rides the same machinery in miniature: when one
-// server's decode-queue peak stays persistently above its peers,
-// RebalanceTick cuts its ring weight, re-places the devices whose arcs
+// Rebalancing under skew rides the same machinery in miniature: when the
+// wire bytes one server accepts stay persistently above its peers',
+// RebalanceOnIngest cuts its ring weight, re-places the devices whose arcs
 // moved, and closes their sessions so they redial to the new owners.
 
 // ClusterConfig sizes a cluster. The zero value of every tuning field
@@ -35,17 +36,13 @@ type ClusterConfig struct {
 	// Server is the per-server ingest config (decode lane sizing).
 	Server ServerConfig
 
-	// SkewFactor: a server is hot when its per-tick queue peak exceeds
-	// SkewFactor× the median of its peers (0: 2.0).
+	// SkewFactor: a server is hot when the wire bytes it accepted in a
+	// rebalance window reach SkewFactor× the median of its peers (0: 2.0).
 	SkewFactor float64
-	// SkewTicks: consecutive hot ticks before a weight cut (0: 2).
+	// SkewTicks: consecutive hot windows before a weight cut (0: 2).
 	SkewTicks int
-	// SkewMinPeak: ignore peaks below this absolute depth (0: 8) so an
-	// idle fleet never rebalances on noise.
-	SkewMinPeak int
-	// SkewMinBytes: RebalanceOnIngest ignores per-window ingest volumes
-	// below this many wire bytes (0: 64 KiB) — the live-skew analogue of
-	// SkewMinPeak.
+	// SkewMinBytes: windows below this many wire bytes (0: 64 KiB) are
+	// never hot, so an idle fleet never rebalances on noise.
 	SkewMinBytes int
 
 	// WrapConn, when set, wraps the device side of each dialed pipe —
@@ -69,9 +66,6 @@ func (c *ClusterConfig) normalize() {
 	}
 	if c.SkewTicks <= 0 {
 		c.SkewTicks = 2
-	}
-	if c.SkewMinPeak <= 0 {
-		c.SkewMinPeak = 8
 	}
 	if c.SkewMinBytes <= 0 {
 		c.SkewMinBytes = 64 << 10
@@ -322,49 +316,67 @@ func (c *Cluster) Revive(id int) error {
 	node.hotTicks = 0
 	// Discard load accumulated before death so the first post-revive skew
 	// window reflects only fresh traffic.
-	node.srv.TakeQueuePeak()
 	node.srv.TakeIngestWindow()
 	c.ring.AddNode(id, node.weight)
 	c.stats.Revives++
 	return nil
 }
 
-// skewSample is one live server's load signal for a rebalance pass.
-type skewSample struct {
-	node   *clusterNode
-	signal int
+// RebalanceOnIngest samples the wire bytes each live server accepted since
+// the last call (Server.TakeIngestWindow): load as placed, which shows a hot
+// server even when its decode lane keeps up. A server is hot when its
+// window is at least SkewMinBytes and SkewFactor× the median of its peers';
+// after SkewTicks consecutive hot windows its ring weight takes one
+// weightStep cut, never below minWeight. Devices whose arcs the cut moved
+// are re-placed and their sessions closed so they redial to the new owners.
+// Returns the moves (nil on a quiet window).
+func (c *Cluster) RebalanceOnIngest() []Move {
+	c.mu.Lock()
+	hot, moves := c.cutHottestLocked()
+	c.mu.Unlock()
+
+	// Evict the moved devices' live sessions (outside the lock: the drain
+	// routes their in-flight segments through Owner). They redial to the
+	// new owners; the shared store keeps their chains seamless.
+	for _, m := range moves {
+		hot.srv.CloseDevice(m.Device)
+	}
+	return moves
 }
 
-// cutHottestLocked applies the shared skew policy to one set of samples: a
-// server is hot when its signal is at least SkewFactor× the median of its
-// peers (and above minSignal); after SkewTicks consecutive hot passes its
-// ring weight takes one weightStep cut and its moved devices re-place.
-// Caller holds c.mu and must CloseDevice the returned moves outside the
-// lock.
-func (c *Cluster) cutHottestLocked(live []skewSample, minSignal int) (*clusterNode, []Move) {
+// cutHottestLocked takes every live server's ingest window and applies
+// RebalanceOnIngest's skew policy to them. Caller holds c.mu and must
+// CloseDevice the returned moves outside the lock.
+func (c *Cluster) cutHottestLocked() (*clusterNode, []Move) {
+	var live []*clusterNode
+	var window []int
+	for _, n := range c.nodes {
+		if n.alive {
+			_, bytes := n.srv.TakeIngestWindow()
+			live = append(live, n)
+			window = append(window, int(min(bytes, math.MaxInt)))
+		}
+	}
 	if len(live) < 2 {
 		return nil, nil
 	}
 	var hot *clusterNode
-	for i, s := range live {
+	for i, n := range live {
 		peers := make([]int, 0, len(live)-1)
-		for j, p := range live {
+		for j, w := range window {
 			if j != i {
-				peers = append(peers, p.signal)
+				peers = append(peers, w)
 			}
 		}
 		sort.Ints(peers)
-		median := peers[len(peers)/2]
-		if median < 1 {
-			median = 1
-		}
-		if s.signal >= minSignal && float64(s.signal) >= c.cfg.SkewFactor*float64(median) {
-			s.node.hotTicks++
-			if hot == nil && s.node.hotTicks >= c.cfg.SkewTicks && s.node.weight > minWeight {
-				hot = s.node
+		median := max(peers[len(peers)/2], 1)
+		if window[i] >= c.cfg.SkewMinBytes && float64(window[i]) >= c.cfg.SkewFactor*float64(median) {
+			n.hotTicks++
+			if hot == nil && n.hotTicks >= c.cfg.SkewTicks && n.weight > minWeight {
+				hot = n
 			}
 		} else {
-			s.node.hotTicks = 0
+			n.hotTicks = 0
 		}
 	}
 	if hot == nil {
@@ -383,61 +395,6 @@ func (c *Cluster) cutHottestLocked(live []skewSample, minSignal int) (*clusterNo
 		}
 	}
 	return hot, moves
-}
-
-// RebalanceTick samples each live server's decode-queue peak since the
-// last tick and applies one weight cut when a server has been hot —
-// peak above SkewFactor× the median of its peers — for SkewTicks
-// consecutive ticks. Devices whose arcs the cut moved are re-placed and
-// their sessions closed so they redial to the new owners. Returns the
-// moves (nil on a quiet tick).
-func (c *Cluster) RebalanceTick() []Move {
-	c.mu.Lock()
-	var live []skewSample
-	for _, n := range c.nodes {
-		if n.alive {
-			live = append(live, skewSample{n, n.srv.TakeQueuePeak()})
-		}
-	}
-	hot, moves := c.cutHottestLocked(live, c.cfg.SkewMinPeak)
-	c.mu.Unlock()
-
-	// Evict the moved devices' live sessions (outside the lock: the drain
-	// routes their in-flight segments through Owner). They redial to the
-	// new owners; the shared store keeps their chains seamless.
-	for _, m := range moves {
-		hot.srv.CloseDevice(m.Device)
-	}
-	return moves
-}
-
-// RebalanceOnIngest is RebalanceTick driven by the live ingest-skew window
-// instead of decode-queue peaks: each live server's wire bytes accepted
-// since the last call is the signal, so a server persistently receiving
-// SkewFactor× its peers' traffic sheds weight even when its decode lane
-// keeps up (queue peaks measure falling behind; this measures load as
-// placed). The soak drives its rebalancing through this, sampling real
-// observed traffic rather than a synthetic tick.
-func (c *Cluster) RebalanceOnIngest() []Move {
-	c.mu.Lock()
-	var live []skewSample
-	for _, n := range c.nodes {
-		if n.alive {
-			_, bytes := n.srv.TakeIngestWindow()
-			sig := int(bytes)
-			if sig < 0 {
-				sig = 1<<63 - 1 // uint64 overflowed int: saturate, still "hot"
-			}
-			live = append(live, skewSample{n, sig})
-		}
-	}
-	hot, moves := c.cutHottestLocked(live, c.cfg.SkewMinBytes)
-	c.mu.Unlock()
-
-	for _, m := range moves {
-		hot.srv.CloseDevice(m.Device)
-	}
-	return moves
 }
 
 // Close drains every server.

@@ -137,8 +137,8 @@ func TestClusterKillFailoverChainContinuity(t *testing.T) {
 }
 
 // TestClusterRebalanceUnderSkew drives the skew detector with synthetic
-// queue peaks: one server's decode backlog persistently above its peers
-// must cost it ring weight, and the resulting moves must come only from
+// ingest windows: one server's accepted wire bytes persistently above its
+// peers' must cost it ring weight, and the resulting moves must come only from
 // the hot server, closing its moved sessions so devices redial.
 func TestClusterRebalanceUnderSkew(t *testing.T) {
 	const devices = 64
@@ -170,22 +170,18 @@ func TestClusterRebalanceUnderSkew(t *testing.T) {
 
 	hot, _ := c.Owner(1)
 	hotBefore := c.Spread()[hot]
-	spike := func() {
-		srv := c.Server(hot)
-		srv.noteQueue(32)
-		srv.noteQueue(-32)
-	}
+	spike := func() { c.Server(hot).winBytes.Add(1 << 20) }
 
-	// Tick 1: hot, but below SkewTicks — no cut yet.
+	// Window 1: hot, but below SkewTicks — no cut yet.
 	spike()
-	if moves := c.RebalanceTick(); moves != nil {
-		t.Fatalf("rebalanced after one hot tick: %v", moves)
+	if moves := c.RebalanceOnIngest(); moves != nil {
+		t.Fatalf("rebalanced after one hot window: %v", moves)
 	}
-	// Tick 2: persistently hot — weight cut and shed.
+	// Window 2: persistently hot — weight cut and shed.
 	spike()
-	moves := c.RebalanceTick()
+	moves := c.RebalanceOnIngest()
 	if len(moves) == 0 {
-		t.Fatal("no rebalance after two hot ticks")
+		t.Fatal("no rebalance after two hot windows")
 	}
 	for _, m := range moves {
 		if m.From != hot {
@@ -212,10 +208,10 @@ func TestClusterRebalanceUnderSkew(t *testing.T) {
 		t.Fatalf("cluster stats %+v", cs)
 	}
 
-	// A cool fleet never rebalances: idle ticks are quiet.
+	// A cool fleet never rebalances: idle windows are quiet.
 	for i := 0; i < 4; i++ {
-		if moves := c.RebalanceTick(); moves != nil {
-			t.Fatalf("idle tick rebalanced: %v", moves)
+		if moves := c.RebalanceOnIngest(); moves != nil {
+			t.Fatalf("idle window rebalanced: %v", moves)
 		}
 	}
 }
@@ -244,7 +240,7 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config = ServerConfig{DecodeWorkers: 3, DecodeQueueDepth: 64}
+	srv.Config = ServerConfig{DecodeWorkers: 3}
 
 	// Close drains the sessions that exist when it fires; a device that
 	// handshakes afterwards is a new session and is served normally. So the

@@ -28,14 +28,15 @@ type ServerConfig struct {
 	// DecodeWorkers sizes the decode lane shared by every session; zero or
 	// less uses GOMAXPROCS. Every segment is ingested on the lane.
 	DecodeWorkers int
-	// DecodeQueueDepth is each worker's job-queue capacity (default 1024).
-	// A full queue backpressures the connection goroutine — and, through
-	// the transport, the device. Pipelining clients must keep their
-	// in-flight window well below this depth, or a synchronous in-memory
-	// transport (net.Pipe) can deadlock: the client blocked writing while
-	// the worker is blocked writing an ack the client is not reading.
-	DecodeQueueDepth int
 }
+
+// decodeQueueDepth is each decode worker's job-queue capacity. A full queue
+// backpressures the connection goroutine — and, through the transport, the
+// device. Pipelining clients must keep their in-flight window well below
+// this depth, or a synchronous in-memory transport (net.Pipe) can deadlock:
+// the client blocked writing while the worker is blocked writing an ack the
+// client is not reading.
+const decodeQueueDepth = 1024
 
 // IngestStats ledgers the server-side ingest path for one device, the
 // ingest mirror of RecoveryStats. Wall-clock durations, not simulated
@@ -152,13 +153,9 @@ func (s *Server) acquireLane() *decodeLane {
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		depth := s.Config.DecodeQueueDepth
-		if depth <= 0 {
-			depth = 1024
-		}
 		l := &decodeLane{queues: make([]chan decodeJob, workers)}
 		for i := range l.queues {
-			l.queues[i] = make(chan decodeJob, depth)
+			l.queues[i] = make(chan decodeJob, decodeQueueDepth)
 			go laneWorker(l.queues[i])
 		}
 		s.lane = l
@@ -344,7 +341,7 @@ func (ss *session) ingestSegment(body []byte) {
 // keeps a server's decode lane fed, where PushSegmentBlob's one-at-a-time
 // round trip would idle it. lastSeqs[i] is blobs[i]'s LastSeq; acks return
 // in order. The first server-reported error aborts the push. window must
-// stay well below the server's DecodeQueueDepth (see there).
+// stay well below the server's decodeQueueDepth (see there).
 func (c *Client) PushSegmentBlobs(blobs [][]byte, lastSeqs []uint64, window int) error {
 	if len(blobs) != len(lastSeqs) {
 		return fmt.Errorf("remote: %d blobs with %d seqs", len(blobs), len(lastSeqs))

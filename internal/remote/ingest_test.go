@@ -35,7 +35,7 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config = ServerConfig{DecodeWorkers: 3, DecodeQueueDepth: 64}
+	srv.Config = ServerConfig{DecodeWorkers: 3}
 
 	var subMu sync.Mutex
 	delivered := map[uint64][]uint64{}

@@ -52,18 +52,14 @@ type Server struct {
 	lane          *decodeLane // running decode lane, nil when no session holds it
 
 	// Server-wide decode backlog (jobs enqueued to the lane, not yet fully
-	// ingested) and its peaks. queuePeak is the lifetime high-water mark;
-	// windowPeak resets on TakeQueuePeak, which is what the cluster's
-	// rebalancer samples per tick to spot a persistently hot server.
+	// ingested) and its lifetime high-water mark.
 	queueDepth atomic.Int64
 	queuePeak  atomic.Int64
-	windowPeak atomic.Int64
 
 	// Ingest-skew window: segments and wire bytes accepted since the last
-	// TakeIngestWindow. Where the queue-peak window measures how far behind
-	// a server's decode lane got, this measures how much load actually
-	// landed — the live skew signal a soak-driven rebalancer compares
-	// across servers (Cluster.RebalanceOnIngest).
+	// TakeIngestWindow — how much load actually landed, the skew signal
+	// the cluster's rebalancer compares across servers
+	// (Cluster.RebalanceOnIngest).
 	winSegments atomic.Uint64
 	winBytes    atomic.Uint64
 }
@@ -244,8 +240,8 @@ func (s *Server) track(nc net.Conn, deviceID uint64) func() {
 	}
 }
 
-// noteQueue adjusts the server-wide decode backlog and, on growth, the
-// peak ledgers.
+// noteQueue adjusts the server-wide decode backlog and, on growth, its
+// peak.
 func (s *Server) noteQueue(delta int64) {
 	d := s.queueDepth.Add(delta)
 	if delta <= 0 {
@@ -257,24 +253,10 @@ func (s *Server) noteQueue(delta int64) {
 			break
 		}
 	}
-	for {
-		p := s.windowPeak.Load()
-		if d <= p || s.windowPeak.CompareAndSwap(p, d) {
-			break
-		}
-	}
 }
 
 // QueuePeak returns the lifetime peak of the server-wide decode backlog.
 func (s *Server) QueuePeak() int { return int(s.queuePeak.Load()) }
-
-// TakeQueuePeak returns the decode-backlog peak since the previous call
-// and resets the window to the current depth — the skew signal the
-// cluster's rebalancer compares across servers each tick.
-func (s *Server) TakeQueuePeak() int {
-	p := s.windowPeak.Swap(s.queueDepth.Load())
-	return int(p)
-}
 
 // TakeIngestWindow returns the segments and wire bytes this server accepted
 // since the previous call and resets the window — the live ingest-skew
