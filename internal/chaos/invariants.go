@@ -87,10 +87,11 @@ func (iv *Invariants) Pool(base bufpool.Gauge) bool {
 }
 
 // PoolSteady is Pool for systems with accounted long-lived holders: the
-// gauge may move exactly as much as the declared residency delta (pooled
-// buffers NAND arrays hold for programmed flash content, which
-// legitimately grows with writes and shrinks with erases). Any drift
-// beyond residency is a transient-path leak.
+// gauge may move exactly as much as the declared residency delta (the
+// per-block slabs NAND arrays hold for programmed flash content, one per
+// block programmed since its erase, which legitimately grows as writes open
+// blocks and shrinks with erases). Any drift beyond residency is a
+// transient-path leak.
 func (iv *Invariants) PoolSteady(base bufpool.Gauge, residency int64) bool {
 	drift := bufpool.Outstanding().Sub(base).Total() - residency
 	return iv.report(drift == 0,

@@ -156,3 +156,35 @@ func TestSubmitBatchDoesNotPinHostBuffers(t *testing.T) {
 	}
 	runtime.KeepAlive(e)
 }
+
+// TestOverwriteSteadyStateAllocs: every overwrite stales a page the retention
+// index pins, and pin cuts its entries from slabs of retSlabEntries, so a warm
+// overwrite loop on an offline device — stale pages pinned, the oldest
+// dropped at the watermark — allocates per run only the []Result, and no
+// entry per stale page. Its few LPNs each keep older versions pinned, so their
+// lists in the LPN index keep their capacity.
+func TestOverwriteSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	cfg := testConfig()
+	cfg.FTL.NAND.Geometry.BlocksPerPlane, cfg.FTL.NAND.Geometry.PagesPerBlock = 32, 8
+	cfg.FTL.OverProvision = 0.5
+	r := New(cfg, nil)
+	const n = 4
+	ops := writeRun(n, 1)
+	var at simclock.Time
+	for i := 0; i < 2*r.retentionBudget(); i++ { // past the watermark: drops begin
+		_, at = submitOK(t, r, ops, at)
+	}
+	if r.stats.DroppedPages == 0 {
+		t.Fatal("no page dropped: the loop never reached the watermark")
+	}
+	stale := r.stats.DroppedPages + uint64(len(r.retained))
+	if got := testing.AllocsPerRun(retSlabEntries, func() { _, at = submitOK(t, r, ops, at) }); got != 1 {
+		t.Fatalf("overwrite run of %d pages: %.2f allocs, want 1 (the []Result)", n, got)
+	}
+	if pinned := r.stats.DroppedPages + uint64(len(r.retained)) - stale; pinned < retSlabEntries*n {
+		t.Fatalf("%d pages pinned over the measured runs, want at least %d", pinned, retSlabEntries*n)
+	}
+}

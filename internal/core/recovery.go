@@ -85,9 +85,11 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 // hold — the unacked tail, a version the server expired since: such a page is
 // pinned again, and the operation that superseded it (what a point-in-time
 // query needs to tell whether the version was still current at its cut) lies
-// before the checkpoint. With nothing of the kind on flash — a drain before power-off,
-// nothing expired since — the fetch is the tail after the checkpoint, however
-// long the history before it; with no checkpoint floor is genesis.
+// before the checkpoint. A page the table calls live pulls floor back too when
+// a second page claims the same version (see the durability model). With
+// nothing of the kind on flash — a drain before power-off, nothing expired
+// since — the fetch is the tail after the checkpoint, however long the history
+// before it; with no checkpoint floor is genesis.
 //
 // A stale flash page is released instead of pinned only when the server lists
 // its (LPN, write sequence) with the content hash in that page's own OOB,
@@ -105,6 +107,17 @@ var ErrNoDial = errors.New("core: restore needs a dial factory (RestoreOptions.D
 // the rollback window empty. The hardware RSSD persists its log pages to
 // flash and would recover that tail too; modeling the rollback keeps the
 // chain semantics honest without simulating log-page writes.
+//
+// The rollback is logical: a discarded page stays on flash until GC erases
+// its block, while the resumed log issues its sequence again. So at a later
+// power cycle a page's sequence alone does not make it a version. A page at
+// or past floor is one only if the replayed entry at its sequence is a write
+// or recovery write of its LPN whose DataHash is the page's OOB hash (the
+// witness); a page that fails it is an orphan and discarded. Below floor the
+// table or the listing vouches for a page, and the table only for a version
+// no second page claims. Two pages that pass carry identical bytes: a held
+// one is released like any other, and of a version the device keeps the
+// first in PPN order stands for it; the other is discarded.
 func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) {
 	if client == nil {
 		return nil, ErrNoRemote
@@ -203,9 +216,19 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	if cp.WriteSeqs == nil {
 		cp.WriteSeqs = blankWriteSeqs(n)
 	}
+	// Below the anchor the table vouches for a live page only when no second
+	// page claims the same version: two are a rolled-back page and the write
+	// its sequence was issued to again, which only the witness tells apart.
+	tableLive := func(oob nand.OOB) bool { return oob.LPN < n && cp.WriteSeqs[oob.LPN] == oob.Seq }
+	claims := make([]uint8, n)
+	for _, p := range pages {
+		if p.OOB.Seq < cp.Seq && tableLive(p.OOB) {
+			claims[p.OOB.LPN] = min(claims[p.OOB.LPN]+1, 2)
+		}
+	}
 	floor := cp.Seq
 	for _, p := range pages {
-		if oob := p.OOB; oob.Seq < floor && !(oob.LPN < n && cp.WriteSeqs[oob.LPN] == oob.Seq) && !held(oob) {
+		if oob := p.OOB; oob.Seq < floor && (tableLive(oob) && claims[oob.LPN] > 1 || !tableLive(oob) && !held(oob)) {
 			floor = oob.Seq
 		}
 	}
@@ -275,31 +298,40 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	// Classify every programmed page from its OOB stamp + the replayed
 	// history. A page pinned again enters the retention index with the
 	// staleSeq and cause of the operation that superseded its write.
+	// A page below floor that the device keeps is the only one claiming its
+	// version (the floor scan saw to that), so only versions past floor can
+	// have a twin: taken marks those a page already stands for.
+	taken := make([]bool, len(entries))
 	classify := func(ppn uint64, oob nand.OOB) ftl.Disposition {
 		if oob.Seq >= head.NextSeq {
 			return ftl.DispDiscard // uncommitted tail: rolled back
 		}
-		if oob.LPN < n && live[oob.LPN] == oob.Seq {
-			return ftl.DispLive
+		if oob.Seq >= floor {
+			if e := &entries[oob.Seq-floor]; e.Kind != oplog.KindWrite && e.Kind != oplog.KindRecovery ||
+				e.LPN != oob.LPN || e.DataHash != oob.Hash {
+				return ftl.DispDiscard // an orphan: rolled back, its sequence since issued again
+			}
 		}
-		if held(oob) {
+		isLive := oob.LPN < n && live[oob.LPN] == oob.Seq
+		if !isLive && held(oob) {
 			r.stats.ReopenHeld++
 			return ftl.DispDiscard // the server holds it: as good as acked
 		}
-		r.stats.ReopenRepinned++
-		re := &retEntry{
-			ppn:      ppn,
-			lpn:      oob.LPN,
-			writeSeq: oob.Seq,
-			staleSeq: oob.Seq + 1,
-			cause:    ftl.CauseOverwrite,
+		if oob.Seq >= floor {
+			if taken[oob.Seq-floor] {
+				return ftl.DispDiscard // the version's byte-identical twin came first
+			}
+			taken[oob.Seq-floor] = true
 		}
+		if isLive {
+			return ftl.DispLive
+		}
+		r.stats.ReopenRepinned++
+		re := retEntry{ppn: ppn, lpn: oob.LPN, writeSeq: oob.Seq, staleSeq: oob.Seq + 1, cause: ftl.CauseOverwrite}
 		if op, ok := staledBy[oob.Seq]; ok {
 			re.staleSeq, re.cause = op.seq, op.cause
 		}
-		r.retained[ppn] = re
-		r.retByLPN[oob.LPN] = append(r.retByLPN[oob.LPN], re)
-		r.retQueue = append(r.retQueue, re)
+		r.pin(re)
 		return ftl.DispRetained
 	}
 	if r.f, err = ftl.Recover(cfg.FTL, dev, r, pages, classify); err != nil {
@@ -753,7 +785,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 		}
 		attempts++
 		if attempts > maxResumes {
-			return at, rep, fmt.Errorf("core: restore: gave up after %d attempts: %w", maxResumes, err)
+			return at, rep, fmt.Errorf("core: restore: gave up after %d attempts: %w", attempts, err)
 		}
 		at = at.Add(backoff)
 		backoff = min(2*backoff, backoffMax)

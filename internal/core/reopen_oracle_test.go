@@ -47,6 +47,7 @@ type genesisReplay struct {
 	history map[uint64][]lpnOp              // lpn -> its writes and trims, in order
 	staled  map[uint64]staleRef             // write seq -> what superseded it
 	hashAt  map[uint64][oplog.HashSize]byte // write seq -> content hash
+	lpnAt   map[uint64]uint64               // write seq -> the LPN it wrote
 	cps     []uint64                        // KindCheckpoint entries in the chain
 }
 
@@ -57,6 +58,7 @@ func replayFromGenesis(store *remote.Store, dev uint64) *genesisReplay {
 		history: map[uint64][]lpnOp{},
 		staled:  map[uint64]staleRef{},
 		hashAt:  map[uint64][oplog.HashSize]byte{},
+		lpnAt:   map[uint64]uint64{},
 	}
 	for _, e := range store.Entries(dev, 0, g.head) {
 		switch e.Kind {
@@ -67,6 +69,7 @@ func replayFromGenesis(store *remote.Store, dev uint64) *genesisReplay {
 			g.live[e.LPN] = e.Seq
 			g.history[e.LPN] = append(g.history[e.LPN], lpnOp{e.Seq, e.Seq})
 			g.hashAt[e.Seq] = e.DataHash
+			g.lpnAt[e.Seq] = e.LPN
 		case oplog.KindTrim, oplog.KindRecoveryTrim:
 			if prev, ok := g.live[e.LPN]; ok {
 				g.staled[prev] = staleRef{e.Seq, ftl.CauseTrim}
@@ -98,7 +101,11 @@ func scanFlash(dev *nand.Device) []flashPage {
 }
 
 // classifyFlash predicts Reopen's verdict on every flash page: the pins it
-// rebuilds, by PPN, and how many stale pages it releases as held.
+// rebuilds, by PPN, and how many stale pages it releases as held. A page is a
+// version only if the chain's entry at its sequence wrote its LPN with its
+// content; otherwise it is an orphan, rolled back at an earlier power cut and
+// its sequence issued again since. Every held page is released; of two pages
+// carrying a version the device keeps, the first in PPN order stands for it.
 func (g *genesisReplay) classifyFlash(flash []flashPage, listed []oplog.PageRecord) (pins map[uint64]pinRef, held uint64, err error) {
 	type id struct{ lpn, writeSeq uint64 }
 	heldHash := map[id][oplog.HashSize]byte{}
@@ -106,16 +113,26 @@ func (g *genesisReplay) classifyFlash(flash []flashPage, listed []oplog.PageReco
 		heldHash[id{p.LPN, p.WriteSeq}] = p.Hash
 	}
 	pins = map[uint64]pinRef{}
+	taken := map[uint64]bool{}
 	for _, fp := range flash {
 		oob := fp.oob
 		if oob.Seq >= g.head {
 			continue // uncommitted tail
 		}
-		if ws, ok := g.live[oob.LPN]; ok && ws == oob.Seq {
+		if lpn, ok := g.lpnAt[oob.Seq]; !ok || lpn != oob.LPN || g.hashAt[oob.Seq] != oob.Hash {
+			continue // an orphan
+		}
+		ws, live := g.live[oob.LPN]
+		live = live && ws == oob.Seq
+		if h, ok := heldHash[id{oob.LPN, oob.Seq}]; !live && ok && h == oob.Hash {
+			held++
 			continue
 		}
-		if h, ok := heldHash[id{oob.LPN, oob.Seq}]; ok && h == oob.Hash {
-			held++
+		if taken[oob.Seq] {
+			continue // the twin of a page already kept
+		}
+		taken[oob.Seq] = true
+		if live {
 			continue
 		}
 		by, ok := g.staled[oob.Seq]
@@ -267,15 +284,10 @@ func reopenOracleRun(t *testing.T, seed int64, teeth *oracleTeeth) {
 			}
 		}
 		// The power cut: clean, with the log committed but pages unacked, or
-		// with whatever was staged settled and the rest lost in RAM. The
-		// first cut loses no write, only a checkpoint entry and trims behind
-		// it: a rolled-back page left on flash until its sequence has been
-		// issued again is ROADMAP item 1's lead 3, not this oracle's subject.
-		cut := rng.Intn(3)
-		if cycle == 1 && cut == 2 {
-			cut = 1
-		}
-		switch cut {
+		// with whatever was staged settled and the rest lost in RAM. A write
+		// lost at the first cut leaves its page on flash while the second
+		// history issues its sequence again.
+		switch rng.Intn(3) {
 		case 0:
 			at, err = r.OffloadNow(at)
 			check(err)

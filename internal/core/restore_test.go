@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -126,8 +127,9 @@ func TestRestoreImageResumesMidStream(t *testing.T) {
 
 // TestRestoreImageGivesUpAfterResumeBudget: when every recovery session dies
 // on its first chunk, the restore rides out maxResumes cut streams, fails on
-// the next one with the link's error, and has waited between them the
-// doubling backoff from 1 ms, capped at 32 ms, in simulated time.
+// the next one with the link's error and the count of attempts it made, and
+// has waited between them the doubling backoff from 1 ms, capped at 32 ms, in
+// simulated time.
 func TestRestoreImageGivesUpAfterResumeBudget(t *testing.T) {
 	sc := newCutScenario(t, 3)
 	srv := remote.NewServer(sc.e.store, testPSK)
@@ -148,6 +150,9 @@ func TestRestoreImageGivesUpAfterResumeBudget(t *testing.T) {
 	at, rep, err := sc.e.r.RestoreImage(sc.cut, RestoreOptions{Dial: dial, ChunkPages: 2}, sc.at)
 	if !errors.Is(err, remote.ErrLinkChoked) {
 		t.Fatalf("restore over sessions that all die: err = %v, want %v", err, remote.ErrLinkChoked)
+	}
+	if want := fmt.Sprintf("gave up after %d attempts", maxResumes+1); !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore error %q does not say %q", err, want)
 	}
 	if dials != maxResumes+1 || rep.Resumes != maxResumes+1 || rep.Chunks != 0 {
 		t.Fatalf("dials/resumes/chunks = %d/%d/%d, want %d/%d/0", dials, rep.Resumes, rep.Chunks, maxResumes+1, maxResumes+1)

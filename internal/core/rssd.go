@@ -219,6 +219,7 @@ type RSSD struct {
 	retByLPN map[uint64][]*retEntry // writeSeq-ordered per LPN
 	retQueue []*retEntry            // stale-time order (offload FIFO)
 	retHead  int                    // queue head index (popped prefix)
+	retSlab  []retEntry             // where pin cuts the next entries from
 
 	lpnWriteSeq []uint64 // seq of the latest write per LPN (NoSeq if none)
 
@@ -419,18 +420,34 @@ func (r *RSSD) afterOps(n int, at simclock.Time) (simclock.Time, error) {
 // OnStale pins every stale page, trimmed ones included: conservative
 // retention.
 func (r *RSSD) OnStale(lpn, ppn uint64, cause ftl.StaleCause, at simclock.Time) bool {
-	re := &retEntry{
+	r.pin(retEntry{
 		ppn:      ppn,
 		lpn:      lpn,
 		writeSeq: r.lpnWriteSeq[lpn],
 		staleSeq: r.curStaleSeq,
 		cause:    cause,
 		at:       at,
-	}
-	r.retained[ppn] = re
-	r.retByLPN[lpn] = append(r.retByLPN[lpn], re)
-	r.retQueue = append(r.retQueue, re)
+	})
 	return true
+}
+
+// retSlabEntries is how many retained versions pin cuts from one allocation.
+const retSlabEntries = 256
+
+// pin enters a retained version into the retention index: by PPN, in its
+// LPN's list and at the tail of the offload queue. Entries are cut from
+// 256-entry slabs, so a stale page costs the index no allocation of its own;
+// an entry is never reused, so a released one stays released.
+func (r *RSSD) pin(e retEntry) {
+	if len(r.retSlab) == 0 {
+		r.retSlab = make([]retEntry, retSlabEntries)
+	}
+	re := &r.retSlab[0]
+	r.retSlab = r.retSlab[1:]
+	*re = e
+	r.retained[re.ppn] = re
+	r.retByLPN[re.lpn] = append(r.retByLPN[re.lpn], re)
+	r.retQueue = append(r.retQueue, re)
 }
 
 // OnMigrate follows GC relocations of retained pages.

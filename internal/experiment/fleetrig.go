@@ -384,9 +384,10 @@ func (r *fleetRig) poolDrift(m poolMark) int64 {
 	return bufpool.Outstanding().Sub(m.gauge).Total() - (r.held() - m.held)
 }
 
-// held sums the pooled page buffers the rig's flash arrays hold for
-// programmed content — the one long-lived pool holder the gate nets out. A
-// reopened device shares its predecessor's array, counted once.
+// held sums the pooled slabs the rig's flash arrays hold for programmed
+// content, one per block programmed since its erase — the one long-lived
+// pool holder the gate nets out. A reopened device shares its predecessor's
+// array, counted once.
 func (r *fleetRig) held() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -14,6 +14,12 @@
 // timestamps, so channel/chip parallelism behaves the way it does in the
 // real device: two operations on different chips overlap, two on the same
 // chip serialize.
+//
+// Programmed data lives in per-block slabs: a block rents one pooled buffer
+// of PagesPerBlock pages at its first program and returns it at its erase,
+// so program/erase churn recycles whole blocks and programming a page
+// allocates nothing. Which pages of a slab hold data is the block's
+// program count; every read hands out a copy.
 package nand
 
 import (
@@ -164,7 +170,8 @@ var (
 
 type blockState struct {
 	eraseCount int
-	programmed int // pages programmed so far; next program must target this index
+	programmed int          // pages programmed so far; next program must target this index
+	data       *bufpool.Buf // the block's slab, page i at i*PageSize; nil until its first program
 	bad        bool
 	// readyAt is when the block's last erase completes. Erases run
 	// suspend-capable (see Erase): other traffic on the chip proceeds,
@@ -188,8 +195,7 @@ type Device struct {
 	cfg    Config
 
 	mu       sync.Mutex
-	pages    []*bufpool.Buf // nil = erased/unwritten; pooled page copies
-	held     int64          // programmed pages currently holding a pooled buffer
+	held     int64 // blocks currently holding a slab
 	oobs     []OOB
 	blocks   []blockState
 	chipBusy []simclock.Time // host/GC datapath next-free per chip
@@ -211,7 +217,6 @@ func New(cfg Config) *Device {
 		geo:      g,
 		timing:   cfg.Timing,
 		cfg:      cfg,
-		pages:    make([]*bufpool.Buf, g.TotalPages()),
 		oobs:     make([]OOB, g.TotalPages()),
 		blocks:   make([]blockState, g.TotalBlocks()),
 		chipBusy: make([]simclock.Time, g.Chips()),
@@ -306,16 +311,22 @@ func (d *Device) readInto(dst []byte, ppn uint64, at simclock.Time) (OOB, simclo
 // returned slice aliases the stored page; callers copy it out before
 // releasing d.mu.
 func (d *Device) readOn(ppn uint64, at simclock.Time, lane func(uint64, simclock.Time, simclock.Duration) simclock.Time) (src []byte, oob OOB, done simclock.Time, err error) {
-	if ppn >= uint64(len(d.pages)) {
+	if ppn >= uint64(len(d.oobs)) {
 		return nil, OOB{}, at, ErrOutOfRange
 	}
-	pg := d.pages[ppn]
-	if pg == nil {
+	if !d.written(ppn) {
 		return nil, OOB{}, at, ErrUnwritten
 	}
 	d.stats.Reads++
-	done = lane(d.geo.BlockOf(ppn), at, d.timing.ReadLatency+d.timing.Transfer)
-	return pg.B, d.oobs[ppn], done, nil
+	block := d.geo.BlockOf(ppn)
+	done = lane(block, at, d.timing.ReadLatency+d.timing.Transfer)
+	off := d.geo.PageIndexOf(ppn) * d.geo.PageSize
+	return d.blocks[block].data.B[off : off+d.geo.PageSize], d.oobs[ppn], done, nil
+}
+
+// written reports whether ppn, which must be in range, holds programmed data.
+func (d *Device) written(ppn uint64) bool {
+	return d.geo.PageIndexOf(ppn) < d.blocks[d.geo.BlockOf(ppn)].programmed
 }
 
 // maybeFlip injects a single-bit read error into data per the configured
@@ -339,7 +350,7 @@ func (d *Device) Program(ppn uint64, data []byte, oob OOB, at simclock.Time) (do
 
 // programLocked is Program with d.mu held.
 func (d *Device) programLocked(ppn uint64, data []byte, oob OOB, at simclock.Time) (done simclock.Time, err error) {
-	if ppn >= uint64(len(d.pages)) {
+	if ppn >= uint64(len(d.oobs)) {
 		return at, ErrOutOfRange
 	}
 	if len(data) != d.geo.PageSize {
@@ -350,19 +361,24 @@ func (d *Device) programLocked(ppn uint64, data []byte, oob OOB, at simclock.Tim
 	if bs.bad {
 		return at, ErrBadBlock
 	}
-	if d.pages[ppn] != nil {
+	idx := d.geo.PageIndexOf(ppn)
+	if idx < bs.programmed {
 		return at, ErrNotErased
 	}
-	if idx := d.geo.PageIndexOf(ppn); idx != bs.programmed {
+	if idx != bs.programmed {
 		return at, fmt.Errorf("%w: block %d page %d, expected page %d",
 			ErrNonSequential, block, idx, bs.programmed)
 	}
-	// The stored copy is a pooled buffer: Erase releases it, so steady-state
-	// program/erase churn recycles page memory instead of allocating it.
-	buf := bufpool.Get(len(data))
-	buf.B = append(buf.B, data...)
-	d.pages[ppn] = buf
-	d.held++
+	// The block's first program rents its slab; Erase returns it, so
+	// steady-state program/erase churn recycles block memory instead of
+	// allocating it.
+	if bs.data == nil {
+		n := d.geo.PagesPerBlock * d.geo.PageSize
+		bs.data = bufpool.Get(n)
+		bs.data.B = bs.data.B[:n]
+		d.held++
+	}
+	copy(bs.data.B[idx*d.geo.PageSize:], data)
 	d.oobs[ppn] = oob
 	bs.programmed++
 	d.stats.Programs++
@@ -388,18 +404,16 @@ func (d *Device) Erase(block uint64, at simclock.Time) (done simclock.Time, err 
 	if bs.bad {
 		return at, ErrBadBlock
 	}
-	base := block * uint64(d.geo.PagesPerBlock)
-	for i := 0; i < d.geo.PagesPerBlock; i++ {
-		// Every read hands out a copy, so no borrowed view can outlive the
-		// page; releasing the storage back to the pool here is what makes
-		// the program path allocation-free in steady state.
-		if d.pages[base+uint64(i)] != nil {
-			d.pages[base+uint64(i)].Release()
-			d.pages[base+uint64(i)] = nil
-			d.held--
-		}
-		d.oobs[base+uint64(i)] = OOB{}
+	// Every read hands out a copy, so no borrowed view can outlive the
+	// block; releasing its slab back to the pool here is what makes the
+	// program path allocation-free in steady state.
+	if bs.data != nil {
+		bs.data.Release()
+		bs.data = nil
+		d.held--
 	}
+	base := block * uint64(d.geo.PagesPerBlock)
+	clear(d.oobs[base : base+uint64(d.geo.PagesPerBlock)])
 	bs.programmed = 0
 	bs.eraseCount++
 	d.stats.Erases++
@@ -418,16 +432,17 @@ func (d *Device) Erase(block uint64, at simclock.Time) (done simclock.Time, err 
 func (d *Device) ReadOOB(ppn uint64) (OOB, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if ppn >= uint64(len(d.pages)) || d.pages[ppn] == nil {
+	if ppn >= uint64(len(d.oobs)) || !d.written(ppn) {
 		return OOB{}, false
 	}
 	return d.oobs[ppn], true
 }
 
-// HeldPageBufs returns how many pooled page buffers the array currently
-// holds for programmed flash content. Leak checks against the bufpool
-// outstanding-buffer gauge subtract this residency: live flash data is
-// supposed to hold its buffers, and only growth beyond it is a leak.
+// HeldPageBufs returns how many pooled buffers the array currently holds
+// for programmed flash content: one slab per block programmed since its
+// last erase. Leak checks against the bufpool outstanding-buffer gauge
+// subtract this residency: live flash data is supposed to hold its slabs,
+// and only growth beyond it is a leak.
 func (d *Device) HeldPageBufs() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

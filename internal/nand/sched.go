@@ -117,7 +117,7 @@ func (d *Device) ReadBatch(times []simclock.Time, dst [][]byte, ppns []uint64, a
 	// Out-of-range PPNs would panic inside chipOf; reject them, and
 	// destinations that are not one page, up front.
 	for i, ppn := range ppns {
-		if ppn >= uint64(len(d.pages)) {
+		if ppn >= uint64(len(d.oobs)) {
 			return times, at, ErrOutOfRange
 		}
 		if len(dst[i]) != d.geo.PageSize {

@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -189,8 +190,8 @@ func TestEraseSuspend(t *testing.T) {
 }
 
 // TestBatchSteadyStateAllocs: the scheduler groups and interleaves a batch in
-// per-device scratch, page storage is pooled and recycled by the erase, and
-// the batch forms fill the caller's slices — so a grouped program, and a
+// per-device scratch, each block's slab is pooled and recycled by the erase,
+// and the batch forms fill the caller's slices — so a grouped program, and a
 // grouped read into the caller's destinations, allocate nothing at all.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
@@ -227,7 +228,7 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	cycle(true)() // grow the scratch queues, the times and the page pool
+	cycle(true)() // grow the scratch queues and the times, and pool the block slabs
 	if got := testing.AllocsPerRun(20, cycle(false)); got != 0 {
 		t.Fatalf("ProgramBatch of %d pages: %.1f allocs, want 0", len(progs), got)
 	}
@@ -238,5 +239,55 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		if string(dst[i]) != string(progs[i].Data) {
 			t.Fatalf("page %d read back wrong data", i)
 		}
+	}
+}
+
+// TestProgramSteadyStateAllocs: a block's pages live in one pooled slab,
+// rented at the block's first program and returned at its erase. Programming
+// fresh blocks page by page costs one rental per block — a pool miss makes
+// the Buf and its slab, two allocations — and the gauge's NAND residency is
+// one slab per programmed block. Once erases have returned the slabs, a
+// program/erase cycle allocates nothing.
+func TestProgramSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	d := New(schedConfig())
+	g := d.Geometry()
+	blocks := uint64(g.TotalBlocks())
+	page := schedPage(7)
+	program := func() {
+		for b := uint64(0); b < blocks; b++ {
+			for i := 0; i < g.PagesPerBlock; i++ {
+				if _, err := d.Program(g.PPN(b, i), page, OOB{}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	erase := func() {
+		for b := uint64(0); b < blocks; b++ {
+			if _, err := d.Erase(b, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := bufpool.Outstanding()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	program()
+	runtime.ReadMemStats(&after)
+	if rentals := bufpool.Outstanding().Sub(base).Total(); rentals != int64(blocks) || d.HeldPageBufs() != rentals {
+		t.Fatalf("%d blocks programmed: %d rentals outstanding, %d held; want one slab per block", blocks, rentals, d.HeldPageBufs())
+	}
+	if n := after.Mallocs - before.Mallocs; n > 2*blocks {
+		t.Fatalf("programming %d fresh blocks of %d pages: %d allocs, want at most 2 per block", blocks, g.PagesPerBlock, n)
+	}
+	erase()
+	if held, drift := d.HeldPageBufs(), bufpool.Outstanding().Sub(base).Total(); held != 0 || drift != 0 {
+		t.Fatalf("after erasing every block: %d slabs held, gauge %+d; want 0 and 0", held, drift)
+	}
+	if got := testing.AllocsPerRun(20, func() { program(); erase() }); got != 0 {
+		t.Fatalf("program/erase cycle of %d pages: %.1f allocs, want 0", blocks*uint64(g.PagesPerBlock), got)
 	}
 }

@@ -24,9 +24,11 @@ type chunkIndex struct {
 
 const chunkShards = 64
 
+// chunkShard holds its entries by value: interning a new content costs the
+// index no allocation beyond the map's own growth.
 type chunkShard struct {
 	mu sync.Mutex
-	m  map[[oplog.HashSize]byte]*chunkEntry
+	m  map[[oplog.HashSize]byte]chunkEntry
 }
 
 type chunkEntry struct {
@@ -37,7 +39,7 @@ type chunkEntry struct {
 func newChunkIndex() *chunkIndex {
 	ci := &chunkIndex{}
 	for i := range ci.shards {
-		ci.shards[i].m = make(map[[oplog.HashSize]byte]*chunkEntry)
+		ci.shards[i].m = make(map[[oplog.HashSize]byte]chunkEntry)
 	}
 	return ci
 }
@@ -75,9 +77,10 @@ func (ci *chunkIndex) intern(h [oplog.HashSize]byte, data []byte) ([]byte, bool)
 	defer sh.mu.Unlock()
 	if e, ok := sh.m[h]; ok {
 		e.refs++
+		sh.m[h] = e
 		return e.data, true
 	}
-	sh.m[h] = &chunkEntry{data: data, refs: 1}
+	sh.m[h] = chunkEntry{data: data, refs: 1}
 	return data, false
 }
 
@@ -92,9 +95,10 @@ func (ci *chunkIndex) release(h [oplog.HashSize]byte) bool {
 	if !ok {
 		return false
 	}
-	e.refs--
-	if e.refs <= 0 {
+	if e.refs--; e.refs <= 0 {
 		delete(sh.m, h)
+	} else {
+		sh.m[h] = e
 	}
 	return true
 }

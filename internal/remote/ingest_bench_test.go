@@ -131,3 +131,53 @@ func TestIngestHitSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("AppendSegmentBlob of held pages: %v allocs for 1 page, %v for 32, want the same", one, many)
 	}
 }
+
+// TestIngestFirstSightSteadyStateAllocs: a segment of contents the store has
+// never seen costs AppendSegmentBlob one allocation per page, the store's own
+// copy of it; the index holds its entries by value, so interning one costs
+// nothing more. The version lists and the index's shards are given room
+// first, as they have between doublings.
+func TestIngestFirstSightSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	const runs = 50
+	allocs := func(k int) float64 {
+		_, blobs := heldHistory(runs+2, k, 0)
+		segs := make([]*oplog.Segment, len(blobs))
+		for i, blob := range blobs {
+			raw, err := nvmeoe.DecodeSegmentBlob(blob)
+			if err == nil {
+				segs[i], err = oplog.UnmarshalSegment(raw)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := NewStore(NewMemStore())
+		for i := range st.chunks.shards {
+			st.chunks.shards[i].m = make(map[[oplog.HashSize]byte]chunkEntry, 2*(runs+2)*k/chunkShards+8)
+		}
+		if err := st.AppendSegmentBlob(segs[0], blobs[0]); err != nil {
+			t.Fatal(err)
+		}
+		d, _ := st.lookup(1)
+		for lpn, vs := range d.versions {
+			d.versions[lpn] = slices.Grow(vs, runs+2)
+		}
+		next := 1
+		n := testing.AllocsPerRun(runs, func() {
+			if err := st.AppendSegmentBlob(segs[next], blobs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if ds := st.Dedup(); ds.UniquePages != (runs+2)*k || ds.TotalRefs != int64((runs+2)*k) {
+			t.Fatalf("%d unique pages, %d refs; want %d new contents", ds.UniquePages, ds.TotalRefs, (runs+2)*k)
+		}
+		return n
+	}
+	if one, many := allocs(1), allocs(32); many-one != 31 {
+		t.Fatalf("AppendSegmentBlob of new pages: %v allocs for 1 page, %v for 32, want one more per page (its copy)", one, many)
+	}
+}
