@@ -12,6 +12,7 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/entropy"
 	"repro/internal/experiment"
@@ -126,17 +127,6 @@ func BenchmarkReopen(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ----------
-
-// BenchmarkAblationDetectors runs the detector-ablation matrix.
-func BenchmarkAblationDetectors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.DetectionAblation(benchScale()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Microbenchmarks of the hot paths ---------------------------------------
 
 func smallFTLConfig() ftl.Config {
@@ -161,7 +151,7 @@ func BenchmarkFTLWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		at, err = f.Write(uint64(i)%f.LogicalPages(), page, at)
+		_, at, err = batch.Do(f, batch.Op{Kind: batch.OpWrite, LPN: uint64(i) % f.LogicalPages(), Data: page}, at)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +200,7 @@ func BenchmarkChainVerify(b *testing.B) {
 	for i := 0; i < 10000; i++ {
 		l.Append(oplog.KindWrite, simclock.Time(i), uint64(i), 0, uint64(i), 0, [32]byte{})
 	}
-	entries := l.All()
+	entries := l.Entries(0, l.NextSeq())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := oplog.VerifyChain(entries, [32]byte{}); err != nil {

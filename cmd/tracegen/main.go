@@ -1,6 +1,6 @@
 // Command tracegen emits synthetic block traces for the twelve workloads
-// of Figure 2, in MSR-Cambridge CSV format, so external tools (or the
-// parsers in internal/workload) can replay them.
+// of Figure 2, in MSR-Cambridge CSV format, so external tools can replay
+// them.
 //
 //	tracegen -workload hm -ops 100000 > hm.csv
 //	tracegen -list
@@ -46,8 +46,8 @@ func main() {
 		if rec.Op == workload.OpRead {
 			op = "Read"
 		} else if rec.Op == workload.OpTrim {
-			// MSR has no trim; emit as a zero-size write comment line the
-			// parsers skip, preserving op counts for human inspection.
+			// MSR has no trim; emit a comment line, preserving op counts
+			// for human inspection.
 			fmt.Fprintf(w, "# trim lpn=%d pages=%d at=%d\n", rec.LPN, rec.Pages, int64(rec.At))
 			continue
 		}

@@ -1,14 +1,7 @@
 // Package baseline implements the retention policies RSSD is evaluated
-// against, as ftl.Retainer plug-ins over the same FTL:
+// against, as ftl.Retainer plug-ins over the same FTL (an unmodified
+// "LocalSSD" is the FTL with no retainer):
 //
-//   - ProbeRetainer — an unmodified "LocalSSD": nothing is pinned; the
-//     probe just measures how long stale data naturally survives until GC
-//     destroys it.
-//   - CapacityRetainer — retain-all-until-capacity: stale pages are kept
-//     until a fixed local budget overflows, then the oldest are destroyed.
-//     With the budget set to the over-provisioned space it models the
-//     "LocalSSD" retention bar of Figure 2; multiplied by a compression
-//     ratio it models "LocalSSD+Compression".
 //   - FlashGuardRetainer — FlashGuard (CCS'17)-style selective retention:
 //     only pages that were read shortly before being overwritten are kept
 //     (trimmed pages are not), within a bounded budget.
@@ -23,7 +16,6 @@ import (
 	"bytes"
 
 	"repro/internal/ftl"
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -38,37 +30,23 @@ type Version struct {
 
 // store is the bookkeeping shared by all baseline retainers.
 type store struct {
-	f         *ftl.FTL
-	pins      map[uint64]*Version
-	byLPN     map[uint64][]*Version
-	queue     []*Version
-	head      int
-	dropped   uint64
-	destroyed uint64
-	lifetimes *metrics.Histogram
+	f     *ftl.FTL
+	pins  map[uint64]*Version
+	byLPN map[uint64][]*Version
+	queue []*Version
+	head  int
 }
 
 func newStore() store {
 	return store{
-		pins:      map[uint64]*Version{},
-		byLPN:     map[uint64][]*Version{},
-		lifetimes: metrics.NewHistogram(0),
+		pins:  map[uint64]*Version{},
+		byLPN: map[uint64][]*Version{},
 	}
 }
 
 // Attach must be called once after the FTL is constructed with this
 // retainer (the two reference each other).
 func (s *store) Attach(f *ftl.FTL) { s.f = f }
-
-// Dropped returns how many retained pages the policy destroyed.
-func (s *store) Dropped() uint64 { return s.dropped }
-
-// RetainedNow returns the current number of pinned versions.
-func (s *store) RetainedNow() int { return len(s.pins) }
-
-// Lifetimes returns the histogram of stale-to-destruction durations — the
-// empirical retention time of Figure 2.
-func (s *store) Lifetimes() *metrics.Histogram { return s.lifetimes }
 
 func (s *store) pin(lpn, ppn uint64, cause ftl.StaleCause, at simclock.Time) {
 	v := &Version{ppn: ppn, lpn: lpn, staleAt: at, cause: cause}
@@ -87,14 +65,14 @@ func (s *store) onMigrate(oldPPN, newPPN uint64) {
 	s.pins[newPPN] = v
 }
 
-// dropOldest releases the n oldest pins, recording their lifetimes.
-func (s *store) dropOldest(n int, at simclock.Time) {
+// dropOldest releases the n oldest pins.
+func (s *store) dropOldest(n int) {
 	for n > 0 {
 		v := s.popOldest()
 		if v == nil {
 			return
 		}
-		s.kill(v, at)
+		s.kill(v)
 		n--
 	}
 }
@@ -110,7 +88,7 @@ func (s *store) popOldest() *Version {
 	return nil
 }
 
-func (s *store) kill(v *Version, at simclock.Time) {
+func (s *store) kill(v *Version) {
 	v.dead = true
 	delete(s.pins, v.ppn)
 	vs := s.byLPN[v.lpn]
@@ -126,8 +104,6 @@ func (s *store) kill(v *Version, at simclock.Time) {
 	if s.f != nil {
 		s.f.Release(v.ppn)
 	}
-	s.dropped++
-	s.lifetimes.Observe(at.Sub(v.staleAt))
 }
 
 // VersionData returns the retained versions of lpn, oldest first, reading
@@ -156,79 +132,6 @@ func (s *store) CanRestore(lpn uint64, want []byte, at simclock.Time) bool {
 		}
 	}
 	return false
-}
-
-// --- ProbeRetainer ----------------------------------------------------------
-
-// ProbeRetainer pins nothing; it measures how long stale data survives on
-// an unmodified SSD before garbage collection destroys it.
-type ProbeRetainer struct {
-	store
-	staleAt map[uint64]simclock.Time // ppn -> when it went stale
-}
-
-// NewProbe returns a measurement-only retainer.
-func NewProbe() *ProbeRetainer {
-	return &ProbeRetainer{store: newStore(), staleAt: map[uint64]simclock.Time{}}
-}
-
-// OnStale implements ftl.Retainer; it never pins.
-func (p *ProbeRetainer) OnStale(lpn, ppn uint64, cause ftl.StaleCause, at simclock.Time) bool {
-	p.staleAt[ppn] = at
-	return false
-}
-
-// OnMigrate implements ftl.Retainer (unreachable: nothing is pinned).
-func (p *ProbeRetainer) OnMigrate(lpn, oldPPN, newPPN uint64, at simclock.Time) {}
-
-// OnErased implements ftl.Retainer, recording the natural lifetime.
-func (p *ProbeRetainer) OnErased(lpn, ppn uint64, at simclock.Time) {
-	if t0, ok := p.staleAt[ppn]; ok {
-		p.lifetimes.Observe(at.Sub(t0))
-		delete(p.staleAt, ppn)
-		p.destroyed++
-	}
-}
-
-// Pressure implements ftl.Retainer (nothing to release).
-func (p *ProbeRetainer) Pressure(needPages int, at simclock.Time) {}
-
-// --- CapacityRetainer ---------------------------------------------------------
-
-// CapacityRetainer retains every stale page until a fixed budget of local
-// pages overflows, then destroys the oldest. Budget ~ OP space models
-// LocalSSD; budget ~ OP x compression ratio models LocalSSD+Compression.
-type CapacityRetainer struct {
-	store
-	Budget int
-}
-
-// NewCapacity returns a retain-until-budget policy.
-func NewCapacity(budgetPages int) *CapacityRetainer {
-	return &CapacityRetainer{store: newStore(), Budget: budgetPages}
-}
-
-// OnStale implements ftl.Retainer.
-func (c *CapacityRetainer) OnStale(lpn, ppn uint64, cause ftl.StaleCause, at simclock.Time) bool {
-	c.pin(lpn, ppn, cause, at)
-	if c.Budget > 0 && len(c.pins) > c.Budget {
-		c.dropOldest(len(c.pins)-c.Budget, at)
-	}
-	return true
-}
-
-// OnMigrate implements ftl.Retainer.
-func (c *CapacityRetainer) OnMigrate(lpn, oldPPN, newPPN uint64, at simclock.Time) {
-	c.onMigrate(oldPPN, newPPN)
-}
-
-// OnErased implements ftl.Retainer.
-func (c *CapacityRetainer) OnErased(lpn, ppn uint64, at simclock.Time) {}
-
-// Pressure implements ftl.Retainer: shed the oldest pins so GC can make
-// progress.
-func (c *CapacityRetainer) Pressure(needPages int, at simclock.Time) {
-	c.dropOldest(needPages, at)
 }
 
 // --- FlashGuardRetainer -----------------------------------------------------
@@ -277,7 +180,7 @@ func (g *FlashGuardRetainer) expire(at simclock.Time) {
 			return
 		}
 		g.popOldest()
-		g.kill(v, at)
+		g.kill(v)
 	}
 }
 
@@ -303,7 +206,7 @@ func (g *FlashGuardRetainer) OnStale(lpn, ppn uint64, cause ftl.StaleCause, at s
 	}
 	g.pin(lpn, ppn, cause, at)
 	if g.Budget > 0 && len(g.pins) > g.Budget {
-		g.dropOldest(len(g.pins)-g.Budget, at)
+		g.dropOldest(len(g.pins) - g.Budget)
 	}
 	return true
 }
@@ -350,7 +253,7 @@ func (w *TimeWindowRetainer) expire(at simclock.Time) {
 			return
 		}
 		w.popOldest()
-		w.kill(v, at)
+		w.kill(v)
 	}
 }
 

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/ftl"
 	"repro/internal/nand"
 	"repro/internal/simclock"
@@ -24,6 +25,17 @@ func smallFTL(ret ftl.Retainer) *ftl.FTL {
 	return ftl.New(cfg, ret)
 }
 
+// writeOne and trimOne are the one-element batches the tests submit.
+func writeOne(f *ftl.FTL, lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
+	_, done, err := batch.Do(f, batch.Op{Kind: batch.OpWrite, LPN: lpn, Data: data}, at)
+	return done, err
+}
+
+func trimOne(f *ftl.FTL, lpn uint64, at simclock.Time) (simclock.Time, error) {
+	_, done, err := batch.Do(f, batch.Op{Kind: batch.OpTrim, LPN: lpn}, at)
+	return done, err
+}
+
 func fill(b byte, n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -32,75 +44,72 @@ func fill(b byte, n int) []byte {
 	return p
 }
 
-func TestCapacityRetainerKeepsUpToBudget(t *testing.T) {
-	c := NewCapacity(4)
-	f := smallFTL(c)
-	c.Attach(f)
-	at := simclock.Time(0)
-	// 6 overwrites of lpn 0 -> 6 stale versions, budget 4.
-	for i := 0; i < 7; i++ {
-		at, _ = f.Write(0, fill(byte(i), 512), at)
-		at = at.Add(simclock.Minute)
-	}
-	if got := c.RetainedNow(); got != 4 {
-		t.Fatalf("retained = %d, want 4", got)
-	}
-	if c.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", c.Dropped())
-	}
-	// Versions 0 and 1 destroyed; 2..5 restorable.
-	if c.CanRestore(0, fill(0, 512), at) || c.CanRestore(0, fill(1, 512), at) {
-		t.Fatal("dropped versions still restorable")
-	}
-	for i := 2; i <= 5; i++ {
-		if !c.CanRestore(0, fill(byte(i), 512), at) {
-			t.Fatalf("version %d not restorable", i)
-		}
-	}
-	// Lifetimes were recorded for the drops.
-	if c.Lifetimes().Count() != 2 {
-		t.Fatalf("lifetime samples = %d", c.Lifetimes().Count())
-	}
-}
-
-func TestCapacityRetainerSurvivesGC(t *testing.T) {
-	c := NewCapacity(10)
-	f := smallFTL(c)
-	c.Attach(f)
-	at := simclock.Time(0)
-	// Reach GC steady state first.
-	for i := 0; i < 300; i++ {
-		at, _ = f.Write(uint64(i%5), fill(byte(i), 512), at)
-	}
-	if f.Stats().GCRuns == 0 {
-		t.Fatal("no GC during warmup")
-	}
-	// Pin the victim version, then keep churning gently: the version
-	// stays within budget (10 newest) while GC keeps running.
-	at, _ = f.Write(9, fill(0xAA, 512), at)
-	at, _ = f.Write(9, fill(0xBB, 512), at)
-	gcBefore := f.Stats().GCRuns
-	for i := 0; i < 8; i++ {
-		at, _ = f.Write(uint64(i%4), fill(byte(100+i), 512), at)
-	}
-	if f.Stats().GCRuns == gcBefore {
-		t.Fatal("no GC while the pin was live")
-	}
-	if !c.CanRestore(9, fill(0xAA, 512), at) {
-		t.Fatal("pinned version lost across GC")
-	}
-}
-
 func TestFlashGuardRetainsReadThenOverwrite(t *testing.T) {
 	g := NewFlashGuard(64, simclock.Hour)
 	f := smallFTL(g)
 	g.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(1, fill(1, 512), at)
+	at, _ = writeOne(f, 1, fill(1, 512), at)
 	f.Read(1, at) // ransomware reads before encrypting
-	at, _ = f.Write(1, fill(2, 512), at)
+	at, _ = writeOne(f, 1, fill(2, 512), at)
 	if !g.CanRestore(1, fill(1, 512), at) {
 		t.Fatal("read-then-overwritten page not retained")
+	}
+}
+
+// TestFlashGuardKeepsUpToBudget: past its budget the policy destroys the
+// oldest retained versions and keeps the newest.
+func TestFlashGuardKeepsUpToBudget(t *testing.T) {
+	g := NewFlashGuard(4, simclock.Hour)
+	f := smallFTL(g)
+	g.Attach(f)
+	at := simclock.Time(0)
+	// 6 read-then-overwrites of lpn 0 -> 6 stale versions, budget 4.
+	for i := 0; i < 7; i++ {
+		f.Read(0, at)
+		at, _ = writeOne(f, 0, fill(byte(i), 512), at)
+		at = at.Add(simclock.Minute)
+	}
+	if got := len(g.pins); got != 4 {
+		t.Fatalf("retained = %d, want 4", got)
+	}
+	// Versions 0 and 1 destroyed; 2..5 restorable.
+	if g.CanRestore(0, fill(0, 512), at) || g.CanRestore(0, fill(1, 512), at) {
+		t.Fatal("dropped versions still restorable")
+	}
+	for i := 2; i <= 5; i++ {
+		if !g.CanRestore(0, fill(byte(i), 512), at) {
+			t.Fatalf("version %d not restorable", i)
+		}
+	}
+}
+
+// TestFlashGuardPinSurvivesGC: GC migrates a retained page instead of
+// destroying it, and the policy follows it to its new address.
+func TestFlashGuardPinSurvivesGC(t *testing.T) {
+	g := NewFlashGuard(10, simclock.Hour)
+	f := smallFTL(g)
+	g.Attach(f)
+	at := simclock.Time(0)
+	// Reach GC steady state first; unread overwrites pin nothing.
+	for i := 0; i < 300; i++ {
+		at, _ = writeOne(f, uint64(i%5), fill(byte(i), 512), at)
+	}
+	if f.Stats().GCRuns == 0 {
+		t.Fatal("no GC during warmup")
+	}
+	// Pin the victim version, then churn until GC has migrated it.
+	at, _ = writeOne(f, 9, fill(0xAA, 512), at)
+	f.Read(9, at)
+	at, _ = writeOne(f, 9, fill(0xBB, 512), at)
+	for i := 0; i < 400 && f.Stats().PinMigrates == 0; i++ {
+		at, _ = writeOne(f, uint64(i%4), fill(byte(100+i), 512), at)
+	}
+	if f.Stats().PinMigrates == 0 {
+		t.Fatal("GC never migrated the pinned page")
+	}
+	if !g.CanRestore(9, fill(0xAA, 512), at) {
+		t.Fatal("pinned version lost across GC")
 	}
 }
 
@@ -109,9 +118,9 @@ func TestFlashGuardIgnoresUnreadOverwrite(t *testing.T) {
 	f := smallFTL(g)
 	g.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(1, fill(1, 512), at)
-	at, _ = f.Write(1, fill(2, 512), at) // no read in between
-	if g.RetainedNow() != 0 {
+	at, _ = writeOne(f, 1, fill(1, 512), at)
+	at, _ = writeOne(f, 1, fill(2, 512), at) // no read in between
+	if len(g.pins) != 0 {
 		t.Fatal("unread overwrite retained")
 	}
 }
@@ -121,11 +130,11 @@ func TestFlashGuardIgnoresStaleRead(t *testing.T) {
 	f := smallFTL(g)
 	g.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(1, fill(1, 512), at)
+	at, _ = writeOne(f, 1, fill(1, 512), at)
 	f.Read(1, at)
 	at = at.Add(3 * simclock.Hour) // read ages out
-	at, _ = f.Write(1, fill(2, 512), at)
-	if g.RetainedNow() != 0 {
+	at, _ = writeOne(f, 1, fill(2, 512), at)
+	if len(g.pins) != 0 {
 		t.Fatal("stale read still paired")
 	}
 }
@@ -138,10 +147,10 @@ func TestFlashGuardBypassedByTrim(t *testing.T) {
 	f := smallFTL(g)
 	g.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(1, fill(1, 512), at)
+	at, _ = writeOne(f, 1, fill(1, 512), at)
 	f.Read(1, at)
-	at, _ = f.Trim(1, at)
-	if g.RetainedNow() != 0 {
+	at, _ = trimOne(f, 1, at)
+	if len(g.pins) != 0 {
 		t.Fatal("FlashGuard should not retain trimmed pages")
 	}
 	if g.CanRestore(1, fill(1, 512), at) {
@@ -154,8 +163,8 @@ func TestTimeWindowRetainsWithinWindow(t *testing.T) {
 	f := smallFTL(w)
 	w.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(3, fill(7, 512), at)
-	at, _ = f.Write(3, fill(8, 512), at)
+	at, _ = writeOne(f, 3, fill(7, 512), at)
+	at, _ = writeOne(f, 3, fill(8, 512), at)
 	if !w.CanRestore(3, fill(7, 512), at) {
 		t.Fatal("fresh version not retained")
 	}
@@ -168,15 +177,15 @@ func TestTimeWindowExpiry(t *testing.T) {
 	f := smallFTL(w)
 	w.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(3, fill(7, 512), at)
-	at, _ = f.Write(3, fill(8, 512), at) // version 7 retained
-	at = at.Add(3 * simclock.Day)        // attacker waits
-	at, _ = f.Write(4, fill(9, 512), at) // any activity triggers expiry
-	at, _ = f.Write(4, fill(10, 512), at)
+	at, _ = writeOne(f, 3, fill(7, 512), at)
+	at, _ = writeOne(f, 3, fill(8, 512), at) // version 7 retained
+	at = at.Add(3 * simclock.Day)            // attacker waits
+	at, _ = writeOne(f, 4, fill(9, 512), at) // any activity triggers expiry
+	at, _ = writeOne(f, 4, fill(10, 512), at)
 	if w.CanRestore(3, fill(7, 512), at) {
 		t.Fatal("version survived beyond the window")
 	}
-	if w.Dropped() == 0 {
+	if len(w.byLPN[3]) != 0 {
 		t.Fatal("no expiry recorded")
 	}
 }
@@ -188,9 +197,9 @@ func TestTimeWindowIgnoresTrim(t *testing.T) {
 	f := smallFTL(w)
 	w.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(3, fill(7, 512), at)
-	at, _ = f.Trim(3, at)
-	if w.RetainedNow() != 0 {
+	at, _ = writeOne(f, 3, fill(7, 512), at)
+	at, _ = trimOne(f, 3, at)
+	if len(w.pins) != 0 {
 		t.Fatal("TimeSSD model retained trimmed data")
 	}
 	if w.CanRestore(3, fill(7, 512), at) {
@@ -205,63 +214,26 @@ func TestFlashGuardTimeExpiry(t *testing.T) {
 	f := smallFTL(g)
 	g.Attach(f)
 	at := simclock.Time(0)
-	at, _ = f.Write(1, fill(1, 512), at)
+	at, _ = writeOne(f, 1, fill(1, 512), at)
 	f.Read(1, at)
-	at, _ = f.Write(1, fill(2, 512), at) // retained
-	if g.RetainedNow() != 1 {
+	at, _ = writeOne(f, 1, fill(2, 512), at) // retained
+	if len(g.pins) != 1 {
 		t.Fatal("not retained")
 	}
 	at = at.Add(4 * simclock.Day) // attacker waits out RetainFor (3 days)
 	f.Read(5, at)                 // any activity triggers expiry
-	if g.RetainedNow() != 0 {
+	if len(g.pins) != 0 {
 		t.Fatal("FlashGuard pin survived beyond its retention duration")
 	}
 }
 
-func TestProbeMeasuresNaturalLifetime(t *testing.T) {
-	p := NewProbe()
-	f := smallFTL(p)
-	p.Attach(f)
-	at := simclock.Time(0)
-	for i := 0; i < 400; i++ {
-		at, _ = f.Write(uint64(i%4), fill(byte(i), 512), at)
-		at = at.Add(simclock.Second)
-	}
-	if p.Lifetimes().Count() == 0 {
-		t.Fatal("no lifetimes measured despite churn and GC")
-	}
-	if p.RetainedNow() != 0 {
-		t.Fatal("probe must not pin")
-	}
-}
-
-// TestCapacityPressureShedsPins: when pins exhaust the device, Pressure
-// releases the oldest so writes keep flowing (with data loss — which is
-// the point of the comparison with RSSD).
-func TestCapacityPressureShedsPins(t *testing.T) {
-	c := NewCapacity(0) // unlimited budget: only Pressure sheds
-	f := smallFTL(c)
-	c.Attach(f)
-	at := simclock.Time(0)
-	for i := 0; i < 300; i++ {
-		var err error
-		at, err = f.Write(uint64(i%8), fill(byte(i), 512), at)
-		if err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if c.Dropped() == 0 {
-		t.Fatal("pressure never shed pins")
-	}
-}
-
 func TestVersionDataOrdering(t *testing.T) {
-	c := NewCapacity(8)
+	c := NewTimeWindow(2 * simclock.Day)
 	f := smallFTL(c)
 	c.Attach(f)
 	at := simclock.Time(0)
 	for i := 0; i < 4; i++ {
-		at, _ = f.Write(2, fill(byte(10+i), 512), at)
+		at, _ = writeOne(f, 2, fill(byte(10+i), 512), at)
 	}
 	vs := c.VersionData(2, at)
 	if len(vs) != 3 {

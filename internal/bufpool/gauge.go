@@ -1,10 +1,5 @@
 package bufpool
 
-import (
-	"fmt"
-	"strings"
-)
-
 // The outstanding-buffer gauge: every Get increments its size class, every
 // Release decrements the class the rental was issued at. In a quiesced
 // process (no codec or ingest work in flight) the gauge equals whatever
@@ -50,27 +45,4 @@ func (g Gauge) Sub(base Gauge) Gauge {
 		d.PerClass[i] = g.PerClass[i] - base.PerClass[i]
 	}
 	return d
-}
-
-// CheckBalanced compares the current gauge against a baseline and reports
-// any class whose rental balance moved — the leak-check helper experiments
-// and the chaos soak call after draining. A negative delta (more releases
-// than rentals since the baseline) is reported too: it means a buffer
-// rented before the baseline was released after it, so the caller's quiesce
-// points are wrong.
-func CheckBalanced(base Gauge) error {
-	d := Outstanding().Sub(base)
-	var leaks []string
-	for i, v := range d.PerClass {
-		if v != 0 {
-			leaks = append(leaks, fmt.Sprintf("class %dB: %+d", 1<<(minClassShift+i), v))
-		}
-	}
-	if d.Oversize != 0 {
-		leaks = append(leaks, fmt.Sprintf("oversize: %+d", d.Oversize))
-	}
-	if leaks == nil {
-		return nil
-	}
-	return fmt.Errorf("bufpool: outstanding-buffer gauge off baseline (%s)", strings.Join(leaks, ", "))
 }

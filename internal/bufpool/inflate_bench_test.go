@@ -18,22 +18,17 @@ import (
 const benchPageSize = 4096
 
 func benchEntries(rng *rand.Rand, n int) []oplog.Entry {
-	entries := make([]oplog.Entry, n)
-	var prev [oplog.HashSize]byte
-	for j := range entries {
-		e := &entries[j]
-		e.Seq = uint64(1000 + j)
-		e.At = simclock.Time(50_000 * (j + 1))
-		e.Kind = oplog.KindWrite
-		e.LPN = uint64(rng.Intn(1 << 16))
-		e.OldPPN = uint64(rng.Intn(1 << 18))
-		e.NewPPN = uint64(rng.Intn(1 << 18))
-		e.Entropy = 3 + rng.Float32()
-		rng.Read(e.DataHash[:])
-		e.Seal(prev)
-		prev = e.Hash
+	l := oplog.ResumeFrom(1000, [oplog.HashSize]byte{})
+	for j := 0; j < n; j++ {
+		lpn := uint64(rng.Intn(1 << 16))
+		oldPPN := uint64(rng.Intn(1 << 18))
+		newPPN := uint64(rng.Intn(1 << 18))
+		ent := 3 + rng.Float32()
+		var dataHash [oplog.HashSize]byte
+		rng.Read(dataHash[:])
+		l.Append(oplog.KindWrite, simclock.Time(50_000*(j+1)), lpn, oldPPN, newPPN, ent, dataHash)
 	}
-	return entries
+	return l.Entries(1000, l.NextSeq())
 }
 
 // benchPage is one page of the content model: randomFrac of it

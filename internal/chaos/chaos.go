@@ -225,18 +225,6 @@ func (inj *Injector) Observe(dev uint64, at simclock.Time, healthy bool) {
 	delete(inj.pending, dev)
 }
 
-// Pending reports how many faults are still awaiting a healthy
-// observation — what Finish would declare wedged right now.
-func (inj *Injector) Pending() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	n := len(inj.kills)
-	for _, fs := range inj.pending {
-		n += len(fs)
-	}
-	return n
-}
-
 // DrawKill reports whether the schedule crashes a server in the given
 // wave, and which one. Pure in (seed, wave, servers).
 func (inj *Injector) DrawKill(wave uint64, servers int) (int, bool) {

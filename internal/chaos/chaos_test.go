@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ftl"
+	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -102,7 +103,7 @@ func TestLedgerHealAccounting(t *testing.T) {
 	inj.WrapConn(1, a)
 	a.Close()
 	b.Close()
-	if p := inj.Pending(); p != 1 {
+	if p := len(inj.pending[1]) + len(inj.kills); p != 1 {
 		t.Fatalf("pending = %d after arming, want 1", p)
 	}
 	inj.Observe(1, simclock.Time(5*simclock.Millisecond), true)
@@ -258,7 +259,7 @@ func TestInvariantsChainAndDurability(t *testing.T) {
 		es = append(es, l.Append(oplog.KindWrite, simclock.Time(i), uint64(i), ftl.NoPPN, uint64(i+1), 3.0, [oplog.HashSize]byte{}))
 	}
 	seg := &oplog.Segment{DeviceID: 4, FirstSeq: 0, LastSeq: l.NextSeq(), Entries: es}
-	if err := st.AppendSegment(seg); err != nil {
+	if err := st.AppendSegmentBlob(seg, nvmeoe.EncodeSegmentBlob(seg.Marshal())); err != nil {
 		t.Fatal(err)
 	}
 

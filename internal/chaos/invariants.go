@@ -79,15 +79,10 @@ func (iv *Invariants) DedupBalance(st *remote.Store, devs []uint64) bool {
 		"dedup ledger unbalanced: %d page versions indexed vs %d chunk refs", versions, ds.TotalRefs)
 }
 
-// Pool proves the bufpool outstanding-buffer gauge returned to its
-// baseline — every Get across the fault storm found its Release.
-func (iv *Invariants) Pool(base bufpool.Gauge) bool {
-	err := bufpool.CheckBalanced(base)
-	return iv.report(err == nil, "%v", err)
-}
-
-// PoolSteady is Pool for systems with accounted long-lived holders: the
-// gauge may move exactly as much as the declared residency delta (the
+// PoolSteady proves the bufpool outstanding-buffer gauge returned to its
+// baseline — every Get across the fault storm found its Release — up to
+// the accounted long-lived holders: the gauge may move exactly as much as
+// the declared residency delta (the
 // per-block slabs NAND arrays hold for programmed flash content, one per
 // block programmed since its erase, which legitimately grows as writes open
 // blocks and shrinks with erases). Any drift beyond residency is a

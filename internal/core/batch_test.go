@@ -62,12 +62,12 @@ func TestSubmitBatchMatchesPerOpSequence(t *testing.T) {
 	if perOp.r.Log().NextSeq() != batched.r.Log().NextSeq() {
 		t.Fatalf("log lengths diverge: %d vs %d", perOp.r.Log().NextSeq(), batched.r.Log().NextSeq())
 	}
-	if err := oplog.VerifyChain(batched.r.Log().All(), [oplog.HashSize]byte{}); err != nil {
+	if err := oplog.VerifyChain(heldEntries(batched.r.Log()), [oplog.HashSize]byte{}); err != nil {
 		t.Fatalf("batched log chain broken: %v", err)
 	}
 	// Entry streams must match in kind/LPN order (hashes differ only via
 	// timestamps).
-	pe, be := perOp.r.Log().All(), batched.r.Log().All()
+	pe, be := heldEntries(perOp.r.Log()), heldEntries(batched.r.Log())
 	for i := range pe {
 		if pe[i].Kind != be[i].Kind || pe[i].LPN != be[i].LPN || pe[i].OldPPN != be[i].OldPPN {
 			t.Fatalf("entry %d diverges: per-op %+v vs batched %+v", i, pe[i], be[i])
@@ -106,7 +106,7 @@ func TestSubmitBatchDuplicateLPNAttribution(t *testing.T) {
 			t.Fatalf("op %d: %v", i, res[i].Err)
 		}
 	}
-	entries := e.r.Log().All()
+	entries := heldEntries(e.r.Log())
 	if len(entries) != 2 {
 		t.Fatalf("log has %d entries, want 2", len(entries))
 	}
@@ -117,7 +117,7 @@ func TestSubmitBatchDuplicateLPNAttribution(t *testing.T) {
 	if second.OldPPN == ftl.NoPPN {
 		t.Fatal("second write did not record the first write's page")
 	}
-	vs := e.r.RetainedVersions(5)
+	vs := e.r.retainedVersions(5)
 	if len(vs) != 1 {
 		t.Fatalf("retained versions = %d, want 1", len(vs))
 	}
@@ -148,7 +148,7 @@ func TestSubmitBatchReadSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logged []uint64
-	for _, en := range e.r.Log().All() {
+	for _, en := range heldEntries(e.r.Log()) {
 		if en.Seq >= before && en.Kind == oplog.KindRead {
 			logged = append(logged, en.LPN)
 		}
@@ -187,7 +187,7 @@ func TestFailedOffloadLeavesRetainedPagesIntact(t *testing.T) {
 	}
 	// Settle the asynchronous pipeline so every staged segment has either
 	// acked or failed-and-requeued before the invariant is checked.
-	at = r.DrainOffload(at)
+	at = r.settle(at)
 	st := r.Stats()
 	if st.OffloadErrors == 0 {
 		t.Fatal("no offload errors recorded despite broken remote")
@@ -201,9 +201,6 @@ func TestFailedOffloadLeavesRetainedPagesIntact(t *testing.T) {
 	if st.ReleasedPins != 0 || st.DroppedPages != 0 || st.OffloadPages != 0 {
 		t.Fatalf("data released without durable ack: %+v", st)
 	}
-	if got := r.FTL().PinnedPages(); got != 12 {
-		t.Fatalf("pinned pages = %d, want 12", got)
-	}
 
 	// Recovery: a healthy remote drains the whole backlog, nothing lost.
 	good, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
@@ -211,13 +208,18 @@ func TestFailedOffloadLeavesRetainedPagesIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	r.AttachRemote(good)
+	r.attachRemote(good)
 	if _, err := r.OffloadNow(at); err != nil {
 		t.Fatal(err)
 	}
 	st = r.Stats()
 	if st.RetainedNow != 0 || st.OffloadPages != 12 {
 		t.Fatalf("backlog did not drain after recovery: %+v", st)
+	}
+	// Each release finds its page pinned in the FTL: all 12 pins held
+	// through the failure epoch.
+	if st.ReleasedPins != 12 {
+		t.Fatalf("released %d FTL pins, want 12", st.ReleasedPins)
 	}
 	if st.LastOffloadError != "" {
 		t.Fatalf("stale error still surfaced after successful offload: %q", st.LastOffloadError)

@@ -35,7 +35,7 @@ func TestFlashReadErrorAtSealNeverAcked(t *testing.T) {
 
 	const lpns = 4
 	at := churn(t, e.r, lpns, 4, 0) // 12 stale versions: past the 11-page high watermark
-	e.r.DrainOffload(at)
+	e.r.settle(at)
 
 	for _, p := range e.store.HeldVersions(cfg.DeviceID) {
 		if p.Hash != churnHash(p.WriteSeq, lpns) {
@@ -71,7 +71,7 @@ func TestFlashReadErrorAtSealRetries(t *testing.T) {
 
 	const lpns = 4
 	at := churn(t, e.r, lpns, 4, 0)
-	at = e.r.DrainOffload(at)
+	at = e.r.settle(at)
 	if st := e.r.Stats(); st.OffloadErrors == 0 || st.OffloadRetries == 0 {
 		t.Fatalf("first batch not rejected: flipped pages accepted, or the seed no longer flips a bit in it (pick another): %+v", st)
 	}

@@ -49,7 +49,7 @@ func TestOffloadShipsWhatWasWritten(t *testing.T) {
 func TestEncodeStageAccounted(t *testing.T) {
 	e := newEnv(t, testConfig())
 	done := churn(t, e.r, 6, 4, 0)
-	e.r.DrainOffload(done)
+	e.r.settle(done)
 	defer e.r.Close()
 	st := e.r.Stats()
 	if st.OffloadSegments == 0 {
@@ -82,7 +82,7 @@ func TestTierServiceTimeInAck(t *testing.T) {
 	t.Cleanup(func() { client.Close() })
 	r := New(testConfig(), client)
 	done := churn(t, r, 6, 4, 0)
-	done = r.DrainOffload(done)
+	done = r.settle(done)
 	defer r.Close()
 
 	st := r.Stats()
@@ -102,7 +102,7 @@ func TestTierServiceTimeInAck(t *testing.T) {
 	// A mem-backed device acks with zero tier time, and must stay faster.
 	local := newEnv(t, testConfig())
 	ldone := churn(t, local.r, 6, 4, 0)
-	local.r.DrainOffload(ldone)
+	local.r.settle(ldone)
 	defer local.r.Close()
 	ls := local.r.Stats()
 	if ls.OffloadTierTime != 0 {

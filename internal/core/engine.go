@@ -27,7 +27,7 @@ import (
 // transfer goroutine touches only encoded segments (in seal order, waiting
 // out each segment's encode) and the NVMe-oE client. Results come back
 // over a channel and are applied by the firmware goroutine at poll points
-// (afterOps, Pressure, DrainOffload).
+// (afterOps, Pressure, drainOffload).
 //
 // Allocation model: the hot path rents everything from internal/bufpool.
 // Page reads land in pooled buffers released once the codec worker has
@@ -138,7 +138,7 @@ func newOffloadEngine(client *remote.Client, depth int, flow *netsim.Flow) *offl
 		for st := range e.xferq {
 			<-st.encoded // codec worker done; blob and wire size final
 			start := simclock.Max(st.encDoneAt, linkFree)
-			st.svc, st.err = client.PushSegmentBlobTimed(st.blob, st.seg.LastSeq)
+			st.svc, st.err = client.PushSegmentBlob(st.blob, st.seg.LastSeq)
 			linkFree = flow.Grant(st.wire, start)
 			st.ackAt = linkFree.Add(st.svc)
 			// The wire bytes have left the device; the pooled blob goes back.
@@ -402,16 +402,6 @@ func (r *RSSD) drainOffload(at simclock.Time) simclock.Time {
 		at = simclock.Max(at, res.ackAt)
 		r.applyResult(res)
 	}
-	return at
-}
-
-// DrainOffload synchronously settles the offload pipeline: every staged
-// segment is acked or failed-and-requeued before it returns, and a dead
-// session gets its scheduled redial attempt. Host tooling calls it before
-// reading Stats() for a consistent view; tests use it as a barrier.
-func (r *RSSD) DrainOffload(at simclock.Time) simclock.Time {
-	at = r.drainOffload(at)
-	r.maybeRedial(at)
 	return at
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -50,7 +51,7 @@ func TestAsyncOffloadOverlapsHostTime(t *testing.T) {
 				cfg.NIC = netsim.New(netsim.Config{MBps: mbps})
 				e := newEnv(t, cfg)
 				host[i] = churn(t, e.r, c.lpns, c.rounds, 0)
-				e.r.DrainOffload(host[i])
+				e.r.settle(host[i])
 				st[i] = e.r.Stats()
 				e.r.Close()
 			}
@@ -95,7 +96,7 @@ func TestStaleOffloadErrorClearedAfterRetrySuccess(t *testing.T) {
 
 	at := churn(t, r, 4, 3, 0) // 8 stale versions... keep under watermark
 	at = churn(t, r, 4, 1, at) // cross it: staging starts and fails
-	at = r.DrainOffload(at)
+	at = r.settle(at)
 	st := r.Stats()
 	if st.OffloadErrors == 0 || st.LastOffloadError == "" {
 		t.Fatalf("outage not surfaced: %+v", st)
@@ -114,9 +115,9 @@ func TestStaleOffloadErrorClearedAfterRetrySuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	r.AttachRemote(good)
+	r.attachRemote(good)
 	at = churn(t, r, 4, 1, at)
-	at = r.DrainOffload(at)
+	at = r.settle(at)
 	st = r.Stats()
 	if st.OffloadSegments == 0 {
 		t.Fatal("background retry did not ship the backlog")
@@ -138,7 +139,7 @@ func TestOffloadBackpressureStallsHost(t *testing.T) {
 	defer e.r.Close()
 
 	at := churn(t, e.r, 6, 3, 0)
-	at = e.r.DrainOffload(at)
+	at = e.r.settle(at)
 	st := e.r.Stats()
 	if st.OffloadSegments < 2 {
 		t.Fatalf("expected a multi-segment drain, got %d", st.OffloadSegments)
@@ -168,7 +169,7 @@ func TestOffloadNowSettlesPipeline(t *testing.T) {
 	if e.r.OffloadedUpTo() != e.r.Log().NextSeq() {
 		t.Fatalf("log tail not offloaded: upTo %d, next %d", e.r.OffloadedUpTo(), e.r.Log().NextSeq())
 	}
-	if got := e.store.Head(e.r.DeviceID()).NextSeq; got != e.r.Log().NextSeq() {
+	if got := e.store.Head(e.r.cfg.DeviceID).NextSeq; got != e.r.Log().NextSeq() {
 		t.Fatalf("remote head %d, want %d", got, e.r.Log().NextSeq())
 	}
 	_ = at
@@ -195,14 +196,15 @@ func TestRejectedEntriesNotPrunedByPagesOnlyAck(t *testing.T) {
 	// Poison the device's remote chain: the server is already at seq 3 for
 	// this device, so every entry-bearing segment the device ships (which
 	// starts at 0) is rejected while the session stays up.
-	if err := store.AppendSegment(conflictSegment(cfg.DeviceID, 3)); err != nil {
+	conflict := conflictSegment(cfg.DeviceID, 3)
+	if err := store.AppendSegmentBlob(conflict, nvmeoe.EncodeSegmentBlob(conflict.Marshal())); err != nil {
 		t.Fatal(err)
 	}
 	r := New(cfg, client)
 	defer r.Close()
 
 	at := churn(t, r, 4, 4, 0)
-	at = r.DrainOffload(at)
+	at = r.settle(at)
 	st := r.Stats()
 	if st.OffloadErrors == 0 {
 		t.Fatal("conflicting chain did not surface as offload errors")

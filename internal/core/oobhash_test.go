@@ -147,7 +147,7 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 	if data, ws, err := r.VersionBefore(0, cut, at); err != nil || ws != 0 || !bytes.Equal(data, fill(1, 512)) {
 		t.Fatalf("clean pin: version write %d, err %v", ws, err)
 	}
-	if es := r.Log().All(); es[len(es)-1].Kind != oplog.KindRecovery || es[len(es)-1].DataHash != oplog.HashData(fill(1, 512)) {
+	if es := heldEntries(r.Log()); es[len(es)-1].Kind != oplog.KindRecovery || es[len(es)-1].DataHash != oplog.HashData(fill(1, 512)) {
 		t.Fatalf("recovery entry does not record the restored content: %+v", es[len(es)-1])
 	}
 	if data, _, _ := r.Read(0, at); !bytes.Equal(data, fill(1, 512)) {
@@ -157,11 +157,11 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "write-time content hash") || rep.PagesRestored != 0 {
 		t.Fatalf("corrupt pin: restored %d, err %v", rep.PagesRestored, err)
 	}
-	if es := r.Log().All(); es[len(es)-1].Kind == oplog.KindRecovery {
+	if es := heldEntries(r.Log()); es[len(es)-1].Kind == oplog.KindRecovery {
 		t.Fatal("corrupt pin was logged as a recovery write")
 	}
-	if r.WriteSeqOf(0) != 1 {
-		t.Fatalf("live version is write seq %d, want the untouched overwrite at 1", r.WriteSeqOf(0))
+	if r.writeSeqOf(0) != 1 {
+		t.Fatalf("live version is write seq %d, want the untouched overwrite at 1", r.writeSeqOf(0))
 	}
 	if data, _, err := r.VersionBefore(0, cut, at); err == nil || !strings.Contains(err.Error(), "write-time content hash") {
 		t.Fatalf("corrupt pin: version query returned %d bytes, err %v", len(data), err)

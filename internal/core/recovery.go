@@ -347,42 +347,6 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 
 // --- Point-in-time queries ------------------------------------------------
 
-// VersionInfo describes one retained version of a logical page, wherever
-// it currently lives.
-type VersionInfo struct {
-	LPN      uint64
-	WriteSeq uint64
-	StaleSeq uint64 // NoSeq for the live version
-	Cause    ftl.StaleCause
-	Local    bool // true: still pinned on local flash
-}
-
-// RetainedVersions lists the locally retained versions of lpn in writeSeq
-// order (oldest first). Remote versions are not included; query the remote
-// store for those.
-func (r *RSSD) RetainedVersions(lpn uint64) []VersionInfo {
-	var out []VersionInfo
-	for _, re := range r.retByLPN[lpn] {
-		if re.released {
-			continue
-		}
-		out = append(out, VersionInfo{
-			LPN: re.lpn, WriteSeq: re.writeSeq, StaleSeq: re.staleSeq,
-			Cause: re.cause, Local: true,
-		})
-	}
-	return out
-}
-
-// WriteSeqOf returns the log sequence of the live version of lpn, or NoSeq
-// if the page is unmapped.
-func (r *RSSD) WriteSeqOf(lpn uint64) uint64 {
-	if lpn >= uint64(len(r.lpnWriteSeq)) {
-		return NoSeq
-	}
-	return r.lpnWriteSeq[lpn]
-}
-
 // version is what a page held just before a cut, as decide finds it.
 type version struct {
 	writeSeq uint64 // the write that put the bytes there; NoSeq: zeroes

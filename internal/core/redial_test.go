@@ -106,7 +106,7 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	// Cross the watermark: one segment ships, the server stores it, the
 	// ack dies on the wire.
 	at := churn(t, r, 4, 4, 0)
-	at = r.DrainOffload(at)
+	at = r.settle(at)
 	st := r.Stats()
 	if st.OffloadErrors == 0 || st.LastOffloadError == "" {
 		t.Fatalf("ack loss not surfaced: %+v", st)
@@ -199,7 +199,7 @@ func TestRedialBackoffExponential(t *testing.T) {
 
 	// Cross the watermark so staging fails and the session is marked dead.
 	at := churn(t, r, 4, 4, 0)
-	at = r.DrainOffload(at) // applies the failure, then attempts dial #1
+	at = r.settle(at) // applies the failure, then attempts dial #1
 	if dials != 1 {
 		t.Fatalf("dials after first poll = %d, want 1", dials)
 	}
@@ -212,11 +212,11 @@ func TestRedialBackoffExponential(t *testing.T) {
 	var next simclock.Duration
 	for k, gap := range gaps {
 		next += gap * simclock.Millisecond
-		r.DrainOffload(t0.Add(next - 1))
+		r.settle(t0.Add(next - 1))
 		if dials != k+1 {
 			t.Fatalf("poll at t0+%v: dials = %d, want %d", next-1, dials, k+1)
 		}
-		r.DrainOffload(t0.Add(next))
+		r.settle(t0.Add(next))
 		if dials != k+2 {
 			t.Fatalf("poll at t0+%v: dials = %d, want %d", next, dials, k+2)
 		}
@@ -267,7 +267,7 @@ func TestRedialWithoutDialFactory(t *testing.T) {
 	r := New(cfg, broken)
 	defer r.Close()
 	at := churn(t, r, 4, 4, 0)
-	at = r.DrainOffload(at)
+	at = r.settle(at)
 	if st := r.Stats(); st.RedialAttempts != 0 || st.LastOffloadError == "" {
 		t.Fatalf("unexpected redial behaviour without a factory: %+v", st)
 	}
@@ -276,7 +276,7 @@ func TestRedialWithoutDialFactory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	r.AttachRemote(good)
+	r.attachRemote(good)
 	if _, err := r.OffloadNow(at); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestReopenRedialsMidStream(t *testing.T) {
 		held     uint64
 		repinned uint64
 		seqs     []uint64
-		versions [][]VersionInfo
+		versions [][]versionInfo
 		pages    [][]byte
 	}
 	snapshot := func(r *RSSD) state {
@@ -389,8 +389,8 @@ func TestReopenRedialsMidStream(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read lpn %d: %v", lpn, err)
 			}
-			s.seqs = append(s.seqs, r.WriteSeqOf(lpn))
-			s.versions = append(s.versions, r.RetainedVersions(lpn))
+			s.seqs = append(s.seqs, r.writeSeqOf(lpn))
+			s.versions = append(s.versions, r.retainedVersions(lpn))
 			s.pages = append(s.pages, data)
 		}
 		return s

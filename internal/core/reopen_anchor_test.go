@@ -71,7 +71,7 @@ func TestReopenIgnoresCheckpointAheadOfHead(t *testing.T) {
 	}
 	defer r2.Close()
 	for lpn, want := range live {
-		if got := r2.WriteSeqOf(uint64(lpn)); got != want {
+		if got := r2.writeSeqOf(uint64(lpn)); got != want {
 			t.Fatalf("lpn %d live write %d, want %d", lpn, got, want)
 		}
 	}
@@ -84,7 +84,7 @@ func TestReopenIgnoresCheckpointAheadOfHead(t *testing.T) {
 func TestReopenRefusesCheckpointOffTheChain(t *testing.T) {
 	e, cpSeq, _ := anchoredScenario(t, 32)
 	key := fmt.Sprintf("dev/%d/cp/%020d", 1, cpSeq)
-	blob, err := e.store.Blobs().Get(key)
+	blob, err := e.tier.Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestReopenRefusesCheckpointOffTheChain(t *testing.T) {
 	const lpn = 3 // any table slot: 16 bytes of header, 8 per LPN
 	flipped := binary.LittleEndian.Uint64(blob[16+8*lpn:]) ^ 1
 	binary.LittleEndian.PutUint64(blob[16+8*lpn:], flipped)
-	if err := e.store.Blobs().Put(key, blob); err != nil {
+	if err := e.tier.Put(key, blob); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.store.Reload(); err != nil {
@@ -189,7 +189,7 @@ func TestReopenStepsPastOrphanCheckpoint(t *testing.T) {
 				if !mapped {
 					want = NoSeq
 				}
-				if got := e.r.WriteSeqOf(lpn); got != want {
+				if got := e.r.writeSeqOf(lpn); got != want {
 					t.Fatalf("older=%v cycle %d: lpn %d live write %d, genesis replay says %d", older, cycle, lpn, got, want)
 				}
 			}

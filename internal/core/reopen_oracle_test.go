@@ -324,7 +324,7 @@ func reopenOracleRun(t *testing.T, seed int64, teeth *oracleTeeth) {
 			if !ok {
 				want = NoSeq
 			}
-			if got := r.WriteSeqOf(lpn); got != want {
+			if got := r.writeSeqOf(lpn); got != want {
 				fail("cycle %d: lpn %d live write %d, genesis replay says %d", cycle, lpn, got, want)
 			}
 		}

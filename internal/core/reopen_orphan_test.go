@@ -127,7 +127,7 @@ func TestReopenDiscardsOrphanOfOtherLPN(t *testing.T) {
 		wantRead(t, r, 0, at, orphanA)
 		wantRead(t, r, 1, at, orphanC)
 		wantVersion(t, r, 0, s+1, at, s-1, orphanA)
-		for _, v := range r.RetainedVersions(0) {
+		for _, v := range r.retainedVersions(0) {
 			if v.WriteSeq == s {
 				t.Fatalf("lpn 0 retains a version at %d, which wrote lpn 1", s)
 			}

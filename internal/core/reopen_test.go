@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ftl"
+	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -410,7 +411,7 @@ func TestReopenRepinsExpiredVersions(t *testing.T) {
 		t.Fatalf("re-pinned %d pages, want 1..%d (the expired versions still on flash)", st.ReopenRepinned, len(dropped))
 	}
 	for lpn := uint64(0); lpn < 10; lpn++ {
-		for _, v := range r2.RetainedVersions(lpn) {
+		for _, v := range r2.retainedVersions(lpn) {
 			if !dropped[[2]uint64{v.LPN, v.WriteSeq}] {
 				t.Fatalf("re-pinned (%d, %d), which the server still holds", v.LPN, v.WriteSeq)
 			}
@@ -442,13 +443,14 @@ func TestReopenKeepsPinOnHashMismatch(t *testing.T) {
 	}
 	forged := fill(0x66, 512)
 	head := sc.e.store.Head(1).NextSeq
-	if err := sc.e.store.AppendSegment(&oplog.Segment{
+	forgedSeg := &oplog.Segment{
 		DeviceID: 1, FirstSeq: head, LastSeq: head,
 		Pages: []oplog.PageRecord{{
 			LPN: victim.lpn, WriteSeq: victim.writeSeq, StaleSeq: victim.staleSeq,
 			Cause: uint8(victim.cause), Hash: oplog.HashData(forged), Data: forged,
 		}},
-	}); err != nil {
+	}
+	if err := sc.e.store.AppendSegmentBlob(forgedSeg, nvmeoe.EncodeSegmentBlob(forgedSeg.Marshal())); err != nil {
 		t.Fatal(err)
 	}
 	if !heldSet(sc.e.store, 1)[[2]uint64{victim.lpn, victim.writeSeq}] {
@@ -460,7 +462,7 @@ func TestReopenKeepsPinOnHashMismatch(t *testing.T) {
 		t.Fatalf("re-pinned %d pages, want all %d unacked (forged listing included)", st.ReopenRepinned, unacked)
 	}
 	pinned := false
-	for _, v := range r2.RetainedVersions(victim.lpn) {
+	for _, v := range r2.retainedVersions(victim.lpn) {
 		pinned = pinned || v.WriteSeq == victim.writeSeq
 	}
 	if !pinned {
@@ -546,19 +548,19 @@ func TestReopenLeavesTrimmedPageZero(t *testing.T) {
 			sc.at = at
 			r2, dial := powerCycle(t, e)
 
-			overwritten := VersionInfo{LPN: lpn, WriteSeq: first, StaleSeq: first + 1, Cause: ftl.CauseOverwrite, Local: true}
-			trimmed := VersionInfo{LPN: lpn, WriteSeq: first + 1, StaleSeq: first + 2, Cause: ftl.CauseTrim, Local: true}
-			wantHeld, wantPins := uint64(2), []VersionInfo(nil)
+			overwritten := versionInfo{LPN: lpn, WriteSeq: first, StaleSeq: first + 1, Cause: ftl.CauseOverwrite}
+			trimmed := versionInfo{LPN: lpn, WriteSeq: first + 1, StaleSeq: first + 2, Cause: ftl.CauseTrim}
+			wantHeld, wantPins := uint64(2), []versionInfo(nil)
 			switch variant {
 			case "unshipped":
-				wantHeld, wantPins = 0, []VersionInfo{overwritten, trimmed}
+				wantHeld, wantPins = 0, []versionInfo{overwritten, trimmed}
 			case "expired":
-				wantHeld, wantPins = 1, []VersionInfo{overwritten}
+				wantHeld, wantPins = 1, []versionInfo{overwritten}
 			}
 			if st := r2.Stats(); st.ReopenHeld != wantHeld {
 				t.Fatalf("held %d stale pages of lpn %d, want %d", st.ReopenHeld, lpn, wantHeld)
 			}
-			if vs := r2.RetainedVersions(lpn); !slices.Equal(vs, wantPins) {
+			if vs := r2.retainedVersions(lpn); !slices.Equal(vs, wantPins) {
 				t.Fatalf("versions of lpn %d re-pinned as %+v, want %+v", lpn, vs, wantPins)
 			}
 			if data, ws, err := r2.VersionBefore(lpn, sc.cut, at); err != nil || ws != NoSeq || !bytes.Equal(data, make([]byte, 512)) {

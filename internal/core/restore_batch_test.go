@@ -273,7 +273,7 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 				continue
 			}
 			target, mapped := atCut[lpn]
-			switch live := r.WriteSeqOf(lpn); {
+			switch live := r.writeSeqOf(lpn); {
 			case !mapped && live == NoSeq, mapped && live == target.seq:
 				want.PagesKept++
 			case !mapped:

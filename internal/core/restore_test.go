@@ -225,7 +225,7 @@ func TestRestoreFullLiteralStream(t *testing.T) {
 	}
 	// A chunk is verified whole before any of it is applied, and the stream
 	// is in LPN order: nothing at or past the rotted page was touched.
-	for _, e := range r2.Log().All() {
+	for _, e := range heldEntries(r2.Log()) {
 		if e.Seq >= logged && e.LPN >= victim {
 			t.Fatalf("the failed chunk reached the device: %v of lpn %d logged at %d", e.Kind, e.LPN, e.Seq)
 		}

@@ -289,7 +289,7 @@ func (cfg Config) normalize() Config {
 }
 
 // New builds an RSSD over a fresh NAND device. client may be nil (offline
-// retention mode); attach one later with AttachRemote.
+// retention mode).
 func New(cfg Config, client *remote.Client) *RSSD {
 	cfg = cfg.normalize()
 	r := &RSSD{
@@ -314,28 +314,12 @@ func blankWriteSeqs(n uint64) []uint64 {
 	return t
 }
 
-// AttachRemote connects the offload engine to a remote server session,
-// retiring any engine bound to the previous session first (outstanding
-// completions are settled so no pin is orphaned). A hand-attached session
-// also resets the redial machinery: the caller vouches for this one.
-func (r *RSSD) AttachRemote(client *remote.Client) {
-	r.stopEngine()
-	r.client = client
-	r.sessionDead = false
-	r.needReconcile = false
-	r.redialBackoff = 0
-	r.nextRedialAt = 0
-}
-
 // FTL exposes the underlying translation layer (read-mostly: stats,
 // geometry, capacity).
 func (r *RSSD) FTL() *ftl.FTL { return r.f }
 
 // Log exposes the operation log (forensics reads it).
 func (r *RSSD) Log() *oplog.Log { return r.log }
-
-// DeviceID returns the device's enrollment identity.
-func (r *RSSD) DeviceID() uint64 { return r.cfg.DeviceID }
 
 // Stats returns a snapshot of RSSD counters.
 func (r *RSSD) Stats() Stats {

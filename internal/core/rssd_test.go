@@ -48,18 +48,20 @@ func testConfig() Config {
 type env struct {
 	r     *RSSD
 	store *remote.Store
+	tier  remote.ObjectStore // the object tier under store
 }
 
 func newEnv(t testing.TB, cfg Config) *env {
 	t.Helper()
-	store := remote.NewStore(remote.NewMemStore())
+	tier := remote.NewMemStore()
+	store := remote.NewStore(tier)
 	srv := remote.NewServer(store, testPSK)
 	client, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	return &env{r: New(cfg, client), store: store}
+	return &env{r: New(cfg, client), store: store, tier: tier}
 }
 
 func fill(b byte, n int) []byte {
@@ -113,7 +115,7 @@ func TestEveryOperationIsLogged(t *testing.T) {
 	at, _ = e.r.Write(0, fill(2, 512), at)
 	_, at, _ = e.r.Read(0, at)
 	e.r.Trim(0, at)
-	entries := e.r.Log().All()
+	entries := heldEntries(e.r.Log())
 	kinds := []oplog.Kind{}
 	for _, en := range entries {
 		kinds = append(kinds, en.Kind)
@@ -141,7 +143,7 @@ func TestOverwriteRetainsOldVersion(t *testing.T) {
 	at := simclock.Time(0)
 	at, _ = e.r.Write(5, fill(0xAA, 512), at)
 	at, _ = e.r.Write(5, fill(0xBB, 512), at)
-	vs := e.r.RetainedVersions(5)
+	vs := e.r.retainedVersions(5)
 	if len(vs) != 1 {
 		t.Fatalf("retained versions = %d, want 1", len(vs))
 	}
@@ -160,7 +162,7 @@ func TestEnhancedTrimRetainsData(t *testing.T) {
 	at := simclock.Time(0)
 	at, _ = e.r.Write(2, fill(0xCC, 512), at)
 	at, _ = e.r.Trim(2, at)
-	vs := e.r.RetainedVersions(2)
+	vs := e.r.retainedVersions(2)
 	if len(vs) != 1 || vs[0].Cause != ftl.CauseTrim {
 		t.Fatalf("trimmed version = %+v", vs)
 	}
@@ -219,7 +221,7 @@ func TestOffloadNowDrainsEverything(t *testing.T) {
 		t.Fatalf("offloadedUpTo %d != nextSeq %d", e.r.OffloadedUpTo(), e.r.Log().NextSeq())
 	}
 	// Local log was pruned; remote holds the full prefix.
-	if e.r.Log().BaseSeq() != e.r.OffloadedUpTo() {
+	if held := heldEntries(e.r.Log()); len(held) != 0 {
 		t.Fatal("local log not pruned after offload")
 	}
 	h := e.store.Head(1)
@@ -383,7 +385,7 @@ func TestRestoreWriteLogsRecovery(t *testing.T) {
 	at := simclock.Time(0)
 	at, _ = e.r.Write(0, fill(1, 512), at)
 	at, _ = e.r.restoreBatch([]restoreOp{{LPN: 0, Data: fill(2, 512), Hash: oplog.HashData(fill(2, 512))}}, at)
-	entries := e.r.Log().All()
+	entries := heldEntries(e.r.Log())
 	last := entries[len(entries)-1]
 	if last.Kind != oplog.KindRecovery {
 		t.Fatalf("last entry kind = %v", last.Kind)
@@ -403,7 +405,7 @@ func TestRestoreTrim(t *testing.T) {
 	if data[0] != 0 {
 		t.Fatal("restore trim not visible")
 	}
-	if e.r.WriteSeqOf(0) != NoSeq {
+	if e.r.writeSeqOf(0) != NoSeq {
 		t.Fatal("writeSeq not cleared")
 	}
 }
@@ -455,7 +457,7 @@ func TestVersionsSurviveOffload(t *testing.T) {
 	if _, err := e.r.OffloadNow(at); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.r.RetainedVersions(3)) != 0 {
+	if len(e.r.retainedVersions(3)) != 0 {
 		t.Fatal("local pins remain after drain")
 	}
 	data, ws, err := e.r.VersionBefore(3, 1, at)
@@ -483,7 +485,7 @@ func TestWriteEntriesCarryEntropy(t *testing.T) {
 	rand.New(rand.NewSource(7)).Read(random)
 	at, _ = e.r.Write(0, fill(0, 512), at)
 	e.r.Write(1, random, at)
-	entries := e.r.Log().All()
+	entries := heldEntries(e.r.Log())
 	if entries[0].Entropy > 0.1 {
 		t.Fatalf("zero page entropy = %v", entries[0].Entropy)
 	}

@@ -16,7 +16,7 @@ func TestOffloadWireBytesCompressed(t *testing.T) {
 
 		// fill() pages are a single repeated byte: deflate crushes them.
 		at := churn(t, e.r, 6, 6, 0)
-		at = e.r.DrainOffload(at)
+		at = e.r.settle(at)
 		if _, err := e.r.OffloadNow(at); err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestOffloadWireBytesCompressed(t *testing.T) {
 			t.Fatalf("wire %d >= logical %d: compression not applied on the offload path",
 				st.OffloadBytesWire, st.OffloadBytesLogical)
 		}
-		ds := e.store.DeviceStats(e.r.DeviceID())
+		ds := e.store.DeviceStats(e.r.cfg.DeviceID)
 		if uint64(ds.BytesStored) != st.OffloadBytesWire {
 			t.Fatalf("store holds %d bytes, device shipped %d wire bytes", ds.BytesStored, st.OffloadBytesWire)
 		}

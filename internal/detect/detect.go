@@ -373,38 +373,6 @@ func (e *Engine) push(d *devState, ev event) {
 	}
 }
 
-// Calibrate tunes the window threshold against a benign trace: it replays
-// the entries through a scoring-only engine, finds the highest window
-// score benign traffic ever reaches, and sets the threshold at
-// max(3x that peak, floor). Operators run this once against a recorded
-// clean workload — one of the "various detection algorithms" knobs the
-// remote deployment model makes cheap to adjust.
-func Calibrate(cfg Config, benign []oplog.Entry, floor float64) Config {
-	if cfg.Window <= 0 {
-		cfg = DefaultConfig()
-	}
-	probe := NewEngine(cfg)
-	probe.cfg.Threshold = 2.0             // never fire
-	probe.cfg.CumulativeVictims = 1 << 40 // never fire
-	d := probe.dev(0)
-	peak := 0.0
-	for i := range benign {
-		probe.observeOne(0, d, &benign[i])
-		if s, _ := probe.score(d); s > peak {
-			peak = s
-		}
-	}
-	th := 3 * peak
-	if th < floor {
-		th = floor
-	}
-	if th > 0.95 {
-		th = 0.95
-	}
-	cfg.Threshold = th
-	return cfg
-}
-
 // score computes the weighted window score and its explanation.
 func (e *Engine) score(d *devState) (float64, []string) {
 	if d.wCount == 0 {

@@ -207,7 +207,7 @@ func synth(spec string) []oplog.Entry {
 			l.Append(oplog.KindTrim, simclock.Time(i), lpn, 1, ftl.NoPPN, 0, [32]byte{})
 		}
 	}
-	return l.All()
+	return l.Entries(0, l.NextSeq())
 }
 
 func TestWindowScoringUnit(t *testing.T) {
@@ -276,7 +276,7 @@ func TestReadHorizonExpiry(t *testing.T) {
 		l.Append(oplog.KindWrite, 0, 5, 1, ftl.NoPPN, 3.0, [32]byte{})
 	}
 	l.Append(oplog.KindWrite, 0, 0, 1, ftl.NoPPN, 7.9, [32]byte{})
-	e.Observe(1, l.All())
+	e.Observe(1, l.Entries(0, l.NextSeq()))
 	if len(e.Alerts()) != 0 {
 		t.Fatal("stale read paired with overwrite")
 	}
@@ -295,7 +295,7 @@ func handoffTrace(n int) []oplog.Entry {
 	for i := 0; i < n; i++ {
 		l.Append(oplog.KindWrite, simclock.Time(n+i), uint64(i), 1, 2, 7.9, [32]byte{})
 	}
-	return l.All()
+	return l.Entries(0, l.NextSeq())
 }
 
 // TestHandoffPreservesDetectionContinuity is the failover-continuity

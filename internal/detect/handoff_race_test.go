@@ -208,7 +208,7 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 			if h.NextSeq >= lastSeq {
 				return true // already durable before the session died
 			}
-			if err := (*cl).PushSegmentBlob(blob, lastSeq); err == nil {
+			if _, err := (*cl).PushSegmentBlob(blob, lastSeq); err == nil {
 				return true
 			}
 			(*cl).Close()
@@ -262,17 +262,21 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 		}()
 	}
 	wg.Add(2)
-	go func() { // failover loop
+	kills, revives := 0, 0 // written by the failover loop, read after Wait
+	go func() {            // failover loop
 		defer wg.Done()
 		for k := 0; k < killRounds; k++ {
 			id := k % servers
 			if _, err := cluster.Kill(id); err != nil {
 				continue
 			}
+			kills++
 			runtime.Gosched()
 			if err := cluster.Revive(id); err != nil {
 				t.Errorf("revive %d: %v", id, err)
+				continue
 			}
+			revives++
 		}
 	}()
 	go func() { // rebalance loop, racing the kills on the same windows
@@ -284,9 +288,8 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	stats := cluster.Stats()
-	if stats.Kills == 0 || stats.Revives == 0 {
-		t.Fatalf("storm was becalmed: %+v", stats)
+	if kills == 0 || revives == 0 {
+		t.Fatalf("storm was becalmed: %d kills, %d revives", kills, revives)
 	}
 	handoffMu.Lock()
 	hc := handoffCount
@@ -325,6 +328,5 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 			t.Errorf("device %d: %d alerts after the storm, want exactly 1", dev, total)
 		}
 	}
-	t.Logf("storm: %d kills, %d revives, %d rebalances, %d handoffs",
-		stats.Kills, stats.Revives, stats.Rebalances, hc)
+	t.Logf("storm: %d kills, %d revives, %d handoffs", kills, revives, hc)
 }

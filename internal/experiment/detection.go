@@ -68,57 +68,6 @@ func DetectionLatency(s Scale) ([]DetectionRow, error) {
 	return rows, v.err("detection")
 }
 
-// AblationVariant names a detection configuration with parts disabled.
-type AblationVariant struct {
-	Name string
-	Cfg  detect.Config
-}
-
-// DetectionAblations builds the detector-ablation variants: each disables
-// one mechanism DESIGN.md calls out, to show it is load-bearing.
-func DetectionAblations(s Scale) []AblationVariant {
-	base := detectConfig(s)
-
-	windowOnly := base
-	windowOnly.CumulativeVictims = 1 << 40 // cumulative detector off
-
-	cumulativeOnly := base
-	cumulativeOnly.Threshold = 1.1 // window detector can never fire
-
-	noZero := base
-	noZero.PageSize = 0 // zero-wipe signal off
-	noZero.WeightZeroWipe = 0
-
-	return []AblationVariant{
-		{"full", base},
-		{"window-only", windowOnly},
-		{"cumulative-only", cumulativeOnly},
-		{"no-zero-signal", noZero},
-	}
-}
-
-// AblationCell records one (variant, attack) detection outcome.
-type AblationCell struct {
-	Variant  string
-	Attack   string
-	Detected bool
-}
-
-// DetectionAblation runs every attack against every detector variant.
-func DetectionAblation(s Scale) ([]AblationCell, error) {
-	var out []AblationCell
-	for _, v := range DetectionAblations(s) {
-		for _, atk := range detectionAttacks() {
-			row, err := detectOne(s, atk, v.Cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ablation %s/%s: %w", v.Name, atk.Name(), err)
-			}
-			out = append(out, AblationCell{Variant: v.Name, Attack: atk.Name(), Detected: row.Detected})
-		}
-	}
-	return out, nil
-}
-
 func detectOne(s Scale, atk attack.Attack, detCfg detect.Config) (DetectionRow, error) {
 	row := DetectionRow{Attack: atk.Name()}
 	rig, err := NewRSSDRig(s)

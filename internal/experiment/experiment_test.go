@@ -1,6 +1,11 @@
 package experiment
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/detect"
+)
 
 // The experiment tests assert the *shape* of the paper's results at small
 // scale: who wins, by roughly what factor, and which defenses hold.
@@ -183,11 +188,51 @@ func TestDetectionLatencyCoversAllVariants(t *testing.T) {
 	}
 }
 
+// ablationCell records one (variant, attack) detection outcome.
+type ablationCell struct {
+	Variant  string
+	Attack   string
+	Detected bool
+}
+
+// detectionAblation runs every attack against the full detector and
+// against variants that each disable one mechanism.
+func detectionAblation(s Scale) ([]ablationCell, error) {
+	base := detectConfig(s)
+	windowOnly := base
+	windowOnly.CumulativeVictims = 1 << 40 // cumulative detector off
+	cumulativeOnly := base
+	cumulativeOnly.Threshold = 1.1 // window detector can never fire
+	noZero := base
+	noZero.PageSize = 0 // zero-wipe signal off
+	noZero.WeightZeroWipe = 0
+	variants := []struct {
+		name string
+		cfg  detect.Config
+	}{
+		{"full", base},
+		{"window-only", windowOnly},
+		{"cumulative-only", cumulativeOnly},
+		{"no-zero-signal", noZero},
+	}
+	var out []ablationCell
+	for _, v := range variants {
+		for _, atk := range detectionAttacks() {
+			row, err := detectOne(s, atk, v.cfg)
+			if err != nil {
+				return nil, fmt.Errorf("ablation %s/%s: %w", v.name, atk.Name(), err)
+			}
+			out = append(out, ablationCell{Variant: v.name, Attack: atk.Name(), Detected: row.Detected})
+		}
+	}
+	return out, nil
+}
+
 // TestDetectionAblation shows each detector mechanism is load-bearing:
 // the full ensemble catches everything, while each ablated variant misses
 // at least one attack.
 func TestDetectionAblation(t *testing.T) {
-	cells, err := DetectionAblation(SmallScale())
+	cells, err := detectionAblation(SmallScale())
 	if err != nil {
 		t.Fatal(err)
 	}

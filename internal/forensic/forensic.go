@@ -235,21 +235,6 @@ func (a *Analyzer) AttackWindow(ev *Evidence, alertSeq uint64) (Window, error) {
 	return w, nil
 }
 
-// SeqAtTime maps a simulated wall-clock instant to a log sequence: the
-// sequence of the first operation after t. Investigators usually know
-// *when* ("the backup from Tuesday was clean"), not which operation;
-// recovery then rolls back to the returned sequence.
-func SeqAtTime(ev *Evidence, t simclock.Time) uint64 {
-	i := sort.Search(len(ev.Entries), func(i int) bool { return ev.Entries[i].At > t })
-	if i == len(ev.Entries) {
-		if n := len(ev.Entries); n > 0 {
-			return ev.Entries[n-1].Seq + 1
-		}
-		return 0
-	}
-	return ev.Entries[i].Seq
-}
-
 // PageHistory returns every logged operation touching lpn, in order — the
 // per-page drill-down an investigator reads.
 func (a *Analyzer) PageHistory(ev *Evidence, lpn uint64) []oplog.Entry {

@@ -187,43 +187,6 @@ func TestPageHistory(t *testing.T) {
 	}
 }
 
-func TestSeqAtTime(t *testing.T) {
-	r := newRig(t)
-	at := simclock.Time(0)
-	page := make([]byte, 512)
-	// Ops at t=1h, 2h, 3h.
-	for i := 1; i <= 3; i++ {
-		r.fs.Clock().AdvanceTo(simclock.Time(i) * simclock.Time(simclock.Hour))
-		if _, err := r.dev.Write(uint64(i), page, r.fs.Clock().Now()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = at
-	a := NewAnalyzer(r.dev, r.client)
-	ev, err := a.Timeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		t    simclock.Time
-		want uint64
-	}{
-		{0, 0},                                   // before everything
-		{simclock.Time(90 * simclock.Minute), 1}, // between op 0 and 1
-		{simclock.Time(2 * simclock.Hour), 2},    // exactly at op 1 -> next
-		{simclock.Time(10 * simclock.Hour), 3},   // after everything
-	}
-	for _, c := range cases {
-		if got := SeqAtTime(ev, c.t); got != c.want {
-			t.Errorf("SeqAtTime(%v) = %d, want %d", c.t, got, c.want)
-		}
-	}
-	// Empty evidence.
-	if got := SeqAtTime(&Evidence{}, 5); got != 0 {
-		t.Errorf("empty evidence seq = %d", got)
-	}
-}
-
 func TestWriteReport(t *testing.T) {
 	r := newRig(t)
 	rng := rand.New(rand.NewSource(6))
@@ -389,8 +352,9 @@ func TestTimelineLocatesTheBreak(t *testing.T) {
 	attack.RunBenign(r.fs, rng, 30, simclock.Second)
 	head := r.store.Head(1)
 	honest := func(from, to uint64) []oplog.Entry { return r.store.Entries(1, from, to) }
-	if local := r.dev.Log().NextSeq() - head.NextSeq; head.NextSeq <= 5*batch || local == 0 || r.dev.Log().BaseSeq() != head.NextSeq {
-		t.Fatalf("want six remote frames and a local suffix behind them: head %d, %d local from %d", head.NextSeq, local, r.dev.Log().BaseSeq())
+	held := r.dev.Log().Entries(0, r.dev.Log().NextSeq())
+	if local := r.dev.Log().NextSeq() - head.NextSeq; head.NextSeq <= 5*batch || local == 0 || len(held) == 0 || held[0].Seq != head.NextSeq {
+		t.Fatalf("want six remote frames and a local suffix behind them: head %d, %d local, %d held", head.NextSeq, local, len(held))
 	}
 
 	// A forged prefix: entry 7 rewritten and everything after it resealed,
@@ -398,7 +362,8 @@ func TestTimelineLocatesTheBreak(t *testing.T) {
 	forged := honest(0, head.NextSeq)
 	forged[7].LPN ^= 1
 	for i := 7; i < len(forged); i++ {
-		forged[i].Seal(forged[i-1].Hash)
+		forged[i].PrevHash = forged[i-1].Hash
+		forged[i].Hash = forged[i].ComputeHash(forged[i].PrevHash)
 	}
 
 	// A refusal is an error without evidence, not a broken chain: refusedBy
@@ -528,8 +493,9 @@ func TestTimelineAllocsDoNotGrowWithFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		attack.RunBenign(r.fs, rng, 10, simclock.Second)
-		if head := r.store.Head(1).NextSeq; (head+remote.FrameEntries-1)/remote.FrameEntries != frames || r.dev.Log().Len() == 0 {
-			t.Fatalf("a remote prefix of %d entries and %d local, want %d frames and a local suffix", head, r.dev.Log().Len(), frames)
+		held := len(r.dev.Log().Entries(0, r.dev.Log().NextSeq()))
+		if head := r.store.Head(1).NextSeq; (head+remote.FrameEntries-1)/remote.FrameEntries != frames || held == 0 {
+			t.Fatalf("a remote prefix of %d entries and %d local, want %d frames and a local suffix", head, held, frames)
 		}
 		return testing.AllocsPerRun(10, func() {
 			if ev, err := a.Timeline(); err != nil || !ev.ChainIntact {

@@ -48,7 +48,7 @@ func TestWriteBatchMatchesPerOpState(t *testing.T) {
 	for i := 0; i < n; i++ {
 		data := pageOf(byte(i), 512)
 		var err error
-		at, err = perOp.Write(uint64(i), data, at)
+		at, err = writeOne(perOp, uint64(i), data, at)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,12 +99,12 @@ func hostPlacementDigest(t *testing.T, f *FTL, ret *placementRetainer) (timed, p
 		switch k := rng.Intn(10); {
 		case k == 0:
 			lpn := uint64(rng.Intn(logical))
-			at, err = f.Trim(lpn, at)
+			at, err = trimOne(f, lpn, at)
 			ret.sum.add('t', lpn, uint64(at))
 			ret.placed.add('t', lpn)
 		case k < 4:
 			lpn := uint64(rng.Intn(logical))
-			at, err = f.Write(lpn, fill(byte(op), 512), at)
+			at, err = writeOne(f, lpn, fill(byte(op), 512), at)
 			ret.sum.add('w', lpn, f.Lookup(lpn), uint64(at))
 			ret.placed.add('w', lpn, f.Lookup(lpn))
 		default:
@@ -285,12 +285,12 @@ func TestRecoveryFrontStripesEveryChip(t *testing.T) {
 // TestHostAdoptsIdleRecoveryBlocks: a 3-page recovery batch leaves three
 // blocks open with one page each. Host writes fill their own open block, then
 // those three tails, and only then take a block off the free list — and
-// FreePages counted every open tail all along.
+// freePages counted every open tail all along.
 func TestHostAdoptsIdleRecoveryBlocks(t *testing.T) {
 	f, _ := newPlacementFTL(frontConfig())
 	g := f.geo
 	ppb := g.PagesPerBlock
-	at, err := f.Write(0, fill(1, 512), 0)
+	at, err := writeOne(f, 0, fill(1, 512), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,13 +303,13 @@ func TestHostAdoptsIdleRecoveryBlocks(t *testing.T) {
 		tails[g.BlockOf(f.Lookup(op.LPN))] = true
 	}
 	free := len(f.freeList)
-	if len(tails) != 3 || f.FreePages() != free*ppb+4*(ppb-1) {
-		t.Fatalf("recovery batch opened blocks %v; FreePages %d with %d free blocks", tails, f.FreePages(), free)
+	if len(tails) != 3 || f.freePages() != free*ppb+4*(ppb-1) {
+		t.Fatalf("recovery batch opened blocks %v; freePages %d with %d free blocks", tails, f.freePages(), free)
 	}
 	lpn := uint64(10)
 	write := func() uint64 {
 		t.Helper()
-		if at, err = f.Write(lpn, fill(9, 512), at); err != nil {
+		if at, err = writeOne(f, lpn, fill(9, 512), at); err != nil {
 			t.Fatal(err)
 		}
 		lpn++

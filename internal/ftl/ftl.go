@@ -291,9 +291,6 @@ func Attach(cfg Config, dev *nand.Device, retainer Retainer) *FTL {
 	return f
 }
 
-// Geometry returns the underlying NAND geometry.
-func (f *FTL) Geometry() nand.Geometry { return f.geo }
-
 // Device returns the underlying NAND device (read-only use expected).
 func (f *FTL) Device() *nand.Device { return f.dev }
 
@@ -313,30 +310,6 @@ func (f *FTL) WAF() float64 {
 		return 0
 	}
 	return float64(f.dev.Stats().Programs) / float64(f.stats.HostWrites)
-}
-
-// FreePages returns the number of immediately programmable pages
-// (free blocks plus the tails of active blocks). The GC attack drives this
-// toward zero.
-func (f *FTL) FreePages() int {
-	n := len(f.freeList) * f.geo.PagesPerBlock
-	for s := range f.fronts {
-		for _, w := range f.fronts[s].ways {
-			if w.open {
-				n += f.geo.PagesPerBlock - w.next
-			}
-		}
-	}
-	return n
-}
-
-// PinnedPages returns how many physical pages are currently pinned.
-func (f *FTL) PinnedPages() int {
-	n := 0
-	for _, b := range f.blocks {
-		n += b.pinned
-	}
-	return n
 }
 
 // Lookup returns the current physical page of lpn, or NoPPN.
@@ -368,27 +341,10 @@ func (f *FTL) RetentionBudgetPages() int {
 	return f.geo.TotalPages() - int(f.logicalPages)
 }
 
-// Write stores one page of data at logical page lpn, invalidating any
-// previous version (which the retainer may pin). It returns the simulated
-// completion time. Like Read and Trim, it is a one-element SubmitBatch.
-func (f *FTL) Write(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
-	_, done, err := batch.Do(f, batch.Op{Kind: batch.OpWrite, LPN: lpn, Data: data}, at)
-	return done, err
-}
-
-// Read returns the current contents of lpn. Unmapped or trimmed pages read
-// as zeroes, as on a real SSD.
+// Read returns the current contents of lpn, as a one-element SubmitBatch.
+// Unmapped or trimmed pages read as zeroes, as on a real SSD.
 func (f *FTL) Read(lpn uint64, at simclock.Time) ([]byte, simclock.Time, error) {
 	return batch.Do(f, batch.Op{Kind: batch.OpRead, LPN: lpn}, at)
-}
-
-// Trim invalidates lpn without writing new data. On a conventional SSD the
-// stale page is then destroyed when garbage collection next reclaims its
-// block. A Retainer may pin it instead; that is the heart of RSSD's
-// enhanced trim.
-func (f *FTL) Trim(lpn uint64, at simclock.Time) (simclock.Time, error) {
-	_, done, err := batch.Do(f, batch.Op{Kind: batch.OpTrim, LPN: lpn}, at)
-	return done, err
 }
 
 // invalidate marks ppn stale and offers it to the retainer.

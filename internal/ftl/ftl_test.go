@@ -89,7 +89,7 @@ func (r *recordingRetainer) Pressure(need int, at simclock.Time) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	f := New(smallConfig(), nil)
 	want := fill(0x5A, 512)
-	if _, err := f.Write(3, want, 0); err != nil {
+	if _, err := writeOne(f, 3, want, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := f.Read(3, 0)
@@ -114,24 +114,24 @@ func TestReadUnmappedReturnsZeroes(t *testing.T) {
 
 func TestWriteValidation(t *testing.T) {
 	f := New(smallConfig(), nil)
-	if _, err := f.Write(f.LogicalPages(), fill(0, 512), 0); !errors.Is(err, ErrOutOfRange) {
+	if _, err := writeOne(f, f.LogicalPages(), fill(0, 512), 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range write err = %v", err)
 	}
-	if _, err := f.Write(0, fill(0, 100), 0); !errors.Is(err, ErrBadPageSize) {
+	if _, err := writeOne(f, 0, fill(0, 100), 0); !errors.Is(err, ErrBadPageSize) {
 		t.Fatalf("bad-size write err = %v", err)
 	}
 	if _, _, err := f.Read(f.LogicalPages(), 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range read err = %v", err)
 	}
-	if _, err := f.Trim(f.LogicalPages(), 0); !errors.Is(err, ErrOutOfRange) {
+	if _, err := trimOne(f, f.LogicalPages(), 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range trim err = %v", err)
 	}
 }
 
 func TestOverwriteReturnsNewData(t *testing.T) {
 	f := New(smallConfig(), nil)
-	f.Write(0, fill(1, 512), 0)
-	f.Write(0, fill(2, 512), 0)
+	writeOne(f, 0, fill(1, 512), 0)
+	writeOne(f, 0, fill(2, 512), 0)
 	got, _, _ := f.Read(0, 0)
 	if got[0] != 2 {
 		t.Fatalf("read %d after overwrite, want 2", got[0])
@@ -140,8 +140,8 @@ func TestOverwriteReturnsNewData(t *testing.T) {
 
 func TestTrimUnmaps(t *testing.T) {
 	f := New(smallConfig(), nil)
-	f.Write(0, fill(7, 512), 0)
-	if _, err := f.Trim(0, 0); err != nil {
+	writeOne(f, 0, fill(7, 512), 0)
+	if _, err := trimOne(f, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := f.Read(0, 0)
@@ -161,7 +161,7 @@ func TestTrimUnmaps(t *testing.T) {
 
 func TestTrimOfUnmappedIsNoop(t *testing.T) {
 	f := New(smallConfig(), nil)
-	if _, err := f.Trim(5, 0); err != nil {
+	if _, err := trimOne(f, 5, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,7 +179,7 @@ func TestGCPreservesLiveData(t *testing.T) {
 		lpn := uint64(rng.Intn(int(n)))
 		b := byte(i)
 		var err error
-		at, err = f.Write(lpn, fill(b, 512), at)
+		at, err = writeOne(f, lpn, fill(b, 512), at)
 		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
@@ -203,7 +203,7 @@ func TestWAFAboveOneUnderGC(t *testing.T) {
 	f := New(smallConfig(), nil)
 	at := simclock.Time(0)
 	for i := 0; i < 400; i++ {
-		at, _ = f.Write(uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
+		at, _ = writeOne(f, uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
 	}
 	waf := f.WAF()
 	if waf < 1.0 {
@@ -215,9 +215,9 @@ func TestRetainerSeesOverwriteAndTrim(t *testing.T) {
 	r := newRecordingRetainer(false)
 	f := New(smallConfig(), r)
 	r.f = f
-	f.Write(1, fill(1, 512), 0)
-	f.Write(1, fill(2, 512), 0)
-	f.Trim(1, 0)
+	writeOne(f, 1, fill(1, 512), 0)
+	writeOne(f, 1, fill(2, 512), 0)
+	trimOne(f, 1, 0)
 	if len(r.stale) != 2 {
 		t.Fatalf("stale events = %v", r.stale)
 	}
@@ -243,13 +243,13 @@ func TestPinnedPagesSurviveGC(t *testing.T) {
 	at := simclock.Time(0)
 	// First version of page 0 — will become stale and pinned.
 	original := fill(0xEE, 512)
-	at, _ = f.Write(0, original, at)
-	at, _ = f.Write(0, fill(0x11, 512), at)
+	at, _ = writeOne(f, 0, original, at)
+	at, _ = writeOne(f, 0, fill(0x11, 512), at)
 
 	// Churn other pages to force GC several times.
 	for i := 0; i < 300; i++ {
 		var err error
-		at, err = f.Write(uint64(1+i%6), fill(byte(i), 512), at)
+		at, err = writeOne(f, uint64(1+i%6), fill(byte(i), 512), at)
 		if err != nil {
 			t.Fatalf("churn write %d: %v", i, err)
 		}
@@ -284,10 +284,10 @@ func TestReleaseUnpins(t *testing.T) {
 	r := newRecordingRetainer(true)
 	f := New(smallConfig(), r)
 	r.f = f
-	f.Write(0, fill(1, 512), 0)
-	f.Write(0, fill(2, 512), 0)
-	if f.PinnedPages() != 1 {
-		t.Fatalf("pinned = %d, want 1", f.PinnedPages())
+	writeOne(f, 0, fill(1, 512), 0)
+	writeOne(f, 0, fill(2, 512), 0)
+	if f.pinnedPages() != 1 {
+		t.Fatalf("pinned = %d, want 1", f.pinnedPages())
 	}
 	var ppn uint64
 	for p := range r.pins {
@@ -296,7 +296,7 @@ func TestReleaseUnpins(t *testing.T) {
 	if err := f.Release(ppn); err != nil {
 		t.Fatal(err)
 	}
-	if f.PinnedPages() != 0 {
+	if f.pinnedPages() != 0 {
 		t.Fatal("release did not unpin")
 	}
 	if err := f.Release(ppn); !errors.Is(err, ErrNotPinned) {
@@ -314,7 +314,7 @@ func TestPressureCalledWhenPinsExhaustSpace(t *testing.T) {
 	at := simclock.Time(0)
 	var lastErr error
 	for i := 0; i < 200; i++ {
-		_, err := f.Write(uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
+		_, err := writeOne(f, uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
 		if err != nil {
 			lastErr = err
 			break
@@ -338,7 +338,7 @@ func TestPressureReleaseRecovers(t *testing.T) {
 	at := simclock.Time(0)
 	for i := 0; i < 500; i++ {
 		var err error
-		at, err = f.Write(uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
+		at, err = writeOne(f, uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
 		if err != nil {
 			t.Fatalf("write %d failed despite pressure releases: %v", i, err)
 		}
@@ -354,7 +354,7 @@ func TestOnErasedReportsDestroyedStaleData(t *testing.T) {
 	r.f = f
 	at := simclock.Time(0)
 	for i := 0; i < 300; i++ {
-		at, _ = f.Write(uint64(i)%4, fill(byte(i), 512), at)
+		at, _ = writeOne(f, uint64(i)%4, fill(byte(i), 512), at)
 	}
 	if len(r.erased) == 0 {
 		t.Fatal("no OnErased events despite churn")
@@ -369,7 +369,7 @@ func TestWearLevelingPrefersColdBlocks(t *testing.T) {
 	at := simclock.Time(0)
 	for i := 0; i < 2000; i++ {
 		var err error
-		at, err = f.Write(uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
+		at, err = writeOne(f, uint64(i)%f.LogicalPages(), fill(byte(i), 512), at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func TestWriteWithSeqStampsOOB(t *testing.T) {
 func TestLatencyAccumulates(t *testing.T) {
 	f := New(smallConfig(), nil)
 	at := simclock.Time(0)
-	at, _ = f.Write(0, fill(1, 512), at)
+	at, _ = writeOne(f, 0, fill(1, 512), at)
 	f.Read(0, at)
 	s := f.Stats()
 	if s.HostWriteLatency <= 0 || s.HostReadLatency <= 0 {
@@ -410,10 +410,10 @@ func TestLatencyAccumulates(t *testing.T) {
 
 func TestFreePagesDecreasesWithWrites(t *testing.T) {
 	f := New(smallConfig(), nil)
-	before := f.FreePages()
-	f.Write(0, fill(1, 512), 0)
-	if got := f.FreePages(); got != before-1 {
-		t.Fatalf("FreePages %d -> %d, want %d", before, got, before-1)
+	before := f.freePages()
+	writeOne(f, 0, fill(1, 512), 0)
+	if got := f.freePages(); got != before-1 {
+		t.Fatalf("freePages %d -> %d, want %d", before, got, before-1)
 	}
 }
 
@@ -429,7 +429,7 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			lpn := uint64(op) % ftl.LogicalPages()
 			b := byte(i + 1)
 			var err error
-			at, err = ftl.Write(lpn, fill(b, 512), at)
+			at, err = writeOne(ftl, lpn, fill(b, 512), at)
 			if err != nil {
 				return false
 			}
@@ -460,14 +460,14 @@ func TestTrimWriteInterleavingProperty(t *testing.T) {
 			if op&1 == 0 {
 				b := byte(i + 1)
 				var err error
-				at, err = ftl.Write(lpn, fill(b, 512), at)
+				at, err = writeOne(ftl, lpn, fill(b, 512), at)
 				if err != nil {
 					return false
 				}
 				latest[lpn] = b
 			} else {
 				var err error
-				at, err = ftl.Trim(lpn, at)
+				at, err = trimOne(ftl, lpn, at)
 				if err != nil {
 					return false
 				}
@@ -508,12 +508,12 @@ func TestPinAccountingProperty(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		lpn := uint64(rng.Intn(int(f.LogicalPages())))
 		var err error
-		at, err = f.Write(lpn, fill(byte(i), 512), at)
+		at, err = writeOne(f, lpn, fill(byte(i), 512), at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.PinnedPages() != len(r.pins) {
-			t.Fatalf("step %d: ftl pinned %d != retainer pins %d", i, f.PinnedPages(), len(r.pins))
+		if f.pinnedPages() != len(r.pins) {
+			t.Fatalf("step %d: ftl pinned %d != retainer pins %d", i, f.pinnedPages(), len(r.pins))
 		}
 	}
 }

@@ -93,7 +93,7 @@ func gcDeviceTrips(t *testing.T, rng *rand.Rand, check func(f *FTL, tr *gcTrip))
 		var done simclock.Time
 		var err error
 		if op%2 == 0 {
-			done, err = f.Write(lpn, page, at)
+			done, err = writeOne(f, lpn, page, at)
 		} else {
 			var ts []simclock.Time
 			ts, _, err = f.WriteBatch(nil, []BatchWrite{{LPN: lpn, Data: page}}, at)

@@ -41,15 +41,7 @@ type extent struct {
 	count uint64
 }
 
-// FileInfo describes a stored file.
-type FileInfo struct {
-	Name  string
-	Size  int // bytes
-	Pages int
-}
-
 type file struct {
-	name    string
 	size    int
 	extents []extent
 }
@@ -83,9 +75,6 @@ func (fs *FlatFS) Device() BlockDevice { return fs.dev }
 
 // Clock returns the simulation clock driving this filesystem.
 func (fs *FlatFS) Clock() *simclock.Clock { return fs.clock }
-
-// FreePages returns the number of unallocated pages.
-func (fs *FlatFS) FreePages() uint64 { return fs.free }
 
 // pagesFor returns how many pages size bytes occupy.
 func (fs *FlatFS) pagesFor(size int) uint64 {
@@ -205,7 +194,7 @@ func (fs *FlatFS) Create(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	f := &file{name: name, size: len(data), extents: exts}
+	f := &file{size: len(data), extents: exts}
 	if err := fs.writeExtents(exts, data); err != nil {
 		return err
 	}
@@ -273,30 +262,6 @@ func (fs *FlatFS) Delete(name string, trim bool) error {
 	}
 	delete(fs.files, name)
 	return nil
-}
-
-// Rename changes a file's name (metadata-only).
-func (fs *FlatFS) Rename(oldName, newName string) error {
-	f, ok := fs.files[oldName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, oldName)
-	}
-	if _, ok := fs.files[newName]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, newName)
-	}
-	delete(fs.files, oldName)
-	f.name = newName
-	fs.files[newName] = f
-	return nil
-}
-
-// Stat returns a file's metadata.
-func (fs *FlatFS) Stat(name string) (FileInfo, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return FileInfo{Name: f.name, Size: f.size, Pages: int(fs.totalPages(f))}, nil
 }
 
 // List returns all file names, sorted.

@@ -38,9 +38,9 @@ func TestCreateReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
-	info, err := fs.Stat("doc.txt")
-	if err != nil || info.Size != len(data) || info.Pages != 3 {
-		t.Fatalf("stat = %+v, %v", info, err)
+	pages, err := fs.Extents("doc.txt")
+	if err != nil || len(pages) != 3 {
+		t.Fatalf("extents = %v, %v", pages, err)
 	}
 }
 
@@ -55,9 +55,6 @@ func TestCreateDuplicate(t *testing.T) {
 func TestReadMissing(t *testing.T) {
 	fs := newFS()
 	if _, err := fs.ReadFile("ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := fs.Stat("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := fs.Extents("ghost"); !errors.Is(err, ErrNotFound) {
@@ -97,15 +94,15 @@ func TestOverwriteGrow(t *testing.T) {
 
 func TestDeleteFreesSpace(t *testing.T) {
 	fs := newFS()
-	free0 := fs.FreePages()
+	free0 := fs.free
 	fs.Create("f", bytes.Repeat([]byte{1}, 2048)) // 4 pages
-	if fs.FreePages() != free0-4 {
-		t.Fatalf("free = %d, want %d", fs.FreePages(), free0-4)
+	if fs.free != free0-4 {
+		t.Fatalf("free = %d, want %d", fs.free, free0-4)
 	}
 	if err := fs.Delete("f", false); err != nil {
 		t.Fatal(err)
 	}
-	if fs.FreePages() != free0 {
+	if fs.free != free0 {
 		t.Fatal("delete did not free pages")
 	}
 	if err := fs.Delete("f", false); !errors.Is(err, ErrNotFound) {
@@ -131,28 +128,6 @@ func TestDeleteWithTrimIssuesTrims(t *testing.T) {
 	}
 	if got := dev.Stats().Trims; got != 3 {
 		t.Fatalf("trims = %d, want 3", got)
-	}
-}
-
-func TestRename(t *testing.T) {
-	fs := newFS()
-	fs.Create("a", []byte("data"))
-	if err := fs.Rename("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadFile("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("old name still readable")
-	}
-	got, err := fs.ReadFile("b")
-	if err != nil || !bytes.Equal(got, []byte("data")) {
-		t.Fatalf("renamed read = %q, %v", got, err)
-	}
-	fs.Create("c", []byte("x"))
-	if err := fs.Rename("b", "c"); !errors.Is(err, ErrExists) {
-		t.Fatalf("rename onto existing err = %v", err)
-	}
-	if err := fs.Rename("ghost", "d"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("rename missing err = %v", err)
 	}
 }
 
@@ -197,9 +172,9 @@ func TestFillToCapacity(t *testing.T) {
 
 func TestEmptyFileOwnsOnePage(t *testing.T) {
 	fs := newFS()
-	free0 := fs.FreePages()
+	free0 := fs.free
 	fs.Create("empty", nil)
-	if fs.FreePages() != free0-1 {
+	if fs.free != free0-1 {
 		t.Fatal("empty file should own one page")
 	}
 	got, err := fs.ReadFile("empty")
@@ -212,7 +187,7 @@ func TestClockAdvancesWithIO(t *testing.T) {
 	fs := newFS()
 	t0 := fs.Clock().Now()
 	fs.Create("f", bytes.Repeat([]byte{1}, 4096))
-	if !fs.Clock().Now().After(t0) {
+	if fs.Clock().Now() <= t0 {
 		t.Fatal("I/O did not advance simulated time")
 	}
 }

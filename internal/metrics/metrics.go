@@ -20,7 +20,6 @@ type Histogram struct {
 	samples []simclock.Duration
 	count   uint64
 	sum     simclock.Duration
-	min     simclock.Duration
 	max     simclock.Duration
 	cap     int
 	stride  uint64
@@ -33,16 +32,13 @@ func NewHistogram(capSamples int) *Histogram {
 	if capSamples <= 0 {
 		capSamples = 1 << 16
 	}
-	return &Histogram{cap: capSamples, stride: 1, min: math.MaxInt64}
+	return &Histogram{cap: capSamples, stride: 1}
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(d simclock.Duration) {
 	h.count++
 	h.sum += d
-	if d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
@@ -62,23 +58,12 @@ func (h *Histogram) Observe(d simclock.Duration) {
 	h.sorted = false
 }
 
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean returns the mean of all observed samples.
 func (h *Histogram) Mean() simclock.Duration {
 	if h.count == 0 {
 		return 0
 	}
 	return simclock.Duration(int64(h.sum) / int64(h.count))
-}
-
-// Min returns the smallest observed sample (0 when empty).
-func (h *Histogram) Min() simclock.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest observed sample.

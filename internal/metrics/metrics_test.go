@@ -13,14 +13,11 @@ func TestHistogramBasics(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(simclock.Duration(i) * simclock.Microsecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count != 100 {
+		t.Fatalf("count = %d", h.count)
 	}
 	if got := h.Mean(); got != simclock.Duration(50500) {
 		t.Fatalf("mean = %v", got)
-	}
-	if got := h.Min(); got != simclock.Microsecond {
-		t.Fatalf("min = %v", got)
 	}
 	if got := h.Max(); got != 100*simclock.Microsecond {
 		t.Fatalf("max = %v", got)
@@ -41,7 +38,7 @@ func TestHistogramBasics(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(10)
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
+	if h.Mean() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("empty histogram not zeroed")
 	}
 	if h.String() != "no samples" {
@@ -54,8 +51,8 @@ func TestHistogramThinning(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		h.Observe(simclock.Duration(i))
 	}
-	if h.Count() != 10000 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count != 10000 {
+		t.Fatalf("count = %d", h.count)
 	}
 	if len(h.samples) > 128 {
 		t.Fatalf("reservoir grew to %d", len(h.samples))
@@ -114,7 +111,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: min <= mean <= max always.
+// Property: min <= mean <= max always (p0 is the minimum while nothing
+// is thinned).
 func TestMeanBoundsProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -124,7 +122,7 @@ func TestMeanBoundsProperty(t *testing.T) {
 		for _, v := range raw {
 			h.Observe(simclock.Duration(v))
 		}
-		return h.Min() <= h.Mean() && h.Mean() <= h.Max()
+		return h.Percentile(0) <= h.Mean() && h.Mean() <= h.Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

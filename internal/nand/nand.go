@@ -84,11 +84,6 @@ func (g Geometry) TotalBlocks() int { return g.Chips() * g.BlocksPerChip() }
 // TotalPages returns the number of programmable pages in the array.
 func (g Geometry) TotalPages() int { return g.TotalBlocks() * g.PagesPerBlock }
 
-// CapacityBytes returns the raw capacity of the array.
-func (g Geometry) CapacityBytes() int64 {
-	return int64(g.TotalPages()) * int64(g.PageSize)
-}
-
 // BlockOf returns the block containing physical page ppn.
 func (g Geometry) BlockOf(ppn uint64) uint64 { return ppn / uint64(g.PagesPerBlock) }
 
@@ -155,7 +150,6 @@ type OOB struct {
 	LPN  uint64   // logical page the data belonged to when written
 	Seq  uint64   // operation-log sequence number of the write
 	Hash [32]byte // SHA-256 of the data as written (the log entry's DataHash); zero when the owner stamps none
-	Kind uint8    // page kind tag, interpreted by the owner (host/GC/log)
 }
 
 // Errors returned by device operations.

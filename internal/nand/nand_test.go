@@ -52,9 +52,6 @@ func TestGeometryArithmetic(t *testing.T) {
 	if got := g.TotalPages(); got != 64 {
 		t.Fatalf("TotalPages = %d, want 64", got)
 	}
-	if got := g.CapacityBytes(); got != 64*512 {
-		t.Fatalf("CapacityBytes = %d", got)
-	}
 	ppn := g.PPN(3, 2)
 	if g.BlockOf(ppn) != 3 || g.PageIndexOf(ppn) != 2 {
 		t.Fatalf("PPN round trip broken: ppn=%d block=%d page=%d", ppn, g.BlockOf(ppn), g.PageIndexOf(ppn))
@@ -77,7 +74,7 @@ func TestGeometryPPNRoundTripProperty(t *testing.T) {
 func TestProgramReadRoundTrip(t *testing.T) {
 	d := New(testConfig())
 	data := page(0xAB, 512)
-	oob := OOB{LPN: 42, Seq: 7, Kind: 1}
+	oob := OOB{LPN: 42, Seq: 7, Hash: [32]byte{1}}
 	if _, err := d.Program(0, data, oob, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +206,7 @@ func TestChipSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !done2.After(done0) {
+	if done2 <= done0 {
 		t.Fatalf("same-chip ops did not serialize: %v then %v", done0, done2)
 	}
 	// Different chip: overlaps, completes at the bare program latency.

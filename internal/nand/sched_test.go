@@ -184,7 +184,7 @@ func TestEraseSuspend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if progDone.Before(eraseDone) {
+	if progDone < eraseDone {
 		t.Fatalf("program to erasing block completed at %v, before erase done %v", progDone, eraseDone)
 	}
 }

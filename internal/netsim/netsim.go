@@ -161,9 +161,6 @@ func (a *Arbiter) Open(c Class, weight float64) *Flow {
 	return &Flow{a: a, c: c, w: weight}
 }
 
-// Class returns the flow's traffic class.
-func (f *Flow) Class() Class { return f.c }
-
 // Close deregisters the flow, returning its share to the class.
 func (f *Flow) Close() {
 	f.once.Do(func() {
@@ -268,13 +265,6 @@ func (a *Arbiter) classAllocLocked(c Class) float64 {
 		return line - restore
 	}
 	return line
-}
-
-// ActiveFlows returns the number of open flows in class c.
-func (a *Arbiter) ActiveFlows(c Class) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.active[c]
 }
 
 // QoSStats is one class's slice of the per-class ledger, JSON-friendly

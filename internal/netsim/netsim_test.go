@@ -162,7 +162,7 @@ func TestConservationAndStarvationProperty(t *testing.T) {
 			if xfer := dur - rtt; xfer > 0 {
 				events = append(events, grantEvent{start, done, float64(bytes) / xfer.Seconds()})
 			}
-			if of.f.Class() == ClassOffload {
+			if of.f.c == ClassOffload {
 				offloadGrants++
 				// Non-starvation: the floor bounds the burst window even
 				// with restore contending. share <= open offload flows;
@@ -234,7 +234,7 @@ func TestConcurrentGrants(t *testing.T) {
 		t.Fatalf("ledger bytes = %d, want %d", got, want)
 	}
 	for c := Class(0); c < NumClasses; c++ {
-		if a.ActiveFlows(c) != 0 {
+		if a.active[c] != 0 {
 			t.Fatalf("class %v still has open flows", c)
 		}
 	}

@@ -71,9 +71,6 @@ func (m *MultiQueue) Process(n int, at simclock.Time) simclock.Time {
 	return at
 }
 
-// ProcessAll drains every submission queue: Process(0, at).
-func (m *MultiQueue) ProcessAll(at simclock.Time) simclock.Time { return m.Process(0, at) }
-
 // String aids debugging of arbitration traces.
 func (m *MultiQueue) String() string {
 	return fmt.Sprintf("nvme.MultiQueue{queues: %d, outstanding: %d, cursor: %d}", len(m.qps), m.Outstanding(), m.rr)

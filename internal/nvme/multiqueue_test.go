@@ -18,12 +18,12 @@ func TestProcessMoreThanOutstanding(t *testing.T) {
 		}
 	}
 	q.Process(100, 0)
-	if q.Outstanding() != 0 || q.Completions() != 3 {
-		t.Fatalf("outstanding=%d completions=%d after over-asking", q.Outstanding(), q.Completions())
+	if q.Outstanding() != 0 || len(q.cq) != 3 {
+		t.Fatalf("outstanding=%d completions=%d after over-asking", q.Outstanding(), len(q.cq))
 	}
 	// A second over-ask on an empty SQ is a no-op.
 	q.Process(5, 0)
-	if q.Completions() != 3 {
+	if len(q.cq) != 3 {
 		t.Fatal("processing an empty queue produced completions")
 	}
 }
@@ -84,7 +84,7 @@ func TestMultiQueueRoundRobinOrder(t *testing.T) {
 		t.Fatal("processing consumed no simulated time")
 	}
 	if m.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after ProcessAll", m.Outstanding())
+		t.Fatalf("outstanding = %d after Process", m.Outstanding())
 	}
 	// Reap per queue; each queue's completions are in its own submission
 	// order, and the k-th completion of queue i must have finished before
@@ -123,12 +123,12 @@ func TestMultiQueueCursorResumes(t *testing.T) {
 	m.Queue(0).Submit(Command{Opcode: OpFlush, CID: 1})
 	m.Queue(1).Submit(Command{Opcode: OpFlush, CID: 2})
 	m.Process(1, 0) // serves queue 0
-	if m.Queue(0).Completions() != 1 || m.Queue(1).Completions() != 0 {
+	if len(m.Queue(0).cq) != 1 || len(m.Queue(1).cq) != 0 {
 		t.Fatal("first Process(1) did not serve queue 0")
 	}
 	m.Queue(0).Submit(Command{Opcode: OpFlush, CID: 3})
 	m.Process(1, 0) // cursor is at queue 1: its command goes first
-	if m.Queue(1).Completions() != 1 {
+	if len(m.Queue(1).cq) != 1 {
 		t.Fatal("arbitration cursor did not resume at queue 1")
 	}
 }
@@ -147,12 +147,12 @@ func TestMultiQueueDataIntegrity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.ProcessAll(0)
+	m.Process(0, 0)
 	q := m.Queue(0)
 	if err := q.Submit(Command{Opcode: OpRead, CID: 99, SLBA: 0, NLB: 16 * 8}); err != nil {
 		t.Fatal(err)
 	}
-	m.ProcessAll(simclock.Time(simclock.Second))
+	m.Process(0, simclock.Time(simclock.Second))
 	var read Completion
 	for {
 		c, err := q.Reap()

@@ -113,9 +113,6 @@ func NewController(dev host.BlockDevice) *Controller {
 	}
 }
 
-// MaxLBA returns the number of addressable logical blocks.
-func (c *Controller) MaxLBA() uint64 { return c.maxLBA }
-
 // QueuePair creates a submission/completion queue pair of the given depth.
 func (c *Controller) QueuePair(depth int) *QueuePair {
 	if depth <= 0 {
@@ -179,9 +176,6 @@ func (q *QueuePair) Reap() (Completion, error) {
 
 // Outstanding returns the number of unprocessed submissions.
 func (q *QueuePair) Outstanding() int { return len(q.sq) }
-
-// Completions returns the number of unreaped completions.
-func (q *QueuePair) Completions() int { return len(q.cq) }
 
 // execute runs one command against the device.
 func (c *Controller) execute(cmd Command, at *simclock.Time) Completion {

@@ -130,7 +130,7 @@ func TestFlushCompletes(t *testing.T) {
 func TestLBARangeErrors(t *testing.T) {
 	ctrl := newCtrl()
 	q := ctrl.QueuePair(32)
-	max := ctrl.MaxLBA()
+	max := ctrl.maxLBA
 	cases := []Command{
 		{Opcode: OpRead, SLBA: max, NLB: 1},
 		{Opcode: OpWrite, SLBA: max - 1, NLB: 2, Data: lbas(0, 2)},
@@ -208,8 +208,8 @@ func TestPartialProcessing(t *testing.T) {
 		q.Submit(Command{Opcode: OpFlush, CID: uint16(i)})
 	}
 	q.Process(2, 0)
-	if q.Outstanding() != 2 || q.Completions() != 2 {
-		t.Fatalf("outstanding=%d completions=%d", q.Outstanding(), q.Completions())
+	if q.Outstanding() != 2 || len(q.cq) != 2 {
+		t.Fatalf("outstanding=%d completions=%d", q.Outstanding(), len(q.cq))
 	}
 }
 
@@ -232,7 +232,7 @@ func TestLBARoundTripProperty(t *testing.T) {
 	q := ctrl.QueuePair(64)
 	f := func(slba16 uint16, nlb8 uint8, fill byte) bool {
 		nlb := uint32(nlb8%32) + 1
-		slba := uint64(slba16) % (ctrl.MaxLBA() - uint64(nlb))
+		slba := uint64(slba16) % (ctrl.maxLBA - uint64(nlb))
 		data := lbas(fill, int(nlb))
 		if err := q.Submit(Command{Opcode: OpWrite, SLBA: slba, NLB: nlb, Data: data}); err != nil {
 			return false

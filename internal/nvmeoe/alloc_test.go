@@ -109,13 +109,13 @@ func codecSteadyStateAllocs(t *testing.T, data []byte) {
 
 	comp, _ := Deflate(raw)
 	if n := testing.AllocsPerRun(50, func() {
-		out, err := AppendInflate(scratch.B[:0], comp)
+		out, err := AppendInflateLimited(scratch.B[:0], comp, len(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
 		scratch.B = out[:0]
 	}); n != 0 {
-		t.Errorf("AppendInflate: %v allocs/op, want 0", n)
+		t.Errorf("AppendInflateLimited: %v allocs/op, want 0", n)
 	}
 
 	if n := testing.AllocsPerRun(50, func() {

@@ -208,19 +208,11 @@ func AppendDeflate(dst, p []byte) ([]byte, bool) {
 	return out, true
 }
 
-// AppendInflate appends the decompression of the DEFLATE stream p to dst.
-// The decompressor is pooled; with sufficient dst capacity the call
-// allocates nothing.
-func AppendInflate(dst, p []byte) ([]byte, error) {
-	i := bufpool.GetInflater()
-	out, err := i.Append(dst, p)
-	i.Release()
-	return out, err
-}
-
-// AppendInflateLimited is AppendInflate bounded to max decoded bytes: a
-// stream that would produce more fails instead of ballooning memory — the
-// decode guard for wire blobs whose header declares their logical size.
+// AppendInflateLimited appends the decompression of the DEFLATE stream p
+// to dst, bounded to max decoded bytes: a stream that would produce more
+// fails instead of ballooning memory — the decode guard for wire blobs
+// whose header declares their logical size. The decompressor is pooled;
+// with sufficient dst capacity the call allocates nothing.
 func AppendInflateLimited(dst, p []byte, max int) ([]byte, error) {
 	i := bufpool.GetInflater()
 	out, err := i.AppendLimited(dst, p, max)

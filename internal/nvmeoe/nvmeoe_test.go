@@ -271,7 +271,7 @@ func TestSegmentOverWire(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Append(oplog.KindWrite, 0, uint64(i), 0, uint64(i), 2.5, oplog.HashData([]byte{byte(i)}))
 	}
-	seg := &oplog.Segment{DeviceID: 42, LastSeq: 100, Entries: l.All()}
+	seg := &oplog.Segment{DeviceID: 42, LastSeq: 100, Entries: l.Entries(0, l.NextSeq())}
 	go dev.WriteMsg(MsgSegment, seg.Marshal())
 	typ, body, err := srv.ReadMsg()
 	if err != nil || typ != MsgSegment {

@@ -91,11 +91,6 @@ func AppendRefChunk(dst []byte, deviceID uint64, pages []RefPage) []byte {
 	return dst
 }
 
-// IsRefChunk reports whether b starts with the ref-chunk magic.
-func IsRefChunk(b []byte) bool {
-	return len(b) >= 4 && binary.LittleEndian.Uint32(b) == refChunkMagic
-}
-
 // WalkRefChunk decodes a serialized RefChunk, invoking fn once per page in
 // stream order. Literal Data slices alias b — callers that retain a page
 // past the walk must copy. Returns the encoding device ID.

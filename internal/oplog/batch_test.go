@@ -28,13 +28,13 @@ func TestAppendBatchChainsLikeAppend(t *testing.T) {
 	if first := batched.AppendBatch(recs); first != 1 {
 		t.Fatalf("AppendBatch returned first seq %d, want 1", first)
 	}
-	if perOp.Head() != batched.Head() {
+	if perOp.head != batched.head {
 		t.Fatal("batched chain head diverges from per-op chain")
 	}
 	if perOp.NextSeq() != batched.NextSeq() {
 		t.Fatalf("NextSeq %d vs %d", perOp.NextSeq(), batched.NextSeq())
 	}
-	pe, be := perOp.All(), batched.All()
+	pe, be := perOp.Entries(0, perOp.NextSeq()), batched.Entries(0, batched.NextSeq())
 	for i := range pe {
 		if pe[i] != be[i] {
 			t.Fatalf("entry %d diverges:\nper-op:  %+v\nbatched: %+v", i, pe[i], be[i])
@@ -55,7 +55,7 @@ func TestAppendBatchInterleavedWithAppend(t *testing.T) {
 		{Kind: KindTrim, At: 3, LPN: 3},
 	})
 	l.Append(KindRead, 4, 4, 0, 0, 0, [HashSize]byte{})
-	if err := VerifyChain(l.All(), [HashSize]byte{}); err != nil {
+	if err := VerifyChain(l.Entries(0, l.NextSeq()), [HashSize]byte{}); err != nil {
 		t.Fatal(err)
 	}
 	if l.NextSeq() != 4 {
@@ -71,7 +71,7 @@ func TestAppendBatchEmpty(t *testing.T) {
 	if first := l.AppendBatch(nil); first != 1 {
 		t.Fatalf("AppendBatch(nil) = %d, want 1", first)
 	}
-	if l.NextSeq() != 1 || l.Len() != 1 {
+	if l.NextSeq() != 1 || len(l.entries) != 1 {
 		t.Fatal("empty batch advanced the sequence counter")
 	}
 }

@@ -13,7 +13,6 @@ package oplog
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -121,14 +120,10 @@ func (e *Entry) ComputeHash(prev [HashSize]byte) [HashSize]byte {
 	return sha256.Sum256(buf)
 }
 
-// Seal sets PrevHash and Hash from the previous hash in the chain.
-func (e *Entry) Seal(prev [HashSize]byte) {
-	e.sealWith(prev, nil)
-}
-
-// sealWith is Seal with an optional scratch buffer, so batched appends can
-// hash every entry of a batch through one reused allocation. It returns the
-// (possibly grown) buffer for the next entry.
+// sealWith sets PrevHash and Hash from the previous hash in the chain,
+// hashing through buf, so batched appends hash every entry of a batch
+// through one reused allocation. It returns the (possibly grown) buffer for
+// the next entry.
 func (e *Entry) sealWith(prev [HashSize]byte, buf []byte) []byte {
 	buf = buf[:0]
 	buf = append(buf, prev[:]...)
@@ -145,21 +140,6 @@ func (e *Entry) Verify() bool { return e.Hash == e.ComputeHash(e.PrevHash) }
 // Marshal appends the wire encoding of e to b: the hashed body, and neither
 // chain hash.
 func (e *Entry) Marshal(b []byte) []byte { return e.appendBody(b) }
-
-// ErrShortEntry is returned when unmarshaling truncated data.
-var ErrShortEntry = errors.New("oplog: short entry")
-
-// UnmarshalEntry decodes one entry from b, returning the remaining bytes.
-// PrevHash and Hash are left zero: they follow from the entry's place in a
-// chain, which one entry's bytes do not say.
-func UnmarshalEntry(b []byte) (Entry, []byte, error) {
-	if len(b) < EntrySize {
-		return Entry{}, b, ErrShortEntry
-	}
-	var e Entry
-	e.setBody(b)
-	return e, b[EntrySize:], nil
-}
 
 // setBody fills the hashed fields of e from the first EntrySize bytes of b.
 func (e *Entry) setBody(b []byte) {
@@ -257,27 +237,6 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// Head returns the hash of the newest entry.
-func (l *Log) Head() [HashSize]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.head
-}
-
-// BaseSeq returns the oldest sequence still held locally.
-func (l *Log) BaseSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.baseSeq
-}
-
-// Len returns the number of locally held entries.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
 // Entries returns a copy of entries with from <= Seq < to that are still
 // held locally.
 func (l *Log) Entries(from, to uint64) []Entry {
@@ -294,15 +253,6 @@ func (l *Log) Entries(from, to uint64) []Entry {
 	}
 	out := make([]Entry, to-from)
 	copy(out, l.entries[from-l.baseSeq:to-l.baseSeq])
-	return out
-}
-
-// All returns a copy of every locally held entry.
-func (l *Log) All() []Entry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
 	return out
 }
 

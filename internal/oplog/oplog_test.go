@@ -27,7 +27,7 @@ func TestChainVerifies(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		l.Append(KindWrite, simclock.Time(i), uint64(i), 0, uint64(i+1), 0, HashData([]byte{byte(i)}))
 	}
-	if err := VerifyChain(l.All(), [32]byte{}); err != nil {
+	if err := VerifyChain(l.Entries(0, l.NextSeq()), [32]byte{}); err != nil {
 		t.Fatalf("valid chain rejected: %v", err)
 	}
 }
@@ -37,7 +37,7 @@ func TestChainDetectsTampering(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		l.Append(KindWrite, simclock.Time(i), uint64(i), 0, 0, 0, [32]byte{})
 	}
-	entries := l.All()
+	entries := l.Entries(0, l.NextSeq())
 
 	// Mutating any field of any entry must be detected.
 	mutated := append([]Entry(nil), entries...)
@@ -67,7 +67,7 @@ func TestChainMidStartVerification(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(KindTrim, simclock.Time(i), uint64(i), uint64(i), 0, 0, [32]byte{})
 	}
-	all := l.All()
+	all := l.Entries(0, l.NextSeq())
 	// Verifying a suffix requires the hash of the entry just before it.
 	if err := VerifyChain(all[4:], all[3].Hash); err != nil {
 		t.Fatalf("suffix verification failed: %v", err)
@@ -78,40 +78,39 @@ func TestChainMidStartVerification(t *testing.T) {
 	}
 }
 
+// oneEntrySegment marshals a segment holding only e, the form in which an
+// entry crosses the wire and lies at rest.
+func oneEntrySegment(e Entry) []byte {
+	return (&Segment{DeviceID: 1, FirstSeq: e.Seq, LastSeq: e.Seq + 1, Entries: []Entry{e}}).Marshal()
+}
+
 func TestEntryMarshalRoundTrip(t *testing.T) {
-	e := Entry{
-		Seq: 42, At: simclock.Time(1234567), Kind: KindTrim,
-		LPN: 7, OldPPN: 99, NewPPN: 100, Entropy: 7.91,
-		DataHash: HashData([]byte("abc")),
-	}
 	prev := HashData([]byte("prev"))
-	e.Seal(prev)
+	e := ResumeFrom(42, prev).Append(KindTrim, simclock.Time(1234567), 7, 99, 100, 7.91, HashData([]byte("abc")))
 	buf := e.Marshal(nil)
 	// The hashed body and neither chain hash: 141 bytes before protocol v3.
 	if len(buf) != 77 || EntrySize != 77 {
 		t.Fatalf("marshal size = %d, EntrySize = %d, want 77", len(buf), EntrySize)
 	}
-	got, rest, err := UnmarshalEntry(buf)
+	seg, err := UnmarshalSegment(oneEntrySegment(e))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 {
-		t.Fatal("trailing bytes")
+	if len(seg.Entries) != 1 {
+		t.Fatalf("decoded %d entries, want 1", len(seg.Entries))
 	}
-	if got.PrevHash != ([HashSize]byte{}) || got.Hash != ([HashSize]byte{}) {
-		t.Fatal("UnmarshalEntry filled a chain hash the bytes do not carry")
-	}
-	got.Seal(prev)
-	if got != e {
+	if got := seg.Entries[0]; got != e {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, e)
 	}
-	if !got.Verify() {
+	if !seg.Entries[0].Verify() {
 		t.Fatal("round-tripped entry fails verification")
 	}
 }
 
+// TestUnmarshalShort: an entry cut short is refused, not read past.
 func TestUnmarshalShort(t *testing.T) {
-	if _, _, err := UnmarshalEntry(make([]byte, EntrySize-1)); !errors.Is(err, ErrShortEntry) {
+	buf := oneEntrySegment(New().Append(KindWrite, 1, 2, 3, 4, 5, [32]byte{}))
+	if _, err := UnmarshalSegment(buf[:len(buf)-1]); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -126,8 +125,8 @@ func TestEntriesRangeAndPrune(t *testing.T) {
 		t.Fatalf("Entries(3,6) = %+v", got)
 	}
 	l.Prune(4)
-	if l.BaseSeq() != 4 || l.Len() != 6 {
-		t.Fatalf("after prune: base=%d len=%d", l.BaseSeq(), l.Len())
+	if l.baseSeq != 4 || len(l.entries) != 6 {
+		t.Fatalf("after prune: base=%d len=%d", l.baseSeq, len(l.entries))
 	}
 	// Range clamps to what's held locally.
 	got = l.Entries(0, 100)
@@ -140,7 +139,7 @@ func TestEntriesRangeAndPrune(t *testing.T) {
 	}
 	// Pruning backwards is a no-op.
 	l.Prune(2)
-	if l.BaseSeq() != 4 {
+	if l.baseSeq != 4 {
 		t.Fatal("prune moved backwards")
 	}
 }
@@ -219,14 +218,9 @@ func TestKindStrings(t *testing.T) {
 // Property: marshal/unmarshal round-trips arbitrary entries.
 func TestEntryRoundTripProperty(t *testing.T) {
 	f := func(seq, lpn, old, new uint64, at int64, kind uint8, ent float32, dh [32]byte, ph [32]byte) bool {
-		e := Entry{
-			Seq: seq, At: simclock.Time(at), Kind: Kind(kind),
-			LPN: lpn, OldPPN: old, NewPPN: new, Entropy: ent, DataHash: dh,
-		}
-		e.Seal(ph)
-		got, rest, err := UnmarshalEntry(e.Marshal(nil))
-		got.Seal(ph)
-		return err == nil && len(rest) == 0 && got == e
+		e := ResumeFrom(seq, ph).Append(Kind(kind), simclock.Time(at), lpn, old, new, ent, dh)
+		seg, err := UnmarshalSegment(oneEntrySegment(e))
+		return err == nil && len(seg.Entries) == 1 && seg.Entries[0] == e
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -236,21 +230,17 @@ func TestEntryRoundTripProperty(t *testing.T) {
 // Property: any single-bit corruption of a marshaled entry changes the hash
 // a reader derives for it (i.e., the chain detects it).
 func TestEntryTamperDetectionProperty(t *testing.T) {
-	base := Entry{Seq: 1, At: 2, Kind: KindWrite, LPN: 3, OldPPN: 4, NewPPN: 5, Entropy: 6}
-	base.Seal([32]byte{1, 2, 3})
-	buf := base.Marshal(nil)
+	base := ResumeFrom(1, [32]byte{1, 2, 3}).Append(KindWrite, 2, 3, 4, 5, 6, [32]byte{})
+	buf := oneEntrySegment(base)
+	body := len(buf) - EntrySize
 	f := func(bitIdx uint16) bool {
-		idx := int(bitIdx) % (len(buf) * 8)
+		idx := int(bitIdx) % (EntrySize * 8)
 		mutated := append([]byte(nil), buf...)
-		mutated[idx/8] ^= 1 << (idx % 8)
-		got, _, err := UnmarshalEntry(mutated)
-		if err != nil {
-			return true
-		}
-		// Sealed onto the same predecessor it no longer hashes to what the
-		// successor's PrevHash, or the segment's last hash, holds.
-		got.Seal(base.PrevHash)
-		return got.Hash != base.Hash
+		mutated[body+idx/8] ^= 1 << (idx % 8)
+		// Derived onto the same predecessor it no longer hashes to the
+		// segment's last hash.
+		_, err := UnmarshalSegment(mutated)
+		return errors.Is(err, ErrBadSegment)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

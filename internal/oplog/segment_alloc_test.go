@@ -12,13 +12,9 @@ import (
 func allocTestSegment() *Segment {
 	seg := &Segment{DeviceID: 3, FirstSeq: 10, LastSeq: 14,
 		FirstTime: simclock.Time(100), LastTime: simclock.Time(400)}
-	var prev [HashSize]byte
+	l := ResumeFrom(10, [HashSize]byte{})
 	for i := uint64(10); i < 14; i++ {
-		e := Entry{Seq: i, Kind: KindWrite, At: simclock.Time(100 * i), LPN: i,
-			DataHash: HashData([]byte{byte(i)})}
-		e.Seal(prev)
-		seg.Entries = append(seg.Entries, e)
-		prev = e.Hash
+		seg.Entries = append(seg.Entries, l.Append(KindWrite, simclock.Time(100*i), i, 0, 0, 0, HashData([]byte{byte(i)})))
 	}
 	data := bytes.Repeat([]byte("retained page "), 300)
 	seg.Pages = []PageRecord{

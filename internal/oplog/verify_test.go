@@ -34,7 +34,7 @@ func verifyChain(n int) []Entry {
 		l.Append(Kind(1+i%int(KindRead)), simclock.Time(i*10), uint64(i*7%512), uint64(i), uint64(i+1),
 			float32(i%80)/10, HashData([]byte{byte(i), byte(i >> 8)}))
 	}
-	return l.All()
+	return l.Entries(0, l.NextSeq())
 }
 
 // corrupt breaks entries[i] one of the ways it can be broken: a flipped bit
@@ -48,13 +48,13 @@ func corrupt(entries []Entry, i, how int) {
 	case 0, 1:
 		e.PrevHash[3] ^= 0x10
 		if how == 1 {
-			e.Seal(e.PrevHash)
+			e.sealWith(e.PrevHash, nil)
 		}
 	case 2:
 		e.LPN ^= 1
 	case 3:
 		e.Seq++
-		e.Seal(e.PrevHash)
+		e.sealWith(e.PrevHash, nil)
 	}
 }
 

@@ -72,25 +72,6 @@ func (c *ClusterConfig) normalize() {
 	}
 }
 
-// ClusterStats ledgers control-plane events.
-type ClusterStats struct {
-	// Dials and DialsRefused count placement-aware dial attempts; refusals
-	// happen in the window between a server's death and its eviction from
-	// the ring (devices back off and redial).
-	Dials        uint64
-	DialsRefused uint64
-	// Kills and DevicesFailedOver count injected/observed server deaths
-	// and the devices they remapped; Revives counts dead servers brought
-	// back into the ring.
-	Kills             int
-	Revives           int
-	DevicesFailedOver int
-	// Rebalances counts weight cuts; DevicesRebalanced the devices they
-	// moved off hot servers.
-	Rebalances        int
-	DevicesRebalanced int
-}
-
 // ServerInfo is one server's control-plane row.
 type ServerInfo struct {
 	ID        int
@@ -113,7 +94,6 @@ type clusterNode struct {
 // Cluster is the multi-server control plane. Safe for concurrent use.
 type Cluster struct {
 	cfg       ClusterConfig
-	store     *Store
 	ring      *Ring
 	placement *Placement
 
@@ -126,7 +106,6 @@ type Cluster struct {
 
 	mu    sync.RWMutex
 	nodes []*clusterNode
-	stats ClusterStats
 }
 
 // NewCluster builds cfg.Servers ingest servers over the shared store.
@@ -135,7 +114,6 @@ func NewCluster(store *Store, cfg ClusterConfig) *Cluster {
 	ring := NewRing()
 	c := &Cluster{
 		cfg:       cfg,
-		store:     store,
 		ring:      ring,
 		placement: NewPlacement(ring),
 	}
@@ -148,9 +126,6 @@ func NewCluster(store *Store, cfg ClusterConfig) *Cluster {
 	}
 	return c
 }
-
-// Store returns the shared durable store.
-func (c *Cluster) Store() *Store { return c.store }
 
 // Server returns one server by ID (nil when out of range) — for tests and
 // per-server reporting.
@@ -169,13 +144,6 @@ func (c *Cluster) Owner(deviceID uint64) (int, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.placement.Owner(deviceID)
-}
-
-// Stats returns a snapshot of the control-plane ledger.
-func (c *Cluster) Stats() ClusterStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.stats
 }
 
 // Servers returns every server's control-plane row, dead ones included.
@@ -216,9 +184,6 @@ func (c *Cluster) Dial(deviceID uint64) (*Client, error) {
 	var target *clusterNode
 	if ok && node >= 0 && node < len(c.nodes) && c.nodes[node].alive {
 		target = c.nodes[node]
-		c.stats.Dials++
-	} else {
-		c.stats.DialsRefused++
 	}
 	c.mu.Unlock()
 	if target == nil {
@@ -281,8 +246,6 @@ func (c *Cluster) Kill(id int) ([]Move, error) {
 	c.mu.Lock()
 	c.ring.RemoveNode(id)
 	moves := c.placement.Evict(id)
-	c.stats.Kills++
-	c.stats.DevicesFailedOver += len(moves)
 	if c.OnMove != nil {
 		for _, m := range moves {
 			c.OnMove(m.Device, m.From, m.To)
@@ -318,7 +281,6 @@ func (c *Cluster) Revive(id int) error {
 	// window reflects only fresh traffic.
 	node.srv.TakeIngestWindow()
 	c.ring.AddNode(id, node.weight)
-	c.stats.Revives++
 	return nil
 }
 
@@ -387,8 +349,6 @@ func (c *Cluster) cutHottestLocked() (*clusterNode, []Move) {
 	hot.hotTicks = 0
 	c.ring.SetWeight(hot.id, w)
 	moves := c.placement.Rebalance(hot.id)
-	c.stats.Rebalances++
-	c.stats.DevicesRebalanced += len(moves)
 	if c.OnMove != nil {
 		for _, m := range moves {
 			c.OnMove(m.Device, m.From, m.To)

@@ -103,11 +103,6 @@ func TestClusterKillFailoverChainContinuity(t *testing.T) {
 			t.Fatalf("device %d still owned by dead server %d", dev, victim)
 		}
 	}
-	cs := c.Stats()
-	if cs.Kills != 1 || cs.DevicesFailedOver != len(moves) {
-		t.Fatalf("cluster stats %+v, want 1 kill / %d failed over", cs, len(moves))
-	}
-
 	// Guardrails: a dead server cannot die twice, and the last live server
 	// is unkillable.
 	if _, err := c.Kill(victim); err == nil {
@@ -203,11 +198,6 @@ func TestClusterRebalanceUnderSkew(t *testing.T) {
 	if after := c.Spread()[hot]; after >= hotBefore {
 		t.Fatalf("hot server still holds %d devices (was %d)", after, hotBefore)
 	}
-	cs := c.Stats()
-	if cs.Rebalances != 1 || cs.DevicesRebalanced != len(moves) {
-		t.Fatalf("cluster stats %+v", cs)
-	}
-
 	// A cool fleet never rebalances: idle windows are quiet.
 	for i := 0; i < 4; i++ {
 		if moves := c.RebalanceOnIngest(); moves != nil {
@@ -292,7 +282,10 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 
 	// The drain contract: at return, no session is still tracked and the
 	// store is frozen — nothing trickles in afterwards.
-	if n := srv.ActiveSessions(); n != 0 {
+	srv.mu.Lock()
+	n := len(srv.conns)
+	srv.mu.Unlock()
+	if n != 0 {
 		t.Fatalf("%d sessions still tracked after Close", n)
 	}
 	headsAt := func() map[uint64]uint64 {
@@ -318,7 +311,7 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 		if err := oplog.VerifyChain(st.Entries(dev, 0, head), [oplog.HashSize]byte{}); err != nil {
 			t.Fatalf("device %d chain after close: %v", dev, err)
 		}
-		ist := srv.IngestStats(dev)
+		ist := srv.ingestStats(dev)
 		if ist.Errors != 0 {
 			t.Fatalf("device %d ledgered %d ingest errors on a clean close", dev, ist.Errors)
 		}
@@ -382,7 +375,7 @@ func TestClusterFailoverPreservesDeviceOrder(t *testing.T) {
 	blobs, seqs := blobsFor(buildSegments(dev, segs, perSeg))
 	pushed := 0
 	for i := range blobs {
-		if err := cl.PushSegmentBlob(blobs[i], seqs[i]); err != nil {
+		if _, err := cl.PushSegmentBlob(blobs[i], seqs[i]); err != nil {
 			break
 		}
 		pushed++

@@ -158,8 +158,7 @@ func (d DedupStats) HitRate() float64 {
 // pages literal-ed before a cut resolve references after it) and is not
 // concurrency-safe: one restorer owns it.
 type ResolveCache struct {
-	m     map[[oplog.HashSize]byte][]byte
-	bytes int64
+	m map[[oplog.HashSize]byte][]byte
 }
 
 // NewResolveCache returns an empty cache.
@@ -178,7 +177,6 @@ func (c *ResolveCache) Add(h [oplog.HashSize]byte, data []byte) ([]byte, error) 
 	}
 	cp := append([]byte(nil), data...)
 	c.m[h] = cp
-	c.bytes += int64(len(cp))
 	return cp, nil
 }
 
@@ -199,7 +197,3 @@ func (c *ResolveCache) Lookup(h [oplog.HashSize]byte) ([]byte, bool) {
 	data, ok := c.m[h]
 	return data, ok
 }
-
-// Pages reports distinct cached contents; Bytes their physical footprint.
-func (c *ResolveCache) Pages() int   { return len(c.m) }
-func (c *ResolveCache) Bytes() int64 { return c.bytes }

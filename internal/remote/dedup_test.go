@@ -61,7 +61,7 @@ func TestMixedLiteralDedupRestore(t *testing.T) {
 	srv := NewServer(st, psk)
 	pool := dedupContent(8)
 	for _, seg := range buildDedupSegments(7, 5, 8, pool) { // 40 pages, 8 unique
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestServerRefusesRetiredForms(t *testing.T) {
 	}
 	defer cl.Close()
 	segs := buildSegments(5, 2, 4)
-	if err := cl.PushSegment(segs[0]); err != nil {
+	if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(segs[0].Marshal()), segs[0].LastSeq); err != nil {
 		t.Fatal(err)
 	}
 	badData := func(what string, err error) {
@@ -238,13 +238,14 @@ func TestServerRefusesRetiredForms(t *testing.T) {
 		_, err := cl.roundTrip(nvmeoe.MsgFetch, req.Marshal()[:n], nvmeoe.MsgFetchResp)
 		badData(fmt.Sprintf("%d-byte fetch request", n), err)
 	}
-	badData("segment without the codec header", cl.PushSegmentBlob(segs[1].Marshal(), segs[1].LastSeq))
+	_, err = cl.PushSegmentBlob(segs[1].Marshal(), segs[1].LastSeq)
+	badData("segment without the codec header", err)
 	_, err = cl.roundTrip(nvmeoe.MsgType(10), nil, nvmeoe.MsgFetchResp)
 	badData("message type 10", err)
-	if ist := srv.IngestStats(5); ist.Segments != 1 || ist.Errors != 1 {
+	if ist := srv.ingestStats(5); ist.Segments != 1 || ist.Errors != 1 {
 		t.Fatalf("ingest ledger = %+v, want 1 segment and 1 error", ist)
 	}
-	if err := cl.PushSegment(segs[1]); err != nil {
+	if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(segs[1].Marshal()), segs[1].LastSeq); err != nil {
 		t.Fatalf("the same segment, codec-framed: %v", err)
 	}
 }
@@ -274,7 +275,7 @@ func TestDedupRefcountConcurrent(t *testing.T) {
 		go func(dev uint64) {
 			defer writers.Done()
 			for i, seg := range buildDedupSegments(dev, segs, pages, pool) {
-				if err := st.AppendSegment(seg); err != nil {
+				if err := appendDecoded(st, seg); err != nil {
 					errCh <- fmt.Errorf("device %d append %d: %w", dev, i, err)
 					return
 				}
@@ -369,7 +370,7 @@ func TestForgedDedupHitRefused(t *testing.T) {
 	prefix, target := tamperChain(1, 42)
 	held := prefix.Pages[1]
 	st := NewStore(NewMemStore())
-	if err := st.AppendSegment(prefix); err != nil {
+	if err := appendDecoded(st, prefix); err != nil {
 		t.Fatal(err)
 	}
 	before, dedupBefore := snapshot(t, st, 1), st.Dedup()
@@ -412,7 +413,7 @@ func TestForgedDedupHitRefused(t *testing.T) {
 			t.Fatalf("%s: Reload err=%v, want page record 3 refused", tc.what, err)
 		}
 	}
-	if err := st.AppendSegment(target); err != nil {
+	if err := appendDecoded(st, target); err != nil {
 		t.Fatalf("the honest segment after the forgeries: %v", err)
 	}
 }
@@ -457,7 +458,7 @@ func TestDedupHitReleasedBeforeAdopt(t *testing.T) {
 	}
 	for round := 0; round < 200; round++ {
 		st := NewStore(NewMemStore())
-		if err := st.AppendSegment(page(1, content)); err != nil {
+		if err := appendDecoded(st, page(1, content)); err != nil {
 			t.Fatal(err)
 		}
 		start := make(chan struct{})
@@ -468,7 +469,7 @@ func TestDedupHitReleasedBeforeAdopt(t *testing.T) {
 		}()
 		buf := slices.Clone(content)
 		close(start)
-		err := st.AppendSegment(page(2, buf))
+		err := appendDecoded(st, page(2, buf))
 		clear(buf)
 		if dropErr := <-dropped; err != nil || dropErr != nil {
 			t.Fatalf("round %d: append %v, drop %v", round, err, dropErr)
@@ -497,14 +498,14 @@ func TestFetchSegmentOwnsItsPages(t *testing.T) {
 	}{{deflated, nvmeoe.CodecDeflate}, {stored, nvmeoe.CodecStored}} {
 		seg := tc.seg
 		want := slices.Clone(seg.Pages)
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
-		keys, err := st.Blobs().List(fmt.Sprintf("dev/%d/seg/", seg.DeviceID))
+		keys, err := st.blobs.List(fmt.Sprintf("dev/%d/seg/", seg.DeviceID))
 		if err != nil || len(keys) != 1 {
 			t.Fatalf("device %d: segment keys %q, err=%v, want one", seg.DeviceID, keys, err)
 		}
-		if blob, err := st.Blobs().Get(keys[0]); err != nil || nvmeoe.Codec(blob[4]) != tc.codec {
+		if blob, err := st.blobs.Get(keys[0]); err != nil || nvmeoe.Codec(blob[4]) != tc.codec {
 			t.Fatalf("device %d: blob err=%v, want codec %v", seg.DeviceID, err, tc.codec)
 		}
 		got, err := st.FetchSegment(seg.DeviceID, 0)

@@ -52,9 +52,6 @@ type IngestStats struct {
 	// DecodeTime is wall time the lane spent inflating and unmarshaling
 	// this device's segments.
 	DecodeTime time.Duration
-	// DetectTime is wall time spent in store subscribers (the streaming
-	// detection pipeline) for this device, read from the store's ledger.
-	DetectTime time.Duration
 	// DecodeQueuePeak is the deepest decode backlog (segments enqueued but
 	// not yet fully ingested) any session of this device reached.
 	DecodeQueuePeak int
@@ -65,28 +62,8 @@ type ingestLedger struct {
 	st IngestStats
 }
 
-// IngestStats returns the ingest-side ledger for one device.
-func (s *Server) IngestStats(deviceID uint64) IngestStats {
-	s.mu.Lock()
-	l := s.ingest[deviceID]
-	s.mu.Unlock()
-	var st IngestStats
-	if l != nil {
-		l.mu.Lock()
-		st = l.st
-		l.mu.Unlock()
-	}
-	if s.Store != nil {
-		st.DetectTime = s.Store.SubscriberTime(deviceID)
-	}
-	return st
-}
-
 // IngestTotals sums the per-device ingest ledgers into one server-wide
-// view — the per-server row of the fleet scaling curve. DetectTime is
-// omitted (the store's subscriber ledger is per device across the whole
-// cluster, and a failed-over device would be double-counted); read it per
-// device via IngestStats instead.
+// view — the per-server row of the fleet scaling curve.
 func (s *Server) IngestTotals() IngestStats {
 	s.mu.Lock()
 	ledgers := make([]*ingestLedger, 0, len(s.ingest))

@@ -58,7 +58,7 @@ func BenchmarkIngestSegment(b *testing.B) {
 				if i%segs == 0 {
 					b.StopTimer()
 					st = NewStore(NewMemStore())
-					if err := st.AppendSegment(prime); err != nil {
+					if err := appendDecoded(st, prime); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
@@ -107,7 +107,7 @@ func TestIngestHitSteadyStateAllocs(t *testing.T) {
 		}
 		st := NewStore(NewMemStore())
 		for _, seg := range []*oplog.Segment{prime, segs[0]} {
-			if err := st.AppendSegment(seg); err != nil {
+			if err := appendDecoded(st, seg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -39,7 +39,7 @@ func TestIngestFrameMutationCorpus(t *testing.T) {
 	rejected, accepted := 0, 0
 	mutate := func(mutant []byte, mustReject bool, what string) {
 		t.Helper()
-		err := cl.PushSegmentBlob(mutant, segs[0].LastSeq)
+		_, err := cl.PushSegmentBlob(mutant, segs[0].LastSeq)
 		if err == nil {
 			if mustReject {
 				t.Fatalf("%s: corrupted blob accepted", what)
@@ -121,7 +121,7 @@ func TestIngestFrameMutationCorpus(t *testing.T) {
 	if err := oplog.VerifyChain(st.Entries(1, 0, head.NextSeq), [oplog.HashSize]byte{}); err != nil {
 		t.Fatalf("chain verify after corpus: %v", err)
 	}
-	if errs := srv.IngestStats(1).Errors; errs != uint64(rejected) {
+	if errs := srv.ingestStats(1).Errors; errs != uint64(rejected) {
 		t.Fatalf("ingest ledger counts %d errors, corpus drew %d rejections", errs, rejected)
 	}
 }

@@ -105,7 +105,7 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 				t.Fatalf("device %d: out-of-order delivery %v", deviceID, seqs)
 			}
 		}
-		ist := srv.IngestStats(deviceID)
+		ist := srv.ingestStats(deviceID)
 		if ist.Segments != segsPerDevice || ist.Errors != 0 {
 			t.Fatalf("device %d ingest stats %+v", deviceID, ist)
 		}
@@ -151,7 +151,7 @@ func TestDecodeLaneErrorKeepsSession(t *testing.T) {
 	if err := cl.PushSegmentBlobs(blobs, lastSeqs, 2); err != nil {
 		t.Fatalf("resync push: %v", err)
 	}
-	ist := srv.IngestStats(13)
+	ist := srv.ingestStats(13)
 	if ist.Errors != 1 || ist.Segments != 3 {
 		t.Fatalf("ingest stats after resync %+v", ist)
 	}

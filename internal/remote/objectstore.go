@@ -88,18 +88,6 @@ func (m *MemStore) Delete(key string) error {
 	return nil
 }
 
-// Size returns the total stored bytes; capacity accounting in the
-// retention experiments uses it.
-func (m *MemStore) Size() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var n int64
-	for _, d := range m.data {
-		n += int64(len(d))
-	}
-	return n
-}
-
 // DirStore is a filesystem-backed ObjectStore: each key is a file under
 // the root directory. Keys may contain '/' which map to subdirectories.
 type DirStore struct {

@@ -126,13 +126,6 @@ func (r *Ring) SetWeight(node, weight int) {
 	r.rebuild()
 }
 
-// Weight returns a node's weight (0 when absent).
-func (r *Ring) Weight(node int) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.weights[node]
-}
-
 // HasNode reports ring membership.
 func (r *Ring) HasNode(node int) bool {
 	r.mu.RLock()

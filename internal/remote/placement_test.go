@@ -197,7 +197,7 @@ func TestRingWeightCutShedsOnlyFromCutNode(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("weight cut moved nothing; test is vacuous")
 	}
-	if w := r.Weight(hot); w != 50 {
+	if w := r.weights[hot]; w != 50 {
 		t.Fatalf("weight = %d, want 50", w)
 	}
 }

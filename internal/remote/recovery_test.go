@@ -40,7 +40,7 @@ func buildPageSegments(deviceID uint64, n, k int) []*oplog.Segment {
 func TestImageRangeChunks(t *testing.T) {
 	st := NewStore(NewMemStore())
 	for _, seg := range buildPageSegments(1, 4, 10) {
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestImageRangeMatchesFullScan(t *testing.T) {
 			seg.Pages = append(seg.Pages, oplog.PageRecord{LPN: lpn, WriteSeq: e.Seq, StaleSeq: e.Seq + 1, Hash: e.DataHash, Data: data})
 		}
 		seg.LastSeq = l.NextSeq()
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
 	for _, seg := range buildPageSegments(5, 4, 10) {
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +261,13 @@ func TestRecoveryLinkFairShare(t *testing.T) {
 		t.Fatalf("share not returned after release: %v", got)
 	}
 	rel1()
-	if active := arb.ActiveFlows(netsim.ClassRestore); active != 0 || l.PeakSessions() != 3 {
-		t.Fatalf("active=%d peak=%d", active, l.PeakSessions())
+	// Every session released: a new one runs solo again.
+	rel4 := l.Open()
+	defer rel4()
+	if got := l.ChunkTimeAt(bytes, 0); got != solo {
+		t.Fatalf("sessions still open after release: chunk = %v", got)
+	}
+	if peak := arb.ClassStats(netsim.ClassRestore).QueuePeak; peak != 3 {
+		t.Fatalf("peak=%d", peak)
 	}
 }

@@ -51,8 +51,3 @@ func (l *RecoveryLink) Open() (release func()) {
 func (l *RecoveryLink) ChunkTimeAt(bytes int, now simclock.Time) simclock.Duration {
 	return l.arb.GrantClassAt(netsim.ClassRestore, bytes, now)
 }
-
-// PeakSessions returns the most sessions ever recovering at once.
-func (l *RecoveryLink) PeakSessions() int {
-	return l.arb.ClassStats(netsim.ClassRestore).QueuePeak
-}

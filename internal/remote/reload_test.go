@@ -60,7 +60,7 @@ func reloadHistory(t *testing.T, st *Store, seed int64, devs []uint64) {
 			continue
 		}
 		seg.LastSeq = l.NextSeq()
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatalf("seed %d step %d: %v", seed, step, err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestReloadMatchesLiveStore(t *testing.T) {
 		live := NewStore(NewMemStore())
 		reloadHistory(t, live, seed, devs)
 		expire(t, live, devs)
-		reloaded := NewStore(live.Blobs())
+		reloaded := NewStore(live.blobs)
 		if err := reloaded.Reload(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

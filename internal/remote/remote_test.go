@@ -92,7 +92,7 @@ func buildSegments(deviceID uint64, n, k int) []*oplog.Segment {
 func TestAppendSegmentAndQuery(t *testing.T) {
 	st := NewStore(NewMemStore())
 	for _, seg := range buildSegments(1, 3, 10) {
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,10 +133,10 @@ func TestAppendSegmentAndQuery(t *testing.T) {
 func TestAppendSegmentRejectsGap(t *testing.T) {
 	st := NewStore(NewMemStore())
 	segs := buildSegments(1, 3, 5)
-	if err := st.AppendSegment(segs[0]); err != nil {
+	if err := appendDecoded(st, segs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendSegment(segs[2]); err == nil {
+	if err := appendDecoded(st, segs[2]); err == nil {
 		t.Fatal("segment with sequence gap accepted")
 	}
 }
@@ -144,9 +144,9 @@ func TestAppendSegmentRejectsGap(t *testing.T) {
 func TestAppendSegmentRejectsTamperedChain(t *testing.T) {
 	st := NewStore(NewMemStore())
 	segs := buildSegments(1, 2, 5)
-	st.AppendSegment(segs[0])
+	appendDecoded(st, segs[0])
 	segs[1].Entries[2].LPN = 9999 // tamper, breaking the hash
-	if err := st.AppendSegment(segs[1]); err == nil {
+	if err := appendDecoded(st, segs[1]); err == nil {
 		t.Fatal("tampered segment accepted")
 	}
 }
@@ -155,7 +155,7 @@ func TestAppendSegmentRejectsCorruptPages(t *testing.T) {
 	st := NewStore(NewMemStore())
 	segs := buildSegments(1, 1, 5)
 	segs[0].Pages[0].Data = []byte("not-what-was-hashed")
-	if err := st.AppendSegment(segs[0]); err == nil {
+	if err := appendDecoded(st, segs[0]); err == nil {
 		t.Fatal("corrupt page data accepted")
 	}
 }
@@ -170,7 +170,7 @@ func TestOnSegmentHook(t *testing.T) {
 		}
 	}
 	for _, seg := range buildSegments(1, 2, 3) {
-		st.AppendSegment(seg)
+		appendDecoded(st, seg)
 	}
 	if calls != 2 {
 		t.Fatalf("hook calls = %d", calls)
@@ -206,7 +206,7 @@ func TestCheckpoints(t *testing.T) {
 // reloaded returns a second index rebuilt from st's object tier.
 func reloaded(t *testing.T, st *Store) *Store {
 	t.Helper()
-	st2 := NewStore(st.Blobs())
+	st2 := NewStore(st.blobs)
 	if err := st2.Reload(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestReloadRebuildsIndexes(t *testing.T) {
 	blobs := NewMemStore()
 	st := NewStore(blobs)
 	for _, seg := range buildSegments(7, 3, 10) {
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestReloadDetectsTamperedBlob(t *testing.T) {
 	blobs := NewMemStore()
 	st := NewStore(blobs)
 	for _, seg := range buildSegments(7, 2, 5) {
-		st.AppendSegment(seg)
+		appendDecoded(st, seg)
 	}
 	keys, _ := blobs.List("dev/")
 	blob, _ := blobs.Get(keys[0])
@@ -268,7 +268,7 @@ func TestClientServerEndToEnd(t *testing.T) {
 	defer cl.Close()
 
 	for _, seg := range buildSegments(5, 3, 10) {
-		if err := cl.PushSegment(seg); err != nil {
+		if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(seg.Marshal()), seg.LastSeq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestServerRejectsCrossDeviceSegment(t *testing.T) {
 	}
 	defer cl.Close()
 	seg := buildSegments(6, 1, 3)[0] // device 6 segment on device 5 session
-	err = cl.PushSegment(seg)
+	_, err = cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(seg.Marshal()), seg.LastSeq)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Code != CodeBadData {
 		t.Fatalf("cross-device push err = %v", err)
@@ -344,11 +344,11 @@ func TestServerRejectsChainViolationFromClient(t *testing.T) {
 	}
 	defer cl.Close()
 	segs := buildSegments(5, 3, 4)
-	if err := cl.PushSegment(segs[0]); err != nil {
+	if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(segs[0].Marshal()), segs[0].LastSeq); err != nil {
 		t.Fatal(err)
 	}
 	var re *RemoteError
-	if err := cl.PushSegment(segs[2]); !errors.As(err, &re) {
+	if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(segs[2].Marshal()), segs[2].LastSeq); !errors.As(err, &re) {
 		t.Fatalf("gap push err = %v", err)
 	}
 }
@@ -385,7 +385,7 @@ func TestMultiDeviceIsolation(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		for id, cl := range clients {
-			if err := cl.PushSegment(segs[id][i]); err != nil {
+			if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(segs[id][i].Marshal()), segs[id][i].LastSeq); err != nil {
 				t.Fatalf("device %d segment %d: %v", id, i, err)
 			}
 		}
@@ -434,7 +434,7 @@ func TestVersionQueryProperty(t *testing.T) {
 			history = append(history, w{lpn, e.Seq})
 		}
 		seg.LastSeq = l.NextSeq()
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			return false
 		}
 		lpn := uint64(queryLPN % 4)
@@ -492,7 +492,7 @@ func TestConcurrentMultiDeviceIngest(t *testing.T) {
 			}
 			defer cl.Close()
 			for _, seg := range buildSegments(deviceID, segsPerDevice, 8) {
-				if err := cl.PushSegment(seg); err != nil {
+				if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(seg.Marshal()), seg.LastSeq); err != nil {
 					errc <- fmt.Errorf("device %d: %w", deviceID, err)
 					return
 				}

@@ -37,17 +37,6 @@ func runsHistory(deviceID uint64) (segs []*oplog.Segment, all []oplog.Entry) {
 	return segs, all
 }
 
-// appendDecoded ingests seg as the server's lane does: decoded from its
-// marshal, the derived entries handed to the store.
-func appendDecoded(st *Store, seg *oplog.Segment) error {
-	raw := seg.Marshal()
-	decoded, err := oplog.UnmarshalSegment(raw)
-	if err != nil {
-		return err
-	}
-	return st.AppendSegmentBlob(decoded, nvmeoe.EncodeSegmentBlob(raw))
-}
-
 // touchedIn is TouchedSince computed from the flat reference.
 func touchedIn(all []oplog.Entry, since uint64) map[uint64]struct{} {
 	touched := map[uint64]struct{}{}
@@ -133,27 +122,6 @@ func TestStoreRunsReadDuringIngest(t *testing.T) {
 	}
 }
 
-// TestAppendSegmentKeepsItsOwnEntries: a hand-built segment changed after
-// AppendSegment accepted it leaves the stored chain as it was accepted.
-func TestAppendSegmentKeepsItsOwnEntries(t *testing.T) {
-	st := NewStore(NewMemStore())
-	seg := buildSegments(1, 1, 10)[0]
-	want := slices.Clone(seg.Entries)
-	if err := st.AppendSegment(seg); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seg.Entries {
-		seg.Entries[i].LPN ^= 0xff
-		seg.Entries[i].Hash[0] ^= 1
-	}
-	if got := st.Entries(1, 0, 10); !slices.Equal(got, want) {
-		t.Fatal("stored chain follows the caller's segment")
-	}
-	if err := oplog.VerifyChain(st.Entries(1, 0, 10), [oplog.HashSize]byte{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFetchEntriesSteadyStateAllocs: a warmed AppendEntries into a slice with
 // room allocates the same for 512 entries, one frame, as for 4096, four frames
 // derived on workers: the request payload ReadMsg returns at the server, and
@@ -168,7 +136,7 @@ func TestFetchEntriesSteadyStateAllocs(t *testing.T) {
 	}
 	const n = 4096
 	st := NewStore(NewMemStore())
-	if err := st.AppendSegment(entriesOnly(oplog.New(), 1, n)); err != nil {
+	if err := appendDecoded(st, entriesOnly(oplog.New(), 1, n)); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(st, psk)

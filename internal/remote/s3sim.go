@@ -267,6 +267,3 @@ func (s *S3Sim) TierStats() TierStats {
 func (s *S3Sim) MonthlyStorageUSD() float64 {
 	return float64(s.Size()) / float64(1<<30) * s.cfg.StorageUSDPerGBMonth
 }
-
-// Config returns the model parameters the bucket was built with.
-func (s *S3Sim) Config() S3Config { return s.cfg }

@@ -152,13 +152,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ActiveSessions returns the number of authenticated device sessions.
-func (s *Server) ActiveSessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
 // SessionsTotal returns how many sessions ever authenticated.
 func (s *Server) SessionsTotal() uint64 {
 	s.mu.Lock()
@@ -527,27 +520,12 @@ func (c *Client) roundTrip(t nvmeoe.MsgType, payload []byte, wantResp nvmeoe.Msg
 	return body, nil
 }
 
-// PushSegment ships one segment and waits for the durability ack. The
-// segment is codec-encoded here; callers that already hold the encoded
-// wire form (the offload engine encodes at seal time to size the link
-// model) should use PushSegmentBlob.
-func (c *Client) PushSegment(seg *oplog.Segment) error {
-	return c.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(seg.Marshal()), seg.LastSeq)
-}
-
-// PushSegmentBlob ships one codec-framed segment blob and waits for the
-// durability ack covering lastSeq.
-func (c *Client) PushSegmentBlob(blob []byte, lastSeq uint64) error {
-	_, err := c.PushSegmentBlobTimed(blob, lastSeq)
-	return err
-}
-
-// PushSegmentBlobTimed is PushSegmentBlob returning the storage tier's
-// modeled Put service time carried in the ack (zero on free local
-// tiers). The offload engine folds it into the
-// simulated ack instant so device-side OffloadAckTime reflects the
-// backend.
-func (c *Client) PushSegmentBlobTimed(blob []byte, lastSeq uint64) (simclock.Duration, error) {
+// PushSegmentBlob ships one codec-framed segment blob, waits for the
+// durability ack covering lastSeq and returns the storage tier's modeled
+// Put service time carried in the ack (zero on free local tiers). The
+// offload engine folds it into the simulated ack instant so device-side
+// OffloadAckTime reflects the backend.
+func (c *Client) PushSegmentBlob(blob []byte, lastSeq uint64) (simclock.Duration, error) {
 	body, err := c.roundTrip(nvmeoe.MsgSegment, blob, nvmeoe.MsgSegmentAck)
 	if err != nil {
 		return 0, err

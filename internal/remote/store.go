@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/nvmeoe"
@@ -69,10 +68,6 @@ type deviceLog struct {
 	// wire/at-rest compression the retention budget is sized with.
 	bytesLogical int64
 	bytesStored  int64
-	// subNanos is wall time spent in subscribers (streaming detection) for
-	// this device's ingested segments — the server's IngestStats surfaces
-	// it as DetectTime.
-	subNanos int64
 }
 
 // NewStore returns a Store persisting blobs to the given object store.
@@ -129,16 +124,6 @@ func (s *Store) Devices() []uint64 {
 	return ids
 }
 
-// AppendSegment verifies and ingests one offloaded segment, encoding it
-// through the wire codec before persisting. Sessions that already hold the
-// encoded wire form (Server) use AppendSegmentBlob to store those exact
-// bytes instead of re-encoding. The store keeps a copy of seg's entries.
-func (s *Store) AppendSegment(seg *oplog.Segment) error {
-	own := *seg
-	own.Entries = slices.Clone(seg.Entries)
-	return s.AppendSegmentBlob(&own, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
-}
-
 // AppendSegmentBlob verifies and ingests one offloaded segment: every page
 // must match its hash (chunkIndex.verify), and the entries must extend the
 // device's chain exactly. blob is the codec-framed wire encoding of seg and
@@ -169,29 +154,13 @@ func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
 	subs := s.subs
 	cb := s.OnSegment
 	s.mu.RUnlock()
-	if cb != nil || len(subs) > 0 {
-		t0 := time.Now()
-		if cb != nil {
-			cb(seg.DeviceID, seg)
-		}
-		for _, fn := range subs {
-			fn(seg.DeviceID, seg)
-		}
-		d.subNanos += time.Since(t0).Nanoseconds()
+	if cb != nil {
+		cb(seg.DeviceID, seg)
+	}
+	for _, fn := range subs {
+		fn(seg.DeviceID, seg)
 	}
 	return nil
-}
-
-// SubscriberTime returns the wall time ingest has spent inside subscribers
-// (the streaming detection pipeline) for one device.
-func (s *Store) SubscriberTime(deviceID uint64) time.Duration {
-	d, ok := s.lookup(deviceID)
-	if !ok {
-		return 0
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return time.Duration(d.subNanos)
 }
 
 // insertVersion keeps the per-LPN version list sorted by WriteSeq.
@@ -561,10 +530,6 @@ func (d *deviceLog) drop(chunks *chunkIndex, pages []oplog.PageRecord) {
 		}
 	}
 }
-
-// Blobs exposes the storage tier the Store persists to (tier selection,
-// cost/latency ledgers, settling eventually-consistent listings).
-func (s *Store) Blobs() ObjectStore { return s.blobs }
 
 // TierStats returns the storage tier's cost/latency ledger when the
 // backend keeps one (s3sim), or a zero ledger for free local tiers.

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,12 +81,8 @@ func reseal(t *testing.T, raw []byte, n int) []byte {
 	var prev [oplog.HashSize]byte
 	copy(prev[:], raw[segHdr:])
 	for i := 0; i < n; i++ {
-		e, _, err := oplog.UnmarshalEntry(raw[segEntries+i*oplog.EntrySize:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Seal(prev)
-		prev = e.Hash
+		body := raw[segEntries+i*oplog.EntrySize:][:oplog.EntrySize]
+		prev = sha256.Sum256(append(prev[:], body...))
 	}
 	copy(raw[segHdr+oplog.HashSize:], prev[:])
 	return raw
@@ -168,12 +165,12 @@ func snapshot(t *testing.T, st *Store, deviceID uint64) storeState {
 	if d, ok := st.lookup(deviceID); ok {
 		s.keys = append(s.keys, d.segKeys...)
 	}
-	keys, err := st.Blobs().List("")
+	keys, err := st.blobs.List("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		if s.tier[k], err = st.Blobs().Get(k); err != nil {
+		if s.tier[k], err = st.blobs.Get(k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +195,7 @@ func TestTamperMatrixIngestAndReload(t *testing.T) {
 
 	st := NewStore(NewMemStore())
 	for _, seg := range []*oplog.Segment{prefix, otherPrefix} {
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -239,7 +239,7 @@ func TestAppendCompressesAtRest(t *testing.T) {
 	blobs := NewMemStore()
 	st := NewStore(blobs)
 	for _, seg := range segs {
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestReloadSettledOnS3Sim(t *testing.T) {
 	st := NewStore(s3)
 	segs := buildSegments(1, 4, 10)
 	for _, seg := range segs {
-		if err := st.AppendSegment(seg); err != nil {
+		if err := appendDecoded(st, seg); err != nil {
 			t.Fatal(err)
 		}
 	}

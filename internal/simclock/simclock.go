@@ -41,23 +41,9 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// After reports whether t is strictly after u.
-func (t Time) After(u Time) bool { return t > u }
-
-// Before reports whether t is strictly before u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // Max returns the later of t and u.
 func Max(t, u Time) Time {
 	if t > u {
-		return t
-	}
-	return u
-}
-
-// Min returns the earlier of t and u.
-func Min(t, u Time) Time {
-	if t < u {
 		return t
 	}
 	return u

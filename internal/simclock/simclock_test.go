@@ -65,17 +65,11 @@ func TestAdvanceToConcurrent(t *testing.T) {
 
 func TestTimeArithmetic(t *testing.T) {
 	t0 := Time(0).Add(3 * Day)
-	if !t0.After(Time(0)) || t0.Before(Time(0)) {
-		t.Fatal("ordering broken")
-	}
 	if got := t0.Sub(Time(Day)); got != 2*Day {
 		t.Fatalf("Sub = %v, want 2 days", got)
 	}
 	if got := Max(t0, Time(5)); got != t0 {
 		t.Fatalf("Max = %v", got)
-	}
-	if got := Min(t0, Time(5)); got != Time(5) {
-		t.Fatalf("Min = %v", got)
 	}
 }
 
@@ -121,13 +115,12 @@ func TestAdvanceSumProperty(t *testing.T) {
 	}
 }
 
-// Property: Max/Min ordering laws.
+// Property: Max ordering laws.
 func TestMaxMinProperty(t *testing.T) {
 	f := func(a, b int64) bool {
 		x, y := Time(a), Time(b)
 		return Max(x, y) == Max(y, x) &&
-			Min(x, y) == Min(y, x) &&
-			Max(x, y) >= Min(x, y)
+			Max(x, y) >= x && Max(x, y) >= y
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

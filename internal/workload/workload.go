@@ -1,24 +1,17 @@
 // Package workload supplies the I/O workloads the evaluation replays:
-// parsers for the MSR-Cambridge and FIU block-trace formats the paper
-// uses, and parameterised synthetic generators for the twelve workloads
-// named in Figure 2 (hm, src, ts, wdev, rsrch, stg, usr from MSR;
+// parameterised synthetic generators for the twelve workloads named in
+// Figure 2 (hm, src, ts, wdev, rsrch, stg, usr from MSR-Cambridge;
 // fiu-res, email, online, web, webusers from FIU).
 //
 // The real traces are not redistributable here, so each named workload is
 // approximated by a generator matched on the characteristics that drive
 // RSSD's retention behaviour: write fraction, daily write volume, working
 // set size, access skew, request size, trim rate, and content
-// compressibility. DESIGN.md documents this substitution.
+// compressibility.
 package workload
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/simclock"
 )
@@ -51,138 +44,6 @@ type Record struct {
 	Op    OpType
 	LPN   uint64
 	Pages int
-}
-
-// --- MSR-Cambridge CSV ----------------------------------------------------
-
-// windowsEpochDelta is the offset between the Windows FILETIME epoch
-// (1601-01-01) and Unix epoch, in 100 ns ticks.
-const windowsEpochDelta = 116444736000000000
-
-// ParseMSR reads the MSR-Cambridge CSV trace format:
-//
-//	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
-//
-// where Timestamp is a Windows FILETIME, Offset and Size are bytes. The
-// first record is rebased to simulated time zero.
-func ParseMSR(r io.Reader, pageSize int) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []Record
-	var base int64 = -1
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		f := strings.Split(text, ",")
-		if len(f) < 6 {
-			return nil, fmt.Errorf("workload: msr line %d: %d fields", line, len(f))
-		}
-		ts, err := strconv.ParseInt(f[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: msr line %d timestamp: %w", line, err)
-		}
-		offset, err := strconv.ParseUint(f[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: msr line %d offset: %w", line, err)
-		}
-		size, err := strconv.ParseUint(f[5], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: msr line %d size: %w", line, err)
-		}
-		var op OpType
-		switch strings.ToLower(f[3]) {
-		case "read":
-			op = OpRead
-		case "write":
-			op = OpWrite
-		default:
-			return nil, fmt.Errorf("workload: msr line %d: unknown op %q", line, f[3])
-		}
-		if ts > windowsEpochDelta {
-			ts -= windowsEpochDelta // FILETIME -> Unix-based ticks
-		}
-		if base < 0 {
-			base = ts
-		}
-		pages := int((size + uint64(pageSize) - 1) / uint64(pageSize))
-		if pages == 0 {
-			pages = 1
-		}
-		out = append(out, Record{
-			At:    simclock.Time((ts - base) * 100), // 100ns ticks -> ns
-			Op:    op,
-			LPN:   offset / uint64(pageSize),
-			Pages: pages,
-		})
-	}
-	return out, sc.Err()
-}
-
-// --- FIU trace format -----------------------------------------------------
-
-// ParseFIU reads the FIU (SRCMap/IODedup) trace format:
-//
-//	timestamp pid process lba size_512 op major minor [md5]
-//
-// with timestamp in seconds (float), lba and size in 512-byte sectors, op
-// "W" or "R". The first record is rebased to simulated time zero.
-func ParseFIU(r io.Reader, pageSize int) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	sectorsPerPage := uint64(pageSize / 512)
-	var out []Record
-	base := -1.0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		f := strings.Fields(text)
-		if len(f) < 6 {
-			return nil, fmt.Errorf("workload: fiu line %d: %d fields", line, len(f))
-		}
-		ts, err := strconv.ParseFloat(f[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: fiu line %d timestamp: %w", line, err)
-		}
-		lba, err := strconv.ParseUint(f[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: fiu line %d lba: %w", line, err)
-		}
-		sectors, err := strconv.ParseUint(f[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: fiu line %d size: %w", line, err)
-		}
-		var op OpType
-		switch strings.ToUpper(f[5]) {
-		case "W":
-			op = OpWrite
-		case "R":
-			op = OpRead
-		default:
-			return nil, fmt.Errorf("workload: fiu line %d: unknown op %q", line, f[5])
-		}
-		if base < 0 {
-			base = ts
-		}
-		pages := int((sectors + sectorsPerPage - 1) / sectorsPerPage)
-		if pages == 0 {
-			pages = 1
-		}
-		out = append(out, Record{
-			At:    simclock.Time((ts - base) * float64(simclock.Second)),
-			Op:    op,
-			LPN:   lba / sectorsPerPage,
-			Pages: pages,
-		})
-	}
-	return out, sc.Err()
 }
 
 // --- Synthetic named workloads ---------------------------------------------
@@ -239,15 +100,6 @@ func ProfileByName(name string) (Profile, bool) {
 		}
 	}
 	return Profile{}, false
-}
-
-// ProfileNames returns all profile names in Figure 2 order.
-func ProfileNames() []string {
-	names := make([]string, len(Profiles))
-	for i, p := range Profiles {
-		names[i] = p.Name
-	}
-	return names
 }
 
 // Generator produces an endless, deterministic stream of Records matching
@@ -315,15 +167,6 @@ func (g *Generator) Next() Record {
 	return Record{At: g.now, Op: op, LPN: lpn, Pages: pages}
 }
 
-// Generate produces n records.
-func (g *Generator) Generate(n int) []Record {
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // Content synthesizes one page of write payload with the profile's
 // compressibility.
 func (g *Generator) Content() []byte {
@@ -334,45 +177,4 @@ func (g *Generator) Content() []byte {
 		page[i] = g.phrase[(i-cut)%len(g.phrase)]
 	}
 	return page
-}
-
-// Stats summarizes a record stream (used by tests and the harness).
-type Stats struct {
-	Ops          int
-	Reads        int
-	Writes       int
-	Trims        int
-	PagesWritten int
-	Span         simclock.Duration
-	UniqueLPNs   int
-}
-
-// Summarize computes stream statistics.
-func Summarize(recs []Record) Stats {
-	s := Stats{Ops: len(recs)}
-	seen := map[uint64]struct{}{}
-	for _, r := range recs {
-		switch r.Op {
-		case OpRead:
-			s.Reads++
-		case OpWrite:
-			s.Writes++
-			s.PagesWritten += r.Pages
-		case OpTrim:
-			s.Trims++
-		}
-		for p := 0; p < r.Pages; p++ {
-			seen[r.LPN+uint64(p)] = struct{}{}
-		}
-	}
-	s.UniqueLPNs = len(seen)
-	if len(recs) > 1 {
-		s.Span = recs[len(recs)-1].At.Sub(recs[0].At)
-	}
-	return s
-}
-
-// SortByTime orders records by timestamp (parsers of merged traces use it).
-func SortByTime(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].At < recs[j].At })
 }

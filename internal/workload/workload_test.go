@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,99 +9,14 @@ import (
 	"repro/internal/simclock"
 )
 
-func TestParseMSR(t *testing.T) {
-	trace := strings.Join([]string{
-		"128166372003061629,hm,0,Read,8192,4096,151",
-		"128166372013061629,hm,0,Write,16384,8192,243",
-		"128166372023061629,hm,0,Write,0,512,100",
-	}, "\n")
-	recs, err := ParseMSR(strings.NewReader(trace), 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	if recs[0].Op != OpRead || recs[0].LPN != 2 || recs[0].Pages != 1 {
-		t.Fatalf("rec0 = %+v", recs[0])
-	}
-	if recs[1].Op != OpWrite || recs[1].LPN != 4 || recs[1].Pages != 2 {
-		t.Fatalf("rec1 = %+v", recs[1])
-	}
-	// Sub-page requests round up to one page.
-	if recs[2].Pages != 1 {
-		t.Fatalf("rec2 = %+v", recs[2])
-	}
-	// Timestamps rebased: first record at 0, second 1s later (1e7 ticks).
-	if recs[0].At != 0 || recs[1].At != simclock.Time(simclock.Second) {
-		t.Fatalf("times = %v, %v", recs[0].At, recs[1].At)
-	}
-}
-
-func TestParseMSRErrors(t *testing.T) {
-	cases := []string{
-		"not,enough,fields",
-		"xyz,hm,0,Read,0,4096,1",
-		"1,hm,0,Frobnicate,0,4096,1",
-		"1,hm,0,Read,abc,4096,1",
-		"1,hm,0,Read,0,abc,1",
-	}
-	for _, c := range cases {
-		if _, err := ParseMSR(strings.NewReader(c), 4096); err == nil {
-			t.Errorf("accepted %q", c)
-		}
-	}
-}
-
-func TestParseMSRSkipsBlanksAndComments(t *testing.T) {
-	trace := "# comment\n\n128166372003061629,hm,0,Read,8192,4096,151\n"
-	recs, err := ParseMSR(strings.NewReader(trace), 4096)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("recs=%d err=%v", len(recs), err)
-	}
-}
-
-func TestParseFIU(t *testing.T) {
-	trace := strings.Join([]string{
-		"0.000000 1234 httpd 64 8 W 8 1 abcdef",
-		"1.500000 1234 httpd 128 16 R 8 1 abcdef",
-	}, "\n")
-	recs, err := ParseFIU(strings.NewReader(trace), 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	// 64 sectors / 8 sectors-per-page = LPN 8; 8 sectors = 1 page.
-	if recs[0].Op != OpWrite || recs[0].LPN != 8 || recs[0].Pages != 1 {
-		t.Fatalf("rec0 = %+v", recs[0])
-	}
-	if recs[1].At != simclock.Time(1500*simclock.Millisecond) {
-		t.Fatalf("rec1 time = %v", recs[1].At)
-	}
-	if recs[1].Pages != 2 {
-		t.Fatalf("rec1 pages = %d", recs[1].Pages)
-	}
-}
-
-func TestParseFIUErrors(t *testing.T) {
-	for _, c := range []string{"1 2 3", "x 1 p 64 8 W 8 1", "0 1 p x 8 W 8 1", "0 1 p 64 x W 8 1", "0 1 p 64 8 Q 8 1"} {
-		if _, err := ParseFIU(strings.NewReader(c), 4096); err == nil {
-			t.Errorf("accepted %q", c)
-		}
-	}
-}
-
 func TestAllTwelveProfilesPresent(t *testing.T) {
-	names := ProfileNames()
 	want := []string{"hm", "src", "ts", "wdev", "rsrch", "stg", "usr", "fiu-res", "email", "online", "web", "webusers"}
-	if len(names) != len(want) {
-		t.Fatalf("profiles = %v", names)
+	if len(Profiles) != len(want) {
+		t.Fatalf("profiles = %v", Profiles)
 	}
 	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("profile %d = %s, want %s", i, names[i], want[i])
+		if Profiles[i].Name != want[i] {
+			t.Fatalf("profile %d = %s, want %s", i, Profiles[i].Name, want[i])
 		}
 	}
 	if _, ok := ProfileByName("email"); !ok {
@@ -116,13 +30,16 @@ func TestAllTwelveProfilesPresent(t *testing.T) {
 func TestGeneratorMatchesProfileMix(t *testing.T) {
 	prof, _ := ProfileByName("hm")
 	g := NewGenerator(prof, 4096, 1<<20, 1)
-	recs := g.Generate(20000)
-	s := Summarize(recs)
-	gotWrite := float64(s.Writes) / float64(s.Ops)
+	const ops = 20000
+	counts := map[OpType]int{}
+	for i := 0; i < ops; i++ {
+		counts[g.Next().Op]++
+	}
+	gotWrite := float64(counts[OpWrite]) / ops
 	if math.Abs(gotWrite-prof.WriteFrac) > 0.02 {
 		t.Fatalf("write frac = %v, want ~%v", gotWrite, prof.WriteFrac)
 	}
-	gotTrim := float64(s.Trims) / float64(s.Ops)
+	gotTrim := float64(counts[OpTrim]) / ops
 	if math.Abs(gotTrim-prof.TrimFrac) > 0.01 {
 		t.Fatalf("trim frac = %v, want ~%v", gotTrim, prof.TrimFrac)
 	}
@@ -131,13 +48,22 @@ func TestGeneratorMatchesProfileMix(t *testing.T) {
 func TestGeneratorTimestampsMatchDailyVolume(t *testing.T) {
 	prof, _ := ProfileByName("src") // 12 GiB/day
 	g := NewGenerator(prof, 4096, 1<<20, 2)
-	recs := g.Generate(50000)
-	s := Summarize(recs)
-	days := s.Span.Days()
+	first := g.Next()
+	last, pagesWritten := first, 0
+	if first.Op == OpWrite {
+		pagesWritten += first.Pages
+	}
+	for i := 1; i < 50000; i++ {
+		last = g.Next()
+		if last.Op == OpWrite {
+			pagesWritten += last.Pages
+		}
+	}
+	days := last.At.Sub(first.At).Days()
 	if days <= 0 {
 		t.Fatal("no time span")
 	}
-	gibPerDay := float64(s.PagesWritten) * 4096 / float64(1<<30) / days
+	gibPerDay := float64(pagesWritten) * 4096 / float64(1<<30) / days
 	if gibPerDay < prof.DailyWriteGiB*0.6 || gibPerDay > prof.DailyWriteGiB*1.6 {
 		t.Fatalf("daily volume = %.1f GiB/day, want ~%.1f", gibPerDay, prof.DailyWriteGiB)
 	}
@@ -165,10 +91,10 @@ func TestGeneratorSkew(t *testing.T) {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	prof, _ := ProfileByName("web")
-	a := NewGenerator(prof, 4096, 1<<20, 42).Generate(1000)
-	b := NewGenerator(prof, 4096, 1<<20, 42).Generate(1000)
-	for i := range a {
-		if a[i] != b[i] {
+	a := NewGenerator(prof, 4096, 1<<20, 42)
+	b := NewGenerator(prof, 4096, 1<<20, 42)
+	for i := 0; i < 1000; i++ {
+		if ra, rb := a.Next(), b.Next(); ra != rb {
 			t.Fatalf("records diverge at %d", i)
 		}
 	}
@@ -198,14 +124,6 @@ func TestGeneratorRespectsWorkingSet(t *testing.T) {
 		if r.LPN+uint64(r.Pages) > wsPages {
 			t.Fatalf("record outside working set: %+v", r)
 		}
-	}
-}
-
-func TestSortByTime(t *testing.T) {
-	recs := []Record{{At: 5}, {At: 1}, {At: 3}}
-	SortByTime(recs)
-	if recs[0].At != 1 || recs[2].At != 5 {
-		t.Fatalf("sorted = %+v", recs)
 	}
 }
 
