@@ -10,10 +10,15 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/workload"
 )
+
+// filetimeUnixEpoch is 1970-01-01 in FILETIME ticks (100 ns since 1601-01-01):
+// a trace's simulated time starts there.
+const filetimeUnixEpoch = 116_444_736_000_000_000
 
 func main() {
 	name := flag.String("workload", "hm", "workload profile name")
@@ -36,11 +41,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *name)
 		os.Exit(2)
 	}
-	g := workload.NewGenerator(prof, *pageSize, *capacity, *seed)
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	// MSR format: Timestamp(FILETIME ticks),Hostname,Disk,Type,Offset,Size,ResponseTime
-	for i := 0; i < *ops; i++ {
+	writeTrace(w, workload.NewGenerator(prof, *pageSize, *capacity, *seed), prof.Name, *ops, *pageSize)
+}
+
+// writeTrace writes ops records of g in MSR format:
+// Timestamp(FILETIME ticks),Hostname,Disk,Type,Offset,Size,ResponseTime.
+func writeTrace(w io.Writer, g *workload.Generator, host string, ops, pageSize int) {
+	for i := 0; i < ops; i++ {
 		rec := g.Next()
 		op := "Write"
 		if rec.Op == workload.OpRead {
@@ -51,8 +60,8 @@ func main() {
 			fmt.Fprintf(w, "# trim lpn=%d pages=%d at=%d\n", rec.LPN, rec.Pages, int64(rec.At))
 			continue
 		}
-		ticks := int64(rec.At) / 100 // ns -> 100ns FILETIME ticks
+		ticks := filetimeUnixEpoch + int64(rec.At)/100 // ns -> 100ns FILETIME ticks
 		fmt.Fprintf(w, "%d,%s,0,%s,%d,%d,0\n",
-			ticks, prof.Name, op, rec.LPN*uint64(*pageSize), uint64(rec.Pages)*uint64(*pageSize))
+			ticks, host, op, rec.LPN*uint64(pageSize), uint64(rec.Pages)*uint64(pageSize))
 	}
 }

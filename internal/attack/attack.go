@@ -14,9 +14,10 @@
 //
 // The models operate through the same host filesystem a real sample
 // would, so every defense sees genuine I/O patterns rather than synthetic
-// markers. The substitution for the paper's VirusTotal samples is
-// documented in DESIGN.md: what matters to a storage-level defense is the
-// I/O behaviour, which these models reproduce exactly.
+// markers. They stand in for the paper's VirusTotal samples because what
+// matters to a storage-level defense is the I/O behaviour; each model's own
+// doc (Encryptor, GCAttack, TimingAttack, TrimmingAttack, and the Wiper and
+// PartialEncryptor variants) states the behaviour it reproduces.
 package attack
 
 import (

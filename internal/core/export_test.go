@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/ftl"
 	"repro/internal/oplog"
 	"repro/internal/remote"
@@ -45,11 +47,10 @@ type versionInfo struct {
 // order (oldest first).
 func (r *RSSD) retainedVersions(lpn uint64) []versionInfo {
 	var out []versionInfo
-	for _, re := range r.retByLPN[lpn] {
-		if !re.released {
-			out = append(out, versionInfo{LPN: re.lpn, WriteSeq: re.writeSeq, StaleSeq: re.staleSeq, Cause: re.cause})
-		}
+	for re := r.retByLPN[lpn]; re != nil; re = re.older {
+		out = append(out, versionInfo{LPN: re.lpn, WriteSeq: re.writeSeq, StaleSeq: re.staleSeq, Cause: re.cause})
 	}
+	slices.Reverse(out)
 	return out
 }
 

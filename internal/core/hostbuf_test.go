@@ -161,8 +161,8 @@ func TestSubmitBatchDoesNotPinHostBuffers(t *testing.T) {
 // index pins, and pin cuts its entries from slabs of retSlabEntries, so a warm
 // overwrite loop on an offline device — stale pages pinned, the oldest
 // dropped at the watermark — allocates per run only the []Result, and no
-// entry per stale page. Its few LPNs each keep older versions pinned, so their
-// lists in the LPN index keep their capacity.
+// entry per stale page. Its few LPNs each keep older versions pinned, so
+// every pin joins a chain that is already there.
 func TestOverwriteSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -186,5 +186,52 @@ func TestOverwriteSteadyStateAllocs(t *testing.T) {
 	}
 	if pinned := r.stats.DroppedPages + uint64(len(r.retained)) - stale; pinned < retSlabEntries*n {
 		t.Fatalf("%d pages pinned over the measured runs, want at least %d", pinned, retSlabEntries*n)
+	}
+}
+
+// TestOverwriteRefillSteadyStateAllocs is the pattern the benchmark drives:
+// each LPN's pins are released before the LPN is overwritten again, so every
+// overwrite pins into an empty chain. Here the releases are the offline
+// device's drops at the watermark, through the unpin an offload ack's release
+// calls too, and the runs walk the whole logical space, which holds more
+// pages than the high watermark lets stay pinned. The chain's head is a slot
+// of a table sized at construction and its links live in the slab-cut
+// entries, so a warm run still allocates only its []Result.
+func TestOverwriteRefillSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	cfg := testConfig()
+	cfg.FTL.NAND.Geometry.BlocksPerPlane, cfg.FTL.NAND.Geometry.PagesPerBlock = 32, 8
+	cfg.FTL.OverProvision = 0.5
+	r := New(cfg, nil)
+	const n = 4
+	logical := int(r.LogicalPages())
+	ops := writeRun(n, 1)
+	var at simclock.Time
+	next, refills := 0, 0
+	run := func() {
+		for i := range ops {
+			lpn := uint64((next + i) % logical)
+			ops[i].LPN = lpn
+			if r.retByLPN[lpn] == nil && r.lpnWriteSeq[lpn] != NoSeq {
+				refills++
+			}
+		}
+		next += n
+		_, at = submitOK(t, r, ops, at)
+	}
+	for next < 3*logical { // every LPN written, then overwritten twice
+		run()
+	}
+	if r.stats.DroppedPages == 0 {
+		t.Fatal("no page dropped: the loop never reached the watermark")
+	}
+	refills = 0
+	if got := testing.AllocsPerRun(retSlabEntries, run); got != 1 {
+		t.Fatalf("overwrite run of %d pages into emptied chains: %.2f allocs, want 1 (the []Result)", n, got)
+	}
+	if want := (retSlabEntries + 1) * n; refills != want {
+		t.Fatalf("%d of %d overwrites found their LPN's chain empty, want all", refills, want)
 	}
 }

@@ -56,14 +56,23 @@ func (r *RSSD) pins() int {
 	return n
 }
 
-// unpin lets the FTL reclaim a retained page and forgets it.
+// unpin lets the FTL reclaim a retained page and forgets it, unchaining it
+// from its LPN's pins.
 func (r *RSSD) unpin(re *retEntry) {
 	if err := r.f.Release(re.ppn); err == nil {
 		r.stats.ReleasedPins++
 	}
 	re.released = true
 	delete(r.retained, re.ppn)
-	r.removeFromLPNIndex(re)
+	if re.newer != nil {
+		re.newer.older = re.older
+	} else {
+		r.retByLPN[re.lpn] = re.older
+	}
+	if re.older != nil {
+		re.older.newer = re.newer
+	}
+	re.newer, re.older = nil, nil
 }
 
 // stageTo stages segments until at most target unstaged retained pages
@@ -235,20 +244,6 @@ func (r *RSSD) popOldest() *retEntry {
 		}
 	}
 	return nil
-}
-
-// removeFromLPNIndex unlinks a released entry from the per-LPN index.
-func (r *RSSD) removeFromLPNIndex(re *retEntry) {
-	vs := r.retByLPN[re.lpn]
-	for i := range vs {
-		if vs[i] == re {
-			r.retByLPN[re.lpn] = append(vs[:i], vs[i+1:]...)
-			break
-		}
-	}
-	if len(r.retByLPN[re.lpn]) == 0 {
-		delete(r.retByLPN, re.lpn)
-	}
 }
 
 // CheckpointNow ships the live write sequence of every LPN to the remote

@@ -289,7 +289,7 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 		log:           oplog.ResumeFrom(head.NextSeq, head.Hash),
 		client:        client,
 		retained:      map[uint64]*retEntry{},
-		retByLPN:      map[uint64][]*retEntry{},
+		retByLPN:      make([]*retEntry, n),
 		lpnWriteSeq:   live,
 		offloadedUpTo: head.NextSeq,
 		stagedUpTo:    head.NextSeq,
@@ -337,9 +337,6 @@ func Reopen(cfg Config, dev *nand.Device, client *remote.Client) (*RSSD, error) 
 	if r.f, err = ftl.Recover(cfg.FTL, dev, r, pages, classify); err != nil {
 		return nil, fmt.Errorf("core: reopen: %w", err)
 	}
-	for _, vs := range r.retByLPN {
-		sort.Slice(vs, func(i, j int) bool { return vs[i].writeSeq < vs[j].writeSeq })
-	}
 	sort.Slice(r.retQueue, func(i, j int) bool { return r.retQueue[i].staleSeq < r.retQueue[j].staleSeq })
 	adopted = true
 	return r, nil
@@ -371,15 +368,11 @@ func (r *RSSD) decide(lpn, before uint64, rec *oplog.PageRecord, at simclock.Tim
 	if live {
 		ws = r.lpnWriteSeq[lpn]
 	}
-	var pin *retEntry
-	vs := r.retByLPN[lpn]
-	for i := len(vs) - 1; i >= 0; i-- { // writeSeq order: the first that qualifies is the newest
-		if re := vs[i]; !re.released && re.writeSeq != NoSeq && re.writeSeq < before {
-			if ws == NoSeq || re.writeSeq > ws {
-				pin, live, ws, staleSeq = re, false, re.writeSeq, re.staleSeq
-			}
-			break
-		}
+	pin := r.newestPin(lpn, before)
+	if pin != nil && (ws == NoSeq || pin.writeSeq > ws) {
+		live, ws, staleSeq = false, pin.writeSeq, pin.staleSeq
+	} else {
+		pin = nil
 	}
 	if rec != nil && (ws == NoSeq || rec.WriteSeq > ws) {
 		pin, live, ws, staleSeq = nil, false, rec.WriteSeq, rec.StaleSeq
@@ -403,6 +396,17 @@ func (r *RSSD) decide(lpn, before uint64, rec *oplog.PageRecord, at simclock.Tim
 		return version{}, fmt.Errorf("pin for lpn %d (ppn %d, write seq %d) fails its write-time content hash", lpn, pin.ppn, oob.Seq)
 	}
 	return v, nil
+}
+
+// newestPin returns lpn's newest pin written strictly before the cut before,
+// or nil: the first that qualifies on its chain from the head.
+func (r *RSSD) newestPin(lpn, before uint64) *retEntry {
+	for re := r.retByLPN[lpn]; re != nil; re = re.older {
+		if re.writeSeq != NoSeq && re.writeSeq < before {
+			return re
+		}
+	}
+	return nil
 }
 
 // VersionBefore returns the contents lpn held just before log sequence

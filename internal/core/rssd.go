@@ -201,9 +201,12 @@ type retEntry struct {
 	lpn      uint64
 	writeSeq uint64 // log seq of the write that created this version
 	staleSeq uint64 // log seq of the op that invalidated it
-	cause    ftl.StaleCause
 	at       simclock.Time
-	released bool
+	// newer and older are the entry's neighbours in its LPN's chain (see
+	// retByLPN); nil at either end and once the entry is unpinned.
+	newer, older *retEntry
+	cause        ftl.StaleCause
+	released     bool
 }
 
 // RSSD is the ransomware-aware SSD. Like the FTL it wraps, it is driven
@@ -215,11 +218,13 @@ type RSSD struct {
 
 	client *remote.Client // nil = no remote attached
 
-	retained map[uint64]*retEntry   // by current PPN
-	retByLPN map[uint64][]*retEntry // writeSeq-ordered per LPN
-	retQueue []*retEntry            // stale-time order (offload FIFO)
-	retHead  int                    // queue head index (popped prefix)
-	retSlab  []retEntry             // where pin cuts the next entries from
+	retained map[uint64]*retEntry // by current PPN
+	// retByLPN[lpn] is the newest pinned version of lpn, nil when none: the
+	// head of a chain through the entries, newest to oldest by writeSeq.
+	retByLPN []*retEntry
+	retQueue []*retEntry // stale-time order (offload FIFO)
+	retHead  int         // queue head index (popped prefix)
+	retSlab  []retEntry  // where pin cuts the next entries from
 
 	lpnWriteSeq []uint64 // seq of the latest write per LPN (NoSeq if none)
 
@@ -297,10 +302,10 @@ func New(cfg Config, client *remote.Client) *RSSD {
 		log:      oplog.New(),
 		client:   client,
 		retained: map[uint64]*retEntry{},
-		retByLPN: map[uint64][]*retEntry{},
 	}
 	r.f = ftl.New(cfg.FTL, r)
 	r.lpnWriteSeq = blankWriteSeqs(r.f.LogicalPages())
+	r.retByLPN = make([]*retEntry, r.f.LogicalPages())
 	return r
 }
 
@@ -418,10 +423,12 @@ func (r *RSSD) OnStale(lpn, ppn uint64, cause ftl.StaleCause, at simclock.Time) 
 // retSlabEntries is how many retained versions pin cuts from one allocation.
 const retSlabEntries = 256
 
-// pin enters a retained version into the retention index: by PPN, in its
-// LPN's list and at the tail of the offload queue. Entries are cut from
-// 256-entry slabs, so a stale page costs the index no allocation of its own;
-// an entry is never reused, so a released one stays released.
+// pin enters a retained version into the retention index: by PPN, into its
+// LPN's chain in writeSeq order (newer than any with the same writeSeq; a
+// host overwrite's is the new head) and at the tail of the offload queue.
+// Entries are cut from 256-entry slabs and chained through their own links,
+// so a stale page costs the index no allocation of its own; an entry is never
+// reused, so a released one stays released.
 func (r *RSSD) pin(e retEntry) {
 	if len(r.retSlab) == 0 {
 		r.retSlab = make([]retEntry, retSlabEntries)
@@ -430,7 +437,18 @@ func (r *RSSD) pin(e retEntry) {
 	r.retSlab = r.retSlab[1:]
 	*re = e
 	r.retained[re.ppn] = re
-	r.retByLPN[re.lpn] = append(r.retByLPN[re.lpn], re)
+	re.newer, re.older = nil, r.retByLPN[re.lpn]
+	for re.older != nil && re.older.writeSeq > re.writeSeq {
+		re.newer, re.older = re.older, re.older.older
+	}
+	if re.newer != nil {
+		re.newer.older = re
+	} else {
+		r.retByLPN[re.lpn] = re
+	}
+	if re.older != nil {
+		re.older.newer = re
+	}
 	r.retQueue = append(r.retQueue, re)
 }
 

@@ -14,10 +14,13 @@ import (
 // the store holds. Pages are keyed by their seal-time SHA-256
 // (oplog.PageRecord.Hash), which verify has held against the payload before
 // anything reaches the index — so interning by hash cannot be poisoned by a
-// device lying about its content. The index owns its copies. It is sharded
-// by the hash's first byte; shard locks are leaves in the lock order (device
-// shard lock -> chunk shard lock) and are never held across calls out of
-// this file.
+// device lying about its content. The index's copies live in slabs, one per
+// verified segment, holding that segment's first-sight pages back to back: a
+// slab stays alive while any of its copies is referenced, so a canonical copy
+// that a later segment (of any device) shares keeps its whole slab alive
+// after its own segment has expired. It is sharded by the hash's first byte;
+// shard locks are leaves in the lock order (device shard lock -> chunk shard
+// lock) and are never held across calls out of this file.
 type chunkIndex struct {
 	shards [chunkShards]chunkShard
 }
@@ -50,26 +53,76 @@ func (ci *chunkIndex) shard(h [oplog.HashSize]byte) *chunkShard {
 
 // verify holds each page to the hash it claims and points its Data at a copy
 // the index can keep: a page whose hash the index holds must equal that copy
-// byte for byte, so it hashes to the same key; any other page is copied and
-// the copy SHA-256'd. On success no page aliases the caller's buffer.
+// byte for byte, so it hashes to the same key; so must a page that repeats an
+// earlier new page of the segment, which then shares that page's copy. The
+// other pages are copied into a slab sized to them, and each page's copy in
+// it SHA-256'd. On success no page aliases the caller's buffer.
 func (ci *chunkIndex) verify(pages []oplog.PageRecord) error {
+	// fresh lists the pages new to the index, each with the earlier one whose
+	// bytes it repeats (-1: none); parts holds the bytes the slab copies.
+	var freshBuf [128]struct{ page, same int }
+	var partsBuf [128][]byte
+	fresh, parts := freshBuf[:0], partsBuf[:0]
 	for i := range pages {
 		p := &pages[i]
-		canon, held := ci.lookup(p.Hash)
-		if !held {
-			canon = bytes.Clone(p.Data)
+		if canon, held := ci.lookup(p.Hash); held {
+			if !bytes.Equal(p.Data, canon) {
+				return mismatch(i, p)
+			}
+			p.Data = canon
+			continue
 		}
-		if held && !bytes.Equal(p.Data, canon) || !held && oplog.HashData(canon) != p.Hash {
-			return fmt.Errorf("page record %d (lpn %d, writeSeq %d): content hash mismatch", i, p.LPN, p.WriteSeq)
+		same := -1
+		for _, f := range fresh {
+			if q := &pages[f.page]; f.same < 0 && q.Hash == p.Hash && bytes.Equal(q.Data, p.Data) {
+				same = f.page
+				break
+			}
 		}
-		p.Data = canon
+		fresh = append(fresh, struct{ page, same int }{i, same})
+		if same < 0 {
+			parts = append(parts, p.Data)
+		}
+	}
+	// Go's allocator rounds an object over 32 KiB up to whole 8 KiB pages, so
+	// the new pages that would spill into a part-filled one (the last 4 KiB
+	// page of an odd count) get a second slab of their own. Join allocates
+	// without zeroing first.
+	split, size := len(parts), 0
+	for _, b := range parts {
+		size += len(b)
+	}
+	for size > 32<<10 && size%(8<<10) != 0 {
+		split--
+		size -= len(parts[split])
+	}
+	slab, rest := bytes.Join(parts[:split], nil), bytes.Join(parts[split:], nil)
+	for _, f := range fresh {
+		p := &pages[f.page]
+		if f.same >= 0 {
+			p.Data = pages[f.same].Data // copied and hashed already
+			continue
+		}
+		n := len(p.Data)
+		if n > len(slab) {
+			slab = rest
+		}
+		p.Data, slab = slab[:n:n], slab[n:]
+		if oplog.HashData(p.Data) != p.Hash {
+			return mismatch(f.page, p)
+		}
 	}
 	return nil
 }
 
+func mismatch(i int, p *oplog.PageRecord) error {
+	return fmt.Errorf("page record %d (lpn %d, writeSeq %d): content hash mismatch", i, p.LPN, p.WriteSeq)
+}
+
 // intern records one reference to content hash h. On first sight data
 // becomes the canonical physical copy (the index takes ownership of the
-// slice); on a hit the existing copy is returned and data is dropped.
+// slice, a view into its segment's slab); on a hit the existing copy is
+// returned and data is dropped.
 // The second return reports a dedup hit.
 func (ci *chunkIndex) intern(h [oplog.HashSize]byte, data []byte) ([]byte, bool) {
 	sh := ci.shard(h)

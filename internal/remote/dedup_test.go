@@ -364,8 +364,9 @@ func TestDedupRefcountConcurrent(t *testing.T) {
 // TestForgedDedupHitRefused: a page that claims a hash the index holds but
 // carries other bytes is refused by the compare that stands in for its
 // SHA-256, live and at Reload, however close its bytes come to the held
-// copy — and so is one that claims a hash nothing holds. A refusal leaves
-// head, version index, chunk refcounts and tier as they were.
+// copy — and so is one that claims a hash nothing holds, or the hash of an
+// earlier new page of its segment with other bytes than that page's. A
+// refusal leaves head, version index, chunk refcounts and tier as they were.
 func TestForgedDedupHitRefused(t *testing.T) {
 	prefix, target := tamperChain(1, 42)
 	held := prefix.Pages[1]
@@ -374,8 +375,12 @@ func TestForgedDedupHitRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, dedupBefore := snapshot(t, st, 1), st.Dedup()
-	flipped := slices.Clone(held.Data)
-	flipped[len(flipped)/2] ^= 0x10
+	flipBit := func(b []byte) []byte {
+		b = slices.Clone(b)
+		b[len(b)/2] ^= 0x10
+		return b
+	}
+	flipped := flipBit(held.Data)
 	for _, tc := range []struct {
 		what string
 		hash [oplog.HashSize]byte
@@ -387,6 +392,8 @@ func TestForgedDedupHitRefused(t *testing.T) {
 		{"held hash, no bytes", held.Hash, nil},
 		{"held hash, another held page's bytes", held.Hash, prefix.Pages[0].Data},
 		{"hash nothing holds", oplog.HashData([]byte("elsewhere")), held.Data},
+		{"an earlier new page's hash, one bit flipped", target.Pages[2].Hash, flipBit(target.Pages[2].Data)},
+		{"an earlier new page's hash, no bytes", target.Pages[2].Hash, nil},
 	} {
 		forged := *target
 		forged.Pages = slices.Clone(target.Pages)

@@ -2,7 +2,7 @@ package remote
 
 import (
 	"fmt"
-	"slices"
+	"runtime"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -85,9 +85,8 @@ func BenchmarkIngestSegment(b *testing.B) {
 
 // TestIngestHitSteadyStateAllocs: a segment whose pages the store already
 // holds allocates nothing per page at AppendSegmentBlob — each is compared
-// with the held copy, not hashed into a digest or copied — so 32 held pages
-// cost what one does. The version lists are given room first, as they have
-// between doublings.
+// with the held copy, not hashed into a digest or copied, and its record is
+// chained where the decode put it — so 32 held pages cost what one does.
 func TestIngestHitSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -111,10 +110,6 @@ func TestIngestHitSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d, _ := st.lookup(1)
-		for lpn, vs := range d.versions {
-			d.versions[lpn] = slices.Grow(vs, runs+2)
-		}
 		next := 1
 		n := testing.AllocsPerRun(runs, func() {
 			if err := st.AppendSegmentBlob(segs[next], blobs[next]); err != nil {
@@ -133,10 +128,11 @@ func TestIngestHitSteadyStateAllocs(t *testing.T) {
 }
 
 // TestIngestFirstSightSteadyStateAllocs: a segment of contents the store has
-// never seen costs AppendSegmentBlob one allocation per page, the store's own
-// copy of it; the index holds its entries by value, so interning one costs
-// nothing more. The version lists and the index's shards are given room
-// first, as they have between doublings.
+// never seen costs AppendSegmentBlob no allocation per page: the store's
+// copies of them share one slab, the index holds its entries by value and
+// each record is chained where the decode put it, so 32 new pages cost what
+// one does. The index's shards are given room first, as they have between
+// doublings.
 func TestIngestFirstSightSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -161,10 +157,6 @@ func TestIngestFirstSightSteadyStateAllocs(t *testing.T) {
 		if err := st.AppendSegmentBlob(segs[0], blobs[0]); err != nil {
 			t.Fatal(err)
 		}
-		d, _ := st.lookup(1)
-		for lpn, vs := range d.versions {
-			d.versions[lpn] = slices.Grow(vs, runs+2)
-		}
 		next := 1
 		n := testing.AllocsPerRun(runs, func() {
 			if err := st.AppendSegmentBlob(segs[next], blobs[next]); err != nil {
@@ -177,7 +169,57 @@ func TestIngestFirstSightSteadyStateAllocs(t *testing.T) {
 		}
 		return n
 	}
-	if one, many := allocs(1), allocs(32); many-one != 31 {
-		t.Fatalf("AppendSegmentBlob of new pages: %v allocs for 1 page, %v for 32, want one more per page (its copy)", one, many)
+	if one, many := allocs(1), allocs(32); one != many {
+		t.Fatalf("AppendSegmentBlob of new pages: %v allocs for 1 page, %v for 32, want the same", one, many)
+	}
+}
+
+// TestIngestSlabsFillWholeAllocatorPages: the slab a segment's new pages are
+// copied into costs what those pages hold. Go rounds an object over 32 KiB up
+// to whole 8 KiB pages, so an odd count of 4 KiB pages past eight would waste
+// half a page per segment unless the spilling page gets a slab of its own. Per
+// new page, AppendSegmentBlob allocates its 4 KiB copy and its 16-byte chain
+// link, whatever the count.
+func TestIngestSlabsFillWholeAllocatorPages(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	const runs = 50
+	bytesPerRun := func(k int) float64 {
+		_, blobs := heldHistory(runs+2, k, 0)
+		segs := make([]*oplog.Segment, len(blobs))
+		for i, blob := range blobs {
+			raw, err := nvmeoe.DecodeSegmentBlob(blob)
+			if err == nil {
+				segs[i], err = oplog.UnmarshalSegment(raw)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := NewStore(NewMemStore())
+		for i := range st.chunks.shards {
+			st.chunks.shards[i].m = make(map[[oplog.HashSize]byte]chunkEntry, 2*(runs+2)*k/chunkShards+8)
+		}
+		for _, i := range []int{0, 1} {
+			if err := st.AppendSegmentBlob(segs[i], blobs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 2; i < len(segs); i++ {
+			if err := st.AppendSegmentBlob(segs[i], blobs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	one := bytesPerRun(1)
+	for _, k := range []int{9, 33} {
+		if perPage := (bytesPerRun(k) - one) / float64(k-1); perPage > 4096+32 {
+			t.Fatalf("AppendSegmentBlob of %d new 4 KiB pages: %.0f bytes allocated per page beyond the first, want at most 4128", k, perPage)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func TestImageRangeChunks(t *testing.T) {
 func imageRangeByFullScan(st *Store, dev, from, to, before uint64, maxPages int, only map[uint64]struct{}) (pages []oplog.PageRecord, next uint64, more bool) {
 	d, _ := st.lookup(dev)
 	var lpns []uint64
-	for lpn := range d.versions {
+	for lpn := range d.heads {
 		if _, touched := only[lpn]; lpn >= from && lpn < to && (only == nil || touched) {
 			lpns = append(lpns, lpn)
 		}

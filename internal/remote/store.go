@@ -50,15 +50,22 @@ type deviceLog struct {
 	runs     [][]oplog.Entry
 	nextSeq  uint64
 	headHash [oplog.HashSize]byte
-	versions map[uint64][]oplog.PageRecord // lpn -> records sorted by WriteSeq
-	// lpns is the key set of versions, ascending: sortedLPNs builds it on
+	// segKeys[i] names the i-th stored segment's blob, and segs[i] holds its
+	// page versions until DropSegmentPages expires them.
+	segKeys []string
+	segs    []segVersions
+	// heads maps every LPN with a stored version to its newest one; from
+	// there each LPN's versions form a chain, newest to oldest by WriteSeq.
+	// versions counts the versions the chains hold.
+	heads    map[uint64]verRef
+	versions int
+	// lpns is the key set of heads, ascending: sortedLPNs builds it on
 	// demand and whoever gives an LPN its first version or takes its last
 	// (under mu's write lock) drops it. lpnsMu orders builders, which hold
 	// mu only for reading.
 	lpnsMu      sync.Mutex
 	lpns        []uint64
 	checkpoints []nvmeoe.Checkpoint // sorted by Seq
-	segKeys     []string
 	pageBytes   int64
 	// dedupHits counts ingested page versions whose content was already
 	// in the chunk index — the store-side dedup ledger for this device.
@@ -69,6 +76,27 @@ type deviceLog struct {
 	bytesLogical int64
 	bytesStored  int64
 }
+
+// segVersions is one stored segment's page versions: the records as
+// oplog.UnmarshalSegment put them, never copied, and each record's place in
+// its LPN's chain. A version costs the store no allocation of its own.
+type segVersions struct {
+	pages []oplog.PageRecord
+	links []verLink // links[j] chains pages[j]
+}
+
+// verRef names one stored version, page page of segment seg-1; the zero
+// verRef names none and ends a chain.
+type verRef struct{ seg, page uint32 }
+
+// verLink places a version between its LPN's next newer and next older one.
+type verLink struct{ newer, older verRef }
+
+func newDeviceLog() *deviceLog { return &deviceLog{heads: map[uint64]verRef{}} }
+
+func (d *deviceLog) rec(v verRef) *oplog.PageRecord { return &d.segs[v.seg-1].pages[v.page] }
+
+func (d *deviceLog) link(v verRef) *verLink { return &d.segs[v.seg-1].links[v.page] }
 
 // NewStore returns a Store persisting blobs to the given object store.
 func NewStore(blobs ObjectStore) *Store {
@@ -98,7 +126,7 @@ func (s *Store) dev(id uint64) *deviceLog {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d, ok = s.devices[id]; !ok {
-		d = &deviceLog{versions: map[uint64][]oplog.PageRecord{}}
+		d = newDeviceLog()
 		s.devices[id] = d
 	}
 	return d
@@ -129,8 +157,9 @@ func (s *Store) Devices() []uint64 {
 // device's chain exactly. blob is the codec-framed wire encoding of seg and
 // is persisted verbatim — compressed on the wire is compressed at rest. Only
 // the segment's own device shard is locked, so ingest from different devices
-// runs concurrently. The store keeps seg.Entries: do not write it again, but
-// none of its page bytes: verify points each page's Data at the store's copy.
+// runs concurrently. The store keeps seg.Entries and seg.Pages: do not write
+// them again; it keeps none of the pages' bytes: verify points each page's
+// Data at the store's copy.
 func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
 	if err := s.chunks.verify(seg.Pages); err != nil {
 		return fmt.Errorf("remote: reject segment: %w", err)
@@ -163,19 +192,6 @@ func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
 	return nil
 }
 
-// insertVersion keeps the per-LPN version list sorted by WriteSeq.
-// Segments arrive in time order so appends are the common case.
-func insertVersion(vs []oplog.PageRecord, p oplog.PageRecord) []oplog.PageRecord {
-	if n := len(vs); n == 0 || vs[n-1].WriteSeq <= p.WriteSeq {
-		return append(vs, p)
-	}
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].WriteSeq > p.WriteSeq })
-	vs = append(vs, oplog.PageRecord{})
-	copy(vs[i+1:], vs[i:])
-	vs[i] = p
-	return vs
-}
-
 // extends checks that seg's entries extend the device's chain exactly: they
 // start at the next sequence and chain onto the head hash. Entries that
 // oplog.UnmarshalSegment derived are not hashed a second time (see
@@ -192,14 +208,21 @@ func (d *deviceLog) extends(seg *oplog.Segment) error {
 
 // adopt indexes a segment that passed chunkIndex.verify and extends: the
 // chain advances, every page is interned by its verified hash so the version
-// index (and every subscriber) sees the canonical physical copy, and the
-// blob's key and sizes are ledgered.
+// index (and every subscriber) sees the canonical physical copy and chained
+// into its LPN's versions where it lies, and the blob's key and sizes are
+// ledgered.
 func (d *deviceLog) adopt(chunks *chunkIndex, seg *oplog.Segment, key string, logical, stored int) {
 	if n := len(seg.Entries); n > 0 {
 		d.runs = append(d.runs, seg.Entries)
 		d.nextSeq = seg.Entries[n-1].Seq + 1
 		d.headHash = seg.Entries[n-1].Hash
 	}
+	sv := segVersions{pages: seg.Pages}
+	if len(seg.Pages) > 0 {
+		sv.links = make([]verLink, len(seg.Pages))
+	}
+	d.segKeys = append(d.segKeys, key)
+	d.segs = append(d.segs, sv)
 	for i := range seg.Pages {
 		p := &seg.Pages[i]
 		data, hit := chunks.intern(p.Hash, p.Data)
@@ -207,15 +230,63 @@ func (d *deviceLog) adopt(chunks *chunkIndex, seg *oplog.Segment, key string, lo
 		if hit {
 			d.dedupHits++
 		}
-		if len(d.versions[p.LPN]) == 0 {
-			d.lpns = nil
-		}
-		d.versions[p.LPN] = insertVersion(d.versions[p.LPN], *p)
+		d.chain(verRef{uint32(len(d.segs)), uint32(i)})
 		d.pageBytes += int64(len(p.Data))
 	}
-	d.segKeys = append(d.segKeys, key)
+	d.versions += len(seg.Pages)
 	d.bytesLogical += int64(logical)
 	d.bytesStored += int64(stored)
+}
+
+// chain enters version v into its LPN's chain in WriteSeq order, newer than
+// every version with the same WriteSeq. Segments arrive in time order, so v
+// is the new head but for a late segment's older pages.
+func (d *deviceLog) chain(v verRef) {
+	p := d.rec(v)
+	newer, older := verRef{}, d.heads[p.LPN]
+	for older != (verRef{}) && d.rec(older).WriteSeq > p.WriteSeq {
+		newer, older = older, d.link(older).older
+	}
+	*d.link(v) = verLink{newer: newer, older: older}
+	if newer != (verRef{}) {
+		d.link(newer).older = v
+	} else {
+		if older == (verRef{}) {
+			d.lpns = nil // the LPN's first version
+		}
+		d.heads[p.LPN] = v
+	}
+	if older != (verRef{}) {
+		d.link(older).newer = v
+	}
+}
+
+// unchain takes version v out of its LPN's chain.
+func (d *deviceLog) unchain(v verRef) {
+	l, lpn := *d.link(v), d.rec(v).LPN
+	switch {
+	case l.newer != (verRef{}):
+		d.link(l.newer).older = l.older
+	case l.older != (verRef{}):
+		d.heads[lpn] = l.older
+	default:
+		delete(d.heads, lpn) // the LPN's last version
+		d.lpns = nil
+	}
+	if l.older != (verRef{}) {
+		d.link(l.older).newer = l.newer
+	}
+}
+
+// newest returns lpn's newest version written strictly before sequence
+// before, walking its chain from the head.
+func (d *deviceLog) newest(lpn, before uint64) (*oplog.PageRecord, bool) {
+	for v := d.heads[lpn]; v != (verRef{}); v = d.link(v).older {
+		if p := d.rec(v); p.WriteSeq < before {
+			return p, true
+		}
+	}
+	return nil, false
 }
 
 // AppendCheckpoint stores a mapping snapshot. One pushed at a sequence that
@@ -275,12 +346,10 @@ func (s *Store) Version(deviceID, lpn, before uint64) (oplog.PageRecord, bool) {
 	if !ok {
 		return oplog.PageRecord{}, false
 	}
-	vs := d.versions[lpn]
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].WriteSeq >= before })
-	if i == 0 {
-		return oplog.PageRecord{}, false
+	if p, ok := d.newest(lpn, before); ok {
+		return *p, true
 	}
-	return vs[i-1], true
+	return oplog.PageRecord{}, false
 }
 
 // HeldVersions lists every page version the store holds for the device, in
@@ -296,16 +365,15 @@ func (s *Store) HeldVersions(deviceID uint64) []oplog.PageRecord {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	n := 0
-	for _, vs := range d.versions {
-		n += len(vs)
-	}
-	out := make([]oplog.PageRecord, 0, n)
+	out := make([]oplog.PageRecord, 0, d.versions)
 	for _, lpn := range d.sortedLPNs() {
-		for _, p := range d.versions[lpn] {
+		from := len(out)
+		for v := d.heads[lpn]; v != (verRef{}); v = d.link(v).older {
+			p := *d.rec(v)
 			p.Data = nil
 			out = append(out, p)
 		}
+		slices.Reverse(out[from:])
 	}
 	return out
 }
@@ -349,16 +417,15 @@ func (s *Store) ImageRange(deviceID, fromLPN, toLPN, before uint64, maxPages int
 				continue
 			}
 		}
-		vs := d.versions[lpn]
-		i := sort.Search(len(vs), func(i int) bool { return vs[i].WriteSeq >= before })
-		if i == 0 {
+		p, ok := d.newest(lpn, before)
+		if !ok {
 			continue
 		}
 		if len(pages) == maxPages {
 			more = true
 			break
 		}
-		pages = append(pages, vs[i-1])
+		pages = append(pages, *p)
 	}
 	nextLPN = fromLPN
 	if n := len(pages); n > 0 {
@@ -373,8 +440,8 @@ func (d *deviceLog) sortedLPNs() []uint64 {
 	d.lpnsMu.Lock()
 	defer d.lpnsMu.Unlock()
 	if d.lpns == nil {
-		d.lpns = make([]uint64, 0, len(d.versions))
-		for lpn := range d.versions {
+		d.lpns = make([]uint64, 0, len(d.heads))
+		for lpn := range d.heads {
 			d.lpns = append(d.lpns, lpn)
 		}
 		slices.Sort(d.lpns)
@@ -442,14 +509,10 @@ func (s *Store) DeviceStats(deviceID uint64) Stats {
 	if !ok {
 		return Stats{}
 	}
-	nv := 0
-	for _, vs := range d.versions {
-		nv += len(vs)
-	}
 	return Stats{
 		Segments:     len(d.segKeys),
 		Entries:      int(d.nextSeq), // the chain starts at sequence 0
-		Versions:     nv,
+		Versions:     d.versions,
 		PageBytes:    d.pageBytes,
 		Checkpoints:  len(d.checkpoints),
 		BytesLogical: d.bytesLogical,
@@ -487,48 +550,46 @@ func (s *Store) TouchedSince(deviceID, since uint64) map[uint64]struct{} {
 	return touched
 }
 
-// DropSegmentPages removes the page payloads of the device's i-th stored
+// DropSegmentPages removes the page versions of the device's i-th stored
 // segment from the version and chunk indexes — the retention-expiry
 // primitive. It first persists a tombstone, dev/<id>/drop/<i>, and changes
 // the indexes only once that Put succeeded, so Reload expires the same
 // versions. The evidence chain (entries, blobs, checkpoints) is kept for
 // forensics; only the retained page versions and their chunk references
-// go. A chunk's physical copy is freed only when the last page version
-// referencing it — from any device — is dropped. Each segment may be
-// dropped at most once.
+// go, and with them the segment's records. A chunk's physical copy is freed
+// only when the last page version referencing it — from any device — is
+// dropped. Dropping a segment again changes nothing.
 func (s *Store) DropSegmentPages(deviceID uint64, i int) error {
-	seg, err := s.FetchSegment(deviceID, i)
-	if err != nil {
-		return err
+	d, ok := s.lookup(deviceID)
+	if !ok {
+		return fmt.Errorf("%w: device %d", ErrNotFound, deviceID)
+	}
+	d.mu.RLock()
+	n := len(d.segKeys)
+	d.mu.RUnlock()
+	if i < 0 || i >= n {
+		return fmt.Errorf("%w: segment %d of device %d", ErrNotFound, i, deviceID)
 	}
 	if err := s.blobs.Put(fmt.Sprintf("dev/%d/drop/%010d", deviceID, i), nil); err != nil {
 		return fmt.Errorf("remote: persist expiry: %w", err)
 	}
-	d, _ := s.lookup(deviceID)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.drop(s.chunks, seg.Pages)
+	d.drop(s.chunks, i)
 	return nil
 }
 
-// drop removes the version each of pages recorded and releases its chunk.
-func (d *deviceLog) drop(chunks *chunkIndex, pages []oplog.PageRecord) {
-	for _, p := range pages {
-		vs := d.versions[p.LPN]
-		for j := range vs {
-			if vs[j].WriteSeq != p.WriteSeq {
-				continue
-			}
-			d.versions[p.LPN] = append(vs[:j], vs[j+1:]...)
-			if len(d.versions[p.LPN]) == 0 {
-				delete(d.versions, p.LPN)
-				d.lpns = nil
-			}
-			d.pageBytes -= int64(len(p.Data))
-			chunks.release(p.Hash)
-			break
-		}
+// drop unchains the i-th segment's versions, releases their chunks and
+// forgets its records.
+func (d *deviceLog) drop(chunks *chunkIndex, i int) {
+	sv := &d.segs[i]
+	for j := range sv.pages {
+		d.unchain(verRef{uint32(i + 1), uint32(j)})
+		d.pageBytes -= int64(len(sv.pages[j].Data))
+		chunks.release(sv.pages[j].Hash)
 	}
+	d.versions -= len(sv.pages)
+	*sv = segVersions{}
 }
 
 // TierStats returns the storage tier's cost/latency ledger when the
@@ -612,7 +673,7 @@ func (s *Store) Reload() error {
 	dev := func(id uint64) *deviceLog {
 		d, ok := devices[id]
 		if !ok {
-			d = &deviceLog{versions: map[uint64][]oplog.PageRecord{}}
+			d = newDeviceLog()
 			devices[id] = d
 		}
 		return d
@@ -678,11 +739,7 @@ func (s *Store) Reload() error {
 		if !ok || t.seg >= len(d.segKeys) {
 			continue // the listing lacks the segment, so the index lacks its versions
 		}
-		seg, err := s.readSegment(d.segKeys[t.seg])
-		if err != nil {
-			return fmt.Errorf("remote: reload expiry of %s: %w", d.segKeys[t.seg], err)
-		}
-		d.drop(chunks, seg.Pages)
+		d.drop(chunks, t.seg)
 	}
 	for _, d := range devices {
 		sort.Slice(d.checkpoints, func(i, j int) bool { return d.checkpoints[i].Seq < d.checkpoints[j].Seq })
