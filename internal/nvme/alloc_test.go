@@ -31,8 +31,8 @@ func newRSSDCtrl() *Controller {
 
 // TestReadCommandSteadyStateAllocs: a page-aligned read command crosses
 // nvme, core, oplog, ftl and nand on scratch each layer reuses, and its pages
-// land straight in the completion's buffer. The command allocates that
-// buffer and the device's []Result, nothing else.
+// land straight in a buffer the queue lends. The command allocates the
+// device's []Result, nothing else.
 func TestReadCommandSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -51,31 +51,69 @@ func TestReadCommandSteadyStateAllocs(t *testing.T) {
 		comp, _ = q.Reap()
 	}
 	read()
-	if got := testing.AllocsPerRun(20, read); got != 2 {
-		t.Fatalf("read command of 8 pages: %.1f allocs, want 2 (the results and comp.Data)", got)
+	if got := testing.AllocsPerRun(20, read); got != 1 {
+		t.Fatalf("read command of 8 pages: %.1f allocs, want 1 (the results)", got)
 	}
 	if comp.Status != StatusSuccess || !bytes.Equal(comp.Data, data) {
 		t.Fatalf("read mismatch: status %v", comp.Status)
 	}
 }
 
-// TestControllerDoesNotPinCommandBuffers: neither the controller's reused op
-// slice nor the queues keep a command's payload or its completion's data
-// alive.
-func TestControllerDoesNotPinCommandBuffers(t *testing.T) {
+// TestUnalignedWriteSteadyStateAllocs: a write with partial pages at both
+// edges reads them into a bounce buffer the queue lends and takes back
+// within the command. It allocates the device's two []Results, the edge
+// read's and the write's, nothing else.
+func TestUnalignedWriteSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
 	q := newRSSDCtrl().QueuePair(8)
-	var payload, readBack weak.Pointer[byte]
+	data := lbas(0x6B, 8) // one page's worth, straddling pages 0 and 1
+	write := func() {
+		if c := submitAndRun(t, q, Command{Opcode: OpWrite, CID: 1, SLBA: 4, NLB: 8, Data: data}); c.Status != StatusSuccess {
+			t.Fatalf("write status %v", c.Status)
+		}
+	}
+	for range 64 {
+		write()
+	}
+	if got := testing.AllocsPerRun(100, write); got != 2 {
+		t.Fatalf("unaligned write over 2 pages: %.1f allocs, want 2 (the edge read's and the write's results)", got)
+	}
+	if n := held(q); n != 1 {
+		t.Fatalf("the queue holds %d buffers after unaligned writes alone, want the one bounce buffer", n)
+	}
+}
+
+// TestControllerDoesNotPinCommandBuffers: neither the controller's reused op
+// slice nor the queues keep a command's payload alive. A read's buffer is the
+// queue's, which holds at most depth+1 of them and drops one it outgrows.
+func TestControllerDoesNotPinCommandBuffers(t *testing.T) {
+	const depth = 2
+	q := newRSSDCtrl().QueuePair(depth)
+	var payload, outgrown weak.Pointer[byte]
 	func() {
 		data := lbas(0x3C, 16)
 		payload = weak.Make(&data[0])
 		submitAndRun(t, q, Command{Opcode: OpWrite, CID: 1, SLBA: 0, NLB: 16, Data: data})
+		// Two pages into the first buffer; eight into a second, since the
+		// first is lent until the next Reap; eight more into the first,
+		// which is too short and is replaced.
 		r := submitAndRun(t, q, Command{Opcode: OpRead, CID: 2, SLBA: 0, NLB: 16})
-		readBack = weak.Make(&r.Data[0])
+		outgrown = weak.Make(&r.Data[0])
+		submitAndRun(t, q, Command{Opcode: OpRead, CID: 3, SLBA: 0, NLB: 64})
+		submitAndRun(t, q, Command{Opcode: OpRead, CID: 4, SLBA: 0, NLB: 64})
 	}()
 	runtime.GC()
 	runtime.GC()
-	if payload.Value() != nil || readBack.Value() != nil {
-		t.Fatal("the controller still holds a command's buffer")
+	if payload.Value() != nil {
+		t.Fatal("the controller still holds a write command's payload")
+	}
+	if outgrown.Value() != nil {
+		t.Fatal("the queue still holds a read buffer it outgrew")
+	}
+	if n := held(q); n > depth+1 {
+		t.Fatalf("the queue holds %d buffers, want at most depth+1 = %d", n, depth+1)
 	}
 	runtime.KeepAlive(q)
 }

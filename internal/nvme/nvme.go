@@ -11,6 +11,13 @@
 // submission order per queue — the firmware event loop processes one
 // submission queue entry at a time, which is also the concurrency model the
 // rest of the simulation assumes.
+//
+// A read lands in a buffer its queue pair lends, as an NVMe host's
+// pre-registered DMA buffers or io_uring's provided buffers: a completion's
+// Data is valid until the next Reap on the same queue, which takes its
+// buffer back for a later command. A queue keeps at most depth+1 buffers,
+// and the bounce buffer of an unaligned write is one of them, taken and
+// given back within the command, so no command allocates its payload.
 package nvme
 
 import (
@@ -76,9 +83,12 @@ type Command struct {
 type Completion struct {
 	CID    uint16
 	Status Status
-	Data   []byte // read payload
-	SQHead int    // submission queue head after this completion
+	// Data is a read's payload, in a buffer the queue lends: valid until
+	// the next Reap on the same queue, which takes the buffer back.
+	Data   []byte
+	SQHead int // submission queue head after this completion
 	At     simclock.Time
+	buf    []byte // the queue's buffer behind Data
 }
 
 // Errors returned by queue operations.
@@ -122,12 +132,15 @@ func (c *Controller) QueuePair(depth int) *QueuePair {
 }
 
 // QueuePair is one NVMe SQ/CQ pair. Not safe for concurrent use, like a
-// per-core NVMe queue.
+// per-core NVMe queue. It owns the buffers its reads land in: each is
+// spare, behind a completion on the queue, or lent to the last one reaped.
 type QueuePair struct {
 	ctrl  *Controller
 	depth int
 	sq    []Command
 	cq    []Completion
+	spare [][]byte // buffers no completion holds
+	lent  []byte   // the buffer behind the last reaped completion's Data
 }
 
 // Submit places a command on the submission queue.
@@ -148,7 +161,7 @@ func (q *QueuePair) Process(n int, at simclock.Time) simclock.Time {
 	}
 	for i := 0; i < n; i++ {
 		cmd := q.sq[i]
-		comp := q.ctrl.execute(cmd, &at)
+		comp := q.ctrl.execute(q, cmd, &at)
 		comp.SQHead = len(q.sq) - (i + 1)
 		q.cq = append(q.cq, comp)
 	}
@@ -164,21 +177,49 @@ func shift[T any](s []T, n int) []T {
 	return s[:k]
 }
 
-// Reap pops the oldest completion.
+// Reap pops the oldest completion and takes back the buffer of the one it
+// popped before, whose Data a later command may overwrite.
 func (q *QueuePair) Reap() (Completion, error) {
 	if len(q.cq) == 0 {
 		return Completion{}, ErrQueueEmpty
 	}
 	comp := q.cq[0]
 	q.cq = shift(q.cq, 1)
+	q.giveBack(q.lent)
+	q.lent = comp.buf
 	return comp, nil
+}
+
+// buffer takes a spare buffer of n bytes, replacing it with a longer one if
+// it is too short, or makes one if the queue has none spare. It is the
+// package's one source of payload buffers. A buffer is made only when none
+// is spare, and at most depth+1 are in use at once: one per completion
+// queued or command running, which Submit caps at depth together, and the
+// one lent to the last reaped.
+func (q *QueuePair) buffer(n int) []byte {
+	if k := len(q.spare) - 1; k >= 0 {
+		b := q.spare[k]
+		q.spare[k] = nil
+		q.spare = q.spare[:k]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// giveBack makes a buffer spare again.
+func (q *QueuePair) giveBack(b []byte) {
+	if b != nil {
+		q.spare = append(q.spare, b)
+	}
 }
 
 // Outstanding returns the number of unprocessed submissions.
 func (q *QueuePair) Outstanding() int { return len(q.sq) }
 
-// execute runs one command against the device.
-func (c *Controller) execute(cmd Command, at *simclock.Time) Completion {
+// execute runs one command of queue q against the device.
+func (c *Controller) execute(q *QueuePair, cmd Command, at *simclock.Time) Completion {
 	comp := Completion{CID: cmd.CID, Status: StatusSuccess}
 	end := cmd.SLBA + uint64(cmd.NLB)
 	if cmd.Opcode != OpFlush && (cmd.NLB == 0 || end > c.maxLBA || end < cmd.SLBA) {
@@ -195,9 +236,9 @@ func (c *Controller) execute(cmd Command, at *simclock.Time) Completion {
 			comp.Status = StatusInvalid
 			break
 		}
-		err = c.write(cmd, at)
+		err = c.write(q, cmd, at)
 	case OpRead:
-		comp.Data, err = c.read(cmd, at)
+		comp.buf, comp.Data, err = c.read(q, cmd, at)
 	case OpDSM:
 		// Deallocate: whole pages are trimmed; partial pages at the
 		// edges are left alone (deallocation is advisory in NVMe).
@@ -231,27 +272,30 @@ func (c *Controller) pageOps(kind batch.Kind, first uint64, buf []byte) {
 	}
 }
 
-// read lands every page the command spans in one buffer and returns the
-// command's blocks of it.
-func (c *Controller) read(cmd Command, at *simclock.Time) ([]byte, error) {
+// read lands every page the command spans in one of q's buffers and returns
+// that buffer and the command's blocks of it.
+func (c *Controller) read(q *QueuePair, cmd Command, at *simclock.Time) (buf, data []byte, err error) {
 	first, pages, head := c.span(cmd)
-	buf := make([]byte, pages*c.pageSize)
+	buf = q.buffer(pages * c.pageSize)
 	c.pageOps(batch.OpRead, first, buf)
 	if err := c.submit(at); err != nil {
-		return nil, err
+		q.giveBack(buf)
+		return nil, nil, err
 	}
 	n := int(cmd.NLB) * LBASize
-	return buf[head : head+n : head+n], nil
+	return buf, buf[head : head+n : head+n], nil
 }
 
 // write programs every page the command spans. Partial pages at the edges
 // are read-modify-write, exactly what a controller does: the edge pages are
-// read first, as one batch, and the command's blocks copied over them.
-func (c *Controller) write(cmd Command, at *simclock.Time) error {
+// read first, as one batch, into a buffer of q's that the command gives back
+// when it ends, and the command's blocks copied over them.
+func (c *Controller) write(q *QueuePair, cmd Command, at *simclock.Time) error {
 	first, pages, head := c.span(cmd)
 	src := cmd.Data
 	if tail := pages*c.pageSize - head - len(src); head > 0 || tail > 0 {
-		src = make([]byte, pages*c.pageSize)
+		src = q.buffer(pages * c.pageSize)
+		defer q.giveBack(src)
 		if head > 0 {
 			c.pageOps(batch.OpRead, first, src[:c.pageSize])
 		}

@@ -3,8 +3,10 @@ package nvme
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ftl"
 	"repro/internal/nand"
@@ -250,5 +252,133 @@ func TestLBARoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// buffers lists every buffer q holds: spare, behind a queued completion, or
+// lent to the last one reaped.
+func buffers(q *QueuePair) [][]byte {
+	bufs := append([][]byte(nil), q.spare...)
+	for _, c := range q.cq {
+		if c.buf != nil {
+			bufs = append(bufs, c.buf)
+		}
+	}
+	if q.lent != nil {
+		bufs = append(bufs, q.lent)
+	}
+	return bufs
+}
+
+func held(q *QueuePair) int { return len(buffers(q)) }
+
+// base returns the address of a buffer's backing array.
+func base(b []byte) *byte { return unsafe.SliceData(b) }
+
+// TestReadDataLentUntilNextReap: a read's Data lives in a buffer its queue
+// lends until the queue's next Reap. Commands processed meanwhile, on this
+// queue or another, leave it alone; after that Reap a later read lands in
+// the same backing array; two queues never share a buffer; and a queue never
+// holds more than depth+1 buffers.
+func TestReadDataLentUntilNextReap(t *testing.T) {
+	const depth = 4
+	ctrl := newCtrl()
+	m := ctrl.MultiQueue(2, depth)
+	q0, q1 := m.Queue(0), m.Queue(1)
+	run := func(q *QueuePair, cmd Command) Completion {
+		t.Helper()
+		if err := q.Submit(cmd); err != nil {
+			t.Fatal(err)
+		}
+		m.Process(0, 0)
+		c, err := q.Reap()
+		if err != nil || c.Status != StatusSuccess {
+			t.Fatalf("%v: status %v, err %v", cmd.Opcode, c.Status, err)
+		}
+		return c
+	}
+	run(q0, Command{Opcode: OpWrite, SLBA: 0, NLB: 32, Data: lbas(0x11, 32)})
+	first := run(q0, Command{Opcode: OpRead, SLBA: 0, NLB: 16})
+
+	// Overwrite the pages it read, through the other queue, and read them
+	// back there; then queue more reads on q0 without reaping them.
+	run(q1, Command{Opcode: OpWrite, SLBA: 0, NLB: 32, Data: lbas(0x22, 32)})
+	other := run(q1, Command{Opcode: OpRead, SLBA: 0, NLB: 16})
+	for i := range depth - 1 {
+		if err := q0.Submit(Command{Opcode: OpRead, CID: uint16(i), SLBA: 16, NLB: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Process(0, 0)
+	if !bytes.Equal(first.Data, lbas(0x11, 16)) {
+		t.Fatal("a read's data changed before its queue's next Reap")
+	}
+	if !bytes.Equal(other.Data, lbas(0x22, 16)) {
+		t.Fatal("the other queue's read returned the wrong data")
+	}
+
+	// The next Reap takes first's buffer back, and the read after it lands
+	// there.
+	if _, err := q0.Reap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q0.Submit(Command{Opcode: OpRead, SLBA: 0, NLB: 16}); err != nil {
+		t.Fatal(err)
+	}
+	m.Process(0, 0)
+	var again Completion
+	for range depth - 1 {
+		var err error
+		if again, err = q0.Reap(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if base(again.Data) != base(first.Data) {
+		t.Fatal("a buffer taken back at Reap was not reused")
+	}
+	if !bytes.Equal(again.Data, lbas(0x22, 16)) {
+		t.Fatal("a reused buffer returned the wrong data")
+	}
+
+	// 1 000 reads of 1–16 pages, at any LBA, up to depth at a time.
+	rng := rand.New(rand.NewSource(1))
+	lpp := int(ctrl.lbasPerPage)
+	for i := 0; i < 1000; {
+		k := 1 + rng.Intn(depth)
+		for j := 0; j < k && i < 1000; j, i = j+1, i+1 {
+			nlb := lpp * (1 + rng.Intn(16))
+			if rng.Intn(2) == 0 {
+				nlb -= rng.Intn(lpp)
+			}
+			slba := rng.Intn(int(ctrl.maxLBA) - nlb)
+			q := m.Queue(i % 2)
+			if err := q.Submit(Command{Opcode: OpRead, SLBA: uint64(slba), NLB: uint32(nlb)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Process(0, 0)
+		for _, q := range []*QueuePair{q0, q1} {
+			for {
+				c, err := q.Reap()
+				if err != nil {
+					break
+				}
+				if c.Status != StatusSuccess {
+					t.Fatalf("read status %v", c.Status)
+				}
+			}
+			if n := held(q); n > depth+1 {
+				t.Fatalf("after %d reads a queue holds %d buffers, over depth+1 = %d", i, n, depth+1)
+			}
+		}
+	}
+	owner := map[*byte]int{}
+	for qi, q := range []*QueuePair{q0, q1} {
+		for _, b := range buffers(q) {
+			if o, ok := owner[base(b)]; ok && o != qi {
+				t.Fatalf("queues %d and %d share a buffer", o, qi)
+			}
+			owner[base(b)] = qi
+		}
 	}
 }
