@@ -445,7 +445,6 @@ func (r *RSSD) applyResult(st *stagedSegment) {
 func (r *RSSD) releaseSegment(st *stagedSegment) {
 	for _, re := range st.batch {
 		r.stats.OffloadPages++
-		r.stats.OffloadBytes += uint64(r.f.PageSize())
 		if rb := r.rolling; rb != nil && re.lpn >= rb.cursor {
 			rb.held = append(rb.held, re)
 			continue
@@ -453,7 +452,6 @@ func (r *RSSD) releaseSegment(st *stagedSegment) {
 		r.unpin(re)
 	}
 	r.stats.OffloadSegments++
-	r.stats.OffloadEntries += uint64(len(st.seg.Entries))
 	r.stats.OffloadBytesWire += uint64(st.wire)
 	r.stats.OffloadBytesLogical += uint64(st.logical)
 	ackSpan := st.ackAt.Sub(st.sealedAt)

@@ -689,10 +689,6 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 		rep.BytesLogical += uint64(cs.LogicalBytes)
 		rep.PagesLiteral += cs.Literals
 		rep.PagesRef += cs.Refs
-		r.stats.RestoreBytesWire += uint64(cs.WireBytes)
-		r.stats.RestoreBytesLogical += uint64(cs.LogicalBytes)
-		r.stats.RestorePagesLiteral += uint64(cs.Literals)
-		r.stats.RestorePagesDelta += uint64(cs.Refs)
 		for i := range pages {
 			rec := &pages[i]
 			if rec.LPN < rb.cursor || rec.LPN >= end {

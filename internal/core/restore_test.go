@@ -80,20 +80,17 @@ func TestRestoreImageResumesMidStream(t *testing.T) {
 	if rep.Resumes == 0 {
 		t.Fatal("stream was not interrupted: the test vehicle lost its teeth")
 	}
-	// The choked session ledgers its stream only when its blocked write
-	// fails, on its own goroutine: wait for that handler to return.
+	// The choked session settles on its own goroutine: wait for its
+	// handler to return before reading the server's ledger.
 	<-choked
-	if rs := srv.RecoveryStats(1); rs.Resumes == 0 || rs.Streams < 2 {
-		t.Fatalf("server saw no resumed stream (restarted instead?): %+v", rs)
+	if rs := srv.RecoveryStats(); rs.Resumes != uint64(rep.Resumes) || rs.Streams != uint64(rep.Resumes)+1 {
+		t.Fatalf("server ledger %+v, restore survived %d resumes (restarted instead?)", rs, rep.Resumes)
 	}
 	if rep.RTO <= 0 || rep.Chunks == 0 || rep.BytesWire == 0 {
 		t.Fatalf("implausible restore report: %+v", rep)
 	}
 	if rep.BytesWire >= rep.BytesLogical {
 		t.Fatalf("restore wire not compressed: %+v", rep)
-	}
-	if st := r2.Stats(); st.RestoreBytesWire != rep.BytesWire || st.RestoreBytesLogical != rep.BytesLogical {
-		t.Fatalf("device restore counters diverge from report: %+v vs %+v", st, rep)
 	}
 
 	// Page-identical to the pre-damage oracle.
@@ -196,7 +193,7 @@ func TestRestoreFullLiteralStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.checkImage(t, r2, at)
-	rs := srv.RecoveryStats(1)
+	rs := srv.RecoveryStats()
 	if rs.Pages == 0 || rep.PagesRef != 0 || uint64(rep.PagesLiteral) != rs.Pages || rs.PagesRef != 0 {
 		t.Fatalf("streamed %d pages: report %d literal + %d ref, server %d literal + %d ref",
 			rs.Pages, rep.PagesLiteral, rep.PagesRef, rs.PagesLiteral, rs.PagesRef)

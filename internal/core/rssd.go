@@ -105,8 +105,6 @@ type Stats struct {
 	RetainedNow     int
 	OffloadSegments uint64
 	OffloadPages    uint64
-	OffloadBytes    uint64 // uncompressed page bytes shipped
-	OffloadEntries  uint64
 	// OffloadBytesWire is what actually crossed the NVMe-oE link: codec-
 	// framed (compressed) segment blobs. OffloadBytesLogical is the same
 	// segments' uncompressed marshal size; wire < logical is the
@@ -168,21 +166,6 @@ type Stats struct {
 	// of a server failover, as opposed to RedialAttempts which only counts
 	// the dials themselves.
 	RedialWaitTime simclock.Duration
-	// RestoreBytesWire / RestoreBytesLogical mirror the offload-side wire
-	// and logical counters for recovery traffic: image streams and range
-	// fetches ride the same segment codec as offload, and wire < logical
-	// is the compression the restore path now gets end to end.
-	RestoreBytesWire    uint64
-	RestoreBytesLogical uint64
-	// RestorePagesLiteral / RestorePagesDelta split streamed restore pages
-	// by wire form: literals carried their full payload, delta pages
-	// arrived as a 32-byte hash reference resolved from the device-side
-	// cache (each unique page content crosses the wire once per restore).
-	// DedupHitRate is derived: delta / (delta + literal); zero until a
-	// dedup restore runs.
-	RestorePagesLiteral uint64
-	RestorePagesDelta   uint64
-	DedupHitRate        float64
 	// ReopenHeld / ReopenRepinned split the committed stale flash pages
 	// Reopen found: held ones the server already lists with the chain's
 	// hash (released, never shipped again), repinned ones it does not (the
@@ -335,9 +318,6 @@ func (r *RSSD) Stats() Stats {
 	}
 	if r.lastOffloadErr != nil {
 		s.LastOffloadError = r.lastOffloadErr.Error()
-	}
-	if total := s.RestorePagesDelta + s.RestorePagesLiteral; total > 0 {
-		s.DedupHitRate = float64(s.RestorePagesDelta) / float64(total)
 	}
 	return s
 }

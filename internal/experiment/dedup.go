@@ -68,7 +68,7 @@ type DedupMeasured struct {
 	StoreUniquePages int
 	StoreTotalRefs   int64
 	StoreHitRate     float64
-	// Server-side ledger cross-check (summed RecoveryStats).
+	// Server-side ledger cross-check (the one server's RecoveryStats).
 	ServerPagesLiteral uint64
 	ServerPagesRef     uint64
 }
@@ -298,10 +298,9 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 		if r.audit(id, nil).chainErr != nil {
 			m.ChainsOK = false
 		}
-		rs := r.cluster.Server(0).RecoveryStats(id)
-		m.ServerPagesLiteral += rs.PagesLiteral
-		m.ServerPagesRef += rs.PagesRef
 	}
+	rs := r.cluster.Server(0).RecoveryStats()
+	m.ServerPagesLiteral, m.ServerPagesRef = rs.PagesLiteral, rs.PagesRef
 	ds := r.store.Dedup()
 	m.StoreUniquePages = ds.UniquePages
 	m.StoreTotalRefs = ds.TotalRefs

@@ -75,7 +75,7 @@ func PerfOverhead(s Scale, workloads []string) ([]PerfRow, error) {
 // so queueing shows up as chip contention inside the device model rather
 // than head-of-line blocking at the record level. after, when set, runs
 // after every record.
-func perfReplay(s Scale, prof workload.Profile, dev host.BatchDevice, f *ftl.FTL, after func()) (PerfSystem, error) {
+func perfReplay(s Scale, prof workload.Profile, dev host.BlockDevice, f *ftl.FTL, after func()) (PerfSystem, error) {
 	hw, hr := metrics.NewHistogram(0), metrics.NewHistogram(0)
 	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), 23)
 	_, _, err := replay(dev, g, s.TraceOps, replayOpts{each: func(rec workload.Record, issue, done simclock.Time) {

@@ -49,7 +49,7 @@ type replayOpts struct {
 // replay submits n trace records of g to dev, one batch per record, and
 // returns the latest completion and how many records submitted (a record
 // wholly past the device's logical space submits nothing).
-func replay(dev host.BatchDevice, g *workload.Generator, n int, o replayOpts) (simclock.Time, int, error) {
+func replay(dev host.BlockDevice, g *workload.Generator, n int, o replayOpts) (simclock.Time, int, error) {
 	var ops []batch.Op
 	var end simclock.Time
 	prev, records, held := o.start, 0, o.hold == nil

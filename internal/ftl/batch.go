@@ -119,7 +119,6 @@ func (f *FTL) writeBatch(stream Stream, times []simclock.Time, ops []BatchWrite,
 			f.blocks[f.geo.BlockOf(ppn)].valid++
 			out[idx] = ts[j]
 			f.stats.HostWrites++
-			f.stats.HostWriteLatency += ts[j].Sub(at)
 			if ts[j] > done {
 				done = ts[j]
 			}
@@ -180,7 +179,6 @@ func (f *FTL) ReadBatch(times []simclock.Time, dst [][]byte, lpns []uint64, at s
 			return times, at, ErrBadPageSize
 		}
 	}
-	f.stats.HostReads += uint64(len(lpns))
 	if ro, ok := f.ret.(ReadObserver); ok {
 		for _, lpn := range lpns {
 			ro.OnHostRead(lpn, at)
@@ -206,7 +204,6 @@ func (f *FTL) ReadBatch(times []simclock.Time, dst [][]byte, lpns []uint64, at s
 	}
 	for j, idx := range devIdx {
 		out[idx] = ts[j]
-		f.stats.HostReadLatency += ts[j].Sub(at)
 	}
 	return times, done, nil
 }

@@ -188,16 +188,12 @@ const (
 // amplification and lifetime estimates.
 type Stats struct {
 	HostWrites  uint64 // host pages written
-	HostReads   uint64
 	Trims       uint64
 	GCRuns      uint64
 	GCMigrates  uint64 // valid-page migrations
 	PinMigrates uint64 // pinned (retained) page migrations
 	Erases      uint64
 	StaleErased uint64 // stale pages physically destroyed
-	// Latency accumulators in simulated ns, for the <1% overhead claim.
-	HostWriteLatency simclock.Duration
-	HostReadLatency  simclock.Duration
 }
 
 // FTL is a page-mapping flash translation layer. Not safe for concurrent

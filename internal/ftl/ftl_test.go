@@ -397,17 +397,6 @@ func TestWriteWithSeqStampsOOB(t *testing.T) {
 	}
 }
 
-func TestLatencyAccumulates(t *testing.T) {
-	f := New(smallConfig(), nil)
-	at := simclock.Time(0)
-	at, _ = writeOne(f, 0, fill(1, 512), at)
-	f.Read(0, at)
-	s := f.Stats()
-	if s.HostWriteLatency <= 0 || s.HostReadLatency <= 0 {
-		t.Fatalf("latency accumulators empty: %+v", s)
-	}
-}
-
 func TestFreePagesDecreasesWithWrites(t *testing.T) {
 	f := New(smallConfig(), nil)
 	before := f.freePages()

@@ -89,6 +89,18 @@ type clusterNode struct {
 	alive    bool
 	weight   int
 	hotTicks int
+	// seenWire is the server's lifetime ingest BytesWire at the last skew
+	// sample: the next window is what it accepted since.
+	seenWire uint64
+}
+
+// takeWindow returns the wire bytes the node's server accepted since the
+// previous call, and starts the next window.
+func (n *clusterNode) takeWindow() uint64 {
+	cur := n.srv.ingested.bytesWire.Load()
+	w := cur - n.seenWire
+	n.seenWire = cur
+	return w
 }
 
 // Cluster is the multi-server control plane. Safe for concurrent use.
@@ -279,15 +291,16 @@ func (c *Cluster) Revive(id int) error {
 	node.hotTicks = 0
 	// Discard load accumulated before death so the first post-revive skew
 	// window reflects only fresh traffic.
-	node.srv.TakeIngestWindow()
+	node.takeWindow()
 	c.ring.AddNode(id, node.weight)
 	return nil
 }
 
 // RebalanceOnIngest samples the wire bytes each live server accepted since
-// the last call (Server.TakeIngestWindow): load as placed, which shows a hot
-// server even when its decode lane keeps up. A server is hot when its
-// window is at least SkewMinBytes and SkewFactor× the median of its peers';
+// the last call (the growth of its IngestTotals().BytesWire): load as
+// placed, which shows a hot server even when its decode lane keeps up. A
+// server is hot when its window is at least SkewMinBytes and SkewFactor×
+// the median of its peers';
 // after SkewTicks consecutive hot windows its ring weight takes one
 // weightStep cut, never below minWeight. Devices whose arcs the cut moved
 // are re-placed and their sessions closed so they redial to the new owners.
@@ -314,7 +327,7 @@ func (c *Cluster) cutHottestLocked() (*clusterNode, []Move) {
 	var window []int
 	for _, n := range c.nodes {
 		if n.alive {
-			_, bytes := n.srv.TakeIngestWindow()
+			bytes := n.takeWindow()
 			live = append(live, n)
 			window = append(window, int(min(bytes, math.MaxInt)))
 		}

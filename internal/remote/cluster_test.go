@@ -165,7 +165,7 @@ func TestClusterRebalanceUnderSkew(t *testing.T) {
 
 	hot, _ := c.Owner(1)
 	hotBefore := c.Spread()[hot]
-	spike := func() { c.Server(hot).winBytes.Add(1 << 20) }
+	spike := func() { c.Server(hot).ingested.bytesWire.Add(1 << 20) }
 
 	// Window 1: hot, but below SkewTicks — no cut yet.
 	spike()
@@ -215,6 +215,76 @@ func weightOf(t *testing.T, c *Cluster, id int) int {
 	}
 	t.Fatalf("no server %d", id)
 	return 0
+}
+
+// TestReviveStartsAFreshSkewWindow: a server's skew window is the growth of
+// its lifetime ingest BytesWire since the cluster last sampled it. Bytes a
+// server accepted before it died are not load on the revived server, so
+// the first window after Revive counts none of them — however hot they
+// would look — while bytes it accepts after revival count in full.
+func TestReviveStartsAFreshSkewWindow(t *testing.T) {
+	st := NewStore(NewMemStore())
+	// One hot window cuts, and any byte on one server against idle peers
+	// is hot: a window that counted the pre-death bytes could not pass.
+	c := NewCluster(st, ClusterConfig{Servers: 3, PSK: psk, SkewTicks: 1, SkewMinBytes: 1, Server: ServerConfig{DecodeWorkers: 1}})
+	defer c.Close()
+
+	// push pushes real segments from dev through its owner and returns the
+	// owner and the wire bytes the owner acked.
+	push := func(cl *Client, dev uint64) (int, uint64) {
+		t.Helper()
+		blobs, seqs := blobsFor(buildSegments(dev, 8, 8))
+		if err := cl.PushSegmentBlobs(blobs, seqs, 4); err != nil {
+			t.Fatalf("device %d push: %v", dev, err)
+		}
+		var wire uint64
+		for _, b := range blobs {
+			wire += uint64(len(b))
+		}
+		owner, _ := c.Owner(dev)
+		return owner, wire
+	}
+	cl, err := c.Dial(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, before := push(cl, 1)
+	cl.Close()
+	if got := c.Server(hot).IngestTotals().BytesWire; got != before {
+		t.Fatalf("server %d ledgered %d wire bytes, device pushed %d", hot, got, before)
+	}
+	if _, err := c.Kill(hot); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Revive(hot); err != nil {
+		t.Fatal(err)
+	}
+	if moves := c.RebalanceOnIngest(); moves != nil || weightOf(t, c, hot) != 100 {
+		t.Fatalf("first window after revival cut server %d to weight %d (moves %v): it counted the %d bytes from before its death",
+			hot, weightOf(t, c, hot), moves, before)
+	}
+
+	// Bytes accepted after revival are load: the next window cuts.
+	for dev := uint64(2); ; dev++ {
+		cl, err := c.Dial(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner, _ := c.Owner(dev); owner != hot {
+			cl.Close()
+			continue
+		}
+		push(cl, dev)
+		cl.Close()
+		break
+	}
+	c.RebalanceOnIngest()
+	if w := weightOf(t, c, hot); w >= 100 {
+		t.Fatalf("server %d kept weight %d after a window of fresh load against idle peers", hot, w)
+	}
+	if got := c.Server(hot).IngestTotals().BytesWire; got <= before {
+		t.Fatalf("server %d lifetime wire %d, want above the %d before its death", hot, got, before)
+	}
 }
 
 // TestServerCloseDrainsDecodeLane is the satellite regression: closing a
@@ -302,6 +372,7 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 		t.Fatalf("store advanced after Close returned: %v -> %v", frozen, after)
 	}
 
+	var applied uint64
 	for d := 0; d < devices; d++ {
 		dev := uint64(300 + d)
 		head := st.Head(dev).NextSeq
@@ -311,13 +382,14 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 		if err := oplog.VerifyChain(st.Entries(dev, 0, head), [oplog.HashSize]byte{}); err != nil {
 			t.Fatalf("device %d chain after close: %v", dev, err)
 		}
-		ist := srv.ingestStats(dev)
-		if ist.Errors != 0 {
-			t.Fatalf("device %d ledgered %d ingest errors on a clean close", dev, ist.Errors)
-		}
-		if ist.Segments != uint64(head)/perSeg {
-			t.Fatalf("device %d: %d segments ledgered, head says %d applied", dev, ist.Segments, head/perSeg)
-		}
+		applied += head / perSeg
+	}
+	ist := srv.IngestTotals()
+	if ist.Errors != 0 {
+		t.Fatalf("ledgered %d ingest errors on a clean close", ist.Errors)
+	}
+	if ist.Segments != applied {
+		t.Fatalf("%d segments ledgered, heads say %d applied", ist.Segments, applied)
 	}
 
 	// Close is a drain, not a latch: a fresh session is served normally.

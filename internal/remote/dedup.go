@@ -175,7 +175,6 @@ func (ci *chunkIndex) stats() DedupStats {
 		sh.mu.Lock()
 		d.UniquePages += len(sh.m)
 		for _, e := range sh.m {
-			d.UniqueBytes += int64(len(e.data))
 			d.TotalRefs += e.refs
 			d.LogicalBytes += e.refs * int64(len(e.data))
 		}
@@ -188,7 +187,6 @@ func (ci *chunkIndex) stats() DedupStats {
 // contents it holds versus how many logical page versions reference them.
 type DedupStats struct {
 	UniquePages  int   // distinct page contents stored
-	UniqueBytes  int64 // physical bytes held
 	TotalRefs    int64 // logical page versions referencing them
 	LogicalBytes int64 // bytes the store would hold without dedup
 }

@@ -123,7 +123,7 @@ func TestMixedLiteralDedupRestore(t *testing.T) {
 	// re-literals anything it references, so a cache that saw none of the
 	// first half still resolves everything.
 	mixed := append([]oplog.PageRecord(nil), full[:20]...)
-	tail, _, tailRefs := collect(true, mixed[len(mixed)-1].LPN+1)
+	tail, tailWire, tailRefs := collect(true, mixed[len(mixed)-1].LPN+1)
 	mixed = append(mixed, tail...)
 	if tailRefs == 0 {
 		t.Fatal("resumed dedup stream resolved no refs")
@@ -136,8 +136,14 @@ func TestMixedLiteralDedupRestore(t *testing.T) {
 			t.Fatalf("mixed restore page %d differs from the full-literal image", i)
 		}
 	}
-	if rs := srv.RecoveryStats(7); rs.PagesLiteral+rs.PagesRef != rs.Pages || rs.PagesRef != uint64(dedupRefs+tailRefs) {
-		t.Fatalf("server ledger does not split every page into literal or ref: %+v", rs)
+	// The server's ledger counts the three streams exactly, and splits
+	// every page into a literal or a reference.
+	pages, refs := uint64(len(full)+len(deduped)+len(tail)), uint64(dedupRefs+tailRefs)
+	rs := srv.RecoveryStats()
+	if rs.Streams != 3 || rs.Resumes != 1 || rs.Pages != pages || rs.PagesRef != refs || rs.PagesLiteral != pages-refs ||
+		rs.BytesWire != uint64(fullWire+dedupWire+tailWire) {
+		t.Fatalf("server ledger %+v, want 3 streams (1 resume) of %d pages, %d of them refs, in %d wire bytes",
+			rs, pages, refs, fullWire+dedupWire+tailWire)
 	}
 }
 
@@ -242,7 +248,7 @@ func TestServerRefusesRetiredForms(t *testing.T) {
 	badData("segment without the codec header", err)
 	_, err = cl.roundTrip(nvmeoe.MsgType(10), nil, nvmeoe.MsgFetchResp)
 	badData("message type 10", err)
-	if ist := srv.ingestStats(5); ist.Segments != 1 || ist.Errors != 1 {
+	if ist := srv.IngestTotals(); ist.Segments != 1 || ist.Errors != 1 {
 		t.Fatalf("ingest ledger = %+v, want 1 segment and 1 error", ist)
 	}
 	if _, err := cl.PushSegmentBlob(nvmeoe.EncodeSegmentBlob(segs[1].Marshal()), segs[1].LastSeq); err != nil {

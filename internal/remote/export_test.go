@@ -15,18 +15,3 @@ func appendDecoded(st *Store, seg *oplog.Segment) error {
 	}
 	return st.AppendSegmentBlob(decoded, nvmeoe.EncodeSegmentBlob(raw))
 }
-
-// ingestStats returns the server's ingest ledger for one device; the server
-// itself reports only IngestTotals, its sum over devices.
-func (s *Server) ingestStats(deviceID uint64) IngestStats {
-	s.mu.Lock()
-	l := s.ingest[deviceID]
-	s.mu.Unlock()
-	var st IngestStats
-	if l != nil {
-		l.mu.Lock()
-		st = l.st
-		l.mu.Unlock()
-	}
-	return st
-}

@@ -5,7 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/bufpool"
 	"repro/internal/nvmeoe"
@@ -38,69 +38,29 @@ type ServerConfig struct {
 // client is not reading.
 const decodeQueueDepth = 1024
 
-// IngestStats ledgers the server-side ingest path for one device, the
-// ingest mirror of RecoveryStats. Wall-clock durations, not simulated
-// time: server-side decode and detection are real compute.
+// IngestStats is a server's ingest ledger: segment pushes accepted and
+// rejected, and the codec-framed wire bytes of the accepted ones, over the
+// server's lifetime and every device it served.
 type IngestStats struct {
-	// Segments and Errors count accepted and rejected segment pushes.
-	Segments uint64
-	Errors   uint64
-	// BytesWire is codec-framed bytes as received; BytesLogical their
-	// decoded size. The ratio is the ingest-side decompression expansion.
-	BytesWire    uint64
-	BytesLogical uint64
-	// DecodeTime is wall time the lane spent inflating and unmarshaling
-	// this device's segments.
-	DecodeTime time.Duration
-	// DecodeQueuePeak is the deepest decode backlog (segments enqueued but
-	// not yet fully ingested) any session of this device reached.
-	DecodeQueuePeak int
+	Segments  uint64
+	Errors    uint64
+	BytesWire uint64
 }
 
-type ingestLedger struct {
-	mu sync.Mutex
-	st IngestStats
+// ingestCounters is the server's one ingest ledger, bumped once per segment
+// by the decode lane.
+type ingestCounters struct {
+	segments, errors, bytesWire atomic.Uint64
 }
 
-// IngestTotals sums the per-device ingest ledgers into one server-wide
-// view — the per-server row of the fleet scaling curve.
+// IngestTotals returns the server's ingest ledger — the per-server row of
+// the fleet scaling curve.
 func (s *Server) IngestTotals() IngestStats {
-	s.mu.Lock()
-	ledgers := make([]*ingestLedger, 0, len(s.ingest))
-	for _, l := range s.ingest {
-		ledgers = append(ledgers, l)
+	return IngestStats{
+		Segments:  s.ingested.segments.Load(),
+		Errors:    s.ingested.errors.Load(),
+		BytesWire: s.ingested.bytesWire.Load(),
 	}
-	s.mu.Unlock()
-	var tot IngestStats
-	for _, l := range ledgers {
-		l.mu.Lock()
-		st := l.st
-		l.mu.Unlock()
-		tot.Segments += st.Segments
-		tot.Errors += st.Errors
-		tot.BytesWire += st.BytesWire
-		tot.BytesLogical += st.BytesLogical
-		tot.DecodeTime += st.DecodeTime
-		if st.DecodeQueuePeak > tot.DecodeQueuePeak {
-			tot.DecodeQueuePeak = st.DecodeQueuePeak
-		}
-	}
-	return tot
-}
-
-// ledger returns (creating on first contact) the device's ingest ledger.
-func (s *Server) ledger(deviceID uint64) *ingestLedger {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ingest == nil {
-		s.ingest = map[uint64]*ingestLedger{}
-	}
-	l := s.ingest[deviceID]
-	if l == nil {
-		l = &ingestLedger{}
-		s.ingest[deviceID] = l
-	}
-	return l
 }
 
 // decodeJob is one wire blob awaiting decode. body is freshly owned: the
@@ -176,7 +136,6 @@ type session struct {
 	conn     *nvmeoe.Conn
 	deviceID uint64
 	lane     *decodeLane
-	led      *ingestLedger
 
 	// The nvmeoe.Conn is not safe for concurrent writers; lane workers
 	// write acks while the connection goroutine writes fetch replies, so
@@ -194,7 +153,7 @@ type session struct {
 }
 
 func newSession(s *Server, nc net.Conn, conn *nvmeoe.Conn, deviceID uint64) *session {
-	ss := &session{srv: s, nc: nc, conn: conn, deviceID: deviceID, led: s.ledger(deviceID)}
+	ss := &session{srv: s, nc: nc, conn: conn, deviceID: deviceID}
 	ss.idle.L = &ss.pendMu
 	return ss
 }
@@ -209,15 +168,12 @@ func (ss *session) sendErr(code uint32, err error) error {
 	return ss.writeMsg(nvmeoe.MsgError, (&nvmeoe.ErrorMsg{Code: code, Text: err.Error()}).Marshal())
 }
 
-// begin registers one in-flight decode job, returning the backlog depth
-// for the queue-peak ledger.
-func (ss *session) begin() int {
+// begin registers one in-flight decode job.
+func (ss *session) begin() {
 	ss.pendMu.Lock()
 	ss.pending++
-	p := ss.pending
 	ss.pendMu.Unlock()
 	ss.srv.noteQueue(1)
-	return p
 }
 
 func (ss *session) done() {
@@ -254,19 +210,12 @@ func decodeBlob(buf *bufpool.Buf, body []byte) ([]byte, error) {
 // ingestSegment is the whole per-segment ingest: pooled decode, verify,
 // append (running detection subscribers), ack. It runs on a lane worker.
 func (ss *session) ingestSegment(body []byte) {
-	ss.pendMu.Lock()
-	queued := ss.pending
-	ss.pendMu.Unlock()
-	start := time.Now()
 	buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(body))
 	raw, err := decodeBlob(buf, body)
 	var seg *oplog.Segment
-	logical := 0
 	if err == nil {
-		logical = len(raw)
 		seg, err = oplog.UnmarshalSegment(raw)
 	}
-	decodeDur := time.Since(start)
 	if err == nil && seg.DeviceID != ss.deviceID {
 		err = fmt.Errorf("segment for device %d on session of device %d", seg.DeviceID, ss.deviceID)
 	}
@@ -277,25 +226,8 @@ func (ss *session) ingestSegment(body []byte) {
 	}
 	buf.Release() // seg's pages alias buf until the store's verify repoints them
 
-	ss.led.mu.Lock()
-	ss.led.st.DecodeTime += decodeDur
-	if queued > ss.led.st.DecodeQueuePeak {
-		ss.led.st.DecodeQueuePeak = queued
-	}
 	if err != nil {
-		ss.led.st.Errors++
-	} else {
-		ss.led.st.Segments++
-		ss.led.st.BytesWire += uint64(len(body))
-		ss.led.st.BytesLogical += uint64(logical)
-	}
-	ss.led.mu.Unlock()
-	if err == nil {
-		ss.srv.winSegments.Add(1)
-		ss.srv.winBytes.Add(uint64(len(body)))
-	}
-
-	if err != nil {
+		ss.srv.ingested.errors.Add(1)
 		// Report and keep the session: the device's chain state is
 		// unchanged, so it can resync. Only a broken transport kills the
 		// connection.
@@ -304,6 +236,8 @@ func (ss *session) ingestSegment(body []byte) {
 		}
 		return
 	}
+	ss.srv.ingested.segments.Add(1)
+	ss.srv.ingested.bytesWire.Add(uint64(len(body)))
 	// The ack carries the tier's modeled service time for this blob, so
 	// the device's ack-latency model reflects the backend (s3sim's Put
 	// latency), not just the NVMe-oE wire.

@@ -121,7 +121,7 @@ func TestIngestFrameMutationCorpus(t *testing.T) {
 	if err := oplog.VerifyChain(st.Entries(1, 0, head.NextSeq), [oplog.HashSize]byte{}); err != nil {
 		t.Fatalf("chain verify after corpus: %v", err)
 	}
-	if errs := srv.ingestStats(1).Errors; errs != uint64(rejected) {
+	if errs := srv.IngestTotals().Errors; errs != uint64(rejected) {
 		t.Fatalf("ingest ledger counts %d errors, corpus drew %d rejections", errs, rejected)
 	}
 }

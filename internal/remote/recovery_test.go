@@ -183,7 +183,7 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 	defer cl.Close()
 
 	var streamed []oplog.PageRecord
-	var chunks int
+	var chunks, wire, logical int
 	end, err := cl.FetchImageStream(0, 40, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
 		if cs.WireBytes <= 0 || cs.LogicalBytes <= 0 || cs.WireBytes > cs.LogicalBytes+64 {
 			return fmt.Errorf("implausible chunk sizes wire=%d logical=%d", cs.WireBytes, cs.LogicalBytes)
@@ -192,6 +192,8 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 			return fmt.Errorf("%d pages arrived as %d literals + %d refs on a stream without the dedup flag", len(pages), cs.Literals, cs.Refs)
 		}
 		chunks++
+		wire += cs.WireBytes
+		logical += cs.LogicalBytes
 		streamed = append(streamed, pages...)
 		return nil
 	})
@@ -217,17 +219,22 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 				return fmt.Errorf("resumed stream re-served lpn %d", p.LPN)
 			}
 		}
+		chunks++
+		wire += cs.WireBytes
+		logical += cs.LogicalBytes
 		return nil
 	})
 	if err != nil || end2.Pages != 15 {
 		t.Fatalf("resumed stream = %+v, %v", end2, err)
 	}
 
-	rs := srv.RecoveryStats(5)
-	if rs.Streams != 2 || rs.Resumes != 1 || rs.Pages != 55 {
-		t.Fatalf("recovery stats = %+v", rs)
+	rs := srv.RecoveryStats()
+	want := RecoveryStats{Streams: 2, Resumes: 1, Chunks: uint64(chunks), Pages: 55,
+		BytesWire: uint64(wire), BytesLogical: uint64(logical), PagesLiteral: 55}
+	if rs != want {
+		t.Fatalf("recovery stats = %+v, want %+v", rs, want)
 	}
-	if rs.BytesWire == 0 || rs.BytesWire >= rs.BytesLogical {
+	if rs.BytesWire >= rs.BytesLogical {
 		t.Fatalf("restore wire not compressed: %+v", rs)
 	}
 

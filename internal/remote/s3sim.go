@@ -77,18 +77,12 @@ func DefaultS3Config() S3Config {
 // TierStats is the running cost/latency ledger of a modeled storage tier.
 type TierStats struct {
 	Puts             uint64
-	Gets             uint64
-	Lists            uint64
-	Deletes          uint64
 	MultipartUploads uint64
 	Parts            uint64 // parts shipped across multipart uploads
-	BytesIn          int64
-	BytesOut         int64
-	BytesStored      int64 // current at-rest footprint
-	// ModelLatency is the cumulative modeled service time across requests;
-	// PutLatency the share spent in Put (what segment acks wait on).
-	ModelLatency simclock.Duration
-	PutLatency   simclock.Duration
+	BytesStored      int64  // current at-rest footprint
+	// PutLatency is the cumulative modeled Put service time (what segment
+	// acks wait on).
+	PutLatency simclock.Duration
 	// RequestUSD is the accrued per-request cost (storage is priced
 	// separately, per GB-month, via MonthlyStorageUSD).
 	RequestUSD float64
@@ -166,9 +160,7 @@ func (s *S3Sim) Put(key string, data []byte) error {
 		s.visible[key] = s.opSeq + s.cfg.ListLagOps
 	}
 	s.stats.Puts++
-	s.stats.BytesIn += int64(len(data))
 	s.stats.BytesStored += int64(len(data))
-	s.stats.ModelLatency += lat
 	s.stats.PutLatency += lat
 	return nil
 }
@@ -182,10 +174,7 @@ func (s *S3Sim) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	s.stats.Gets++
-	s.stats.BytesOut += int64(len(d))
 	s.stats.RequestUSD += s.cfg.GetUSD
-	s.stats.ModelLatency += s.cfg.FirstByte + s.xfer(len(d))
 	return append([]byte(nil), d...), nil
 }
 
@@ -203,9 +192,7 @@ func (s *S3Sim) List(prefix string) ([]string, error) {
 		}
 	}
 	sort.Strings(keys)
-	s.stats.Lists++
 	s.stats.RequestUSD += s.cfg.ListUSD
-	s.stats.ModelLatency += s.cfg.FirstByte
 	return keys, nil
 }
 
@@ -220,8 +207,6 @@ func (s *S3Sim) Delete(key string) error {
 	delete(s.data, key)
 	delete(s.visible, key)
 	s.opSeq++
-	s.stats.Deletes++
-	s.stats.ModelLatency += s.cfg.FirstByte
 	return nil
 }
 

@@ -47,8 +47,6 @@ type Server struct {
 	conns         map[net.Conn]uint64 // active session -> device ID
 	closed        *sync.Cond          // broadcast when a session deregisters; lazily built under mu
 	sessionsTotal uint64
-	recStats      map[uint64]*RecoveryStats
-	ingest        map[uint64]*ingestLedger
 	lane          *decodeLane // running decode lane, nil when no session holds it
 
 	// Server-wide decode backlog (jobs enqueued to the lane, not yet fully
@@ -56,19 +54,19 @@ type Server struct {
 	queueDepth atomic.Int64
 	queuePeak  atomic.Int64
 
-	// Ingest-skew window: segments and wire bytes accepted since the last
-	// TakeIngestWindow — how much load actually landed, the skew signal
-	// the cluster's rebalancer compares across servers
-	// (Cluster.RebalanceOnIngest).
-	winSegments atomic.Uint64
-	winBytes    atomic.Uint64
+	ingested ingestCounters  // IngestTotals
+	restored restoreCounters // RecoveryStats
 }
 
-// RecoveryStats ledgers what the server served one device during restore:
-// how many image streams it opened (and how many of those were resumes of
-// an interrupted stream), and the chunk/page/byte volume that crossed the
-// recovery path. Wire < logical is the codec compression; the restore wire
-// traffic rides the same segment codec as offload.
+// RecoveryStats is a server's restore ledger over its lifetime and every
+// device it served: how many image streams it opened (and how many of
+// those were resumes of an interrupted stream), and the chunk/page/byte
+// volume that crossed the recovery path. Wire < logical is the codec
+// compression; the restore wire traffic rides the same segment codec as
+// offload. Every served page is either a literal (full payload with its
+// content hash) or, on streams opened with FetchFlagDedup, a reference to a
+// literal sent earlier in the stream (32-byte hash the device resolves
+// locally).
 type RecoveryStats struct {
 	Streams      uint64
 	Resumes      uint64 // streams opened mid-image (From > 0)
@@ -76,16 +74,15 @@ type RecoveryStats struct {
 	Pages        uint64
 	BytesWire    uint64
 	BytesLogical uint64
-	// Dedup ledger. Every served page is either a literal (full payload
-	// with its content hash) or, on streams opened with FetchFlagDedup, a
-	// reference to a literal sent earlier in the stream (32-byte hash the
-	// device resolves locally). BytesDedupSaved is the literal payload
-	// volume references avoided; DeltaStreams counts streams served as
-	// checkpoint-anchored deltas (Anchor > 0).
-	PagesLiteral    uint64
-	PagesRef        uint64
-	BytesDedupSaved uint64
-	DeltaStreams    uint64
+	PagesLiteral uint64
+	PagesRef     uint64
+}
+
+// restoreCounters is the server's one restore ledger, bumped once per
+// stream and once per chunk served.
+type restoreCounters struct {
+	streams, resumes, chunks, pages                 atomic.Uint64
+	bytesWire, bytesLogical, pagesLiteral, pagesRef atomic.Uint64
 }
 
 // DefaultRecoveryChunkPages bounds pages per streamed restore chunk when
@@ -97,38 +94,19 @@ const (
 	MaxRecoveryChunkPages     = 4096
 )
 
-// RecoveryStats returns the restore-side ledger for one device.
-func (s *Server) RecoveryStats(deviceID uint64) RecoveryStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rs := s.recStats[deviceID]; rs != nil {
-		return *rs
+// RecoveryStats returns the server's restore ledger.
+func (s *Server) RecoveryStats() RecoveryStats {
+	r := &s.restored
+	return RecoveryStats{
+		Streams:      r.streams.Load(),
+		Resumes:      r.resumes.Load(),
+		Chunks:       r.chunks.Load(),
+		Pages:        r.pages.Load(),
+		BytesWire:    r.bytesWire.Load(),
+		BytesLogical: r.bytesLogical.Load(),
+		PagesLiteral: r.pagesLiteral.Load(),
+		PagesRef:     r.pagesRef.Load(),
 	}
-	return RecoveryStats{}
-}
-
-// addRecovery folds one request's restore traffic into the device ledger.
-func (s *Server) addRecovery(deviceID uint64, d RecoveryStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.recStats == nil {
-		s.recStats = map[uint64]*RecoveryStats{}
-	}
-	rs := s.recStats[deviceID]
-	if rs == nil {
-		rs = &RecoveryStats{}
-		s.recStats[deviceID] = rs
-	}
-	rs.Streams += d.Streams
-	rs.Resumes += d.Resumes
-	rs.Chunks += d.Chunks
-	rs.Pages += d.Pages
-	rs.BytesWire += d.BytesWire
-	rs.BytesLogical += d.BytesLogical
-	rs.PagesLiteral += d.PagesLiteral
-	rs.PagesRef += d.PagesRef
-	rs.BytesDedupSaved += d.BytesDedupSaved
-	rs.DeltaStreams += d.DeltaStreams
 }
 
 // NewServer returns a server over store that accepts any device presenting
@@ -250,13 +228,6 @@ func (s *Server) noteQueue(delta int64) {
 
 // QueuePeak returns the lifetime peak of the server-wide decode backlog.
 func (s *Server) QueuePeak() int { return int(s.queuePeak.Load()) }
-
-// TakeIngestWindow returns the segments and wire bytes this server accepted
-// since the previous call and resets the window — the live ingest-skew
-// signal RebalanceOnIngest samples per server.
-func (s *Server) TakeIngestWindow() (segments, bytes uint64) {
-	return s.winSegments.Swap(0), s.winBytes.Swap(0)
-}
 
 // HandleConn authenticates one device connection and serves its requests
 // until it disconnects. Exported so tests and in-process wiring can drive
@@ -395,14 +366,12 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 	if chunkPages > MaxRecoveryChunkPages {
 		chunkPages = MaxRecoveryChunkPages
 	}
-	delta := RecoveryStats{Streams: 1}
+	led := &s.restored
+	led.streams.Add(1)
 	if req.From > 0 {
-		delta.Resumes = 1
+		led.resumes.Add(1)
 	}
 	only := s.Store.TouchedSince(deviceID, req.Anchor)
-	if only != nil {
-		delta.DeltaStreams = 1
-	}
 	// Hashes already sent as literals; nil when the device did not ask for
 	// references, so nothing ever repeats.
 	var sent map[[oplog.HashSize]byte]struct{}
@@ -416,6 +385,7 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 		pages, next, more := s.Store.ImageRange(deviceID, from, req.To, req.Before, chunkPages, only)
 		if len(pages) > 0 {
 			refPages = refPages[:0]
+			literal := 0
 			for i := range pages {
 				p := &pages[i]
 				rp := nvmeoe.RefPage{
@@ -427,14 +397,12 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 				}
 				if _, dup := sent[p.Hash]; dup {
 					rp.Ref = true
-					delta.PagesRef++
-					delta.BytesDedupSaved += uint64(len(p.Data))
 				} else {
 					rp.Data = p.Data
 					if sent != nil {
 						sent[p.Hash] = struct{}{}
 					}
-					delta.PagesLiteral++
+					literal++
 				}
 				refPages = append(refPages, rp)
 			}
@@ -447,23 +415,23 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 			raw.Release()
 			blob.Release()
 			if err != nil {
-				s.addRecovery(deviceID, delta)
 				return err
 			}
 			end.Chunks++
 			end.Pages += uint64(len(pages))
 			end.NextLPN = next
-			delta.Chunks++
-			delta.Pages += uint64(len(pages))
-			delta.BytesWire += uint64(wire)
-			delta.BytesLogical += uint64(logical)
+			led.chunks.Add(1)
+			led.pages.Add(uint64(len(pages)))
+			led.bytesWire.Add(uint64(wire))
+			led.bytesLogical.Add(uint64(logical))
+			led.pagesLiteral.Add(uint64(literal))
+			led.pagesRef.Add(uint64(len(pages) - literal))
 		}
 		if !more || len(pages) == 0 {
 			break
 		}
 		from = next
 	}
-	s.addRecovery(deviceID, delta)
 	return ss.writeMsg(nvmeoe.MsgFetchEnd, end.Marshal())
 }
 

@@ -75,8 +75,7 @@ func buildSurface() (*surface, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		name := d.Name()
-		if p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+		if skipDir(p, d.Name()) {
 			return filepath.SkipDir
 		}
 		path := "repro"
@@ -186,6 +185,12 @@ func buildSurface() (*surface, error) {
 		}
 	}
 	return s, nil
+}
+
+// skipDir reports whether the walk from the repo root leaves directory p
+// (named name) out, as the go tool does.
+func skipDir(p, name string) bool {
+	return p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata")
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -453,21 +458,209 @@ func TestDocsCiteOnlyWhatExists(t *testing.T) {
 	}
 }
 
-// TestChangesEntrySize keeps each CHANGES.md entry numbered 42 or later to
-// at most 1 500 bytes: a line a reader takes in, not a second README.
+// TestChangesEntrySize keeps each CHANGES.md entry to at most 1 500 bytes: a
+// line a reader takes in, not a second README. From PR 51 on, an entry is
+// every "- PR n" line with the same n, so a second line ("PR n, checks
+// touched") shares its PR's budget; entries 42-50 are held line by line.
 func TestChangesEntrySize(t *testing.T) {
 	b, err := os.ReadFile("CHANGES.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	entry := regexp.MustCompile(`^- PR (\d+)`)
+	perPR := map[int]int{}
 	for i, line := range strings.Split(string(b), "\n") {
 		m := entry.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		if n, _ := strconv.Atoi(m[1]); n >= 42 && len(line) > 1500 {
+		switch n, _ := strconv.Atoi(m[1]); {
+		case n >= 51:
+			perPR[n] += len(line)
+		case n >= 42 && len(line) > 1500:
 			t.Errorf("CHANGES.md:%d (entry %d) is %d bytes, over 1 500", i+1, n, len(line))
 		}
+	}
+	for n, size := range perPR {
+		if size > 1500 {
+			t.Errorf("CHANGES.md entry %d is %d bytes over its lines, over 1 500", n, size)
+		}
+	}
+}
+
+// counter is an exported field of an exported *Stats or *Report struct.
+type counter struct {
+	field *types.Var
+	owner *types.Struct
+	name  string // pkg.Type.Field
+}
+
+// counters returns every exported field of an exported struct type of
+// internal/ whose name ends in Stats or Report.
+func (s *surface) counters() []counter {
+	var out []counter
+	for _, cp := range s.internalPkgs() {
+		for _, name := range cp.pkg.Scope().Names() {
+			tn, ok := cp.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Stats") || strings.HasSuffix(name, "Report")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					out = append(out, counter{f, st, cp.pkg.Name() + "." + name + "." + f.Name()})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// readFields returns the fields some non-test file reads: every use of a
+// field except as the target of an assignment, ++/--, compound assignment or
+// composite-literal key.
+func (s *surface) readFields() map[types.Object]bool {
+	read := map[types.Object]bool{}
+	for _, cp := range s.pkgs {
+		written := map[*ast.Ident]bool{}
+		target := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.IndexExpr:
+					e = x.X
+					continue
+				case *ast.SelectorExpr:
+					written[x.Sel] = true
+				case *ast.Ident:
+					written[x] = true
+				}
+				return
+			}
+		}
+		for _, f := range cp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(x.X)
+				case *ast.CompositeLit:
+					for _, el := range x.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[id] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range cp.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[origin(obj)] = true
+			}
+		}
+	}
+	return read
+}
+
+// testSelectors returns every name a _test.go file of the module or of
+// benchmark/ selects (x.Name).
+func testSelectors() (map[string]bool, error) {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skipDir(p, d.Name()) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				names[sel.Sel.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	return names, err
+}
+
+// reflectedStructs returns the struct types reachable by value (through
+// fields, arrays and slices, not pointers) from a type package experiment
+// declares: its rows, whose every field metrics.Render and encoding/json read
+// by reflection.
+func (s *surface) reflectedStructs() map[*types.Struct]bool {
+	out := map[*types.Struct]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			if out[u] {
+				return
+			}
+			out[u] = true
+			for i := range u.NumFields() {
+				walk(u.Field(i).Type())
+			}
+		case *types.Array:
+			walk(u.Elem())
+		case *types.Slice:
+			walk(u.Elem())
+		}
+	}
+	if cp := s.pkgs["repro/internal/experiment"]; cp != nil {
+		for _, obj := range cp.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok {
+				walk(tn.Type())
+			}
+		}
+	}
+	return out
+}
+
+// TestEveryCounterIsRead fails on an exported field of an exported *Stats or
+// *Report struct of internal/ that nothing reads: a counter is kept only if a
+// non-test file of the module or of benchmark/ reads it (writing it is not
+// reading it), a _test.go file selects its name, or its struct is part of an
+// experiment's rows, which are read by reflection. A counter nobody reads
+// costs its upkeep on the hot path and explains nothing.
+func TestEveryCounterIsRead(t *testing.T) {
+	s := loadSurface(t)
+	read := s.readFields()
+	selected, err := testSelectors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := s.reflectedStructs()
+	var bad []string
+	for _, c := range s.counters() {
+		if !read[c.field] && !selected[c.field.Name()] && !rows[c.owner] {
+			bad = append(bad, c.name)
+		}
+	}
+	if len(bad) > 0 {
+		t.Errorf("%d counters are never read; delete each with the code that maintains it:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
 	}
 }
