@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -165,7 +166,6 @@ func TestSubmitBatchReadSampling(t *testing.T) {
 // drains completely.
 func TestFailedOffloadLeavesRetainedPagesIntact(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false // never destroy data, even under pressure
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	client, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
@@ -198,7 +198,7 @@ func TestFailedOffloadLeavesRetainedPagesIntact(t *testing.T) {
 	if st.RetainedNow != 12 {
 		t.Fatalf("retained = %d, want all 12 stale versions", st.RetainedNow)
 	}
-	if st.ReleasedPins != 0 || st.DroppedPages != 0 || st.OffloadPages != 0 {
+	if st.ReleasedPins != 0 || st.OffloadPages != 0 {
 		t.Fatalf("data released without durable ack: %+v", st)
 	}
 
@@ -224,7 +224,66 @@ func TestFailedOffloadLeavesRetainedPagesIntact(t *testing.T) {
 	if st.LastOffloadError != "" {
 		t.Fatalf("stale error still surfaced after successful offload: %q", st.LastOffloadError)
 	}
-	if st.DroppedPages != 0 {
-		t.Fatal("data dropped during recovery")
+}
+
+// TestDeadSessionUnderPressureFailsWrites: a device at the default
+// watermarks whose session is dead keeps every retained version when
+// overwrites outrun the retention budget. The write that needs a retained
+// page's space fails with ftl.ErrNoSpace instead of destroying an unshipped
+// version, and once a live session is attached every one of them ships.
+func TestDeadSessionUnderPressureFailsWrites(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FTL = smallFTLConfig()
+	store := remote.NewStore(remote.NewMemStore())
+	srv := remote.NewServer(store, testPSK)
+	client, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Close() // attached but dead: every push fails
+	r := New(cfg, client)
+	defer r.Close()
+
+	const lpns = 4
+	at := simclock.Time(0)
+	writes := 0
+	for {
+		done, err := r.Write(uint64(writes%lpns), fill(byte(writes), 512), at)
+		if errors.Is(err, ftl.ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("write %d: %v", writes, err)
+		}
+		if writes++; writes > 4*int(r.LogicalPages()) {
+			t.Fatalf("%d overwrites of %d LPNs never ran out of space with the session dead", writes, lpns)
+		}
+		at = done
+	}
+	at = r.settle(at)
+	stale := writes - lpns
+	st := r.Stats()
+	if stale <= r.retentionBudget() {
+		t.Fatalf("ran out of space after %d stale versions, within the %d-page budget", stale, r.retentionBudget())
+	}
+	if st.ReleasedPins != 0 || st.OffloadPages != 0 || st.RetainedNow != stale {
+		t.Fatalf("retained %d of %d stale versions, released %d, shipped %d", st.RetainedNow, stale, st.ReleasedPins, st.OffloadPages)
+	}
+
+	good, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	r.attachRemote(good)
+	if _, err := r.OffloadNow(at); err != nil {
+		t.Fatal(err)
+	}
+	st = r.Stats()
+	if st.RetainedNow != 0 || st.OffloadPages != uint64(stale) || st.ReleasedPins != uint64(stale) {
+		t.Fatalf("drain shipped %d and released %d of %d stale versions, %d still retained", st.OffloadPages, st.ReleasedPins, stale, st.RetainedNow)
+	}
+	if held := len(store.HeldVersions(cfg.DeviceID)); held != stale {
+		t.Fatalf("server holds %d versions, want all %d", held, stale)
 	}
 }

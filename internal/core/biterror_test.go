@@ -28,7 +28,6 @@ func churnHash(seq uint64, lpns int) [oplog.HashSize]byte {
 // self-consistent: the server accepted them and the pins were released.)
 func TestFlashReadErrorAtSealNeverAcked(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	cfg.FTL.NAND.BitErrorProb = 1
 	e := newEnv(t, cfg)
 	defer e.r.Close()
@@ -63,7 +62,6 @@ func TestFlashReadErrorAtSealNeverAcked(t *testing.T) {
 // released, and what the server ends up holding is exactly what was written.
 func TestFlashReadErrorAtSealRetries(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	cfg.FTL.NAND.BitErrorProb = 0.1
 	cfg.FTL.NAND.Seed = 2
 	e := newEnv(t, cfg)

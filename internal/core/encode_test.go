@@ -72,7 +72,7 @@ func TestEncodeStageAccounted(t *testing.T) {
 // must see the tier's modeled Put latency inside its ack times — the
 // device-side ack path reflects the backend, not just the wire.
 func TestTierServiceTimeInAck(t *testing.T) {
-	s3 := remote.NewS3Sim(remote.DefaultS3Config())
+	s3 := remote.NewS3Sim()
 	store := remote.NewStore(s3)
 	srv := remote.NewServer(store, testPSK)
 	client, err := remote.Loopback(srv, testPSK, 1)

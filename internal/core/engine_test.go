@@ -34,6 +34,18 @@ func churn(t *testing.T, r *RSSD, lpns, rounds int, at simclock.Time) simclock.T
 	return at
 }
 
+// multiSegmentConfig is testConfig on a device whose retention budget
+// (1 024 pages) drains from the high watermark to the low one in three
+// segments of at most segmentMaxPages: 256 LPNs overwritten three times
+// leave 768 stale pages, past the 716-page high watermark, and the drain
+// to 409 stages 128 + 128 + 103 pages, the log entries in the first.
+func multiSegmentConfig() Config {
+	cfg := testConfig()
+	cfg.FTL.NAND.Geometry.BlocksPerPlane, cfg.FTL.NAND.Geometry.PagesPerBlock = 64, 16
+	cfg.FTL.OverProvision = 0.5
+	return cfg
+}
+
 // TestAsyncOffloadOverlapsHostTime: the transfer is off the host path. The
 // same churn runs against a shared NIC at 1200 MB/s and one a hundred
 // times slower. Host completions must be identical and no write may stall
@@ -83,7 +95,6 @@ func TestAsyncOffloadOverlapsHostTime(t *testing.T) {
 // host tooling polling Stats() must not see a resolved failure forever.
 func TestStaleOffloadErrorClearedAfterRetrySuccess(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	broken, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
@@ -104,8 +115,8 @@ func TestStaleOffloadErrorClearedAfterRetrySuccess(t *testing.T) {
 	if st.OffloadRetries == 0 {
 		t.Fatal("failed segments were not requeued for retry")
 	}
-	if st.OffloadPages != 0 || st.DroppedPages != 0 {
-		t.Fatalf("data moved or dropped without a durable ack: %+v", st)
+	if st.OffloadPages != 0 || st.ReleasedPins != 0 {
+		t.Fatalf("data moved or released without a durable ack: %+v", st)
 	}
 
 	// Recovery: a healthy session; the next background watermark check
@@ -132,13 +143,12 @@ func TestStaleOffloadErrorClearedAfterRetrySuccess(t *testing.T) {
 // to the low watermark stages more segments than the queue holds, so the
 // host must stall for acks — and those stalls are recorded.
 func TestOffloadBackpressureStallsHost(t *testing.T) {
-	cfg := testConfig()
+	cfg := multiSegmentConfig()
 	cfg.OffloadQueueDepth = 1
-	cfg.SegmentMaxPages = 2
 	e := newEnv(t, cfg)
 	defer e.r.Close()
 
-	at := churn(t, e.r, 6, 3, 0)
+	at := churn(t, e.r, 256, 4, 0)
 	at = e.r.settle(at)
 	st := e.r.Stats()
 	if st.OffloadSegments < 2 {
@@ -183,9 +193,7 @@ func TestOffloadNowSettlesPipeline(t *testing.T) {
 // frontier over the rejected entries: they are not remote, so pruning
 // them locally would destroy the only copy of the evidence chain.
 func TestRejectedEntriesNotPrunedByPagesOnlyAck(t *testing.T) {
-	cfg := testConfig()
-	cfg.DropWhenOffline = false
-	cfg.SegmentMaxPages = 4 // force multi-segment staging runs
+	cfg := multiSegmentConfig()
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	client, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
@@ -203,11 +211,14 @@ func TestRejectedEntriesNotPrunedByPagesOnlyAck(t *testing.T) {
 	r := New(cfg, client)
 	defer r.Close()
 
-	at := churn(t, r, 4, 4, 0)
+	at := churn(t, r, 256, 4, 0)
 	at = r.settle(at)
 	st := r.Stats()
 	if st.OffloadErrors == 0 {
 		t.Fatal("conflicting chain did not surface as offload errors")
+	}
+	if st.OffloadPages == 0 {
+		t.Fatal("no pages-only segment was acked behind the rejected one")
 	}
 	if got := r.OffloadedUpTo(); got != 0 {
 		t.Fatalf("durable frontier advanced to %d over rejected entries", got)

@@ -35,6 +35,26 @@ func (r *RSSD) attachRemote(client *remote.Client) {
 	r.nextRedialAt = 0
 }
 
+// releaseAtWatermark does for an offline device what offload acks do at the
+// watermarks: past the high one, it releases the oldest retained versions
+// down to the low one through the unpin an ack's release calls, and returns
+// how many it released.
+func releaseAtWatermark(r *RSSD) (released uint64) {
+	budget := float64(r.retentionBudget())
+	if r.pins() <= int(r.cfg.OffloadHighWater*budget) {
+		return 0
+	}
+	for r.pins() > int(r.cfg.OffloadLowWater*budget) && r.retHead < len(r.retQueue) {
+		re := r.retQueue[r.retHead]
+		r.retHead++
+		if !re.released {
+			r.unpin(re)
+			released++
+		}
+	}
+	return released
+}
+
 // versionInfo describes one locally retained version of a logical page.
 type versionInfo struct {
 	LPN      uint64

@@ -160,9 +160,9 @@ func TestSubmitBatchDoesNotPinHostBuffers(t *testing.T) {
 // TestOverwriteSteadyStateAllocs: every overwrite stales a page the retention
 // index pins, and pin cuts its entries from slabs of retSlabEntries, so a warm
 // overwrite loop on an offline device — stale pages pinned, the oldest
-// dropped at the watermark — allocates per run only the []Result, and no
-// entry per stale page. Its few LPNs each keep older versions pinned, so
-// every pin joins a chain that is already there.
+// released at the watermark as offload acks would — allocates per run only
+// the []Result, and no entry per stale page. Its few LPNs each keep older
+// versions pinned, so every pin joins a chain that is already there.
 func TestOverwriteSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -174,29 +174,34 @@ func TestOverwriteSteadyStateAllocs(t *testing.T) {
 	const n = 4
 	ops := writeRun(n, 1)
 	var at simclock.Time
-	for i := 0; i < 2*r.retentionBudget(); i++ { // past the watermark: drops begin
+	var released uint64
+	run := func() {
 		_, at = submitOK(t, r, ops, at)
+		released += releaseAtWatermark(r)
 	}
-	if r.stats.DroppedPages == 0 {
-		t.Fatal("no page dropped: the loop never reached the watermark")
+	for i := 0; i < 2*r.retentionBudget(); i++ { // past the watermark: releases begin
+		run()
 	}
-	stale := r.stats.DroppedPages + uint64(len(r.retained))
-	if got := testing.AllocsPerRun(retSlabEntries, func() { _, at = submitOK(t, r, ops, at) }); got != 1 {
+	if released == 0 {
+		t.Fatal("no page released: the loop never reached the watermark")
+	}
+	stale := released + uint64(len(r.retained))
+	if got := testing.AllocsPerRun(retSlabEntries, run); got != 1 {
 		t.Fatalf("overwrite run of %d pages: %.2f allocs, want 1 (the []Result)", n, got)
 	}
-	if pinned := r.stats.DroppedPages + uint64(len(r.retained)) - stale; pinned < retSlabEntries*n {
+	if pinned := released + uint64(len(r.retained)) - stale; pinned < retSlabEntries*n {
 		t.Fatalf("%d pages pinned over the measured runs, want at least %d", pinned, retSlabEntries*n)
 	}
 }
 
 // TestOverwriteRefillSteadyStateAllocs is the pattern the benchmark drives:
 // each LPN's pins are released before the LPN is overwritten again, so every
-// overwrite pins into an empty chain. Here the releases are the offline
-// device's drops at the watermark, through the unpin an offload ack's release
-// calls too, and the runs walk the whole logical space, which holds more
-// pages than the high watermark lets stay pinned. The chain's head is a slot
-// of a table sized at construction and its links live in the slab-cut
-// entries, so a warm run still allocates only its []Result.
+// overwrite pins into an empty chain. Here the releases come at the watermark,
+// through the unpin an offload ack's release calls, and the runs walk the
+// whole logical space, which holds more pages than the high watermark lets
+// stay pinned. The chain's head is a slot of a table sized at construction
+// and its links live in the slab-cut entries, so a warm run still allocates
+// only its []Result.
 func TestOverwriteRefillSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -210,6 +215,7 @@ func TestOverwriteRefillSteadyStateAllocs(t *testing.T) {
 	ops := writeRun(n, 1)
 	var at simclock.Time
 	next, refills := 0, 0
+	var released uint64
 	run := func() {
 		for i := range ops {
 			lpn := uint64((next + i) % logical)
@@ -220,12 +226,13 @@ func TestOverwriteRefillSteadyStateAllocs(t *testing.T) {
 		}
 		next += n
 		_, at = submitOK(t, r, ops, at)
+		released += releaseAtWatermark(r)
 	}
 	for next < 3*logical { // every LPN written, then overwritten twice
 		run()
 	}
-	if r.stats.DroppedPages == 0 {
-		t.Fatal("no page dropped: the loop never reached the watermark")
+	if released == 0 {
+		t.Fatal("no page released: the loop never reached the watermark")
 	}
 	refills = 0
 	if got := testing.AllocsPerRun(retSlabEntries, run); got != 1 {

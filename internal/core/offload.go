@@ -26,14 +26,10 @@ func (r *RSSD) maybeOffload(at simclock.Time) (simclock.Time, error) {
 	if r.unstagedRetained() <= high {
 		return at, nil
 	}
-	low := int(r.cfg.OffloadLowWater * float64(budget))
 	if r.client == nil {
-		if r.cfg.DropWhenOffline {
-			r.dropTo(low)
-		}
-		return at, nil // else keep accumulating; Pressure will fail eventually
+		return at, nil // keep accumulating; Pressure fails the write eventually
 	}
-	return r.stageTo(low, at), nil
+	return r.stageTo(int(r.cfg.OffloadLowWater*float64(budget)), at), nil
 }
 
 // unstagedRetained counts retained pages not yet travelling through the
@@ -46,7 +42,7 @@ func (r *RSSD) unstagedRetained() int {
 	return n
 }
 
-// pins counts the retained pages offload or a drop can still free: all but
+// pins counts the retained pages offload can still free: all but
 // the ones a restore holds, which are shipped already.
 func (r *RSSD) pins() int {
 	n := len(r.retained)
@@ -87,7 +83,7 @@ func (r *RSSD) stageTo(target int, at simclock.Time) simclock.Time {
 		if n <= 0 {
 			return at
 		}
-		batch := r.popRetained(r.cfg.SegmentMaxPages, n)
+		batch := r.popRetained(segmentMaxPages, n)
 		if len(batch) == 0 {
 			return at
 		}
@@ -185,20 +181,6 @@ func (r *RSSD) engineIdleHealthy() bool {
 	return r.engine == nil || !r.engine.failing
 }
 
-// dropTo destroys the oldest retained versions without offload. Only the
-// offline degradation path uses it; each drop is recorded because it is
-// exactly the data-loss event RSSD exists to prevent.
-func (r *RSSD) dropTo(target int) {
-	for r.pins() > target {
-		re := r.popOldest()
-		if re == nil {
-			return
-		}
-		r.unpin(re)
-		r.stats.DroppedPages++
-	}
-}
-
 // popRetained removes up to min(max, want) oldest live retained entries
 // from the offload queue without releasing their pins yet.
 func (r *RSSD) popRetained(max, want int) []*retEntry {
@@ -232,18 +214,6 @@ func (r *RSSD) requeue(batch []*retEntry) {
 	newQueue = append(newQueue, r.retQueue[r.retHead:]...)
 	r.retQueue = newQueue
 	r.retHead = 0
-}
-
-// popOldest pops the oldest live retained entry, or nil.
-func (r *RSSD) popOldest() *retEntry {
-	for r.retHead < len(r.retQueue) {
-		re := r.retQueue[r.retHead]
-		r.retHead++
-		if !re.released {
-			return re
-		}
-	}
-	return nil
 }
 
 // CheckpointNow ships the live write sequence of every LPN to the remote

@@ -46,7 +46,6 @@ func TestOOBHashFollowsThePage(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := testConfig()
-		cfg.DropWhenOffline = false
 		e := newEnv(t, cfg)
 		r := e.r
 		rng := rand.New(rand.NewSource(seed))
@@ -122,7 +121,6 @@ func TestRestoreFailsPinThatDiffersFromItsWriteTimeHash(t *testing.T) {
 	const cut = 1 // the first version's write is entry 0
 	run := func(bitErrorProb float64) (simclock.Time, RestoreReport, *RSSD, error) {
 		cfg := testConfig()
-		cfg.DropWhenOffline = false
 		cfg.FTL.NAND.BitErrorProb = bitErrorProb
 		e := newEnv(t, cfg)
 		t.Cleanup(e.r.Close)

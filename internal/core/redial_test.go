@@ -75,7 +75,6 @@ func (c *flakyConn) Read(p []byte) (int, error) {
 // run ends with zero data loss.
 func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	store := remote.NewStore(remote.NewMemStore())
 	// Closed by the first ingested segment: the barrier the reconcile below
 	// waits on.
@@ -142,8 +141,8 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	if st.ResumeGap != serverHead {
 		t.Fatalf("resume gap = %d, want the %d durable-but-unacked entries", st.ResumeGap, serverHead)
 	}
-	if st.DroppedPages != 0 {
-		t.Fatalf("data dropped across the disconnect: %+v", st)
+	if st.ReleasedPins > st.OffloadPages {
+		t.Fatalf("released pins that never shipped across the disconnect: %+v", st)
 	}
 	if st.LastOffloadError != "" {
 		t.Fatalf("sticky error survived the post-redial ack: %q", st.LastOffloadError)
@@ -175,7 +174,6 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 // in place until the first post-redial ack clears it.
 func TestRedialBackoffExponential(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	// The gap before each retry, in ms: doubling from 1, capped at 32.
@@ -256,7 +254,6 @@ func TestRedialBackoffExponential(t *testing.T) {
 // holds — the session stays dead until a caller attaches a new client.
 func TestRedialWithoutDialFactory(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	broken, err := remote.Loopback(srv, testPSK, cfg.DeviceID)
@@ -293,7 +290,6 @@ func TestRedialWithoutDialFactory(t *testing.T) {
 // simulated time.
 func TestOffloadNowWaitsOutRedialBackoff(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	dials, failUntil := 0, 3
@@ -331,14 +327,13 @@ func TestOffloadNowWaitsOutRedialBackoff(t *testing.T) {
 	if head := store.Head(cfg.DeviceID).NextSeq; head != r.Log().NextSeq() {
 		t.Fatalf("remote head %d, local log %d after the waited drain", head, r.Log().NextSeq())
 	}
-	if st.DroppedPages != 0 {
-		t.Fatalf("data dropped across the outage: %+v", st)
+	if st.ReleasedPins > st.OffloadPages {
+		t.Fatalf("released pins that never shipped across the outage: %+v", st)
 	}
 
 	// A cluster with no live server must not wait forever: the drain
 	// fails after a bounded number of waited backoffs.
 	cfg2 := testConfig()
-	cfg2.DropWhenOffline = false
 	cfg2.Dial = func() (*remote.Client, error) {
 		return nil, errors.New("no live server")
 	}

@@ -23,7 +23,6 @@ import (
 func shippedImage(tb testing.TB, n int) (*RSSD, DialFunc, uint64, simclock.Time) {
 	tb.Helper()
 	cfg := DefaultConfig()
-	cfg.CheckpointEvery = 0
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	dial := func() (*remote.Client, error) { return remote.Loopback(srv, testPSK, cfg.DeviceID) }
@@ -143,8 +142,6 @@ func oracleConfig() Config {
 		GCLowWater:    2,
 		GCHighWater:   4,
 	}
-	cfg.SegmentMaxPages = 16
-	cfg.DropWhenOffline = false
 	return cfg
 }
 
@@ -360,7 +357,6 @@ func TestRestoreImageMatchesMapReplay(t *testing.T) {
 // that sequence — not under 0, which names no entry at all.
 func TestRestoreZeroingStampsItsEntry(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.CheckpointEvery = 0
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, testPSK)
 	defer srv.Close()

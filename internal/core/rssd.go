@@ -41,16 +41,6 @@ type Config struct {
 	// pages exceed High, the offload engine drains them to Low.
 	OffloadHighWater float64
 	OffloadLowWater  float64
-	// SegmentMaxPages bounds retained pages per offload segment.
-	SegmentMaxPages int
-	// CheckpointEvery ships a checkpoint (the live write sequence of every
-	// LPN, what Reopen replays from) after that many host ops (0 disables
-	// periodic checkpoints; one is still written on demand).
-	CheckpointEvery uint64
-	// DropWhenOffline controls behaviour when no remote client is
-	// attached and retention pressure builds: true drops the oldest
-	// retained pages (LocalSSD-like degradation), false fails writes.
-	DropWhenOffline bool
 	// OffloadQueueDepth bounds the asynchronous engine's staging queue
 	// (sealed segments awaiting transfer). When the queue is full the
 	// host stalls until the oldest segment resolves — the backpressure
@@ -83,6 +73,15 @@ const (
 	maxResumes  = 8
 )
 
+// segmentMaxPages bounds the retained pages one offload segment carries.
+// checkpointEvery ships a checkpoint (the live write sequence of every LPN,
+// what Reopen replays from) after that many host ops; CheckpointNow writes
+// one on demand.
+const (
+	segmentMaxPages = 128
+	checkpointEvery = 4096
+)
+
 // DefaultConfig returns the configuration used across the evaluation.
 func DefaultConfig() Config {
 	return Config{
@@ -90,9 +89,6 @@ func DefaultConfig() Config {
 		DeviceID:          1,
 		OffloadHighWater:  0.70,
 		OffloadLowWater:   0.40,
-		SegmentMaxPages:   128,
-		CheckpointEvery:   4096,
-		DropWhenOffline:   true,
 		OffloadQueueDepth: 8,
 	}
 }
@@ -112,7 +108,6 @@ type Stats struct {
 	OffloadBytesWire    uint64
 	OffloadBytesLogical uint64
 	ReleasedPins        uint64
-	DroppedPages        uint64 // retained pages destroyed without offload (offline mode only)
 	Checkpoints         uint64
 	PressureEvents      uint64
 	OffloadErrors       uint64 // background offload failures (retried)
@@ -267,17 +262,15 @@ func (cfg Config) normalize() Config {
 	if cfg.OffloadLowWater <= 0 || cfg.OffloadLowWater >= cfg.OffloadHighWater {
 		cfg.OffloadLowWater = cfg.OffloadHighWater / 2
 	}
-	if cfg.SegmentMaxPages <= 0 {
-		cfg.SegmentMaxPages = 128
-	}
 	if cfg.OffloadQueueDepth <= 0 {
 		cfg.OffloadQueueDepth = 8
 	}
 	return cfg
 }
 
-// New builds an RSSD over a fresh NAND device. client may be nil (offline
-// retention mode).
+// New builds an RSSD over a fresh NAND device. client may be nil: the device
+// then retains every stale page until a client is attached, and a write that
+// needs a retained page's space fails with ftl.ErrNoSpace.
 func New(cfg Config, client *remote.Client) *RSSD {
 	cfg = cfg.normalize()
 	r := &RSSD{
@@ -360,7 +353,7 @@ func (r *RSSD) Trim(lpn uint64, at simclock.Time) (simclock.Time, error) {
 // with host I/O — watermark-driven offload and periodic checkpoints — once
 // per submission batch of n mutating operations: one offload watermark
 // check, with checkpoint accounting advanced by n. A batch larger than
-// CheckpointEvery triggers a single checkpoint where n one-op batches would
+// checkpointEvery triggers a single checkpoint where n one-op batches would
 // have triggered several — acceptable, since checkpoints only bound
 // recovery's log replay.
 func (r *RSSD) afterOps(n int, at simclock.Time) (simclock.Time, error) {
@@ -369,16 +362,14 @@ func (r *RSSD) afterOps(n int, at simclock.Time) (simclock.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	if r.cfg.CheckpointEvery > 0 {
-		r.opsSinceCP += uint64(n)
-		if r.opsSinceCP >= r.cfg.CheckpointEvery {
-			r.opsSinceCP = 0
-			if at, err = r.CheckpointNow(at); err != nil {
-				// Like offload, checkpointing is background work: its
-				// failure is surfaced out of band, never to host I/O.
-				r.stats.OffloadErrors++
-				r.noteRemoteErr(err)
-			}
+	r.opsSinceCP += uint64(n)
+	if r.opsSinceCP >= checkpointEvery {
+		r.opsSinceCP = 0
+		if at, err = r.CheckpointNow(at); err != nil {
+			// Like offload, checkpointing is background work: its
+			// failure is surfaced out of band, never to host I/O.
+			r.stats.OffloadErrors++
+			r.noteRemoteErr(err)
 		}
 	}
 	return at, nil
@@ -444,41 +435,40 @@ func (r *RSSD) OnMigrate(lpn, oldPPN, newPPN uint64, at simclock.Time) {
 }
 
 // OnErased observes physical destruction of unpinned stale pages. Under
-// RSSD those pages were either already offloaded (released) or dropped
-// under offline pressure, so nothing remains to track.
+// RSSD those pages were already offloaded (released), so nothing remains to
+// track.
 func (r *RSSD) OnErased(lpn, ppn uint64, at simclock.Time) {}
 
 // Pressure is the FTL telling us pins are blocking reclamation. Offload
-// (or, offline, drop) until the requested pages are free. This is the one
+// until the requested pages are free; without a live remote nothing is
+// freed, and the FTL fails the write with ErrNoSpace. This is the one
 // place the asynchronous engine goes synchronous: the FTL needs pins
 // actually released before GC can make progress, so the pipeline is
 // staged full and drained inline (the stall is recorded, not charged —
 // Pressure has no completion time to report).
 func (r *RSSD) Pressure(needPages int, at simclock.Time) {
 	r.stats.PressureEvents++
-	target := max(r.pins()-needPages, 0)
-	if r.client != nil {
-		r.maybeRedial(at)
-		r.pollOffload(at)
-		// Two rounds: if a failure epoch is pending, the first round's
-		// drain requeues the failed batches and clears the epoch, and the
-		// second actually retries the offload — pages are only dropped
-		// after a real attempt failed. stage() itself charges queue-full
-		// stalls, so only the drain span is added here.
-		for attempt := 0; attempt < 2; attempt++ {
-			staged := r.stageTo(target, at)
-			end := r.drainOffload(staged)
-			if end > staged {
-				r.stats.OffloadStallTime += end.Sub(staged)
-			}
-			at = end
-			if r.pins() <= target {
-				return
-			}
-			r.maybeRedial(at)
-		}
+	if r.client == nil {
+		return
 	}
-	if r.cfg.DropWhenOffline {
-		r.dropTo(target)
+	target := max(r.pins()-needPages, 0)
+	r.maybeRedial(at)
+	r.pollOffload(at)
+	// Two rounds: if a failure epoch is pending, the first round's drain
+	// requeues the failed batches and clears the epoch, and the second
+	// actually retries the offload, so the write fails only after a real
+	// attempt failed. stage() itself charges queue-full stalls, so only the
+	// drain span is added here.
+	for attempt := 0; attempt < 2; attempt++ {
+		staged := r.stageTo(target, at)
+		end := r.drainOffload(staged)
+		if end > staged {
+			r.stats.OffloadStallTime += end.Sub(staged)
+		}
+		at = end
+		if r.pins() <= target {
+			return
+		}
+		r.maybeRedial(at)
 	}
 }

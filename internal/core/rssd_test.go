@@ -38,9 +38,6 @@ func testConfig() Config {
 		DeviceID:         1,
 		OffloadHighWater: 0.70,
 		OffloadLowWater:  0.40,
-		SegmentMaxPages:  8,
-		CheckpointEvery:  0,
-		DropWhenOffline:  true,
 	}
 }
 
@@ -262,8 +259,8 @@ func TestZeroDataLossUnderChurn(t *testing.T) {
 		history[lpn] = append(history[lpn], version{seq, b})
 		at = at.Add(simclock.Millisecond)
 	}
-	if e.r.Stats().DroppedPages != 0 {
-		t.Fatalf("dropped %d pages despite remote", e.r.Stats().DroppedPages)
+	if st := e.r.Stats(); st.ReleasedPins > st.OffloadPages {
+		t.Fatalf("released %d pins, only %d pages shipped", st.ReleasedPins, st.OffloadPages)
 	}
 	// Spot-check ~200 random (lpn, before) points across history.
 	for i := 0; i < 200; i++ {
@@ -284,24 +281,8 @@ func TestZeroDataLossUnderChurn(t *testing.T) {
 	}
 }
 
-func TestOfflineModeDropsUnderPressure(t *testing.T) {
-	r := New(testConfig(), nil) // no remote
-	at := simclock.Time(0)
-	for i := 0; i < 100; i++ {
-		var err error
-		at, err = r.Write(uint64(i%4), fill(byte(i), 512), at)
-		if err != nil {
-			t.Fatalf("offline write %d: %v", i, err)
-		}
-	}
-	if r.Stats().DroppedPages == 0 {
-		t.Fatal("offline churn should have dropped retained pages")
-	}
-}
-
 func TestOfflineStrictModeFailsInsteadOfDropping(t *testing.T) {
 	cfg := testConfig()
-	cfg.DropWhenOffline = false
 	r := New(cfg, nil)
 	at := simclock.Time(0)
 	var sawNoSpace bool
@@ -319,8 +300,8 @@ func TestOfflineStrictModeFailsInsteadOfDropping(t *testing.T) {
 	if !sawNoSpace {
 		t.Fatal("strict offline mode never returned ErrNoSpace")
 	}
-	if r.Stats().DroppedPages != 0 {
-		t.Fatal("strict mode dropped pages")
+	if st := r.Stats(); st.ReleasedPins != 0 || st.RetainedNow == 0 {
+		t.Fatalf("offline device released retained pages: %+v", st)
 	}
 }
 
@@ -352,11 +333,9 @@ func TestGCAttackResistance(t *testing.T) {
 }
 
 func TestCheckpoints(t *testing.T) {
-	cfg := testConfig()
-	cfg.CheckpointEvery = 10
-	e := newEnv(t, cfg)
+	e := newEnv(t, testConfig())
 	at := simclock.Time(0)
-	for i := 0; i < 25; i++ {
+	for i := 0; i < 2*checkpointEvery+5; i++ {
 		at, _ = e.r.Write(uint64(i%4), fill(byte(i), 512), at)
 	}
 	if got := e.r.Stats().Checkpoints; got < 2 {

@@ -42,53 +42,41 @@ func (a Alert) String() string {
 		a.DeviceID, a.AtSeq, a.At, a.Score, a.Reasons)
 }
 
-// Config tunes the ensemble.
+// Config tunes the ensemble to the protected data.
 type Config struct {
-	// Window is the number of recent operations scored together.
-	Window int
-	// Threshold is the window score that raises an alert (0..1).
-	Threshold float64
-	// MinEvents is the minimum count of suspicious events in the window
-	// before a score can alert, suppressing small-sample noise.
-	MinEvents int
-	// ReadHorizon is how many operations back a read still "pairs" with
-	// an overwrite of the same LPN.
-	ReadHorizon uint64
 	// CumulativeVictims alerts when this many distinct pages have ever
 	// been read-then-encrypted or read-then-trimmed, however slowly.
 	CumulativeVictims int
-	// Weights for the window ensemble.
-	WeightEntropy  float64
-	WeightReadOW   float64
-	WeightTrim     float64
-	WeightZeroWipe float64
 	// PageSize enables the zero-wipe signal: overwrites whose content is
 	// exactly one zero page (wiper malware writes low-entropy data that
 	// the entropy signal cannot see). Zero disables the signal.
 	PageSize int
 }
 
-// DefaultConfig returns thresholds tuned against the benign cover-traffic
-// corpus (no false positives) while catching all four attack models.
+// DefaultConfig alerts after 64 victim pages and watches 4 KiB pages for
+// zero-wipes.
 func DefaultConfig() Config {
-	return Config{
-		Window:            64,
-		Threshold:         0.35,
-		MinEvents:         8,
-		ReadHorizon:       512,
-		CumulativeVictims: 64,
-		// Benign traffic scores ~0.01 on this ensemble (its writes are
-		// low entropy, its trims isolated), so 0.35 keeps a wide margin
-		// while catching the partial encryptor's thinner signal.
-		// Zero-wipes get full weight: a page-exact zero overwrite of
-		// live data essentially never occurs benignly.
-		WeightEntropy:  0.4,
-		WeightReadOW:   0.8,
-		WeightTrim:     0.2,
-		WeightZeroWipe: 1.0,
-		PageSize:       4096,
-	}
+	return Config{CumulativeVictims: 64, PageSize: 4096}
 }
+
+// The window ensemble, tuned against the benign cover-traffic corpus (no
+// false positives) while catching all four attack models. The last window
+// operations are scored together: the weighted fraction of each signal
+// among them, which raises an alert at threshold once the window holds
+// minEvents suspicious events (suppressing small-sample noise). Benign
+// traffic scores ~0.01 (its writes are low entropy, its trims isolated), so
+// 0.35 keeps a wide margin while catching the partial encryptor's thinner
+// signal. Zero-wipes get full weight: a page-exact zero overwrite of live
+// data essentially never occurs benignly.
+const (
+	window         = 64
+	threshold      = 0.35
+	minEvents      = 8
+	weightEntropy  = 0.4
+	weightReadOW   = 0.8
+	weightTrim     = 0.2
+	weightZeroWipe = 1.0
+)
 
 // event is the per-operation feature vector kept in the sliding window.
 type event struct {
@@ -144,9 +132,6 @@ type Engine struct {
 
 // NewEngine returns a detection engine.
 func NewEngine(cfg Config) *Engine {
-	if cfg.Window <= 0 {
-		cfg = DefaultConfig()
-	}
 	e := &Engine{cfg: cfg}
 	for i := range e.shards {
 		e.shards[i].devices = map[uint64]*devState{}
@@ -245,7 +230,7 @@ func (e *Engine) dev(id uint64) *devState {
 	if d, ok = sh.devices[id]; !ok {
 		d = &devState{
 			recentReads: map[uint64]uint64{},
-			window:      make([]event, e.cfg.Window),
+			window:      make([]event, window),
 			victims:     map[uint64]struct{}{},
 		}
 		sh.devices[id] = d
@@ -278,9 +263,9 @@ func (e *Engine) observeOne(deviceID uint64, d *devState, en *oplog.Entry) (Aler
 	case oplog.KindRead:
 		d.recentReads[en.LPN] = en.Seq
 		// Bound the map: forget reads beyond the horizon lazily by size.
-		if len(d.recentReads) > int(e.cfg.ReadHorizon)*4 {
+		if len(d.recentReads) > oplog.ReadHorizon*4 {
 			for lpn, seq := range d.recentReads {
-				if en.Seq-seq > e.cfg.ReadHorizon {
+				if en.Seq-seq > oplog.ReadHorizon {
 					delete(d.recentReads, lpn)
 				}
 			}
@@ -300,12 +285,12 @@ func (e *Engine) observeOne(deviceID uint64, d *devState, en *oplog.Entry) (Aler
 			ev.zeroWipe = true
 			d.victims[en.LPN] = struct{}{}
 		}
-		if seq, ok := d.recentReads[en.LPN]; ok && en.Seq-seq <= e.cfg.ReadHorizon && high {
+		if seq, ok := d.recentReads[en.LPN]; ok && en.Seq-seq <= oplog.ReadHorizon && high {
 			ev.readThenEncrypt = true
 			d.victims[en.LPN] = struct{}{}
 		}
 	case oplog.KindTrim:
-		if seq, ok := d.recentReads[en.LPN]; ok && en.Seq-seq <= e.cfg.ReadHorizon {
+		if seq, ok := d.recentReads[en.LPN]; ok && en.Seq-seq <= oplog.ReadHorizon {
 			ev.readThenTrim = true
 			d.victims[en.LPN] = struct{}{}
 		}
@@ -319,7 +304,7 @@ func (e *Engine) observeOne(deviceID uint64, d *devState, en *oplog.Entry) (Aler
 	}
 	score, reasons := e.score(d)
 	events := d.nHighEnt + d.nReadOW + d.nTrim + d.nZero
-	if score >= e.cfg.Threshold && events >= e.cfg.MinEvents {
+	if score >= threshold && events >= minEvents {
 		return e.fire(deviceID, d, en, score, reasons), true
 	}
 	if len(d.victims) >= e.cfg.CumulativeVictims {
@@ -383,8 +368,8 @@ func (e *Engine) score(d *devState) (float64, []string) {
 	fROW := float64(d.nReadOW) / n
 	fTrim := float64(d.nTrim) / n
 	fZero := float64(d.nZero) / n
-	score := e.cfg.WeightEntropy*fEnt + e.cfg.WeightReadOW*fROW +
-		e.cfg.WeightTrim*fTrim + e.cfg.WeightZeroWipe*fZero
+	score := weightEntropy*fEnt + weightReadOW*fROW +
+		weightTrim*fTrim + weightZeroWipe*fZero
 	var reasons []string
 	if fEnt > 0.25 {
 		reasons = append(reasons, fmt.Sprintf("high-entropy overwrites %.0f%% of window", fEnt*100))

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,7 +48,6 @@ func newRig(t *testing.T, detCfg Config) *rig {
 		},
 		OverProvision: 0.2,
 	}
-	cfg.CheckpointEvery = 0
 	dev := core.New(cfg, client)
 	return &rig{
 		fs:     host.NewFlatFS(dev, simclock.NewClock()),
@@ -134,7 +134,6 @@ func TestTrimmingAttackDetected(t *testing.T) {
 // the rate-independent victim counter catches the attack anyway.
 func TestTimingAttackDetectedCumulatively(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Threshold = 0.99 // effectively disable the window detector
 	cfg.CumulativeVictims = 40
 	r := newRig(t, cfg)
 	rng := rand.New(rand.NewSource(5))
@@ -211,73 +210,87 @@ func synth(spec string) []oplog.Entry {
 }
 
 func TestWindowScoringUnit(t *testing.T) {
-	cfg := Config{
-		Window: 16, Threshold: 0.5, MinEvents: 4, ReadHorizon: 64,
-		CumulativeVictims: 1000,
-		WeightEntropy:     0.4, WeightReadOW: 0.4, WeightTrim: 0.2,
-	}
+	cfg := Config{CumulativeVictims: 1000}
 	e := NewEngine(cfg)
 	// Pure benign: low-entropy writes only.
 	e.Observe(1, synth("rwrwrwrwrwrwrwrwrwrw"))
 	if len(e.Alerts()) != 0 {
 		t.Fatal("benign synthetic stream alerted")
 	}
-	// Ransomware pattern: read every page then encrypt it.
+	// Ransomware pattern: read every page then encrypt it. Each encrypting
+	// overwrite is two events (high entropy, read-then-encrypt); the fourth
+	// makes eight, at a score of (0.4+0.8)*4/12.
 	e2 := NewEngine(cfg)
 	e2.Observe(2, synth("rrrrrrrrWWWWWWWWWWWWWWWW"))
 	alerts := e2.Alerts()
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %v", alerts)
 	}
-	if alerts[0].Score < 0.5 {
-		t.Fatalf("score = %v", alerts[0].Score)
+	if alerts[0].AtSeq != 11 || math.Abs(alerts[0].Score-0.4) > 1e-9 {
+		t.Fatalf("alert at seq %d, score %v; want seq 11, score 0.4", alerts[0].AtSeq, alerts[0].Score)
 	}
 }
 
+// TestTrimSignalUnit: four encrypting overwrites after eight reads score
+// 4.8/14, just under the threshold; two read-then-trims before them add 0.4
+// and cross it, where two benign overwrites in their place do not.
 func TestTrimSignalUnit(t *testing.T) {
-	cfg := Config{
-		Window: 16, Threshold: 0.15, MinEvents: 4, ReadHorizon: 64,
-		CumulativeVictims: 1000,
-		WeightEntropy:     0.4, WeightReadOW: 0.4, WeightTrim: 0.2,
-	}
+	cfg := Config{CumulativeVictims: 1000}
 	e := NewEngine(cfg)
-	e.Observe(1, synth("rrrrrrrrTTTTTTTTTTTT"))
+	e.Observe(1, synth("rrrrrrrrTTWWWW"))
 	if len(e.Alerts()) != 1 {
 		t.Fatal("trim burst not detected")
 	}
+	control := NewEngine(cfg)
+	control.Observe(1, synth("rrrrrrrrwwWWWW"))
+	if len(control.Alerts()) != 0 {
+		t.Fatal("alerted without the trims")
+	}
 }
 
+// TestMinEventsSuppressesSmallSamples: seven unpaired high-entropy
+// overwrites score 0.4, over the threshold, but are fewer events than a
+// window needs; the eighth alerts.
 func TestMinEventsSuppressesSmallSamples(t *testing.T) {
-	cfg := Config{
-		Window: 16, Threshold: 0.1, MinEvents: 8, ReadHorizon: 64,
-		CumulativeVictims: 1000,
-		WeightEntropy:     1, WeightReadOW: 1, WeightTrim: 1,
-	}
-	e := NewEngine(cfg)
-	// Only 2 suspicious events: high score fraction but too few events.
-	e.Observe(1, synth("rrWW"))
+	e := NewEngine(Config{CumulativeVictims: 1000})
+	e.Observe(1, synth("WWWWWWW"))
 	if len(e.Alerts()) != 0 {
-		t.Fatal("alerted on a 2-event sample")
+		t.Fatal("alerted on a 7-event sample")
+	}
+	e.Observe(1, synth("W"))
+	if len(e.Alerts()) != 1 {
+		t.Fatal("no alert at 8 events")
 	}
 }
 
+// TestReadHorizonExpiry: eight pages read, then gap low-entropy writes of
+// another page, then the eight encrypted. Each overwrite pairs with its read
+// only while the distance stays within oplog.ReadHorizon: at exactly the
+// horizon the eight victims reach the cumulative threshold, one entry
+// further none count.
 func TestReadHorizonExpiry(t *testing.T) {
-	cfg := Config{
-		Window: 8, Threshold: 0.9, MinEvents: 2, ReadHorizon: 4,
-		CumulativeVictims: 2,
-		WeightEntropy:     0, WeightReadOW: 1, WeightTrim: 0,
+	trace := func(gap int) []oplog.Entry {
+		l := oplog.New()
+		for lpn := uint64(0); lpn < 8; lpn++ {
+			l.Append(oplog.KindRead, 0, lpn, ftl.NoPPN, 1, 0, [32]byte{})
+		}
+		for i := 0; i < gap; i++ {
+			l.Append(oplog.KindWrite, 0, 100, 1, 2, 3.0, [32]byte{})
+		}
+		for lpn := uint64(0); lpn < 8; lpn++ {
+			l.Append(oplog.KindWrite, 0, lpn, 1, 2, 7.9, [32]byte{})
+		}
+		return l.Entries(0, l.NextSeq())
 	}
-	e := NewEngine(cfg)
-	// Read lpn 0, then many unrelated low-entropy ops, then encrypt lpn 0:
-	// the read is stale, so no read-then-encrypt pairing, no victims.
-	l := oplog.New()
-	l.Append(oplog.KindRead, 0, 0, 1, ftl.NoPPN, 0, [32]byte{})
-	for i := 0; i < 10; i++ {
-		l.Append(oplog.KindWrite, 0, 5, 1, ftl.NoPPN, 3.0, [32]byte{})
+	cfg := Config{CumulativeVictims: 8}
+	within := NewEngine(cfg)
+	within.Observe(1, trace(oplog.ReadHorizon-8))
+	if len(within.Alerts()) != 1 {
+		t.Fatal("reads at the horizon did not pair with their overwrites")
 	}
-	l.Append(oplog.KindWrite, 0, 0, 1, ftl.NoPPN, 7.9, [32]byte{})
-	e.Observe(1, l.Entries(0, l.NextSeq()))
-	if len(e.Alerts()) != 0 {
+	stale := NewEngine(cfg)
+	stale.Observe(1, trace(oplog.ReadHorizon-7))
+	if len(stale.Alerts()) != 0 {
 		t.Fatal("stale read paired with overwrite")
 	}
 }
@@ -285,15 +298,16 @@ func TestReadHorizonExpiry(t *testing.T) {
 // --- failover handoff ----------------------------------------------------
 
 // handoffTrace builds the cumulative-encryptor shape across n distinct
-// pages: read them all, then overwrite each with high-entropy data. Only
-// an engine that saw the reads counts the overwrites as victims.
+// pages: read them all, then write each again with high-entropy data to a
+// fresh page (ciphertext beside the plaintext, not over it). Only an engine
+// that saw the reads counts the writes as victims or as window events.
 func handoffTrace(n int) []oplog.Entry {
 	l := oplog.New()
 	for i := 0; i < n; i++ {
 		l.Append(oplog.KindRead, simclock.Time(i), uint64(i), ftl.NoPPN, 1, 0, [32]byte{})
 	}
 	for i := 0; i < n; i++ {
-		l.Append(oplog.KindWrite, simclock.Time(n+i), uint64(i), 1, 2, 7.9, [32]byte{})
+		l.Append(oplog.KindWrite, simclock.Time(n+i), uint64(i), ftl.NoPPN, 2, 7.9, [32]byte{})
 	}
 	return l.Entries(0, l.NextSeq())
 }
@@ -302,13 +316,10 @@ func handoffTrace(n int) []oplog.Entry {
 // contract: a device moved between per-server engines mid-stream must keep
 // its recent-read horizon and cumulative victim set, so an attack split
 // across the move still alerts — and an engine that starts cold on the
-// same tail provably would not.
+// same tail provably would not. The window stays under its threshold
+// throughout: 12 paired writes after 16 reads score 9.6/28.
 func TestHandoffPreservesDetectionContinuity(t *testing.T) {
-	cfg := Config{
-		Window: 16, Threshold: 0.99, MinEvents: 4, ReadHorizon: 256,
-		CumulativeVictims: 12,
-		WeightEntropy:     0.4, WeightReadOW: 0.4, WeightTrim: 0.2,
-	}
+	cfg := Config{CumulativeVictims: 12}
 	trace := handoffTrace(16)
 	reads, cut := 16, 16+6 // move after 6 of 16 encrypting overwrites
 
@@ -342,11 +353,7 @@ func TestHandoffPreservesDetectionContinuity(t *testing.T) {
 // TestHandoffCarriesAlertLatch: an already-alerted device stays latched at
 // its new engine — failover must not duplicate alerts.
 func TestHandoffCarriesAlertLatch(t *testing.T) {
-	cfg := Config{
-		Window: 16, Threshold: 0.99, MinEvents: 4, ReadHorizon: 256,
-		CumulativeVictims: 8,
-		WeightEntropy:     0.4, WeightReadOW: 0.4, WeightTrim: 0.2,
-	}
+	cfg := Config{CumulativeVictims: 8}
 	trace := handoffTrace(16)
 	src, dst := NewEngine(cfg), NewEngine(cfg)
 	src.Observe(9, trace)

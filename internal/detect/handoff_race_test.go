@@ -23,13 +23,7 @@ import (
 //   - stale moves lose: when a carried state arrives at an engine that
 //     already holds live state for the device, the live state wins.
 
-func raceCfg() Config {
-	return Config{
-		Window: 16, Threshold: 0.99, MinEvents: 4, ReadHorizon: 256,
-		CumulativeVictims: 12,
-		WeightEntropy:     0.4, WeightReadOW: 0.4, WeightTrim: 0.2,
-	}
-}
+func raceCfg() Config { return Config{CumulativeVictims: 12} }
 
 // holders reports which engines hold in-memory state for a device, and
 // whether any of it is latched — the white-box ground truth the

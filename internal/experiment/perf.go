@@ -21,9 +21,8 @@ type PerfSystem struct {
 
 // PerfRow compares a plain FTL with an RSSD (live offload) on one trace —
 // the paper's "<1% storage performance overhead" claim (P1) and its
-// minimal-lifetime-impact claim (P2). PeakBacklogPages and DroppedPages are
-// the RSSD's retention: the most stale pages it held locally at once, and
-// the pages it destroyed unshipped.
+// minimal-lifetime-impact claim (P2). PeakBacklogPages is the RSSD's
+// retention: the most stale pages it held locally at once.
 type PerfRow struct {
 	Workload         string
 	Plain, RSSD      PerfSystem
@@ -31,7 +30,6 @@ type PerfRow struct {
 	ReadOverheadPct  float64
 	WAFIncreasePct   float64
 	PeakBacklogPages int
-	DroppedPages     uint64
 }
 
 // PerfOverhead replays the same arrival-timed trace of each workload
@@ -56,7 +54,6 @@ func PerfOverhead(s Scale, workloads []string) ([]PerfRow, error) {
 		row.RSSD, err = perfReplay(s, prof, rig.Dev, rig.Dev.FTL(), func() {
 			row.PeakBacklogPages = max(row.PeakBacklogPages, rig.Dev.Stats().RetainedNow)
 		})
-		row.DroppedPages = rig.Dev.Stats().DroppedPages
 		rig.Client.Close()
 		if err != nil {
 			return nil, fmt.Errorf("perf %s rssd: %w", name, err)

@@ -86,23 +86,15 @@ func Retention(s Scale, devices int, backends []string) ([]RetentionTierRow, err
 
 func retentionTier(s Scale, devices int, backend string) (RetentionTierRow, error) {
 	row := RetentionTierRow{Backend: backend, Devices: devices}
-	opts := remote.BackendOptions{}
+	var dir string
 	if backend == "dir" {
-		dir, err := os.MkdirTemp("", "rssd-retention-dir-")
-		if err != nil {
+		var err error
+		if dir, err = os.MkdirTemp("", "rssd-retention-dir-"); err != nil {
 			return row, err
 		}
 		defer os.RemoveAll(dir)
-		opts.Dir = dir
 	}
-	// Scale the cloud model's part-size threshold to the experiment's
-	// segment sizes (as fleetScale scales the device): S3's real 8 MiB
-	// floor would never split a simulated segment, and the multipart cost
-	// path is part of what this experiment exercises.
-	s3cfg := remote.DefaultS3Config()
-	s3cfg.PartSize = 64 << 10
-	opts.S3 = &s3cfg
-	blobs, err := remote.OpenBackend(backend, opts)
+	blobs, err := remote.OpenBackend(backend, dir)
 	if err != nil {
 		return row, err
 	}

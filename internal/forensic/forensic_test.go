@@ -52,7 +52,6 @@ func newRig(t *testing.T) *rig {
 		},
 		OverProvision: 0.2,
 	}
-	cfg.CheckpointEvery = 0
 	dev := core.New(cfg, client)
 	return &rig{fs: host.NewFlatFS(dev, simclock.NewClock()), dev: dev, store: store, client: client}
 }

@@ -46,11 +46,18 @@ const (
 	// KindRecoveryTrim records a recovery action that restored LPN to
 	// the unmapped (zero) state.
 	KindRecoveryTrim
-	// KindRead records a host read. Reads are sampled rather than fully
-	// logged (matching the paper: read logging informs detection of
-	// read-then-overwrite ransomware behaviour at low overhead).
+	// KindRead records a host read. Every read is logged: a read that a
+	// high-entropy overwrite or a trim of the same page follows within
+	// ReadHorizon entries is how detection and forensics tell ransomware
+	// from benign churn.
 	KindRead
 )
+
+// ReadHorizon is how many log entries after a read of a page a write or
+// trim of that page still pairs with it as read-then-encrypt or
+// read-then-trim: the one pairing rule of the detector and of forensic
+// analysis.
+const ReadHorizon = 512
 
 func (k Kind) String() string {
 	switch k {

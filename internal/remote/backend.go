@@ -13,47 +13,31 @@ import (
 // CLI select one with a flag instead of hard-wiring a constructor.
 //
 //	mem    in-process map — the free, zero-latency tier tests use
-//	dir    a local storage server's filesystem (BackendOptions.Dir)
+//	dir    a local storage server's filesystem, rooted at a directory
 //	s3sim  the modeled cloud tier: latency, request/storage cost,
 //	       multipart uploads, eventually-consistent LIST
 
-// BackendOptions parameterizes backend construction.
-type BackendOptions struct {
-	// Dir roots filesystem-backed tiers ("" means the backend picks or
-	// fails, per its semantics).
-	Dir string
-	// S3 overrides the cloud model; the zero value means DefaultS3Config.
-	S3 *S3Config
-}
-
-// BackendFactory builds one storage tier.
-type BackendFactory func(opts BackendOptions) (ObjectStore, error)
-
-// backends maps each tier's name to its constructor; it is never written.
-var backends = map[string]BackendFactory{
-	"mem": func(BackendOptions) (ObjectStore, error) { return NewMemStore(), nil },
-	"dir": func(opts BackendOptions) (ObjectStore, error) {
-		if opts.Dir == "" {
+// backends maps each tier's name to its constructor, which takes the root
+// directory of filesystem-backed tiers; it is never written.
+var backends = map[string]func(dir string) (ObjectStore, error){
+	"mem": func(string) (ObjectStore, error) { return NewMemStore(), nil },
+	"dir": func(dir string) (ObjectStore, error) {
+		if dir == "" {
 			return nil, fmt.Errorf("remote: dir backend needs a root directory")
 		}
-		return NewDirStore(opts.Dir)
+		return NewDirStore(dir)
 	},
-	"s3sim": func(opts BackendOptions) (ObjectStore, error) {
-		cfg := DefaultS3Config()
-		if opts.S3 != nil {
-			cfg = *opts.S3
-		}
-		return NewS3Sim(cfg), nil
-	},
+	"s3sim": func(string) (ObjectStore, error) { return NewS3Sim(), nil },
 }
 
-// OpenBackend builds the named storage tier.
-func OpenBackend(name string, opts BackendOptions) (ObjectStore, error) {
+// OpenBackend builds the named storage tier; dir roots the filesystem-backed
+// "dir" tier, and the others ignore it.
+func OpenBackend(name, dir string) (ObjectStore, error) {
 	f, ok := backends[name]
 	if !ok {
 		return nil, fmt.Errorf("remote: unknown backend %q (have %v)", name, Backends())
 	}
-	return f(opts)
+	return f(dir)
 }
 
 // Backends lists the registered tier names, sorted.

@@ -22,8 +22,6 @@ import (
 // needs it. Get/Put are read-after-write consistent (as S3 is today); only
 // LIST lags.
 type S3Sim struct {
-	cfg S3Config
-
 	mu      sync.Mutex
 	data    map[string][]byte
 	visible map[string]uint64 // key -> opSeq at which LIST starts showing it
@@ -31,48 +29,32 @@ type S3Sim struct {
 	stats   TierStats
 }
 
-// S3Config prices and paces the simulated cloud tier. The defaults follow
-// S3 Standard's published us-east-1 numbers and a WAN path to it.
-type S3Config struct {
-	// FirstByte is the per-request latency floor (connection + service
+// The simulated cloud tier's model: S3 Standard's published us-east-1
+// prices and a WAN path to it.
+const (
+	// s3FirstByte is the per-request latency floor (connection + service
 	// time) charged to every request, and to every part of a multipart
-	// upload.
-	FirstByte simclock.Duration
-	// MBps is the sustained transfer bandwidth to/from the bucket.
-	MBps float64
-	// PutUSD, GetUSD, ListUSD are per-request prices. DELETE is free on
-	// S3 and stays free here.
-	PutUSD  float64
-	GetUSD  float64
-	ListUSD float64
-	// StorageUSDPerGBMonth prices data at rest.
-	StorageUSDPerGBMonth float64
-	// PartSize splits uploads larger than itself into a multipart upload:
-	// one initiate and one complete request plus one PUT per part, parts
-	// transferring in PartLanes parallel lanes.
-	PartSize  int
-	PartLanes int
-	// ListLagOps is the eventual-consistency window: a PUT key appears in
+	// upload; s3MBps is the sustained bandwidth to and from the bucket.
+	s3FirstByte = 18 * simclock.Millisecond
+	s3MBps      = 100
+	// Per-request prices. DELETE is free on S3 and stays free here.
+	s3PutUSD  = 0.005 / 1000
+	s3GetUSD  = 0.0004 / 1000
+	s3ListUSD = 0.005 / 1000
+	// s3StorageUSDPerGBMonth prices data at rest.
+	s3StorageUSDPerGBMonth = 0.023
+	// An upload larger than s3PartSize is multipart: one initiate and one
+	// complete request plus one PUT per part, parts transferring in
+	// s3PartLanes parallel lanes. The part size is scaled to the simulated
+	// segments, as the devices are: S3's real 8 MiB floor would never split
+	// one, and the multipart cost path is part of what the tier models.
+	s3PartSize  = 64 << 10
+	s3PartLanes = 4
+	// s3ListLag is the eventual-consistency window: a PUT key appears in
 	// LIST results only after this many further mutating operations (or a
-	// Settle call). 0 makes LIST strongly consistent.
-	ListLagOps uint64
-}
-
-// DefaultS3Config returns the S3 Standard model used by the retention
-// experiments.
-func DefaultS3Config() S3Config {
-	return S3Config{
-		FirstByte:            18 * simclock.Millisecond,
-		MBps:                 100,
-		PutUSD:               0.005 / 1000,
-		GetUSD:               0.0004 / 1000,
-		ListUSD:              0.005 / 1000,
-		StorageUSDPerGBMonth: 0.023,
-		PartSize:             8 << 20,
-		PartLanes:            4,
-		ListLagOps:           8,
-	}
-}
+	// Settle call).
+	s3ListLag = 8
+)
 
 // TierStats is the running cost/latency ledger of a modeled storage tier.
 type TierStats struct {
@@ -89,65 +71,53 @@ type TierStats struct {
 }
 
 // NewS3Sim returns an empty simulated bucket.
-func NewS3Sim(cfg S3Config) *S3Sim {
-	if cfg.FirstByte <= 0 {
-		cfg.FirstByte = DefaultS3Config().FirstByte
-	}
-	if cfg.MBps <= 0 {
-		cfg.MBps = DefaultS3Config().MBps
-	}
-	if cfg.PartSize <= 0 {
-		cfg.PartSize = DefaultS3Config().PartSize
-	}
-	if cfg.PartLanes <= 0 {
-		cfg.PartLanes = 1
-	}
-	return &S3Sim{cfg: cfg, data: map[string][]byte{}, visible: map[string]uint64{}}
+func NewS3Sim() *S3Sim {
+	return &S3Sim{data: map[string][]byte{}, visible: map[string]uint64{}}
 }
 
-// xfer models moving n bytes at the configured bandwidth.
-func (s *S3Sim) xfer(n int) simclock.Duration {
-	return simclock.Duration(float64(n) / (s.cfg.MBps * 1e6) * float64(simclock.Second))
+// s3Xfer models moving n bytes at the bucket's bandwidth.
+func s3Xfer(n int) simclock.Duration {
+	return simclock.Duration(float64(n) / (s3MBps * 1e6) * float64(simclock.Second))
 }
 
-// putLatency models persisting an n-byte blob: first-byte plus transfer,
+// s3PutLatency models persisting an n-byte blob: first-byte plus transfer,
 // with multipart round trips above the part-size threshold. It is the
 // service time Put accrues and the number PutServiceTime exposes to the
 // segment-ack path.
-func (s *S3Sim) putLatency(n int) simclock.Duration {
-	if n > s.cfg.PartSize {
-		parts := (n + s.cfg.PartSize - 1) / s.cfg.PartSize
-		rounds := (parts + s.cfg.PartLanes - 1) / s.cfg.PartLanes
+func s3PutLatency(n int) simclock.Duration {
+	if n > s3PartSize {
+		parts := (n + s3PartSize - 1) / s3PartSize
+		rounds := (parts + s3PartLanes - 1) / s3PartLanes
 		// initiate + complete, then each lane-round pays a first-byte;
 		// the body transfer is bandwidth-bound regardless of lanes.
-		return s.cfg.FirstByte*simclock.Duration(2+rounds) + s.xfer(n)
+		return s3FirstByte*simclock.Duration(2+rounds) + s3Xfer(n)
 	}
-	return s.cfg.FirstByte + s.xfer(n)
+	return s3FirstByte + s3Xfer(n)
 }
 
 // PutServiceTime implements ServiceTimeModeler: the modeled service time
 // of persisting an n-byte blob, which the server threads into segment
 // acks so device-side OffloadAckTime reflects the backend. It reads only
-// the immutable config, so no lock is taken — the segment-ingest hot path
+// the model's constants, so no lock is taken — the segment-ingest hot path
 // calls it once per accepted blob.
 func (s *S3Sim) PutServiceTime(n int) simclock.Duration {
-	return s.putLatency(n)
+	return s3PutLatency(n)
 }
 
 // Put stores a copy of data, charging request cost and modeled latency.
-// Blobs above PartSize upload as multipart: per-part PUT requests plus the
-// initiate/complete round trips, parts riding PartLanes parallel lanes.
+// Blobs above s3PartSize upload as multipart: per-part PUT requests plus the
+// initiate/complete round trips, parts riding s3PartLanes parallel lanes.
 func (s *S3Sim) Put(key string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lat := s.putLatency(len(data))
-	if len(data) > s.cfg.PartSize {
-		parts := (len(data) + s.cfg.PartSize - 1) / s.cfg.PartSize
+	lat := s3PutLatency(len(data))
+	if len(data) > s3PartSize {
+		parts := (len(data) + s3PartSize - 1) / s3PartSize
 		s.stats.MultipartUploads++
 		s.stats.Parts += uint64(parts)
-		s.stats.RequestUSD += float64(parts+2) * s.cfg.PutUSD
+		s.stats.RequestUSD += float64(parts+2) * s3PutUSD
 	} else {
-		s.stats.RequestUSD += s.cfg.PutUSD
+		s.stats.RequestUSD += s3PutUSD
 	}
 	if old, ok := s.data[key]; ok {
 		s.stats.BytesStored -= int64(len(old))
@@ -157,7 +127,7 @@ func (s *S3Sim) Put(key string, data []byte) error {
 	// The consistency lag applies to keys LIST has not yet shown; an
 	// overwrite of an already-listed key never un-lists it (as on S3).
 	if vis, ok := s.visible[key]; !ok || vis > s.opSeq {
-		s.visible[key] = s.opSeq + s.cfg.ListLagOps
+		s.visible[key] = s.opSeq + s3ListLag
 	}
 	s.stats.Puts++
 	s.stats.BytesStored += int64(len(data))
@@ -174,7 +144,7 @@ func (s *S3Sim) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	s.stats.RequestUSD += s.cfg.GetUSD
+	s.stats.RequestUSD += s3GetUSD
 	return append([]byte(nil), d...), nil
 }
 
@@ -192,7 +162,7 @@ func (s *S3Sim) List(prefix string) ([]string, error) {
 		}
 	}
 	sort.Strings(keys)
-	s.stats.RequestUSD += s.cfg.ListUSD
+	s.stats.RequestUSD += s3ListUSD
 	return keys, nil
 }
 
@@ -250,5 +220,5 @@ func (s *S3Sim) TierStats() TierStats {
 
 // MonthlyStorageUSD prices the current at-rest footprint for one month.
 func (s *S3Sim) MonthlyStorageUSD() float64 {
-	return float64(s.Size()) / float64(1<<30) * s.cfg.StorageUSDPerGBMonth
+	return float64(s.Size()) / float64(1<<30) * s3StorageUSDPerGBMonth
 }

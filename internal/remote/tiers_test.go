@@ -13,21 +13,23 @@ import (
 	"repro/internal/simclock"
 )
 
-// strongS3 returns an S3 model with strongly-consistent LIST so the
-// generic CRUD contract applies unchanged.
-func strongS3() *S3Sim {
-	cfg := DefaultS3Config()
-	cfg.ListLagOps = 0
-	return NewS3Sim(cfg)
+// settledS3 lists as a strongly consistent tier does: every List waits out
+// the consistency window first, so the generic CRUD contract applies
+// unchanged.
+type settledS3 struct{ *S3Sim }
+
+func (s settledS3) List(prefix string) ([]string, error) {
+	s.Settle()
+	return s.S3Sim.List(prefix)
 }
 
 func TestS3SimCRUD(t *testing.T) {
-	testObjectStore(t, strongS3())
+	testObjectStore(t, settledS3{NewS3Sim()})
 }
 
 func TestBackendRegistry(t *testing.T) {
 	for _, name := range []string{"mem", "dir", "s3sim"} {
-		os, err := OpenBackend(name, BackendOptions{Dir: t.TempDir()})
+		os, err := OpenBackend(name, t.TempDir())
 		if err != nil {
 			t.Fatalf("open %s: %v", name, err)
 		}
@@ -39,10 +41,10 @@ func TestBackendRegistry(t *testing.T) {
 			t.Fatalf("%s get = %q, %v", name, got, err)
 		}
 	}
-	if _, err := OpenBackend("dir", BackendOptions{}); err == nil {
+	if _, err := OpenBackend("dir", ""); err == nil {
 		t.Fatal("dir backend without a root directory accepted")
 	}
-	if _, err := OpenBackend("gopher-cloud", BackendOptions{}); err == nil {
+	if _, err := OpenBackend("gopher-cloud", ""); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }
@@ -74,11 +76,7 @@ func TestDirStoreNotFoundConsistency(t *testing.T) {
 }
 
 func TestS3SimMultipart(t *testing.T) {
-	cfg := DefaultS3Config()
-	cfg.PartSize = 1024
-	cfg.PartLanes = 2
-	cfg.ListLagOps = 0
-	s := NewS3Sim(cfg)
+	s := NewS3Sim()
 
 	small := make([]byte, 512)
 	if err := s.Put("small", small); err != nil {
@@ -88,23 +86,23 @@ func TestS3SimMultipart(t *testing.T) {
 	if st.MultipartUploads != 0 || st.Parts != 0 {
 		t.Fatalf("small put went multipart: %+v", st)
 	}
-	wantUSD := cfg.PutUSD
-	wantLat := cfg.FirstByte + simclock.Duration(float64(len(small))/(cfg.MBps*1e6)*float64(simclock.Second))
+	wantUSD := s3PutUSD
+	wantLat := s3FirstByte + simclock.Duration(float64(len(small))/(s3MBps*1e6)*float64(simclock.Second))
 	if math.Abs(st.RequestUSD-wantUSD) > 1e-12 || st.PutLatency != wantLat {
 		t.Fatalf("small put cost/latency = %v/%v, want %v/%v", st.RequestUSD, st.PutLatency, wantUSD, wantLat)
 	}
 
-	big := make([]byte, 4*1024+512) // 5 parts at 1 KiB
+	big := make([]byte, 8*s3PartSize+512) // 9 parts
 	if err := s.Put("big", big); err != nil {
 		t.Fatal(err)
 	}
 	st = s.TierStats()
-	if st.MultipartUploads != 1 || st.Parts != 5 {
-		t.Fatalf("multipart = %d uploads / %d parts, want 1/5", st.MultipartUploads, st.Parts)
+	if st.MultipartUploads != 1 || st.Parts != 9 {
+		t.Fatalf("multipart = %d uploads / %d parts, want 1/9", st.MultipartUploads, st.Parts)
 	}
-	// 5 parts + initiate + complete, and 3 lane-rounds of first-byte.
-	wantUSD += float64(5+2) * cfg.PutUSD
-	wantLat += cfg.FirstByte*simclock.Duration(2+3) + simclock.Duration(float64(len(big))/(cfg.MBps*1e6)*float64(simclock.Second))
+	// 9 parts + initiate + complete, and 3 rounds of 4 lanes' first-byte.
+	wantUSD += float64(9+2) * s3PutUSD
+	wantLat += s3FirstByte*simclock.Duration(2+3) + simclock.Duration(float64(len(big))/(s3MBps*1e6)*float64(simclock.Second))
 	if math.Abs(st.RequestUSD-wantUSD) > 1e-12 || st.PutLatency != wantLat {
 		t.Fatalf("multipart cost/latency = %v/%v, want %v/%v", st.RequestUSD, st.PutLatency, wantUSD, wantLat)
 	}
@@ -120,9 +118,7 @@ func TestS3SimMultipart(t *testing.T) {
 }
 
 func TestS3SimEventualList(t *testing.T) {
-	cfg := DefaultS3Config()
-	cfg.ListLagOps = 2
-	s := NewS3Sim(cfg)
+	s := NewS3Sim()
 
 	if err := s.Put("a", []byte("1")); err != nil {
 		t.Fatal(err)
@@ -137,16 +133,18 @@ func TestS3SimEventualList(t *testing.T) {
 	if n := s.PendingListKeys(); n != 1 {
 		t.Fatalf("pending = %d, want 1", n)
 	}
-	// Two more mutating ops age "a" into visibility; "b" and "c" still lag.
-	s.Put("b", []byte("2"))
-	s.Put("c", []byte("3"))
+	// s3ListLag more mutating ops age "a" into visibility; the keys
+	// they put still lag.
+	for i := range s3ListLag {
+		s.Put(fmt.Sprintf("k%d", i), []byte("2"))
+	}
 	keys, _ := s.List("")
 	if len(keys) != 1 || keys[0] != "a" {
 		t.Fatalf("aged listing = %v, want [a]", keys)
 	}
 	s.Settle()
-	if keys, _ := s.List(""); len(keys) != 3 {
-		t.Fatalf("settled listing = %v, want 3 keys", keys)
+	if keys, _ := s.List(""); len(keys) != 1+s3ListLag {
+		t.Fatalf("settled listing = %v, want %d keys", keys, 1+s3ListLag)
 	}
 	if n := s.PendingListKeys(); n != 0 {
 		t.Fatalf("pending after settle = %d", n)
@@ -156,7 +154,7 @@ func TestS3SimEventualList(t *testing.T) {
 	if err := s.Put("a", []byte("1v2")); err != nil {
 		t.Fatal(err)
 	}
-	if keys, _ := s.List(""); len(keys) != 3 {
+	if keys, _ := s.List(""); len(keys) != 1+s3ListLag {
 		t.Fatalf("overwrite un-listed a visible key: %v", keys)
 	}
 }
@@ -260,9 +258,7 @@ func TestAppendCompressesAtRest(t *testing.T) {
 // Reload sees a stale listing and rebuilds short of the chain head;
 // ReloadSettled waits out the window and recovers everything.
 func TestReloadSettledOnS3Sim(t *testing.T) {
-	cfg := DefaultS3Config()
-	cfg.ListLagOps = 3
-	s3 := NewS3Sim(cfg)
+	s3 := NewS3Sim()
 	st := NewStore(s3)
 	segs := buildSegments(1, 4, 10)
 	for _, seg := range segs {
@@ -296,9 +292,9 @@ func TestTierProfilesAndPutServiceTime(t *testing.T) {
 		t.Fatalf("unknown tier got empty profile %+v", p)
 	}
 
-	s3 := NewS3Sim(DefaultS3Config())
+	s3 := NewS3Sim()
 	small := s3.PutServiceTime(1 << 10)
-	if small < DefaultS3Config().FirstByte {
+	if small < s3FirstByte {
 		t.Fatalf("small put service %v below first-byte floor", small)
 	}
 	big := s3.PutServiceTime(64 << 20) // multipart territory

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -488,21 +489,21 @@ func TestChangesEntrySize(t *testing.T) {
 	}
 }
 
-// counter is an exported field of an exported *Stats or *Report struct.
-type counter struct {
+// structField is an exported field of an exported struct type of internal/.
+type structField struct {
 	field *types.Var
 	owner *types.Struct
 	name  string // pkg.Type.Field
 }
 
-// counters returns every exported field of an exported struct type of
-// internal/ whose name ends in Stats or Report.
-func (s *surface) counters() []counter {
-	var out []counter
+// fieldsOf returns every exported field of an exported struct type of
+// internal/ whose name ends in one of suffixes.
+func (s *surface) fieldsOf(suffixes ...string) []structField {
+	var out []structField
 	for _, cp := range s.internalPkgs() {
 		for _, name := range cp.pkg.Scope().Names() {
 			tn, ok := cp.pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Stats") || strings.HasSuffix(name, "Report")) {
+			if !ok || !tn.Exported() || !slices.ContainsFunc(suffixes, func(suf string) bool { return strings.HasSuffix(name, suf) }) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -511,7 +512,7 @@ func (s *surface) counters() []counter {
 			}
 			for i := range st.NumFields() {
 				if f := st.Field(i); f.Exported() {
-					out = append(out, counter{f, st, cp.pkg.Name() + "." + name + "." + f.Name()})
+					out = append(out, structField{f, st, cp.pkg.Name() + "." + name + "." + f.Name()})
 				}
 			}
 		}
@@ -654,7 +655,7 @@ func TestEveryCounterIsRead(t *testing.T) {
 	}
 	rows := s.reflectedStructs()
 	var bad []string
-	for _, c := range s.counters() {
+	for _, c := range s.fieldsOf("Stats", "Report") {
 		if !read[c.field] && !selected[c.field.Name()] && !rows[c.owner] {
 			bad = append(bad, c.name)
 		}
@@ -662,5 +663,115 @@ func TestEveryCounterIsRead(t *testing.T) {
 	if len(bad) > 0 {
 		t.Errorf("%d counters are never read; delete each with the code that maintains it:\n\t%s",
 			len(bad), strings.Join(bad, "\n\t"))
+	}
+}
+
+// knobAllowed are the exported fields of internal/ *Config and *Options
+// structs that no production code sets and that stay settable anyway.
+var knobAllowed = map[string]bool{
+	// Fault injection: the read path's bit-error model, which tests of its
+	// error handling turn on, and the seed of its error stream.
+	"nand.Config.BitErrorProb": true,
+	"nand.Config.Seed":         true,
+	// Production sets it two ways without writing it: 3 000 cycles through
+	// nand.DefaultConfig in the examples, unlimited (the zero value) in the
+	// experiments and the benchmark, which leave it out.
+	"nand.Config.EnduranceLimit": true,
+}
+
+// writtenFields returns the fields some non-test file writes (as the target
+// of an assignment, ++/--, compound assignment or &, or as a composite-literal
+// key) outside the Default*, New* and normalize functions of the field's own
+// package, which give a field its default rather than choose one.
+func (s *surface) writtenFields() map[types.Object]bool {
+	written := map[types.Object]bool{}
+	for _, cp := range s.pkgs {
+		for _, f := range cp.files {
+			for _, d := range f.Decls {
+				var fn string
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn = fd.Name.Name
+				}
+				defaults := strings.HasPrefix(fn, "Default") || strings.HasPrefix(fn, "New") || fn == "normalize"
+				mark := func(id *ast.Ident) {
+					if v, ok := cp.info.Uses[id].(*types.Var); ok && v.IsField() && !(defaults && v.Pkg() == cp.pkg) {
+						written[origin(v)] = true
+					}
+				}
+				// target marks every field on the path of a written
+				// expression: writing x.A.B changes x.A too.
+				target := func(e ast.Expr) {
+					for {
+						switch x := e.(type) {
+						case *ast.ParenExpr:
+							e = x.X
+						case *ast.IndexExpr:
+							e = x.X
+						case *ast.StarExpr:
+							e = x.X
+						case *ast.SelectorExpr:
+							mark(x.Sel)
+							e = x.X
+						default:
+							return
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							target(lhs)
+						}
+					case *ast.IncDecStmt:
+						target(x.X)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							target(x.X)
+						}
+					case *ast.CompositeLit:
+						for _, el := range x.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									mark(id)
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return written
+}
+
+// TestEveryKnobIsSet fails on an exported field of an exported *Config or
+// *Options struct of internal/ that production never sets: no non-test file
+// of the module or of benchmark/ writes it outside its package's Default*,
+// New* and normalize functions. A setting only tests choose is a second
+// behaviour production never runs; its default belongs in a constant.
+func TestEveryKnobIsSet(t *testing.T) {
+	s := loadSurface(t)
+	written := s.writtenFields()
+	unset := map[string]bool{}
+	var bad []string
+	for _, k := range s.fieldsOf("Config", "Options") {
+		if written[k.field] {
+			continue
+		}
+		unset[k.name] = true
+		if !knobAllowed[k.name] {
+			bad = append(bad, k.name)
+		}
+	}
+	if len(bad) > 0 {
+		t.Errorf("%d settings are only ever set by tests; make each a constant at its default:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
+	}
+	for name := range knobAllowed {
+		if !unset[name] {
+			t.Errorf("allow-list entry %s is set by production code now; remove it", name)
+		}
 	}
 }
