@@ -11,77 +11,60 @@ import (
 	"repro/internal/simclock"
 )
 
-// This file implements the asynchronous offload engine: the pipeline
-// between the retention watermark check and the NVMe-oE transport. The
-// host path *seals* segments (reads their pages on the NAND background
-// lane) and stages them into a bounded queue; a pool of codec workers
-// compresses the sealed segments off the firmware goroutine; a dedicated
-// transfer goroutine ships the encoded blobs to the remote server in seal
-// order. Pins are released only when the durability ack is harvested back
-// on the firmware goroutine — the zero-data-loss invariant is unchanged,
-// and neither the compression nor the transfer time sits on the host path.
+// This file implements the offload engine: the pipeline between the
+// retention watermark check and the NVMe-oE transport. The host path
+// *seals* segments (reads their pages on the NAND background lane into
+// pooled buffers), and each sealed segment is encoded and pushed to the
+// remote server at once, in seal order. Pins are released only when
+// simulated time reaches the segment's durability ack — the zero-data-loss
+// invariant — and neither the compression nor the transfer time sits on
+// the host path.
 //
-// Concurrency model: all FTL/RSSD state is still owned by the single
-// firmware goroutine. A codec worker touches only its staged segment
-// (already sealed: pages read into pooled buffers, entries copied); the
-// transfer goroutine touches only encoded segments (in seal order, waiting
-// out each segment's encode) and the NVMe-oE client. Results come back
-// over a channel and are applied by the firmware goroutine at poll points
-// (afterOps, Pressure, drainOffload).
+// Concurrency model: none. The engine runs on the device's own goroutine,
+// like all FTL/RSSD state: it starts no goroutine and makes no channel. The
+// isolation and overlap the paper's offload engine gets from hardware are a
+// simulated-time property here, fixed when a segment is staged.
+//
+// Simulated-time model: staging fixes each segment's schedule
+// deterministically — encodeWorkers simulated codec lanes, each encoding at
+// encodeMBps, earliest-free lane first, then one serialized link per
+// session: start = max(encode done, link free), ack = the NIC arbiter's
+// grant for the wire bytes from start + the storage tier's modeled Put
+// service time, which the server reports in the ack. inFlight holds the
+// staged segments in seal order; the poll points (afterOps, Pressure,
+// drainOffload, stopEngine and the backpressure loop in stage) apply its
+// head once simulated time reaches its ack instant, so encode and transfer
+// overlap host I/O instead of adding to it.
 //
 // Allocation model: the hot path rents everything from internal/bufpool.
-// Page reads land in pooled buffers released once the codec worker has
-// captured their bytes; the marshal buffer is released as soon as the blob
-// is framed; the blob buffer is released after the transfer. In steady
-// state a segment's trip through seal→encode→ship allocates only its
-// constant-size bookkeeping (the stagedSegment and its done channel).
-//
-// Simulated-time model: sealing fixes each segment's encode-stage schedule
-// deterministically — encodeWorkers simulated codec lanes, each encoding
-// at encodeMBps, earliest-free lane first — and the transfer goroutine
-// fixes the ack instant from the link model (serialized transfers on one
-// simulated link: start = max(encode done, link free), ack = start + RTT +
-// bytes/BW + the storage tier's modeled Put service time, which the server
-// reports in the ack). The firmware goroutine applies a completion only
-// once simulated time reaches that instant; when a completion's ack time
-// is not yet computable it blocks on the results channel only if the
-// segment's deterministic ack floor (encode done + RTT) has been reached —
-// so behaviour is deterministic in simulated time regardless of goroutine
-// scheduling, and encode and transfer overlap host I/O instead of adding
-// to it.
+// Page reads land in pooled buffers released once their bytes are encoded;
+// the marshal buffer is released as soon as the blob is framed; the blob
+// buffer is released after the push. In steady state a segment's trip
+// through seal→encode→ship allocates only its stagedSegment.
 //
 // There is no other route off the device: every segment, Pressure's and
-// OffloadNow's included, is staged, encoded on a codec lane and shipped by
-// the transfer goroutine.
+// OffloadNow's included, is staged, encoded on a codec lane and shipped.
 
 // stagedSegment is one sealed segment travelling through the pipeline.
 type stagedSegment struct {
-	seg      *oplog.Segment
-	blob     []byte         // codec-framed wire encoding (what actually ships)
-	blobBuf  *bufpool.Buf   // pooled backing of blob; released after transfer
-	pageBufs []*bufpool.Buf // pooled page data; released once encoded
-	batch    []*retEntry    // retained pages carried by seg (pins still held)
-	toSeq    uint64         // log entries below this are covered by seg
-	sealedAt simclock.Time  // flash background reads complete
-	// encDoneAt is when the simulated codec lane finishes this segment;
-	// ackFloor = encDoneAt + RTT is the earliest its ack could possibly
-	// arrive. Both are fixed at staging time on the firmware goroutine, so
-	// "could this ack be due?" is answerable without racing the pipeline.
-	encDoneAt simclock.Time
-	ackFloor  simclock.Time
+	seg       *oplog.Segment
+	blob      []byte            // codec-framed wire encoding (what actually ships)
+	blobBuf   *bufpool.Buf      // pooled backing of blob; released after the push
+	pageBufs  []*bufpool.Buf    // pooled page data; released once encoded
+	batch     []*retEntry       // retained pages carried by seg (pins still held)
+	sealedAt  simclock.Time     // flash background reads complete
+	encDoneAt simclock.Time     // the simulated codec lane finishes this segment
 	ackAt     simclock.Time     // simulated durability-ack arrival (link + tier model)
 	wire      int               // compressed wire bytes: what the link model charges
 	logical   int               // uncompressed marshal size
 	svc       simclock.Duration // storage tier's modeled Put service time (from the ack)
-	err       error             // set by the transfer goroutine
-	encoded   chan struct{}     // closed by the codec worker
+	err       error             // the push's failure, applied at ackAt
 }
 
-// The engine's fixed model: encodeWorkers codec lanes (real goroutines and
-// simulated lanes alike), each compressing at encodeMBps of simulated
-// throughput (BestSpeed-class DEFLATE; real encoding runs as fast as the
-// CPU allows). A device without Config.NIC ships over a private link of
-// offloadLinkRTT + bytes at offloadLinkMBps.
+// The engine's fixed model: encodeWorkers simulated codec lanes, each
+// compressing at encodeMBps (BestSpeed-class DEFLATE; the real encode runs
+// as fast as the CPU allows). A device without Config.NIC ships over a
+// private link of offloadLinkRTT + bytes at offloadLinkMBps.
 const (
 	encodeWorkers   = 2
 	encodeMBps      = 400
@@ -89,18 +72,17 @@ const (
 	offloadLinkMBps = 1200
 )
 
-// offloadEngine owns the staging queue, the codec worker pool, and the
-// transfer goroutine.
+// offloadEngine is one client session's pipeline: the simulated codec lanes
+// and link, and the shipped segments whose acks are not applied yet.
 type offloadEngine struct {
-	depth   int                 // staging-queue bound (backpressure point)
-	encodeq chan *stagedSegment // sealed, awaiting compression
-	xferq   chan *stagedSegment // seal-order lane the transfer goroutine ships
-	results chan *stagedSegment // transfer resolved, FIFO with xferq
-	ready   *stagedSegment      // harvested result whose ack instant lies ahead
+	client *remote.Client
+	flow   *netsim.Flow // prices each push on the device's NIC arbiter
+	depth  int          // in-flight bound (backpressure point)
 
-	inFlight      []*stagedSegment // firmware-side FIFO mirror of the pipeline
+	inFlight      []*stagedSegment // shipped, in seal order, awaiting ackAt
 	pagesInFlight int
 	encFree       [encodeWorkers]simclock.Time // simulated next-free time per codec lane
+	linkFree      simclock.Time                // the link's last grant this session ends
 	// failure epoch: once one segment fails, everything behind it in the
 	// pipeline fails too (the chain has a gap at the server). Failed
 	// batches are collected in stage order and requeued together when the
@@ -109,56 +91,18 @@ type offloadEngine struct {
 	failedBatches [][]*retEntry
 }
 
-// newOffloadEngine starts the codec workers and the transfer goroutine for
-// one client session. Transfers are priced by the device's offload-class
-// flow on the NIC arbiter — a shared server NIC when cfg.NIC is set, a
-// private single-flow arbiter otherwise.
-func newOffloadEngine(client *remote.Client, depth int, flow *netsim.Flow) *offloadEngine {
-	if depth <= 0 {
-		depth = 8
-	}
-	e := &offloadEngine{
-		depth:   depth,
-		encodeq: make(chan *stagedSegment, depth+2),
-		xferq:   make(chan *stagedSegment, depth+2),
-		// results is sized so the transfer goroutine never blocks sending:
-		// at most depth segments queue plus one in its hands.
-		results: make(chan *stagedSegment, depth+2),
-	}
-	for i := 0; i < encodeWorkers; i++ {
-		go func() {
-			for st := range e.encodeq {
-				encodeStaged(st)
-				close(st.encoded)
-			}
-		}()
-	}
-	go func() {
-		var linkFree simclock.Time
-		for st := range e.xferq {
-			<-st.encoded // codec worker done; blob and wire size final
-			start := simclock.Max(st.encDoneAt, linkFree)
-			st.svc, st.err = client.PushSegmentBlob(st.blob, st.seg.LastSeq)
-			linkFree = flow.Grant(st.wire, start)
-			st.ackAt = linkFree.Add(st.svc)
-			// The wire bytes have left the device; the pooled blob goes back.
-			st.blobBuf.Release()
-			st.blobBuf, st.blob = nil, nil
-			e.results <- st
-		}
-	}()
-	return e
-}
-
-// harvest takes the oldest resolved completion, blocking until the real
-// pipeline produces it. The ready slot holds a completion harvested early
-// whose ack instant had not been reached yet.
-func (e *offloadEngine) harvest() *stagedSegment {
-	if st := e.ready; st != nil {
-		e.ready = nil
-		return st
-	}
-	return <-e.results
+// ship encodes st and pushes it over the session, fixing its ack instant on
+// the session's link: the segment goes on the wire once its codec lane is
+// done and the link is free.
+func (e *offloadEngine) ship(st *stagedSegment) {
+	encodeStaged(st)
+	start := simclock.Max(st.encDoneAt, e.linkFree)
+	st.svc, st.err = e.client.PushSegmentBlob(st.blob, st.seg.LastSeq)
+	e.linkFree = e.flow.Grant(st.wire, start)
+	st.ackAt = e.linkFree.Add(st.svc)
+	// The wire bytes have left the device; the pooled blob goes back.
+	st.blobBuf.Release()
+	st.blobBuf, st.blob = nil, nil
 }
 
 // encodeStaged compresses one sealed segment through pooled buffers: the
@@ -211,10 +155,13 @@ func encodeDur(n int) simclock.Duration {
 	return simclock.Duration(float64(n) / (encodeMBps * 1e6) * float64(simclock.Second))
 }
 
-// ensureEngine lazily starts the engine for the attached client.
+// ensureEngine lazily opens the pipeline of the attached client's session.
+// Its pushes are priced by the device's offload-class flow on the NIC
+// arbiter — a shared server NIC when cfg.NIC is set, a private single-flow
+// arbiter otherwise.
 func (r *RSSD) ensureEngine() *offloadEngine {
 	if r.engine == nil {
-		r.engine = newOffloadEngine(r.client, r.cfg.OffloadQueueDepth, r.offloadFlow())
+		r.engine = &offloadEngine{client: r.client, flow: r.offloadFlow(), depth: r.cfg.OffloadQueueDepth}
 	}
 	return r.engine
 }
@@ -228,17 +175,15 @@ func (r *RSSD) stopEngine() {
 		return
 	}
 	for len(e.inFlight) > 0 {
-		r.applyResult(e.harvest())
+		r.applyHead()
 	}
-	close(e.encodeq)
-	close(e.xferq)
 	r.engine = nil
 }
 
-// Close releases the engine's worker goroutines and the device's NIC
-// flow. The device remains usable (offload falls back to lazy engine
-// start on the next watermark crossing); call it when retiring a device
-// instance.
+// Close applies every in-flight ack, retires the engine and closes the
+// device's NIC flow. The device remains usable (offload falls back to lazy
+// engine start on the next watermark crossing); call it when retiring a
+// device instance.
 func (r *RSSD) Close() {
 	r.stopEngine()
 	if r.nicFlow != nil {
@@ -250,9 +195,8 @@ func (r *RSSD) Close() {
 // buildSegment seals one segment: the next run of unstaged log entries
 // plus the given retained pages, read on the NAND background lane into
 // pooled buffers the pipeline releases once their bytes are encoded. It
-// advances stagedUpTo and fixes the segment's logical (marshal) size so
-// the encode stage can be scheduled before the real encode runs. On error
-// the caller must requeue batch.
+// advances stagedUpTo and fixes the segment's logical (marshal) size, which
+// schedules its simulated encode. On error the caller must requeue batch.
 func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment, error) {
 	to := r.log.NextSeq()
 	if to > r.stagedUpTo+maxEntriesPerSegment {
@@ -269,7 +213,7 @@ func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment
 		seg.FirstTime = entries[0].At
 		seg.LastTime = entries[len(entries)-1].At
 	}
-	st := &stagedSegment{seg: seg, batch: batch, toSeq: to, sealedAt: at}
+	st := &stagedSegment{seg: seg, batch: batch, sealedAt: at}
 	for _, re := range batch {
 		// Background lane: the offload engine's flash reads fill host idle
 		// gaps (read-suspend priority) rather than delaying host I/O. The
@@ -304,10 +248,9 @@ func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment
 }
 
 // stage seals batch into a segment, schedules its encode on the simulated
-// codec lanes, and hands it to the worker pool and the transfer lane — the
-// one way a segment leaves the device.
-// When the staging queue is full the host stalls: completions are
-// harvested (blocking) until a slot frees, and the stall is charged to the
+// codec lanes and ships it — the one way a segment leaves the device.
+// When depth segments are in flight the host stalls: the oldest acks are
+// applied until a slot frees, and the wait for them is charged to the
 // returned host time. The batch must already be popped from the retention
 // queue; on build failure it is requeued.
 func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error) {
@@ -319,8 +262,7 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 	}
 	dur := encodeDur(st.logical)
 	r.stats.EncodeTime += dur
-	// Earliest-free simulated codec lane; the real workers race ahead or
-	// lag behind, but the schedule is fixed here, deterministically.
+	// Earliest-free simulated codec lane.
 	lane := 0
 	for i := 1; i < len(e.encFree); i++ {
 		if e.encFree[i] < e.encFree[lane] {
@@ -329,31 +271,25 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 	}
 	st.encDoneAt = simclock.Max(st.sealedAt, e.encFree[lane]).Add(dur)
 	e.encFree[lane] = st.encDoneAt
-	st.encoded = make(chan struct{})
-	// The ack floor comes from the arbiter that prices the grants.
-	st.ackFloor = st.encDoneAt.Add(r.nic.RTT())
-	// Backpressure: the bound is the firmware-side in-flight count, not
-	// the channel's instantaneous occupancy, so stalls depend only on
-	// simulated time, never on goroutine scheduling.
+	// Backpressure: the host waits out the oldest acks until a slot frees.
 	for len(e.inFlight) >= e.depth {
-		res := e.harvest()
-		if res.ackAt > at {
+		if ackAt := e.inFlight[0].ackAt; ackAt > at {
 			r.stats.OffloadStalls++
-			r.stats.OffloadStallTime += res.ackAt.Sub(at)
-			at = res.ackAt
+			r.stats.OffloadStallTime += ackAt.Sub(at)
+			at = ackAt
 		}
-		r.applyResult(res)
+		r.applyHead()
 	}
-	e.encodeq <- st // never blocks: queue is sized past the depth bound
-	e.xferq <- st   // never blocks: queue holds at most depth-1 entries here
+	// Pushes and grants follow seal order, behind the backpressure wait.
+	e.ship(st)
 	e.inFlight = append(e.inFlight, st)
 	e.pagesInFlight += len(st.batch)
 	if n := len(e.inFlight); n > r.stats.OffloadQueuePeak {
 		r.stats.OffloadQueuePeak = n
 	}
 	// Encode-stage occupancy: segments still on a simulated codec lane
-	// when this one was sealed. Peak > 1 is the overlap the worker pool
-	// buys; a persistently full encode stage means the codec lanes are the
+	// when this one was sealed. Peak > 1 is the overlap the codec lanes
+	// buy; a persistently full encode stage means the codec lanes are the
 	// pipeline's bottleneck.
 	encQ := 0
 	for _, s := range e.inFlight {
@@ -367,49 +303,38 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 	return at, nil
 }
 
-// pollOffload applies, in pipeline order, every completion whose simulated
-// ack instant has been reached. The deterministic ack floor (encode done +
-// RTT, fixed at staging) gates the blocking read: the firmware goroutine
-// only waits on the results channel when the head segment's ack could
-// actually be due, which keeps the simulation deterministic while the real
-// encode and transfer run concurrently.
+// pollOffload applies, in seal order, every in-flight segment whose
+// simulated ack instant has been reached.
 func (r *RSSD) pollOffload(at simclock.Time) {
 	e := r.engine
 	if e == nil {
 		return
 	}
-	for len(e.inFlight) > 0 && e.inFlight[0].ackFloor <= at {
-		if e.ready == nil {
-			e.ready = <-e.results
-		}
-		if e.ready.ackAt > at {
-			return // harvested early; applies at a later poll
-		}
-		r.applyResult(e.ready)
-		e.ready = nil
+	for len(e.inFlight) > 0 && e.inFlight[0].ackAt <= at {
+		r.applyHead()
 	}
 }
 
-// drainOffload blocks until the pipeline is empty, applying every
-// completion and advancing host time to the final ack.
+// drainOffload applies every in-flight segment and advances host time to
+// the final ack.
 func (r *RSSD) drainOffload(at simclock.Time) simclock.Time {
 	e := r.engine
 	if e == nil {
 		return at
 	}
 	for len(e.inFlight) > 0 {
-		res := e.harvest()
-		at = simclock.Max(at, res.ackAt)
-		r.applyResult(res)
+		at = simclock.Max(at, e.inFlight[0].ackAt)
+		r.applyHead()
 	}
 	return at
 }
 
-// applyResult consumes the oldest in-flight completion on the firmware
-// goroutine: success releases the pins and advances the durable frontier,
-// failure opens (or extends) the failure epoch.
-func (r *RSSD) applyResult(st *stagedSegment) {
+// applyHead applies the oldest in-flight segment's ack: success releases
+// the pins and advances the durable frontier, failure opens (or extends)
+// the failure epoch.
+func (r *RSSD) applyHead() {
 	e := r.engine
+	st := e.inFlight[0]
 	e.inFlight = e.inFlight[1:]
 	e.pagesInFlight -= len(st.batch)
 	if st.err != nil {
@@ -497,7 +422,7 @@ func (r *RSSD) noteRemoteErr(err error) {
 
 // adoptHead reconciles the durable frontier with the server's chain head.
 // Entries below the head are durably remote even if their acks were never
-// harvested; adopting them (counted in Stats.ResumeGap) instead of
+// applied; adopting them (counted in Stats.ResumeGap) instead of
 // re-shipping them is what keeps a send-without-ack disconnect from
 // wedging on duplicate-chain rejections. Pins whose pages rode the lost
 // acks stay requeued and re-ship as page-bearing segments past the head —

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/nvmeoe"
@@ -160,6 +162,41 @@ func TestOffloadBackpressureStallsHost(t *testing.T) {
 	if st.OffloadQueuePeak < 1 {
 		t.Fatalf("queue peak not tracked: %+v", st)
 	}
+}
+
+// TestOffloadStartsNoGoroutine: the offload pipeline is a simulated-time
+// model run on the device's own goroutine. A churn that ships segments
+// over a loopback session leaves the process's goroutine count where the
+// session left it.
+func TestOffloadStartsNoGoroutine(t *testing.T) {
+	e := newEnv(t, multiSegmentConfig())
+	defer e.r.Close()
+	before := steadyGoroutines()
+	at := churn(t, e.r, 256, 4, 0)
+	after := runtime.NumGoroutine()
+	st := e.r.Stats()
+	e.r.settle(at)
+	if st.OffloadSegments+uint64(st.OffloadInFlight) == 0 {
+		t.Fatalf("churn shipped nothing: %+v", st)
+	}
+	if after != before {
+		t.Fatalf("offload changed the goroutine count: %d before, %d after", before, after)
+	}
+}
+
+// steadyGoroutines returns the goroutine count once it has held still for
+// a few reads, so sessions an earlier test closed have finished exiting.
+func steadyGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for i := 0; i < 200 && same < 5; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // TestOffloadNowSettlesPipeline: OffloadNow must drain staged segments,

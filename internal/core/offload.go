@@ -13,7 +13,7 @@ import (
 const maxEntriesPerSegment = 4096
 
 // maybeOffload runs the offload stage of the background duty cycle: it
-// harvests due acks, then — when locally retained pages exceed the high
+// applies due acks, then — when locally retained pages exceed the high
 // watermark of the retention budget — stages sealed segments into the
 // engine's bounded queue until the unstaged backlog drops to the low
 // watermark. Encode and transfer proceed off the host path; the host pays
@@ -125,7 +125,7 @@ func (r *RSSD) OffloadNow(at simclock.Time) (simclock.Time, error) {
 			}
 		}
 		at = r.drainOffload(at)
-		// A failure harvested by this drain may have scheduled a redial or
+		// A failure applied by this drain may have scheduled a redial or
 		// head reconcile; running it here lets the progress check see the
 		// reconciled frontier instead of aborting on a stale one.
 		r.maybeRedial(at)

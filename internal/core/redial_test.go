@@ -68,8 +68,8 @@ func (c *flakyConn) Read(p []byte) (int, error) {
 
 // TestMidBatchAckLossResumesWithoutDataLoss is the regression test for the
 // send-without-ack window: the session dies after the server durably
-// stores a segment but before the device harvests the ack. The durable
-// frontier must NOT advance on the unharvested ack, and after the engine
+// stores a segment but before the device receives the ack. The durable
+// frontier must NOT advance on the lost ack, and after the engine
 // redials, the FetchHead reconcile must adopt the server's head (counting
 // it as ResumeGap, not re-shipping a duplicate chain extension) so the
 // run ends with zero data loss.
@@ -111,7 +111,7 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 		t.Fatalf("ack loss not surfaced: %+v", st)
 	}
 	if got := r.OffloadedUpTo(); got != 0 {
-		t.Fatalf("durable frontier advanced to %d on an unharvested ack", got)
+		t.Fatalf("durable frontier advanced to %d on a lost ack", got)
 	}
 	// The device saw the drop the instant its read failed; the server
 	// session goroutine may still be persisting the segment. Wait for the
@@ -123,7 +123,7 @@ func TestMidBatchAckLossResumesWithoutDataLoss(t *testing.T) {
 	}
 	serverHead := store.Head(cfg.DeviceID).NextSeq
 	if entries := r.Log().Entries(0, 1); len(entries) != 1 {
-		t.Fatal("entries pruned before the ack was harvested")
+		t.Fatal("entries pruned without an ack")
 	}
 
 	// More traffic: the background duty cycle redials, reconciles against

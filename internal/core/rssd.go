@@ -41,10 +41,10 @@ type Config struct {
 	// pages exceed High, the offload engine drains them to Low.
 	OffloadHighWater float64
 	OffloadLowWater  float64
-	// OffloadQueueDepth bounds the asynchronous engine's staging queue
-	// (sealed segments awaiting transfer). When the queue is full the
-	// host stalls until the oldest segment resolves — the backpressure
-	// point of the pipeline. Default 8.
+	// OffloadQueueDepth bounds the offload engine's in-flight segments
+	// (shipped, their acks not yet due). When that many are in flight the
+	// host stalls until the oldest ack is due — the backpressure point of
+	// the pipeline. Default 8.
 	OffloadQueueDepth int
 	// NIC, when set, is the shared server-NIC arbiter this device's
 	// offload traffic is charged to (as one ClassOffload flow): transfers
@@ -222,7 +222,7 @@ type RSSD struct {
 	redialBackoff simclock.Duration
 	nextRedialAt  simclock.Time
 
-	engine *offloadEngine // asynchronous offload pipeline (lazy)
+	engine *offloadEngine // offload pipeline of the current session (lazy)
 	// nic is the arbiter this device's offload traffic is priced on —
 	// cfg.NIC, or a private one on the device's own link — resolved at the
 	// first offload. nicFlow is the device's offload-class flow on it: it
@@ -442,10 +442,11 @@ func (r *RSSD) OnErased(lpn, ppn uint64, at simclock.Time) {}
 // Pressure is the FTL telling us pins are blocking reclamation. Offload
 // until the requested pages are free; without a live remote nothing is
 // freed, and the FTL fails the write with ErrNoSpace. This is the one
-// place the asynchronous engine goes synchronous: the FTL needs pins
+// place the host waits out acks that are not due: the FTL needs pins
 // actually released before GC can make progress, so the pipeline is
-// staged full and drained inline (the stall is recorded, not charged —
-// Pressure has no completion time to report).
+// staged full and every in-flight ack applied at once (the wait is
+// recorded as a stall, not charged — Pressure has no completion time to
+// report).
 func (r *RSSD) Pressure(needPages int, at simclock.Time) {
 	r.stats.PressureEvents++
 	if r.client == nil {

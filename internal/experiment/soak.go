@@ -175,9 +175,6 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 			Servers:  o.Servers,
 			Server:   remote.ServerConfig{DecodeWorkers: 2},
 			WrapConn: inj.WrapConn,
-			// Live ingest-skew rebalancing thresholds: sensitive enough that
-			// the soak's uneven per-wave ingest actually drives moves.
-			SkewFactor: 1.25, SkewTicks: 1, SkewMinBytes: 4 << 10,
 		},
 		detect: true,
 	})

@@ -129,9 +129,6 @@ func New(cfg Config) *Arbiter {
 // LineMBps returns the NIC line rate.
 func (a *Arbiter) LineMBps() float64 { return a.mbps }
 
-// RTT returns the per-grant round trip.
-func (a *Arbiter) RTT() simclock.Duration { return a.rtt }
-
 // Floors returns the guaranteed-floor fractions.
 func (a *Arbiter) Floors() [NumClasses]float64 { return floors }
 

@@ -26,8 +26,7 @@ import (
 // RebalanceOnIngest cuts its ring weight, re-places the devices whose arcs
 // moved, and closes their sessions so they redial to the new owners.
 
-// ClusterConfig sizes a cluster. The zero value of every tuning field
-// selects a sensible default.
+// ClusterConfig sizes a cluster.
 type ClusterConfig struct {
 	// Servers is the ingest-server count (minimum 1).
 	Servers int
@@ -36,39 +35,26 @@ type ClusterConfig struct {
 	// Server is the per-server ingest config (decode lane sizing).
 	Server ServerConfig
 
-	// SkewFactor: a server is hot when the wire bytes it accepted in a
-	// rebalance window reach SkewFactor× the median of its peers (0: 2.0).
-	SkewFactor float64
-	// SkewTicks: consecutive hot windows before a weight cut (0: 2).
-	SkewTicks int
-	// SkewMinBytes: windows below this many wire bytes (0: 64 KiB) are
-	// never hot, so an idle fleet never rebalances on noise.
-	SkewMinBytes int
-
 	// WrapConn, when set, wraps the device side of each dialed pipe —
 	// the hook fault-injection tests use to choke a session mid-stream.
 	WrapConn func(deviceID uint64, nc net.Conn) net.Conn
 }
 
-// A rebalance cuts a hot server's ring weight by weightStep percent, never
-// below minWeight.
+// The ingest-skew policy: a server is hot when the wire bytes it accepted
+// in a rebalance window reach skewFactor× the median of its peers';
+// windows below skewMinBytes are never hot, so an idle fleet never
+// rebalances on noise. One hot window cuts the server's ring weight by
+// weightStep percent, never below minWeight.
 const (
-	weightStep = 25
-	minWeight  = 25
+	skewFactor   = 1.25
+	skewMinBytes = 4 << 10
+	weightStep   = 25
+	minWeight    = 25
 )
 
 func (c *ClusterConfig) normalize() {
 	if c.Servers < 1 {
 		c.Servers = 1
-	}
-	if c.SkewFactor <= 0 {
-		c.SkewFactor = 2.0
-	}
-	if c.SkewTicks <= 0 {
-		c.SkewTicks = 2
-	}
-	if c.SkewMinBytes <= 0 {
-		c.SkewMinBytes = 64 << 10
 	}
 }
 
@@ -84,11 +70,10 @@ type ServerInfo struct {
 }
 
 type clusterNode struct {
-	id       int
-	srv      *Server
-	alive    bool
-	weight   int
-	hotTicks int
+	id     int
+	srv    *Server
+	alive  bool
+	weight int
 	// seenWire is the server's lifetime ingest BytesWire at the last skew
 	// sample: the next window is what it accepted since.
 	seenWire uint64
@@ -288,7 +273,6 @@ func (c *Cluster) Revive(id int) error {
 		return fmt.Errorf("remote: server %d already alive", id)
 	}
 	node.alive = true
-	node.hotTicks = 0
 	// Discard load accumulated before death so the first post-revive skew
 	// window reflects only fresh traffic.
 	node.takeWindow()
@@ -299,9 +283,8 @@ func (c *Cluster) Revive(id int) error {
 // RebalanceOnIngest samples the wire bytes each live server accepted since
 // the last call (the growth of its IngestTotals().BytesWire): load as
 // placed, which shows a hot server even when its decode lane keeps up. A
-// server is hot when its window is at least SkewMinBytes and SkewFactor×
-// the median of its peers';
-// after SkewTicks consecutive hot windows its ring weight takes one
+// server is hot when its window is at least skewMinBytes and skewFactor×
+// the median of its peers'; the first hot server's ring weight takes one
 // weightStep cut, never below minWeight. Devices whose arcs the cut moved
 // are re-placed and their sessions closed so they redial to the new owners.
 // Returns the moves (nil on a quiet window).
@@ -337,6 +320,9 @@ func (c *Cluster) cutHottestLocked() (*clusterNode, []Move) {
 	}
 	var hot *clusterNode
 	for i, n := range live {
+		if window[i] < skewMinBytes || n.weight <= minWeight {
+			continue
+		}
 		peers := make([]int, 0, len(live)-1)
 		for j, w := range window {
 			if j != i {
@@ -344,14 +330,9 @@ func (c *Cluster) cutHottestLocked() (*clusterNode, []Move) {
 			}
 		}
 		sort.Ints(peers)
-		median := max(peers[len(peers)/2], 1)
-		if window[i] >= c.cfg.SkewMinBytes && float64(window[i]) >= c.cfg.SkewFactor*float64(median) {
-			n.hotTicks++
-			if hot == nil && n.hotTicks >= c.cfg.SkewTicks && n.weight > minWeight {
-				hot = n
-			}
-		} else {
-			n.hotTicks = 0
+		if median := max(peers[len(peers)/2], 1); float64(window[i]) >= skewFactor*float64(median) {
+			hot = n
+			break
 		}
 	}
 	if hot == nil {
@@ -359,7 +340,6 @@ func (c *Cluster) cutHottestLocked() (*clusterNode, []Move) {
 	}
 	w := max(hot.weight*(100-weightStep)/100, minWeight)
 	hot.weight = w
-	hot.hotTicks = 0
 	c.ring.SetWeight(hot.id, w)
 	moves := c.placement.Rebalance(hot.id)
 	if c.OnMove != nil {

@@ -165,18 +165,25 @@ func TestClusterRebalanceUnderSkew(t *testing.T) {
 
 	hot, _ := c.Owner(1)
 	hotBefore := c.Spread()[hot]
-	spike := func() { c.Server(hot).ingested.bytesWire.Add(1 << 20) }
+	load := func(id int, bytes uint64) { c.Server(id).ingested.bytesWire.Add(bytes) }
 
-	// Window 1: hot, but below SkewTicks — no cut yet.
-	spike()
+	// A window under skewMinBytes is noise, however lopsided.
+	load(hot, skewMinBytes-1)
 	if moves := c.RebalanceOnIngest(); moves != nil {
-		t.Fatalf("rebalanced after one hot window: %v", moves)
+		t.Fatalf("rebalanced on a %d-byte window: %v", skewMinBytes-1, moves)
 	}
-	// Window 2: persistently hot — weight cut and shed.
-	spike()
+	// Heavy but level load is no skew.
+	for id := 0; id < 4; id++ {
+		load(id, 1<<20)
+	}
+	if moves := c.RebalanceOnIngest(); moves != nil {
+		t.Fatalf("rebalanced on level load: %v", moves)
+	}
+	// One hot window: weight cut and shed.
+	load(hot, 1<<20)
 	moves := c.RebalanceOnIngest()
 	if len(moves) == 0 {
-		t.Fatal("no rebalance after two hot windows")
+		t.Fatal("no rebalance after a hot window")
 	}
 	for _, m := range moves {
 		if m.From != hot {
@@ -224,9 +231,10 @@ func weightOf(t *testing.T, c *Cluster, id int) int {
 // would look — while bytes it accepts after revival count in full.
 func TestReviveStartsAFreshSkewWindow(t *testing.T) {
 	st := NewStore(NewMemStore())
-	// One hot window cuts, and any byte on one server against idle peers
-	// is hot: a window that counted the pre-death bytes could not pass.
-	c := NewCluster(st, ClusterConfig{Servers: 3, PSK: psk, SkewTicks: 1, SkewMinBytes: 1, Server: ServerConfig{DecodeWorkers: 1}})
+	// One hot window cuts, and skewMinBytes on one server against idle
+	// peers is hot: a window that counted the pre-death bytes could not
+	// pass.
+	c := NewCluster(st, ClusterConfig{Servers: 3, PSK: psk, Server: ServerConfig{DecodeWorkers: 1}})
 	defer c.Close()
 
 	// push pushes real segments from dev through its owner and returns the
@@ -250,6 +258,9 @@ func TestReviveStartsAFreshSkewWindow(t *testing.T) {
 	}
 	hot, before := push(cl, 1)
 	cl.Close()
+	if before < skewMinBytes {
+		t.Fatalf("device pushed %d wire bytes, under the %d a hot window needs", before, skewMinBytes)
+	}
 	if got := c.Server(hot).IngestTotals().BytesWire; got != before {
 		t.Fatalf("server %d ledgered %d wire bytes, device pushed %d", hot, got, before)
 	}

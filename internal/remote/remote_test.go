@@ -160,15 +160,17 @@ func TestAppendSegmentRejectsCorruptPages(t *testing.T) {
 	}
 }
 
+// TestOnSegmentHook: a Subscribe hook runs once per accepted segment, with
+// the device that pushed it.
 func TestOnSegmentHook(t *testing.T) {
 	st := NewStore(NewMemStore())
 	var calls int
-	st.OnSegment = func(dev uint64, seg *oplog.Segment) {
+	st.Subscribe(func(dev uint64, seg *oplog.Segment) {
 		calls++
 		if dev != 1 {
 			t.Errorf("hook device = %d", dev)
 		}
-	}
+	})
 	for _, seg := range buildSegments(1, 2, 3) {
 		appendDecoded(st, seg)
 	}

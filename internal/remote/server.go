@@ -3,7 +3,6 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -246,12 +245,9 @@ func (s *Server) HandleConn(nc net.Conn) {
 	for {
 		typ, body, err := conn.ReadMsg()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
-				// Transport-integrity failures terminate the session;
-				// the device will reconnect and resume from the acked
-				// sequence.
-				_ = err
-			}
+			// A closed pipe or a transport-integrity failure ends the
+			// session alike; the device reconnects and resumes from the
+			// acked sequence.
 			return
 		}
 		if err := s.dispatch(ss, typ, body); err != nil {

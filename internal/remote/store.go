@@ -32,15 +32,6 @@ type Store struct {
 	// a chunk shard lock, never the reverse.
 	chunks *chunkIndex
 	subs   []func(deviceID uint64, seg *oplog.Segment)
-	// OnSegment, when set, is invoked after each accepted segment, like a
-	// subscriber registered first. Prefer Subscribe, which supports
-	// multiple consumers; the field remains for single-consumer wiring.
-	//
-	// Contract change with sharded ingest: the hook now runs with the
-	// ingesting device's shard write-locked (that is what guarantees
-	// per-device delivery order), so — exactly like a subscriber — it must
-	// not call back into the Store for the same device.
-	OnSegment func(deviceID uint64, seg *oplog.Segment)
 }
 
 type deviceLog struct {
@@ -181,11 +172,7 @@ func (s *Store) AppendSegmentBlob(seg *oplog.Segment, blob []byte) error {
 	// the shard lock is still held; other devices are unaffected.
 	s.mu.RLock()
 	subs := s.subs
-	cb := s.OnSegment
 	s.mu.RUnlock()
-	if cb != nil {
-		cb(seg.DeviceID, seg)
-	}
 	for _, fn := range subs {
 		fn(seg.DeviceID, seg)
 	}
