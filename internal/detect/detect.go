@@ -115,8 +115,8 @@ type deviceShard struct {
 // per device: the directory itself is split across dirShards locks and
 // each device's sliding window sits behind its own lock, so a fleet of
 // sessions streams through detection concurrently — one device's analysis
-// never stalls another's ingest, and a saturated ingest lane never
-// serializes on a single directory mutex.
+// never stalls another's ingest, and busy sessions never serialize on a
+// single directory mutex.
 type Engine struct {
 	cfg      Config
 	zeroHash [oplog.HashSize]byte

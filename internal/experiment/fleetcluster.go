@@ -26,7 +26,7 @@ import (
 //     of 1, 2, 4, ... servers (same devices, fresh store per point).
 //     Wall-clock numbers are reported honestly but depend on host cores;
 //     the scaling claim is graded on the deterministic per-server
-//     NIC/decode-lane event model (ingest.go), whose aggregate makespan
+//     NIC/decode-lane event model (ingestModel), whose aggregate makespan
 //     is the slowest server's — so the modeled speed-up is the placement
 //     spread times the per-server pipeline, not a lucky thread schedule.
 
@@ -92,7 +92,7 @@ type FleetFailover struct {
 type FleetScalePoint struct {
 	Servers      int
 	Devices      int
-	DecodeLanes  int // per-server decode lanes (measured and modeled)
+	DecodeLanes  int // per-server decode lanes of the model (modelLanes)
 	Segments     uint64
 	WireMB       float64
 	SpreadMaxMin float64 // placement spread max/min across live servers
@@ -125,7 +125,7 @@ type FleetClusterResult struct {
 func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, FleetClusterResult, error) {
 	r := newFleetRig(s, rigSpec{
 		tune:    remote.Profile("mem"),
-		cluster: remote.ClusterConfig{Servers: servers, Server: remote.ServerConfig{DecodeWorkers: 4}},
+		cluster: remote.ClusterConfig{Servers: servers},
 		detect:  true,
 	})
 	defer r.close()
@@ -209,15 +209,7 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 	if s.PageSize >= 4096 && devices <= 64 {
 		segsPerDevice = 16
 	}
-	// Per-server decode lanes (measured and modeled alike). A small fleet
-	// cannot load 8 lanes per server — one server would already be idle
-	// and the curve flat by construction — so the pool shrinks until the
-	// single-server point is genuinely lane-bound and server count is
-	// what relieves it, the same regime a 512-device fleet puts 8 lanes in.
-	curveWorkers := 8
-	if devices < 16*servers {
-		curveWorkers = 2
-	}
+	lanes := modelLanes(devices, servers)
 	const window = 4
 
 	type deviceTrace struct {
@@ -234,11 +226,7 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 	var curve []FleetScalePoint
 	for _, k := range curveServerCounts(servers) {
 		store := remote.NewStore(remote.NewMemStore())
-		cluster := remote.NewCluster(store, remote.ClusterConfig{
-			Servers: k,
-			PSK:     PSK,
-			Server:  remote.ServerConfig{DecodeWorkers: curveWorkers},
-		})
+		cluster := remote.NewCluster(store, remote.ClusterConfig{Servers: k, PSK: PSK})
 
 		// Sticky bounded-load placement is arrival-ordered, and the modeled
 		// makespan is graded on it: every device dials in device-ID order
@@ -276,7 +264,7 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 			}
 		}
 
-		pt := FleetScalePoint{Servers: k, Devices: devices, DecodeLanes: curveWorkers}
+		pt := FleetScalePoint{Servers: k, Devices: devices, DecodeLanes: lanes}
 		pt.WallMs = float64(wall.Microseconds()) / 1000
 		for _, si := range cluster.Servers() {
 			pt.Segments += si.Ingest.Segments
@@ -310,7 +298,7 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 		}
 		makespan := 0.0
 		for _, metas := range perServer {
-			makespan = max(makespan, ingestModel(metas, curveWorkers, IngestNICMBps, IngestLaneMBps))
+			makespan = max(makespan, ingestModel(metas, lanes, IngestNICMBps, IngestLaneMBps))
 		}
 		pt.ModelMakespanMs = makespan
 		if makespan > 0 {
@@ -329,23 +317,35 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 }
 
 // Modeled hardware for the scaling curve. The NIC is a 25 GbE offload port
-// (~3000 MB/s of payload); a decode lane is modeled at 400 MB/s of logical
-// (decompressed) output. One lane of the in-house inflater, measured wall
-// clock on a 2.1 GHz Xeon core, does ≈ 340 MB/s on ingestPage's mix (one
-// literal and one three-byte match per four bytes, the decoder's worst case
-// per byte) and 780–1860 MB/s on segments of 35 %- to 10 %-random pages
-// (BenchmarkInflate).
+// (~3000 MB/s of payload); each server has modelLanes decode lanes, each
+// modeled at 400 MB/s of logical (decompressed) output. One lane of the
+// in-house inflater, measured wall clock on a 2.1 GHz Xeon core, does
+// ≈ 340 MB/s on ingestPage's mix (one literal and one three-byte match per
+// four bytes, the decoder's worst case per byte) and 780–1860 MB/s on
+// segments of 35 %- to 10 %-random pages (BenchmarkInflate).
 const (
 	IngestNICMBps  = 3000.0
 	IngestLaneMBps = 400.0
 )
 
+// modelLanes is the modeled decode lanes per server: 8, the pool a
+// 512-device fleet loads. A small fleet cannot load 8 lanes per server —
+// one server would already be idle and the curve flat by construction — so
+// it gets 2, and the single-server point is lane-bound the way a large
+// fleet's is, with server count what relieves it.
+func modelLanes(devices, servers int) int {
+	if devices < 16*servers {
+		return 2
+	}
+	return 8
+}
+
 // ingestPage builds page content with the fleet profile's mixed
 // compressibility: mostly text-like bytes with a pseudo-random byte every
 // fourth position. It deflates (~1.5x), so the wire carries CodecDeflate
-// frames and the decode lane does real inflate work, but it does not
-// compress so well that the modeled NIC's logical-side demand outruns any
-// plausible lane pool.
+// frames and ingest does real inflate work, but it does not compress so
+// well that the modeled NIC's logical-side demand outruns any plausible
+// lane pool.
 func ingestPage(n int, salt uint64) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -395,8 +395,8 @@ func ingestSegments(s Scale, deviceID uint64, segs, pagesPerSeg int) (blobs [][]
 // ingestModel replays one server's blob trace through the deterministic
 // event model and returns its makespan in milliseconds: the NIC serializes
 // arrivals in wire order at nicMBps; each blob then queues, FIFO, on its
-// device's decode lane (the implementation's device%lanes affinity) and
-// decodes at laneMBps of logical output.
+// device's decode lane (device % lanes, which keeps each device's segments
+// in order) and decodes at laneMBps of logical output.
 func ingestModel(metas []ingestBlobMeta, lanes int, nicMBps, laneMBps float64) float64 {
 	laneFree := make([]float64, lanes)
 	t, makespan := 0.0, 0.0

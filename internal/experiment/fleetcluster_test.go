@@ -89,8 +89,9 @@ func TestFleetClusterScenario(t *testing.T) {
 		}
 		// The curve's devices are placed in device-ID order before any of
 		// them pushes (fleetScaleCurve), so the modeled curve is the same on
-		// every run: 1.0 / 1.5 / 2.0 here, and it must not step down.
-		if i > 0 && p.ModelScaleUp < c.Curve[i-1].ModelScaleUp {
+		// every run: 1.0 / 1.5 / 2.0 here, and each server added must
+		// raise it by at least a tenth.
+		if i > 0 && p.ModelScaleUp < 1.1*c.Curve[i-1].ModelScaleUp {
 			t.Fatalf("modeled scaling regressed at %d servers: %+v", p.Servers, c.Curve)
 		}
 	}

@@ -57,8 +57,8 @@ type rigSpec struct {
 	// high-latency tier stages deeper so its long acks stay hidden behind
 	// host I/O.
 	tune remote.BackendProfile
-	// cluster sizes the ingest tier — servers, decode workers, skew
-	// thresholds, the fault hook. The rig supplies the PSK.
+	// cluster sizes the ingest tier — servers and the fault hook. The rig
+	// supplies the PSK.
 	cluster remote.ClusterConfig
 	detect  bool // one detection engine per server
 }

@@ -173,7 +173,6 @@ func Soak(s Scale, o SoakOptions) (*SoakResult, error) {
 		tune:  remote.Profile("mem"),
 		cluster: remote.ClusterConfig{
 			Servers:  o.Servers,
-			Server:   remote.ServerConfig{DecodeWorkers: 2},
 			WrapConn: inj.WrapConn,
 		},
 		detect: true,

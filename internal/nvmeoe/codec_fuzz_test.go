@@ -60,7 +60,7 @@ func TestDecodeZeroClaimBlobDoesNotInflate(t *testing.T) {
 }
 
 // FuzzDecodeSegmentBlob feeds the blob decoder arbitrary bytes, as the
-// server's ingest lane and the device's fetch path do with whatever a frame
+// server's ingest and the device's fetch path do with whatever a frame
 // carried: it must not panic, must fail only with ErrBadBlob, and must never
 // return more than the header claims — exactly the claim, when it accepts.
 //

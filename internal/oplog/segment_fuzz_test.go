@@ -95,7 +95,7 @@ func heapAllocated() uint64 {
 }
 
 // FuzzUnmarshalSegment feeds the segment decoder arbitrary bytes, as the
-// server's ingest lane, Store.Reload and every client fetch do with whatever
+// server's ingest, Store.Reload and every client fetch do with whatever
 // a blob decoded to: it must not panic, must fail only with ErrBadSegment or
 // ErrBadMagic, must not allocate beyond a small multiple of its input, and
 // what it accepts must be a verified chain from its first entry's PrevHash

@@ -32,8 +32,6 @@ type ClusterConfig struct {
 	Servers int
 	// PSK enrolls every device (single-tenant, like NewServer).
 	PSK []byte
-	// Server is the per-server ingest config (decode lane sizing).
-	Server ServerConfig
 
 	// WrapConn, when set, wraps the device side of each dialed pipe —
 	// the hook fault-injection tests use to choke a session mid-stream.
@@ -116,7 +114,6 @@ func NewCluster(store *Store, cfg ClusterConfig) *Cluster {
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		srv := NewServer(store, cfg.PSK)
-		srv.Config = cfg.Server
 		srv.NIC = netsim.New(netsim.Config{}) // servers have independent NICs
 		c.nodes = append(c.nodes, &clusterNode{id: i, srv: srv, alive: true, weight: 100})
 		ring.AddNode(i, 100)
@@ -207,9 +204,9 @@ func (c *Cluster) DialFunc(deviceID uint64) func() (*Client, error) {
 }
 
 // Kill fails one server: mark it dead (dials start refusing), drain it
-// (Server.Close waits out the decode lane, so every in-flight segment is
-// fully applied or never entered the store), drop its ring arcs, and
-// re-place exactly its devices onto live peers. Their next redial routes
+// (Server.Close waits out every session's handler, so every in-flight
+// segment is fully applied or never entered the store), drop its ring
+// arcs, and re-place exactly its devices onto live peers. Their next redial routes
 // to the new owner, whose FetchHead reconcile adopts anything durable but
 // unacked — zero segments lost by construction. Returns the moves.
 func (c *Cluster) Kill(id int) ([]Move, error) {
@@ -282,7 +279,7 @@ func (c *Cluster) Revive(id int) error {
 
 // RebalanceOnIngest samples the wire bytes each live server accepted since
 // the last call (the growth of its IngestTotals().BytesWire): load as
-// placed, which shows a hot server even when its decode lane keeps up. A
+// placed, which shows a hot server even when its handlers keep up. A
 // server is hot when its window is at least skewMinBytes and skewFactor×
 // the median of its peers'; the first hot server's ring weight takes one
 // weightStep cut, never below minWeight. Devices whose arcs the cut moved

@@ -19,7 +19,7 @@ import (
 func TestClusterKillFailoverChainContinuity(t *testing.T) {
 	const devices = 12
 	st := NewStore(NewMemStore())
-	c := NewCluster(st, ClusterConfig{Servers: 3, PSK: psk, Server: ServerConfig{DecodeWorkers: 2}})
+	c := NewCluster(st, ClusterConfig{Servers: 3, PSK: psk})
 	defer c.Close()
 
 	var moveMu sync.Mutex
@@ -138,7 +138,7 @@ func TestClusterKillFailoverChainContinuity(t *testing.T) {
 func TestClusterRebalanceUnderSkew(t *testing.T) {
 	const devices = 64
 	st := NewStore(NewMemStore())
-	c := NewCluster(st, ClusterConfig{Servers: 4, PSK: psk, Server: ServerConfig{DecodeWorkers: 1}})
+	c := NewCluster(st, ClusterConfig{Servers: 4, PSK: psk})
 	defer c.Close()
 
 	var moveMu sync.Mutex
@@ -234,7 +234,7 @@ func TestReviveStartsAFreshSkewWindow(t *testing.T) {
 	// One hot window cuts, and skewMinBytes on one server against idle
 	// peers is hot: a window that counted the pre-death bytes could not
 	// pass.
-	c := NewCluster(st, ClusterConfig{Servers: 3, PSK: psk, Server: ServerConfig{DecodeWorkers: 1}})
+	c := NewCluster(st, ClusterConfig{Servers: 3, PSK: psk})
 	defer c.Close()
 
 	// push pushes real segments from dev through its owner and returns the
@@ -299,7 +299,7 @@ func TestReviveStartsAFreshSkewWindow(t *testing.T) {
 }
 
 // TestServerCloseDrainsDecodeLane is the satellite regression: closing a
-// server under 8-device pipelined load must drain the decode lane before
+// server under 8-device pipelined load must drain every session before
 // returning — every session deregistered, no segment half-applied (heads
 // land on segment boundaries and chains verify), no ingest errors
 // ledgered for a clean close, and the store frozen the moment Close
@@ -311,7 +311,6 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config = ServerConfig{DecodeWorkers: 3}
 
 	// Close drains the sessions that exist when it fires; a device that
 	// handshakes afterwards is a new session and is served normally. So the
@@ -439,7 +438,7 @@ func TestClusterFailoverPreservesDeviceOrder(t *testing.T) {
 	})
 
 	var chokeOnce sync.Once
-	cfg := ClusterConfig{Servers: 2, PSK: psk, Server: ServerConfig{DecodeWorkers: 2}}
+	cfg := ClusterConfig{Servers: 2, PSK: psk}
 	cfg.WrapConn = func(deviceID uint64, nc net.Conn) net.Conn {
 		out := nc
 		if deviceID == dev {

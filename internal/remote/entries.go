@@ -51,7 +51,7 @@ func (s *Server) serveEntries(ss *session, req nvmeoe.FetchReq) error {
 			return err
 		}
 	}
-	return ss.writeMsg(nvmeoe.MsgFetchEnd, nil)
+	return ss.conn.WriteMsg(nvmeoe.MsgFetchEnd, nil)
 }
 
 // FetchEntries retrieves log entries with from <= Seq < to: one request, its

@@ -46,7 +46,7 @@ func history() (raws, blobs [][]byte) {
 	return raws, blobs
 }
 
-// ingest decodes each marshal and appends it to st, as the server's lane does
+// ingest decodes each marshal and appends it to st, as the server's session does
 // once a blob is inflated.
 func ingest(b *testing.B, st *Store, raws, blobs [][]byte) {
 	for i, raw := range raws {
@@ -103,7 +103,7 @@ func BenchmarkFetchEntries(b *testing.B) {
 
 // BenchmarkIngestEntries is the server's work for a read-mostly history once
 // each blob is inflated: decode every segment's marshal and append it to the
-// device's chain in one store that grows to the whole history, as the lane's
+// device's chain in one store that grows to the whole history, as the server's
 // store does. One SHA-256 per entry: deriving the chain is verifying it.
 func BenchmarkIngestEntries(b *testing.B) {
 	raws, blobs := history()

@@ -5,7 +5,7 @@ import (
 	"repro/internal/oplog"
 )
 
-// appendDecoded ingests seg as the server's lane does: decoded from its
+// appendDecoded ingests seg as the server's session does: decoded from its
 // marshal, the derived entries handed to the store.
 func appendDecoded(st *Store, seg *oplog.Segment) error {
 	raw := seg.Marshal()

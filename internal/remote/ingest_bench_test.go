@@ -38,7 +38,7 @@ func heldHistory(n, k, held int) (prime *oplog.Segment, blobs [][]byte) {
 	return prime, blobs
 }
 
-// BenchmarkIngestSegment is the server lane's work for one 32-page segment
+// BenchmarkIngestSegment is a server session's work for one 32-page segment
 // off the wire — decode into a pooled buffer, unmarshal, verify, adopt — with
 // 0, 40 and 100 % of its pages already held by another device. A held page
 // is compared with the store's copy, a new one hashed and copied. Every 64

@@ -14,12 +14,11 @@ import (
 // segment blob arriving on an authenticated session must be rejected with a
 // MsgError that KEEPS the session (the device's chain state is unchanged,
 // so it resyncs from its last ack), never kill the connection, never wedge
-// the decode lane, and never poison the store's chain. This is the PR 6
-// mutation-corpus idiom pointed at the ingest path instead of the codec.
+// the session's handler, and never poison the store's chain: the codec's
+// mutation-corpus idiom pointed at the ingest path.
 func TestIngestFrameMutationCorpus(t *testing.T) {
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config.DecodeWorkers = 2
 	cl, err := Loopback(srv, psk, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,7 @@ func TestIngestFrameMutationCorpus(t *testing.T) {
 
 	// Resync exactly as a device would: ask the server where the chain
 	// stands, then push everything after that point on the SAME session,
-	// pipelined through the decode lane the corpus just hammered.
+	// pipelined through the handler the corpus just hammered.
 	h, err := cl.Head()
 	if err != nil {
 		t.Fatalf("head after corpus (session should be alive): %v", err)

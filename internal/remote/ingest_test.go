@@ -3,9 +3,12 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/nvmeoe"
@@ -22,13 +25,13 @@ func blobsFor(segs []*oplog.Segment) (blobs [][]byte, lastSeqs []uint64) {
 	return blobs, lastSeqs
 }
 
-// TestDecodeLaneOrderingUnderConcurrentIngest is the decode-lane contract
-// test: a fleet of pipelined clients pushes over net.Pipe sessions into a
-// server whose lane has fewer workers than there are devices, so queues are
-// shared and genuinely concurrent. Per-device ordering must survive — every
-// chain verifies from genesis, and the streaming subscriber sees each
-// device's segments in ingest order — and a checkpoint sent after the burst
-// must observe all of it (the waitIdle barrier).
+// TestDecodeLaneOrderingUnderConcurrentIngest is the session-handler
+// contract test: a fleet of pipelined clients pushes over net.Pipe sessions
+// into one server, whose handlers ingest into the shared store
+// concurrently. Per-device ordering must survive — every chain verifies
+// from genesis, and the streaming subscriber sees each device's segments in
+// ingest order — and a checkpoint sent after the burst must observe all of
+// it (the handler serves frames in wire order).
 func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 	const devices = 8
 	const segsPerDevice = 16
@@ -36,7 +39,6 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config = ServerConfig{DecodeWorkers: 3}
 
 	var subMu sync.Mutex
 	delivered := map[uint64][]uint64{}
@@ -46,6 +48,7 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 		subMu.Unlock()
 	})
 
+	baseline := runtime.NumGoroutine()
 	errc := make(chan error, devices)
 	var wg sync.WaitGroup
 	var wireSent atomic.Uint64
@@ -68,8 +71,8 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 				errc <- fmt.Errorf("device %d: %w", deviceID, err)
 				return
 			}
-			// Ordered after the pipelined burst on the same wire: the
-			// barrier must make every pushed segment visible first.
+			// Ordered after the pipelined burst on the same wire: every
+			// pushed segment must be visible first.
 			if err := cl.PushCheckpoint(&nvmeoe.Checkpoint{Seq: 1, WriteSeqs: []uint64{deviceID}}); err != nil {
 				errc <- fmt.Errorf("device %d checkpoint: %w", deviceID, err)
 				return
@@ -114,16 +117,14 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 	if ist, want := srv.IngestTotals(), (IngestStats{Segments: devices * segsPerDevice, BytesWire: wireSent.Load()}); ist != want {
 		t.Fatalf("ingest stats %+v, want %+v", ist, want)
 	}
-	// Every session released its lane reference: an idle server keeps no
-	// lane (and therefore no worker goroutines). HandleConn releases in a
-	// defer after the client's Close lands; Server.Close returns once every
-	// session has run its defers and deregistered.
+	// An idle server keeps no goroutine: every session's reader and handler
+	// are gone once Server.Close returns and their last defers have run.
 	srv.Close()
-	srv.mu.Lock()
-	lane := srv.lane
-	srv.mu.Unlock()
-	if lane != nil {
-		t.Fatal("lane still referenced after all sessions closed")
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the first dial", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -133,7 +134,6 @@ func TestDecodeLaneOrderingUnderConcurrentIngest(t *testing.T) {
 func TestDecodeLaneErrorKeepsSession(t *testing.T) {
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config = ServerConfig{DecodeWorkers: 2}
 	cl, err := Loopback(srv, psk, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -155,10 +155,9 @@ func TestDecodeLaneErrorKeepsSession(t *testing.T) {
 	}
 }
 
-// TestServerDecodeSteadyStateAllocs pins the tentpole's server half: the
-// lane's codec step — wire blob to logical segment bytes in a pooled buffer
-// — runs at zero allocations per operation once warm, for both deflated and
-// stored frames. The ingest mirror of the device lane's encodeStaged gate.
+// TestServerDecodeSteadyStateAllocs pins ingest's codec step — wire blob to
+// logical segment bytes in a pooled buffer — at zero allocations per
+// operation once warm, for both deflated and stored frames.
 func TestServerDecodeSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
@@ -185,6 +184,116 @@ func TestServerDecodeSteadyStateAllocs(t *testing.T) {
 				t.Errorf("decodeBlob(%s): %v allocs/op, want 0", tc.name, n)
 			}
 		})
+	}
+}
+
+// failWriteConn fails every Write once failing is set: a link whose send
+// side died while its receive side still delivers.
+type failWriteConn struct {
+	net.Conn
+	failing atomic.Bool
+}
+
+func (c *failWriteConn) Write(p []byte) (int, error) {
+	if c.failing.Load() {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestAckFailureDrainsSessionQueue: when a segment's ack cannot be written,
+// the session closes its conn and serves nothing its reader queued behind
+// the failure. The reader is blocked on a full queue at that moment and must
+// get out, so HandleConn returns; the store holds a prefix of the chain,
+// every segment up to the failed ack and none after it.
+func TestAckFailureDrainsSessionQueue(t *testing.T) {
+	const dev, failAt = 41, 5
+	blobs, lastSeqs := blobsFor(buildSegments(dev, failAt+sessionQueueDepth+8, 1))
+	st := NewStore(NewMemStore())
+	srv := NewServer(st, psk)
+	baseline := runtime.NumGoroutine()
+	dc, sc := net.Pipe()
+	fc := &failWriteConn{Conn: sc}
+	ingested := 0
+	st.Subscribe(func(uint64, *oplog.Segment) {
+		if ingested++; ingested != failAt {
+			return
+		}
+		fc.failing.Store(true)
+		// Hold the handler until the queue is full and the reader holds the
+		// next frame: backlog = queue + this frame + the reader's.
+		for deadline := time.Now().Add(10 * time.Second); srv.queueDepth.Load() < sessionQueueDepth+2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	handled := make(chan struct{})
+	go func() {
+		srv.HandleConn(fc)
+		close(handled)
+	}()
+	cl, err := Dial(dc, psk, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// The device pushes without waiting for acks; a second goroutine reads
+	// them, so only the failed write stops the handler.
+	wrote, acked := make(chan int, 1), make(chan int, 1)
+	go func() {
+		n := 0
+		for _, b := range blobs {
+			if cl.conn.WriteMsg(nvmeoe.MsgSegment, b) != nil {
+				break
+			}
+			n++
+		}
+		wrote <- n
+	}()
+	go func() {
+		n := 0
+		for {
+			typ, _, err := cl.conn.ReadMsg()
+			if err != nil {
+				break
+			}
+			if typ == nvmeoe.MsgSegmentAck {
+				n++
+			}
+		}
+		acked <- n
+	}()
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session still running after its ack write failed: reader blocked on a full queue")
+	}
+	if n := <-wrote; n >= len(blobs) {
+		t.Fatalf("device wrote all %d segments into a dead session", n)
+	}
+	if n := <-acked; n != failAt-1 {
+		t.Fatalf("device read %d acks, want %d", n, failAt-1)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the session ended, %d before: the reader is still blocked", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if peak := srv.QueuePeak(); peak != sessionQueueDepth+2 {
+		t.Fatalf("decode backlog peaked at %d, want a full queue (%d)", peak, sessionQueueDepth+2)
+	}
+	if d := srv.queueDepth.Load(); d != 0 {
+		t.Fatalf("decode backlog %d after the session ended", d)
+	}
+	want := lastSeqs[failAt-1]
+	if h := st.Head(dev); h.NextSeq != want {
+		t.Fatalf("store head %d, want %d: the chain up to the failed ack", h.NextSeq, want)
+	}
+	if err := oplog.VerifyChain(st.Entries(dev, 0, want), [oplog.HashSize]byte{}); err != nil {
+		t.Fatal(err)
+	}
+	if ist := srv.IngestTotals(); ist.Segments != failAt || ist.Errors != 0 {
+		t.Fatalf("ingest stats %+v, want %d segments", ist, failAt)
 	}
 }
 

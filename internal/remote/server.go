@@ -22,18 +22,14 @@ const (
 )
 
 // Server accepts NVMe-oE sessions from devices and serves the Store. Every
-// connection gets its own goroutine; segment pushes are handed to the
-// shared decode lane (see ingest.go) so connection goroutines stay on the
-// wire, and because the Store's indexes are sharded per device, sessions
-// make progress independently — the server is the fan-in point of the
-// fleet, not a serialization point.
+// connection gets its own handler, fed in wire order by its own reader
+// (see ingest.go), and because the Store's indexes are sharded per device,
+// sessions make progress independently — the server is the fan-in point of
+// the fleet, not a serialization point.
 type Server struct {
 	Store *Store
 	// LookupPSK maps an enrolled device ID to its pre-shared key.
 	LookupPSK func(deviceID uint64) ([]byte, bool)
-	// Config tunes the ingest path (decode lane sizing). Set it before the
-	// first connection is served.
-	Config ServerConfig
 	// NIC is this server's egress-NIC arbiter: the single shared link that
 	// restore streams and device offload traffic contend on
 	// (internal/netsim). Set it before sessions attach (a Cluster gives
@@ -43,12 +39,10 @@ type Server struct {
 	NIC *netsim.Arbiter
 
 	mu            sync.Mutex
-	conns         map[net.Conn]uint64 // active session -> device ID
-	closed        *sync.Cond          // broadcast when a session deregisters; lazily built under mu
+	conns         map[net.Conn]tracked // active sessions
 	sessionsTotal uint64
-	lane          *decodeLane // running decode lane, nil when no session holds it
 
-	// Server-wide decode backlog (jobs enqueued to the lane, not yet fully
+	// Server-wide decode backlog (segments read off the wire, not yet fully
 	// ingested) and its lifetime high-water mark.
 	queueDepth atomic.Int64
 	queuePeak  atomic.Int64
@@ -114,7 +108,7 @@ func NewServer(store *Store, psk []byte) *Server {
 	return &Server{
 		Store:     store,
 		LookupPSK: func(uint64) ([]byte, bool) { return psk, true },
-		conns:     map[net.Conn]uint64{},
+		conns:     map[net.Conn]tracked{},
 	}
 }
 
@@ -137,13 +131,13 @@ func (s *Server) SessionsTotal() uint64 {
 }
 
 // Close terminates every active session and waits for their teardown to
-// finish — including the decode-lane idle barrier each session runs on its
-// way out — so when Close returns, every segment that was in flight is
-// either fully applied (decoded, chain-verified, appended, subscribers
-// run) or never entered the store; nothing is half-applied. Devices see a
-// transport error and requeue their unacked segments. Close is a drain,
-// not a shutdown latch: connections accepted afterwards are served
-// normally.
+// finish — a handler stops at its first failed reply and drops what its
+// reader queued behind it — so when Close returns, every segment that was
+// in flight is either fully applied (decoded, chain-verified, appended,
+// subscribers run) or never entered the store; nothing is half-applied.
+// Devices see a transport error and requeue their unacked segments. Close
+// is a drain, not a shutdown latch: connections accepted afterwards are
+// served normally.
 func (s *Server) Close() {
 	s.closeConns(func(uint64) bool { return true })
 }
@@ -155,58 +149,51 @@ func (s *Server) CloseDevice(deviceID uint64) {
 	s.closeConns(func(dev uint64) bool { return dev == deviceID })
 }
 
+// tracked is one registered session: its device and a channel closed when
+// the session deregisters.
+type tracked struct {
+	deviceID uint64
+	done     chan struct{}
+}
+
 // closeConns closes every tracked session matching the predicate and
-// blocks until those sessions deregister. Closing the conn errors any
-// lane worker blocked writing an ack into it, so the per-session
-// waitIdle barrier (which runs before deregistration) cannot wedge.
+// blocks until those sessions deregister. Closing the conn ends the
+// session's reader and fails any ack its handler is blocked writing, so
+// the handler cannot wedge on its way out.
 func (s *Server) closeConns(match func(deviceID uint64) bool) {
 	s.mu.Lock()
-	if s.closed == nil {
-		s.closed = sync.NewCond(&s.mu)
-	}
-	targets := make([]net.Conn, 0, len(s.conns))
-	for nc, dev := range s.conns {
-		if match(dev) {
+	var targets []net.Conn
+	var done []chan struct{}
+	for nc, t := range s.conns {
+		if match(t.deviceID) {
 			targets = append(targets, nc)
+			done = append(done, t.done)
 		}
 	}
 	s.mu.Unlock()
 	for _, nc := range targets {
 		nc.Close()
 	}
-	s.mu.Lock()
-	for {
-		live := false
-		for _, nc := range targets {
-			if _, ok := s.conns[nc]; ok {
-				live = true
-				break
-			}
-		}
-		if !live {
-			break
-		}
-		s.closed.Wait()
+	for _, d := range done {
+		<-d
 	}
-	s.mu.Unlock()
 }
 
 // track registers an authenticated session, returning its deregister.
 func (s *Server) track(nc net.Conn, deviceID uint64) func() {
+	t := tracked{deviceID: deviceID, done: make(chan struct{})}
 	s.mu.Lock()
 	if s.conns == nil {
-		s.conns = map[net.Conn]uint64{} // Server built as a literal
+		s.conns = map[net.Conn]tracked{} // Server built as a literal
 	}
-	s.conns[nc] = deviceID
+	s.conns[nc] = t
 	s.sessionsTotal++
 	s.mu.Unlock()
 	return func() {
 		s.mu.Lock()
 		delete(s.conns, nc)
-		if s.closed != nil {
-			s.closed.Broadcast() // a draining Close may be waiting on us
-		}
 		s.mu.Unlock()
+		close(t.done)
 	}
 }
 
@@ -238,39 +225,35 @@ func (s *Server) HandleConn(nc net.Conn) {
 		return
 	}
 	defer s.track(nc, deviceID)()
-	ss := newSession(s, nc, conn, deviceID)
-	ss.lane = s.acquireLane()
-	defer s.releaseLane(ss.lane)
-	defer ss.waitIdle() // flush in-flight decode jobs before closing nc
-	for {
-		typ, body, err := conn.ReadMsg()
-		if err != nil {
-			// A closed pipe or a transport-integrity failure ends the
-			// session alike; the device reconnects and resumes from the
-			// acked sequence.
-			return
+	ss := &session{srv: s, conn: conn, deviceID: deviceID}
+	frames := make(chan frame, sessionQueueDepth)
+	go ss.read(frames)
+	// The loop ends when the reader closes frames, so no reader outlives
+	// its session.
+	failed := false
+	for f := range frames {
+		if !failed && s.dispatch(ss, f.typ, f.body) != nil {
+			// A reply failed: the device will reconnect and resume from
+			// its last ack. Closing nc ends the reader; nothing queued
+			// behind the failure is served, only drained.
+			failed = true
+			nc.Close()
 		}
-		if err := s.dispatch(ss, typ, body); err != nil {
-			return
+		if f.typ == nvmeoe.MsgSegment {
+			s.noteQueue(-1)
 		}
 	}
 }
 
+// dispatch serves one frame in wire order: everything the wire carried
+// before it has been ingested or answered.
 func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 	switch typ {
 	case nvmeoe.MsgSegment:
-		// The payload is the codec-framed segment blob. Hand it to the
-		// decode lane and return to the wire: the worker decodes, verifies,
-		// appends, and acks.
-		// body is private to this ReadMsg, so the handoff is safe.
-		ss.begin()
-		ss.lane.enqueue(ss, body)
-		return nil
+		// The payload is the codec-framed segment blob.
+		return ss.ingestSegment(body)
 
 	case nvmeoe.MsgCheckpoint:
-		// Non-segment messages barrier on the lane so everything the wire
-		// ordered before them is ingested first.
-		ss.waitIdle()
 		cp, err := nvmeoe.UnmarshalCheckpoint(body)
 		if err != nil {
 			return ss.sendErr(CodeBadData, err)
@@ -278,10 +261,9 @@ func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 		if err := s.Store.AppendCheckpoint(ss.deviceID, cp); err != nil {
 			return ss.sendErr(CodeInternal, err)
 		}
-		return ss.writeMsg(nvmeoe.MsgCheckpointAck, (&nvmeoe.Ack{UpTo: cp.Seq}).Marshal())
+		return ss.conn.WriteMsg(nvmeoe.MsgCheckpointAck, (&nvmeoe.Ack{UpTo: cp.Seq}).Marshal())
 
 	case nvmeoe.MsgFetch:
-		ss.waitIdle()
 		req, err := nvmeoe.UnmarshalFetchReq(body)
 		if err != nil {
 			return ss.sendErr(CodeBadData, err)
@@ -313,7 +295,7 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 		return ss.writeStored(cp.MarshaledSize(), cp.AppendMarshal)
 	case nvmeoe.FetchHead:
 		h := s.Store.Head(deviceID)
-		return ss.writeMsg(nvmeoe.MsgFetchResp, h.Marshal())
+		return ss.conn.WriteMsg(nvmeoe.MsgFetchResp, h.Marshal())
 	case nvmeoe.FetchHeld:
 		seg := oplog.Segment{DeviceID: deviceID, Pages: s.Store.HeldVersions(deviceID)}
 		return ss.writeStored(seg.MarshaledSize(), seg.AppendMarshal)
@@ -329,7 +311,7 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 func (ss *session) writeStored(size int, marshal func([]byte) []byte) error {
 	blob := bufpool.Get(nvmeoe.BlobOverhead + size)
 	blob.B = marshal(nvmeoe.AppendStoredHeader(blob.B, size))
-	err := ss.writeMsg(nvmeoe.MsgFetchResp, blob.B)
+	err := ss.conn.WriteMsg(nvmeoe.MsgFetchResp, blob.B)
 	blob.Release()
 	return err
 }
@@ -406,7 +388,7 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 			raw.B = nvmeoe.AppendRefChunk(raw.B, deviceID, refPages)
 			blob := bufpool.Get(nvmeoe.BlobOverhead + len(raw.B))
 			blob.B = nvmeoe.AppendSegmentBlob(blob.B, raw.B)
-			err := ss.writeMsg(nvmeoe.MsgFetchChunkRef, blob.B)
+			err := ss.conn.WriteMsg(nvmeoe.MsgFetchChunkRef, blob.B)
 			logical, wire := len(raw.B), len(blob.B)
 			raw.Release()
 			blob.Release()
@@ -428,7 +410,7 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 		}
 		from = next
 	}
-	return ss.writeMsg(nvmeoe.MsgFetchEnd, end.Marshal())
+	return ss.conn.WriteMsg(nvmeoe.MsgFetchEnd, end.Marshal())
 }
 
 // Client is the device-side handle to a remote server session. Calls are
